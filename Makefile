@@ -3,19 +3,20 @@ GO ?= go
 # Concurrency-sensitive packages: the bench Runner worker pool, the
 # gateway (TEE pools, circuit breakers, load balancer, forwarding),
 # the front tier (admission queues, shard breakers, async completion
-# goroutines), the retrying HTTP client, the fault plane, the sharded
+# goroutines), the front-door server all three sit behind, the
+# retrying HTTP client, the fault plane, the sharded
 # metrics registry, the warm guest pool's refill goroutine, the
 # live-migration engine's chunk-resume path, and the SLO engine
 # (evaluated from federation sweeps while handlers read its status).
-RACE_PKGS = ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+RACE_PKGS = ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the
-# sharded front tier, the warm-pool/snapshot-cache subsystem, the
+# sharded front tier, the front-door server, the warm-pool/snapshot-cache subsystem, the
 # telemetry plane, the persistence plane's log, the live-migration
 # engine, and the SLO engine.
 COVER_FLOOR ?= 70
-COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
+COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
 
 # The relay benchmark suite behind the committed perf trajectory
 # (BENCH_relay.json). Iterations are pinned so baseline and gate runs
@@ -26,7 +27,7 @@ BENCH_COUNT ?= 3
 BENCH_RUN = $(GO) test -run xxx -bench 'BenchmarkWireTransportInvoke|BenchmarkCodec|BenchmarkTransportRoundTrip' \
 	-benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . ./internal/wire
 
-.PHONY: build test vet race cover cover-floor fuzz-smoke bench bench-gate obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics verify
+.PHONY: build test vet race cover cover-floor fuzz-smoke bench bench-gate benchmark-check obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics lint-routes verify
 
 build:
 	$(GO) build ./...
@@ -140,9 +141,25 @@ slo-smoke:
 lint-metrics:
 	$(GO) test -run TestLintMetricNames -count=1 ./internal/obs
 
-# Full pre-merge check: compile, vet, unit tests, the race detector
-# over the concurrency-sensitive packages, the coverage floor, the
-# metric-naming lint, the observability/chaos/telemetry/front-tier/
-# durability/migration/SLO smokes, and the committed relay perf
-# trajectory.
-verify: build vet test race cover-floor lint-metrics obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke bench-gate
+# Static route-registration lint: outside tests, only the front-door
+# server (internal/door/door.go) may build an http.ServeMux or register
+# a handler on one, so every ConfBench route stays in the api route
+# table.
+lint-routes:
+	$(GO) test -run TestLintOneMux -count=1 ./internal/door
+
+# The repo's benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own that `go build ./... && go test ./...` does not see, yet it
+# imports internal packages: vet and test it so a deleted or changed
+# exported name it uses fails here, not in the next benchmark run.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# Full pre-merge check: compile, vet, unit tests, the benchmark
+# module's own vet and tests, the race detector over the
+# concurrency-sensitive packages, the coverage floor, the metric-naming
+# and route-registration lints, the observability/chaos/telemetry/
+# front-tier/durability/migration/SLO smokes, and the committed relay
+# perf trajectory.
+verify: build vet test benchmark-check race cover-floor lint-metrics lint-routes obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke bench-gate

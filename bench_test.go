@@ -40,7 +40,7 @@ var (
 func sharedCluster(b *testing.B) *confbench.Cluster {
 	b.Helper()
 	benchClusterOnce.Do(func() {
-		benchClusterInst, benchClusterErr = confbench.NewCluster(confbench.ClusterConfig{GuestMemoryMB: 8})
+		benchClusterInst, benchClusterErr = confbench.New(confbench.WithGuestMemoryMB(8))
 	})
 	if benchClusterErr != nil {
 		b.Fatal(benchClusterErr)
@@ -222,9 +222,8 @@ func BenchmarkFig8CCADistribution(b *testing.B) {
 // the pre-upgrade TDX module made runs ~10× slower. Reported metric is
 // the buggy/current execution-time ratio.
 func BenchmarkAblationTDXFirmware(b *testing.B) {
-	buggy, err := confbench.NewCluster(confbench.ClusterConfig{
-		TEEs: []tee.Kind{tee.KindTDX}, TDXFirmware: "TDX_1.5.00.41.610", GuestMemoryMB: 8,
-	})
+	buggy, err := confbench.New(confbench.WithTEEs(tee.KindTDX),
+		confbench.WithTDXFirmware("TDX_1.5.00.41.610"), confbench.WithGuestMemoryMB(8))
 	if err != nil {
 		b.Fatal(err)
 	}

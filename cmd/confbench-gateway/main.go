@@ -112,6 +112,17 @@ func run(args []string) error {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
+	// The exposed gateway is configured the same whether it fronts the
+	// embedded test bed or an external -hosts fleet.
+	gwCfg := gateway.Config{
+		Policy:           policyFactory,
+		BreakerThreshold: *breakerThreshold,
+		BreakerCooldown:  *breakerCooldown,
+		ScrapeInterval:   *scrapeInterval,
+		Transport:        *transport,
+		DurableDir:       *durableDir,
+		SLO:              objectives,
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
@@ -125,11 +136,16 @@ func run(args []string) error {
 		if *shards > 1 {
 			clusterDurable = *durableDir
 		}
-		cluster, err := confbench.NewCluster(confbench.ClusterConfig{
-			Seed: *seed, GuestMemoryMB: 16, LeastLoaded: *policy == "least-loaded",
-			Shards: *shards, Transport: *transport, DurableDir: clusterDurable,
-			HostsPerTEE: *hostsPerTEE, WarmPool: *warmPool,
-		})
+		opts := []confbench.Option{
+			confbench.WithSeed(*seed), confbench.WithGuestMemoryMB(16),
+			confbench.WithShards(*shards), confbench.WithTransport(*transport),
+			confbench.WithDurableDir(clusterDurable),
+			confbench.WithHostsPerTEE(*hostsPerTEE), confbench.WithWarmPool(*warmPool),
+		}
+		if policyFactory != nil {
+			opts = append(opts, confbench.WithLeastLoaded())
+		}
+		cluster, err := confbench.New(opts...)
 		if err != nil {
 			return err
 		}
@@ -162,15 +178,7 @@ func run(args []string) error {
 			<-sig
 			return nil
 		}
-		gw := gateway.New(gateway.Config{
-			Policy:           policyFactory,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-			ScrapeInterval:   *scrapeInterval,
-			Transport:        *transport,
-			DurableDir:       *durableDir,
-			SLO:              objectives,
-		})
+		gw := gateway.New(gwCfg)
 		for _, kind := range cluster.Kinds() {
 			agents := cluster.Agents(kind)
 			if len(agents) == 0 {
@@ -203,15 +211,7 @@ func run(args []string) error {
 	if err := json.Unmarshal(data, &hosts); err != nil {
 		return fmt.Errorf("parse hosts file: %w", err)
 	}
-	gw := gateway.New(gateway.Config{
-		Policy:           policyFactory,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		ScrapeInterval:   *scrapeInterval,
-		Transport:        *transport,
-		DurableDir:       *durableDir,
-		SLO:              objectives,
-	})
+	gw := gateway.New(gwCfg)
 	for _, h := range hosts {
 		gw.AddHost(h.Name, h.Endpoints)
 	}

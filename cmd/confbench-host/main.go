@@ -28,7 +28,6 @@ import (
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
 	"confbench/internal/vm"
-	"confbench/internal/wire"
 )
 
 func main() {
@@ -46,15 +45,10 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic noise seed")
 	warmPool := fs.Int("warm-pool", 0, "serve the secure VM from a prewarmed guest pool with this high watermark")
 	cacheMB := fs.Int("snapshot-cache-mb", 256, "snapshot image cache budget in MiB (with -warm-pool)")
-	transport := fs.String("transport", "", "accepted guest carriers: default serves HTTP and binary wire frames behind a protocol sniffer; httpjson serves plain HTTP only")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 5*time.Second, "deadline for draining the warm pool on SIGTERM (idle guests are destroyed even when it expires)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if !wire.ValidTransport(*transport) {
-		return fmt.Errorf("unknown transport %q (want %q or %q)",
-			*transport, wire.TransportHTTPJSON, wire.TransportBinary)
 	}
 	if *pprofAddr != "" {
 		url, stopProf, err := profiler.Enable(*pprofAddr)
@@ -74,12 +68,11 @@ func run(args []string) error {
 		cache = vm.NewSnapshotCache(int64(*cacheMB)<<20, nil)
 	}
 	agent, err := hostagent.NewAgent(hostagent.AgentConfig{
-		Name:      *name,
-		Backend:   backend,
-		Guest:     tee.GuestConfig{MemoryMB: *memory},
-		WarmPool:  *warmPool,
-		Cache:     cache,
-		Transport: *transport,
+		Name:     *name,
+		Backend:  backend,
+		Guest:    tee.GuestConfig{MemoryMB: *memory},
+		WarmPool: *warmPool,
+		Cache:    cache,
 	})
 	if err != nil {
 		return err

@@ -210,13 +210,6 @@ func New(opts ...Option) (*Cluster, error) {
 	return core.NewCluster(cfg)
 }
 
-// NewCluster boots a deployment from an explicit config.
-//
-// Deprecated: use New, which accepts functional options.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	return core.NewCluster(cfg)
-}
-
 // ObsRegistry is the observability-plane metrics registry (counters,
 // gauges, latency histograms). See internal/obs.
 type ObsRegistry = obs.Registry

@@ -11,12 +11,9 @@ import (
 	"confbench/internal/tee"
 )
 
-func newCluster(t *testing.T, cfg confbench.ClusterConfig) *confbench.Cluster {
+func newCluster(t *testing.T, opts ...confbench.Option) *confbench.Cluster {
 	t.Helper()
-	if cfg.GuestMemoryMB == 0 {
-		cfg.GuestMemoryMB = 8
-	}
-	c, err := confbench.NewCluster(cfg)
+	c, err := confbench.New(append([]confbench.Option{confbench.WithGuestMemoryMB(8)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +22,7 @@ func newCluster(t *testing.T, cfg confbench.ClusterConfig) *confbench.Cluster {
 }
 
 func TestClusterBootsAllThreeTEEs(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{})
+	c := newCluster(t)
 	kinds := c.Kinds()
 	if len(kinds) != 3 {
 		t.Fatalf("kinds = %v", kinds)
@@ -52,7 +49,7 @@ func TestClusterBootsAllThreeTEEs(t *testing.T) {
 }
 
 func TestClusterSubsetDeployment(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{TEEs: []tee.Kind{tee.KindSEV}})
+	c := newCluster(t, confbench.WithTEEs(tee.KindSEV))
 	if len(c.Kinds()) != 1 || c.Kinds()[0] != tee.KindSEV {
 		t.Errorf("kinds = %v", c.Kinds())
 	}
@@ -66,7 +63,7 @@ func TestClusterSubsetDeployment(t *testing.T) {
 }
 
 func TestEndToEndThroughGateway(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{})
+	c := newCluster(t)
 	client := c.Client()
 	if err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
@@ -101,7 +98,7 @@ func TestEndToEndThroughGateway(t *testing.T) {
 }
 
 func TestUploadCatalog(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{TEEs: []tee.Kind{tee.KindTDX}})
+	c := newCluster(t, confbench.WithTEEs(tee.KindTDX))
 	if err := c.UploadCatalog(context.Background(), []string{"go", "wasm"}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +122,7 @@ func TestUploadCatalog(t *testing.T) {
 }
 
 func TestClusterAttestationFlows(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{})
+	c := newCluster(t)
 
 	ta, tv, err := c.TDXAttestation()
 	if err != nil {
@@ -153,11 +150,8 @@ func TestClusterAttestationFlows(t *testing.T) {
 }
 
 func TestBuggyFirmwareCluster(t *testing.T) {
-	good := newCluster(t, confbench.ClusterConfig{TEEs: []tee.Kind{tee.KindTDX}})
-	bad := newCluster(t, confbench.ClusterConfig{
-		TEEs:        []tee.Kind{tee.KindTDX},
-		TDXFirmware: "TDX_1.5.00.41.610",
-	})
+	good := newCluster(t, confbench.WithTEEs(tee.KindTDX))
+	bad := newCluster(t, confbench.WithTEEs(tee.KindTDX), confbench.WithTDXFirmware("TDX_1.5.00.41.610"))
 	fn := faas.Function{Name: "probe", Language: "go", Workload: "cpustress"}
 	for _, c := range []*confbench.Cluster{good, bad} {
 		if err := c.Client().Upload(context.Background(), fn); err != nil {
@@ -180,7 +174,7 @@ func TestBuggyFirmwareCluster(t *testing.T) {
 }
 
 func TestCCARealmsCannotAttest(t *testing.T) {
-	c := newCluster(t, confbench.ClusterConfig{TEEs: []tee.Kind{tee.KindCCA}})
+	c := newCluster(t, confbench.WithTEEs(tee.KindCCA))
 	_, err := c.Client().Attest(context.Background(), api.AttestRequest{TEE: tee.KindCCA, Nonce: []byte("n")})
 	if err == nil {
 		t.Error("CCA attestation should fail: the FVP lacks hardware support (§IV-B)")

@@ -11,15 +11,12 @@ import (
 	"confbench/internal/tee"
 )
 
-// ExampleNewCluster walks the paper's §III-C example run: upload a
+// ExampleNew walks the paper's §III-C example run: upload a
 // function to the gateway, request its execution in a TDX trusted
 // domain, and receive the result back — here with the function's
 // deterministic output.
-func ExampleNewCluster() {
-	cluster, err := confbench.NewCluster(confbench.ClusterConfig{
-		TEEs:          []tee.Kind{tee.KindTDX},
-		GuestMemoryMB: 8,
-	})
+func ExampleNew() {
+	cluster, err := confbench.New(confbench.WithTEEs(tee.KindTDX), confbench.WithGuestMemoryMB(8))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 
 func run(quick bool) error {
 	ctx := context.Background()
-	cluster, err := confbench.NewCluster(confbench.ClusterConfig{GuestMemoryMB: 16})
+	cluster, err := confbench.New(confbench.WithGuestMemoryMB(16))
 	if err != nil {
 		return err
 	}

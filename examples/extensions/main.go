@@ -33,9 +33,7 @@ func main() {
 }
 
 func run() error {
-	cluster, err := confbench.NewCluster(confbench.ClusterConfig{
-		TEEs: []tee.Kind{tee.KindTDX, tee.KindSEV}, GuestMemoryMB: 16,
-	})
+	cluster, err := confbench.New(confbench.WithTEEs(tee.KindTDX, tee.KindSEV), confbench.WithGuestMemoryMB(16))
 	if err != nil {
 		return err
 	}

@@ -28,9 +28,7 @@ func main() {
 
 func run(kind tee.Kind, trials int) error {
 	ctx := context.Background()
-	cluster, err := confbench.NewCluster(confbench.ClusterConfig{
-		TEEs: []tee.Kind{kind}, GuestMemoryMB: 16,
-	})
+	cluster, err := confbench.New(confbench.WithTEEs(kind), confbench.WithGuestMemoryMB(16))
 	if err != nil {
 		return err
 	}

@@ -27,88 +27,6 @@ import (
 	"confbench/internal/tee"
 )
 
-// Paths served by the gateway, relative to a version prefix. The
-// gateway serves every path under APIPrefixV1 and, for compatibility
-// with pre-versioning clients, under the bare path as an alias to the
-// same handler.
-const (
-	PathFunctions = "/functions"
-	PathInvoke    = "/invoke"
-	// PathInvokeAsync submits an invoke without holding the
-	// connection: the response carries an invoke ID immediately and
-	// the result is fetched later from PathInvoke + "/{id}".
-	PathInvokeAsync = "/invoke/async"
-	PathAttest      = "/attest"
-	PathPools       = "/pools"
-	// PathDrain quiesces a host, live-migrates its warm guests to the
-	// surviving hosts of the same TEE kind, and removes it from the
-	// routing ring.
-	PathDrain   = "/drain"
-	PathHealth  = "/health"
-	PathMetrics = "/metrics"
-	PathObs     = "/obs"
-	// PathObsCluster serves the federated cluster view: every host
-	// agent's registry merged under host labels, plus windowed rates.
-	PathObsCluster = "/obs/cluster"
-	// PathObsEvents serves the gateway's invoke flight recorder.
-	PathObsEvents = "/obs/events"
-	// PathObsSLO serves the SLO engine's per-objective status: state,
-	// burn rates, and remaining error budget.
-	PathObsSLO = "/obs/slo"
-	// PathObsAlerts serves the alert timeline: SLO state transitions
-	// with trace attribution, durable across restarts via the spill.
-	PathObsAlerts = "/obs/alerts"
-)
-
-// APIPrefixV1 is the versioned mount point of the REST surface.
-const APIPrefixV1 = "/v1"
-
-// Versioned paths — the canonical routes new clients use. The
-// unversioned constants above remain valid aliases.
-const (
-	PathV1Functions   = APIPrefixV1 + PathFunctions
-	PathV1Invoke      = APIPrefixV1 + PathInvoke
-	PathV1InvokeAsync = APIPrefixV1 + PathInvokeAsync
-	PathV1Attest      = APIPrefixV1 + PathAttest
-	PathV1Pools       = APIPrefixV1 + PathPools
-	PathV1Drain       = APIPrefixV1 + PathDrain
-	PathV1Health      = APIPrefixV1 + PathHealth
-	PathV1Metrics     = APIPrefixV1 + PathMetrics
-	PathV1Obs         = APIPrefixV1 + PathObs
-	PathV1ObsCluster  = APIPrefixV1 + PathObsCluster
-	PathV1ObsEvents   = APIPrefixV1 + PathObsEvents
-	PathV1ObsSLO      = APIPrefixV1 + PathObsSLO
-	PathV1ObsAlerts   = APIPrefixV1 + PathObsAlerts
-)
-
-// Paths served by guest agents inside VMs.
-//
-// Deprecated: these are the pre-versioning spellings, kept as
-// byte-identical aliases of the GuestV1 routes below. New callers use
-// the GuestV1 constants.
-const (
-	GuestPathInvoke = "/guest/invoke"
-	GuestPathAttest = "/guest/attest"
-	GuestPathHealth = "/guest/health"
-	// GuestPathObs serves the host process's metrics registry — the
-	// gateway's federation scraper pulls it over the relay hop.
-	GuestPathObs = "/guest/obs"
-)
-
-// GuestPrefixV1 is the versioned mount point of the guest surface,
-// mirroring the gateway's /v1 redesign.
-const GuestPrefixV1 = "/guest/v1"
-
-// Versioned guest paths — the canonical routes the gateway dispatches
-// to. Guest servers also serve the unversioned spellings above as
-// aliases to the same handlers.
-const (
-	GuestV1Invoke = GuestPrefixV1 + "/invoke"
-	GuestV1Attest = GuestPrefixV1 + "/attest"
-	GuestV1Health = GuestPrefixV1 + "/health"
-	GuestV1Obs    = GuestPrefixV1 + "/obs"
-)
-
 // UploadRequest registers a function with the gateway.
 type UploadRequest struct {
 	Function faas.Function `json:"function"`
@@ -214,7 +132,15 @@ type AttestResponse struct {
 	AttestNs int64 `json:"attest_ns"`
 }
 
-// Metrics is the gateway's request accounting for GET /metrics.
+// Health is the GET health reply of every door. The gateway fills
+// only Status; a front tier adds its shard count, a guest its VM.
+type Health struct {
+	Status string `json:"status"`
+	Shards string `json:"shards,omitempty"`
+	VM     string `json:"vm,omitempty"`
+}
+
+// Metrics is the gateway's request accounting for GET /v1/metrics.
 type Metrics struct {
 	// UptimeSeconds since the gateway started serving.
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -228,7 +154,7 @@ type Metrics struct {
 	PerPool map[string]uint64 `json:"per_pool"`
 }
 
-// PoolInfo describes one TEE pool for GET /pools. When some hosts
+// PoolInfo describes one TEE pool for GET /v1/pools. When some hosts
 // are down the gateway still answers with the full member list and
 // per-endpoint breaker states — partial status, not a 500.
 type PoolInfo struct {
@@ -242,7 +168,7 @@ type PoolInfo struct {
 	Members []EndpointHealth `json:"members,omitempty"`
 }
 
-// EndpointHealth is one pool member's health for GET /pools.
+// EndpointHealth is one pool member's health for GET /v1/pools.
 type EndpointHealth struct {
 	Host   string `json:"host"`
 	VM     string `json:"vm"`
@@ -278,7 +204,7 @@ type MigrationSummary struct {
 	TransferredBytes int64 `json:"transferred_bytes"`
 }
 
-// DrainReport is the POST /drain response.
+// DrainReport is the POST /v1/drain response.
 type DrainReport struct {
 	// Host is the drained host.
 	Host string `json:"host"`
@@ -372,11 +298,6 @@ const (
 	// backoffJitter is the ± fraction applied to each sleep so a burst
 	// of failed clients doesn't retry in lockstep.
 	backoffJitter = 0.20
-	// DefaultPollInterval paces AwaitResult's polls of an async invoke.
-	//
-	// Deprecated: AwaitResult now long-polls server-side; the interval
-	// is one round trip's parked wait, defaulting to DefaultAwaitWait.
-	DefaultPollInterval = 25 * time.Millisecond
 	// DefaultAwaitWait is the per-round-trip wait AwaitResult asks the
 	// front tier to park a result poll for (the server clamps it).
 	DefaultAwaitWait = 2 * time.Second
@@ -388,7 +309,6 @@ const (
 type Client struct {
 	baseURL string
 	host    string
-	prefix  string
 	tenant  string
 	http    *http.Client
 
@@ -457,18 +377,10 @@ func WithTransport(t Transport) Option {
 	return func(c *Client) { c.transport = t }
 }
 
-// WithPathPrefix overrides the API version prefix the client puts in
-// front of every path. The default is APIPrefixV1; pass "" to talk to
-// a pre-versioning gateway through the unversioned aliases.
-func WithPathPrefix(prefix string) Option {
-	return func(c *Client) { c.prefix = prefix }
-}
-
 // New builds a client for the gateway at baseURL, configured by opts.
 // The URL must be absolute with an http or https scheme; the returned
 // client has an explicit per-attempt timeout so a wedged gateway
-// cannot hang callers that forget a context deadline. Requests go to
-// the versioned /v1 surface unless WithPathPrefix says otherwise.
+// cannot hang callers that forget a context deadline.
 func New(baseURL string, opts ...Option) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -486,7 +398,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c := &Client{
 		baseURL:      baseURL,
 		host:         u.Host,
-		prefix:       APIPrefixV1,
 		http:         &http.Client{Timeout: DefaultTimeout},
 		MaxAttempts:  DefaultMaxAttempts,
 		RetryBackoff: DefaultRetryBackoff,
@@ -497,51 +408,30 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// NewClient builds a client with default settings.
-//
-// Deprecated: use New, which accepts functional options.
-func NewClient(baseURL string) (*Client, error) {
-	return New(baseURL)
-}
-
-// wirePayload maps one client call onto the binary transport's frame
-// vocabulary. Tenant-scoped requests get wrapped so the tenant rides
-// in the frame payload (binary frames have no headers). ok=false
-// means the call has no frame mapping and must go over HTTP.
-func (c *Client) wirePayload(method, path string, in any) (any, bool) {
-	if c.transport == nil {
-		return nil, false
+// httpBody strips the tenant wrapper a frame-mappable call carries its
+// request in: binary frames have no headers, so the tenant rides in
+// the payload, while over HTTP it rides in HeaderTenant.
+func httpBody(in any) any {
+	switch ti := in.(type) {
+	case *TenantedInvoke:
+		return &ti.Req
+	case *TenantedAttest:
+		return &ti.Req
 	}
-	tenant := c.tenant
-	if tenant == "" {
-		tenant = TenantDefault
-	}
-	switch {
-	case method == http.MethodPost && path == PathInvoke:
-		req, ok := in.(InvokeRequest)
-		if !ok {
-			return nil, false
-		}
-		return &TenantedInvoke{Tenant: tenant, Req: req}, true
-	case method == http.MethodPost && path == PathAttest:
-		req, ok := in.(AttestRequest)
-		if !ok {
-			return nil, false
-		}
-		return &TenantedAttest{Tenant: tenant, Req: req}, true
-	case method == http.MethodGet && path == PathHealth:
-		return nil, true
-	}
-	return nil, false
+	return in
 }
 
 // do runs one request with retry-with-backoff on retryable errors.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	win, overWire := c.wirePayload(method, path, in)
+	// The route table says which calls have a frame mapping; the rest —
+	// including any path carrying a query string, which no frame can
+	// encode — go over HTTP.
+	rt, _ := RouteFor(method, path)
+	overWire := c.transport != nil && rt.Req != 0
 	var body []byte
 	if in != nil && !overWire {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if body, err = json.Marshal(httpBody(in)); err != nil {
 			return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 				fmt.Errorf("api: marshal request: %w", err))
 		}
@@ -564,7 +454,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var err error
 	for attempt := 1; ; attempt++ {
 		if overWire {
-			err = c.transport.RoundTrip(ctx, c.host, c.prefix+path, win, out)
+			err = c.transport.RoundTrip(ctx, c.host, path, in, out)
 		} else {
 			err = c.attempt(ctx, method, path, body, out)
 		}
@@ -611,7 +501,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if body != nil {
 		reader = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+c.prefix+path, reader)
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, reader)
 	if err != nil {
 		return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 			fmt.Errorf("api: %s %s: %w", method, path, err))
@@ -693,27 +583,30 @@ func decodeResponse(resp *http.Response, path string, out any) error {
 	return nil
 }
 
+// call runs one request and returns its typed response (the zero
+// value on error) — the client-side twin of the door's typed handlers.
+func call[Resp any](ctx context.Context, c *Client, method, path string, in any) (Resp, error) {
+	var out Resp
+	if err := c.do(ctx, method, path, in, &out); err != nil {
+		var zero Resp
+		return zero, err
+	}
+	return out, nil
+}
+
 // Upload registers a function.
 func (c *Client) Upload(ctx context.Context, fn faas.Function) error {
-	return c.do(ctx, http.MethodPost, PathFunctions, UploadRequest{Function: fn}, nil)
+	return c.do(ctx, http.MethodPost, PathV1Functions, UploadRequest{Function: fn}, nil)
 }
 
 // Functions lists registered function names.
 func (c *Client) Functions(ctx context.Context) ([]string, error) {
-	var out []string
-	if err := c.do(ctx, http.MethodGet, PathFunctions, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]string](ctx, c, http.MethodGet, PathV1Functions, nil)
 }
 
 // Invoke executes a registered function.
 func (c *Client) Invoke(ctx context.Context, req InvokeRequest) (InvokeResponse, error) {
-	var out InvokeResponse
-	if err := c.do(ctx, http.MethodPost, PathInvoke, req, &out); err != nil {
-		return InvokeResponse{}, err
-	}
-	return out, nil
+	return call[InvokeResponse](ctx, c, http.MethodPost, PathV1Invoke, &TenantedInvoke{Tenant: c.tenant, Req: req})
 }
 
 // InvokeAsync submits a function execution without holding the
@@ -721,22 +614,14 @@ func (c *Client) Invoke(ctx context.Context, req InvokeRequest) (InvokeResponse,
 // with an invoke ID, and the result is fetched later with Result (or
 // AwaitResult). Only deployments with a front tier serve this path.
 func (c *Client) InvokeAsync(ctx context.Context, req InvokeRequest) (AsyncSubmitResponse, error) {
-	var out AsyncSubmitResponse
-	if err := c.do(ctx, http.MethodPost, PathInvokeAsync, req, &out); err != nil {
-		return AsyncSubmitResponse{}, err
-	}
-	return out, nil
+	return call[AsyncSubmitResponse](ctx, c, http.MethodPost, PathV1InvokeAsync, req)
 }
 
 // Result polls one async invoke's lifecycle record by ID. A pending
 // record answers with Status "pending" and no payload; polling an
 // unknown or expired ID is a not_found error.
 func (c *Client) Result(ctx context.Context, id string) (AsyncResult, error) {
-	var out AsyncResult
-	if err := c.do(ctx, http.MethodGet, PathInvoke+"/"+url.PathEscape(id), nil, &out); err != nil {
-		return AsyncResult{}, err
-	}
-	return out, nil
+	return call[AsyncResult](ctx, c, http.MethodGet, PathV1Invoke+"/"+url.PathEscape(id), nil)
 }
 
 // ResultWait long-polls one async invoke: the front tier parks the
@@ -747,7 +632,7 @@ func (c *Client) Result(ctx context.Context, id string) (AsyncResult, error) {
 func (c *Client) ResultWait(ctx context.Context, id string, wait time.Duration) (AsyncResult, error) {
 	// Seed the pending shape: a 204 leaves it untouched.
 	out := AsyncResult{ID: id, Status: AsyncPending}
-	p := PathInvoke + "/" + url.PathEscape(id)
+	p := PathV1Invoke + "/" + url.PathEscape(id)
 	if wait > 0 {
 		p += "?wait=" + url.QueryEscape(wait.String())
 	}
@@ -796,46 +681,30 @@ func (c *Client) AwaitResult(ctx context.Context, id string, interval time.Durat
 
 // Attest requests attestation evidence from a confidential VM.
 func (c *Client) Attest(ctx context.Context, req AttestRequest) (AttestResponse, error) {
-	var out AttestResponse
-	if err := c.do(ctx, http.MethodPost, PathAttest, req, &out); err != nil {
-		return AttestResponse{}, err
-	}
-	return out, nil
+	return call[AttestResponse](ctx, c, http.MethodPost, PathV1Attest, &TenantedAttest{Tenant: c.tenant, Req: req})
 }
 
 // Metrics fetches the gateway's request accounting.
 func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
-	var out Metrics
-	if err := c.do(ctx, http.MethodGet, PathMetrics, nil, &out); err != nil {
-		return Metrics{}, err
-	}
-	return out, nil
+	return call[Metrics](ctx, c, http.MethodGet, PathV1Metrics, nil)
 }
 
 // Obs fetches the gateway's observability snapshot (counters, gauges,
 // histograms) in JSON form. The same endpoint serves the Prometheus
 // text format when asked without the JSON accept header.
 func (c *Client) Obs(ctx context.Context) (obs.Snapshot, error) {
-	var out obs.Snapshot
-	if err := c.do(ctx, http.MethodGet, PathObs+"?format=json", nil, &out); err != nil {
-		return obs.Snapshot{}, err
-	}
-	return out, nil
+	return call[obs.Snapshot](ctx, c, http.MethodGet, PathV1Obs+"?format=json", nil)
 }
 
 // ObsCluster fetches the federated cluster snapshot: every host
 // agent's registry merged under host labels, plus windowed rates.
 // window is the rate window in scrape samples (0 = server default).
 func (c *Client) ObsCluster(ctx context.Context, window int) (obs.ClusterSnapshot, error) {
-	path := PathObsCluster + "?format=json"
+	path := PathV1ObsCluster + "?format=json"
 	if window > 0 {
 		path += "&window=" + fmt.Sprint(window)
 	}
-	var out obs.ClusterSnapshot
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return obs.ClusterSnapshot{}, err
-	}
-	return out, nil
+	return call[obs.ClusterSnapshot](ctx, c, http.MethodGet, path, nil)
 }
 
 // ObsEvents fetches the gateway's invoke flight recorder (retained
@@ -868,15 +737,11 @@ func (c *Client) ObsEventsWhere(ctx context.Context, q EventsQuery) ([]obs.Event
 	if q.Trace != "" {
 		vals.Set("trace", q.Trace)
 	}
-	path := PathObsEvents
+	path := PathV1ObsEvents
 	if enc := vals.Encode(); enc != "" {
 		path += "?" + enc
 	}
-	var out []obs.Event
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]obs.Event](ctx, c, http.MethodGet, path, nil)
 }
 
 // SLOStatus fetches the gateway's per-objective SLO evaluation. An
@@ -884,44 +749,28 @@ func (c *Client) ObsEventsWhere(ctx context.Context, q EventsQuery) ([]obs.Event
 // gateways return a not-found error callers should treat as "no SLO
 // plane".
 func (c *Client) SLOStatus(ctx context.Context) ([]slo.Status, error) {
-	var out []slo.Status
-	if err := c.do(ctx, http.MethodGet, PathObsSLO, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]slo.Status](ctx, c, http.MethodGet, PathV1ObsSLO, nil)
 }
 
 // Alerts fetches the alert timeline: every SLO state transition
 // observed (or restored from the telemetry spill), oldest first.
 func (c *Client) Alerts(ctx context.Context) ([]slo.Transition, error) {
-	var out []slo.Transition
-	if err := c.do(ctx, http.MethodGet, PathObsAlerts, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]slo.Transition](ctx, c, http.MethodGet, PathV1ObsAlerts, nil)
 }
 
 // Pools lists the gateway's TEE pools.
 func (c *Client) Pools(ctx context.Context) ([]PoolInfo, error) {
-	var out []PoolInfo
-	if err := c.do(ctx, http.MethodGet, PathPools, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]PoolInfo](ctx, c, http.MethodGet, PathV1Pools, nil)
 }
 
 // DrainHost asks the gateway to drain host: quiesce its endpoints,
 // live-migrate its warm guests to surviving hosts of the same kind,
 // and remove it from the routing ring.
 func (c *Client) DrainHost(ctx context.Context, host string) (*DrainReport, error) {
-	var out DrainReport
-	if err := c.do(ctx, http.MethodPost, PathDrain, DrainRequest{Host: host}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[*DrainReport](ctx, c, http.MethodPost, PathV1Drain, DrainRequest{Host: host})
 }
 
 // Health checks gateway liveness.
 func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, PathHealth, nil, nil)
+	return c.do(ctx, http.MethodGet, PathV1Health, nil, nil)
 }

@@ -18,9 +18,9 @@ import (
 
 func mustClient(t *testing.T, url string) *Client {
 	t.Helper()
-	c, err := NewClient(url)
+	c, err := New(url)
 	if err != nil {
-		t.Fatalf("NewClient(%q): %v", url, err)
+		t.Fatalf("New(%q): %v", url, err)
 	}
 	return c
 }
@@ -64,10 +64,10 @@ func TestWriteErrorCarriesTaxonomy(t *testing.T) {
 
 func TestNewClientValidation(t *testing.T) {
 	for _, bad := range []string{"", "127.0.0.1:8080", "ftp://host", "http://", "://x"} {
-		if _, err := NewClient(bad); err == nil {
-			t.Errorf("NewClient(%q) accepted", bad)
+		if _, err := New(bad); err == nil {
+			t.Errorf("New(%q) accepted", bad)
 		} else if cberr.CodeOf(err) != cberr.CodeInvalid {
-			t.Errorf("NewClient(%q) code = %q", bad, cberr.CodeOf(err))
+			t.Errorf("New(%q) code = %q", bad, cberr.CodeOf(err))
 		}
 	}
 	c := mustClient(t, "http://127.0.0.1:1/")

@@ -29,26 +29,6 @@ func TestClientDefaultsToV1Prefix(t *testing.T) {
 	}
 }
 
-func TestWithPathPrefixEmptySelectsLegacySurface(t *testing.T) {
-	var gotPath atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotPath.Store(r.URL.Path)
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	c, err := New(srv.URL, WithPathPrefix(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Health(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := gotPath.Load(); got != PathHealth {
-		t.Errorf("request path = %v, want %s", got, PathHealth)
-	}
-}
-
 func TestWithRetriesAndTimeout(t *testing.T) {
 	c, err := New("http://127.0.0.1:1",
 		WithRetries(7),
@@ -77,25 +57,6 @@ func TestWithHTTPClient(t *testing.T) {
 	}
 	if c.http != hc {
 		t.Error("custom http.Client not installed")
-	}
-}
-
-func TestDeprecatedNewClientMatchesNew(t *testing.T) {
-	// The legacy constructor must behave exactly like New with no
-	// options: same defaults, same /v1 surface, same validation.
-	oldC, err := NewClient("http://127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newC, err := New("http://127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldC.MaxAttempts != newC.MaxAttempts || oldC.http.Timeout != newC.http.Timeout || oldC.prefix != newC.prefix {
-		t.Errorf("NewClient defaults diverge: %+v vs %+v", oldC, newC)
-	}
-	if _, err := NewClient("not a url"); err == nil {
-		t.Error("NewClient lost its URL validation")
 	}
 }
 

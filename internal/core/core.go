@@ -201,15 +201,14 @@ func (c *Cluster) boot() error {
 				name = fmt.Sprintf("%s-%d", name, i+1)
 			}
 			agent, err := hostagent.NewAgent(hostagent.AgentConfig{
-				Name:      name,
-				Backend:   backend,
-				Guest:     tee.GuestConfig{Name: name, MemoryMB: c.cfg.GuestMemoryMB},
-				Catalog:   c.catalog,
-				Obs:       c.obsreg,
-				Faults:    c.cfg.Faults,
-				WarmPool:  c.cfg.WarmPool,
-				Cache:     c.cache,
-				Transport: c.cfg.Transport,
+				Name:     name,
+				Backend:  backend,
+				Guest:    tee.GuestConfig{Name: name, MemoryMB: c.cfg.GuestMemoryMB},
+				Catalog:  c.catalog,
+				Obs:      c.obsreg,
+				Faults:   c.cfg.Faults,
+				WarmPool: c.cfg.WarmPool,
+				Cache:    c.cache,
 			})
 			if err != nil {
 				return fmt.Errorf("confbench: boot %s host: %w", kind, err)

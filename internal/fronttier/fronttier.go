@@ -2,10 +2,8 @@ package fronttier
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -16,6 +14,7 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/gateway"
 	"confbench/internal/obs"
 	"confbench/internal/slo"
@@ -142,11 +141,9 @@ type Tier struct {
 	// without objectives.
 	sloEng *slo.Engine
 
-	mu       sync.Mutex
-	server   *http.Server
-	listener net.Listener
-	baseURL  string
-	started  time.Time
+	mu      sync.Mutex
+	door    *door.Server
+	started time.Time
 
 	invocations  atomic.Uint64
 	errors       atomic.Uint64
@@ -246,9 +243,6 @@ func New(cfg Config) (*Tier, error) {
 // it).
 func (t *Tier) Ring() *Ring { return t.ring }
 
-// Admission exposes the tier's admission controller.
-func (t *Tier) Admission() *Admission { return t.admission }
-
 // Obs exposes the tier's metrics registry.
 func (t *Tier) Obs() *obs.Registry { return t.obsreg }
 
@@ -273,30 +267,11 @@ func (t *Tier) ShardURL(name string) string {
 	return ""
 }
 
-// countError bumps the error counter and writes the envelope.
-func (t *Tier) countError(w http.ResponseWriter, status int, err error) {
-	t.errors.Add(1)
-	api.WriteError(w, status, err)
-}
-
-// fail writes a classified error, deriving the status from its code.
-func (t *Tier) fail(w http.ResponseWriter, err error) {
-	t.countError(w, cberr.HTTPStatus(err), err)
-}
-
 // shed records one load-shed under its reason label and returns the
 // classified verdict for the wire.
 func (t *Tier) shed(reason string, err error) error {
 	t.obsreg.Counter("confbench_fronttier_sheds_total", "reason", reason).Inc()
 	return err
-}
-
-// tenantOf reads the request's tenant identity.
-func tenantOf(r *http.Request) string {
-	if ten := r.Header.Get(api.HeaderTenant); ten != "" {
-		return ten
-	}
-	return api.TenantDefault
 }
 
 // routeOrder resolves key's shard walk: ring successor order with
@@ -513,147 +488,73 @@ func (t *Tier) SubmitAsync(tenant string, req api.InvokeRequest) (api.AsyncSubmi
 	return api.AsyncSubmitResponse{ID: id, Status: api.AsyncPending}, nil
 }
 
-// Result reads an async invoke's lifecycle record.
-func (t *Tier) Result(id string) (api.AsyncResult, bool) {
-	return t.store.Get(id)
-}
-
-// handleInvoke terminates POST /v1/invoke.
-func (t *Tier) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	var req api.InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		t.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-			fmt.Errorf("decode request: %w", err)))
-		return
-	}
-	resp, err := t.Invoke(r.Context(), tenantOf(r), req)
-	if err != nil {
-		t.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleInvokeAsync terminates POST /v1/invoke/async with 202 and the
-// invoke ID.
-func (t *Tier) handleInvokeAsync(w http.ResponseWriter, r *http.Request) {
-	var req api.InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		t.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-			fmt.Errorf("decode request: %w", err)))
-		return
-	}
-	sub, err := t.SubmitAsync(tenantOf(r), req)
-	if err != nil {
-		t.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusAccepted, sub)
-}
-
-// handleResult terminates GET /v1/invoke/{id}. An optional
-// ?wait=<dur> long-polls the result store: the response parks until
-// the invoke completes or the wait (clamped to MaxResultWait)
-// elapses, answering 204 when the invoke is still pending — poll
-// again — so completion costs one round trip, not a sleep loop.
-func (t *Tier) handleResult(w http.ResponseWriter, r *http.Request) {
+// result terminates GET /v1/invoke/{id}. An optional ?wait=<dur>
+// long-polls the result store: the response parks until the invoke
+// completes or the wait (clamped to MaxResultWait) elapses, answering
+// 204 when the invoke is still pending — poll again — so completion
+// costs one round trip, not a sleep loop.
+func (t *Tier) result(w http.ResponseWriter, r *http.Request, _ cberr.Layer) error {
 	id := r.PathValue("id")
 	var wait time.Duration
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
-			t.countError(w, http.StatusBadRequest,
-				cberr.New(cberr.CodeInvalid, cberr.LayerFront,
-					"wait must be a non-negative Go duration"))
-			return
+			return cberr.New(cberr.CodeInvalid, cberr.LayerFront,
+				"wait must be a non-negative Go duration")
 		}
-		if d > MaxResultWait {
-			d = MaxResultWait
-		}
-		wait = d
+		wait = min(d, MaxResultWait)
 	}
 	res, ok := t.store.Await(r.Context(), id, wait)
 	if !ok {
-		t.fail(w, cberr.Newf(cberr.CodeNotFound, cberr.LayerFront,
-			"fronttier: no result for %q (unknown, expired, or evicted)", id))
-		return
+		return cberr.Newf(cberr.CodeNotFound, cberr.LayerFront,
+			"fronttier: no result for %q (unknown, expired, or evicted)", id)
 	}
 	if wait > 0 && res.Status == api.AsyncPending {
 		w.WriteHeader(http.StatusNoContent)
-		return
+		return nil
 	}
 	api.WriteJSON(w, http.StatusOK, res)
+	return nil
 }
 
-// handleFunctions broadcasts uploads to every shard and serves
-// listings from the first shard that answers. A shard reporting
+// upload broadcasts a function to every shard. A shard reporting
 // conflict during the broadcast means it already holds the function —
 // that is completion, not failure, so retried broadcasts converge;
 // only an all-shards conflict reports conflict to the caller.
-func (t *Tier) handleFunctions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req api.UploadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-				fmt.Errorf("decode request: %w", err)))
-			return
+func (t *Tier) upload(ctx context.Context, _ string, req api.UploadRequest) (map[string]string, error) {
+	conflicts := 0
+	for _, name := range t.ShardNames() {
+		err := t.shards[name].client.Upload(ctx, req.Function)
+		switch {
+		case err == nil:
+		case cberr.CodeOf(err) == cberr.CodeConflict:
+			conflicts++
+		default:
+			return nil, err
 		}
-		conflicts := 0
-		for _, name := range t.ShardNames() {
-			err := t.shards[name].client.Upload(r.Context(), req.Function)
-			switch {
-			case err == nil:
-			case cberr.CodeOf(err) == cberr.CodeConflict:
-				conflicts++
-			default:
-				t.fail(w, err)
-				return
-			}
-		}
-		if conflicts == len(t.shards) {
-			t.fail(w, cberr.Newf(cberr.CodeConflict, cberr.LayerFront,
-				"fronttier: function %q already registered on every shard", req.Function.Name))
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, map[string]string{"registered": req.Function.Name})
-	case http.MethodGet:
-		var lastErr error
-		for _, name := range t.ShardNames() {
-			names, err := t.shards[name].client.Functions(r.Context())
-			if err == nil {
-				api.WriteJSON(w, http.StatusOK, names)
-				return
-			}
-			lastErr = err
-		}
-		t.fail(w, lastErr)
-	default:
-		t.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerFront, "GET or POST required"))
 	}
+	if conflicts == len(t.shards) {
+		return nil, cberr.Newf(cberr.CodeConflict, cberr.LayerFront,
+			"fronttier: function %q already registered on every shard", req.Function.Name)
+	}
+	return map[string]string{"registered": req.Function.Name}, nil
 }
 
-// handleAttest routes attestation like an invoke, keyed by platform ×
-// tenant.
-func (t *Tier) handleAttest(w http.ResponseWriter, r *http.Request) {
-	var req api.AttestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		t.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-			fmt.Errorf("decode request: %w", err)))
-		return
+// functions serves the listing from the first shard that answers.
+func (t *Tier) functions(ctx context.Context) ([]string, error) {
+	var lastErr error
+	for _, name := range t.ShardNames() {
+		names, err := t.shards[name].client.Functions(ctx)
+		if err == nil {
+			return names, nil
+		}
+		lastErr = err
 	}
-	resp, err := t.Attest(r.Context(), tenantOf(r), req)
-	if err != nil {
-		t.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	return nil, lastErr
 }
 
 // Attest routes one attestation round trip — admission, ring
-// placement keyed by platform × tenant, breaker failover. handleAttest
-// and the wire front door both drive it.
+// placement keyed by platform × tenant, breaker failover.
 func (t *Tier) Attest(ctx context.Context, tenant string, req api.AttestRequest) (api.AttestResponse, error) {
 	release, err := t.admit(tenant)
 	if err != nil {
@@ -674,99 +575,30 @@ func (t *Tier) Attest(ctx context.Context, tenant string, req api.AttestRequest)
 	return resp, nil
 }
 
-// handleWire serves the tier's binary front door against the same
-// Invoke/Attest pipeline the HTTP handlers drive. The tenant rides in
-// the frame payload (binary frames have no headers).
-func (t *Tier) handleWire(ctx context.Context, ft wire.Type, payload []byte) (wire.Type, []byte, error) {
-	switch ft {
-	case wire.TFrontInvokeReq:
-		ti, err := wire.DecodeFrontInvoke(payload)
-		if err != nil {
-			t.errors.Add(1)
-			return 0, nil, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-				fmt.Errorf("decode request: %w", err))
-		}
-		tenant := ti.Tenant
-		if tenant == "" {
-			tenant = api.TenantDefault
-		}
-		resp, err := t.Invoke(ctx, tenant, ti.Req)
-		if err != nil {
-			t.errors.Add(1)
-			return 0, nil, err
-		}
-		out, err := wire.AppendInvokeResponse(wire.GetBuf(0), &resp)
-		if err != nil {
-			return 0, nil, cberr.Wrap(cberr.CodeInternal, cberr.LayerFront, err)
-		}
-		return wire.TInvokeResp, out, nil
-	case wire.TAttestReq:
-		tenant, req, err := wire.DecodeAttest(payload)
-		if err != nil {
-			t.errors.Add(1)
-			return 0, nil, cberr.Wrap(cberr.CodeInvalid, cberr.LayerFront,
-				fmt.Errorf("decode request: %w", err))
-		}
-		if tenant == "" {
-			tenant = api.TenantDefault
-		}
-		resp, err := t.Attest(ctx, tenant, req)
-		if err != nil {
-			t.errors.Add(1)
-			return 0, nil, err
-		}
-		return wire.TAttestResp, wire.AppendAttestResp(wire.GetBuf(0), &resp), nil
-	case wire.THealthReq:
-		return wire.THealthResp, wire.AppendHealthResp(wire.GetBuf(0),
-			strconv.Itoa(len(t.shards))+" shards"), nil
-	case wire.TObsReq:
-		blob, err := json.Marshal(t.obsreg.Snapshot())
-		if err != nil {
-			return 0, nil, cberr.Wrap(cberr.CodeInternal, cberr.LayerFront, err)
-		}
-		return wire.TObsResp, append(wire.GetBuf(0), blob...), nil
-	default:
-		return 0, nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerFront,
-			"fronttier: unexpected frame type %s", ft)
-	}
-}
-
-// handlePools concatenates every shard's pool report in shard-name
-// order.
-func (t *Tier) handlePools(w http.ResponseWriter, r *http.Request) {
+// pools concatenates every shard's pool report in shard-name order.
+func (t *Tier) pools(ctx context.Context) ([]api.PoolInfo, error) {
 	out := make([]api.PoolInfo, 0, len(t.shards))
 	for _, name := range t.ShardNames() {
-		infos, err := t.shards[name].client.Pools(r.Context())
+		infos, err := t.shards[name].client.Pools(ctx)
 		if err != nil {
 			continue // a dead shard hides its pools, never the report
 		}
 		out = append(out, infos...)
 	}
-	api.WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// handleMetrics serves the tier's own request accounting.
-func (t *Tier) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// metrics serves the tier's own request accounting.
+func (t *Tier) metrics(context.Context) (api.Metrics, error) {
 	t.mu.Lock()
 	started := t.started
 	t.mu.Unlock()
-	api.WriteJSON(w, http.StatusOK, api.Metrics{
+	return api.Metrics{
 		UptimeSeconds: time.Since(started).Seconds(),
 		Invocations:   t.invocations.Load(),
 		Errors:        t.errors.Load(),
 		Attestations:  t.attestations.Load(),
-	})
-}
-
-// handleObs serves the tier's own registry snapshot.
-func (t *Tier) handleObs(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		api.WriteJSON(w, http.StatusOK, t.obsreg.Snapshot())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = t.obsreg.WritePrometheus(w)
+	}, nil
 }
 
 // ScrapeOnce sweeps every shard's registry, merges the snapshots
@@ -807,53 +639,6 @@ func (t *Tier) ScrapeOnce(ctx context.Context, at time.Time) obs.ClusterSnapshot
 	}
 }
 
-// handleObsCluster serves the shard-federated cluster view:
-// Prometheus text by default, JSON via ?format=json, rate window via
-// ?window=N — the same surface the gateway serves for its host view.
-func (t *Tier) handleObsCluster(w http.ResponseWriter, r *http.Request) {
-	window := gateway.DefaultObsWindow
-	if v := r.URL.Query().Get("window"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			t.countError(w, http.StatusBadRequest,
-				cberr.New(cberr.CodeInvalid, cberr.LayerFront, "window must be a non-negative integer"))
-			return
-		}
-		window = n
-	}
-	cs := t.ScrapeOnce(r.Context(), time.Now())
-	cs.Window = window
-	if s := t.series.Get(obs.RateInvokesPerSec); s != nil {
-		cs.Rates = map[string]float64{obs.RateInvokesPerSec: s.Rate(window)}
-	}
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		api.WriteJSON(w, http.StatusOK, cs)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = obs.WriteSnapshotPrometheus(w, cs.Merged)
-}
-
-// handleObsSLO serves the tier's per-objective SLO evaluation (empty
-// without configured objectives).
-func (t *Tier) handleObsSLO(w http.ResponseWriter, r *http.Request) {
-	sts := t.sloEng.Status()
-	if sts == nil {
-		sts = []slo.Status{}
-	}
-	api.WriteJSON(w, http.StatusOK, sts)
-}
-
-// handleObsAlerts serves the tier's alert timeline, oldest first.
-func (t *Tier) handleObsAlerts(w http.ResponseWriter, r *http.Request) {
-	trs := t.sloEng.Timeline()
-	if trs == nil {
-		trs = []slo.Transition{}
-	}
-	api.WriteJSON(w, http.StatusOK, trs)
-}
-
 // SLO exposes the tier's SLO engine (nil without objectives).
 func (t *Tier) SLO() *slo.Engine { return t.sloEng }
 
@@ -862,73 +647,66 @@ func (t *Tier) SLO() *slo.Engine { return t.sloEng }
 func (t *Tier) Start(addr string) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.listener != nil {
+	if t.door != nil {
 		return "", errors.New("fronttier: already started")
 	}
-	mux := http.NewServeMux()
-	handleHealth := func(w http.ResponseWriter, _ *http.Request) {
-		api.WriteJSON(w, http.StatusOK, map[string]string{
-			"status": "ok", "shards": strconv.Itoa(len(t.shards)),
-		})
-	}
-	// Method-scoped routes, mounted under /v1 and bare like the
-	// gateway, so either a tier or a gateway can stand behind the same
-	// client.
-	for _, prefix := range []string{api.APIPrefixV1, ""} {
-		mux.HandleFunc("POST "+prefix+api.PathInvokeAsync, t.handleInvokeAsync)
-		mux.HandleFunc("POST "+prefix+api.PathInvoke, t.handleInvoke)
-		mux.HandleFunc("GET "+prefix+api.PathInvoke+"/{id}", t.handleResult)
-		mux.HandleFunc(prefix+api.PathFunctions, t.handleFunctions)
-		mux.HandleFunc("POST "+prefix+api.PathAttest, t.handleAttest)
-		mux.HandleFunc("GET "+prefix+api.PathPools, t.handlePools)
-		mux.HandleFunc("GET "+prefix+api.PathMetrics, t.handleMetrics)
-		mux.HandleFunc("GET "+prefix+api.PathHealth, handleHealth)
-		mux.HandleFunc("GET "+prefix+api.PathObs, t.handleObs)
-		mux.HandleFunc("GET "+prefix+api.PathObsCluster, t.handleObsCluster)
-		mux.HandleFunc("GET "+prefix+api.PathObsSLO, t.handleObsSLO)
-		mux.HandleFunc("GET "+prefix+api.PathObsAlerts, t.handleObsAlerts)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("fronttier: listen %s: %w", addr, err)
-	}
 	t.started = time.Now()
-	t.listener = ln
-	// The front door accepts both carriers behind a protocol sniffer,
-	// exactly like the gateway's.
-	sniffer := wire.NewSniffer(ln, wire.ServerConfig{
-		Handler: t.handleWire,
+	// The same surface the gateway serves, so either can stand behind
+	// the same client — plus the async pair, minus drain and events (a
+	// tier migrates nothing and records no invokes). Its door takes no
+	// request metrics: the SLO engine reads the shards' counts, and the
+	// tier's own would count every request a second time.
+	srv, err := door.Listen(addr, door.Config{
+		Layer: cberr.LayerFront,
+		Routes: []door.Handler{
+			door.Post(api.PathV1InvokeAsync, func(_ context.Context, tenant string, req api.InvokeRequest) (api.AsyncSubmitResponse, error) {
+				return t.SubmitAsync(tenant, req)
+			}),
+			door.Post(api.PathV1Invoke, t.Invoke),
+			door.Raw(http.MethodGet, api.PathV1Invoke+"/{id}", t.result),
+			door.Post(api.PathV1Functions, t.upload),
+			door.Get(api.PathV1Functions, t.functions),
+			door.Post(api.PathV1Attest, t.Attest),
+			door.Get(api.PathV1Pools, t.pools),
+			door.Get(api.PathV1Metrics, t.metrics),
+			door.Get(api.PathV1Health, func(context.Context) (api.Health, error) {
+				return api.Health{Status: "ok", Shards: strconv.Itoa(len(t.shards))}, nil
+			}),
+			door.Obs(api.PathV1Obs, t.obsreg),
+			door.ObsCluster(t.ScrapeOnce, t.series),
+			door.ObsSLO(t.sloEng),
+			door.ObsAlerts(t.sloEng),
+		},
 		Obs:     t.obsreg,
+		OnError: func() { t.errors.Add(1) },
 	})
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	t.server = srv
-	t.baseURL = "http://" + ln.Addr().String()
-	go func() {
-		_ = srv.Serve(sniffer) // ErrServerClosed on shutdown
-	}()
-	return t.baseURL, nil
+	if err != nil {
+		return "", fmt.Errorf("fronttier: %w", err)
+	}
+	t.door = srv
+	return "http://" + srv.Addr(), nil
 }
 
 // BaseURL returns the served URL (empty before Start).
 func (t *Tier) BaseURL() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.baseURL
+	if t.door == nil {
+		return ""
+	}
+	return "http://" + t.door.Addr()
 }
 
 // Close shuts the server down and waits for in-flight async
 // completions, so no goroutine outlives the tier.
 func (t *Tier) Close() error {
 	t.mu.Lock()
-	srv := t.server
-	t.server = nil
-	t.listener = nil
+	srv := t.door
+	t.door = nil
 	t.mu.Unlock()
 	var err error
 	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		err = srv.Shutdown(ctx)
+		err = srv.Close()
 	}
 	t.asyncWG.Wait()
 	if t.transport != nil {

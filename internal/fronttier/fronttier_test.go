@@ -334,6 +334,33 @@ func TestTierAsyncLifecycle(t *testing.T) {
 	}
 }
 
+// TestTierWrongMethodEnveloped: a wrong method on the tier gets the
+// same JSON error envelope the gateway serves, counted as an error —
+// not the mux's plain-text 405.
+func TestTierWrongMethodEnveloped(t *testing.T) {
+	a := newFakeShard(t, "shard-a")
+	tier, client := bootTier(t, Config{}, a)
+	resp, err := http.Get(tier.BaseURL() + api.PathV1Invoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e api.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("405 body is not a JSON envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusMethodNotAllowed || e.Code != cberr.CodeInvalid || e.Layer != cberr.LayerFront {
+		t.Errorf("GET invoke = %d %+v, want 405 invalid_request/front", resp.StatusCode, e)
+	}
+	m, err := client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Errors != 1 {
+		t.Errorf("errors = %d after one wrong-method request, want 1", m.Errors)
+	}
+}
+
 // TestTierObsClusterFederatesShards: the cluster snapshot merges every
 // shard's registry under shard labels plus the tier's own under
 // shard="front", where the shed counters live.

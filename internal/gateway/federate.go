@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"confbench/internal/api"
-	"confbench/internal/cberr"
 	"confbench/internal/faultplane"
 	"confbench/internal/obs"
 	"confbench/internal/slo"
@@ -28,9 +24,6 @@ const (
 	// DefaultScrapeTimeout bounds one host's scrape; a wedged host
 	// costs one timeout, not the whole sweep.
 	DefaultScrapeTimeout = 2 * time.Second
-	// DefaultObsWindow is the sample window (scrape count) rate
-	// queries default to.
-	DefaultObsWindow = 60
 	// GatewayHostLabel is the host label the gateway's own registry
 	// merges under.
 	GatewayHostLabel = "gateway"
@@ -237,99 +230,6 @@ func (g *Gateway) scrapeLoop(interval time.Duration, stop <-chan struct{}) {
 			g.ScrapeOnce(context.Background(), now)
 		}
 	}
-}
-
-// handleObsCluster serves the federated cluster view: a fresh sweep
-// of every host agent merged under host labels, with windowed rates
-// from the scrape series. Prometheus text by default, JSON via
-// ?format=json; ?window=N overrides the rate window (samples).
-func (g *Gateway) handleObsCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
-	window := DefaultObsWindow
-	if v := r.URL.Query().Get("window"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			g.countError(w, http.StatusBadRequest,
-				cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "window must be a non-negative integer"))
-			return
-		}
-		window = n
-	}
-	cs := g.ScrapeOnce(r.Context(), time.Now())
-	cs.Window = window
-	if s := g.series.Get(obs.RateInvokesPerSec); s != nil {
-		cs.Rates = map[string]float64{obs.RateInvokesPerSec: s.Rate(window)}
-	}
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		api.WriteJSON(w, http.StatusOK, cs)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = obs.WriteSnapshotPrometheus(w, cs.Merged)
-}
-
-// handleObsEvents serves the flight recorder's retained invoke events
-// (oldest first), filtered server-side by ?limit= (newest N),
-// ?err=1 (failures only), and ?trace=inv-N (exact trace match).
-func (g *Gateway) handleObsEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
-	q := r.URL.Query()
-	f := obs.EventFilter{Trace: q.Get("trace"), ErrOnly: q.Get("err") == "1"}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			g.countError(w, http.StatusBadRequest,
-				cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "limit must be a non-negative integer"))
-			return
-		}
-		f.Limit = n
-	}
-	evs := g.recorder.Filter(f)
-	if evs == nil {
-		evs = []obs.Event{}
-	}
-	api.WriteJSON(w, http.StatusOK, evs)
-}
-
-// handleObsSLO serves the SLO engine's per-objective status: state,
-// two-window burn rates, and remaining error budget. An empty list
-// when no objectives are configured.
-func (g *Gateway) handleObsSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
-	sts := g.sloEng.Status()
-	if sts == nil {
-		sts = []slo.Status{}
-	}
-	api.WriteJSON(w, http.StatusOK, sts)
-}
-
-// handleObsAlerts serves the alert timeline: every SLO state
-// transition observed (or restored from the spill) so far, oldest
-// first, with trace attribution from the flight recorder.
-func (g *Gateway) handleObsAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
-	trs := g.sloEng.Timeline()
-	if trs == nil {
-		trs = []slo.Transition{}
-	}
-	api.WriteJSON(w, http.StatusOK, trs)
 }
 
 // SLO exposes the gateway's SLO engine (nil without objectives).

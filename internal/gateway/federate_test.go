@@ -26,10 +26,7 @@ func fakeHost(t *testing.T, reg *obs.Registry) (*httptest.Server, string) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(reg.Snapshot())
 	}
-	// Real guest agents serve the versioned path with the legacy
-	// spelling as an alias; the scraper asks for the versioned one.
 	mux.HandleFunc(api.GuestV1Obs, serveObs)
-	mux.HandleFunc(api.GuestPathObs, serveObs)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, strings.TrimPrefix(srv.URL, "http://")

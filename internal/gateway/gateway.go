@@ -2,22 +2,19 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/faas"
 	"confbench/internal/faas/langs"
 	"confbench/internal/faultplane"
@@ -45,7 +42,7 @@ type Gateway struct {
 
 	// drainFn, when set (SetDrainer), serves POST /v1/drain: the
 	// cluster core plugs in live migration so draining a host moves its
-	// warm guests instead of discarding them. Unset, handleDrain falls
+	// warm guests instead of discarding them. Unset, the drain route falls
 	// back to a routing-only drain (quiesce, wait out in-flight,
 	// remove).
 	drainFn func(context.Context, string) (*api.DrainReport, error)
@@ -69,48 +66,24 @@ type Gateway struct {
 	// served at /v1/obs/slo and /v1/obs/alerts. Nil without objectives.
 	sloEng *slo.Engine
 
-	// Invoke flight recorder (federate.go / handleInvoke).
+	// Invoke flight recorder (federate.go / Invoke).
 	recorder     *obs.Recorder
 	invokeSeq    atomic.Uint64
 	postmortemMu sync.Mutex
 	postmortem   io.Writer
 
-	server   *http.Server
-	listener net.Listener
-	baseURL  string
-	started  time.Time
+	door    *door.Server
+	started time.Time
 
 	invocations  atomic.Uint64
 	errors       atomic.Uint64
 	attestations atomic.Uint64
 	perPool      sync.Map // tee.Kind → *atomic.Uint64
 
-	// Cached labeled-metric handles for the per-invoke hot path: the
+	// invokeHist caches the per-TEE invoke latency histogram: the
 	// registry lookup sorts labels and allocates on every call, so the
-	// wire front door resolves its fixed (route, status-OK) handles
-	// once and the per-TEE invoke histogram on first sight.
-	wireRoutes map[string]routeMetrics
+	// per-invoke hot path resolves each handle on first sight.
 	invokeHist sync.Map // tee.Kind → *obs.Histogram
-}
-
-// routeMetrics is one wire route's pre-resolved latency histogram and
-// success counter. Error statuses are rare and fall back to the
-// registry lookup.
-type routeMetrics struct {
-	latency *obs.Histogram
-	ok      *obs.Counter
-}
-
-// countError bumps the error counter and writes the envelope.
-func (g *Gateway) countError(w http.ResponseWriter, status int, err error) {
-	g.errors.Add(1)
-	api.WriteError(w, status, err)
-}
-
-// fail writes a classified error, deriving the HTTP status from its
-// taxonomy code.
-func (g *Gateway) fail(w http.ResponseWriter, err error) {
-	g.countError(w, cberr.HTTPStatus(err), err)
 }
 
 // invokeHistogram returns the cached per-TEE invoke latency
@@ -249,14 +222,6 @@ func New(cfg Config) *Gateway {
 	if g.durableDir != "" {
 		g.spillFailures = reg.Counter("confbench_obs_spill_failures_total")
 	}
-	g.wireRoutes = make(map[string]routeMetrics, 4)
-	for _, route := range []string{api.PathV1Invoke, api.PathV1Attest, api.PathV1Health, api.PathV1Obs} {
-		g.wireRoutes[route] = routeMetrics{
-			latency: reg.Histogram("confbench_http_request_seconds", "route", route),
-			ok: reg.Counter("confbench_http_requests_total",
-				"route", route, "status", strconv.Itoa(http.StatusOK)),
-		}
-	}
 	g.policyFactory = cfg.Policy
 	return g
 }
@@ -382,24 +347,12 @@ func (g *Gateway) drainRoutingOnly(ctx context.Context, host string) (*api.Drain
 	}, nil
 }
 
-// handleDrain serves POST /v1/drain: quiesce, migrate (when a drainer
-// is installed), remove.
-func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "POST required"))
-		return
-	}
-	var req api.DrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-			fmt.Errorf("decode request: %w", err)))
-		return
-	}
+// drain serves POST /v1/drain: quiesce, migrate (when a drainer is
+// installed), remove.
+func (g *Gateway) drain(ctx context.Context, _ string, req api.DrainRequest) (*api.DrainReport, error) {
 	if req.Host == "" {
-		g.fail(w, cberr.New(cberr.CodeInvalid, cberr.LayerGateway,
-			"gateway: drain: host required"))
-		return
+		return nil, cberr.New(cberr.CodeInvalid, cberr.LayerGateway,
+			"gateway: drain: host required")
 	}
 	g.mu.RLock()
 	fn := g.drainFn
@@ -407,23 +360,15 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if fn == nil {
 		fn = g.drainRoutingOnly
 	}
-	report, err := fn(r.Context(), req.Host)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, report)
+	return fn(ctx, req.Host)
 }
-
-// DB exposes the function database.
-func (g *Gateway) DB() *faas.DB { return g.db }
 
 // Start serves the REST API on addr ("127.0.0.1:0" for ephemeral) and
 // returns the base URL.
 func (g *Gateway) Start(addr string) (string, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.listener != nil {
+	if g.door != nil {
 		return "", errors.New("gateway: already started")
 	}
 	if g.durableDir != "" {
@@ -447,44 +392,37 @@ func (g *Gateway) Start(addr string) (string, error) {
 			g.sloEng.Restore(g.recorder.Events())
 		}
 	}
-	mux := http.NewServeMux()
-	handleHealth := func(w http.ResponseWriter, _ *http.Request) {
-		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}
-	// Every route mounts twice — versioned under /v1 and bare for
-	// pre-versioning clients — sharing one instrumented handler
-	// labeled with the canonical v1 route, so per-route counts do not
-	// split by which alias the caller used. The obs endpoint itself is
-	// deliberately NOT instrumented: scraping metrics must not move
-	// them, and the two aliases must return byte-identical bodies.
-	for _, r := range []struct {
-		path    string
-		handler http.HandlerFunc
-	}{
-		{api.PathFunctions, g.handleFunctions},
-		{api.PathInvoke, g.handleInvoke},
-		{api.PathAttest, g.handleAttest},
-		{api.PathPools, g.handlePools},
-		{api.PathDrain, g.handleDrain},
-		{api.PathMetrics, g.handleMetrics},
-		{api.PathHealth, handleHealth},
-	} {
-		h := g.instrument(api.APIPrefixV1+r.path, r.handler)
-		mux.Handle(api.APIPrefixV1+r.path, h)
-		mux.Handle(r.path, h)
-	}
-	mux.HandleFunc(api.PathV1Obs, g.handleObs)
-	mux.HandleFunc(api.PathObs, g.handleObs)
-	mux.HandleFunc(api.PathV1ObsCluster, g.handleObsCluster)
-	mux.HandleFunc(api.PathObsCluster, g.handleObsCluster)
-	mux.HandleFunc(api.PathV1ObsEvents, g.handleObsEvents)
-	mux.HandleFunc(api.PathObsEvents, g.handleObsEvents)
-	mux.HandleFunc(api.PathV1ObsSLO, g.handleObsSLO)
-	mux.HandleFunc(api.PathObsSLO, g.handleObsSLO)
-	mux.HandleFunc(api.PathV1ObsAlerts, g.handleObsAlerts)
-	mux.HandleFunc(api.PathObsAlerts, g.handleObsAlerts)
 	g.started = time.Now()
-	ln, err := net.Listen("tcp", addr)
+	srv, err := door.Listen(addr, door.Config{
+		Layer: cberr.LayerGateway,
+		Routes: []door.Handler{
+			door.Post(api.PathV1Functions, g.upload),
+			door.Get(api.PathV1Functions, func(context.Context) ([]string, error) { return g.db.Names(), nil }),
+			// The single gateway runs no admission control; the tenant
+			// only matters at the front tier.
+			door.Post(api.PathV1Invoke, func(ctx context.Context, _ string, req api.InvokeRequest) (api.InvokeResponse, error) {
+				return g.Invoke(ctx, req)
+			}),
+			door.Post(api.PathV1Attest, func(ctx context.Context, _ string, req api.AttestRequest) (api.AttestResponse, error) {
+				return g.Attest(ctx, req)
+			}),
+			door.Get(api.PathV1Pools, g.poolInfos),
+			door.Post(api.PathV1Drain, g.drain),
+			door.Get(api.PathV1Metrics, g.metrics),
+			door.Get(api.PathV1Health, func(context.Context) (api.Health, error) {
+				return api.Health{Status: "ok"}, nil
+			}),
+			door.Obs(api.PathV1Obs, g.obsreg),
+			door.ObsCluster(g.ScrapeOnce, g.series),
+			door.ObsEvents(g.recorder),
+			door.ObsSLO(g.sloEng),
+			door.ObsAlerts(g.sloEng),
+		},
+		Obs:        g.obsreg,
+		Instrument: true,
+		OnError:    func() { g.errors.Add(1) },
+		Faults:     g.faults,
+	})
 	if err != nil {
 		g.spillMu.Lock()
 		if g.spill != nil {
@@ -492,44 +430,31 @@ func (g *Gateway) Start(addr string) (string, error) {
 			g.spill = nil
 		}
 		g.spillMu.Unlock()
-		return "", fmt.Errorf("gateway: listen %s: %w", addr, err)
+		return "", fmt.Errorf("gateway: %w", err)
 	}
-	g.listener = ln
-	// The front door accepts both carriers: the sniffer peeks each
-	// connection's first bytes and routes wire frames to handleWire,
-	// HTTP to the mux. Shutting the HTTP server down closes the
-	// sniffer, which closes the raw listener and live wire conns.
-	sniffer := wire.NewSniffer(ln, wire.ServerConfig{
-		Handler: g.handleWire,
-		Faults:  g.faults,
-		Obs:     g.obsreg,
-	})
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	g.server = srv
-	g.baseURL = "http://" + ln.Addr().String()
-	go func() {
-		_ = srv.Serve(sniffer) // ErrServerClosed on shutdown
-	}()
+	g.door = srv
 	if g.scrapeInterval > 0 {
 		g.scrapeStop = make(chan struct{})
 		go g.scrapeLoop(g.scrapeInterval, g.scrapeStop)
 	}
-	return g.baseURL, nil
+	return "http://" + srv.Addr(), nil
 }
 
 // BaseURL returns the served URL (empty before Start).
 func (g *Gateway) BaseURL() string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.baseURL
+	if g.door == nil {
+		return ""
+	}
+	return "http://" + g.door.Addr()
 }
 
 // Close shuts the REST server and the federation scraper down.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
-	srv := g.server
-	g.server = nil
-	g.listener = nil
+	srv := g.door
+	g.door = nil
 	stop := g.scrapeStop
 	g.scrapeStop = nil
 	g.mu.Unlock()
@@ -550,79 +475,19 @@ func (g *Gateway) Close() error {
 	if srv == nil {
 		return terr
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	return errors.Join(srv.Shutdown(ctx), terr)
+	return errors.Join(srv.Close(), terr)
 }
 
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// instrument wraps a handler with per-route request counting and a
-// latency histogram. The route label is the canonical v1 path even
-// when the request arrived through the unversioned alias.
-func (g *Gateway) instrument(route string, next http.HandlerFunc) http.Handler {
-	hist := g.obsreg.Histogram("confbench_http_request_seconds", "route", route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next(sw, r)
-		hist.Observe(time.Since(start))
-		g.obsreg.Counter("confbench_http_requests_total",
-			"route", route, "status", strconv.Itoa(sw.status)).Inc()
-	})
-}
-
-// handleObs serves the observability snapshot: Prometheus text by
-// default, JSON when asked via ?format=json or Accept.
-func (g *Gateway) handleObs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		api.WriteJSON(w, http.StatusOK, g.obsreg.Snapshot())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.obsreg.WritePrometheus(w)
-}
-
-func (g *Gateway) handleFunctions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req api.UploadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			g.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-				fmt.Errorf("decode request: %w", err)))
-			return
+// upload serves POST /v1/functions.
+func (g *Gateway) upload(_ context.Context, _ string, req api.UploadRequest) (map[string]string, error) {
+	if err := g.db.Register(req.Function); err != nil {
+		code := cberr.CodeInvalid
+		if errors.Is(err, faas.ErrFunctionExists) {
+			code = cberr.CodeConflict
 		}
-		if err := g.db.Register(req.Function); err != nil {
-			code := cberr.CodeInvalid
-			if errors.Is(err, faas.ErrFunctionExists) {
-				code = cberr.CodeConflict
-			}
-			g.fail(w, cberr.Wrap(code, cberr.LayerGateway, err))
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, map[string]string{"registered": req.Function.Name})
-	case http.MethodGet:
-		api.WriteJSON(w, http.StatusOK, g.db.Names())
-	default:
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET or POST required"))
+		return nil, cberr.Wrap(code, cberr.LayerGateway, err)
 	}
+	return map[string]string{"registered": req.Function.Name}, nil
 }
 
 // pickPool resolves the pool for an invocation. A non-secure request
@@ -655,30 +520,10 @@ func (g *Gateway) pickPool(kind tee.Kind, secure bool) (*Pool, error) {
 	return nil, cberr.Wrap(cberr.CodeNotFound, cberr.LayerPool, ErrNoPool)
 }
 
-func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "POST required"))
-		return
-	}
-	var req api.InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-			fmt.Errorf("decode request: %w", err)))
-		return
-	}
-	resp, err := g.Invoke(r.Context(), req)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
 // Invoke runs one invocation through the full gateway pipeline —
 // lookup, pool pick, health-aware dispatch with one alternate-endpoint
 // retry, flight-recorder event, exemplared latency histogram, optional
-// trace grafting. handleInvoke is a thin HTTP shell around it, and the
+// trace grafting. The front door binds it for both carriers, and the
 // front tier's shards drive the same method, so the sharded and
 // single-gateway paths cannot drift apart.
 func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.InvokeResponse, error) {
@@ -792,7 +637,7 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 		if attempt > 0 {
 			hop.SetAttr("retry", strconv.Itoa(attempt))
 		}
-		err = g.forward(hopCtx, entry.Endpoint.Addr, path, in, out)
+		err = g.transport.RoundTrip(hopCtx, entry.Endpoint.Addr, path, in, out)
 		hop.End()
 		co.Release()
 		if err == nil {
@@ -814,28 +659,8 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 	return lastEntry, nil, attempts, lastErr
 }
 
-func (g *Gateway) handleAttest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "POST required"))
-		return
-	}
-	var req api.AttestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.fail(w, cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-			fmt.Errorf("decode request: %w", err)))
-		return
-	}
-	resp, err := g.Attest(r.Context(), req)
-	if err != nil {
-		g.fail(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
 // Attest runs one attestation round trip through the dispatch
-// pipeline. handleAttest and the wire front door both drive it.
+// pipeline.
 func (g *Gateway) Attest(ctx context.Context, req api.AttestRequest) (api.AttestResponse, error) {
 	pool, err := g.pickPool(req.TEE, true)
 	if err != nil {
@@ -849,95 +674,8 @@ func (g *Gateway) Attest(ctx context.Context, req api.AttestRequest) (api.Attest
 	return resp, nil
 }
 
-// wireRoute mirrors instrument() for the wire front door: the same
-// route/status counters and latency histogram, labeled with the
-// canonical v1 route and the status the HTTP surface would have
-// served, so per-route accounting does not depend on the carrier.
-func (g *Gateway) wireRoute(route string, start time.Time, err error) {
-	rm, cached := g.wireRoutes[route]
-	if !cached {
-		rm = routeMetrics{
-			latency: g.obsreg.Histogram("confbench_http_request_seconds", "route", route),
-			ok: g.obsreg.Counter("confbench_http_requests_total",
-				"route", route, "status", strconv.Itoa(http.StatusOK)),
-		}
-	}
-	rm.latency.Observe(time.Since(start))
-	if err == nil {
-		rm.ok.Inc()
-		return
-	}
-	g.obsreg.Counter("confbench_http_requests_total",
-		"route", route, "status", strconv.Itoa(cberr.HTTPStatus(err))).Inc()
-}
-
-// handleWire serves the gateway's binary front door against the same
-// Invoke/Attest pipeline the HTTP handlers use. The obs scrape is,
-// like its HTTP twin, deliberately not instrumented.
-func (g *Gateway) handleWire(ctx context.Context, t wire.Type, payload []byte) (wire.Type, []byte, error) {
-	switch t {
-	case wire.TFrontInvokeReq:
-		start := time.Now()
-		ti, err := wire.DecodeFrontInvoke(payload)
-		if err != nil {
-			err = cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-				fmt.Errorf("decode request: %w", err))
-			g.errors.Add(1)
-			g.wireRoute(api.PathV1Invoke, start, err)
-			return 0, nil, err
-		}
-		// The single gateway runs no admission control; the tenant only
-		// matters at the front tier, which has its own wire door.
-		resp, err := g.Invoke(ctx, ti.Req)
-		g.wireRoute(api.PathV1Invoke, start, err)
-		if err != nil {
-			g.errors.Add(1)
-			return 0, nil, err
-		}
-		out, err := wire.AppendInvokeResponse(wire.GetBuf(0), &resp)
-		if err != nil {
-			return 0, nil, cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway, err)
-		}
-		return wire.TInvokeResp, out, nil
-	case wire.TAttestReq:
-		start := time.Now()
-		_, req, err := wire.DecodeAttest(payload)
-		if err != nil {
-			err = cberr.Wrap(cberr.CodeInvalid, cberr.LayerGateway,
-				fmt.Errorf("decode request: %w", err))
-			g.errors.Add(1)
-			g.wireRoute(api.PathV1Attest, start, err)
-			return 0, nil, err
-		}
-		resp, err := g.Attest(ctx, req)
-		g.wireRoute(api.PathV1Attest, start, err)
-		if err != nil {
-			g.errors.Add(1)
-			return 0, nil, err
-		}
-		return wire.TAttestResp, wire.AppendAttestResp(wire.GetBuf(0), &resp), nil
-	case wire.THealthReq:
-		start := time.Now()
-		g.wireRoute(api.PathV1Health, start, nil)
-		return wire.THealthResp, wire.AppendHealthResp(wire.GetBuf(0), "ok"), nil
-	case wire.TObsReq:
-		blob, err := json.Marshal(g.obsreg.Snapshot())
-		if err != nil {
-			return 0, nil, cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway, err)
-		}
-		return wire.TObsResp, append(wire.GetBuf(0), blob...), nil
-	default:
-		return 0, nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerGateway,
-			"gateway: unexpected frame type %s", t)
-	}
-}
-
-func (g *Gateway) handlePools(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
+// poolInfos serves GET /v1/pools.
+func (g *Gateway) poolInfos(context.Context) ([]api.PoolInfo, error) {
 	g.mu.RLock()
 	infos := make([]api.PoolInfo, 0, len(g.pools))
 	for _, p := range g.pools {
@@ -952,16 +690,11 @@ func (g *Gateway) handlePools(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].TEE < infos[j].TEE })
-	api.WriteJSON(w, http.StatusOK, infos)
+	return infos, nil
 }
 
-// handleMetrics serves the gateway's request accounting.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.countError(w, http.StatusMethodNotAllowed,
-			cberr.New(cberr.CodeInvalid, cberr.LayerGateway, "GET required"))
-		return
-	}
+// metrics serves the gateway's request accounting.
+func (g *Gateway) metrics(context.Context) (api.Metrics, error) {
 	m := api.Metrics{
 		UptimeSeconds: time.Since(g.started).Seconds(),
 		Invocations:   g.invocations.Load(),
@@ -977,16 +710,5 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	})
-	api.WriteJSON(w, http.StatusOK, m)
+	return m, nil
 }
-
-// forward runs one exchange with a VM endpoint (through the host's
-// relay) over the configured transport. The ctx (normally the inbound
-// request's) cancels the upstream hop; transport failures classify as
-// upstream/unavailable errors unless the caller canceled.
-func (g *Gateway) forward(ctx context.Context, addr, path string, in, out any) error {
-	return g.transport.RoundTrip(ctx, addr, path, in, out)
-}
-
-// Transport exposes the gateway's outbound hop carrier.
-func (g *Gateway) Transport() api.Transport { return g.transport }

@@ -381,7 +381,7 @@ func TestInFlightReleasedOnFailure(t *testing.T) {
 
 func mustClient(t *testing.T, url string) *api.Client {
 	t.Helper()
-	c, err := api.NewClient(url)
+	c, err := api.New(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func postRaw(t *testing.T, url, path, body string) (int, api.ErrorResponse) {
 
 func TestUnknownFunctionWireFormat(t *testing.T) {
 	g, _ := testDeployment(t, nil)
-	status, e := postRaw(t, g.BaseURL(), api.PathInvoke, `{"function":"ghost","tee":"tdx"}`)
+	status, e := postRaw(t, g.BaseURL(), api.PathV1Invoke, `{"function":"ghost","tee":"tdx"}`)
 	if status != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", status)
 	}
@@ -420,7 +420,7 @@ func TestMissingPoolWireFormat(t *testing.T) {
 	g, client := testDeployment(t, nil)
 	uploadFn(t, client, "fn", "go", "factors")
 	// CCA is not deployed in testDeployment.
-	status, e := postRaw(t, g.BaseURL(), api.PathInvoke, `{"function":"fn","secure":true,"tee":"cca"}`)
+	status, e := postRaw(t, g.BaseURL(), api.PathV1Invoke, `{"function":"fn","secure":true,"tee":"cca"}`)
 	if status != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", status)
 	}
@@ -436,7 +436,7 @@ func TestMissingPoolWireFormat(t *testing.T) {
 
 func TestMalformedJSONWireFormat(t *testing.T) {
 	g, _ := testDeployment(t, nil)
-	for _, path := range []string{api.PathInvoke, api.PathFunctions, api.PathAttest} {
+	for _, path := range []string{api.PathV1Invoke, api.PathV1Functions, api.PathV1Attest} {
 		status, e := postRaw(t, g.BaseURL(), path, `{"function":`)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", path, status)
@@ -444,6 +444,28 @@ func TestMalformedJSONWireFormat(t *testing.T) {
 		if e.Code != cberr.CodeInvalid {
 			t.Errorf("%s: code = %q, want invalid_request", path, e.Code)
 		}
+	}
+}
+
+// TestOversizeBodyRefused: the HTTP carrier caps request bodies where
+// the binary one caps frames (wire.MaxPayload). A body past the cap is
+// refused as invalid by the decode shell — never buffered and handed
+// to the pipeline, which would answer not_found for its unknown
+// function.
+func TestOversizeBodyRefused(t *testing.T) {
+	g, client := testDeployment(t, nil)
+	body := `{"function":"` + strings.Repeat("a", 16<<20) + `"}`
+	status, e := postRaw(t, g.BaseURL(), api.PathV1Invoke, body)
+	if status != http.StatusBadRequest || e.Code != cberr.CodeInvalid || e.Layer != cberr.LayerGateway {
+		// Not %+v: at the parent commit the message echoes the body.
+		t.Errorf("oversize body = %d %s/%s, want 400 invalid_request/gateway", status, e.Code, e.Layer)
+	}
+	m, err := client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Errors != 1 {
+		t.Errorf("errors = %d after one refused body, want 1", m.Errors)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"confbench/internal/api"
+	"confbench/internal/cberr"
 	"confbench/internal/obs"
 	"confbench/internal/tee"
 )
@@ -26,52 +27,30 @@ func getRaw(t *testing.T, url, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestVersionedAliasesAreByteIdentical(t *testing.T) {
-	// Every /v1 route must alias its unversioned ancestor: same
-	// handler, same body. /metrics is excluded (uptime moves between
-	// scrapes); the deterministic surfaces must match byte for byte.
-	g, client := testDeployment(t, nil)
-	uploadFn(t, client, "fn", "go", "factors")
-	if _, err := client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}); err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]string{
-		{api.PathFunctions, api.PathV1Functions},
-		{api.PathPools, api.PathV1Pools},
-		{api.PathHealth, api.PathV1Health},
-		{api.PathObs, api.PathV1Obs},
-	} {
-		oldStatus, oldBody := getRaw(t, g.BaseURL(), pair[0])
-		newStatus, newBody := getRaw(t, g.BaseURL(), pair[1])
-		if oldStatus != http.StatusOK || newStatus != http.StatusOK {
-			t.Errorf("%s: status %d vs %d", pair[0], oldStatus, newStatus)
-		}
-		if oldBody != newBody {
-			t.Errorf("%s: bodies differ between prefixes:\nold: %s\nnew: %s", pair[0], oldBody, newBody)
-		}
-	}
-}
-
 func TestRouteCountersUseCanonicalV1Labels(t *testing.T) {
-	// Requests through either prefix land on the same counter, labeled
-	// with the canonical /v1 route.
+	// Requests from the typed client and from raw HTTP land on the same
+	// counter, labeled with the /v1 route. The unversioned spelling is
+	// gone: it gets the enveloped 404 and no counter of its own.
 	g, client := testDeployment(t, nil)
 	uploadFn(t, client, "fn", "go", "factors")
 	req := api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}
-	// The typed client speaks /v1; send one more invoke via the legacy
-	// unversioned path.
 	if _, err := client.Invoke(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := postRaw(t, g.BaseURL(), api.PathInvoke, `{"function":"fn","secure":true,"tee":"tdx","scale":100}`); status != http.StatusOK {
-		t.Fatalf("legacy invoke status = %d", status)
+	const body = `{"function":"fn","secure":true,"tee":"tdx","scale":100}`
+	if status, _ := postRaw(t, g.BaseURL(), api.PathV1Invoke, body); status != http.StatusOK {
+		t.Fatalf("raw invoke status = %d", status)
+	}
+	status, e := postRaw(t, g.BaseURL(), "/invoke", body)
+	if status != http.StatusNotFound || e.Code != cberr.CodeNotFound || e.Layer != cberr.LayerGateway {
+		t.Errorf("bare path = %d %+v, want an enveloped 404 not_found/gateway", status, e)
 	}
 	snap := g.Obs().Snapshot()
 	id := obs.MetricID("confbench_http_requests_total", "route", api.PathV1Invoke, "status", "200")
 	if got := snap.Counters[id]; got != 2 {
-		t.Errorf("%s = %d, want 2 (one per prefix)", id, got)
+		t.Errorf("%s = %d, want 2", id, got)
 	}
-	if _, stray := snap.Counters[obs.MetricID("confbench_http_requests_total", "route", api.PathInvoke, "status", "200")]; stray {
+	if _, stray := snap.Counters[obs.MetricID("confbench_http_requests_total", "route", "/invoke", "status", "200")]; stray {
 		t.Error("unversioned route leaked its own counter label")
 	}
 }
@@ -182,22 +161,5 @@ func TestInvokeTraceSpansAcrossHop(t *testing.T) {
 	}
 	if plain.Trace != nil {
 		t.Error("untraced invoke carried a span tree")
-	}
-}
-
-func TestLegacyClientAgainstCurrentGateway(t *testing.T) {
-	// A client pinned to the unversioned surface (as pre-/v1 binaries
-	// were) must keep working against a current gateway.
-	g, _ := testDeployment(t, nil)
-	legacy, err := api.New(g.BaseURL(), api.WithPathPrefix(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Health(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	uploadFn(t, legacy, "fn", "go", "factors")
-	if _, err := legacy.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -71,10 +71,6 @@ type AgentConfig struct {
 	Cache *vm.SnapshotCache
 	// Runtime names the snapshot flavor for the warm pool's cache key.
 	Runtime string
-	// Transport selects the guest agents' accepted carriers: the
-	// default serves both HTTP and binary wire frames behind a
-	// protocol sniffer; "httpjson" serves plain HTTP only.
-	Transport string
 }
 
 // NewAgent boots a host: launches the VM pair, starts a guest agent in
@@ -132,7 +128,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	for _, machine := range []*vm.VM{a.pair.Secure, a.pair.Normal} {
 		gs, err := NewGuestServer(GuestServerConfig{
 			VM: machine, Obs: cfg.Obs, Faults: cfg.Faults, Host: cfg.Name,
-			Transport: cfg.Transport,
 		})
 		if err != nil {
 			_ = a.Close()

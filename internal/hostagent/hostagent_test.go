@@ -84,7 +84,7 @@ func TestInvokeThroughRelay(t *testing.T) {
 		Scale:    5040,
 	}
 	var resp api.InvokeResponse
-	if code := postJSON(t, "http://"+ep.Addr+api.GuestPathInvoke, req, &resp); code != http.StatusOK {
+	if code := postJSON(t, "http://"+ep.Addr+api.GuestV1Invoke, req, &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if resp.Output == "" || !resp.Secure || resp.Platform != tee.KindTDX {
@@ -110,7 +110,7 @@ func TestInvokeErrorsSurface(t *testing.T) {
 		Function: faas.Function{Name: "f", Language: "cobol", Workload: "factors"},
 	}
 	// An unknown language is a caller mistake, classified invalid_request.
-	if code := postJSON(t, "http://"+ep.Addr+api.GuestPathInvoke, req, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, "http://"+ep.Addr+api.GuestV1Invoke, req, nil); code != http.StatusBadRequest {
 		t.Errorf("status = %d", code)
 	}
 }
@@ -118,7 +118,7 @@ func TestInvokeErrorsSurface(t *testing.T) {
 func TestInvokeRejectsGet(t *testing.T) {
 	a := newAgent(t)
 	ep, _ := a.Endpoint(true)
-	resp, err := http.Get("http://" + ep.Addr + api.GuestPathInvoke)
+	resp, err := http.Get("http://" + ep.Addr + api.GuestV1Invoke)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAttestThroughRelay(t *testing.T) {
 	secure, _ := a.Endpoint(true)
 	var resp api.AttestResponse
 	req := api.AttestRequest{TEE: tee.KindTDX, Nonce: []byte("nonce")}
-	if code := postJSON(t, "http://"+secure.Addr+api.GuestPathAttest, req, &resp); code != http.StatusOK {
+	if code := postJSON(t, "http://"+secure.Addr+api.GuestV1Attest, req, &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(resp.Evidence) == 0 || resp.AttestNs <= 0 {
@@ -141,7 +141,7 @@ func TestAttestThroughRelay(t *testing.T) {
 	}
 	// The normal VM cannot attest.
 	normal, _ := a.Endpoint(false)
-	if code := postJSON(t, "http://"+normal.Addr+api.GuestPathAttest, req, nil); code != http.StatusInternalServerError {
+	if code := postJSON(t, "http://"+normal.Addr+api.GuestV1Attest, req, nil); code != http.StatusInternalServerError {
 		t.Errorf("normal attest status = %d", code)
 	}
 }
@@ -149,7 +149,7 @@ func TestAttestThroughRelay(t *testing.T) {
 func TestGuestHealth(t *testing.T) {
 	a := newAgent(t)
 	for _, ep := range a.Endpoints() {
-		resp, err := http.Get("http://" + ep.Addr + api.GuestPathHealth)
+		resp, err := http.Get("http://" + ep.Addr + api.GuestV1Health)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestAgentCloseTearsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := &http.Client{Timeout: 500 * time.Millisecond}
-	if _, err := client.Get("http://" + ep.Addr + api.GuestPathHealth); err == nil {
+	if _, err := client.Get("http://" + ep.Addr + api.GuestV1Health); err == nil {
 		t.Error("closed agent still serving")
 	}
 	// VMs must be stopped.
@@ -268,7 +268,7 @@ func TestGuestServerExecFault(t *testing.T) {
 		Function: faas.Function{Name: "f", Language: "go", Workload: "cpustress"},
 		Scale:    1,
 	}
-	status := postJSON(t, "http://"+ep.Addr+api.GuestPathInvoke, req, nil)
+	status := postJSON(t, "http://"+ep.Addr+api.GuestV1Invoke, req, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("faulted exec status = %d, want %d", status, http.StatusServiceUnavailable)
 	}

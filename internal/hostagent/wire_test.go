@@ -99,7 +99,7 @@ func TestGuestWireRejectsUnknownFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame := wire.AppendFrame(nil, wire.TInvokeResp, 7, []byte("junk"))
+	frame := wire.AppendFrame(nil, api.FrameInvokeResp, 7, []byte("junk"))
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestGuestWireRejectsUnknownFrame(t *testing.T) {
 		t.Fatalf("read response frame: %v", err)
 	}
 	defer wire.PutBuf(payload)
-	if h.Type != wire.TError || h.Corr != 7 {
-		t.Fatalf("frame = %s corr %d, want %s corr 7", h.Type, h.Corr, wire.TError)
+	if h.Type != api.FrameError || h.Corr != 7 {
+		t.Fatalf("frame = %s corr %d, want %s corr 7", h.Type, h.Corr, api.FrameError)
 	}
 	werr, derr := wire.DecodeError(payload)
 	if derr != nil {
@@ -127,7 +127,7 @@ func TestGuestWireRejectsUnknownFrame(t *testing.T) {
 func TestGuestObsEndpoint(t *testing.T) {
 	a := newAgent(t)
 	ep, _ := a.Endpoint(true)
-	base := "http://" + ep.Addr + api.GuestPathObs
+	base := "http://" + ep.Addr + api.GuestV1Obs
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	resp, err := client.Get(base)
@@ -153,6 +153,17 @@ func TestGuestObsEndpoint(t *testing.T) {
 	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("json scrape: %v", err)
+	}
+	resp.Body.Close()
+
+	// The Accept header negotiates JSON too, as on gateway and tier.
+	req, _ := http.NewRequest(http.MethodGet, base, nil)
+	req.Header.Set("Accept", "application/json")
+	if resp, err = client.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Errorf("Accept: application/json scrape: %v", err)
 	}
 	resp.Body.Close()
 
@@ -220,7 +231,7 @@ func TestWarmAgent(t *testing.T) {
 		Scale:    42,
 	}
 	var resp api.InvokeResponse
-	if code := postJSON(t, "http://"+secure.Addr+api.GuestPathInvoke, req, &resp); code != http.StatusOK {
+	if code := postJSON(t, "http://"+secure.Addr+api.GuestV1Invoke, req, &resp); code != http.StatusOK {
 		t.Fatalf("warm invoke status %d", code)
 	}
 	if resp.Output == "" || !resp.Secure {

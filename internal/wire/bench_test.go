@@ -96,7 +96,7 @@ func BenchmarkCodecFrameHeader(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hdr = AppendHeader(hdr[:0], TInvokeReq, uint64(i), 512)
+		hdr = AppendHeader(hdr[:0], api.FrameInvokeReq, uint64(i), 512)
 		if _, err := ParseHeader(hdr); err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 }
 
 func benchWireHandler(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
-	if ft != TInvokeReq {
+	if ft != api.FrameInvokeReq {
 		return 0, nil, fmt.Errorf("%w: unhandled %s", ErrSever, ft)
 	}
 	if _, err := DecodeGuestInvoke(payload); err != nil {
@@ -153,7 +153,7 @@ func benchWireHandler(ctx context.Context, ft Type, payload []byte) (Type, []byt
 	if err != nil {
 		return 0, nil, err
 	}
-	return TInvokeResp, out, nil
+	return api.FrameInvokeResp, out, nil
 }
 
 func benchRoundTrips(b *testing.B, tr Transport, addr string) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 
@@ -227,40 +228,44 @@ func (mc *mconn) roundTrip(ctx context.Context, ft Type, payload []byte) (Type, 
 	}
 }
 
-// encodeRequest maps a (path, request) pair onto a frame. The query
-// suffix (e.g. the obs scrape's ?format=json) is irrelevant to binary
-// framing and stripped.
+// encodeRequest maps a (path, request) pair onto the frame the route
+// table names for it. The query suffix (e.g. the obs scrape's
+// ?format=json) is irrelevant to binary framing and stripped; like
+// the httpjson carrier, a nil request is a GET.
 func encodeRequest(path string, in any) (Type, []byte, error) {
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
 	}
+	method := http.MethodPost
+	if in == nil {
+		method = http.MethodGet
+	}
+	rt, _ := api.RouteFor(method, path)
 	buf := GetBuf(0)
-	switch path {
-	case api.GuestV1Invoke, api.GuestPathInvoke:
-		if req, ok := in.(*api.GuestInvokeRequest); ok {
-			return TInvokeReq, AppendGuestInvoke(buf, req), nil
+	switch req := in.(type) {
+	case nil:
+		if rt.Req == api.FrameHealthReq || rt.Req == api.FrameObsReq {
+			return rt.Req, buf, nil
 		}
-	case api.PathInvoke, api.PathV1Invoke:
-		switch v := in.(type) {
-		case *api.TenantedInvoke:
-			return TFrontInvokeReq, AppendFrontInvoke(buf, v), nil
-		case *api.InvokeRequest:
-			return TFrontInvokeReq, AppendFrontInvoke(buf, &api.TenantedInvoke{Req: *v}), nil
+	case *api.GuestInvokeRequest:
+		if rt.Req == api.FrameInvokeReq {
+			return rt.Req, AppendGuestInvoke(buf, req), nil
 		}
-	case api.GuestV1Attest, api.GuestPathAttest, api.PathAttest, api.PathV1Attest:
-		if req, ok := in.(*api.AttestRequest); ok {
-			return TAttestReq, AppendAttest(buf, "", req), nil
+	case *api.TenantedInvoke:
+		if rt.Req == api.FrameFrontInvokeReq {
+			return rt.Req, AppendFrontInvoke(buf, req), nil
 		}
-		if ti, ok := in.(*api.TenantedAttest); ok {
-			return TAttestReq, AppendAttest(buf, ti.Tenant, &ti.Req), nil
+	case *api.InvokeRequest:
+		if rt.Req == api.FrameFrontInvokeReq {
+			return rt.Req, AppendFrontInvoke(buf, &api.TenantedInvoke{Req: *req}), nil
 		}
-	case api.PathHealth, api.PathV1Health, api.GuestV1Health, api.GuestPathHealth:
-		if in == nil {
-			return THealthReq, buf, nil
+	case *api.AttestRequest:
+		if rt.Req == api.FrameAttestReq {
+			return rt.Req, AppendAttest(buf, "", req), nil
 		}
-	case api.GuestV1Obs, api.GuestPathObs, api.PathObs, api.PathV1Obs:
-		if in == nil {
-			return TObsReq, buf, nil
+	case *api.TenantedAttest:
+		if rt.Req == api.FrameAttestReq {
+			return rt.Req, AppendAttest(buf, req.Tenant, &req.Req), nil
 		}
 	}
 	PutBuf(buf)
@@ -268,10 +273,10 @@ func encodeRequest(path string, in any) (Type, []byte, error) {
 		"wire: no binary mapping for %T at %s", in, path)
 }
 
-// decodeWireResponse decodes a response frame into out. TError frames
+// decodeWireResponse decodes a response frame into out. api.FrameError frames
 // reconstruct the peer's classified error regardless of out.
 func decodeWireResponse(addr string, t Type, payload []byte, out any) error {
-	if t == TError {
+	if t == api.FrameError {
 		werr, derr := DecodeError(payload)
 		if derr != nil {
 			return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway, errString(addr, derr))
@@ -282,8 +287,8 @@ func decodeWireResponse(addr string, t Type, payload []byte, out any) error {
 	case nil:
 		return nil
 	case *api.InvokeResponse:
-		if t != TInvokeResp {
-			return typeMismatch(addr, t, TInvokeResp)
+		if t != api.FrameInvokeResp {
+			return typeMismatch(addr, t, api.FrameInvokeResp)
 		}
 		resp, err := DecodeInvokeResponse(payload)
 		if err != nil {
@@ -292,8 +297,8 @@ func decodeWireResponse(addr string, t Type, payload []byte, out any) error {
 		*o = resp
 		return nil
 	case *api.AttestResponse:
-		if t != TAttestResp {
-			return typeMismatch(addr, t, TAttestResp)
+		if t != api.FrameAttestResp {
+			return typeMismatch(addr, t, api.FrameAttestResp)
 		}
 		resp, err := DecodeAttestResp(payload)
 		if err != nil {
@@ -304,8 +309,8 @@ func decodeWireResponse(addr string, t Type, payload []byte, out any) error {
 	default:
 		// Obs snapshots (and any other structured response) ride as
 		// JSON payloads, exactly what the HTTP surface serves.
-		if t != TObsResp {
-			return typeMismatch(addr, t, TObsResp)
+		if t != api.FrameObsResp {
+			return typeMismatch(addr, t, api.FrameObsResp)
 		}
 		if err := json.Unmarshal(payload, out); err != nil {
 			return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway, errString(addr, err))

@@ -144,7 +144,7 @@ func AppendGuestInvoke(dst []byte, req *api.GuestInvokeRequest) []byte {
 	return dst
 }
 
-// DecodeGuestInvoke decodes a TInvokeReq payload.
+// DecodeGuestInvoke decodes a api.FrameInvokeReq payload.
 func DecodeGuestInvoke(b []byte) (api.GuestInvokeRequest, error) {
 	d := dec{b: b}
 	var req api.GuestInvokeRequest
@@ -192,7 +192,7 @@ func AppendInvokeResponse(dst []byte, resp *api.InvokeResponse) ([]byte, error) 
 	return appendBytes(dst, blob), nil
 }
 
-// DecodeInvokeResponse decodes a TInvokeResp payload.
+// DecodeInvokeResponse decodes a api.FrameInvokeResp payload.
 func DecodeInvokeResponse(b []byte) (api.InvokeResponse, error) {
 	d := dec{b: b}
 	var resp api.InvokeResponse
@@ -236,7 +236,7 @@ func AppendFrontInvoke(dst []byte, ti *api.TenantedInvoke) []byte {
 	return dst
 }
 
-// DecodeFrontInvoke decodes a TFrontInvokeReq payload.
+// DecodeFrontInvoke decodes a api.FrameFrontInvokeReq payload.
 func DecodeFrontInvoke(b []byte) (api.TenantedInvoke, error) {
 	d := dec{b: b}
 	var ti api.TenantedInvoke
@@ -258,7 +258,7 @@ func AppendAttest(dst []byte, tenant string, req *api.AttestRequest) []byte {
 	return dst
 }
 
-// DecodeAttest decodes a TAttestReq payload.
+// DecodeAttest decodes a api.FrameAttestReq payload.
 func DecodeAttest(b []byte) (string, api.AttestRequest, error) {
 	d := dec{b: b}
 	tenant := d.string()
@@ -275,7 +275,7 @@ func AppendAttestResp(dst []byte, resp *api.AttestResponse) []byte {
 	return dst
 }
 
-// DecodeAttestResp decodes a TAttestResp payload.
+// DecodeAttestResp decodes a api.FrameAttestResp payload.
 func DecodeAttestResp(b []byte) (api.AttestResponse, error) {
 	d := dec{b: b}
 	var resp api.AttestResponse
@@ -289,7 +289,7 @@ func AppendHealthResp(dst []byte, detail string) []byte {
 	return appendString(dst, detail)
 }
 
-// DecodeHealthResp decodes a THealthResp payload.
+// DecodeHealthResp decodes a api.FrameHealthResp payload.
 func DecodeHealthResp(b []byte) (string, error) {
 	d := dec{b: b}
 	s := d.string()
@@ -310,7 +310,7 @@ func AppendError(dst []byte, err error) []byte {
 	return dst
 }
 
-// DecodeError decodes a TError payload back into a *cberr.Error.
+// DecodeError decodes a api.FrameError payload back into a *cberr.Error.
 func DecodeError(b []byte) (error, error) {
 	d := dec{b: b}
 	code := d.string()
@@ -326,4 +326,60 @@ func DecodeError(b []byte) (error, error) {
 		ce = cberr.WithRetryAfter(ce, time.Duration(retryAfterMS)*time.Millisecond)
 	}
 	return ce, nil
+}
+
+// DecoderFor returns frame type t's request decoder — (tenant, request)
+// from a payload, the tenant empty where the frame carries none — typed
+// for a handler taking Req, or nil when t does not carry a Req, so a
+// front door binding a handler to the wrong frame fails when built.
+func DecoderFor[Req any](t Type) func([]byte) (string, Req, error) {
+	var f any
+	switch t {
+	case api.FrameInvokeReq:
+		f = func(b []byte) (string, api.GuestInvokeRequest, error) {
+			req, err := DecodeGuestInvoke(b)
+			return "", req, err
+		}
+	case api.FrameFrontInvokeReq:
+		f = func(b []byte) (string, api.InvokeRequest, error) {
+			ti, err := DecodeFrontInvoke(b)
+			return ti.Tenant, ti.Req, err
+		}
+	case api.FrameAttestReq:
+		f = DecodeAttest
+	case api.FrameHealthReq, api.FrameObsReq:
+		f = func([]byte) (string, struct{}, error) { return "", struct{}{}, nil }
+	}
+	d, _ := f.(func([]byte) (string, Req, error))
+	return d
+}
+
+// EncoderFor is DecoderFor's response-side twin. Responses pass by
+// value so a handler's result never escapes to the heap on its way
+// into the (indirectly called) encoder.
+func EncoderFor[Resp any](t Type) func([]byte, Resp) ([]byte, error) {
+	var f any
+	switch t {
+	case api.FrameInvokeResp:
+		f = func(dst []byte, resp api.InvokeResponse) ([]byte, error) {
+			return AppendInvokeResponse(dst, &resp)
+		}
+	case api.FrameAttestResp:
+		f = func(dst []byte, resp api.AttestResponse) ([]byte, error) {
+			return AppendAttestResp(dst, &resp), nil
+		}
+	case api.FrameHealthResp:
+		f = func(dst []byte, resp api.Health) ([]byte, error) {
+			return AppendHealthResp(dst, resp.Status), nil
+		}
+	case api.FrameObsResp:
+		// Obs snapshots ride as JSON, exactly what the HTTP surface
+		// serves.
+		f = func(dst []byte, snap obs.Snapshot) ([]byte, error) {
+			blob, err := json.Marshal(snap)
+			return append(dst, blob...), err
+		}
+	}
+	e, _ := f.(func([]byte, Resp) ([]byte, error))
+	return e
 }

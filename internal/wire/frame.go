@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"confbench/internal/api"
 )
 
 // Frame constants. The magic bytes are deliberately outside printable
@@ -48,54 +50,10 @@ const (
 	MaxPayload = 16 << 20
 )
 
-// Type identifies what a frame's payload encodes.
-type Type uint8
-
-// Frame types. The zero value is invalid so an all-zeroes header never
-// parses as a usable frame.
-const (
-	TInvokeReq      Type = 1  // guest-hop invoke request (api.GuestInvokeRequest)
-	TInvokeResp     Type = 2  // invoke response (api.InvokeResponse)
-	TFrontInvokeReq Type = 3  // front-door invoke request (api.TenantedInvoke)
-	TAttestReq      Type = 4  // attestation request (api.AttestRequest, + tenant)
-	TAttestResp     Type = 5  // attestation response (api.AttestResponse)
-	THealthReq      Type = 6  // health probe (empty payload)
-	THealthResp     Type = 7  // health response (detail string)
-	TObsReq         Type = 8  // obs scrape request (empty payload)
-	TObsResp        Type = 9  // obs snapshot (JSON-encoded obs.Snapshot)
-	TError          Type = 10 // error response (cberr code/layer/retryability/retry-after/message)
-)
-
-// Valid reports whether t is a known frame type.
-func (t Type) Valid() bool { return t >= TInvokeReq && t <= TError }
-
-// String names the frame type for metric labels and errors.
-func (t Type) String() string {
-	switch t {
-	case TInvokeReq:
-		return "invoke_req"
-	case TInvokeResp:
-		return "invoke_resp"
-	case TFrontInvokeReq:
-		return "front_invoke_req"
-	case TAttestReq:
-		return "attest_req"
-	case TAttestResp:
-		return "attest_resp"
-	case THealthReq:
-		return "health_req"
-	case THealthResp:
-		return "health_resp"
-	case TObsReq:
-		return "obs_req"
-	case TObsResp:
-		return "obs_resp"
-	case TError:
-		return "error"
-	default:
-		return fmt.Sprintf("unknown(%d)", uint8(t))
-	}
-}
+// Type identifies what a frame's payload encodes. The enum is declared
+// beside the route table in internal/api (which this package imports,
+// not the other way round).
+type Type = api.Frame
 
 // Typed decode errors. Decoders return these (possibly wrapped with
 // positional detail) and never panic on hostile input.

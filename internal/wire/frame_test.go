@@ -5,11 +5,13 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"confbench/internal/api"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
 	payload := []byte("hello frames")
-	b := AppendFrame(nil, TInvokeReq, 0xDEADBEEFCAFE, payload)
+	b := AppendFrame(nil, api.FrameInvokeReq, 0xDEADBEEFCAFE, payload)
 	if len(b) != HeaderSize+len(payload) {
 		t.Fatalf("frame length = %d, want %d", len(b), HeaderSize+len(payload))
 	}
@@ -17,7 +19,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != TInvokeReq || h.Corr != 0xDEADBEEFCAFE || h.Len != uint32(len(payload)) {
+	if h.Type != api.FrameInvokeReq || h.Corr != 0xDEADBEEFCAFE || h.Len != uint32(len(payload)) {
 		t.Fatalf("header = %+v", h)
 	}
 	if !bytes.Equal(p, payload) || len(rest) != 0 {
@@ -26,7 +28,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestParseHeaderErrors(t *testing.T) {
-	valid := AppendHeader(nil, THealthReq, 7, 0)
+	valid := AppendHeader(nil, api.FrameHealthReq, 7, 0)
 	cases := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -37,7 +39,7 @@ func TestParseHeaderErrors(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] = 'G'; return b }, ErrBadMagic},
 		{"bad version", func(b []byte) []byte { b[2] = 99; return b }, ErrBadVersion},
 		{"zero type", func(b []byte) []byte { b[3] = 0; return b }, ErrUnknownType},
-		{"high type", func(b []byte) []byte { b[3] = byte(TError) + 1; return b }, ErrUnknownType},
+		{"high type", func(b []byte) []byte { b[3] = byte(api.FrameError) + 1; return b }, ErrUnknownType},
 		{"oversize", func(b []byte) []byte {
 			b[13], b[14], b[15], b[16] = 0xFF, 0xFF, 0xFF, 0xFF
 			return b
@@ -56,8 +58,8 @@ func TestParseHeaderErrors(t *testing.T) {
 // TestDecodeFrameStream splits consecutive frames off one buffer
 // without copying.
 func TestDecodeFrameStream(t *testing.T) {
-	b := AppendFrame(nil, TInvokeReq, 1, []byte("first"))
-	b = AppendFrame(b, TInvokeResp, 2, []byte("second"))
+	b := AppendFrame(nil, api.FrameInvokeReq, 1, []byte("first"))
+	b = AppendFrame(b, api.FrameInvokeResp, 2, []byte("second"))
 	h1, p1, rest, err := DecodeFrame(b)
 	if err != nil || h1.Corr != 1 || string(p1) != "first" {
 		t.Fatalf("first frame: %+v %q %v", h1, p1, err)
@@ -71,7 +73,7 @@ func TestDecodeFrameStream(t *testing.T) {
 	}
 	// A frame whose declared length exceeds the available bytes is
 	// truncated, not panicking or allocating.
-	short := AppendHeader(nil, TObsResp, 3, 1000)
+	short := AppendHeader(nil, api.FrameObsResp, 3, 1000)
 	if _, _, _, err := DecodeFrame(short); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short frame err = %v", err)
 	}
@@ -79,18 +81,18 @@ func TestDecodeFrameStream(t *testing.T) {
 
 func TestReadFrame(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write(AppendFrame(nil, TAttestReq, 42, []byte("evidence please")))
+	buf.Write(AppendFrame(nil, api.FrameAttestReq, 42, []byte("evidence please")))
 	h, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer PutBuf(payload)
-	if h.Type != TAttestReq || h.Corr != 42 || string(payload) != "evidence please" {
+	if h.Type != api.FrameAttestReq || h.Corr != 42 || string(payload) != "evidence please" {
 		t.Fatalf("frame = %+v %q", h, payload)
 	}
 	// A stream that dies mid-payload is a truncated frame.
 	var cut bytes.Buffer
-	full := AppendFrame(nil, TInvokeReq, 1, []byte("cut me off"))
+	full := AppendFrame(nil, api.FrameInvokeReq, 1, []byte("cut me off"))
 	cut.Write(full[:len(full)-3])
 	if _, _, err := ReadFrame(&cut); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("mid-payload err = %v", err)
@@ -102,7 +104,7 @@ func TestReadFrame(t *testing.T) {
 }
 
 func TestTypeStringAndValid(t *testing.T) {
-	for ft := TInvokeReq; ft <= TError; ft++ {
+	for ft := api.FrameInvokeReq; ft <= api.FrameError; ft++ {
 		if !ft.Valid() {
 			t.Fatalf("%d should be valid", ft)
 		}
@@ -110,7 +112,7 @@ func TestTypeStringAndValid(t *testing.T) {
 			t.Fatalf("%d renders %q", ft, s)
 		}
 	}
-	if Type(0).Valid() || Type(TError+1).Valid() {
+	if Type(0).Valid() || Type(api.FrameError+1).Valid() {
 		t.Fatal("out-of-range types report valid")
 	}
 	if got := Type(200).String(); got != "unknown(200)" {

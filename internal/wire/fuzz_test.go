@@ -34,20 +34,20 @@ func isTyped(err error) bool {
 func FuzzWireFrame(f *testing.F) {
 	// Seed with one well-formed frame per type plus classic corruptions;
 	// the committed corpus under testdata/fuzz extends these.
-	f.Add(AppendFrame(nil, TInvokeReq, 1, AppendGuestInvoke(nil, &api.GuestInvokeRequest{
+	f.Add(AppendFrame(nil, api.FrameInvokeReq, 1, AppendGuestInvoke(nil, &api.GuestInvokeRequest{
 		Function: faas.Function{Name: "fib-go", Language: "go", Workload: "fib", Source: []byte("src")},
 		Scale:    22, Trace: true,
 	})))
-	f.Add(AppendFrame(nil, TFrontInvokeReq, 2, AppendFrontInvoke(nil, &api.TenantedInvoke{
+	f.Add(AppendFrame(nil, api.FrameFrontInvokeReq, 2, AppendFrontInvoke(nil, &api.TenantedInvoke{
 		Tenant: "acme", Req: api.InvokeRequest{Function: "primes-rust", Scale: 7, Secure: true},
 	})))
-	f.Add(AppendFrame(nil, TAttestReq, 3, AppendAttest(nil, "t", &api.AttestRequest{Nonce: []byte{1, 2}})))
-	f.Add(AppendFrame(nil, THealthResp, 4, AppendHealthResp(nil, "ok")))
-	f.Add(AppendFrame(nil, TError, 5, AppendError(nil, errors.New("boom"))))
-	f.Add([]byte{Magic0, Magic1})                                        // truncated header
-	f.Add([]byte("GET /v1/invoke HTTP/1.1\r\n"))                         // HTTP, not wire
-	f.Add(AppendHeader(nil, TObsResp, 6, MaxPayload))                    // oversized declared payload
-	f.Add(append(AppendHeader(nil, TInvokeReq, 7, 3), 0xFF, 0xFF, 0xFF)) // hostile varints
+	f.Add(AppendFrame(nil, api.FrameAttestReq, 3, AppendAttest(nil, "t", &api.AttestRequest{Nonce: []byte{1, 2}})))
+	f.Add(AppendFrame(nil, api.FrameHealthResp, 4, AppendHealthResp(nil, "ok")))
+	f.Add(AppendFrame(nil, api.FrameError, 5, AppendError(nil, errors.New("boom"))))
+	f.Add([]byte{Magic0, Magic1})                                                // truncated header
+	f.Add([]byte("GET /v1/invoke HTTP/1.1\r\n"))                                 // HTTP, not wire
+	f.Add(AppendHeader(nil, api.FrameObsResp, 6, MaxPayload))                    // oversized declared payload
+	f.Add(append(AppendHeader(nil, api.FrameInvokeReq, 7, 3), 0xFF, 0xFF, 0xFF)) // hostile varints
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, payload, rest, err := DecodeFrame(b)

@@ -92,9 +92,11 @@ func (t *HTTPJSON) RoundTrip(ctx context.Context, addr, path string, in, out any
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			if e.Code != "" {
 				// Re-attach the upstream classification so canceled and
-				// deadline verdicts keep their identity across the hop.
-				return fmt.Errorf("wire: peer %s: %w", addr,
-					cberr.FromWire(e.Code, e.Layer, e.Retryable, e.Error))
+				// deadline verdicts keep their identity across the hop,
+				// and a shed its retry advice, as the error frame does.
+				ce := cberr.FromWire(e.Code, e.Layer, e.Retryable, e.Error)
+				ce.RetryAfter = time.Duration(e.RetryAfterMS) * time.Millisecond
+				return fmt.Errorf("wire: peer %s: %w", addr, ce)
 			}
 			return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
 				fmt.Errorf("wire: peer %s: %s", addr, e.Error))

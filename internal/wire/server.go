@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"confbench/internal/api"
 	"confbench/internal/faultplane"
 	"confbench/internal/obs"
 )
@@ -26,7 +27,7 @@ const (
 // hot path increments pre-resolved counters instead of re-hashing
 // label sets per frame.
 type wireMetrics struct {
-	frames   [TError + 1]*obs.Counter
+	frames   [api.FrameError + 1]*obs.Counter
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
 	batch    *obs.Histogram
@@ -41,7 +42,7 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		bytesOut: reg.Counter("confbench_wire_bytes_total", "dir", "out"),
 		batch:    reg.HistogramWith("confbench_wire_batch_size", []float64{1, 2, 4, 8, 16}),
 	}
-	for t := TInvokeReq; t <= TError; t++ {
+	for t := api.FrameInvokeReq; t <= api.FrameError; t++ {
 		m.frames[t] = reg.Counter("confbench_wire_frames_total", "type", t.String())
 	}
 	return m
@@ -151,7 +152,7 @@ func writeLoop(conn net.Conn, ch <-chan outFrame, dead <-chan struct{}, m *wireM
 // valid for the duration of the call — decode, don't retain. An error
 // wrapping ErrSever drops the connection with no response (the wire
 // analogue of panic(http.ErrAbortHandler)); any other error is sent to
-// the peer as a TError frame carrying its cberr classification.
+// the peer as a api.FrameError frame carrying its cberr classification.
 type Handler func(ctx context.Context, t Type, payload []byte) (Type, []byte, error)
 
 // ServerConfig configures a wire front door.
@@ -327,7 +328,7 @@ func (s *Sniffer) serveWire(conn net.Conn) {
 				errPayload := AppendError(GetBuf(0), d.Err)
 				PutBuf(payload)
 				select {
-				case ch <- outFrame{t: TError, corr: h.Corr, payload: errPayload}:
+				case ch <- outFrame{t: api.FrameError, corr: h.Corr, payload: errPayload}:
 				case <-dead:
 					PutBuf(errPayload)
 				}
@@ -348,7 +349,7 @@ func (s *Sniffer) serveWire(conn net.Conn) {
 					kill()
 					return
 				}
-				rt, rp = TError, AppendError(GetBuf(0), herr)
+				rt, rp = api.FrameError, AppendError(GetBuf(0), herr)
 			}
 			select {
 			case ch <- outFrame{t: rt, corr: h.Corr, payload: rp}:

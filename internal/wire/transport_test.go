@@ -53,7 +53,7 @@ func TestValidTransportAndNewTransport(t *testing.T) {
 func TestHTTPJSONRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == api.PathInvoke && r.Method == http.MethodPost:
+		case r.URL.Path == api.PathV1Invoke && r.Method == http.MethodPost:
 			if got := r.Header.Get(api.HeaderTenant); got != "acme" {
 				t.Errorf("tenant header = %q", got)
 			}
@@ -68,7 +68,7 @@ func TestHTTPJSONRoundTrip(t *testing.T) {
 				return
 			}
 			json.NewEncoder(w).Encode(api.InvokeResponse{Output: req.Function + " done"})
-		case r.URL.Path == api.PathHealth && r.Method == http.MethodGet:
+		case r.URL.Path == api.PathV1Health && r.Method == http.MethodGet:
 			w.WriteHeader(http.StatusOK)
 		default:
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
@@ -84,17 +84,17 @@ func TestHTTPJSONRoundTrip(t *testing.T) {
 
 	var resp api.InvokeResponse
 	in := &api.TenantedInvoke{Tenant: "acme", Req: api.InvokeRequest{Function: "fib-go", Scale: 5}}
-	if err := tr.RoundTrip(ctx, addr, api.PathInvoke, in, &resp); err != nil {
+	if err := tr.RoundTrip(ctx, addr, api.PathV1Invoke, in, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Output != "fib-go done" {
 		t.Fatalf("output = %q", resp.Output)
 	}
-	if err := tr.RoundTrip(ctx, addr, api.PathHealth, nil, nil); err != nil {
+	if err := tr.RoundTrip(ctx, addr, api.PathV1Health, nil, nil); err != nil {
 		t.Fatalf("health: %v", err)
 	}
 
-	err := tr.RoundTrip(ctx, addr, api.PathInvoke,
+	err := tr.RoundTrip(ctx, addr, api.PathV1Invoke,
 		&api.TenantedInvoke{Tenant: "acme", Req: api.InvokeRequest{Function: "reject-me"}}, &resp)
 	if err == nil {
 		t.Fatal("peer error swallowed")
@@ -109,12 +109,12 @@ func TestHTTPJSONRoundTrip(t *testing.T) {
 }
 
 // echoHandler answers health and guest-invoke frames; a function named
-// "explode" returns a classified error, exercising the TError path.
+// "explode" returns a classified error, exercising the api.FrameError path.
 func echoHandler(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
 	switch ft {
-	case THealthReq:
-		return THealthResp, AppendHealthResp(GetBuf(0), "ok"), nil
-	case TInvokeReq:
+	case api.FrameHealthReq:
+		return api.FrameHealthResp, AppendHealthResp(GetBuf(0), "ok"), nil
+	case api.FrameInvokeReq:
 		req, err := DecodeGuestInvoke(payload)
 		if err != nil {
 			return 0, nil, err
@@ -127,7 +127,7 @@ func echoHandler(ctx context.Context, ft Type, payload []byte) (Type, []byte, er
 		if err != nil {
 			return 0, nil, err
 		}
-		return TInvokeResp, b, nil
+		return api.FrameInvokeResp, b, nil
 	default:
 		return 0, nil, fmt.Errorf("%w: unhandled %s", ErrSever, ft)
 	}
@@ -146,7 +146,7 @@ func startSniffer(t *testing.T, cfg ServerConfig) string {
 	}
 	sniffer := NewSniffer(ln, cfg)
 	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathHealth, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(api.PathV1Health, func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "http ok")
 	})
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
@@ -164,7 +164,7 @@ func TestSnifferDualProtocol(t *testing.T) {
 	addr := startSniffer(t, ServerConfig{})
 
 	// HTTP side: a plain GET is replayed to the mux untouched.
-	resp, err := http.Get("http://" + addr + api.PathHealth)
+	resp, err := http.Get("http://" + addr + api.PathV1Health)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSnifferDualProtocol(t *testing.T) {
 	// Binary side: same port, wire magic, served by the handler.
 	tr := NewBinary(nil)
 	defer tr.Close()
-	if err := tr.RoundTrip(context.Background(), addr, api.PathHealth, nil, nil); err != nil {
+	if err := tr.RoundTrip(context.Background(), addr, api.PathV1Health, nil, nil); err != nil {
 		t.Fatalf("binary side: %v", err)
 	}
 }
