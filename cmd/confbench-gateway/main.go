@@ -4,7 +4,7 @@
 //
 //   - embedded (default): boots the full paper test bed in-process —
 //     one host per TEE (TDX, SEV-SNP, CCA), each with its secure and
-//     normal VM — and serves the REST API in front of it.
+//     normal VM — and serves the deployment's own front door on -addr.
 //   - external: -hosts FILE points at a JSON file produced by
 //     confbench-host invocations ({"name": ..., "endpoints": [...]}
 //     entries), and the gateway dispatches to those processes.
@@ -33,7 +33,7 @@ import (
 	"syscall"
 
 	"confbench"
-	"confbench/internal/fronttier"
+	"confbench/internal/door"
 	"confbench/internal/gateway"
 	"confbench/internal/hostagent"
 	"confbench/internal/profiler"
@@ -48,13 +48,17 @@ type hostEntry struct {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], sig, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "confbench-gateway:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until stop delivers; serving (tests) learns the URL the
+// door came up on.
+func run(args []string, stop <-chan os.Signal, serving func(url string)) error {
 	fs := flag.NewFlagSet("confbench-gateway", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	hostsFile := fs.String("hosts", "", "JSON host config (empty = embedded test bed)")
@@ -89,60 +93,26 @@ func run(args []string) error {
 		fmt.Fprintln(os.Stderr, "pprof serving", url)
 	}
 
-	// SLO objectives go to the layer with the federated cluster view:
-	// the exposed front tier when sharded, otherwise the exposed
-	// gateway (evaluating the same objectives on inner layers too
-	// would double-alert).
-	var objectives []slo.Objective
-	if *sloSpec != "" {
-		var err error
-		objectives, err = slo.ParseSpecs(*sloSpec)
-		if err != nil {
-			return err
-		}
-	}
-
-	var policyFactory func() gateway.Policy
 	switch *policy {
-	case "round-robin":
-		policyFactory = nil
-	case "least-loaded":
-		policyFactory = func() gateway.Policy { return gateway.LeastLoaded{} }
+	case "round-robin", "least-loaded":
 	default:
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	// The exposed gateway is configured the same whether it fronts the
-	// embedded test bed or an external -hosts fleet.
-	gwCfg := gateway.Config{
-		Policy:           policyFactory,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		ScrapeInterval:   *scrapeInterval,
-		Transport:        *transport,
-		DurableDir:       *durableDir,
-		SLO:              objectives,
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
 	if *hostsFile == "" {
-		// Embedded mode: the Cluster boots gateway + hosts; we expose
-		// a second gateway bound to the requested address on the same
-		// host endpoints.
-		// Sharded deployments spill per shard inside the cluster; the
-		// single-gateway mode spills from the exposed gateway below.
-		var clusterDurable string
-		if *shards > 1 {
-			clusterDurable = *durableDir
-		}
+		// Embedded mode: the cluster serves its own front door — the
+		// front tier when sharded, otherwise the gateway — on -addr, so
+		// what a client drains, sweeps or polls is the deployment itself.
 		opts := []confbench.Option{
 			confbench.WithSeed(*seed), confbench.WithGuestMemoryMB(16),
 			confbench.WithShards(*shards), confbench.WithTransport(*transport),
-			confbench.WithDurableDir(clusterDurable),
+			confbench.WithListenAddr(*addr),
+			confbench.WithBreakerThreshold(*breakerThreshold, *breakerCooldown),
+			confbench.WithObsScrapeInterval(*scrapeInterval),
+			confbench.WithDurableDir(*durableDir), confbench.WithSLOSpec(*sloSpec),
 			confbench.WithHostsPerTEE(*hostsPerTEE), confbench.WithWarmPool(*warmPool),
 		}
-		if policyFactory != nil {
+		if *policy == "least-loaded" {
 			opts = append(opts, confbench.WithLeastLoaded())
 		}
 		cluster, err := confbench.New(opts...)
@@ -151,58 +121,35 @@ func run(args []string) error {
 		}
 		defer cluster.Close()
 		if *shards > 1 {
-			// Sharded: expose a second front tier bound to the requested
-			// address over the cluster's shard gateways.
-			tier := cluster.FrontTier()
-			cfgs := make([]fronttier.ShardConfig, 0, *shards)
-			for _, name := range cluster.ShardNames() {
-				cfgs = append(cfgs, fronttier.ShardConfig{Name: name, URL: tier.ShardURL(name)})
-			}
-			front, err := fronttier.New(fronttier.Config{
-				Shards:           cfgs,
-				BreakerThreshold: *breakerThreshold,
-				BreakerCooldown:  *breakerCooldown,
-				Transport:        *transport,
-				SLO:              objectives,
-			})
-			if err != nil {
-				return err
-			}
-			url, err := front.Start(*addr)
-			if err != nil {
-				return err
-			}
-			defer front.Close()
 			fmt.Fprintf(os.Stderr, "front tier serving %s (%d shards, embedded test bed: %v)\n",
-				url, *shards, cluster.Kinds())
-			<-sig
-			return nil
+				cluster.GatewayURL(), *shards, cluster.Kinds())
+		} else {
+			fmt.Fprintf(os.Stderr, "gateway serving %s (embedded test bed: %v)\n", cluster.GatewayURL(), cluster.Kinds())
 		}
-		gw := gateway.New(gwCfg)
-		for _, kind := range cluster.Kinds() {
-			agents := cluster.Agents(kind)
-			if len(agents) == 0 {
-				return fmt.Errorf("no host agents for %s", kind)
-			}
-			for _, agent := range agents {
-				gw.AddHost(agent.Name(), agent.Endpoints())
-			}
-		}
-		// POST /v1/drain on the exposed gateway routes into the
-		// cluster's migrating drain (with -hosts, the external-fleet
-		// gateway below instead serves its built-in routing-only drain:
-		// it cannot reach into another process's guests).
-		gw.SetDrainer(cluster.DrainHost)
-		url, err := gw.Start(*addr)
-		if err != nil {
-			return err
-		}
-		defer gw.Close()
-		fmt.Fprintf(os.Stderr, "gateway serving %s (embedded test bed: %v)\n", url, cluster.Kinds())
-		<-sig
-		return nil
+		return serve(cluster.GatewayURL(), stop, serving)
 	}
 
+	// External mode: one gateway over other processes' hosts. Its
+	// POST /v1/drain is the built-in routing-only drain: it cannot reach
+	// into another process's guests.
+	gwCfg := gateway.Config{
+		PlaneConfig: door.PlaneConfig{
+			ScrapeInterval: *scrapeInterval,
+			DurableDir:     *durableDir,
+		},
+		BreakerThreshold: *breakerThreshold,
+		BreakerCooldown:  *breakerCooldown,
+		Transport:        *transport,
+	}
+	if *policy == "least-loaded" {
+		gwCfg.Policy = func() gateway.Policy { return gateway.LeastLoaded{} }
+	}
+	if *sloSpec != "" {
+		var err error
+		if gwCfg.SLO, err = slo.ParseSpecs(*sloSpec); err != nil {
+			return err
+		}
+	}
 	data, err := os.ReadFile(*hostsFile)
 	if err != nil {
 		return fmt.Errorf("read hosts file: %w", err)
@@ -221,6 +168,14 @@ func run(args []string) error {
 	}
 	defer gw.Close()
 	fmt.Fprintf(os.Stderr, "gateway serving %s (%d external hosts)\n", url, len(hosts))
-	<-sig
+	return serve(url, stop, serving)
+}
+
+// serve parks until stop delivers.
+func serve(url string, stop <-chan os.Signal, serving func(string)) error {
+	if serving != nil {
+		serving(url)
+	}
+	<-stop
 	return nil
 }

@@ -111,11 +111,13 @@ func WithHostsPerTEE(n int) Option {
 	return func(c *ClusterConfig) { c.HostsPerTEE = n }
 }
 
-// WithObsScrapeInterval enables the gateway's periodic federation
-// sweeps: every interval it scrapes each host agent's registry over
-// the relay hop, merges the snapshots under host labels, and feeds
-// the time series behind windowed rate queries. Without it the sweep
-// runs on demand, per GET /v1/obs/cluster request.
+// WithObsScrapeInterval enables periodic federation sweeps on the
+// layer that federates the deployment — the front tier over its shards
+// when sharded, otherwise the gateway over its host agents: every
+// interval it scrapes each target's registry, merges the snapshots
+// under shard (or host) labels, feeds the time series behind windowed
+// rate queries, evaluates the SLOs and spills the sweep. Without it
+// the sweep runs on demand, per GET /v1/obs/cluster request.
 func WithObsScrapeInterval(d time.Duration) Option {
 	return func(c *ClusterConfig) { c.ObsScrapeInterval = d }
 }
@@ -182,10 +184,11 @@ func WithTransport(name string) Option {
 }
 
 // WithDurableDir roots the deployment's persistence plane at dir: each
-// gateway (or shard, under its own subdirectory) spills federation
-// sweeps and flight-recorder events to an append-only checksummed log
-// and replays them on start, so windowed /v1/obs/cluster rates and
-// /v1/obs/events span process restarts. Without it telemetry lives
+// front door (the gateway, or the front tier and every shard, each
+// under its own subdirectory) spills federation sweeps and flight-
+// recorder events to an append-only checksummed log and replays them
+// on start, so windowed /v1/obs/cluster rates, /v1/obs/events and the
+// alert timeline span process restarts. Without it telemetry lives
 // only in memory and dies with the process.
 func WithDurableDir(dir string) Option {
 	return func(c *ClusterConfig) { c.DurableDir = dir }
@@ -199,6 +202,13 @@ func WithDurableDir(dir string) Option {
 // federation sweep and serves GET /v1/obs/slo and /v1/obs/alerts.
 func WithSLOSpec(spec string) Option {
 	return func(c *ClusterConfig) { c.SLOSpec = spec }
+}
+
+// WithListenAddr serves the deployment's front door — the front tier
+// when sharded, otherwise the gateway — on addr instead of an
+// ephemeral loopback port.
+func WithListenAddr(addr string) Option {
+	return func(c *ClusterConfig) { c.ListenAddr = addr }
 }
 
 // New boots a deployment configured by opts. Close it when done.

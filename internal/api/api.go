@@ -132,11 +132,10 @@ type AttestResponse struct {
 	AttestNs int64 `json:"attest_ns"`
 }
 
-// Health is the GET health reply of every door. The gateway fills
-// only Status; a front tier adds its shard count, a guest its VM.
+// Health is the GET health reply of every door. The gateway and the
+// front tier fill only Status; a guest adds its VM.
 type Health struct {
 	Status string `json:"status"`
-	Shards string `json:"shards,omitempty"`
 	VM     string `json:"vm,omitempty"`
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Paths of the gateway surface — one constant per route. A front tier
-// serves the same paths (plus the async pair, minus drain and events),
-// so either can stand behind the same client.
+// serves the same paths (plus the async pair, minus drain), so either
+// can stand behind the same client.
 const (
 	PathV1Functions = "/v1/functions"
 	PathV1Invoke    = "/v1/invoke"
@@ -27,7 +27,8 @@ const (
 	// PathV1ObsCluster serves the federated cluster view: every host
 	// agent's registry merged under host labels, plus windowed rates.
 	PathV1ObsCluster = "/v1/obs/cluster"
-	// PathV1ObsEvents serves the gateway's invoke flight recorder.
+	// PathV1ObsEvents serves the door's flight recorder: invoke events
+	// on a gateway, alert transitions on every door with objectives.
 	PathV1ObsEvents = "/v1/obs/events"
 	// PathV1ObsSLO serves the SLO engine's per-objective status: state,
 	// burn rates, and remaining error budget.
@@ -145,7 +146,7 @@ var Routes = []Route{
 	{Method: http.MethodGet, Path: PathV1Health, Req: FrameHealthReq, Resp: FrameHealthResp, Doors: DoorGateway | DoorTier, Instrumented: true},
 	{Method: http.MethodGet, Path: PathV1Obs, Req: FrameObsReq, Resp: FrameObsResp, Doors: DoorGateway | DoorTier},
 	{Method: http.MethodGet, Path: PathV1ObsCluster, Doors: DoorGateway | DoorTier},
-	{Method: http.MethodGet, Path: PathV1ObsEvents, Doors: DoorGateway},
+	{Method: http.MethodGet, Path: PathV1ObsEvents, Doors: DoorGateway | DoorTier},
 	{Method: http.MethodGet, Path: PathV1ObsSLO, Doors: DoorGateway | DoorTier},
 	{Method: http.MethodGet, Path: PathV1ObsAlerts, Doors: DoorGateway | DoorTier},
 

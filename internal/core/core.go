@@ -18,6 +18,7 @@ import (
 	"confbench/internal/attest"
 	"confbench/internal/attest/dcap"
 	"confbench/internal/attest/snp"
+	"confbench/internal/door"
 	"confbench/internal/faas"
 	"confbench/internal/faas/langs"
 	"confbench/internal/faultplane"
@@ -70,9 +71,10 @@ type ClusterConfig struct {
 	// BreakerCooldown is how long a tripped endpoint stays out of
 	// rotation before a half-open probe (0 = the gateway default).
 	BreakerCooldown time.Duration
-	// ObsScrapeInterval enables the gateway's periodic federation
-	// sweeps of the host agents' registries (0 = on-demand only, via
-	// GET /v1/obs/cluster).
+	// ObsScrapeInterval enables periodic federation sweeps on the
+	// layer that federates the deployment — the front tier over its
+	// shards when Shards > 1, otherwise the gateway over its hosts
+	// (0 = on-demand only, via GET /v1/obs/cluster).
 	ObsScrapeInterval time.Duration
 	// WarmPool, when positive, serves every host's secure VM out of a
 	// prewarmed guest pool with this high watermark, restoring guests
@@ -98,11 +100,12 @@ type ClusterConfig struct {
 	// Servers accept both carriers regardless.
 	Transport string
 	// DurableDir, when set, roots the deployment's persistence plane:
-	// each gateway (or shard) spills its federation sweeps and flight-
-	// recorder events to an append-only checksummed log under its own
-	// subdirectory, and replays them on start, so /v1/obs/cluster
-	// ?window= rates and /v1/obs/events span process restarts. Empty
-	// keeps telemetry in-memory only.
+	// every front door — the gateway under "gateway", or the tier under
+	// "front" and each shard under "shard-N" — spills its federation
+	// sweeps and flight-recorder events to an append-only checksummed
+	// log there, and replays them on start, so /v1/obs/cluster ?window=
+	// rates, /v1/obs/events and the alert timeline span process
+	// restarts. Empty keeps telemetry in-memory only.
 	DurableDir string
 	// SLOSpec declares service-level objectives in the slo spec
 	// grammar (comma-separated "name:kind:target[:options]"). The
@@ -111,6 +114,10 @@ type ClusterConfig struct {
 	// federation sweep and serves /v1/obs/slo and /v1/obs/alerts.
 	// Empty deploys no SLO plane.
 	SLOSpec string
+	// ListenAddr is where the deployment's front door — the front tier
+	// when Shards > 1, otherwise the gateway — serves ("" = an ephemeral
+	// loopback port).
+	ListenAddr string
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -129,6 +136,9 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.WarmPool > 0 && c.SnapshotCacheMB <= 0 {
 		c.SnapshotCacheMB = 256
 	}
+	if c.ListenAddr == "" {
+		c.ListenAddr = "127.0.0.1:0"
+	}
 	return c
 }
 
@@ -140,16 +150,21 @@ type Cluster struct {
 	backends map[tee.Kind]tee.Backend
 	agents   map[tee.Kind][]*hostagent.Agent
 	cache    *vm.SnapshotCache
-	gw       *gateway.Gateway
 	client   *api.Client
 	// clientTransport is the client's binary carrier when
 	// cfg.Transport selected it (owned here; closed with the cluster).
 	clientTransport api.Transport
 
-	// Sharded deployments (cfg.Shards > 1): the shard gateways in
-	// shard-name order and the front tier routing across them.
+	// front is the deployment's one front door, the layer that
+	// federates it: the tier when sharded, otherwise gws[0].
+	front interface {
+		BaseURL() string
+		Close() error
+	}
+	// gws are the gateways routing over the host fleet: the single
+	// gateway, or every shard in shard-name order.
+	gws        []*gateway.Gateway
 	shardNames []string
-	shardGWs   []*gateway.Gateway
 	tier       *fronttier.Tier
 
 	pcs *dcap.PCS
@@ -221,19 +236,24 @@ func (c *Cluster) boot() error {
 	if c.cfg.LeastLoaded {
 		policy = func() gateway.Policy { return gateway.LeastLoaded{} }
 	}
-	// Objectives go to whichever layer federates the whole
-	// deployment: the front tier when sharded, the gateway otherwise.
-	// Evaluating them on every shard too would double-alert.
-	var objectives []slo.Objective
+	// The layer that federates the whole deployment — the front tier
+	// when sharded, the gateway otherwise — gets the objectives and the
+	// periodic sweep; running either on every shard too would double-
+	// alert and sweep the hosts once per shard.
+	federating := door.PlaneConfig{
+		Obs:            c.obsreg,
+		Faults:         c.cfg.Faults,
+		ScrapeInterval: c.cfg.ObsScrapeInterval,
+	}
 	if c.cfg.SLOSpec != "" {
 		var err error
-		if objectives, err = slo.ParseSpecs(c.cfg.SLOSpec); err != nil {
+		if federating.SLO, err = slo.ParseSpecs(c.cfg.SLOSpec); err != nil {
 			return fmt.Errorf("confbench: %w", err)
 		}
 	}
-	// durableDir roots one gateway's telemetry spill under its own
+	// durableDir roots one door's telemetry spill under its own
 	// subdirectory of the deployment's persistence plane ("" = no
-	// spill). Per-gateway subdirs keep shard logs from interleaving.
+	// spill), so no two doors' logs interleave.
 	durableDir := func(sub string) string {
 		if c.cfg.DurableDir == "" {
 			return ""
@@ -243,23 +263,24 @@ func (c *Cluster) boot() error {
 	// newGateway builds one gateway over the full host fleet. Shards
 	// are stateless equivalents: every shard sees every host, so any
 	// shard can serve any key and a killed shard loses no capacity.
-	newGateway := func(reg *obs.Registry, sub string, slos []slo.Objective) *gateway.Gateway {
+	// POST /v1/drain on it routes into the cluster's migrating drain,
+	// so remote clients get the same semantics as in-process callers of
+	// DrainHost.
+	newGateway := func(plane door.PlaneConfig) *gateway.Gateway {
 		gw := gateway.New(gateway.Config{
+			PlaneConfig:      plane,
 			Policy:           policy,
-			Obs:              reg,
 			BreakerThreshold: c.cfg.BreakerThreshold,
 			BreakerCooldown:  c.cfg.BreakerCooldown,
-			Faults:           c.cfg.Faults,
-			ScrapeInterval:   c.cfg.ObsScrapeInterval,
 			Transport:        c.cfg.Transport,
-			DurableDir:       durableDir(sub),
-			SLO:              slos,
 		})
 		for _, kind := range c.cfg.TEEs {
 			for _, agent := range c.agents[kind] {
 				gw.AddHost(agent.Name(), agent.Endpoints())
 			}
 		}
+		gw.SetDrainer(c.DrainHost)
+		c.gws = append(c.gws, gw)
 		return gw
 	}
 	var url string
@@ -270,40 +291,38 @@ func (c *Cluster) boot() error {
 		shardCfgs := make([]fronttier.ShardConfig, 0, c.cfg.Shards)
 		for i := 0; i < c.cfg.Shards; i++ {
 			name := fmt.Sprintf("shard-%d", i)
-			gw := newGateway(obs.New(), name, nil)
-			gw.SetDrainer(c.DrainHost)
+			gw := newGateway(door.PlaneConfig{
+				Obs: obs.New(), Faults: c.cfg.Faults, DurableDir: durableDir(name),
+			})
 			u, err := gw.Start("127.0.0.1:0")
 			if err != nil {
 				return err
 			}
 			c.shardNames = append(c.shardNames, name)
-			c.shardGWs = append(c.shardGWs, gw)
 			shardCfgs = append(shardCfgs, fronttier.ShardConfig{Name: name, URL: u})
 		}
+		federating.DurableDir = durableDir(fronttier.FrontShardLabel)
 		tier, err := fronttier.New(fronttier.Config{
+			PlaneConfig:      federating,
 			Shards:           shardCfgs,
-			Obs:              c.obsreg,
 			Quotas:           c.cfg.TenantQuotas,
 			BreakerThreshold: c.cfg.BreakerThreshold,
 			BreakerCooldown:  c.cfg.BreakerCooldown,
 			Transport:        c.cfg.Transport,
-			SLO:              objectives,
 		})
 		if err != nil {
 			return err
 		}
-		c.tier = tier
-		if url, err = tier.Start("127.0.0.1:0"); err != nil {
+		c.tier, c.front = tier, tier
+		if url, err = tier.Start(c.cfg.ListenAddr); err != nil {
 			return err
 		}
 	} else {
-		c.gw = newGateway(c.obsreg, "gateway", objectives)
-		// POST /v1/drain on the gateway routes into the cluster's
-		// migrating drain, so remote clients get the same semantics as
-		// in-process callers of DrainHost.
-		c.gw.SetDrainer(c.DrainHost)
+		federating.DurableDir = durableDir(gateway.GatewayHostLabel)
+		gw := newGateway(federating)
+		c.front = gw
 		var err error
-		if url, err = c.gw.Start("127.0.0.1:0"); err != nil {
+		if url, err = gw.Start(c.cfg.ListenAddr); err != nil {
 			return err
 		}
 	}
@@ -366,22 +385,12 @@ func (c *Cluster) Workers() int { return c.cfg.Workers }
 
 // GatewayURL returns the front door's base URL: the front tier when
 // sharded, the single gateway otherwise.
-func (c *Cluster) GatewayURL() string {
-	if c.tier != nil {
-		return c.tier.BaseURL()
-	}
-	return c.gw.BaseURL()
-}
+func (c *Cluster) GatewayURL() string { return c.front.BaseURL() }
 
 // Gateway returns the running gateway, exposing the federation
 // scraper and invoke flight recorder to in-process harnesses. Sharded
 // deployments return the first shard.
-func (c *Cluster) Gateway() *gateway.Gateway {
-	if c.gw == nil && len(c.shardGWs) > 0 {
-		return c.shardGWs[0]
-	}
-	return c.gw
-}
+func (c *Cluster) Gateway() *gateway.Gateway { return c.gws[0] }
 
 // FrontTier returns the sharded front tier (nil when Shards <= 1).
 func (c *Cluster) FrontTier() *fronttier.Tier { return c.tier }
@@ -398,7 +407,7 @@ func (c *Cluster) ShardNames() []string {
 func (c *Cluster) CloseShard(name string) error {
 	for i, n := range c.shardNames {
 		if n == name {
-			return c.shardGWs[i].Close()
+			return c.gws[i].Close()
 		}
 	}
 	return fmt.Errorf("confbench: no shard %q deployed", name)
@@ -522,14 +531,13 @@ func (c *Cluster) PCS() *dcap.PCS { return c.pcs }
 // with errors.Join so none is masked.
 func (c *Cluster) Close() error {
 	var errs []error
-	if c.tier != nil {
-		errs = append(errs, c.tier.Close())
+	if c.front != nil { // a boot that failed early has no door yet
+		errs = append(errs, c.front.Close())
 	}
-	for _, gw := range c.shardGWs {
-		errs = append(errs, gw.Close()) // idempotent if CloseShard hit it first
-	}
-	if c.gw != nil {
-		errs = append(errs, c.gw.Close())
+	for _, gw := range c.gws {
+		// Idempotent: the single gateway was the front door just
+		// closed, and CloseShard may have hit a shard first.
+		errs = append(errs, gw.Close())
 	}
 	for _, kind := range c.Kinds() {
 		for _, a := range c.agents[kind] {

@@ -7,7 +7,6 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
-	"confbench/internal/gateway"
 	"confbench/internal/hostagent"
 	"confbench/internal/migrate"
 	"confbench/internal/tee"
@@ -15,15 +14,6 @@ import (
 
 // drainPollInterval paces the in-flight-to-zero wait after quiescing.
 const drainPollInterval = time.Millisecond
-
-// gateways lists every gateway routing over the host fleet — the
-// single gateway, or all shards (each shard sees every host).
-func (c *Cluster) gateways() []*gateway.Gateway {
-	if c.gw != nil {
-		return []*gateway.Gateway{c.gw}
-	}
-	return c.shardGWs
-}
 
 // findAgent locates a host agent by name.
 func (c *Cluster) findAgent(host string) (tee.Kind, int, *hostagent.Agent) {
@@ -67,7 +57,7 @@ func (c *Cluster) DrainHost(ctx context.Context, host string) (*api.DrainReport,
 		}
 	}
 
-	gws := c.gateways()
+	gws := c.gws // every gateway routes over the whole fleet
 	quiesced := 0
 	for i, gw := range gws {
 		n := gw.QuiesceHost(host)

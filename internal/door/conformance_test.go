@@ -16,6 +16,7 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/faas"
 	"confbench/internal/faultplane"
 	"confbench/internal/fronttier"
@@ -213,7 +214,7 @@ func bed(t *testing.T) (doors []*frontDoor, doomed *frontDoor) {
 	t.Cleanup(func() { _ = agent.Close() })
 
 	newGateway := func(reg *obs.Registry) (*gateway.Gateway, string) {
-		g := gateway.New(gateway.Config{Obs: reg, Postmortem: io.Discard})
+		g := gateway.New(gateway.Config{PlaneConfig: door.PlaneConfig{Obs: reg}, Postmortem: io.Discard})
 		g.AddHost(agent.Name(), agent.Endpoints())
 		url, err := g.Start("127.0.0.1:0")
 		if err != nil {
@@ -250,7 +251,8 @@ func bed(t *testing.T) (doors []*frontDoor, doomed *frontDoor) {
 	}
 	tierReg := obs.New()
 	tier, err := fronttier.New(fronttier.Config{
-		Shards: shards, Obs: tierReg, Now: func() time.Time { return frozen },
+		PlaneConfig: door.PlaneConfig{Obs: tierReg},
+		Shards:      shards, Now: func() time.Time { return frozen },
 		Quotas: map[string]fronttier.TenantLimits{"tight": {RatePerSec: 0.5, Burst: 1}},
 	})
 	if err != nil {

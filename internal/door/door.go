@@ -26,7 +26,8 @@ import (
 )
 
 // Handler is one route bound to the code serving it. Build them with
-// Post, Get, Raw, or the ops-plane constructors in ops.go.
+// Post, Get, Raw or Obs; a federating door gets the rest of the ops
+// surface from its Plane.
 type Handler struct {
 	route api.Route
 	// http writes the success response itself and returns any failure

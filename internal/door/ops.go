@@ -13,9 +13,8 @@ import (
 	"confbench/internal/slo"
 )
 
-// The ops-plane read side: one handler per route, bound by whichever
-// door has the thing it reads (every door has a registry; gateway and
-// tier federate and evaluate SLOs; only the gateway records events).
+// The ops-plane read side. Every door has a registry (Obs); the
+// federating doors mount the rest through their Plane.
 
 // DefaultObsWindow is the sample window (scrape count) rate queries
 // default to.
@@ -61,61 +60,62 @@ func Obs(path string, reg *obs.Registry) Handler {
 	return h
 }
 
-// ObsCluster serves the federated cluster view: a fresh sweep merged
+// routes is the ops surface every federating door mounts, the same
+// on the gateway and the front tier.
+func (p *Plane) routes() []Handler {
+	return []Handler{
+		Get(api.PathV1Metrics, p.metrics),
+		Get(api.PathV1Health, func(context.Context) (api.Health, error) {
+			return api.Health{Status: "ok"}, nil
+		}),
+		Obs(api.PathV1Obs, p.reg),
+		Raw(http.MethodGet, api.PathV1ObsCluster, p.obsCluster),
+		Raw(http.MethodGet, api.PathV1ObsEvents, p.obsEvents),
+		// A door without objectives has a nil engine, which serves the
+		// empty lists.
+		Get(api.PathV1ObsSLO, func(context.Context) ([]slo.Status, error) {
+			return orEmpty(p.slo.Status()), nil
+		}),
+		Get(api.PathV1ObsAlerts, func(context.Context) ([]slo.Transition, error) {
+			return orEmpty(p.slo.Timeline()), nil
+		}),
+	}
+}
+
+// obsCluster serves the federated cluster view: a fresh sweep merged
 // under host (or shard) labels, with the windowed invoke rate from the
 // scrape series; ?window=N overrides the rate window (samples).
-func ObsCluster(scrape func(context.Context, time.Time) obs.ClusterSnapshot, series *obs.SeriesSet) Handler {
-	return Raw(http.MethodGet, api.PathV1ObsCluster, func(w http.ResponseWriter, r *http.Request, layer cberr.Layer) error {
-		window, err := queryCount(r, "window", DefaultObsWindow, layer)
-		if err != nil {
-			return err
-		}
-		cs := scrape(r.Context(), time.Now())
-		cs.Window = window
-		if s := series.Get(obs.RateInvokesPerSec); s != nil {
-			cs.Rates = map[string]float64{obs.RateInvokesPerSec: s.Rate(window)}
-		}
-		if wantJSON(r) {
-			api.WriteJSON(w, http.StatusOK, cs)
-			return nil
-		}
-		w.Header().Set("Content-Type", promText)
-		_ = obs.WriteSnapshotPrometheus(w, cs.Merged)
+func (p *Plane) obsCluster(w http.ResponseWriter, r *http.Request, layer cberr.Layer) error {
+	window, err := queryCount(r, "window", DefaultObsWindow, layer)
+	if err != nil {
+		return err
+	}
+	cs := p.ScrapeOnce(r.Context(), time.Now())
+	cs.Window = window
+	if s := p.series.Get(obs.RateInvokesPerSec); s != nil {
+		cs.Rates = map[string]float64{obs.RateInvokesPerSec: s.Rate(window)}
+	}
+	if wantJSON(r) {
+		api.WriteJSON(w, http.StatusOK, cs)
 		return nil
-	})
+	}
+	w.Header().Set("Content-Type", promText)
+	_ = obs.WriteSnapshotPrometheus(w, cs.Merged)
+	return nil
 }
 
-// ObsEvents serves the flight recorder's retained invoke events
-// (oldest first), filtered server-side by ?limit= (newest N), ?err=1
-// (failures only), and ?trace=inv-N (exact trace match).
-func ObsEvents(rec *obs.Recorder) Handler {
-	return Raw(http.MethodGet, api.PathV1ObsEvents, func(w http.ResponseWriter, r *http.Request, layer cberr.Layer) error {
-		limit, err := queryCount(r, "limit", 0, layer)
-		if err != nil {
-			return err
-		}
-		q := r.URL.Query()
-		evs := rec.Filter(obs.EventFilter{Trace: q.Get("trace"), ErrOnly: q.Get("err") == "1", Limit: limit})
-		api.WriteJSON(w, http.StatusOK, orEmpty(evs))
-		return nil
-	})
-}
-
-// ObsSLO serves the SLO engine's per-objective status: state,
-// two-window burn rates, and remaining error budget. A nil engine (no
-// objectives configured) serves the empty list.
-func ObsSLO(eng *slo.Engine) Handler {
-	return Get(api.PathV1ObsSLO, func(context.Context) ([]slo.Status, error) {
-		return orEmpty(eng.Status()), nil
-	})
-}
-
-// ObsAlerts serves the alert timeline: every SLO state transition
-// observed (or restored from the spill) so far, oldest first.
-func ObsAlerts(eng *slo.Engine) Handler {
-	return Get(api.PathV1ObsAlerts, func(context.Context) ([]slo.Transition, error) {
-		return orEmpty(eng.Timeline()), nil
-	})
+// obsEvents serves the flight recorder's retained events (oldest
+// first), filtered server-side by ?limit= (newest N), ?err=1 (failures
+// only), and ?trace=inv-N (exact trace match).
+func (p *Plane) obsEvents(w http.ResponseWriter, r *http.Request, layer cberr.Layer) error {
+	limit, err := queryCount(r, "limit", 0, layer)
+	if err != nil {
+		return err
+	}
+	q := r.URL.Query()
+	evs := p.recorder.Filter(obs.EventFilter{Trace: q.Get("trace"), ErrOnly: q.Get("err") == "1", Limit: limit})
+	api.WriteJSON(w, http.StatusOK, orEmpty(evs))
+	return nil
 }
 
 // orEmpty keeps an empty list rendering as [] rather than null.

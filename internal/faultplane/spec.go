@@ -3,8 +3,9 @@ package faultplane
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
+
+	"confbench/internal/colonspec"
 )
 
 // ParseSpecs parses the -chaos command-line grammar: a comma-separated
@@ -18,8 +19,7 @@ import (
 //	relay.accept:drop:0.05,tee.transition:latency:0.2:tee=tdx:latency=2ms
 func ParseSpecs(s string) ([]Spec, error) {
 	var specs []Spec
-	for _, raw := range strings.Split(s, ",") {
-		raw = strings.TrimSpace(raw)
+	for _, raw := range colonspec.List(s) {
 		if raw == "" {
 			continue
 		}
@@ -37,35 +37,31 @@ func ParseSpecs(s string) ([]Spec, error) {
 
 // ParseSpec parses one spec in the -chaos grammar.
 func ParseSpec(s string) (Spec, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 3 {
-		return Spec{}, fmt.Errorf("faultplane: spec %q: want point:kind:probability[:key=value...]", s)
+	pos, opts, err := colonspec.Split(s, "point:kind:probability[:key=value...]")
+	if err != nil {
+		return Spec{}, fmt.Errorf("faultplane: %w", err)
 	}
-	prob, err := strconv.ParseFloat(parts[2], 64)
+	prob, err := strconv.ParseFloat(pos[2], 64)
 	if err != nil {
 		return Spec{}, fmt.Errorf("faultplane: spec %q: probability: %w", s, err)
 	}
-	spec := Spec{Point: Point(parts[0]), Kind: Kind(parts[1]), Probability: prob}
-	for _, opt := range parts[3:] {
-		key, value, ok := strings.Cut(opt, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("faultplane: spec %q: option %q: want key=value", s, opt)
-		}
-		switch key {
+	spec := Spec{Point: Point(pos[0]), Kind: Kind(pos[1]), Probability: prob}
+	for _, opt := range opts {
+		switch opt.Key {
 		case "tee":
-			spec.TEE = value
+			spec.TEE = opt.Value
 		case "host":
-			spec.Host = value
+			spec.Host = opt.Value
 		case "latency":
-			d, err := time.ParseDuration(value)
+			d, err := time.ParseDuration(opt.Value)
 			if err != nil {
 				return Spec{}, fmt.Errorf("faultplane: spec %q: latency: %w", s, err)
 			}
 			spec.Latency = d
 		case "msg":
-			spec.Message = value
+			spec.Message = opt.Value
 		default:
-			return Spec{}, fmt.Errorf("faultplane: spec %q: unknown option %q", s, key)
+			return Spec{}, fmt.Errorf("faultplane: spec %q: unknown option %q", s, opt.Key)
 		}
 	}
 	if err := spec.validate(); err != nil {

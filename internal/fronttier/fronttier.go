@@ -15,6 +15,7 @@ import (
 	"confbench/internal/api"
 	"confbench/internal/cberr"
 	"confbench/internal/door"
+	"confbench/internal/faultplane"
 	"confbench/internal/gateway"
 	"confbench/internal/obs"
 	"confbench/internal/slo"
@@ -48,10 +49,11 @@ type ShardConfig struct {
 
 // Config assembles a front tier.
 type Config struct {
+	// PlaneConfig is the ops plane: registry, fault plane, periodic
+	// sweep, durable directory, objectives.
+	door.PlaneConfig
 	// Shards are the gateway shards to route across (≥ 1).
 	Shards []ShardConfig
-	// Obs is the tier's metrics registry (nil = process default).
-	Obs *obs.Registry
 	// Quotas maps tenants to admission limits (absent = unlimited).
 	Quotas map[string]TenantLimits
 	// QueueDepth bounds each shard's admission queue (0 = default).
@@ -83,9 +85,6 @@ type Config struct {
 	// JSON over HTTP; "binary" = the persistent multiplexed wire
 	// protocol). The tier's own front door always accepts both.
 	Transport string
-	// SLO declares the service-level objectives the tier evaluates on
-	// each shard-federation sweep (nil = no SLO plane).
-	SLO []slo.Objective
 }
 
 // shard is one gateway shard as the tier sees it: a client, a
@@ -118,12 +117,15 @@ func (s *shard) observeLatency(d time.Duration) {
 // Tier is the sharded front door. It terminates the public API,
 // admits per tenant, routes per the bounded-load ring, fails over
 // along the successor walk when a shard's breaker is open, and runs
-// the async submit/poll lifecycle.
+// the async submit/poll lifecycle. Its ops plane — federation sweep
+// over the shards, SLOs, alert recorder, telemetry spill, request
+// accounting, listener — is the embedded door.Plane.
 type Tier struct {
+	*door.Plane
+
 	ring      *Ring
 	admission *Admission
 	store     *ResultStore
-	obsreg    *obs.Registry
 	clock     func() time.Time
 
 	shards     map[string]*shard
@@ -133,21 +135,7 @@ type Tier struct {
 	asyncSeq     atomic.Uint64
 	asyncTimeout time.Duration
 	asyncWG      sync.WaitGroup
-
-	series       *obs.SeriesSet
 	asyncPending *obs.Gauge
-
-	// sloEng evaluates Config.SLO on every federation sweep; nil
-	// without objectives.
-	sloEng *slo.Engine
-
-	mu      sync.Mutex
-	door    *door.Server
-	started time.Time
-
-	invocations  atomic.Uint64
-	errors       atomic.Uint64
-	attestations atomic.Uint64
 
 	// transport is the shared shard-hop carrier when Config.Transport
 	// selected binary (nil = each client's default HTTP).
@@ -165,7 +153,13 @@ func New(cfg Config) (*Tier, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	reg := obs.OrDefault(cfg.Obs)
+	// No SLO scope filter: each scraped shard registry is distinct in
+	// the tier's federated view (no family repeats across shard labels
+	// the way an in-process gateway repeats host labels), and the tier's
+	// own registry — merged under FrontShardLabel — is where
+	// cluster-level signals like migration downtime land.
+	plane := door.NewPlane(cfg.PlaneConfig, FrontShardLabel, "shard", slo.Scope{})
+	reg := plane.Obs()
 	queueDepth := cfg.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = DefaultQueueDepth
@@ -179,29 +173,16 @@ func New(cfg Config) (*Tier, error) {
 		asyncTimeout = DefaultAsyncTimeout
 	}
 	t := &Tier{
+		Plane:        plane,
 		ring:         NewRing(cfg.VirtualNodes),
 		admission:    NewAdmission(cfg.Quotas, clock),
 		store:        NewResultStore(cfg.AsyncCapacity, cfg.AsyncTTL, clock),
-		obsreg:       reg,
 		clock:        clock,
 		shards:       make(map[string]*shard, len(cfg.Shards)),
 		loadFactor:   cfg.LoadFactor,
 		queueDepth:   int64(queueDepth),
 		asyncTimeout: asyncTimeout,
-		series:       obs.NewSeriesSet(obs.DefaultSeriesCapacity),
 		asyncPending: reg.Gauge("confbench_fronttier_async_pending"),
-	}
-	if len(cfg.SLO) > 0 {
-		// No scope filter: each scraped shard registry is distinct in
-		// the tier's federated view (no family repeats across shard
-		// labels the way an in-process gateway repeats host labels),
-		// and the tier's own registry — merged under FrontShardLabel —
-		// is where cluster-level signals like migration downtime land.
-		t.sloEng = slo.NewEngine(slo.Config{
-			Objectives: cfg.SLO,
-			Series:     t.series,
-			Obs:        reg,
-		})
 	}
 	if cfg.Transport == wire.TransportBinary {
 		// One multiplexed-connection transport shared by every shard
@@ -235,6 +216,8 @@ func New(cfg Config) (*Tier, error) {
 			slots:   make(chan struct{}, concurrency),
 		}
 		t.ring.Add(sc.Name)
+		// Every shard doubles as a federation scrape target.
+		t.AddTarget(sc.Name, faultplane.Target{Host: sc.Name}, client.Obs)
 	}
 	return t, nil
 }
@@ -242,12 +225,6 @@ func New(cfg Config) (*Tier, error) {
 // Ring exposes the tier's hash ring (tests drive membership through
 // it).
 func (t *Tier) Ring() *Ring { return t.ring }
-
-// Obs exposes the tier's metrics registry.
-func (t *Tier) Obs() *obs.Registry { return t.obsreg }
-
-// Series exposes the tier's scrape series (windowed rate queries).
-func (t *Tier) Series() *obs.SeriesSet { return t.series }
 
 // ShardNames lists the configured shards, sorted.
 func (t *Tier) ShardNames() []string {
@@ -270,7 +247,7 @@ func (t *Tier) ShardURL(name string) string {
 // shed records one load-shed under its reason label and returns the
 // classified verdict for the wire.
 func (t *Tier) shed(reason string, err error) error {
-	t.obsreg.Counter("confbench_fronttier_sheds_total", "reason", reason).Inc()
+	t.Obs().Counter("confbench_fronttier_sheds_total", "reason", reason).Inc()
 	return err
 }
 
@@ -311,10 +288,10 @@ func (t *Tier) enqueue(ctx context.Context, sh *shard) (func(), error) {
 		return nil, t.queueFullError(sh)
 	}
 	sh.waiting.Add(1)
-	t.obsreg.Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
+	t.Obs().Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
 	defer func() {
 		sh.waiting.Add(-1)
-		t.obsreg.Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
+		t.Obs().Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
 	}()
 	select {
 	case sh.slots <- struct{}{}:
@@ -381,7 +358,7 @@ func (t *Tier) forward(ctx context.Context, key string, call func(context.Contex
 		}
 		sh.breaker.BeginAttempt(now)
 		if attempted > 0 {
-			t.obsreg.Counter("confbench_fronttier_failovers_total").Inc()
+			t.Obs().Counter("confbench_fronttier_failovers_total").Inc()
 		}
 		attempted++
 		start := time.Now()
@@ -390,7 +367,7 @@ func (t *Tier) forward(ctx context.Context, key string, call func(context.Contex
 		if err == nil {
 			sh.breaker.OnSuccess()
 			sh.observeLatency(time.Since(start))
-			t.obsreg.Counter("confbench_fronttier_invokes_total", "shard", sh.name).Inc()
+			t.Obs().Counter("confbench_fronttier_invokes_total", "shard", sh.name).Inc()
 			return nil
 		}
 		if cberr.Retryable(err) {
@@ -429,7 +406,7 @@ func (t *Tier) Invoke(ctx context.Context, tenant string, req api.InvokeRequest)
 	if err != nil {
 		return api.InvokeResponse{}, err
 	}
-	t.invocations.Add(1)
+	t.CountInvoke("")
 	return resp, nil
 }
 
@@ -463,11 +440,10 @@ func (t *Tier) SubmitAsync(tenant string, req api.InvokeRequest) (api.AsyncSubmi
 			cberr.Wrap(cberr.CodeUnavailable, cberr.LayerFront, err), DefaultAsyncTTL)
 		return api.AsyncSubmitResponse{}, t.shed("async_backlog", shedErr)
 	}
-	t.asyncPending.Set(int64(t.store.Pending()))
+	t.asyncPending.Inc()
 	t.asyncWG.Add(1)
 	go func() {
 		defer t.asyncWG.Done()
-		defer release()
 		ctx, cancel := context.WithTimeout(context.Background(), t.asyncTimeout)
 		defer cancel()
 		var resp api.InvokeResponse
@@ -476,14 +452,17 @@ func (t *Tier) SubmitAsync(tenant string, req api.InvokeRequest) (api.AsyncSubmi
 			resp, ferr = sh.client.Invoke(ctx, req)
 			return ferr
 		})
+		// Before the result is published: whoever has read it must find
+		// the tenant's in-flight slot free and the pending gauge settled.
+		release()
+		t.asyncPending.Dec()
 		if err != nil {
-			t.errors.Add(1)
+			t.CountError()
 			t.store.Complete(id, nil, api.ErrorEnvelope(err))
 		} else {
-			t.invocations.Add(1)
+			t.CountInvoke("")
 			t.store.Complete(id, &resp, nil)
 		}
-		t.asyncPending.Set(int64(t.store.Pending()))
 	}()
 	return api.AsyncSubmitResponse{ID: id, Status: api.AsyncPending}, nil
 }
@@ -571,7 +550,7 @@ func (t *Tier) Attest(ctx context.Context, tenant string, req api.AttestRequest)
 	if err != nil {
 		return api.AttestResponse{}, err
 	}
-	t.attestations.Add(1)
+	t.CountAttest()
 	return resp, nil
 }
 
@@ -588,75 +567,15 @@ func (t *Tier) pools(ctx context.Context) ([]api.PoolInfo, error) {
 	return out, nil
 }
 
-// metrics serves the tier's own request accounting.
-func (t *Tier) metrics(context.Context) (api.Metrics, error) {
-	t.mu.Lock()
-	started := t.started
-	t.mu.Unlock()
-	return api.Metrics{
-		UptimeSeconds: time.Since(started).Seconds(),
-		Invocations:   t.invocations.Load(),
-		Errors:        t.errors.Load(),
-		Attestations:  t.attestations.Load(),
-	}, nil
-}
-
-// ScrapeOnce sweeps every shard's registry, merges the snapshots
-// (plus the tier's own under FrontShardLabel) into one cluster view
-// under shard labels, and records the sweep into the scrape series at
-// the given instant. A failed shard is reported and counted, never
-// fatal.
-func (t *Tier) ScrapeOnce(ctx context.Context, at time.Time) obs.ClusterSnapshot {
-	perShard := map[string]obs.Snapshot{FrontShardLabel: t.obsreg.Snapshot()}
-	var scrapeErrs map[string]string
-	for _, name := range t.ShardNames() {
-		snap, err := t.shards[name].client.Obs(ctx)
-		if err != nil {
-			t.obsreg.Counter("confbench_obs_scrape_failures_total", "host", name).Inc()
-			if scrapeErrs == nil {
-				scrapeErrs = make(map[string]string)
-			}
-			scrapeErrs[name] = err.Error()
-			continue
-		}
-		perShard[name] = snap
-	}
-	names := make([]string, 0, len(perShard))
-	for n := range perShard {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	merged := obs.MergeSnapshotsBy("shard", perShard)
-	t.series.RecordSnapshot(at, merged)
-	t.series.Series(obs.RateInvokesPerSec).Record(at, float64(t.invocations.Load()))
-	if t.sloEng != nil {
-		t.sloEng.Evaluate(at, merged)
-	}
-	return obs.ClusterSnapshot{
-		Hosts:        names,
-		ScrapeErrors: scrapeErrs,
-		Merged:       merged,
-	}
-}
-
-// SLO exposes the tier's SLO engine (nil without objectives).
-func (t *Tier) SLO() *slo.Engine { return t.sloEng }
-
 // Start serves the front-tier API on addr ("127.0.0.1:0" for
 // ephemeral) and returns the base URL.
 func (t *Tier) Start(addr string) (string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.door != nil {
-		return "", errors.New("fronttier: already started")
-	}
-	t.started = time.Now()
 	// The same surface the gateway serves, so either can stand behind
-	// the same client — plus the async pair, minus drain and events (a
-	// tier migrates nothing and records no invokes). Its door takes no
-	// request metrics: the SLO engine reads the shards' counts, and the
-	// tier's own would count every request a second time.
-	srv, err := door.Listen(addr, door.Config{
+	// the same client — plus the async pair, minus drain (a tier
+	// migrates nothing). Its door takes no request metrics: the SLO
+	// engine reads the shards' counts, and the tier's own would count
+	// every request a second time.
+	return t.Serve(addr, door.Config{
 		Layer: cberr.LayerFront,
 		Routes: []door.Handler{
 			door.Post(api.PathV1InvokeAsync, func(_ context.Context, tenant string, req api.InvokeRequest) (api.AsyncSubmitResponse, error) {
@@ -668,46 +587,15 @@ func (t *Tier) Start(addr string) (string, error) {
 			door.Get(api.PathV1Functions, t.functions),
 			door.Post(api.PathV1Attest, t.Attest),
 			door.Get(api.PathV1Pools, t.pools),
-			door.Get(api.PathV1Metrics, t.metrics),
-			door.Get(api.PathV1Health, func(context.Context) (api.Health, error) {
-				return api.Health{Status: "ok", Shards: strconv.Itoa(len(t.shards))}, nil
-			}),
-			door.Obs(api.PathV1Obs, t.obsreg),
-			door.ObsCluster(t.ScrapeOnce, t.series),
-			door.ObsSLO(t.sloEng),
-			door.ObsAlerts(t.sloEng),
 		},
-		Obs:     t.obsreg,
-		OnError: func() { t.errors.Add(1) },
 	})
-	if err != nil {
-		return "", fmt.Errorf("fronttier: %w", err)
-	}
-	t.door = srv
-	return "http://" + srv.Addr(), nil
 }
 
-// BaseURL returns the served URL (empty before Start).
-func (t *Tier) BaseURL() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.door == nil {
-		return ""
-	}
-	return "http://" + t.door.Addr()
-}
-
-// Close shuts the server down and waits for in-flight async
-// completions, so no goroutine outlives the tier.
+// Close shuts the ops plane down — periodic sweep, listener, spill —
+// and waits for in-flight async completions, so no goroutine outlives
+// the tier.
 func (t *Tier) Close() error {
-	t.mu.Lock()
-	srv := t.door
-	t.door = nil
-	t.mu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Close()
-	}
+	err := t.Plane.Close()
 	t.asyncWG.Wait()
 	if t.transport != nil {
 		err = errors.Join(err, t.transport.Close())

@@ -3,6 +3,7 @@ package fronttier
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/obs"
 )
 
@@ -25,6 +27,7 @@ type fakeShard struct {
 	invokes atomic.Int64
 	failing atomic.Bool
 	block   chan struct{} // non-nil: invokes park here until closed
+	wedged  chan struct{} // non-nil: obs scrapes park here until closed
 }
 
 func newFakeShard(t *testing.T, name string) *fakeShard {
@@ -56,6 +59,9 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 		api.WriteJSON(w, http.StatusOK, []string{"fn"})
 	})
 	mux.HandleFunc("GET "+api.PathV1Obs, func(w http.ResponseWriter, r *http.Request) {
+		if f.wedged != nil {
+			<-f.wedged
+		}
 		api.WriteJSON(w, http.StatusOK, f.reg.Snapshot())
 	})
 	f.srv = httptest.NewServer(mux)
@@ -411,6 +417,36 @@ func TestTierObsClusterFederatesShards(t *testing.T) {
 	}
 	if !shedUnderFront {
 		t.Fatal("shed counter absent from the federated view under shard=front")
+	}
+}
+
+// TestTierSweepBoundsAWedgedShard: a shard that accepts the scrape and
+// never answers costs the sweep one per-target timeout — the same
+// bound the gateway applies per host — and is reported and counted
+// like a dead one; the other shard is still scraped.
+func TestTierSweepBoundsAWedgedShard(t *testing.T) {
+	a := newFakeShard(t, "shard-a")
+	a.wedged = make(chan struct{})
+	defer close(a.wedged) // before the server's Close waits on the handler
+	b := newFakeShard(t, "shard-b")
+	tier, _ := bootTier(t, Config{}, a, b)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	cs := tier.ScrapeOnce(ctx, time.Unix(100, 0))
+	if elapsed := time.Since(start); elapsed > door.DefaultScrapeTimeout+3*time.Second {
+		t.Fatalf("sweep took %v, want about one %v scrape timeout", elapsed, door.DefaultScrapeTimeout)
+	}
+	if msg := cs.ScrapeErrors["shard-a"]; !strings.HasPrefix(msg, "scrape shard-a: ") || len(cs.ScrapeErrors) != 1 {
+		t.Fatalf("scrape errors = %v, want only the wedged shard-a", cs.ScrapeErrors)
+	}
+	if want := "[front shard-b]"; fmt.Sprint(cs.Hosts) != want {
+		t.Fatalf("hosts = %v, want %s", cs.Hosts, want)
+	}
+	id := obs.MetricID("confbench_obs_scrape_failures_total", "host", "shard-a")
+	if got := tier.Obs().Snapshot().Counters[id]; got != 1 {
+		t.Fatalf("%s = %d, want 1", id, got)
 	}
 }
 

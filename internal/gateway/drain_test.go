@@ -10,6 +10,7 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/hostagent"
 	"confbench/internal/obs"
 	"confbench/internal/tee"
@@ -20,7 +21,7 @@ import (
 // which never dial them.
 func twoHostGateway(t *testing.T) (*Gateway, string, *api.Client) {
 	t.Helper()
-	g := New(Config{Obs: obs.New()})
+	g := New(Config{PlaneConfig: door.PlaneConfig{Obs: obs.New()}})
 	for _, host := range []string{"host-a", "host-b"} {
 		g.AddHost(host, []hostagent.Endpoint{
 			{Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindTDX, VMName: host + "-s"},
@@ -53,7 +54,7 @@ func TestDrainRoutingOnly(t *testing.T) {
 	if len(report.Migrations) != 0 {
 		t.Errorf("routing-only drain reported migrations: %+v", report.Migrations)
 	}
-	for _, host := range g.ScrapeTargets() {
+	for _, host := range g.Targets() {
 		if host == "host-a" {
 			t.Error("drained host still a scrape target")
 		}

@@ -25,12 +25,20 @@ import (
 	"confbench/internal/wire"
 )
 
-// Gateway is ConfBench's REST entry point.
+// GatewayHostLabel is the host label the gateway's own registry merges
+// under in its federated cluster view.
+const GatewayHostLabel = "gateway"
+
+// Gateway is ConfBench's REST entry point. Its ops plane — federation
+// sweep over the host agents, SLOs, flight recorder, telemetry spill,
+// request accounting, listener — is the embedded door.Plane; what is
+// written here is dispatch and host administration.
 type Gateway struct {
+	*door.Plane
+
 	db            *faas.DB
 	transport     api.Transport
 	policyFactory func() Policy
-	obsreg        *obs.Registry
 	retries       *obs.Counter
 	faults        *faultplane.Plane
 
@@ -47,38 +55,12 @@ type Gateway struct {
 	// remove).
 	drainFn func(context.Context, string) (*api.DrainReport, error)
 
-	// Federation scraper state (federate.go).
-	scrapeMu       sync.Mutex
-	scrapeTargets  []scrapeTarget
-	scrapeTimeout  time.Duration
-	scrapeInterval time.Duration
-	scrapeStop     chan struct{}
-	series         *obs.SeriesSet
-
-	// Telemetry spill (Config.DurableDir): opened and replayed by
-	// Start, flushed after every sweep and on Close.
-	durableDir    string
-	spillMu       sync.Mutex
-	spill         *obs.Spill
-	spillFailures *obs.Counter
-
-	// SLO engine (Config.SLO): evaluated on every federation sweep,
-	// served at /v1/obs/slo and /v1/obs/alerts. Nil without objectives.
-	sloEng *slo.Engine
-
-	// Invoke flight recorder (federate.go / Invoke).
-	recorder     *obs.Recorder
+	// Every invoke is recorded in the plane's flight recorder under a
+	// deterministic ID; one that exhausts its retry budget also goes to
+	// the postmortem writer.
 	invokeSeq    atomic.Uint64
 	postmortemMu sync.Mutex
 	postmortem   io.Writer
-
-	door    *door.Server
-	started time.Time
-
-	invocations  atomic.Uint64
-	errors       atomic.Uint64
-	attestations atomic.Uint64
-	perPool      sync.Map // tee.Kind → *atomic.Uint64
 
 	// invokeHist caches the per-TEE invoke latency histogram: the
 	// registry lookup sorts labels and allocates on every call, so the
@@ -94,55 +76,28 @@ func (g *Gateway) invokeHistogram(kind tee.Kind) *obs.Histogram {
 			return h
 		}
 	}
-	h := g.obsreg.Histogram("confbench_invoke_seconds", "tee", string(kind))
+	h := g.Obs().Histogram("confbench_invoke_seconds", "tee", string(kind))
 	g.invokeHist.Store(kind, h)
 	return h
 }
 
-// poolCounter returns the invocation counter for kind.
-func (g *Gateway) poolCounter(kind tee.Kind) *atomic.Uint64 {
-	if v, ok := g.perPool.Load(kind); ok {
-		counter, ok := v.(*atomic.Uint64)
-		if ok {
-			return counter
-		}
-	}
-	counter := &atomic.Uint64{}
-	actual, _ := g.perPool.LoadOrStore(kind, counter)
-	stored, ok := actual.(*atomic.Uint64)
-	if !ok {
-		return counter
-	}
-	return stored
-}
-
 // Config assembles a gateway.
 type Config struct {
+	// PlaneConfig is the ops plane: registry, fault plane, periodic
+	// sweep, durable directory, objectives. The gateway also consults
+	// its fault plane's history to attribute injections to invokes.
+	door.PlaneConfig
 	// Policy is the pool load-balancing policy (nil = round-robin per
 	// pool).
 	Policy func() Policy
 	// Languages restricts the function DB (nil = all seven).
 	Languages []string
-	// Obs is the metrics registry the gateway and its pools report to
-	// (nil = the process-wide default).
-	Obs *obs.Registry
 	// BreakerThreshold is the consecutive-failure count that trips an
 	// endpoint's circuit breaker open (0 = DefaultBreakerThreshold).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open endpoint is skipped before
 	// a half-open probe is allowed (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// Faults is the fault plane the federation scraper consults at
-	// obs.scrape (nil = fault-free).
-	Faults *faultplane.Plane
-	// ScrapeInterval enables periodic federation sweeps of the host
-	// agents' registries (0 = on-demand only, via GET /v1/obs/cluster).
-	ScrapeInterval time.Duration
-	// ScrapeTimeout bounds one host's scrape (0 = DefaultScrapeTimeout).
-	ScrapeTimeout time.Duration
-	// RecorderCapacity sizes the invoke flight recorder's ring
-	// (0 = obs.DefaultRecorderCapacity).
-	RecorderCapacity int
 	// Postmortem receives one-line flight-recorder postmortems when an
 	// invoke exhausts its retry budget (nil = os.Stderr).
 	Postmortem io.Writer
@@ -152,16 +107,6 @@ type Config struct {
 	// multiplexed wire protocol). The inbound front door always
 	// accepts both.
 	Transport string
-	// DurableDir, when set, persists the telemetry plane there: every
-	// federation sweep's series samples and new flight-recorder events
-	// are spilled to an append-only checksummed log, and Start replays
-	// the previous process's spill, so /v1/obs/cluster?window= rate
-	// queries and /v1/obs/events span restarts ("" = in-memory only).
-	DurableDir string
-	// SLO declares the service-level objectives the gateway evaluates
-	// on every federation sweep (nil = no SLO plane; /v1/obs/slo and
-	// /v1/obs/alerts serve empty lists).
-	SLO []slo.Objective
 }
 
 // New builds a gateway with empty pools.
@@ -170,64 +115,36 @@ func New(cfg Config) *Gateway {
 	if languages == nil {
 		languages = langs.Names()
 	}
-	scrapeTimeout := cfg.ScrapeTimeout
-	if scrapeTimeout <= 0 {
-		scrapeTimeout = DefaultScrapeTimeout
-	}
-	recorderCap := cfg.RecorderCapacity
-	if recorderCap <= 0 {
-		recorderCap = obs.DefaultRecorderCapacity
-	}
 	postmortem := cfg.Postmortem
 	if postmortem == nil {
 		postmortem = os.Stderr
 	}
-	reg := obs.OrDefault(cfg.Obs)
-	transport, err := wire.NewTransport(cfg.Transport, reg)
+	// In-process deployments share one registry between the gateway and
+	// its hosts, so the federated snapshot repeats every family once per
+	// host label; scoping the SLOs to the gateway's own label counts
+	// each request exactly once.
+	plane := door.NewPlane(cfg.PlaneConfig, GatewayHostLabel, "host",
+		slo.Scope{Label: "host", Match: GatewayHostLabel})
+	transport, err := wire.NewTransport(cfg.Transport, plane.Obs())
 	if err != nil {
 		// Entry points validate the name before it gets here; an
 		// unknown transport degrades to the legacy carrier rather than
 		// refusing to build.
 		transport = wire.NewHTTPJSON()
 	}
-	g := &Gateway{
+	return &Gateway{
+		Plane:            plane,
 		db:               faas.NewDB(languages),
 		transport:        transport,
+		policyFactory:    cfg.Policy,
+		retries:          plane.Obs().Counter("confbench_invoke_retries_total"),
+		faults:           cfg.Faults,
 		pools:            make(map[tee.Kind]*Pool, 4),
-		obsreg:           reg,
 		breakerThreshold: cfg.BreakerThreshold,
 		breakerCooldown:  cfg.BreakerCooldown,
-		faults:           cfg.Faults,
-		scrapeTimeout:    scrapeTimeout,
-		scrapeInterval:   cfg.ScrapeInterval,
-		series:           obs.NewSeriesSet(obs.DefaultSeriesCapacity),
-		recorder:         obs.NewRecorder(recorderCap),
 		postmortem:       postmortem,
-		durableDir:       cfg.DurableDir,
 	}
-	if len(cfg.SLO) > 0 {
-		// In-process deployments share one registry between the
-		// gateway and its hosts, so the federated snapshot repeats
-		// every family once per host label; scoping to the gateway's
-		// own label counts each request exactly once.
-		g.sloEng = slo.NewEngine(slo.Config{
-			Objectives: cfg.SLO,
-			Series:     g.series,
-			Obs:        reg,
-			Recorder:   g.recorder,
-			Scope:      slo.Scope{Label: "host", Match: GatewayHostLabel},
-		})
-	}
-	g.retries = g.obsreg.Counter("confbench_invoke_retries_total")
-	if g.durableDir != "" {
-		g.spillFailures = reg.Counter("confbench_obs_spill_failures_total")
-	}
-	g.policyFactory = cfg.Policy
-	return g
 }
-
-// Obs exposes the gateway's metrics registry.
-func (g *Gateway) Obs() *obs.Registry { return g.obsreg }
 
 // AddHost registers every endpoint of a host agent, creating the TEE
 // pool on first sight. This mirrors the gateway configuration file
@@ -241,17 +158,25 @@ func (g *Gateway) AddHost(name string, eps []hostagent.Endpoint) {
 			if g.policyFactory != nil {
 				policy = g.policyFactory()
 			}
-			pool = NewPool(ep.TEE, policy, g.obsreg,
+			pool = NewPool(ep.TEE, policy, g.Obs(),
 				WithBreaker(g.breakerThreshold, g.breakerCooldown))
 			g.pools[ep.TEE] = pool
 		}
 		pool.Add(name, ep)
 	}
 	g.mu.Unlock()
-	// Every host doubles as a federation scrape target: its registry
-	// is reachable through the same relay the invokes travel.
-	for _, ep := range eps {
-		g.addScrapeTarget(name, string(ep.TEE), ep.Addr)
+	// Every host doubles as a federation scrape target: its registry is
+	// reachable through the same relay the invokes travel. All of a
+	// host's VMs share the host process's registry, so any one relay
+	// reaches the same snapshot.
+	if len(eps) > 0 {
+		addr := eps[0].Addr
+		g.AddTarget(name, faultplane.Target{TEE: string(eps[0].TEE), Host: name},
+			func(ctx context.Context) (obs.Snapshot, error) {
+				var snap obs.Snapshot
+				err := g.transport.RoundTrip(ctx, addr, api.GuestV1Obs+"?format=json", nil, &snap)
+				return snap, err
+			})
 	}
 }
 
@@ -313,7 +238,7 @@ func (g *Gateway) RemoveHost(host string) int {
 		n += p.Remove(host)
 	}
 	g.mu.Unlock()
-	g.removeScrapeTarget(host)
+	g.RemoveTarget(host)
 	return n
 }
 
@@ -366,35 +291,9 @@ func (g *Gateway) drain(ctx context.Context, _ string, req api.DrainRequest) (*a
 // Start serves the REST API on addr ("127.0.0.1:0" for ephemeral) and
 // returns the base URL.
 func (g *Gateway) Start(addr string) (string, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.door != nil {
-		return "", errors.New("gateway: already started")
-	}
-	if g.durableDir != "" {
-		sp, err := obs.OpenSpill(g.durableDir)
-		if err != nil {
-			return "", fmt.Errorf("gateway: %w", err)
-		}
-		// Replay the previous process's telemetry into the fresh rings
-		// so windowed rates and event reads span the restart.
-		if _, _, err := sp.Replay(g.series, g.recorder); err != nil {
-			sp.Close()
-			return "", fmt.Errorf("gateway: replay telemetry spill: %w", err)
-		}
-		g.spillMu.Lock()
-		g.spill = sp
-		g.spillMu.Unlock()
-		// The replayed flight recorder carries the previous process's
-		// alert transitions; rebuild the SLO timeline from them so
-		// /v1/obs/alerts spans the restart.
-		if g.sloEng != nil {
-			g.sloEng.Restore(g.recorder.Events())
-		}
-	}
-	g.started = time.Now()
-	srv, err := door.Listen(addr, door.Config{
-		Layer: cberr.LayerGateway,
+	return g.Serve(addr, door.Config{
+		Layer:      cberr.LayerGateway,
+		Instrument: true,
 		Routes: []door.Handler{
 			door.Post(api.PathV1Functions, g.upload),
 			door.Get(api.PathV1Functions, func(context.Context) ([]string, error) { return g.db.Names(), nil }),
@@ -408,74 +307,14 @@ func (g *Gateway) Start(addr string) (string, error) {
 			}),
 			door.Get(api.PathV1Pools, g.poolInfos),
 			door.Post(api.PathV1Drain, g.drain),
-			door.Get(api.PathV1Metrics, g.metrics),
-			door.Get(api.PathV1Health, func(context.Context) (api.Health, error) {
-				return api.Health{Status: "ok"}, nil
-			}),
-			door.Obs(api.PathV1Obs, g.obsreg),
-			door.ObsCluster(g.ScrapeOnce, g.series),
-			door.ObsEvents(g.recorder),
-			door.ObsSLO(g.sloEng),
-			door.ObsAlerts(g.sloEng),
 		},
-		Obs:        g.obsreg,
-		Instrument: true,
-		OnError:    func() { g.errors.Add(1) },
-		Faults:     g.faults,
 	})
-	if err != nil {
-		g.spillMu.Lock()
-		if g.spill != nil {
-			g.spill.Close()
-			g.spill = nil
-		}
-		g.spillMu.Unlock()
-		return "", fmt.Errorf("gateway: %w", err)
-	}
-	g.door = srv
-	if g.scrapeInterval > 0 {
-		g.scrapeStop = make(chan struct{})
-		go g.scrapeLoop(g.scrapeInterval, g.scrapeStop)
-	}
-	return "http://" + srv.Addr(), nil
 }
 
-// BaseURL returns the served URL (empty before Start).
-func (g *Gateway) BaseURL() string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.door == nil {
-		return ""
-	}
-	return "http://" + g.door.Addr()
-}
-
-// Close shuts the REST server and the federation scraper down.
+// Close shuts the ops plane down — periodic sweep, listener, spill —
+// and then the outbound transport it scraped through.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	srv := g.door
-	g.door = nil
-	stop := g.scrapeStop
-	g.scrapeStop = nil
-	g.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	// Flush any events recorded since the last sweep, then release the
-	// spill so a successor process can reopen the directory.
-	g.spillMu.Lock()
-	sp := g.spill
-	g.spill = nil
-	g.spillMu.Unlock()
-	var sperr error
-	if sp != nil {
-		sperr = errors.Join(sp.FlushEvents(g.recorder.Events()), sp.Close())
-	}
-	terr := errors.Join(g.transport.Close(), sperr)
-	if srv == nil {
-		return terr
-	}
-	return errors.Join(srv.Close(), terr)
+	return errors.Join(g.Plane.Close(), g.transport.Close())
 }
 
 // upload serves POST /v1/functions.
@@ -576,7 +415,7 @@ func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.Invoke
 	if err != nil {
 		ev.Error = err.Error()
 		ev.Code = string(cberr.CodeOf(err))
-		g.recorder.Record(ev)
+		g.Recorder().Record(ev)
 		if attempts >= 2 {
 			// The invoke burned its whole retry budget and still
 			// failed: flush the postmortem so the failure is diagnosable
@@ -585,7 +424,7 @@ func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.Invoke
 		}
 		return api.InvokeResponse{}, err
 	}
-	g.recorder.Record(ev)
+	g.Recorder().Record(ev)
 	g.invokeHistogram(pool.TEE).ObserveExemplar(elapsed, invokeID)
 	// The guest's span tree rode back inside the response; graft it
 	// under the relay hop (its clock is not ours) and replace it with
@@ -596,8 +435,7 @@ func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.Invoke
 		resp.Trace = root.Data()
 	}
 	resp.Host = entry.Host
-	g.invocations.Add(1)
-	g.poolCounter(pool.TEE).Add(1)
+	g.CountInvoke(string(pool.TEE))
 	return resp, nil
 }
 
@@ -670,7 +508,7 @@ func (g *Gateway) Attest(ctx context.Context, req api.AttestRequest) (api.Attest
 	if _, _, _, err := g.dispatch(ctx, pool, true, api.GuestV1Attest, &req, &resp); err != nil {
 		return api.AttestResponse{}, err
 	}
-	g.attestations.Add(1)
+	g.CountAttest()
 	return resp, nil
 }
 
@@ -693,22 +531,23 @@ func (g *Gateway) poolInfos(context.Context) ([]api.PoolInfo, error) {
 	return infos, nil
 }
 
-// metrics serves the gateway's request accounting.
-func (g *Gateway) metrics(context.Context) (api.Metrics, error) {
-	m := api.Metrics{
-		UptimeSeconds: time.Since(g.started).Seconds(),
-		Invocations:   g.invocations.Load(),
-		Errors:        g.errors.Load(),
-		Attestations:  g.attestations.Load(),
-		PerPool:       make(map[string]uint64),
+// SetPostmortemWriter redirects flight-recorder postmortems (written
+// when an invoke exhausts its retry budget) away from stderr; tests
+// point it at a buffer.
+func (g *Gateway) SetPostmortemWriter(w io.Writer) {
+	g.postmortemMu.Lock()
+	g.postmortem = w
+	g.postmortemMu.Unlock()
+}
+
+// writePostmortem flushes one exhausted invoke's flight-recorder
+// event to the postmortem writer.
+func (g *Gateway) writePostmortem(ev obs.Event) {
+	g.postmortemMu.Lock()
+	w := g.postmortem
+	g.postmortemMu.Unlock()
+	if w == nil {
+		return
 	}
-	g.perPool.Range(func(k, v any) bool {
-		kind, okK := k.(tee.Kind)
-		counter, okV := v.(*atomic.Uint64)
-		if okK && okV {
-			m.PerPool[string(kind)] = counter.Load()
-		}
-		return true
-	})
-	return m, nil
+	fmt.Fprintf(w, "confbench postmortem: %s\n", ev.String())
 }

@@ -12,6 +12,7 @@ import (
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/door"
 	"confbench/internal/faas"
 	"confbench/internal/hostagent"
 	"confbench/internal/obs"
@@ -25,7 +26,7 @@ func testDeployment(t *testing.T, policy func() Policy) (*Gateway, *api.Client) 
 	t.Helper()
 	// A fresh registry per deployment keeps metric assertions isolated
 	// from other tests sharing the process-wide default.
-	g := New(Config{Policy: policy, Obs: obs.New()})
+	g := New(Config{Policy: policy, PlaneConfig: door.PlaneConfig{Obs: obs.New()}})
 
 	tdxBackend, err := tdx.NewBackend(tdx.Options{Seed: 31})
 	if err != nil {

@@ -2,12 +2,16 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
+	"confbench/internal/hostagent"
 	"confbench/internal/obs"
 	"confbench/internal/tee"
 )
@@ -84,6 +88,45 @@ func TestObsEndpointReportsGatewayActivity(t *testing.T) {
 	w, ok := snap.Histograms[obs.MetricID("confbench_pool_checkout_wait_seconds", "tee", "tdx")]
 	if !ok || w.Count != invokes {
 		t.Errorf("checkout wait histogram = %+v, want count %d", w, invokes)
+	}
+}
+
+// TestHostsFederateOverTheRelayHop: every AddHost host is a sweep
+// target scraped through its guest relay and merged under its host
+// label next to the gateway's own; a host that does not answer is
+// reported, and a removed one leaves the sweep.
+func TestHostsFederateOverTheRelayHop(t *testing.T) {
+	g, client := testDeployment(t, nil)
+	uploadFn(t, client, "fn", "go", "factors")
+	if _, err := client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}); err != nil {
+		t.Fatal(err)
+	}
+	g.AddHost("dead-host", []hostagent.Endpoint{{Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindCCA}})
+
+	cs := g.ScrapeOnce(context.Background(), time.Unix(100, 0))
+	if want := []string{GatewayHostLabel, "sev-host", "tdx-host"}; fmt.Sprint(cs.Hosts) != fmt.Sprint(want) {
+		t.Fatalf("hosts = %v, want %v", cs.Hosts, want)
+	}
+	if msg, ok := cs.ScrapeErrors["dead-host"]; !ok || !strings.HasPrefix(msg, "scrape dead-host: ") || len(cs.ScrapeErrors) != 1 {
+		t.Fatalf("scrape errors = %v, want only dead-host", cs.ScrapeErrors)
+	}
+	// The agents run on the process-default registry, the gateway on its
+	// own: the relay counter can only have arrived over the hop.
+	found := false
+	for id := range cs.Merged.Counters {
+		family, labels := obs.ParseMetricID(id)
+		found = found || (family == "confbench_relay_accepted_total" && labels["host"] == "tdx-host")
+	}
+	if !found {
+		t.Error("no relay counter federated under host=tdx-host")
+	}
+	if s := g.Series().Get(obs.RateInvokesPerSec); s == nil || s.Len() != 1 {
+		t.Error("the sweep did not record the invoke-rate series")
+	}
+
+	g.RemoveHost("dead-host")
+	if cs := g.ScrapeOnce(context.Background(), time.Unix(101, 0)); len(cs.ScrapeErrors) != 0 {
+		t.Errorf("removed host still swept: %v", cs.ScrapeErrors)
 	}
 }
 

@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"confbench/internal/colonspec"
 )
 
 // Kind classifies what an objective measures.
@@ -93,8 +95,7 @@ func (o Objective) Budget() float64 { return 1 - o.Target }
 func ParseSpecs(s string) ([]Objective, error) {
 	var out []Objective
 	seen := make(map[string]bool)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
+	for _, part := range colonspec.List(s) {
 		if part == "" {
 			return nil, fmt.Errorf("slo: empty spec in list %q", s)
 		}
@@ -114,13 +115,13 @@ func ParseSpecs(s string) ([]Objective, error) {
 // ParseSpec parses a single spec in the grammar
 // name:kind:target[:key=value...]; see the package comment.
 func ParseSpec(s string) (Objective, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 3 {
-		return Objective{}, fmt.Errorf("slo: spec %q: want name:kind:target[:options]", s)
+	pos, opts, err := colonspec.Split(s, "name:kind:target[:key=value...]")
+	if err != nil {
+		return Objective{}, fmt.Errorf("slo: %w", err)
 	}
 	o := Objective{
-		Name:  strings.TrimSpace(parts[0]),
-		Kind:  Kind(strings.TrimSpace(parts[1])),
+		Name:  strings.TrimSpace(pos[0]),
+		Kind:  Kind(strings.TrimSpace(pos[1])),
 		Short: DefaultShortWindow,
 		Long:  DefaultLongWindow,
 		Page:  DefaultPageBurn,
@@ -132,16 +133,13 @@ func ParseSpec(s string) (Objective, error) {
 	switch o.Kind {
 	case KindAvailability, KindLatency, KindDowntime, KindAttest:
 	default:
-		return Objective{}, fmt.Errorf("slo: spec %q: unknown kind %q (want availability, latency, downtime, or attest)", s, parts[1])
+		return Objective{}, fmt.Errorf("slo: spec %q: unknown kind %q (want availability, latency, downtime, or attest)", s, pos[1])
 	}
-	if err := o.parseTarget(strings.TrimSpace(parts[2])); err != nil {
+	if err := o.parseTarget(strings.TrimSpace(pos[2])); err != nil {
 		return Objective{}, fmt.Errorf("slo: spec %q: %w", s, err)
 	}
-	for _, opt := range parts[3:] {
-		key, val, ok := strings.Cut(opt, "=")
-		if !ok {
-			return Objective{}, fmt.Errorf("slo: spec %q: option %q is not key=value", s, opt)
-		}
+	for _, opt := range opts {
+		key, val := opt.Key, opt.Value
 		var err error
 		switch key {
 		case "tee":

@@ -84,7 +84,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"a:availability:success>=99%:short=10:long=5", "shorter than short"},
 		{"a:availability:success>=99%:page=2:warn=5", "page burn 2 below warn burn 5"},
 		{"a:availability:success>=99%:unknown=1", "unknown option"},
-		{"a:availability:success>=99%:noequals", "not key=value"},
+		{"a:availability:success>=99%:noequals", `option "noequals": want key=value`},
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.frag) {

@@ -19,10 +19,11 @@ import (
 // seeded sharded deployment under chaos drives one availability
 // objective through the full warn → firing → resolved → ok alert
 // cycle on a synthetic sweep clock, with a byte-identical timeline
-// across same-seed runs; and a single-gateway deployment proves the
-// timeline survives a restart through the telemetry spill — the
-// pre-shutdown /v1/obs/alerts body replays verbatim, and the restored
-// firing state resolves once clean sweeps land.
+// across same-seed runs; and a single-gateway and a sharded deployment
+// each prove the timeline survives a restart through the federating
+// layer's telemetry spill — the pre-shutdown /v1/obs/alerts body
+// replays verbatim, and the restored firing state resolves once clean
+// sweeps land.
 
 // mustRegister parses one chaos spec and arms it on the plane.
 func mustRegister(t *testing.T, plane *confbench.FaultPlane, spec string) {
@@ -209,14 +210,15 @@ func sloSmokeSharded(t *testing.T, seed int64) []byte {
 	return body
 }
 
-// sloSmokeRestart proves the alert timeline spans a gateway restart: a
-// durable single-gateway deployment is driven to firing, shut down,
-// and rebooted on the same directory — the replayed /v1/obs/alerts
-// body is byte-identical to the pre-shutdown one, the firing state is
+// sloSmokeRestart proves the alert timeline spans a restart of the
+// federating layer — the gateway, or the front tier when shards > 1: a
+// durable deployment is driven to firing, shut down, and rebooted on
+// the same directory — the replayed /v1/obs/alerts body is
+// byte-identical to the pre-shutdown one, the firing state is
 // restored, and clean post-restart sweeps resolve it (the counter
 // reset across the restart must read as burn 0, not as recovery-
 // blocking garbage).
-func sloSmokeRestart(t *testing.T) {
+func sloSmokeRestart(t *testing.T, shards int) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	const spec = "invoke-availability:availability:success>=99%:short=1:long=2"
@@ -228,6 +230,7 @@ func sloSmokeRestart(t *testing.T) {
 			confbench.WithGuestMemoryMB(8),
 			confbench.WithObsRegistry(confbench.NewObsRegistry()),
 			confbench.WithDurableDir(dir),
+			confbench.WithShards(shards),
 			confbench.WithBreakerThreshold(1000, time.Second),
 			confbench.WithSLOSpec(spec),
 		}
@@ -266,17 +269,20 @@ func sloSmokeRestart(t *testing.T) {
 				t.Fatalf("bad invoke %d unexpectedly succeeded", i)
 			}
 		}
-		c.Gateway().ScrapeOnce(ctx, base.Add(time.Duration(sweep)*time.Second))
+		frontPlane(c).ScrapeOnce(ctx, base.Add(time.Duration(sweep)*time.Second))
 	}
 
 	// First life: clean baseline, then the single TDX host fails.
-	// Sweep 2 (4 bad of 30: 13.3x short, 6.7x long) warns; sweep 3
-	// (10 bad of 30: 33.3x short, 23.3x long) fires.
+	// Sweep 2 (2 bad of 30: 6.7x on both windows, which only hold one
+	// delta yet) warns; sweep 3 (10 bad of 30: 33.3x short, 20x long)
+	// fires. Behind a tier each bad invoke is a 5xx on both shards — 4
+	// of 32 (12.5x, still under the 14.4x page line), then 20 of 40
+	// (50x short, 33.3x long) — so the same mix walks the same states.
 	plane := confbench.NewFaultPlane(7)
 	c1 := boot(plane)
 	drive(c1, 1, 30, 0)
 	mustRegister(t, plane, "hostagent.exec:error:1.0:host=tdx-host")
-	drive(c1, 2, 26, 4)
+	drive(c1, 2, 28, 2)
 	drive(c1, 3, 20, 10)
 	pre := getBody(t, c1.GatewayURL()+"/v1/obs/alerts")
 	var preTimeline []slo.Transition
@@ -287,7 +293,9 @@ func sloSmokeRestart(t *testing.T) {
 		t.Fatalf("pre-restart timeline = %s, want ok->warn->firing", pre)
 	}
 	for _, tr := range preTimeline {
-		if !strings.HasPrefix(tr.Trace, "inv-") {
+		// A gateway's recorder holds the failed invokes to point at; a
+		// tier's holds only the transitions.
+		if shards <= 1 && !strings.HasPrefix(tr.Trace, "inv-") {
 			t.Errorf("transition %s->%s trace = %q, want a failed-invoke exemplar",
 				tr.From, tr.To, tr.Trace)
 		}
@@ -345,5 +353,6 @@ func TestSLOSmoke(t *testing.T) {
 			t.Fatalf("same-seed alert timelines differ:\nrun1: %s\nrun2: %s", body1, body2)
 		}
 	})
-	t.Run("restart", sloSmokeRestart)
+	t.Run("restart", func(t *testing.T) { sloSmokeRestart(t, 0) })
+	t.Run("sharded restart", func(t *testing.T) { sloSmokeRestart(t, 2) })
 }
