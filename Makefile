@@ -29,8 +29,12 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The second line repeats the binary carrier's writer, worker, lifecycle
+# and waiter tests: the most schedule-sensitive code in the tree, each
+# well under a second.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter' ./internal/wire
 
 # Per-package coverage report over the whole module.
 cover:

@@ -471,7 +471,7 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 		if attempt > 0 {
 			g.retries.Inc()
 		}
-		hopCtx, hop := obs.StartSpan(ctx, "gateway", "relay-hop "+entry.Endpoint.Addr)
+		hopCtx, hop := obs.StartSpan(ctx, "gateway", "relay-hop", entry.Endpoint.Addr)
 		if attempt > 0 {
 			hop.SetAttr("retry", strconv.Itoa(attempt))
 		}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,7 +260,7 @@ func (p *Pool) Acquire(ctx context.Context, secure bool) (*Checkout, error) {
 // skipped; when every matching endpoint is unhealthy the pool reports
 // ErrAllUnhealthy rather than routing into a known-bad host.
 func (p *Pool) AcquireAvoiding(ctx context.Context, secure bool, avoid *Entry) (*Checkout, error) {
-	_, span := obs.StartSpan(ctx, "pool", "checkout "+string(p.TEE))
+	_, span := obs.StartSpan(ctx, "pool", "checkout", string(p.TEE))
 	defer span.End()
 	start := time.Now()
 	p.mu.RLock()
@@ -318,7 +319,7 @@ func (p *Pool) AcquireAvoiding(ctx context.Context, secure bool, avoid *Entry) (
 	p.waitHist.Observe(time.Since(start))
 	p.occupancy.Set(p.InFlight())
 	span.SetAttr("vm", e.Endpoint.VMName)
-	span.SetAttr("secure", fmt.Sprintf("%v", secure))
+	span.SetAttr("secure", strconv.FormatBool(secure))
 	if e.breaker.State() == BreakerHalfOpen {
 		span.SetAttr("breaker", "half-open probe")
 	}

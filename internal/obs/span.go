@@ -101,13 +101,18 @@ func NewRoot(ctx context.Context, layer, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// StartSpan starts a child of the context's active span. When the
-// context carries no span (tracing not requested), it returns the
-// context unchanged and a nil span.
-func StartSpan(ctx context.Context, layer, name string) (context.Context, *Span) {
+// StartSpan starts a child of the context's active span, named name
+// followed by each detail, space-separated. When the context carries
+// no span (tracing not requested), it returns the context unchanged
+// and a nil span before joining the name, so an untraced caller passes
+// the parts and allocates nothing.
+func StartSpan(ctx context.Context, layer, name string, detail ...string) (context.Context, *Span) {
 	parent, _ := ctx.Value(spanKey{}).(*Span)
 	if parent == nil {
 		return ctx, nil
+	}
+	for _, d := range detail {
+		name += " " + d
 	}
 	s := &Span{name: name, layer: layer, start: time.Now(), parentStart: parent.start}
 	parent.mu.Lock()
@@ -147,6 +152,9 @@ func (s *Span) SetAttr(k, v string) {
 
 // SetAttrInt records an integer attribute.
 func (s *Span) SetAttrInt(k string, v int64) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(k, strconv.FormatInt(v, 10))
 }
 

@@ -26,6 +26,28 @@ func TestStartSpanWithoutRootIsNil(t *testing.T) {
 	}
 }
 
+// TestStartSpanDetail: the detail parts join onto the name only when a
+// span is live, so the untraced path — every benchmarked invoke —
+// allocates nothing for a name nobody will read.
+func TestStartSpanDetail(t *testing.T) {
+	ctx, root := NewRoot(context.Background(), "gateway", "/v1/invoke")
+	_, s := StartSpan(ctx, "pool", "checkout", "tdx")
+	s.End()
+	root.End()
+	if got := root.Data().Children[0].Name; got != "checkout tdx" {
+		t.Fatalf("span name = %q, want %q", got, "checkout tdx")
+	}
+	untraced := context.Background()
+	tee, wallNs := "tdx", int64(1234567)
+	if n := testing.AllocsPerRun(100, func() {
+		_, s := StartSpan(untraced, "pool", "checkout", tee)
+		s.SetAttrInt("wall_ns", wallNs)
+		s.End()
+	}); n != 0 {
+		t.Fatalf("an untraced span allocates %.0f times, want 0", n)
+	}
+}
+
 func TestSpanTreeParenting(t *testing.T) {
 	ctx, root := NewRoot(context.Background(), "gateway", "/v1/invoke")
 	poolCtx, pool := StartSpan(ctx, "pool", "checkout tdx")

@@ -163,13 +163,13 @@ func (v *VM) InvokeFunction(ctx context.Context, fn faas.Function, scale int) (R
 		return Result{}, cberr.Wrap(cberr.CodeInvalid, cberr.LayerVM,
 			fmt.Errorf("%w: %q", ErrNoLauncher, fn.Language))
 	}
-	execCtx, execSpan := obs.StartSpan(ctx, "vm", "exec "+fn.Name)
+	execCtx, execSpan := obs.StartSpan(ctx, "vm", "exec", fn.Name)
 	lr, err := l.Launch(execCtx, fn, scale)
 	execSpan.End()
 	if err != nil {
 		return Result{}, cberr.From(err, cberr.LayerVM)
 	}
-	_, priceSpan := obs.StartSpan(ctx, "tee", "price "+string(v.Platform()))
+	_, priceSpan := obs.StartSpan(ctx, "tee", "price", string(v.Platform()))
 	charge, perf := v.price(lr.RunUsage)
 	bootCharge, _ := v.price(lr.BootstrapUsage)
 	priceSpan.SetAttrInt("exits", int64(charge.Exits))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,9 +105,11 @@ func BenchmarkCodecFrameHeader(b *testing.B) {
 }
 
 // BenchmarkTransportRoundTrip compares the two carriers over a real
-// socket: one guest-invoke round trip per iteration against the same
-// in-process responder, serving both protocols from one sniffing
-// listener (binary) and an httptest server (httpjson).
+// socket: guest-invoke round trips against the same in-process
+// responder, serving both protocols from one sniffing listener
+// (binary) and an httptest server (httpjson), from 1, 2 and 16
+// concurrent callers (alone on the connection; the benchmark's client
+// count; a full write batch), each reporting allocs per round trip.
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	b.Run("httpjson", func(b *testing.B) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -118,28 +121,23 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 			json.NewEncoder(w).Encode(benchInvokeResp)
 		}))
 		defer srv.Close()
-		benchRoundTrips(b, NewHTTPJSON(), strings.TrimPrefix(srv.URL, "http://"))
+		benchCallers(b, NewHTTPJSON(), strings.TrimPrefix(srv.URL, "http://"))
 	})
 	b.Run("binary", func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sniffer := NewSniffer(ln, ServerConfig{Handler: benchWireHandler})
-		defer sniffer.Close()
-		go func() {
-			// Nothing arrives as HTTP in this benchmark; drain so the
-			// sniffer never blocks if a stray probe shows up.
-			for {
-				c, err := sniffer.Accept()
-				if err != nil {
-					return
-				}
-				c.Close()
-			}
-		}()
-		benchRoundTrips(b, NewBinary(nil), ln.Addr().String())
+		benchCallers(b, NewBinary(nil), listenBenchWire(b))
 	})
+}
+
+// listenBenchWire serves benchWireHandler on a sniffing listener until
+// the test or benchmark ends.
+func listenBenchWire(tb testing.TB) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sniffer := NewSniffer(ln, ServerConfig{Handler: benchWireHandler})
+	tb.Cleanup(func() { sniffer.Close() })
+	return ln.Addr().String()
 }
 
 func benchWireHandler(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
@@ -156,8 +154,16 @@ func benchWireHandler(ctx context.Context, ft Type, payload []byte) (Type, []byt
 	return api.FrameInvokeResp, out, nil
 }
 
-func benchRoundTrips(b *testing.B, tr Transport, addr string) {
+func benchCallers(b *testing.B, tr Transport, addr string) {
 	defer tr.Close()
+	for _, callers := range []int{1, 2, 16} {
+		b.Run(fmt.Sprintf("%dc", callers), func(b *testing.B) { benchRoundTrips(b, tr, addr, callers) })
+	}
+}
+
+// benchRoundTrips splits b.N round trips over the given number of
+// concurrent callers sharing tr.
+func benchRoundTrips(b *testing.B, tr Transport, addr string, callers int) {
 	ctx := context.Background()
 	// Warm the connection so dial/TLS-free setup cost is off the clock.
 	var resp api.InvokeResponse
@@ -166,13 +172,57 @@ func benchRoundTrips(b *testing.B, tr Transport, addr string) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		n := b.N / callers
+		if c < b.N%callers {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp api.InvokeResponse
+			for i := 0; i < n; i++ {
+				if err := tr.RoundTrip(ctx, addr, api.GuestV1Invoke, &benchGuestReq, &resp); err != nil {
+					b.Error(err)
+					return
+				}
+				if resp.Output != benchInvokeResp.Output {
+					b.Errorf("response corrupted: %+v", resp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRoundTripSteadyStateAllocs pins what one warmed binary round
+// trip allocates, client and server side together (AllocsPerRun counts
+// the whole process): the nine strings and byte slices the two decodes
+// copy out of their frames (BenchmarkCodecDecode*: 4 + 5), and nothing
+// from the carrier itself — no boxed slice header per PutBuf, no
+// waiter channel, no header scratch, no goroutine per frame. With
+// those it read 19.
+func TestRoundTripSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	tr := NewBinary(nil)
+	defer tr.Close()
+	addr := listenBenchWire(t)
+	ctx := context.Background()
+	var resp api.InvokeResponse
+	trip := func() {
 		if err := tr.RoundTrip(ctx, addr, api.GuestV1Invoke, &benchGuestReq, &resp); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if resp.Output != benchInvokeResp.Output {
-		b.Fatalf("response corrupted: %+v", resp)
+	for i := 0; i < 100; i++ {
+		trip()
+	}
+	const want = 9
+	if got := testing.AllocsPerRun(1000, trip); got > want {
+		t.Fatalf("a steady-state round trip allocates %.0f times, want at most %d", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -99,22 +100,30 @@ func (t *Binary) conn(addr string) (*mconn, error) {
 	return mc, nil
 }
 
-// inFrame is a matched response handed from the read loop to a waiter.
+// inFrame is a received frame handed from a read loop to the goroutine
+// that consumes it: a matched response to its waiter (client side), a
+// request to a handler worker (server side).
 type inFrame struct {
 	t       Type
+	corr    uint64
 	payload []byte
 }
 
-// mconn is one multiplexed connection: a write loop batching outbound
-// frames, a read loop matching responses to waiters by correlation ID,
-// and a pending table. kill runs exactly once, closes dead, and every
-// waiter observes it.
+// waiterPool recycles the one-slot channels responses arrive on. A
+// channel goes back only after its response was received: on the
+// cancel and dead paths the read loop may still send to it.
+var waiterPool = sync.Pool{New: func() any { return make(chan inFrame, 1) }}
+
+// mconn is one multiplexed connection: callers writing their own
+// request frames through the shared frameWriter, a read loop matching
+// responses to waiters by correlation ID, and a pending table. kill
+// runs exactly once, closes dead, and every waiter observes it.
 type mconn struct {
-	addr    string
-	conn    net.Conn
-	writeCh chan outFrame
-	dead    chan struct{}
-	m       *wireMetrics
+	addr string
+	conn net.Conn
+	w    *frameWriter
+	dead chan struct{}
+	m    *wireMetrics
 
 	mu      sync.Mutex
 	deadErr error
@@ -126,19 +135,20 @@ func newMconn(addr string, conn net.Conn, m *wireMetrics) *mconn {
 	mc := &mconn{
 		addr:    addr,
 		conn:    conn,
-		writeCh: make(chan outFrame, maxBatch),
+		w:       newFrameWriter(conn, m),
 		dead:    make(chan struct{}),
 		m:       m,
 		pending: make(map[uint64]chan inFrame),
 	}
-	go writeLoop(conn, mc.writeCh, mc.dead, m)
 	go mc.readLoop()
 	return mc
 }
 
 func (mc *mconn) readLoop() {
+	br := bufio.NewReaderSize(mc.conn, 32<<10)
+	hdr := make([]byte, HeaderSize)
 	for {
-		h, payload, err := ReadFrame(mc.conn)
+		h, payload, err := readFrame(br, hdr)
 		if err != nil {
 			mc.kill(fmt.Errorf("wire: %s: %w", mc.addr, err))
 			return
@@ -188,9 +198,9 @@ func (mc *mconn) forget(corr uint64) {
 	mc.mu.Unlock()
 }
 
-// roundTrip sends one request frame and waits for its correlated
-// response. payload is pooled and ownership passes to the write loop;
-// the returned payload is pooled and owned by the caller.
+// roundTrip writes one request frame and waits for its correlated
+// response. payload is pooled and ownership passes to the writer; the
+// returned payload is pooled and owned by the caller.
 func (mc *mconn) roundTrip(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
 	mc.mu.Lock()
 	if mc.deadErr != nil {
@@ -200,24 +210,22 @@ func (mc *mconn) roundTrip(ctx context.Context, ft Type, payload []byte) (Type, 
 	}
 	mc.seq++
 	corr := mc.seq
-	respCh := make(chan inFrame, 1)
+	respCh := waiterPool.Get().(chan inFrame)
 	mc.pending[corr] = respCh
 	mc.mu.Unlock()
 
-	select {
-	case mc.writeCh <- outFrame{t: ft, corr: corr, payload: payload}:
-	case <-mc.dead:
+	if err := mc.w.send(ctx, ft, corr, payload); err != nil {
 		mc.forget(corr)
-		PutBuf(payload)
+		if ctx.Err() != nil {
+			return 0, nil, cberr.From(fmt.Errorf("wire: %s: %w", mc.addr, ctx.Err()), cberr.LayerGateway)
+		}
+		mc.kill(fmt.Errorf("wire: %s: %w", mc.addr, err))
 		return 0, nil, mc.connErr()
-	case <-ctx.Done():
-		mc.forget(corr)
-		PutBuf(payload)
-		return 0, nil, cberr.From(fmt.Errorf("wire: %s: %w", mc.addr, ctx.Err()), cberr.LayerGateway)
 	}
 
 	select {
 	case in := <-respCh:
+		waiterPool.Put(respCh)
 		return in.t, in.payload, nil
 	case <-mc.dead:
 		mc.forget(corr)

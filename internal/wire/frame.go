@@ -144,10 +144,17 @@ func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
 // HeaderSize bytes of reading.
 func ReadFrame(r io.Reader) (Header, []byte, error) {
 	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, hdr[:])
+}
+
+// readFrame is ReadFrame reading the header into the caller's scratch
+// (HeaderSize bytes). A local array escapes through io.Reader once per
+// frame; a read loop passes the same scratch every time instead.
+func readFrame(r io.Reader, hdr []byte) (Header, []byte, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Header{}, nil, err
 	}
-	h, err := ParseHeader(hdr[:])
+	h, err := ParseHeader(hdr)
 	if err != nil {
 		return h, nil, err
 	}
@@ -162,14 +169,20 @@ func ReadFrame(r io.Reader) (Header, []byte, error) {
 // Buffer pool. Frames and payloads churn at invoke rate, so both the
 // read and write paths recycle their scratch through one pool. Buffers
 // above poolBufCap are left for the GC rather than pinned forever.
+// sync.Pool holds pointers, so a pooled slice sits in a *[]byte box;
+// the boxes cycle through boxPool the opposite way (GetBuf empties one,
+// PutBuf refills it), and neither call allocates in steady state.
 const poolBufCap = 64 << 10
 
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
+var (
+	bufPool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, 4096)
+			return &b
+		},
+	}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetBuf returns a pooled buffer of length n (n may be 0 for use as an
 // append target).
@@ -180,6 +193,8 @@ func GetBuf(n int) []byte {
 		bufPool.Put(bp)
 		return make([]byte, n)
 	}
+	*bp = nil
+	boxPool.Put(bp)
 	return b[:n]
 }
 
@@ -189,6 +204,7 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > poolBufCap {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bp := boxPool.Get().(*[]byte)
+	*bp = b[:0]
+	bufPool.Put(bp)
 }

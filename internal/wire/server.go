@@ -14,14 +14,10 @@ import (
 	"confbench/internal/obs"
 )
 
-// Batching knobs. A write batch is bounded by count and by a
-// sub-millisecond linger timer; the linger only arms when the
-// non-blocking drain already found a second frame, so a serial caller
-// (one invoke in flight) never pays it.
-const (
-	maxBatch    = 16
-	batchLinger = 200 * time.Microsecond
-)
+// maxBatch bounds the frames one connection has accepted but not yet
+// written, hence the largest write batch, and is also how many handler
+// goroutines a served connection keeps resident.
+const maxBatch = 16
 
 // wireMetrics caches the per-connection-plane obs instruments so the
 // hot path increments pre-resolved counters instead of re-hashing
@@ -54,95 +50,96 @@ func (m *wireMetrics) countIn(n int) {
 	}
 }
 
-// outFrame is one frame queued for the write side. The payload buffer
-// is pooled; writeLoop recycles it after the write.
-type outFrame struct {
-	t       Type
-	corr    uint64
-	payload []byte
+// frameWriter is a connection's write side, shared by every sender on
+// it. There is no writer goroutine: a sender appends its frame to the
+// pending buffer, and the first to find no flush under way writes
+// everything pending in one syscall, again while more arrived during
+// the write. A lone sender writes from its own goroutine; concurrent
+// senders coalesce exactly as far as they overlap. Frames are counted
+// on the send side only, so a frame crossing one hop increments
+// confbench_wire_frames_total exactly once per registry.
+type frameWriter struct {
+	conn  net.Conn
+	m     *wireMetrics
+	slots chan struct{} // one token per frame accepted but not yet written
+
+	mu       sync.Mutex
+	pending  []byte // encoded frames awaiting the flusher; pooled
+	frames   int    // frames in pending
+	flushing bool
+	err      error // first write error; the connection is closed
 }
 
-// writeLoop owns a connection's write side: it serializes frames from
-// ch, batching Nagle-style — block for the first frame, drain whatever
-// else is already queued (up to maxBatch), and only when that drain
-// proves concurrent traffic exists linger up to batchLinger for more —
-// then flushes the whole batch in one syscall. Frames are counted on
-// the send side only, so a frame crossing one hop increments
-// confbench_wire_frames_total exactly once per registry.
-func writeLoop(conn net.Conn, ch <-chan outFrame, dead <-chan struct{}, m *wireMetrics) {
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	var batch [maxBatch]outFrame
-	// One header scratch per connection: bw.Write keeps escape
-	// analysis from stack-allocating it, so hoist it out of the loop.
-	hdrBuf := make([]byte, 0, HeaderSize)
+func newFrameWriter(conn net.Conn, m *wireMetrics) *frameWriter {
+	return &frameWriter{conn: conn, m: m, slots: make(chan struct{}, maxBatch)}
+}
+
+// send queues one frame and returns once it is written or another
+// sender's flush has taken charge of it. It owns payload (pooled) on
+// every path. A sender waiting for room behind a stalled peer gives up
+// with ctx; the flusher itself sits in conn.Write until the peer reads
+// or the connection is closed. A write error poisons the connection:
+// it is closed, so the read side notices and fails whatever is
+// pending, and every later send fails at once.
+func (w *frameWriter) send(ctx context.Context, t Type, corr uint64, payload []byte) error {
+	defer PutBuf(payload)
+	select {
+	case w.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	w.mu.Lock()
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		w.release(1)
+		return err
+	}
+	if w.pending == nil {
+		w.pending = GetBuf(0)
+	}
+	w.pending = AppendFrame(w.pending, t, corr, payload)
+	w.frames++
+	if w.m != nil {
+		w.m.frames[t].Inc()
+	}
+	if w.flushing {
+		w.mu.Unlock()
+		return nil
+	}
+	w.flushing = true
 	for {
-		var n int
-		select {
-		case batch[0] = <-ch:
-			n = 1
-		case <-dead:
-			return
+		buf, n := w.pending, w.frames
+		w.pending, w.frames = nil, 0
+		w.mu.Unlock()
+		// Counted before the write: a peer that has the frame never
+		// reads counters that lack it.
+		if w.m != nil {
+			w.m.bytesOut.Add(uint64(len(buf)))
+			w.m.batch.Observe(time.Duration(n) * time.Second)
 		}
-	drain:
-		for n < maxBatch {
-			select {
-			case batch[n] = <-ch:
-				n++
-			default:
-				break drain
-			}
+		_, err := w.conn.Write(buf)
+		w.release(n)
+		PutBuf(buf)
+		w.mu.Lock()
+		if err != nil {
+			w.err = err
+			n = w.frames // queued behind the failed write, and lost with it
+			w.mu.Unlock()
+			w.release(n)
+			w.conn.Close()
+			return err
 		}
-		if n > 1 && n < maxBatch {
-			timer := time.NewTimer(batchLinger)
-		linger:
-			for n < maxBatch {
-				select {
-				case batch[n] = <-ch:
-					n++
-				case <-timer.C:
-					break linger
-				case <-dead:
-					timer.Stop()
-					for i := 0; i < n; i++ {
-						PutBuf(batch[i].payload)
-					}
-					return
-				}
-			}
-			timer.Stop()
+		if w.pending == nil {
+			w.flushing = false
+			w.mu.Unlock()
+			return nil
 		}
-		wrote := 0
-		failed := false
-		for i := 0; i < n; i++ {
-			f := batch[i]
-			if !failed {
-				hdr := AppendHeader(hdrBuf[:0], f.t, f.corr, len(f.payload))
-				_, err1 := bw.Write(hdr)
-				_, err2 := bw.Write(f.payload)
-				if err1 != nil || err2 != nil {
-					failed = true
-				} else {
-					wrote += HeaderSize + len(f.payload)
-					if m != nil {
-						m.frames[f.t].Inc()
-					}
-				}
-			}
-			PutBuf(f.payload)
-		}
-		if !failed {
-			failed = bw.Flush() != nil
-		}
-		if m != nil {
-			m.bytesOut.Add(uint64(wrote))
-			m.batch.Observe(time.Duration(n) * time.Second)
-		}
-		if failed {
-			// Poison the connection; the read side unblocks, notices,
-			// and runs the kill path (closing dead, failing pending).
-			conn.Close()
-			return
-		}
+	}
+}
+
+func (w *frameWriter) release(n int) {
+	for ; n > 0; n-- {
+		<-w.slots
 	}
 }
 
@@ -295,27 +292,39 @@ func (s *Sniffer) Close() error {
 func (s *Sniffer) Addr() net.Addr { return s.ln.Addr() }
 
 // serveWire runs the binary serving loop on one connection: read a
-// frame, evaluate the wire.frame fault point, hand the payload to the
-// handler in its own goroutine (responses complete out of order and
-// rejoin through the shared write loop keyed by correlation ID).
+// frame, evaluate the wire.frame fault point, hand the payload to a
+// handler goroutine that writes its own response, so responses
+// complete out of order, matched by correlation ID. A parked resident
+// worker takes the frame when one is idle; otherwise a goroutine is
+// started, and the first maxBatch of those stay resident for the
+// connection's life, keeping their grown stacks instead of regrowing
+// one per frame.
 func (s *Sniffer) serveWire(conn net.Conn) {
-	ch := make(chan outFrame, maxBatch)
-	dead := make(chan struct{})
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			close(dead)
-			conn.Close()
-		})
-	}
-	defer kill()
-	go writeLoop(conn, ch, dead, s.m)
+	defer conn.Close()
+	w := newFrameWriter(conn, s.m)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	handle := func(f inFrame) {
+		rt, rp, herr := s.cfg.Handler(ctx, f.t, f.payload)
+		PutBuf(f.payload)
+		if herr != nil {
+			if errors.Is(herr, ErrSever) {
+				PutBuf(rp)
+				conn.Close() // the read loop notices and winds the connection down
+				return
+			}
+			rt, rp = api.FrameError, AppendError(GetBuf(0), herr)
+		}
+		_ = w.send(ctx, rt, f.corr, rp) // a failed write already closed conn
+	}
+	work := make(chan inFrame) // unbuffered: a send succeeds only into a parked worker
+	resident := 0
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	defer close(work)
+	hdr := make([]byte, HeaderSize)
 	for {
-		h, payload, err := ReadFrame(conn)
+		h, payload, err := readFrame(conn, hdr)
 		if err != nil {
 			return
 		}
@@ -325,12 +334,9 @@ func (s *Sniffer) serveWire(conn net.Conn) {
 			case faultplane.KindLatency, faultplane.KindSlowIO:
 				time.Sleep(d.Latency)
 			case faultplane.KindError:
-				errPayload := AppendError(GetBuf(0), d.Err)
 				PutBuf(payload)
-				select {
-				case ch <- outFrame{t: api.FrameError, corr: h.Corr, payload: errPayload}:
-				case <-dead:
-					PutBuf(errPayload)
+				if w.send(ctx, api.FrameError, h.Corr, AppendError(GetBuf(0), d.Err)) != nil {
+					return
 				}
 				continue
 			default: // drop, crash: sever with no response
@@ -338,25 +344,26 @@ func (s *Sniffer) serveWire(conn net.Conn) {
 				return
 			}
 		}
+		f := inFrame{t: h.Type, corr: h.Corr, payload: payload}
+		select {
+		case work <- f:
+			continue
+		default:
+		}
+		stay := resident < maxBatch
+		if stay {
+			resident++
+		}
 		wg.Add(1)
-		go func(h Header, payload []byte) {
+		go func() {
 			defer wg.Done()
-			rt, rp, herr := s.cfg.Handler(ctx, h.Type, payload)
-			PutBuf(payload)
-			if herr != nil {
-				if errors.Is(herr, ErrSever) {
-					PutBuf(rp)
-					kill()
-					return
+			handle(f)
+			if stay {
+				for f := range work {
+					handle(f)
 				}
-				rt, rp = api.FrameError, AppendError(GetBuf(0), herr)
 			}
-			select {
-			case ch <- outFrame{t: rt, corr: h.Corr, payload: rp}:
-			case <-dead:
-				PutBuf(rp)
-			}
-		}(h, payload)
+		}()
 	}
 }
 
