@@ -6,9 +6,11 @@ GO ?= go
 # goroutines), the front-door server all three sit behind, the
 # retrying HTTP client, the fault plane, the sharded
 # metrics registry, the warm guest pool's refill goroutine, the
-# live-migration engine's chunk-resume path, and the SLO engine
-# (evaluated from federation sweeps while handlers read its status).
-RACE_PKGS = ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+# live-migration engine's chunk-resume path, the SLO engine
+# (evaluated from federation sweeps while handlers read its status),
+# and what that refill goroutine drives while a drain exports beside
+# it: the shared TEE guest lifecycle and the snapshot cache.
+RACE_PKGS = ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the

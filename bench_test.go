@@ -416,35 +416,6 @@ func BenchmarkExtensionContainers(b *testing.B) {
 	}
 }
 
-// BenchmarkBootCosts reports each platform's confidential-guest boot
-// cost (measured TD build / SNP launch / realm delegation plus the
-// plain-VM baseline), the lifecycle cost §III-B calls "particularly
-// time-consuming" to set up.
-func BenchmarkBootCosts(b *testing.B) {
-	c := sharedCluster(b)
-	for i := 0; i < b.N; i++ {
-		for _, kind := range c.Kinds() {
-			backend, err := c.Backend(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			secure, err := backend.Launch(tee.GuestConfig{MemoryMB: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			normal, err := backend.LaunchNormal(tee.GuestConfig{MemoryMB: 8})
-			if err != nil {
-				_ = secure.Destroy()
-				b.Fatal(err)
-			}
-			b.ReportMetric(secure.BootCost().Seconds(), "secure-boot-s-"+string(kind))
-			b.ReportMetric(secure.BootCost().Seconds()/normal.BootCost().Seconds(), "boot-ratio-"+string(kind))
-			_ = secure.Destroy()
-			_ = normal.Destroy()
-		}
-	}
-}
-
 // BenchmarkWireTransportInvoke runs one synchronous invoke per
 // iteration through the full pipeline — client, gateway, guest server —
 // once per hop carrier. The gated form of this comparison is the repo

@@ -1,9 +1,9 @@
 package cca
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"confbench/internal/cpumodel"
 	"confbench/internal/faultplane"
@@ -29,31 +29,21 @@ type Options struct {
 }
 
 // Backend implements tee.Backend for ARM CCA on the FVP simulator.
+// Launch, LaunchNormal, Snapshot, Restore, ExportLive and ImportLive
+// are the shared tee.Lifecycle over the realm primitives of the realm
+// type.
 //
 // Matching the paper's setup, *both* the realm and the "normal" VM run
 // inside the simulator (two layers of abstraction), so LaunchNormal
 // also exhibits elevated jitter, and ratios compare realm-in-FVP
 // against normal-VM-in-FVP.
 type Backend struct {
-	host   cpumodel.Profile
-	rmm    *RMM
-	obsreg *obs.Registry
-	faults *faultplane.Plane
+	*tee.Lifecycle
+	host cpumodel.Profile
+	rmm  *RMM
 
-	mu       sync.Mutex
-	nextSeed int64
-	nextPA   uint64
-	// live maps running guest IDs to their migration handles — the
-	// realm id plus the personalization value and granule count a
-	// destination needs to rebuild the realm around the sealed RIM.
-	live map[string]ccaLive
-}
-
-// ccaLive is the migration handle of one running realm.
-type ccaLive struct {
-	realmID uint64
-	rpv     []byte
-	pages   int
+	// nextPA is the first host physical address no realm has been given.
+	nextPA atomic.Uint64
 }
 
 var (
@@ -75,15 +65,21 @@ func NewBackend(opts Options) (*Backend, error) {
 	if opts.Obs != nil {
 		rmm.SetObsRegistry(opts.Obs)
 	}
-	return &Backend{
-		host:     opts.Host,
-		rmm:      rmm,
-		obsreg:   opts.Obs,
-		faults:   opts.Faults,
-		nextSeed: opts.Seed + 1,
-		nextPA:   GranuleSize, // skip granule 0
-		live:     make(map[string]ccaLive),
-	}, nil
+	b := &Backend{host: opts.Host, rmm: rmm}
+	b.nextPA.Store(GranuleSize) // skip granule 0
+	b.Lifecycle = tee.NewLifecycle(tee.Platform{
+		Kind:           tee.KindCCA,
+		IDPrefix:       "realm",
+		NormalIDPrefix: "fvp-vm",
+		Model:          b.CostModel(),
+		NormalModel:    normalCostModel(),
+		BootBase:       bootBaseNs,
+		NewContext:     func() tee.Context { return &realm{b: b} },
+		Seed:           opts.Seed,
+		Obs:            opts.Obs,
+		Faults:         opts.Faults,
+	})
+	return b, nil
 }
 
 // Kind implements tee.Backend.
@@ -100,13 +96,11 @@ func (b *Backend) HostProfile() cpumodel.Profile { return b.host }
 // Monitor exposes the RMM for inspection in tests.
 func (b *Backend) Monitor() *RMM { return b.rmm }
 
-func (b *Backend) alloc(pages int) (base uint64, seed int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	base = b.nextPA
-	b.nextPA += uint64(pages+1) * GranuleSize
-	b.nextSeed++
-	return base, b.nextSeed
+// allocPA reserves a run of pages granules (plus a guard granule) of
+// host physical address space and returns its base.
+func (b *Backend) allocPA(pages int) uint64 {
+	span := uint64(pages+1) * GranuleSize
+	return b.nextPA.Add(span) - span
 }
 
 // CostModel returns the realm cost model. The paper finds CCA's
@@ -157,187 +151,102 @@ func normalCostModel() tee.CostModel {
 // bootBaseNs is the in-simulator VM boot cost.
 const bootBaseNs = 9.5e9
 
-// Launch implements tee.Backend: delegate granules, create the realm,
-// populate it with measured data granules, and activate it.
-func (b *Backend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	pages := cfg.MemoryMB // one granule per MiB stands in for the image
-	base, seed := b.alloc(pages)
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
+// realmState is the serialized form of a realm: the personalization
+// value and the granule count to rebuild it around the sealed RIM
+// (which travels in the image's Measurement field, where the
+// destination's attestation gate verifies it). One granule per MiB of
+// configured memory stands in for the image.
+type realmState struct {
+	RPV   []byte `json:"rpv"`
+	Pages int    `json:"pages"`
+}
 
-	realmID, err := b.rmm.RMIRealmCreate([]byte(cfg.Name))
+// PageCount implements tee.State.
+func (s *realmState) PageCount() int { return s.Pages }
+
+// realm is one realm as the shared lifecycle drives it.
+type realm struct {
+	b  *Backend
+	id uint64 // 0 until the RMM has created the realm
+	// base is the first of the realm's host granules; delegated counts
+	// how many from base are in the realm world and ours to return.
+	base      uint64
+	delegated int
+	st        realmState
+}
+
+var _ tee.Context = (*realm)(nil)
+
+// State implements tee.Context.
+func (r *realm) State() tee.State { return &r.st }
+
+// Build implements tee.Context: create the realm, delegate granules
+// and populate it with measured data granules, activate it.
+func (r *realm) Build(cfg tee.GuestConfig) error {
+	r.st = realmState{RPV: []byte(cfg.Name), Pages: cfg.MemoryMB}
+	r.base = r.b.allocPA(r.st.Pages)
+	rmm := r.b.rmm
+	id, err := rmm.RMIRealmCreate(r.st.RPV)
 	if err != nil {
-		return nil, fmt.Errorf("cca launch: %w", err)
+		return err
 	}
-	for i := 0; i < pages; i++ {
-		pa := base + uint64(i)*GranuleSize
-		if err := b.rmm.RMIGranuleDelegate(pa); err != nil {
-			return nil, fmt.Errorf("cca launch: %w", err)
+	r.id = id
+	for i := 0; i < r.st.Pages; i++ {
+		pa := r.base + uint64(i)*GranuleSize
+		if err := rmm.RMIGranuleDelegate(pa); err != nil {
+			return err
 		}
+		r.delegated++
 		content := []byte(fmt.Sprintf("realm-image:%s:%d", cfg.Name, i))
-		if err := b.rmm.RMIDataCreate(realmID, pa, content); err != nil {
-			return nil, fmt.Errorf("cca launch: %w", err)
+		if err := rmm.RMIDataCreate(id, pa, content); err != nil {
+			return err
 		}
 	}
-	if err := b.rmm.RMIRealmActivate(realmID); err != nil {
-		return nil, fmt.Errorf("cca launch: %w", err)
-	}
-	rpv := make([]byte, len(cfg.Name))
-	copy(rpv, cfg.Name)
-	return b.guestForRealm(ccaLive{realmID: realmID, rpv: rpv, pages: pages}, cfg, seed, 0, false), nil
+	return rmm.RMIRealmActivate(id)
 }
 
-// forgetRealm drops the live-tracking entry of a destroyed realm.
-func (b *Backend) forgetRealm(realmID uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for gid, h := range b.live {
-		if h.realmID == realmID {
-			delete(b.live, gid)
-		}
-	}
-}
-
-// guestForRealm wraps an active realm into a ModelGuest and tracks it
-// live so ExportLive can find its migration handle.
-//
-// The FVP lacks the hardware support attestation requires (§IV-B: "We
-// leave out CCA as the simulator lacks the required hardware
-// support"), so no Report hook is set and AttestationReport returns
-// tee.ErrNoAttestation — the migration gate verifies the RIM via
-// RSI_MEASUREMENT_READ instead.
-func (b *Backend) guestForRealm(h ccaLive, cfg tee.GuestConfig, seed int64, bootOverride time.Duration, restored bool) tee.Guest {
-	rmm := b.rmm
-	g := tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix:         "realm",
-		Kind:             tee.KindCCA,
-		Secure:           true,
-		Model:            b.CostModel(),
-		BootBase:         bootBaseNs,
-		BootCostOverride: bootOverride,
-		Restored:         restored,
-		Seed:             seed,
-		Obs:              b.obsreg,
-		Faults:           b.faults,
-		Host:             cfg.Name,
-		Destroy: func() error {
-			b.forgetRealm(h.realmID)
-			return rmm.RMIRealmDestroy(h.realmID)
-		},
-	})
-	b.mu.Lock()
-	b.live[g.ID()] = h
-	b.mu.Unlock()
-	return g
-}
-
-// realmImage is the backend-private payload of a CCA guest image: the
-// sealed RIM and personalization value to import, and the granule count
-// to re-delegate.
-type realmImage struct {
-	rim   [MeasurementSize]byte
-	rpv   []byte
-	pages int
-}
-
-// Snapshot implements tee.Snapshotter: one full measured realm build
-// whose RIM is captured, then destroyed and its granules undelegated.
-// Restores reuse the image instead of re-measuring.
-func (b *Backend) Snapshot(cfg tee.GuestConfig) (*tee.GuestImage, error) {
-	cfg = cfg.WithDefaults()
-	pages := cfg.MemoryMB
-	base, _ := b.alloc(pages)
-
-	realmID, err := b.rmm.RMIRealmCreate([]byte(cfg.Name))
-	if err != nil {
-		return nil, fmt.Errorf("cca snapshot: %w", err)
-	}
-	for i := 0; i < pages; i++ {
-		pa := base + uint64(i)*GranuleSize
-		if err := b.rmm.RMIGranuleDelegate(pa); err != nil {
-			return nil, fmt.Errorf("cca snapshot: %w", err)
-		}
-		content := []byte(fmt.Sprintf("realm-image:%s:%d", cfg.Name, i))
-		if err := b.rmm.RMIDataCreate(realmID, pa, content); err != nil {
-			return nil, fmt.Errorf("cca snapshot: %w", err)
-		}
-	}
-	realm, err := b.rmm.RealmByID(realmID)
-	if err != nil {
-		return nil, fmt.Errorf("cca snapshot: %w", err)
-	}
-	rim := realm.RIM()
-	// The template realm's only job was producing the RIM; tear it down
-	// and return its granules to the normal world.
-	if err := b.rmm.RMIRealmDestroy(realmID); err != nil {
-		return nil, fmt.Errorf("cca snapshot: %w", err)
-	}
-	for i := 0; i < pages; i++ {
-		pa := base + uint64(i)*GranuleSize
-		if err := b.rmm.RMIGranuleUndelegate(pa); err != nil {
-			return nil, fmt.Errorf("cca snapshot: %w", err)
-		}
-	}
-
-	cm := b.CostModel()
-	rpv := make([]byte, len(cfg.Name))
-	copy(rpv, cfg.Name)
-	return &tee.GuestImage{
-		Kind:        tee.KindCCA,
-		MemoryMB:    cfg.MemoryMB,
-		SizeBytes:   int64(cfg.MemoryMB) << 20,
-		CaptureCost: time.Duration(bootBaseNs) + cm.BootCost() + cm.SnapshotCost(pages),
-		RestoreCost: cm.RestoreCost(pages),
-		Payload:     &realmImage{rim: rim, rpv: rpv, pages: pages},
-	}, nil
-}
-
-// Restore implements tee.Snapshotter: fresh granules are delegated to a
-// realm created directly active with the image's sealed RIM — the
-// measured data-granule build is skipped.
-func (b *Backend) Restore(img *tee.GuestImage, cfg tee.GuestConfig) (tee.Guest, error) {
-	if err := img.Validate(tee.KindCCA); err != nil {
-		return nil, fmt.Errorf("cca restore: %w", err)
-	}
-	ri, ok := img.Payload.(*realmImage)
-	if !ok {
-		return nil, fmt.Errorf("cca restore: %w", tee.ErrImagePayload)
-	}
-	cfg = cfg.WithDefaults()
-	base, seed := b.alloc(ri.pages)
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
-	pas := make([]uint64, ri.pages)
+// Import implements tee.Context: fresh granules are delegated to a
+// realm created directly active around the sealed RIM — the measured
+// data-granule build is skipped.
+func (r *realm) Import(rim tee.Measurement) error {
+	r.base = r.b.allocPA(r.st.Pages)
+	pas := make([]uint64, r.st.Pages)
 	for i := range pas {
-		pas[i] = base + uint64(i)*GranuleSize
+		pas[i] = r.base + uint64(i)*GranuleSize
 	}
-	realmID, err := b.rmm.RMIRealmImport(ri.rpv, ri.rim, pas)
+	id, err := r.b.rmm.RMIRealmImport(r.st.RPV, rim, pas)
 	if err != nil {
-		return nil, fmt.Errorf("cca restore: %w", err)
+		return err
 	}
-	rpv := make([]byte, len(ri.rpv))
-	copy(rpv, ri.rpv)
-	return b.guestForRealm(ccaLive{realmID: realmID, rpv: rpv, pages: ri.pages}, cfg, seed, img.RestoreCost, true), nil
+	r.id, r.delegated = id, len(pas)
+	return nil
 }
 
-// LaunchNormal implements tee.Backend: a non-secure VM, still inside
-// the FVP simulator.
-func (b *Backend) LaunchNormal(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	_, seed := b.alloc(0)
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
+// Measurement implements tee.Context: the RIM read back via
+// RSI_MEASUREMENT_READ, the realm-world measurement interface.
+func (r *realm) Measurement() (tee.Measurement, error) {
+	return r.b.rmm.RSIMeasurementRead(r.id)
+}
+
+// Report implements tee.Context. The FVP lacks the hardware support
+// attestation requires (§IV-B: "We leave out CCA as the simulator
+// lacks the required hardware support") — the migration gate verifies
+// the RIM via RSI_MEASUREMENT_READ instead.
+func (r *realm) Report(context.Context, []byte) ([]byte, error) {
+	return nil, tee.ErrNoAttestation
+}
+
+// Teardown implements tee.Context: the realm is destroyed and its
+// granules go back to the normal world.
+func (r *realm) Teardown() error {
+	var first error
+	if r.id != 0 {
+		first = r.b.rmm.RMIRealmDestroy(r.id)
 	}
-	return tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix: "fvp-vm",
-		Kind:     tee.KindNone,
-		Secure:   false,
-		Model:    normalCostModel(),
-		BootBase: bootBaseNs,
-		Seed:     seed,
-		Obs:      b.obsreg,
-	}), nil
+	for i := 0; i < r.delegated; i++ {
+		if err := r.b.rmm.RMIGranuleUndelegate(r.base + uint64(i)*GranuleSize); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

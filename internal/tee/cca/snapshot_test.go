@@ -7,80 +7,37 @@ import (
 	"confbench/internal/tee"
 )
 
-func TestBackendSnapshotRestore(t *testing.T) {
+// TestRestoredRealmIsActive pins the RMM side of a restore: the shared
+// lifecycle's conformance table (internal/tee) covers what the
+// restored guest measures and charges.
+func TestRestoredRealmIsActive(t *testing.T) {
 	b, err := NewBackend(Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := tee.GuestConfig{Name: "runtime", MemoryMB: 8}
-
 	img, err := b.Snapshot(cfg)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if img.Kind != tee.KindCCA || img.MemoryMB != 8 {
-		t.Fatalf("image identity: kind=%s mem=%d", img.Kind, img.MemoryMB)
-	}
-	// The template realm's granules went back to the normal world.
-	if got := b.rmm.DelegatedGranules(); got != 0 {
-		t.Fatalf("granules still delegated after snapshot: %d", got)
-	}
-
-	cold, err := b.Launch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Destroy()
 	warm, err := b.Restore(img, cfg)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	defer warm.Destroy()
-
-	if got := warm.BootCost(); got != img.RestoreCost {
-		t.Errorf("warm boot = %v, want restore cost %v", got, img.RestoreCost)
-	}
-	if cold.BootCost() < 3*warm.BootCost() {
-		t.Errorf("cold boot %v not >= 3x warm boot %v", cold.BootCost(), warm.BootCost())
-	}
-
-	// The imported realm carries the image's sealed RIM unchanged.
-	// (Unlike TDX/SEV, a cold launch's RIM differs: RMI_DATA_CREATE
-	// extends over host granule addresses, which each launch allocates
-	// afresh — image reuse is exactly what keeps it stable.)
-	ri, ok := img.Payload.(*realmImage)
-	if !ok {
-		t.Fatalf("payload type %T", img.Payload)
-	}
-	// Realm IDs allocate in order: snapshot template=1 (destroyed),
-	// cold launch=2, restore=3.
-	realm, err := b.rmm.RealmByID(3)
+	// Realm IDs allocate in order: the template took 1, the restore 2.
+	realm, err := b.rmm.RealmByID(2)
 	if err != nil {
 		t.Fatalf("restored realm: %v", err)
 	}
 	if realm.State() != RealmActive {
 		t.Errorf("restored realm state = %s, want active", realm.State())
 	}
-	if realm.RIM() != ri.rim {
-		t.Error("restored realm RIM differs from the image")
+	if realm.GranuleCount() != cfg.MemoryMB {
+		t.Errorf("restored realm granules = %d, want %d", realm.GranuleCount(), cfg.MemoryMB)
 	}
-	if realm.GranuleCount() != ri.pages {
-		t.Errorf("restored realm granules = %d, want %d", realm.GranuleCount(), ri.pages)
-	}
-}
-
-func TestBackendRestoreRejectsForeignImage(t *testing.T) {
-	b, err := NewBackend(Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := &tee.GuestImage{Kind: tee.KindTDX, MemoryMB: 8}
-	if _, err := b.Restore(wrong, tee.GuestConfig{}); !errors.Is(err, tee.ErrImageKind) {
-		t.Errorf("wrong kind: %v", err)
-	}
-	badPayload := &tee.GuestImage{Kind: tee.KindCCA, MemoryMB: 8, Payload: []byte("nope")}
-	if _, err := b.Restore(badPayload, tee.GuestConfig{}); !errors.Is(err, tee.ErrImagePayload) {
-		t.Errorf("bad payload: %v", err)
+	if got := b.rmm.DelegatedGranules(); got != cfg.MemoryMB {
+		t.Errorf("delegated granules = %d, want %d (the template's went back)", got, cfg.MemoryMB)
 	}
 }
 
@@ -95,5 +52,28 @@ func TestRMIRealmImportRejectsDelegatedGranules(t *testing.T) {
 	}
 	if _, err := m.RMIRealmImport(nil, rim, []uint64{GranuleSize + 1}); err == nil {
 		t.Error("import with unaligned granule succeeded")
+	}
+}
+
+// TestFailedBuildLeavesNothingBehind delegates a granule the next
+// realm's build will reach, so the build fails part-way; the lifecycle
+// must destroy the half-built realm and undelegate what it delegated.
+func TestFailedBuildLeavesNothingBehind(t *testing.T) {
+	b, err := NewBackend(Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first realm's granules start right after granule 0.
+	if err := b.rmm.RMIGranuleDelegate(GranuleSize * (1 + 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Launch(tee.GuestConfig{Name: "runtime", MemoryMB: 8}); !errors.Is(err, ErrGranuleDelegated) {
+		t.Fatalf("launch over a delegated granule: %v", err)
+	}
+	if _, err := b.rmm.RealmByID(1); !errors.Is(err, ErrRealmNotFound) {
+		t.Errorf("half-built realm survives: %v", err)
+	}
+	if got := b.rmm.DelegatedGranules(); got != 1 {
+		t.Errorf("delegated granules = %d, want only the one delegated by hand", got)
 	}
 }

@@ -2,7 +2,6 @@ package tee
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -12,10 +11,12 @@ var (
 	// tracked as live on this backend — it was launched elsewhere or
 	// already destroyed.
 	ErrNotLive = errors.New("tee: guest not live on this backend")
-	// ErrBadMigrationState is returned when a migration image's opaque
-	// state does not decode as this backend's serialization.
+	// ErrBadMigrationState is returned when an image's state does not
+	// decode as this backend's serialization, or decodes to something
+	// the platform would refuse to build (too many pages, a page listed
+	// twice).
 	ErrBadMigrationState = errors.New("tee: undecodable migration state")
-	// ErrMeasurementSize is returned when a migration image carries a
+	// ErrMeasurementSize is returned when an image carries a
 	// measurement of the wrong length for the platform.
 	ErrMeasurementSize = errors.New("tee: bad measurement length")
 )
@@ -58,19 +59,15 @@ func (img *MigrationImage) Validate(k Kind) error {
 	if img == nil {
 		return ErrNilImage
 	}
-	if img.Kind != k {
-		return fmt.Errorf("%w: image is %q, backend is %q", ErrImageKind, img.Kind, k)
-	}
-	if len(img.Measurement) != MeasurementSize {
-		return fmt.Errorf("%w: got %d bytes, want %d", ErrMeasurementSize,
-			len(img.Measurement), MeasurementSize)
-	}
-	return nil
+	return validateImage(img.Kind, k, img.Measurement)
 }
 
 // MeasurementSize is the byte length of the launch measurements all
 // three platforms carry (SHA-384: MRTD, SNP launch digest, CCA RIM).
 const MeasurementSize = 48
+
+// Measurement is one such launch measurement.
+type Measurement = [MeasurementSize]byte
 
 // Migrator is implemented by backends that support live migration of
 // running confidential guests. ExportLive captures a tracked guest's

@@ -3,8 +3,7 @@ package sev
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"confbench/internal/cpumodel"
 	"confbench/internal/faultplane"
@@ -26,29 +25,18 @@ type Options struct {
 	Faults *faultplane.Plane
 }
 
-// Backend implements tee.Backend for AMD SEV-SNP.
+// Backend implements tee.Backend for AMD SEV-SNP. Launch,
+// LaunchNormal, Snapshot, Restore, ExportLive and ImportLive are the
+// shared tee.Lifecycle over the SNP primitives of the snpGuest type.
 type Backend struct {
-	host   cpumodel.Profile
-	sp     *AMDSP
-	rmp    *RMP
-	obsreg *obs.Registry
-	faults *faultplane.Plane
+	*tee.Lifecycle
+	host cpumodel.Profile
+	sp   *AMDSP
+	rmp  *RMP
 
-	mu       sync.Mutex
-	nextASID uint32
-	nextSeed int64
-	// live maps running guest IDs to their migration handles (ASID,
-	// policy, sealed launch digest, RMP donation shape) — what the
-	// SNP migration agent streams to a destination host.
-	live map[string]sevLive
-}
-
-// sevLive is the migration handle of one running SNP guest.
-type sevLive struct {
-	asid   uint32
-	policy uint64
-	digest [MeasurementSize]byte
-	pages  int
+	// lastASID is the most recent address-space ID handed to a guest
+	// context; they count up from 1.
+	lastASID atomic.Uint32
 }
 
 var (
@@ -74,16 +62,20 @@ func NewBackend(opts Options) (*Backend, error) {
 	if opts.Obs != nil {
 		rmp.SetObsRegistry(opts.Obs)
 	}
-	return &Backend{
-		host:     opts.Host,
-		sp:       sp,
-		rmp:      rmp,
-		obsreg:   opts.Obs,
-		faults:   opts.Faults,
-		nextASID: 1,
-		nextSeed: opts.Seed + 1,
-		live:     make(map[string]sevLive),
-	}, nil
+	b := &Backend{host: opts.Host, sp: sp, rmp: rmp}
+	b.Lifecycle = tee.NewLifecycle(tee.Platform{
+		Kind:           tee.KindSEV,
+		IDPrefix:       "snp",
+		NormalIDPrefix: "vm",
+		Model:          b.CostModel(),
+		NormalModel:    tee.NormalCostModel(),
+		BootBase:       bootBaseNs,
+		NewContext:     func() tee.Context { return &snpGuest{b: b} },
+		Seed:           opts.Seed,
+		Obs:            opts.Obs,
+		Faults:         opts.Faults,
+	})
+	return b, nil
 }
 
 // Kind implements tee.Backend.
@@ -103,15 +95,6 @@ func (b *Backend) SecureProcessor() *AMDSP { return b.sp }
 
 // ReverseMap exposes the RMP for inspection in tests.
 func (b *Backend) ReverseMap() *RMP { return b.rmp }
-
-func (b *Backend) alloc() (asid uint32, seed int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	asid = b.nextASID
-	b.nextASID++
-	b.nextSeed++
-	return asid, b.nextSeed
-}
 
 // CostModel returns the confidential-guest cost model. Relative to
 // TDX the paper finds SEV-SNP slightly slower on CPU/memory work but
@@ -150,189 +133,104 @@ func (b *Backend) CostModel() tee.CostModel {
 // bootBaseNs is the plain-VM boot cost on this host class.
 const bootBaseNs = 2.0e9
 
-// bootImagePages is the number of pages assigned, validated and
-// measured during guest launch (one per MiB of configured memory).
-func bootImagePages(cfg tee.GuestConfig) int { return cfg.MemoryMB }
+// snpState is the serialized form of an SNP guest: the guest policy
+// and the RMP donation shape to replay on the destination (one page per
+// MiB of configured memory). The sealed launch digest travels in the
+// image's Measurement field, where the destination's attestation gate
+// verifies it before LAUNCH_IMPORT.
+type snpState struct {
+	Policy uint64 `json:"policy"`
+	Pages  int    `json:"pages"`
+}
 
-// Launch implements tee.Backend: SNP_LAUNCH_START → per-page
+// PageCount implements tee.State.
+func (s *snpState) PageCount() int { return s.Pages }
+
+// snpGuest is one SNP guest context as the shared lifecycle drives it.
+type snpGuest struct {
+	b      *Backend
+	asid   uint32 // 0 until Build or Import draws one
+	digest tee.Measurement
+	st     snpState
+}
+
+var _ tee.Context = (*snpGuest)(nil)
+
+// State implements tee.Context.
+func (g *snpGuest) State() tee.State { return &g.st }
+
+// donate hands page i to the guest: RMPUPDATE assigns it, PVALIDATE
+// validates it.
+func (g *snpGuest) donate(i int) error {
+	pa := (uint64(g.asid)<<32 | uint64(i)) * PageSize
+	if err := g.b.rmp.Assign(pa, g.asid); err != nil {
+		return err
+	}
+	return g.b.rmp.Validate(pa, g.asid)
+}
+
+// Build implements tee.Context: SNP_LAUNCH_START → per-page
 // RMPUPDATE+PVALIDATE+LAUNCH_UPDATE → SNP_LAUNCH_FINISH.
-func (b *Backend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	asid, seed := b.alloc()
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
+func (g *snpGuest) Build(cfg tee.GuestConfig) error {
+	g.asid = g.b.lastASID.Add(1)
+	g.st = snpState{
+		Policy: 0x3_0000, // SMT allowed, no debug, no migration
+		Pages:  cfg.MemoryMB,
 	}
-
-	policy := uint64(0x3_0000) // SMT allowed, no debug, no migration
-	if err := b.sp.LaunchStart(asid, policy); err != nil {
-		return nil, fmt.Errorf("sev launch: %w", err)
+	if err := g.b.sp.LaunchStart(g.asid, g.st.Policy); err != nil {
+		return err
 	}
-	for i := 0; i < bootImagePages(cfg); i++ {
-		pa := (uint64(asid)<<32 | uint64(i)) * PageSize
-		if err := b.rmp.Assign(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev launch: %w", err)
-		}
-		if err := b.rmp.Validate(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev launch: %w", err)
+	for i := 0; i < g.st.Pages; i++ {
+		if err := g.donate(i); err != nil {
+			return err
 		}
 		data := []byte(fmt.Sprintf("boot-image:%s:%d", cfg.Name, i))
-		if err := b.sp.LaunchUpdate(asid, data); err != nil {
-			return nil, fmt.Errorf("sev launch: %w", err)
+		if err := g.b.sp.LaunchUpdate(g.asid, data); err != nil {
+			return err
 		}
 	}
-	digest, err := b.sp.LaunchFinish(asid)
+	var err error
+	g.digest, err = g.b.sp.LaunchFinish(g.asid)
+	return err
+}
+
+// Import implements tee.Context: a fresh ASID gets the sealed launch
+// digest in one firmware call (SNP_LAUNCH_IMPORT), and the RMP page
+// donation is replayed without per-page measurement.
+func (g *snpGuest) Import(digest tee.Measurement) error {
+	g.asid = g.b.lastASID.Add(1)
+	if err := g.b.sp.LaunchImport(g.asid, g.st.Policy, digest); err != nil {
+		return err
+	}
+	g.digest = digest
+	for i := 0; i < g.st.Pages; i++ {
+		if err := g.donate(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Measurement implements tee.Context: the launch digest the firmware
+// sealed at LAUNCH_FINISH or installed at LAUNCH_IMPORT.
+func (g *snpGuest) Measurement() (tee.Measurement, error) { return g.digest, nil }
+
+// Report implements tee.Context: a VCEK-signed report at VMPL0.
+func (g *snpGuest) Report(_ context.Context, nonce []byte) ([]byte, error) {
+	r, err := g.b.sp.GuestRequestReport(g.asid, 0, nonce)
 	if err != nil {
-		return nil, fmt.Errorf("sev launch: %w", err)
+		return nil, err
 	}
-	handle := sevLive{asid: asid, policy: policy, digest: digest, pages: bootImagePages(cfg)}
-	return b.guestForASID(handle, cfg, seed, 0, false), nil
+	return r.Marshal()
 }
 
-// forgetASID drops the live-tracking entry of a decommissioned guest.
-func (b *Backend) forgetASID(asid uint32) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for gid, h := range b.live {
-		if h.asid == asid {
-			delete(b.live, gid)
-		}
+// Teardown implements tee.Context: the guest's pages go back to the
+// hypervisor and its launch context is decommissioned.
+func (g *snpGuest) Teardown() error {
+	if g.asid == 0 {
+		return nil
 	}
-}
-
-// guestForASID wraps a finished SNP context into a ModelGuest and
-// tracks it live so ExportLive can find its migration handle.
-func (b *Backend) guestForASID(h sevLive, cfg tee.GuestConfig, seed int64, bootOverride time.Duration, restored bool) tee.Guest {
-	sp, rmp := b.sp, b.rmp
-	g := tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix:         "snp",
-		Kind:             tee.KindSEV,
-		Secure:           true,
-		Model:            b.CostModel(),
-		BootBase:         bootBaseNs,
-		BootCostOverride: bootOverride,
-		Restored:         restored,
-		Seed:             seed,
-		Obs:              b.obsreg,
-		Faults:           b.faults,
-		Host:             cfg.Name,
-		Report: func(_ context.Context, nonce []byte) ([]byte, error) {
-			r, err := sp.GuestRequestReport(h.asid, 0, nonce)
-			if err != nil {
-				return nil, err
-			}
-			return r.Marshal()
-		},
-		Destroy: func() error {
-			b.forgetASID(h.asid)
-			rmp.ReclaimAll(h.asid)
-			sp.Decommission(h.asid)
-			return nil
-		},
-	})
-	b.mu.Lock()
-	b.live[g.ID()] = h
-	b.mu.Unlock()
-	return g
-}
-
-// snpImage is the backend-private payload of an SEV-SNP guest image:
-// the sealed launch digest and policy to import, and the page count to
-// replay through the RMP.
-type snpImage struct {
-	policy uint64
-	digest [MeasurementSize]byte
-	pages  int
-}
-
-// Snapshot implements tee.Snapshotter: one full measured template
-// launch whose sealed digest is captured, then decommissioned. Each
-// restore imports that digest and replays only the RMP page donation.
-func (b *Backend) Snapshot(cfg tee.GuestConfig) (*tee.GuestImage, error) {
-	cfg = cfg.WithDefaults()
-	asid, _ := b.alloc()
-	policy := uint64(0x3_0000)
-	if err := b.sp.LaunchStart(asid, policy); err != nil {
-		return nil, fmt.Errorf("sev snapshot: %w", err)
-	}
-	for i := 0; i < bootImagePages(cfg); i++ {
-		pa := (uint64(asid)<<32 | uint64(i)) * PageSize
-		if err := b.rmp.Assign(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev snapshot: %w", err)
-		}
-		if err := b.rmp.Validate(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev snapshot: %w", err)
-		}
-		data := []byte(fmt.Sprintf("boot-image:%s:%d", cfg.Name, i))
-		if err := b.sp.LaunchUpdate(asid, data); err != nil {
-			return nil, fmt.Errorf("sev snapshot: %w", err)
-		}
-	}
-	digest, err := b.sp.LaunchFinish(asid)
-	if err != nil {
-		return nil, fmt.Errorf("sev snapshot: %w", err)
-	}
-	// The template guest's only job was producing the digest.
-	b.rmp.ReclaimAll(asid)
-	b.sp.Decommission(asid)
-
-	cm := b.CostModel()
-	pages := bootImagePages(cfg)
-	return &tee.GuestImage{
-		Kind:        tee.KindSEV,
-		MemoryMB:    cfg.MemoryMB,
-		SizeBytes:   int64(cfg.MemoryMB) << 20,
-		CaptureCost: time.Duration(bootBaseNs) + cm.BootCost() + cm.SnapshotCost(pages),
-		RestoreCost: cm.RestoreCost(pages),
-		Payload:     &snpImage{policy: policy, digest: digest, pages: pages},
-	}, nil
-}
-
-// Restore implements tee.Snapshotter: a fresh ASID gets the imported
-// launch digest in one firmware call, and the RMP page donation is
-// replayed (Assign+Validate per page) without per-page measurement.
-func (b *Backend) Restore(img *tee.GuestImage, cfg tee.GuestConfig) (tee.Guest, error) {
-	if err := img.Validate(tee.KindSEV); err != nil {
-		return nil, fmt.Errorf("sev restore: %w", err)
-	}
-	snp, ok := img.Payload.(*snpImage)
-	if !ok {
-		return nil, fmt.Errorf("sev restore: %w", tee.ErrImagePayload)
-	}
-	cfg = cfg.WithDefaults()
-	asid, seed := b.alloc()
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
-	if err := b.sp.LaunchImport(asid, snp.policy, snp.digest); err != nil {
-		return nil, fmt.Errorf("sev restore: %w", err)
-	}
-	for i := 0; i < snp.pages; i++ {
-		pa := (uint64(asid)<<32 | uint64(i)) * PageSize
-		if err := b.rmp.Assign(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev restore: %w", err)
-		}
-		if err := b.rmp.Validate(pa, asid); err != nil {
-			return nil, fmt.Errorf("sev restore: %w", err)
-		}
-	}
-	handle := sevLive{asid: asid, policy: snp.policy, digest: snp.digest, pages: snp.pages}
-	return b.guestForASID(handle, cfg, seed, img.RestoreCost, true), nil
-}
-
-// LaunchNormal implements tee.Backend: a plain VM on the same host.
-func (b *Backend) LaunchNormal(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	_, seed := b.alloc()
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
-	return tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix: "vm",
-		Kind:     tee.KindNone,
-		Secure:   false,
-		Model:    tee.NormalCostModel(),
-		BootBase: bootBaseNs,
-		Seed:     seed,
-		Obs:      b.obsreg,
-	}), nil
+	g.b.rmp.ReclaimAll(g.asid)
+	g.b.sp.Decommission(g.asid)
+	return nil
 }

@@ -1,107 +1,43 @@
 package sev
 
 import (
-	"context"
 	"errors"
 	"testing"
 
 	"confbench/internal/tee"
 )
 
-func TestBackendSnapshotRestore(t *testing.T) {
+// TestRestoreReplaysPageDonation pins the RMP side of a restore: the
+// shared lifecycle's conformance table (internal/tee) covers what the
+// restored guest attests and charges.
+func TestRestoreReplaysPageDonation(t *testing.T) {
 	b, err := NewBackend(Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := tee.GuestConfig{Name: "runtime", MemoryMB: 8}
-
 	img, err := b.Snapshot(cfg)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if img.Kind != tee.KindSEV || img.MemoryMB != 8 {
-		t.Fatalf("image identity: kind=%s mem=%d", img.Kind, img.MemoryMB)
+	// ASIDs allocate in order: the template took 1 and gave its pages
+	// back, the restore takes 2.
+	const templateASID, warmASID = 1, 2
+	if got := b.rmp.AssignedPages(templateASID); got != 0 {
+		t.Errorf("template rmp pages after snapshot = %d, want 0", got)
 	}
-	// The template guest is decommissioned after capture; its RMP pages
-	// must not linger.
-	snp, ok := img.Payload.(*snpImage)
-	if !ok {
-		t.Fatalf("payload type %T", img.Payload)
-	}
-	if snp.pages != 8 {
-		t.Fatalf("image pages = %d, want 8", snp.pages)
-	}
-
-	cold, err := b.Launch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Destroy()
 	warm, err := b.Restore(img, cfg)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	defer warm.Destroy()
-
-	if got := warm.BootCost(); got != img.RestoreCost {
-		t.Errorf("warm boot = %v, want restore cost %v", got, img.RestoreCost)
-	}
-	if cold.BootCost() < 3*warm.BootCost() {
-		t.Errorf("cold boot %v not >= 3x warm boot %v", cold.BootCost(), warm.BootCost())
-	}
-
-	// The imported launch digest is what the restored guest attests
-	// with, and it matches an identically-configured cold launch.
-	raw, err := warm.AttestationReport(context.Background(), []byte("warm-nonce"))
-	if err != nil {
-		t.Fatalf("restored attestation: %v", err)
-	}
-	rep, err := UnmarshalReport(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Measurement != snp.digest {
-		t.Error("restored guest reports a different measurement than the image")
-	}
-	coldRaw, err := cold.AttestationReport(context.Background(), []byte("cold-nonce"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRep, err := UnmarshalReport(coldRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldRep.Measurement != rep.Measurement {
-		t.Error("restored measurement differs from an identically-configured cold launch")
-	}
-
-	// The restore replayed the full page donation (snapshot=1, cold
-	// launch=2, restore=3 in allocation order), and destroying the
-	// restored guest reclaims it.
-	const warmASID = 3
-	if got := b.rmp.AssignedPages(warmASID); got != snp.pages {
-		t.Errorf("restored rmp pages = %d, want %d", got, snp.pages)
+	if got := b.rmp.AssignedPages(warmASID); got != cfg.MemoryMB {
+		t.Errorf("restored rmp pages = %d, want %d", got, cfg.MemoryMB)
 	}
 	if err := warm.Destroy(); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.rmp.AssignedPages(warmASID); got != 0 {
 		t.Errorf("rmp pages after destroy = %d, want 0", got)
-	}
-}
-
-func TestBackendRestoreRejectsForeignImage(t *testing.T) {
-	b, err := NewBackend(Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := &tee.GuestImage{Kind: tee.KindCCA, MemoryMB: 8}
-	if _, err := b.Restore(wrong, tee.GuestConfig{}); !errors.Is(err, tee.ErrImageKind) {
-		t.Errorf("wrong kind: %v", err)
-	}
-	badPayload := &tee.GuestImage{Kind: tee.KindSEV, MemoryMB: 8, Payload: 42}
-	if _, err := b.Restore(badPayload, tee.GuestConfig{}); !errors.Is(err, tee.ErrImagePayload) {
-		t.Errorf("bad payload: %v", err)
 	}
 }
 
@@ -124,5 +60,41 @@ func TestLaunchImportConflicts(t *testing.T) {
 	// The imported context is finished: attestation works immediately.
 	if _, err := sp.GuestRequestReport(2, 0, []byte("n")); err != nil {
 		t.Errorf("report after import: %v", err)
+	}
+}
+
+// TestFailedBuildAndImportLeaveNothingBehind squats on a page the next
+// guest's donation will reach, so the measured build and the unmeasured
+// import both fail part-way; the lifecycle must hand back the pages
+// already donated and decommission the half-built context.
+func TestFailedBuildAndImportLeaveNothingBehind(t *testing.T) {
+	b, err := NewBackend(Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tee.GuestConfig{Name: "runtime", MemoryMB: 8}
+	img, err := b.Snapshot(cfg) // ASID 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	const squatter = 99
+	for _, victim := range []uint32{2, 3} {
+		if err := b.rmp.Assign((uint64(victim)<<32|5)*PageSize, squatter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Launch(cfg); !errors.Is(err, ErrPageAssigned) {
+		t.Fatalf("launch over a squatted page: %v", err)
+	}
+	if _, err := b.Restore(img, cfg); !errors.Is(err, ErrPageAssigned) {
+		t.Fatalf("restore over a squatted page: %v", err)
+	}
+	for _, victim := range []uint32{2, 3} {
+		if got := b.rmp.AssignedPages(victim); got != 0 {
+			t.Errorf("ASID %d keeps %d pages after its failed start", victim, got)
+		}
+		if _, err := b.sp.GuestRequestReport(victim, 0, nil); !errors.Is(err, ErrGuestNotLaunched) {
+			t.Errorf("ASID %d still has a launch context: %v", victim, err)
+		}
 	}
 }

@@ -13,10 +13,6 @@ var (
 	// ErrImageKind is returned when an image is restored on a backend
 	// of a different TEE kind.
 	ErrImageKind = errors.New("tee: guest image kind mismatch")
-	// ErrImagePayload is returned when an image's backend-private
-	// payload has the wrong type — the image was produced by a
-	// different backend implementation.
-	ErrImagePayload = errors.New("tee: foreign guest image payload")
 )
 
 // GuestImage is a captured, reusable guest memory image: the product
@@ -33,16 +29,15 @@ type GuestImage struct {
 	// SizeBytes is the image's storage footprint, charged against the
 	// snapshot cache's byte budget.
 	SizeBytes int64
-	// CaptureCost is the one-time virtual cost of producing the image:
-	// the full measured template build plus the per-page export.
-	CaptureCost time.Duration
 	// RestoreCost is the virtual boot cost each restored guest charges
 	// in place of a full measured launch.
 	RestoreCost time.Duration
-	// Payload carries backend-private restore state (the exported TD
-	// image, the SNP launch digest, the realm RIM). Only the backend
-	// that produced the image understands it.
-	Payload any
+	// Measurement is the template's sealed launch measurement (MRTD,
+	// SNP launch digest, RIM); every restored guest attests with it.
+	Measurement []byte
+	// State is the platform's serialized guest state, the same bytes a
+	// MigrationImage of the template would carry.
+	State []byte
 }
 
 // Validate checks that the image is restorable on a backend of kind k.
@@ -50,8 +45,17 @@ func (img *GuestImage) Validate(k Kind) error {
 	if img == nil {
 		return ErrNilImage
 	}
-	if img.Kind != k {
-		return fmt.Errorf("%w: image is %q, backend is %q", ErrImageKind, img.Kind, k)
+	return validateImage(img.Kind, k, img.Measurement)
+}
+
+// validateImage is the identity check restores and imports share.
+func validateImage(got, want Kind, measurement []byte) error {
+	if got != want {
+		return fmt.Errorf("%w: image is %q, backend is %q", ErrImageKind, got, want)
+	}
+	if len(measurement) != MeasurementSize {
+		return fmt.Errorf("%w: got %d bytes, want %d", ErrMeasurementSize,
+			len(measurement), MeasurementSize)
 	}
 	return nil
 }

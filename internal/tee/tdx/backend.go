@@ -3,8 +3,6 @@ package tdx
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"confbench/internal/cpumodel"
 	"confbench/internal/faultplane"
@@ -31,19 +29,13 @@ type Options struct {
 	Faults *faultplane.Plane
 }
 
-// Backend implements tee.Backend for Intel TDX.
+// Backend implements tee.Backend for Intel TDX. Launch, LaunchNormal,
+// Snapshot, Restore, ExportLive and ImportLive are the shared
+// tee.Lifecycle over the TD primitives of the td type.
 type Backend struct {
+	*tee.Lifecycle
 	host   cpumodel.Profile
 	module *Module
-	obsreg *obs.Registry
-	faults *faultplane.Plane
-	seed   int64
-
-	mu       sync.Mutex
-	nextSeed int64
-	// live maps running guest IDs to their TD ids — the handle
-	// ExportLive needs to reach the TD behind a tee.Guest.
-	live map[string]uint64
 }
 
 var (
@@ -67,15 +59,20 @@ func NewBackend(opts Options) (*Backend, error) {
 	if opts.Obs != nil {
 		module.SetObsRegistry(opts.Obs)
 	}
-	return &Backend{
-		host:     opts.Host,
-		module:   module,
-		obsreg:   opts.Obs,
-		faults:   opts.Faults,
-		seed:     opts.Seed,
-		nextSeed: opts.Seed + 1,
-		live:     make(map[string]uint64),
-	}, nil
+	b := &Backend{host: opts.Host, module: module}
+	b.Lifecycle = tee.NewLifecycle(tee.Platform{
+		Kind:           tee.KindTDX,
+		IDPrefix:       "td",
+		NormalIDPrefix: "vm",
+		Model:          b.CostModel(),
+		NormalModel:    tee.NormalCostModel(),
+		BootBase:       bootBaseNs,
+		NewContext:     func() tee.Context { return &td{module: module} },
+		Seed:           opts.Seed,
+		Obs:            opts.Obs,
+		Faults:         opts.Faults,
+	})
+	return b, nil
 }
 
 // Kind implements tee.Backend.
@@ -92,16 +89,6 @@ func (b *Backend) HostProfile() cpumodel.Profile { return b.host }
 // Module exposes the simulated TDX module, used by the DCAP
 // attestation stack to locally verify TDREPORT MACs.
 func (b *Backend) Module() *Module { return b.module }
-
-func (b *Backend) guestSeed(cfg tee.GuestConfig) int64 {
-	if cfg.Seed != 0 {
-		return cfg.Seed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nextSeed++
-	return b.nextSeed
-}
 
 // CostModel returns the confidential-guest cost model for the loaded
 // firmware. Calibration targets the paper's shapes: near-native CPU
@@ -164,155 +151,115 @@ func firmwarePenalty(cm tee.CostModel, f float64) tee.CostModel {
 // bootBaseNs is the plain-VM boot cost on this host class.
 const bootBaseNs = 2.1e9
 
-// buildTD walks the measured TD build flow (TDH.MNG.CREATE → INIT →
-// measured page adds → TDH.MR.FINALIZE) and returns the finalized TD
-// id, not yet entered.
-func (b *Backend) buildTD(cfg tee.GuestConfig) (uint64, error) {
-	id, err := b.module.TDHMngCreate()
+// tdState is the serialized form of a TD: the attested identity minus
+// the MRTD (which travels in the image's Measurement field, where the
+// destination's attestation gate verifies it) plus the private page
+// set as page frame numbers. A measured build lists them in ascending
+// order, so the same TD always serializes to the same bytes — the
+// migration smoke pins on that.
+type tdState struct {
+	Attributes uint64   `json:"attributes"`
+	Xfam       uint64   `json:"xfam"`
+	Pages      []uint64 `json:"pages"`
+}
+
+// PageCount implements tee.State.
+func (s *tdState) PageCount() int { return len(s.Pages) }
+
+// maxPFN is the first page frame number past the 52-bit guest-physical
+// address space.
+const maxPFN = 1 << 52 / PageSize
+
+// td is one trust domain as the shared lifecycle drives it.
+type td struct {
+	module *Module
+	id     uint64 // 0 until the module has created the TD
+	st     tdState
+}
+
+var _ tee.Context = (*td)(nil)
+
+// State implements tee.Context.
+func (t *td) State() tee.State { return &t.st }
+
+// Build implements tee.Context: TDH.MNG.CREATE → INIT → measured page
+// adds → TDH.MR.FINALIZE → TDH.VP.ENTER.
+func (t *td) Build(cfg tee.GuestConfig) error {
+	id, err := t.module.TDHMngCreate()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := b.module.TDHMngInit(id, 0x0000_0000_1000_0000, 0xe7); err != nil {
-		return 0, err
+	t.id = id
+	t.st.Attributes, t.st.Xfam = 0x0000_0000_1000_0000, 0xe7
+	if err := t.module.TDHMngInit(id, t.st.Attributes, t.st.Xfam); err != nil {
+		return err
 	}
 	// Measure a boot image: one page per MiB of guest memory stands in
 	// for the kernel+initrd pages added via TDH.MEM.PAGE.ADD.
 	for i := 0; i < cfg.MemoryMB; i++ {
-		gpa := uint64(i) * PageSize
+		pfn := uint64(i)
 		content := []byte(fmt.Sprintf("boot-image:%s:%d", cfg.Name, i))
-		if err := b.module.TDHMemPageAdd(id, gpa, content); err != nil {
-			return 0, err
+		if err := t.module.TDHMemPageAdd(id, pfn*PageSize, content); err != nil {
+			return err
 		}
+		t.st.Pages = append(t.st.Pages, pfn)
 	}
-	if err := b.module.TDHMrFinalize(id); err != nil {
-		return 0, err
+	if err := t.module.TDHMrFinalize(id); err != nil {
+		return err
 	}
-	return id, nil
+	return t.module.TDHVPEnter(id)
 }
 
-// forgetTD drops the live-tracking entry of a destroyed TD.
-func (b *Backend) forgetTD(id uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for gid, tid := range b.live {
-		if tid == id {
-			delete(b.live, gid)
+// Import implements tee.Context: TDH.IMPORT.MEM installs the sealed
+// MRTD and the page set with re-measurement skipped, and the imported
+// TD is entered. TDH.IMPORT.MEM takes the page list as given, so the
+// pages TDH.MEM.PAGE.ADD would have refused are refused here: the list
+// must be strictly ascending, the order a measured build produces
+// (which rules out a frame listed twice), and stay inside the
+// guest-physical address space.
+func (t *td) Import(mrtd tee.Measurement) error {
+	for i, pfn := range t.st.Pages {
+		if pfn >= maxPFN {
+			return fmt.Errorf("%w: page frame %#x outside the guest-physical space", tee.ErrBadMigrationState, pfn)
+		}
+		if i > 0 && pfn <= t.st.Pages[i-1] {
+			return fmt.Errorf("%w: page frame %#x repeated or out of order", tee.ErrBadMigrationState, pfn)
 		}
 	}
-}
-
-// guestForTD wraps an entered TD id into a ModelGuest and tracks it
-// live so ExportLive can find the TD again.
-func (b *Backend) guestForTD(id uint64, cfg tee.GuestConfig, restoreCost time.Duration, restored bool) tee.Guest {
-	mod := b.module
-	g := tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix:         "td",
-		Kind:             tee.KindTDX,
-		Secure:           true,
-		Model:            b.CostModel(),
-		BootBase:         bootBaseNs,
-		BootCostOverride: restoreCost,
-		Restored:         restored,
-		Seed:             b.guestSeed(cfg),
-		Obs:              b.obsreg,
-		Faults:           b.faults,
-		Host:             cfg.Name,
-		Report: func(_ context.Context, nonce []byte) ([]byte, error) {
-			r, err := mod.TDGMrReport(id, nonce)
-			if err != nil {
-				return nil, err
-			}
-			return r.Marshal()
-		},
-		Destroy: func() error {
-			b.forgetTD(id)
-			return mod.TDHMngRemove(id)
-		},
+	id, err := t.module.TDHImportMem(&TDImage{
+		Attributes: t.st.Attributes, Xfam: t.st.Xfam, MRTD: mrtd, Pages: t.st.Pages,
 	})
-	b.mu.Lock()
-	b.live[g.ID()] = id
-	b.mu.Unlock()
-	return g
+	if err != nil {
+		return err
+	}
+	t.id = id
+	return t.module.TDHVPEnter(id)
 }
 
-// Launch implements tee.Backend: it walks the full TD build flow
-// (TDH.MNG.CREATE → INIT → measured page adds → TDH.MR.FINALIZE →
-// TDH.VP.ENTER) and returns a running confidential guest.
-func (b *Backend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	id, err := b.buildTD(cfg)
+// Measurement implements tee.Context: TDH.EXPORT.MEM on the running TD
+// (the TDX 1.5 migration-TD stream source) reads the MRTD back. Export
+// does not change the TD's state.
+func (t *td) Measurement() (tee.Measurement, error) {
+	img, err := t.module.TDHExportMem(t.id)
 	if err != nil {
-		return nil, fmt.Errorf("tdx launch: %w", err)
+		return tee.Measurement{}, err
 	}
-	if err := b.module.TDHVPEnter(id); err != nil {
-		return nil, fmt.Errorf("tdx launch: %w", err)
-	}
-	return b.guestForTD(id, cfg, 0, false), nil
+	return img.MRTD, nil
 }
 
-// Snapshot implements tee.Snapshotter: one full measured template
-// build, exported via TDH.EXPORT.MEM, then torn down. The image's
-// capture cost prices that build; its restore cost is what every TD
-// imported from it charges as boot.
-func (b *Backend) Snapshot(cfg tee.GuestConfig) (*tee.GuestImage, error) {
-	cfg = cfg.WithDefaults()
-	id, err := b.buildTD(cfg)
+// Report implements tee.Context: a MAC'd TDREPORT via TDG.MR.REPORT.
+func (t *td) Report(_ context.Context, nonce []byte) ([]byte, error) {
+	r, err := t.module.TDGMrReport(t.id, nonce)
 	if err != nil {
-		return nil, fmt.Errorf("tdx snapshot: %w", err)
+		return nil, err
 	}
-	img, err := b.module.TDHExportMem(id)
-	if err != nil {
-		_ = b.module.TDHMngRemove(id)
-		return nil, fmt.Errorf("tdx snapshot: %w", err)
-	}
-	if err := b.module.TDHMngRemove(id); err != nil {
-		return nil, fmt.Errorf("tdx snapshot: %w", err)
-	}
-	cm := b.CostModel()
-	return &tee.GuestImage{
-		Kind:        tee.KindTDX,
-		MemoryMB:    cfg.MemoryMB,
-		SizeBytes:   int64(cfg.MemoryMB) << 20,
-		CaptureCost: time.Duration(bootBaseNs) + cm.BootCost() + cm.SnapshotCost(cfg.MemoryMB),
-		RestoreCost: cm.RestoreCost(cfg.MemoryMB),
-		Payload:     img,
-	}, nil
+	return r.Marshal()
 }
 
-// Restore implements tee.Snapshotter: TDH.IMPORT.MEM installs the
-// image's measurement and page set with re-measurement skipped, and
-// the imported TD is entered. The restored guest charges the image's
-// restore cost as its boot.
-func (b *Backend) Restore(img *tee.GuestImage, cfg tee.GuestConfig) (tee.Guest, error) {
-	if err := img.Validate(tee.KindTDX); err != nil {
-		return nil, fmt.Errorf("tdx restore: %w", err)
+// Teardown implements tee.Context.
+func (t *td) Teardown() error {
+	if t.id == 0 {
+		return nil
 	}
-	tdImg, ok := img.Payload.(*TDImage)
-	if !ok {
-		return nil, fmt.Errorf("tdx restore: %w", tee.ErrImagePayload)
-	}
-	cfg = cfg.WithDefaults()
-	id, err := b.module.TDHImportMem(tdImg)
-	if err != nil {
-		return nil, fmt.Errorf("tdx restore: %w", err)
-	}
-	if err := b.module.TDHVPEnter(id); err != nil {
-		_ = b.module.TDHMngRemove(id)
-		return nil, fmt.Errorf("tdx restore: %w", err)
-	}
-	return b.guestForTD(id, cfg, img.RestoreCost, true), nil
-}
-
-// LaunchNormal implements tee.Backend: a plain VM on the same host.
-func (b *Backend) LaunchNormal(cfg tee.GuestConfig) (tee.Guest, error) {
-	cfg = cfg.WithDefaults()
-	return tee.NewModelGuest(tee.ModelGuestConfig{
-		IDPrefix: "vm",
-		Kind:     tee.KindNone,
-		Secure:   false,
-		Model:    tee.NormalCostModel(),
-		BootBase: bootBaseNs,
-		Seed:     b.guestSeed(cfg),
-		Obs:      b.obsreg,
-	}), nil
+	return t.module.TDHMngRemove(t.id)
 }

@@ -1,96 +1,9 @@
 package tdx
 
 import (
-	"context"
 	"errors"
 	"testing"
-
-	"confbench/internal/tee"
 )
-
-func TestBackendSnapshotRestore(t *testing.T) {
-	b, err := NewBackend(Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tee.GuestConfig{Name: "runtime", MemoryMB: 8}
-
-	img, err := b.Snapshot(cfg)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	if img.Kind != tee.KindTDX || img.MemoryMB != 8 {
-		t.Fatalf("image identity: kind=%s mem=%d", img.Kind, img.MemoryMB)
-	}
-	if img.SizeBytes != int64(8)<<20 {
-		t.Errorf("image size = %d, want %d", img.SizeBytes, int64(8)<<20)
-	}
-
-	cold, err := b.Launch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Destroy()
-	warm, err := b.Restore(img, cfg)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	defer warm.Destroy()
-
-	if got := warm.BootCost(); got != img.RestoreCost {
-		t.Errorf("warm boot = %v, want restore cost %v", got, img.RestoreCost)
-	}
-	if cold.BootCost() < 3*warm.BootCost() {
-		t.Errorf("cold boot %v not >= 3x warm boot %v", cold.BootCost(), warm.BootCost())
-	}
-
-	// The measured identity survives the export/import round trip: the
-	// restored TD attests with the same MRTD the template was built to.
-	ti, ok := img.Payload.(*TDImage)
-	if !ok {
-		t.Fatalf("payload type %T", img.Payload)
-	}
-	raw, err := warm.AttestationReport(context.Background(), []byte("warm-nonce"))
-	if err != nil {
-		t.Fatalf("restored attestation: %v", err)
-	}
-	rep, err := UnmarshalReport(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MRTD != ti.MRTD {
-		t.Error("restored TD reports a different MRTD than the image")
-	}
-	coldRaw, err := cold.AttestationReport(context.Background(), []byte("cold-nonce"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRep, err := UnmarshalReport(coldRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldRep.MRTD != rep.MRTD {
-		t.Error("restored MRTD differs from an identically-configured cold launch")
-	}
-}
-
-func TestBackendRestoreRejectsForeignImage(t *testing.T) {
-	b, err := NewBackend(Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Restore(nil, tee.GuestConfig{}); !errors.Is(err, tee.ErrNilImage) {
-		t.Errorf("nil image: %v", err)
-	}
-	wrong := &tee.GuestImage{Kind: tee.KindSEV, MemoryMB: 8}
-	if _, err := b.Restore(wrong, tee.GuestConfig{}); !errors.Is(err, tee.ErrImageKind) {
-		t.Errorf("wrong kind: %v", err)
-	}
-	badPayload := &tee.GuestImage{Kind: tee.KindTDX, MemoryMB: 8, Payload: "not a TDImage"}
-	if _, err := b.Restore(badPayload, tee.GuestConfig{}); !errors.Is(err, tee.ErrImagePayload) {
-		t.Errorf("bad payload: %v", err)
-	}
-}
 
 func TestTDHExportImportMem(t *testing.T) {
 	m := NewModule(CurrentFirmware, 1)

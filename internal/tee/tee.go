@@ -17,9 +17,6 @@ package tee
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"confbench/internal/cpumodel"
@@ -150,53 +147,4 @@ type Backend interface {
 	// LaunchNormal starts a plain guest on the same host, used as the
 	// normal-VM baseline of the paper's experiments.
 	LaunchNormal(cfg GuestConfig) (Guest, error)
-}
-
-// Registry maps kinds to backends, mirroring the gateway configuration
-// file that "maps TEEs and their interface ports" (§III-A).
-type Registry struct {
-	mu       sync.RWMutex
-	backends map[Kind]Backend
-}
-
-// NewRegistry returns an empty backend registry.
-func NewRegistry() *Registry {
-	return &Registry{backends: make(map[Kind]Backend, 4)}
-}
-
-// Register installs a backend; re-registering a kind replaces it.
-func (r *Registry) Register(b Backend) error {
-	if b == nil {
-		return errors.New("tee: nil backend")
-	}
-	if !b.Kind().Valid() || b.Kind() == KindNone {
-		return fmt.Errorf("tee: cannot register backend of kind %q", b.Kind())
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.backends[b.Kind()] = b
-	return nil
-}
-
-// Lookup returns the backend for kind k.
-func (r *Registry) Lookup(k Kind) (Backend, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	b, ok := r.backends[k]
-	if !ok {
-		return nil, fmt.Errorf("tee: no backend registered for %q", k)
-	}
-	return b, nil
-}
-
-// Kinds lists the registered kinds in stable order.
-func (r *Registry) Kinds() []Kind {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Kind, 0, len(r.backends))
-	for k := range r.backends {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

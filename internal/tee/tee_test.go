@@ -293,44 +293,3 @@ func TestGuestIDsUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
-
-type fakeBackend struct{ kind Kind }
-
-func (f *fakeBackend) Kind() Kind                              { return f.kind }
-func (f *fakeBackend) Name() string                            { return string(f.kind) }
-func (f *fakeBackend) HostProfile() cpumodel.Profile           { return cpumodel.XeonGold5515 }
-func (f *fakeBackend) Launch(GuestConfig) (Guest, error)       { return nil, nil }
-func (f *fakeBackend) LaunchNormal(GuestConfig) (Guest, error) { return nil, nil }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register(&fakeBackend{kind: KindTDX}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(&fakeBackend{kind: KindSEV}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Lookup(KindTDX); err != nil {
-		t.Error(err)
-	}
-	if _, err := r.Lookup(KindCCA); err == nil {
-		t.Error("unregistered kind should error")
-	}
-	kinds := r.Kinds()
-	if len(kinds) != 2 || kinds[0] != KindSEV || kinds[1] != KindTDX {
-		t.Errorf("Kinds = %v", kinds)
-	}
-}
-
-func TestRegistryRejectsInvalid(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register(nil); err == nil {
-		t.Error("nil backend should be rejected")
-	}
-	if err := r.Register(&fakeBackend{kind: KindNone}); err == nil {
-		t.Error("none kind should be rejected")
-	}
-	if err := r.Register(&fakeBackend{kind: Kind("bogus")}); err == nil {
-		t.Error("bogus kind should be rejected")
-	}
-}
