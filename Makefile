@@ -8,19 +8,22 @@ GO ?= go
 # metrics registry, the warm guest pool's refill goroutine, the
 # live-migration engine's chunk-resume path, the SLO engine
 # (evaluated from federation sweeps while handlers read its status),
-# and what that refill goroutine drives while a drain exports beside
-# it: the shared TEE guest lifecycle and the snapshot cache.
-RACE_PKGS = ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+# what that refill goroutine drives while a drain exports beside
+# it: the shared TEE guest lifecycle and the snapshot cache, and the
+# scenario runner, whose goroutine-leak check and restart step close and
+# re-boot whole deployments.
+RACE_PKGS = ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the
 # sharded front tier, the front-door server, the warm-pool/snapshot-cache subsystem, the
 # telemetry plane, the persistence plane's log, the live-migration
-# engine, and the SLO engine.
+# engine, the SLO engine, and the scenario runner every drill goes
+# through.
 COVER_FLOOR ?= 70
-COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
+COVER_PKGS = ./internal/drill ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
 
-.PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics lint-routes verify
+.PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes verify
 
 build:
 	$(GO) build ./...
@@ -61,65 +64,26 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParseSpec$$' -fuzztime 5s ./internal/faultplane
 	$(GO) test -run xxx -fuzz 'FuzzParseSpecs$$' -fuzztime 5s ./internal/faultplane
 	$(GO) test -run xxx -fuzz 'FuzzSplit$$' -fuzztime 5s ./internal/colonspec
+	$(GO) test -run xxx -fuzz 'FuzzParseScenario$$' -fuzztime 5s ./internal/drill
 	$(GO) test -run xxx -fuzz 'FuzzWireDecode$$' -fuzztime 5s ./internal/api
 	$(GO) test -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate
 
-# End-to-end observability check: boot a cluster, run a mixed batch of
-# invocations, and assert the /v1/obs plane (route counters, pool
-# checkouts, TEE transition counters) reports consistent values.
-obs-smoke:
-	$(GO) test -run TestObsSmoke -count=1 .
-
-# End-to-end chaos check: with one of two hosts in a pool
-# hard-erroring via the fault plane, a 100-invoke run must finish with
-# zero client-visible failures, the faulted endpoints' breakers must
-# read open, and the same seed must reproduce the identical
-# injected-fault sequence. Runs under the race detector — the
-# breaker/retry path is the most concurrent code in the gateway.
-chaos-smoke:
-	$(GO) test -race -run TestChaosSmoke -count=1 .
-
-# End-to-end telemetry check: federation over multiple hosts, the
-# pinned windowed invoke rate, and the flight-recorder postmortem on
-# an exhausted-retry invoke.
-telemetry-smoke:
-	$(GO) test -run TestTelemetry -count=1 .
-
-# End-to-end front-tier check: a seeded two-shard deployment absorbs
-# one shard being killed mid-bench with zero client-visible failures,
-# an over-quota tenant is shed with 503 + Retry-After that the client
-# honors, and the shed counters surface in the shard-federated
-# snapshot. Runs under the race detector — the tier's admission
-# queues, shard breakers, and async completions are concurrent.
-fronttier-smoke:
-	$(GO) test -race -run TestFrontTierSmoke -count=1 .
-
-# End-to-end durability check: committed minidb batches survive a
-# crash that tears the log tail, and a cluster rebooted on the same
-# durable dir serves restart-spanning windowed rates and replayed
-# flight-recorder events.
-durability-smoke:
-	$(GO) test -run TestDurabilitySmoke -count=1 .
-
-# End-to-end live-migration check: a seeded two-host SEV deployment
-# drains one host mid-bench under 1% migrate.stream chaos with zero
-# client-visible invoke failures, both the serving and warm guests
-# live-migrate behind the attestation gate, and the reported downtime
-# is bit-identical across same-seed runs. Runs under the race detector
-# — the drain path quiesces pools while invokes are in flight.
-migration-smoke:
-	$(GO) test -race -run TestMigrationSmoke -count=1 .
-
-# End-to-end SLO check: a seeded sharded deployment under chaos drives
-# one availability objective through the full warn → firing → resolved
-# → ok alert cycle with a byte-identical timeline across same-seed
-# runs, and a durable single-gateway and a durable sharded deployment
-# each prove the timeline survives a restart through the federating
-# layer's telemetry spill.
-slo-smoke:
-	$(GO) test -run TestSLOSmoke -count=1 .
+# Every cluster drill, as data: each scenarios/*.spec is driven by the
+# one runner (internal/drill) through the table in scenarios_test.go —
+# twice per carrier, the whole report compared byte for byte — with
+# zero unmarked client-visible failures, the wanted SLO verdict, no
+# goroutine outliving Close, and that scenario's own assertions (open
+# breakers, retries = injected faults, the warn → firing → resolved →
+# ok cycle on the sweep instants, the timeline surviving a restart, 503
+# + Retry-After for the greedy tenant, single-gateway and two-shard
+# plane readings equal). Under the race detector: the breaker/retry
+# path, the tier's admission queues and the drain's quiesce all run
+# while invokes are in flight. `confbench-bench -scenario FILE` runs one
+# spec by hand.
+scenarios:
+	$(GO) test -race -run TestScenarios -count=1 .
 
 # Static metric-naming lint: every literal metric family registered in
 # the tree must start with confbench_, counters must end in _total,
@@ -146,8 +110,7 @@ benchmark-check:
 # Full pre-merge check: compile, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the
 # concurrency-sensitive packages, the coverage floor, the metric-naming
-# and route-registration lints, and the observability/chaos/telemetry/
-# front-tier/durability/migration/SLO smokes. Performance is gated
+# and route-registration lints, and the scenarios. Performance is gated
 # outside it, by the repo's benchmark (BENCHMARK.json, `bash
 # benchmark/run.sh`).
-verify: build vet test benchmark-check race cover-floor lint-metrics lint-routes obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke
+verify: build vet test benchmark-check race cover-floor lint-metrics lint-routes scenarios

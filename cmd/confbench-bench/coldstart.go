@@ -28,27 +28,13 @@ type coldstartRow struct {
 // virtual time or deterministic counters, so the same seed yields a
 // bit-identical report.
 func coldstartReport(ctx context.Context, seed int64, memMB int) (string, []coldstartRow, error) {
-	reg := confbench.NewObsRegistry()
-	// High watermark 2 / low watermark 1: acquiring one guest per host
-	// leaves idle exactly at the low watermark, so no background refill
-	// fires and the run stays deterministic.
-	cluster, err := confbench.New(
-		confbench.WithSeed(seed),
-		confbench.WithGuestMemoryMB(memMB),
-		confbench.WithWarmPool(2),
-		confbench.WithSnapshotCacheMB(256),
-		confbench.WithObsRegistry(reg),
-	)
+	const fn = "coldstart-cpustress"
+	cluster, err := warmBed(ctx, seed, memMB, 1, fn)
 	if err != nil {
 		return "", nil, err
 	}
 	defer cluster.Close()
-
 	client := cluster.Client()
-	fn := confbench.Function{Name: "coldstart-cpustress", Language: "go", Workload: "cpustress"}
-	if err := client.Upload(ctx, fn); err != nil {
-		return "", nil, err
-	}
 
 	var rows []coldstartRow
 	for _, kind := range cluster.Kinds() {
@@ -58,24 +44,13 @@ func coldstartReport(ctx context.Context, seed int64, memMB int) (string, []cold
 		}
 		row := coldstartRow{Kind: kind, WarmBoot: pair.Secure.Guest().BootCost()}
 
-		// Cold probe: a fresh measured launch on the same backend, torn
-		// down immediately — its BootCost is what the warm path skipped.
-		backend, err := cluster.Backend(kind)
-		if err != nil {
-			return "", nil, err
-		}
-		probe, err := backend.Launch(tee.GuestConfig{Name: "cold-probe", MemoryMB: memMB})
-		if err != nil {
-			return "", nil, fmt.Errorf("cold probe (%s): %w", kind, err)
-		}
-		row.ColdBoot = probe.BootCost()
-		if err := probe.Destroy(); err != nil {
+		if row.ColdBoot, err = coldProbe(cluster, kind, memMB); err != nil {
 			return "", nil, err
 		}
 
 		for _, secure := range []bool{true, false} {
 			resp, err := client.Invoke(ctx, confbench.InvokeRequest{
-				Function: fn.Name, Secure: secure, TEE: kind, Scale: 1,
+				Function: fn, Secure: secure, TEE: kind, Scale: 1,
 			})
 			if err != nil {
 				return "", nil, fmt.Errorf("invoke (%s secure=%v): %w", kind, secure, err)
@@ -101,7 +76,7 @@ func coldstartReport(ctx context.Context, seed int64, memMB int) (string, []cold
 			float64(r.WallSecure)/float64(r.WallNormal))
 	}
 
-	snap := reg.Snapshot()
+	snap := cluster.Obs().Snapshot()
 	fmt.Fprintf(&b, "\nwarm-path metrics:\n")
 	for _, kind := range cluster.Kinds() {
 		hits := snap.Counters[obs.MetricID("confbench_warm_hits_total", "tee", string(kind))]

@@ -6,7 +6,7 @@ import (
 )
 
 // TestColdstartReportDeterministic pins the headline acceptance
-// property of the -coldstart mode: the same seed renders a
+// property of -fig coldstart: the same seed renders a
 // bit-identical report, every platform's warm restore is at least 3x
 // cheaper than its cold boot, and the warm pool actually served the
 // benchmark (hits > 0 is asserted structurally via the rows having a
@@ -52,5 +52,18 @@ func TestColdstartReportDeterministic(t *testing.T) {
 		if r.ColdBoot < 3*r.WarmBoot {
 			t.Errorf("seed 7 %s: cold boot %v not >= 3x warm boot %v", r.Kind, r.ColdBoot, r.WarmBoot)
 		}
+	}
+}
+
+// TestFigColdstartIsTheReport: `-fig coldstart` (the former -coldstart
+// flag) prints exactly the report, and "all" does not include it.
+func TestFigColdstartIsTheReport(t *testing.T) {
+	want, _, err := coldstartReport(context.Background(), 7, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCaptured(t, "-fig", "coldstart", "-seed", "7")
+	if err != nil || got != want {
+		t.Errorf("-fig coldstart printed (err %v):\n%s\nwant:\n%s", err, got, want)
 	}
 }

@@ -38,28 +38,13 @@ type migrationRow struct {
 // deterministic counters, so the same seed yields a bit-identical
 // report.
 func migrationReport(ctx context.Context, seed int64, memMB int) (string, []migrationRow, error) {
-	reg := confbench.NewObsRegistry()
-	// High 2 / low 1 as in the coldstart bench: each host's serving
-	// acquire leaves idle exactly at the low watermark, so no
-	// background refill races the run.
-	cluster, err := confbench.New(
-		confbench.WithSeed(seed),
-		confbench.WithGuestMemoryMB(memMB),
-		confbench.WithWarmPool(2),
-		confbench.WithSnapshotCacheMB(256),
-		confbench.WithHostsPerTEE(2),
-		confbench.WithObsRegistry(reg),
-	)
+	const fn = "migration-cpustress"
+	cluster, err := warmBed(ctx, seed, memMB, 2, fn)
 	if err != nil {
 		return "", nil, err
 	}
 	defer cluster.Close()
-
 	client := cluster.Client()
-	fn := confbench.Function{Name: "migration-cpustress", Language: "go", Workload: "cpustress"}
-	if err := client.Upload(ctx, fn); err != nil {
-		return "", nil, err
-	}
 
 	var rows []migrationRow
 	for _, kind := range cluster.Kinds() {
@@ -67,14 +52,9 @@ func migrationReport(ctx context.Context, seed int64, memMB int) (string, []migr
 		if err != nil {
 			return "", nil, err
 		}
-
 		// Cold probe: what a kill-and-reboot failover would cost.
-		probe, err := backend.Launch(tee.GuestConfig{Name: "cold-probe", MemoryMB: memMB})
-		if err != nil {
-			return "", nil, fmt.Errorf("cold probe (%s): %w", kind, err)
-		}
-		row := migrationRow{Kind: kind, ColdBoot: probe.BootCost()}
-		if err := probe.Destroy(); err != nil {
+		row := migrationRow{Kind: kind}
+		if row.ColdBoot, err = coldProbe(cluster, kind, memMB); err != nil {
 			return "", nil, err
 		}
 
@@ -104,7 +84,7 @@ func migrationReport(ctx context.Context, seed int64, memMB int) (string, []migr
 		// streamed bytes cross the secure boundary like bounce-buffered
 		// writes, so the TEE's cost model prices the drain's I/O bill.
 		resp, err := client.Invoke(ctx, confbench.InvokeRequest{
-			Function: fn.Name, Secure: true, TEE: kind, Scale: 1,
+			Function: fn, Secure: true, TEE: kind, Scale: 1,
 		})
 		if err != nil {
 			return "", nil, fmt.Errorf("post-drain invoke (%s): %w", kind, err)
@@ -131,7 +111,7 @@ func migrationReport(ctx context.Context, seed int64, memMB int) (string, []migr
 			r.Migrated, r.Resumes, r.Bytes, r.XferCost)
 	}
 
-	snap := reg.Snapshot()
+	snap := cluster.Obs().Snapshot()
 	fmt.Fprintf(&b, "\nmigration metrics:\n")
 	for _, kind := range []tee.Kind{tee.KindCCA, tee.KindSEV, tee.KindTDX} {
 		k := string(kind)

@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"confbench/internal/api"
 	"confbench/internal/slo"
@@ -36,41 +34,6 @@ func cmdAlerts(ctx context.Context, client *api.Client, args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(map[string]any{"objectives": statuses, "alerts": timeline})
 	}
-	fmt.Print(renderAlerts(statuses, timeline))
+	fmt.Print(slo.Render(statuses, timeline))
 	return nil
-}
-
-// renderAlerts renders the status table and timeline. Pure, so tests
-// can pin its output.
-func renderAlerts(statuses []slo.Status, timeline []slo.Transition) string {
-	var b strings.Builder
-	if len(statuses) == 0 {
-		b.WriteString("no SLO objectives configured\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-24s %-12s %-16s %-9s %9s %9s %9s\n",
-		"OBJECTIVE", "KIND", "TARGET", "STATE", "BURN(S)", "BURN(L)", "BUDGET")
-	for _, s := range statuses {
-		name := s.Objective
-		if s.TEE != "" {
-			name += "[" + s.TEE + "]"
-		}
-		fmt.Fprintf(&b, "%-24s %-12s %-16s %-9s %8.2fx %8.2fx %8.1f%%\n",
-			name, s.Kind, s.Target, s.State, s.BurnShort, s.BurnLong, 100*s.BudgetRemaining)
-	}
-	if len(timeline) == 0 {
-		b.WriteString("no alert transitions recorded\n")
-		return b.String()
-	}
-	b.WriteString("timeline:\n")
-	for _, tr := range timeline {
-		trace := tr.Trace
-		if trace == "" {
-			trace = "-"
-		}
-		fmt.Fprintf(&b, "  %s  %-24s %s  trace=%s\n",
-			time.Unix(0, tr.AtUnixNs).UTC().Format(time.RFC3339),
-			tr.Objective, tr.Detail, trace)
-	}
-	return b.String()
 }

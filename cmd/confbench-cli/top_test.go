@@ -110,43 +110,6 @@ func TestAlertCell(t *testing.T) {
 	}
 }
 
-// TestRenderAlerts pins the alerts subcommand's table and timeline.
-func TestRenderAlerts(t *testing.T) {
-	statuses := []slo.Status{
-		{Objective: "avail", Kind: slo.KindAvailability, Target: "success>=99%",
-			State: slo.StateFiring, BurnShort: 28.57, BurnLong: 18.18, BudgetRemaining: -1.857},
-		{Objective: "tdx-lat", Kind: slo.KindLatency, Target: "p99<250ms", TEE: "tdx",
-			State: slo.StateOK, BudgetRemaining: 1},
-	}
-	timeline := []slo.Transition{
-		{Objective: "avail", From: slo.StateOK, To: slo.StateWarn,
-			AtUnixNs: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC).UnixNano(),
-			Trace:    "inv-31", Detail: "ok->warn short=6.45x long=3.28x budget=0.871"},
-		{Objective: "avail", From: slo.StateWarn, To: slo.StateFiring,
-			AtUnixNs: time.Date(2026, 8, 8, 12, 0, 10, 0, time.UTC).UnixNano(),
-			Detail:   "warn->firing short=28.57x long=18.18x budget=-1.857"},
-	}
-	out := renderAlerts(statuses, timeline)
-	for _, want := range []string{
-		"OBJECTIVE", "BURN(S)", "BUDGET",
-		"avail", "firing", "28.57x", "-185.7%",
-		"tdx-lat[tdx]", "p99<250ms",
-		"timeline:",
-		"2026-08-08T12:00:00Z", "ok->warn", "trace=inv-31",
-		"2026-08-08T12:00:10Z", "warn->firing", "trace=-",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("renderAlerts missing %q:\n%s", want, out)
-		}
-	}
-	if got := renderAlerts(nil, nil); !strings.Contains(got, "no SLO objectives") {
-		t.Errorf("empty statuses = %q", got)
-	}
-	if got := renderAlerts(statuses, nil); !strings.Contains(got, "no alert transitions") {
-		t.Errorf("empty timeline missing notice:\n%s", got)
-	}
-}
-
 // TestBreakerStateName pins the gauge-value → label mapping.
 func TestBreakerStateName(t *testing.T) {
 	for v, want := range map[int64]string{0: "closed", 1: "open", 2: "half-open", 7: "closed"} {

@@ -5,8 +5,10 @@
 //	a:b:c[:key=value...][,a:b:c...]
 //
 // Three positional tokens, then key=value options, several specs
-// comma-separated. The package only splits; what the tokens mean, and
-// which of them are valid, stays with each grammar's parser.
+// comma-separated — and the scenario files' step lines (internal/drill),
+// whose bare words and key=value options Words tells apart. The package
+// only splits; what the tokens mean, and which of them are valid, stays
+// with each grammar's parser.
 package colonspec
 
 import (
@@ -45,4 +47,22 @@ func Split(s, usage string) (pos [3]string, opts []Option, err error) {
 		opts = append(opts, Option{Key: key, Value: value})
 	}
 	return pos, opts, nil
+}
+
+// Words tokenizes the colon-separated remainder of a scenario line
+// (what follows the verb, e.g. "30:tee=tdx:fail") into its bare words
+// and its key=value options, each in written order. An empty remainder
+// holds neither.
+func Words(s string) (words []string, opts []Option) {
+	if s == "" {
+		return nil, nil
+	}
+	for _, tok := range strings.Split(s, ":") {
+		if key, value, ok := strings.Cut(tok, "="); ok {
+			opts = append(opts, Option{Key: key, Value: value})
+		} else {
+			words = append(words, tok)
+		}
+	}
+	return words, opts
 }

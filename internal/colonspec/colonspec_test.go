@@ -35,6 +35,22 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+func TestWords(t *testing.T) {
+	words, opts := Words("30:tee=tdx:async:msg=a=b:fail:empty=")
+	if want := []string{"30", "async", "fail"}; !reflect.DeepEqual(words, want) {
+		t.Errorf("words = %q, want %q", words, want)
+	}
+	if want := []Option{{"tee", "tdx"}, {"msg", "a=b"}, {"empty", ""}}; !reflect.DeepEqual(opts, want) {
+		t.Errorf("opts = %+v, want %+v", opts, want)
+	}
+	if words, opts := Words(""); words != nil || opts != nil {
+		t.Errorf("Words(\"\") = %q, %+v; want neither", words, opts)
+	}
+	if words, _ := Words(":"); !reflect.DeepEqual(words, []string{"", ""}) {
+		t.Errorf("Words(\":\") = %q, want two empty words", words)
+	}
+}
+
 // FuzzSplit: the tokenizer never panics, and whatever it accepts it
 // only cut apart — joining the tokens back gives the input, and no key
 // holds the separator its value was cut at.
@@ -50,6 +66,15 @@ func FuzzSplit(f *testing.F) {
 		for _, item := range List(s) {
 			if item != strings.TrimSpace(item) || strings.Contains(item, ",") {
 				t.Fatalf("List(%q) left item %q untrimmed or unsplit", s, item)
+			}
+		}
+		words, wopts := Words(s)
+		if n := len(words) + len(wopts); s != "" && n != strings.Count(s, ":")+1 {
+			t.Fatalf("Words(%q) holds %d tokens", s, n)
+		}
+		for _, w := range words {
+			if strings.ContainsAny(w, "=:") {
+				t.Fatalf("Words(%q): word %q holds a separator", s, w)
 			}
 		}
 		pos, opts, err := Split(s, "a:b:c")

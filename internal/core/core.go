@@ -395,6 +395,17 @@ func (c *Cluster) Gateway() *gateway.Gateway { return c.gws[0] }
 // FrontTier returns the sharded front tier (nil when Shards <= 1).
 func (c *Cluster) FrontTier() *fronttier.Tier { return c.tier }
 
+// Plane returns the ops plane of the layer that federates the
+// deployment — the front tier's when sharded, the gateway's otherwise:
+// the registry, sweep, series, SLO engine and recorder behind the
+// front door's /v1/obs* routes.
+func (c *Cluster) Plane() *door.Plane {
+	if c.tier != nil {
+		return c.tier.Plane
+	}
+	return c.gws[0].Plane
+}
+
 // ShardNames lists the deployed gateway shards in shard order (empty
 // when the deployment is not sharded).
 func (c *Cluster) ShardNames() []string {
@@ -402,7 +413,7 @@ func (c *Cluster) ShardNames() []string {
 }
 
 // CloseShard kills one gateway shard mid-run — the chaos hook behind
-// the front-tier smoke test. The tier's shard breaker trips on the
+// a scenario's kill step. The tier's shard breaker trips on the
 // dead shard and routes its keys along the ring's successor walk.
 func (c *Cluster) CloseShard(name string) error {
 	for i, n := range c.shardNames {
@@ -411,6 +422,17 @@ func (c *Cluster) CloseShard(name string) error {
 		}
 	}
 	return fmt.Errorf("confbench: no shard %q deployed", name)
+}
+
+// CloseHost kills one host agent mid-run without draining it — the
+// host-side counterpart of CloseShard. The gateways keep routing to it
+// until its breakers trip, and federation sweeps report it as a failed
+// scrape target.
+func (c *Cluster) CloseHost(name string) error {
+	if _, _, agent := c.findAgent(name); agent != nil {
+		return agent.Close()
+	}
+	return fmt.Errorf("confbench: no host %q deployed", name)
 }
 
 // Backend returns the platform backend for kind.

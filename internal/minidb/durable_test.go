@@ -2,6 +2,9 @@ package minidb
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"confbench/internal/meter"
@@ -158,6 +161,67 @@ func TestDurableTornTailRecoversCommittedRows(t *testing.T) {
 	}
 	if n, _ := db2.RowCount("t"); n != 20 {
 		t.Fatalf("RowCount after torn-tail recovery = %d, want 20", n)
+	}
+}
+
+// corruptNewestSegment appends garbage to the newest log segment file —
+// what a crash mid-append leaves on disk. Recovery must truncate the
+// torn tail, not fail.
+func corruptNewestSegment(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segments in %s (err=%v)", dir, err)
+	}
+	sort.Strings(segs)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("\xde\xad\xbe\xef torn half-record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableCrashKeepsBothCommittedBatches is the end-to-end crash
+// check (formerly the minidb half of the root durability smoke): an
+// autocommitted batch and an explicit transaction, a crash leaving a
+// torn half-record in the segment file, reopen — zero committed rows
+// lost, none resurrected, and the recovered database keeps committing.
+func TestDurableCrashKeepsBothCommittedBatches(t *testing.T) {
+	dir := t.TempDir()
+	db, b := openDurable(t, dir)
+	execD(t, db, "CREATE TABLE smoke(a INTEGER, b TEXT)")
+	for i := 1; i <= 30; i++ { // batch 1: autocommitted single statements
+		execD(t, db, fmt.Sprintf("INSERT INTO smoke VALUES(%d,'batch1 %d')", i, i))
+	}
+	execD(t, db, "BEGIN") // batch 2: one explicit transaction
+	for i := 31; i <= 50; i++ {
+		execD(t, db, fmt.Sprintf("INSERT INTO smoke VALUES(%d,'batch2 %d')", i, i))
+	}
+	execD(t, db, "COMMIT")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptNewestSegment(t, dir)
+
+	db2, b2 := openDurable(t, dir)
+	defer b2.Close()
+	if !b2.Stats().TruncatedTail {
+		t.Fatal("recovery did not report the truncated tail")
+	}
+	if n, err := db2.RowCount("smoke"); err != nil || n != 50 {
+		t.Fatalf("recovered rows = %d, %v; want exactly the 50 committed", n, err)
+	}
+	if rs := execD(t, db2, "SELECT b FROM smoke WHERE a = 42"); len(rs.Rows) != 1 || rs.Rows[0][0].Str != "batch2 42" {
+		t.Fatalf("recovered row 42 = %+v", rs)
+	}
+	execD(t, db2, "INSERT INTO smoke VALUES(51,'after crash')")
+	if n, _ := db2.RowCount("smoke"); n != 51 {
+		t.Fatalf("rows after post-recovery insert = %d, want 51", n)
 	}
 }
 
