@@ -1,6 +1,8 @@
 GO ?= go
 
-# Concurrency-sensitive packages: the bench Runner worker pool, the
+# Concurrency-sensitive packages: the bench Runner worker pool and what
+# it runs N at a time when -workers > 1 (launcher bodies, the Wasm
+# launcher's one mutex-guarded instance, the catalog workloads), the
 # gateway (TEE pools, circuit breakers, load balancer, forwarding),
 # the front tier (admission queues, shard breakers, async completion
 # goroutines), the front-door server all three sit behind, the
@@ -12,7 +14,7 @@ GO ?= go
 # it: the shared TEE guest lifecycle and the snapshot cache, and the
 # scenario runner, whose goroutine-leak check and restart step close and
 # re-boot whole deployments.
-RACE_PKGS = ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+RACE_PKGS = ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the

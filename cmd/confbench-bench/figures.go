@@ -15,7 +15,7 @@ import (
 
 // env is what a figure runs against: the protocol knobs, the report
 // -json writes, and the shared single-host deployment, booted the first
-// time a figure (or -trace, -obs-window) asks for it.
+// time a figure asks for it.
 type env struct {
 	trials, scaleDiv, dbSize, images, workers int
 	seed                                      int64
@@ -86,8 +86,9 @@ func heatmap(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
 }
 
 // figures is the -fig table, in the order "all" runs it. storage doubles
-// the speedtest work, and migration and coldstart boot topologies of
-// their own, so "all" keeps the paper's protocol and leaves them out.
+// the speedtest work, migration and coldstart boot topologies of their
+// own, and trace prints span trees, not a figure, so "all" keeps the
+// paper's protocol and leaves them out.
 var figures = []figure{
 	{name: "3", inAll: true,
 		one: func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
@@ -171,6 +172,17 @@ var figures = []figure{
 	{name: "coldstart", show: func(ctx context.Context, e *env) (string, error) {
 		out, _, err := coldstartReport(ctx, e.seed, 16)
 		return strings.TrimSuffix(out, "\n"), err
+	}},
+	{name: "trace", show: func(ctx context.Context, e *env) (string, error) {
+		c, err := e.deployment()
+		if err != nil {
+			return "", err
+		}
+		out, err := runTrace(ctx, c, e.scaleDiv)
+		if err != nil {
+			return "", fmt.Errorf("trace: %w", err)
+		}
+		return strings.TrimSuffix(out, "\n"), nil
 	}},
 }
 

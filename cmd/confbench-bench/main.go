@@ -3,7 +3,7 @@
 // scenario file as a cluster drill.
 //
 //	confbench-bench [-fig NAME] [-quick] [-trials N] [-scale-divisor N] [-size N]
-//	                [-images N] [-workers N] [-json FILE] [-trace] [-obs-window N]
+//	                [-images N] [-workers N] [-json FILE]
 //	                [-seed N] [-transport NAME] [-durable-dir DIR] [-pprof ADDR]
 //	confbench-bench -scenario scenarios/NAME.spec
 //	                [-seed N] [-transport NAME] [-durable-dir DIR] [-pprof ADDR]
@@ -11,9 +11,9 @@
 // Figures: the defaults run the paper's full protocol (10 trials, full
 // workload scales, speedtest size 100); -quick is a CI-sized run. -fig
 // picks a row of the table in figures.go: all, none, 3, dbms, 4, 5, 6,
-// 7, 8, colocation, or storage, migration, coldstart, which "all"
-// leaves out. -workers 1 (the default) keeps the bit-for-bit
-// deterministic serial schedule.
+// 7, 8, colocation, or storage, migration, coldstart, trace, which
+// "all" leaves out. -workers N executes measurement bodies N at a time;
+// the results do not depend on it.
 //
 // Scenarios: -scenario FILE boots the topology the file declares, runs
 // its script (seeded load, chaos, SLO sweeps, drains, kills, restarts;
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"confbench"
 	"confbench/internal/drill"
@@ -65,12 +66,10 @@ func run(ctx context.Context, args []string) error {
 	fs.IntVar(&e.dbSize, "size", 100, "speedtest relative size (speedtest1 --size)")
 	fs.IntVar(&e.images, "images", 40, "ML dataset size")
 	fs.Int64Var(&e.seed, "seed", 1, "deterministic noise seed")
-	fs.IntVar(&e.workers, "workers", 1, "concurrent measurement units (1 = deterministic serial schedule)")
+	fs.IntVar(&e.workers, "workers", 1, "measurement bodies executed at a time (the results do not depend on it)")
 	quick := fs.Bool("quick", false, "CI-sized run (3 trials, scales ÷8, size 20, 10 images)")
-	trace := fs.Bool("trace", false, "print the slowest traced span tree per workload")
 	jsonPath := fs.String("json", "", "also write results as JSON to this file")
 	scenario := fs.String("scenario", "", "run this scenario file (scenarios/*.spec) as a cluster drill instead of figures; exits non-zero on a failed check or a violated objective")
-	obsWindow := fs.Int("obs-window", 0, "print windowed cluster telemetry rates over this many scrape samples (0 = off)")
 	fs.StringVar(&e.transport, "transport", "", "pipeline hop carrier: httpjson (default) or binary (persistent multiplexed wire frames)")
 	fs.StringVar(&e.durableDir, "durable-dir", "", "root of the durable persistence plane: telemetry spills here, and -fig storage keeps its speedtest logs here (empty = in-memory telemetry, throwaway storage logs; with -scenario: a fresh directory)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address while the bench runs (empty = disabled)")
@@ -122,21 +121,6 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 	}
-	if *trace || *obsWindow > 0 {
-		if _, err := e.deployment(); err != nil {
-			return err
-		}
-	}
-	if *trace {
-		if err := runTrace(ctx, e.cluster, e.scaleDiv); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	if *obsWindow > 0 {
-		if err := obsWindowReport(ctx, e.cluster.Client(), *obsWindow); err != nil {
-			return fmt.Errorf("obs-window: %w", err)
-		}
-	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
@@ -177,19 +161,20 @@ func runScenario(ctx context.Context, path string, cfg drill.Config) error {
 }
 
 // runTrace sends one traced secure invocation per catalog workload to
-// every platform and prints the slowest resulting span tree, i.e. the
+// every platform and renders the slowest resulting span tree, i.e. the
 // worst gateway → pool → relay-hop → host agent → VM → TEE path.
-func runTrace(ctx context.Context, cluster *confbench.Cluster, scaleDiv int) error {
+func runTrace(ctx context.Context, cluster *confbench.Cluster, scaleDiv int) (string, error) {
 	client := cluster.Client()
-	fmt.Println("=== Traced invocations (slowest span tree per workload) ===")
+	var sb strings.Builder
+	sb.WriteString("=== Traced invocations (slowest span tree per workload) ===\n")
 	for _, name := range cluster.Catalog().Names() {
 		w, err := cluster.Catalog().Lookup(name)
 		if err != nil {
-			return err
+			return "", err
 		}
 		fn := confbench.Function{Name: "trace-" + name, Language: "go", Workload: name}
 		if err := client.Upload(ctx, fn); err != nil {
-			return err
+			return "", err
 		}
 		scale := w.DefaultScale / scaleDiv
 		if scale < 1 {
@@ -201,15 +186,15 @@ func runTrace(ctx context.Context, cluster *confbench.Cluster, scaleDiv int) err
 				Function: fn.Name, Secure: true, TEE: kind, Scale: scale, Trace: true,
 			})
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", name, kind, err)
+				return "", fmt.Errorf("%s on %s: %w", name, kind, err)
 			}
 			if slowest == nil || resp.WallNs > slowest.WallNs {
 				slowest = &resp
 			}
 		}
-		fmt.Printf("\n--- %s (slowest of %d platforms, virtual wall %v) ---\n",
+		fmt.Fprintf(&sb, "\n--- %s (slowest of %d platforms, virtual wall %v) ---\n",
 			name, len(cluster.Kinds()), slowest.Wall())
-		fmt.Print(confbench.RenderTrace(slowest.Trace))
+		sb.WriteString(confbench.RenderTrace(slowest.Trace))
 	}
-	return nil
+	return sb.String(), nil
 }

@@ -138,14 +138,14 @@ func TestScenarioRefusesFigureFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", spec("slo-met"), "-fig", "5"},
 		{"-scenario", spec("slo-met"), "-quick"},
-		{"-scenario", spec("slo-met"), "-obs-window", "3"},
+		{"-scenario", spec("slo-met"), "-workers", "4"},
 	} {
 		if _, err := runCaptured(t, args...); err == nil || !strings.Contains(err.Error(), "does not apply to a -scenario run") {
 			t.Errorf("%v: got %v", args, err)
 		}
 	}
 	_, err := runCaptured(t, "-fig", "9")
-	if err == nil || !strings.Contains(err.Error(), `unknown figure "9"`) || !strings.Contains(err.Error(), "colocation, migration, coldstart") {
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "9"`) || !strings.Contains(err.Error(), "colocation, migration, coldstart, trace") {
 		t.Errorf("-fig 9: got %v, want an error naming the valid figures", err)
 	}
 }
@@ -158,7 +158,7 @@ func TestFigureTable(t *testing.T) {
 	if err != nil || len(all) != 8 {
 		t.Fatalf("all = %d rows, %v; want the paper's 8", len(all), err)
 	}
-	for _, name := range []string{"storage", "migration", "coldstart", "3", "colocation"} {
+	for _, name := range []string{"storage", "migration", "coldstart", "trace", "3", "colocation"} {
 		rows, err := lookupFigures(name)
 		if err != nil || len(rows) != 1 || rows[0].name != name {
 			t.Errorf("lookup %q = %+v, %v", name, rows, err)
@@ -170,7 +170,7 @@ func TestFigureTable(t *testing.T) {
 	if rows, err := lookupFigures("none"); err != nil || len(rows) != 0 {
 		t.Errorf("none = %+v, %v", rows, err)
 	}
-	if !strings.HasSuffix(figureNames(), "(storage, migration, coldstart are not part of all)") {
+	if !strings.HasSuffix(figureNames(), "(storage, migration, coldstart, trace are not part of all)") {
 		t.Errorf("help = %q", figureNames())
 	}
 }

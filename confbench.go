@@ -82,8 +82,7 @@ func WithGuestMemoryMB(mb int) Option {
 }
 
 // WithWorkers sets the default concurrency for benchmark harnesses
-// built on the cluster (0 = serial, the deterministic bit-identical
-// path).
+// built on the cluster (0 = serial); their results do not depend on it.
 func WithWorkers(n int) Option {
 	return func(c *ClusterConfig) { c.Workers = n }
 }

@@ -10,16 +10,16 @@
 //	Fig. 7  — FaaS CCA         → FaaS heatmap on the CCA pair
 //	Fig. 8  — CCA distribution → FaaS per-run samples → box plots
 //
-// Every experiment follows the paper's protocol: run the same workload
+// Every experiment follows the paper's protocol — the same workload
 // with the same arguments on the secure and the normal VM of one host,
-// repeat for a number of independent trials, and report the ratio of
+// repeated for a number of independent trials, reported as the ratio of
 // mean execution times (or the full distribution where a figure needs
-// it).
+// it) — through one paired measurement (pair.go): a body executes once,
+// and what it metered is priced on both VMs of the pair, which run the
+// same code and differ only in how the TEE charges for it.
 package bench
 
 import (
-	"time"
-
 	"confbench/internal/obs"
 	"confbench/internal/stats"
 	"confbench/internal/tee"
@@ -35,10 +35,9 @@ type Options struct {
 	// ScaleDivisor divides each workload's default scale (1 = the
 	// paper-equivalent size).
 	ScaleDivisor int
-	// Workers bounds how many measurement units (heatmap cells,
-	// images) run concurrently. <=1 selects the deterministic serial
-	// schedule that reproduces earlier harness output bit for bit; see
-	// Runner for the full contract.
+	// Workers bounds how many measurement bodies (function
+	// executions, images) run concurrently; the results do not depend
+	// on it (see Runner).
 	Workers int
 	// Obs is the metrics registry the scheduling core reports to
 	// (nil = the process-wide default).
@@ -76,16 +75,6 @@ type SecureNormal struct {
 // and the non-confidential execution time").
 func (sn SecureNormal) Ratio() float64 {
 	return stats.Ratio(sn.Secure.Mean, sn.Normal.Mean)
-}
-
-// durationsMs converts sampled durations to float milliseconds.
-func durationsMs(ds []time.Duration) []float64 {
-	return stats.DurationsToMillis(ds)
-}
-
-// summarizeMs summarizes duration samples in milliseconds.
-func summarizeMs(ds []time.Duration) (stats.Summary, error) {
-	return stats.Summarize(durationsMs(ds))
 }
 
 // KindsTDXSEV is the Fig. 6 platform set.

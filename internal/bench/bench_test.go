@@ -14,7 +14,6 @@ import (
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
 	"confbench/internal/vm"
-	"confbench/internal/workloads"
 )
 
 func pairFor(t *testing.T, kind tee.Kind) vm.Pair {
@@ -303,14 +302,6 @@ func TestFaaSCCAHigherOverheadAndVariance(t *testing.T) {
 	}
 	if _, err := ccaRes.BoxPlotsFor("cobol"); err == nil {
 		t.Error("unknown language box plots should fail")
-	}
-}
-
-func TestFaaSOutputsAgreeOrFail(t *testing.T) {
-	// FaaS asserts secure/normal output equality internally; a clean
-	// run over the default-catalog subset proves the check passes.
-	if _, err := FaaS(context.Background(), pairFor(t, tee.KindTDX), workloads.Default(), faasSubset()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"confbench/internal/cberr"
+	"confbench/internal/faas"
 	"confbench/internal/meter"
 	"confbench/internal/minidb"
 	"confbench/internal/mlinfer"
@@ -35,8 +35,8 @@ type MLOptions struct {
 	Images int
 	// InputSize is the model input resolution (0 = 96).
 	InputSize int
-	// Workers bounds concurrent per-image inferences (<=1 = the
-	// deterministic serial harness; see Runner).
+	// Workers bounds concurrent per-image inferences; the results do
+	// not depend on it (see Runner).
 	Workers int
 	// Obs is the metrics registry the scheduling core reports to
 	// (nil = the process-wide default).
@@ -45,8 +45,8 @@ type MLOptions struct {
 
 // ML reproduces the confidential-ML experiment (§IV-C, Fig. 3): a
 // MobileNet-style model classifies every image of the synthetic 1-MB
-// dataset inside both VMs of the pair; per-image inference times give
-// the stacked-percentile distributions.
+// dataset, each inference priced on both VMs of the pair; per-image
+// inference times give the stacked-percentile distributions.
 func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 	if opts.Images <= 0 {
 		opts.Images = 40
@@ -59,47 +59,28 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 		return MLResult{}, err
 	}
 	dataset := mlinfer.Dataset(opts.Images)
-	runner := Runner{Workers: opts.Workers, Obs: opts.Obs}
-
-	classifyAll := func(machine *vm.VM) ([]time.Duration, error) {
-		times := make([]time.Duration, len(dataset))
-		err := runner.Run(ctx, len(dataset), func(ctx context.Context, i int) error {
-			res, err := machine.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
-				img, err := mlinfer.DecodeAndResize(m, dataset[i], opts.InputSize)
-				if err != nil {
-					return "", err
-				}
-				preds, err := model.Classify(m, img, 1)
-				if err != nil {
-					return "", err
-				}
-				return preds[0].Label, nil
-			})
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), func(ctx context.Context, i int) (faas.LaunchResult, error) {
+		return pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
+			img, err := mlinfer.DecodeAndResize(m, dataset[i], opts.InputSize)
 			if err != nil {
-				return err
+				return "", err
 			}
-			times[i] = res.Wall
-			return nil
+			preds, err := model.Classify(m, img, 1)
+			if err != nil {
+				return "", err
+			}
+			return preds[0].Label, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return times, nil
-	}
-
-	secure, err := classifyAll(pair.Secure)
+	})
 	if err != nil {
-		return MLResult{}, fmt.Errorf("bench ml secure: %w", err)
+		return MLResult{}, fmt.Errorf("bench ml: %w", err)
 	}
-	normal, err := classifyAll(pair.Normal)
-	if err != nil {
-		return MLResult{}, fmt.Errorf("bench ml normal: %w", err)
-	}
-	sSum, err := summarizeMs(secure)
+	secure, normal := p.Ms()
+	sSum, err := stats.Summarize(secure)
 	if err != nil {
 		return MLResult{}, err
 	}
-	nSum, err := summarizeMs(normal)
+	nSum, err := stats.Summarize(normal)
 	if err != nil {
 		return MLResult{}, err
 	}
@@ -107,8 +88,8 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 		Kind:     pair.Secure.Platform(),
 		Images:   opts.Images,
 		Times:    SecureNormal{Secure: sSum, Normal: nSum},
-		SecureMs: durationsMs(secure),
-		NormalMs: durationsMs(normal),
+		SecureMs: secure,
+		NormalMs: normal,
 	}, nil
 }
 
@@ -138,8 +119,8 @@ type DBMSOptions struct {
 }
 
 // DBMS reproduces the confidential-DBMS experiment (§IV-C): the
-// speedtest1-style suite runs in both VMs; per-test execution times
-// are priced per test so the ratios can be compared test by test.
+// speedtest1-style suite runs once and each test's usage is priced on
+// both VMs, so the ratios can be compared test by test.
 func DBMS(ctx context.Context, pair vm.Pair, opts DBMSOptions) (DBMSResult, error) {
 	if err := ctx.Err(); err != nil {
 		return DBMSResult{}, cberr.From(err, cberr.LayerBench)
@@ -148,45 +129,29 @@ func DBMS(ctx context.Context, pair vm.Pair, opts DBMSOptions) (DBMSResult, erro
 		opts.Size = 100
 	}
 
-	// Per-test timing needs per-test usage, so the suite runs outside
-	// RunMetered and each test's usage is priced under both VMs.
-	type testRun struct {
-		id    int
-		name  string
-		usage meter.Usage
-	}
-	runSuite := func() ([]testRun, error) {
-		st := minidb.NewSpeedTest(opts.Size)
-		m := meter.NewContext()
-		prev := meter.Usage{}
-		var runs []testRun
-		results, err := st.RunWithProgress(m, func(res minidb.TestResult) {
-			cur := m.Snapshot()
-			delta := diffUsage(cur, prev)
-			prev = cur
-			runs = append(runs, testRun{id: res.ID, name: res.Name, usage: delta})
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(results) != len(runs) {
-			return nil, fmt.Errorf("bench dbms: %d results vs %d progress callbacks", len(results), len(runs))
-		}
-		return runs, nil
-	}
-
-	runs, err := runSuite()
+	// Per-test ratios need per-test usage: the suite runs once and the
+	// progress callback empties the meter at every test boundary (and
+	// looks at ctx there, so a cancel lands within one test).
+	m := meter.NewContext()
+	var runs []faas.LaunchResult
+	results, err := minidb.NewSpeedTest(opts.Size).RunWithProgress(m, func(minidb.TestResult) error {
+		runs = append(runs, faas.LaunchResult{RunUsage: m.Snapshot()})
+		m.Reset()
+		return ctx.Err()
+	})
 	if err != nil {
-		return DBMSResult{}, err
+		return DBMSResult{}, cberr.From(err, cberr.LayerBench)
 	}
+	if len(results) != len(runs) {
+		return DBMSResult{}, fmt.Errorf("bench dbms: %d results vs %d progress callbacks", len(results), len(runs))
+	}
+	secure, normal := pricePaired(ctx, pair, runs).Ms()
 	out := DBMSResult{Kind: pair.Secure.Platform(), Size: opts.Size}
 	var ratios []float64
-	for _, r := range runs {
-		sMs := float64(pair.Secure.PriceUsage(r.usage).Nanoseconds()) / 1e6
-		nMs := float64(pair.Normal.PriceUsage(r.usage).Nanoseconds()) / 1e6
-		ratio := stats.Ratio(sMs, nMs)
+	for i, r := range results {
+		ratio := stats.Ratio(secure[i], normal[i])
 		out.PerTest = append(out.PerTest, DBMSTestRatio{
-			ID: r.id, Name: r.name, SecureMs: sMs, NormalMs: nMs, Ratio: ratio,
+			ID: r.ID, Name: r.Name, SecureMs: secure[i], NormalMs: normal[i], Ratio: ratio,
 		})
 		ratios = append(ratios, ratio)
 		if ratio > out.MaxRatio {
@@ -265,25 +230,22 @@ func DBMSStorage(ctx context.Context, pair vm.Pair, opts DBMSStorageOptions) (DB
 		return DBMSStorageResult{}, fmt.Errorf("bench storage: %w", err)
 	}
 
-	runSuite := func(b minidb.Backend) (meter.Usage, error) {
+	runSuite := func(b minidb.Backend) (faas.LaunchResult, error) {
 		st := minidb.NewSpeedTest(opts.Size)
 		st.Backend = b
 		m := meter.NewContext()
-		if _, err := st.Run(m); err != nil {
-			return nil, err
-		}
-		return m.Snapshot(), nil
+		_, err := st.RunWithProgress(m, func(minidb.TestResult) error { return ctx.Err() })
+		return faas.LaunchResult{RunUsage: m.Snapshot()}, cberr.From(err, cberr.LayerBench)
 	}
-	memUsage, err := runSuite(nil)
-	if err != nil {
+	runs := make([]faas.LaunchResult, 2)
+	if runs[0], err = runSuite(nil); err != nil {
 		return DBMSStorageResult{}, fmt.Errorf("bench storage (memory): %w", err)
 	}
 	durable, err := minidb.NewDurableBackend(logDir)
 	if err != nil {
 		return DBMSStorageResult{}, err
 	}
-	durUsage, err := runSuite(durable)
-	if err != nil {
+	if runs[1], err = runSuite(durable); err != nil {
 		_ = durable.Close()
 		return DBMSStorageResult{}, fmt.Errorf("bench storage (durable): %w", err)
 	}
@@ -292,37 +254,27 @@ func DBMSStorage(ctx context.Context, pair vm.Pair, opts DBMSStorageOptions) (DB
 		return DBMSStorageResult{}, err
 	}
 
-	cell := func(name string, u meter.Usage) DBMSStorageCell {
+	secure, normal := pricePaired(ctx, pair, runs).Ms()
+	cell := func(i int, name string) DBMSStorageCell {
 		return DBMSStorageCell{
 			Backend:    name,
-			SecureMs:   float64(pair.Secure.PriceUsage(u).Nanoseconds()) / 1e6,
-			NormalMs:   float64(pair.Normal.PriceUsage(u).Nanoseconds()) / 1e6,
-			WriteBytes: u[meter.IOWriteBytes],
-			Syscalls:   u[meter.Syscalls],
+			SecureMs:   secure[i],
+			NormalMs:   normal[i],
+			WriteBytes: runs[i].RunUsage[meter.IOWriteBytes],
+			Syscalls:   runs[i].RunUsage[meter.Syscalls],
 		}
 	}
 	out := DBMSStorageResult{
 		Kind:      pair.Secure.Platform(),
 		Size:      opts.Size,
-		Memory:    cell("memory", memUsage),
-		Durable:   cell("durable", durUsage),
+		Memory:    cell(0, "memory"),
+		Durable:   cell(1, "durable"),
 		Segments:  logStats.Segments,
 		LiveBytes: logStats.LiveBytes,
 	}
 	out.WriteAmplification = stats.Ratio(float64(out.Durable.WriteBytes), float64(out.Memory.WriteBytes))
 	out.DurableOverhead = stats.Ratio(out.Durable.SecureMs, out.Memory.SecureMs)
 	return out, nil
-}
-
-// diffUsage returns cur - prev per counter.
-func diffUsage(cur, prev meter.Usage) meter.Usage {
-	out := make(meter.Usage, len(cur))
-	for c, v := range cur {
-		if d := v - prev[c]; d > 0 {
-			out[c] = d
-		}
-	}
-	return out
 }
 
 // UnixBenchResult is the Fig. 4 data for one platform.
@@ -352,20 +304,24 @@ type UnixBenchOptions struct {
 }
 
 // UnixBench reproduces the OS experiment (§IV-C, Fig. 4): the
-// single-threaded suite runs with durations priced under each VM, and
-// the aggregate index scores yield the secure/normal time ratio.
+// single-threaded suite runs once, each test's usage is priced on both
+// VMs, and the aggregate index scores yield the secure/normal time
+// ratio.
 func UnixBench(ctx context.Context, pair vm.Pair, opts UnixBenchOptions) (UnixBenchResult, error) {
-	if err := ctx.Err(); err != nil {
+	tests, err := unixbench.New(unixbench.Options{Scale: opts.Scale}).Run(ctx)
+	if err != nil {
 		return UnixBenchResult{}, cberr.From(err, cberr.LayerBench)
 	}
-	suite := unixbench.New(unixbench.Options{Scale: opts.Scale})
-	mS := meter.NewContext()
-	secure, err := suite.Run(mS, pair.Secure.PriceUsage)
+	runs := make([]faas.LaunchResult, len(tests))
+	for i, t := range tests {
+		runs[i].RunUsage = t.Usage
+	}
+	p := pricePaired(ctx, pair, runs)
+	secure, err := unixbench.Score(tests, p.Secure)
 	if err != nil {
 		return UnixBenchResult{}, fmt.Errorf("bench unixbench secure: %w", err)
 	}
-	mN := meter.NewContext()
-	normal, err := suite.Run(mN, pair.Normal.PriceUsage)
+	normal, err := unixbench.Score(tests, p.Normal)
 	if err != nil {
 		return UnixBenchResult{}, fmt.Errorf("bench unixbench normal: %w", err)
 	}

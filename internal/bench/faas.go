@@ -98,15 +98,11 @@ type FaaSOptions struct {
 }
 
 // FaaS reproduces the FaaS experiments (§IV-D, Figs. 6–8) on one
-// platform pair: every (workload, language) function executes
-// Trials× in the secure and the normal VM with identical arguments,
-// and the cell ratio is the ratio of mean execution times. Timings
-// exclude runtime bootstrap, matching the paper's protocol.
-//
-// Cells are scheduled over Options.Workers workers (see Runner for
-// the determinism contract): Workers<=1 reproduces the serial harness
-// bit for bit; Workers>1 keeps the result shape while cells execute
-// concurrently.
+// platform pair: every (workload, language) function executes Trials×
+// with identical arguments, each execution is priced on the secure and
+// on the normal VM, and the cell ratio is the ratio of mean execution
+// times. Timings exclude runtime bootstrap, matching the paper's
+// protocol.
 func FaaS(ctx context.Context, pair vm.Pair, catalog *workloads.Registry, opts FaaSOptions) (FaaSResult, error) {
 	opts.Options = opts.Options.WithDefaults()
 	if catalog == nil {
@@ -146,53 +142,37 @@ func FaaS(ctx context.Context, pair vm.Pair, catalog *workloads.Registry, opts F
 		res.Cells[i] = make([]Cell, len(languages))
 	}
 
-	// One task per heatmap cell, in workload-major order — the same
-	// order the serial harness walked, so Workers=1 replays the exact
-	// invocation sequence against the pair's stateful pricing models.
-	runner := Runner{Workers: opts.Workers, Obs: opts.Obs}
-	nLangs := len(languages)
-	err := runner.Run(ctx, len(ws)*nLangs, func(ctx context.Context, idx int) error {
-		i, j := idx/nLangs, idx%nLangs
-		cell, err := faasCell(ctx, pair, ws[i], languages[j], scales[i], opts.Trials)
+	// One execution per (cell, trial), cells in workload-major order.
+	nLangs, trials := len(languages), opts.Trials
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(ws)*nLangs*trials, func(ctx context.Context, idx int) (faas.LaunchResult, error) {
+		i, j := idx/trials/nLangs, idx/trials%nLangs
+		fn := faas.Function{Name: ws[i] + "-" + languages[j], Language: languages[j], Workload: ws[i]}
+		lr, err := pair.Execute(ctx, fn, scales[i])
 		if err != nil {
-			return err
+			return lr, fmt.Errorf("bench faas %s/%s: %w", ws[i], languages[j], err)
 		}
-		res.Cells[i][j] = cell
-		return nil
+		return lr, nil
 	})
 	if err != nil {
 		return FaaSResult{}, err
 	}
+	secure, normal := p.Ms()
+	for i, w := range ws {
+		for j, lang := range languages {
+			lo := (i*nLangs + j) * trials
+			s, n := secure[lo:lo+trials:lo+trials], normal[lo:lo+trials:lo+trials]
+			res.Cells[i][j] = Cell{Workload: w, Language: lang, Ratio: stats.Ratio(sum(s), sum(n)), SecureMs: s, NormalMs: n}
+		}
+	}
 	return res, nil
 }
 
-// faasCell measures one (workload, language) heatmap cell.
-func faasCell(ctx context.Context, pair vm.Pair, w, lang string, scale, trials int) (Cell, error) {
-	fn := faas.Function{Name: w + "-" + lang, Language: lang, Workload: w}
-	cell := Cell{Workload: w, Language: lang}
-	var secureSum, normalSum float64
-	for trial := 0; trial < trials; trial++ {
-		sRes, err := pair.Secure.InvokeFunction(ctx, fn, scale)
-		if err != nil {
-			return Cell{}, fmt.Errorf("bench faas %s/%s secure: %w", w, lang, err)
-		}
-		nRes, err := pair.Normal.InvokeFunction(ctx, fn, scale)
-		if err != nil {
-			return Cell{}, fmt.Errorf("bench faas %s/%s normal: %w", w, lang, err)
-		}
-		if sRes.Output != nRes.Output {
-			return Cell{}, fmt.Errorf("bench faas %s/%s: secure output %q != normal %q",
-				w, lang, sRes.Output, nRes.Output)
-		}
-		sMs := float64(sRes.Wall.Nanoseconds()) / 1e6
-		nMs := float64(nRes.Wall.Nanoseconds()) / 1e6
-		cell.SecureMs = append(cell.SecureMs, sMs)
-		cell.NormalMs = append(cell.NormalMs, nMs)
-		secureSum += sMs
-		normalSum += nMs
+// sum adds xs left to right.
+func sum(xs []float64) (s float64) {
+	for _, x := range xs {
+		s += x
 	}
-	cell.Ratio = stats.Ratio(secureSum, normalSum)
-	return cell, nil
+	return s
 }
 
 // BoxPlotsFor computes the Fig. 8 box-and-whisker summaries for one

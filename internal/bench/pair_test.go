@@ -1,0 +1,178 @@
+package bench
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"confbench/internal/cberr"
+	"confbench/internal/faas"
+	"confbench/internal/faas/langs"
+	"confbench/internal/tee"
+	"confbench/internal/tee/tdx"
+	"confbench/internal/vm"
+)
+
+// countingLauncher counts the bodies it executes.
+type countingLauncher struct {
+	faas.Launcher
+	calls atomic.Int64
+}
+
+func (c *countingLauncher) Launch(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
+	c.calls.Add(1)
+	return c.Launcher.Launch(ctx, fn, scale)
+}
+
+// countingPair builds a TDX pair whose two VMs each carry one counting
+// Go launcher, and returns the counters.
+func countingPair(t *testing.T) (pair vm.Pair, secure, normal *countingLauncher) {
+	t.Helper()
+	backend, err := tdx.NewBackend(tdx.Options{Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := func(guest tee.Guest, err error) (*vm.VM, *countingLauncher) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := langs.NewRuntimeLauncher(langs.LangGo, guest.Kind(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &countingLauncher{Launcher: inner}
+		m, err := vm.New(vm.Config{Guest: guest, Host: backend.HostProfile(), Launchers: map[string]faas.Launcher{langs.LangGo: l}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, l
+	}
+	cfg := tee.GuestConfig{MemoryMB: 8}
+	pair.Secure, secure = machine(backend.Launch(cfg))
+	pair.Normal, normal = machine(backend.LaunchNormal(cfg))
+	t.Cleanup(func() { _ = pair.Stop() })
+	return pair, secure, normal
+}
+
+// TestPairedSampleExecutesOnce: a paired sample is one execution priced
+// twice, at every worker count; and a pair with either VM stopped
+// executes nothing.
+func TestPairedSampleExecutesOnce(t *testing.T) {
+	opts := FaaSOptions{
+		Options:   Options{Trials: 3, ScaleDivisor: 8},
+		Workloads: []string{"factors", "fib"},
+		Languages: []string{langs.LangGo},
+	}
+	for _, workers := range []int{1, 4} {
+		pair, secure, normal := countingPair(t)
+		opts.Workers = workers
+		res, err := FaaS(context.Background(), pair, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := 0
+		for _, row := range res.Cells {
+			for _, c := range row {
+				if len(c.SecureMs) != opts.Trials || len(c.NormalMs) != opts.Trials {
+					t.Errorf("cell %s/%s has %d/%d samples", c.Workload, c.Language, len(c.SecureMs), len(c.NormalMs))
+				}
+				samples += len(c.SecureMs)
+			}
+		}
+		if got := secure.calls.Load() + normal.calls.Load(); got != int64(samples) {
+			t.Errorf("workers=%d: %d bodies executed for %d paired samples", workers, got, samples)
+		}
+	}
+
+	for _, side := range []string{"secure", "normal"} {
+		pair, secure, normal := countingPair(t)
+		stopped := pair.Secure
+		if side == "normal" {
+			stopped = pair.Normal
+		}
+		if err := stopped.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FaaS(context.Background(), pair, nil, opts); !errors.Is(err, vm.ErrStopped) {
+			t.Errorf("FaaS with the %s VM stopped: %v", side, err)
+		}
+		if _, err := ML(context.Background(), pair, MLOptions{Images: 2, InputSize: 48}); !errors.Is(err, vm.ErrStopped) {
+			t.Errorf("ML with the %s VM stopped: %v", side, err)
+		}
+		if n := secure.calls.Load() + normal.calls.Load(); n != 0 {
+			t.Errorf("%s VM stopped, yet %d bodies executed", side, n)
+		}
+	}
+}
+
+// countdownCtx reports context.Canceled from its n-th Err call on: a
+// deterministic Ctrl-C between two tests of a serial suite.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSuitesCancelBetweenTests: the three figures that run a serial
+// suite look at ctx after every test, so a cancel during the first test
+// ends the figure there — canceled, at the bench layer — and not when
+// the suite does.
+func TestSuitesCancelBetweenTests(t *testing.T) {
+	pair := pairFor(t, tee.KindTDX)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		// looks is how many times the figure looks at ctx before its
+		// first test ends; the look after it is the one that cancels.
+		looks int
+		run   func(ctx context.Context) error
+	}{
+		{"dbms", 1, func(ctx context.Context) error {
+			_, err := DBMS(ctx, pair, DBMSOptions{Size: 5})
+			return err
+		}},
+		// The whole in-memory suite (18 tests) passes first: the cancel
+		// lands after the durable backend's first test.
+		{"storage", 1 + 18, func(ctx context.Context) error {
+			_, err := DBMSStorage(ctx, pair, DBMSStorageOptions{Size: 5, Dir: dir})
+			return err
+		}},
+		{"unixbench", 1, func(ctx context.Context) error {
+			_, err := UnixBench(ctx, pair, UnixBenchOptions{Scale: 0.05})
+			return err
+		}},
+	} {
+		ctx := &countdownCtx{Context: context.Background(), left: tc.looks}
+		err := tc.run(ctx)
+		if !errors.Is(err, cberr.ErrCanceled) || !errors.Is(err, context.Canceled) || cberr.LayerOf(err) != cberr.LayerBench {
+			t.Errorf("%s: err = %v (layer %q), want canceled at the bench layer", tc.name, err, cberr.LayerOf(err))
+		}
+		if ctx.left != -1 {
+			t.Errorf("%s: looked at ctx %d more times after the cancel", tc.name, -1-ctx.left)
+		}
+	}
+
+	// The canceled storage run wrote a log under dir and closed it.
+	if logs, _ := filepath.Glob(filepath.Join(dir, "speedtest-*", "seg-*.wal")); len(logs) == 0 {
+		t.Fatal("canceled storage run left no log: the cancel did not land in the durable suite")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd to look for a leaked log file in")
+	}
+	for _, fd := range fds {
+		if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, dir) {
+			t.Errorf("durable backend still open after the cancel: fd %s -> %s", fd.Name(), target)
+		}
+	}
+}

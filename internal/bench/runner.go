@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
@@ -13,22 +12,12 @@ import (
 
 // Runner executes a fixed-size batch of indexed tasks over a bounded
 // worker pool. It is the scheduling core of the experiment harness:
-// heatmap cells, per-image inferences, and other embarrassingly
-// parallel measurement units go through it.
+// the bodies of a paired measurement (see measure) go through it.
 //
-// Determinism contract:
-//
-//   - Workers <= 1 runs every task in index order on the calling
-//     goroutine. Experiments whose measured values depend on a shared
-//     stateful noise source (the per-guest pricing RNG) reproduce the
-//     serial harness bit for bit.
-//   - Workers > 1 runs tasks concurrently, but results are written
-//     into per-index slots by the tasks themselves, so the output
-//     SHAPE (ordering of cells, sample counts) is identical to the
-//     serial run; only values drawn from shared noise sources may
-//     differ. When a task needs private randomness, derive it from
-//     StreamSeed so each index gets a stable, worker-count-independent
-//     stream.
+// Determinism contract: results are bit-identical for every worker
+// count. Tasks only execute pure bodies and write into per-index slots;
+// everything drawn from a shared stateful source (the per-guest pricing
+// noise) is drawn afterwards, in index order, by the caller.
 //
 // Error contract: every started task runs to completion, and the
 // reported error is the one raised by the lowest task index, so error
@@ -36,7 +25,7 @@ import (
 // failure remaining unstarted tasks are skipped.
 type Runner struct {
 	// Workers bounds the number of concurrently running tasks.
-	// Values <= 1 select the deterministic serial path.
+	// Values <= 1 run them in index order on the calling goroutine.
 	Workers int
 	// Obs is the metrics registry the per-worker task counters and
 	// timing histograms and the queue-depth gauge report to (nil = the
@@ -152,19 +141,4 @@ func (r Runner) Run(ctx context.Context, n int, task func(ctx context.Context, i
 		}
 	}
 	return nil
-}
-
-// StreamSeed derives the RNG seed of stream index i from a base seed
-// using splitmix64, so every task index owns a stable random stream
-// regardless of worker count or scheduling order.
-func StreamSeed(base int64, i int) int64 {
-	z := uint64(base) + (uint64(i)+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-// StreamRNG returns a rand.Rand seeded with StreamSeed(base, i).
-func StreamRNG(base int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(StreamSeed(base, i)))
 }

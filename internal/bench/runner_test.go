@@ -92,26 +92,6 @@ func TestRunnerZeroTasks(t *testing.T) {
 	}
 }
 
-func TestStreamSeedStableAndDistinct(t *testing.T) {
-	seen := make(map[int64]bool)
-	for i := 0; i < 100; i++ {
-		s := StreamSeed(42, i)
-		if s != StreamSeed(42, i) {
-			t.Fatal("StreamSeed not deterministic")
-		}
-		if seen[s] {
-			t.Fatalf("StreamSeed collision at index %d", i)
-		}
-		seen[s] = true
-	}
-	if StreamSeed(1, 0) == StreamSeed(2, 0) {
-		t.Error("base seed has no effect")
-	}
-	if StreamRNG(7, 3).Int63() != StreamRNG(7, 3).Int63() {
-		t.Error("StreamRNG not deterministic")
-	}
-}
-
 // serialFaaSReference replays the harness's original serial loop —
 // workload-major, language-minor, secure-then-normal per trial — so
 // the Workers=1 schedule can be proven bit-identical to it.
@@ -214,10 +194,25 @@ func TestFaaSWorkers1ByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func TestFaaSParallelShapeIdentical(t *testing.T) {
-	// Workers=4 runs cells concurrently against shared stateful noise
-	// sources, so values may differ from the serial run — but the
-	// result SHAPE (cell grid, sample counts, cell identity) must not.
+// sameJSON fails the test unless a and b marshal to the same bytes.
+func sameJSON(t *testing.T, what string, a, b any) {
+	t.Helper()
+	aJSON, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bJSON, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(aJSON) != string(bJSON) {
+		t.Errorf("%s differ:\n%s\n%s", what, aJSON, bJSON)
+	}
+}
+
+func TestFaaSWorkersByteIdentical(t *testing.T) {
+	// Workers=4 executes bodies concurrently, but pricing happens after,
+	// in index order: same seed, same bytes as the serial run.
 	mkOpts := func(workers int) FaaSOptions {
 		return FaaSOptions{
 			Options:   Options{Trials: 3, ScaleDivisor: 8, Workers: workers},
@@ -233,29 +228,10 @@ func TestFaaSParallelShapeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par.Cells) != len(serial.Cells) {
-		t.Fatalf("row count %d vs %d", len(par.Cells), len(serial.Cells))
-	}
-	for i := range par.Cells {
-		if len(par.Cells[i]) != len(serial.Cells[i]) {
-			t.Fatalf("row %d: col count %d vs %d", i, len(par.Cells[i]), len(serial.Cells[i]))
-		}
-		for j, c := range par.Cells[i] {
-			s := serial.Cells[i][j]
-			if c.Workload != s.Workload || c.Language != s.Language {
-				t.Errorf("cell (%d,%d) identity %s/%s vs %s/%s", i, j, c.Workload, c.Language, s.Workload, s.Language)
-			}
-			if len(c.SecureMs) != len(s.SecureMs) || len(c.NormalMs) != len(s.NormalMs) {
-				t.Errorf("cell (%d,%d) sample counts differ", i, j)
-			}
-			if c.Ratio <= 0 {
-				t.Errorf("cell (%d,%d) ratio %v", i, j, c.Ratio)
-			}
-		}
-	}
+	sameJSON(t, "FaaS at Workers 1 and 4", serial, par)
 }
 
-func TestMLParallelShapeIdentical(t *testing.T) {
+func TestMLWorkersByteIdentical(t *testing.T) {
 	serial, err := ML(context.Background(), seededTDXPair(t, 99), MLOptions{Images: 8, InputSize: 48, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +240,7 @@ func TestMLParallelShapeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par.SecureMs) != len(serial.SecureMs) || len(par.NormalMs) != len(serial.NormalMs) {
-		t.Errorf("sample counts differ: %d/%d vs %d/%d",
-			len(par.SecureMs), len(par.NormalMs), len(serial.SecureMs), len(serial.NormalMs))
-	}
-	if par.Images != serial.Images || par.Kind != serial.Kind {
-		t.Errorf("metadata differs: %+v vs %+v", par, serial)
-	}
+	sameJSON(t, "ML at Workers 1 and 4", serial, par)
 }
 
 func TestFaaSCellIndexMaps(t *testing.T) {

@@ -2,6 +2,8 @@ package langs
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"confbench/internal/faas"
@@ -240,5 +242,86 @@ func TestLaunchersProduceEqualOutputsAcrossLanguages(t *testing.T) {
 		if res.Output != want {
 			t.Errorf("%s output %q != %q", lang, res.Output, want)
 		}
+	}
+}
+
+// TestLaunchersArePure pins the contract the figure harness rests on:
+// what a launcher returns — output, run usage, bootstrap usage — depends
+// on the function and the scale alone. Not on what the launcher ran
+// before (the Wasm launcher reuses one instance across its five bytecode
+// exports), not on which instance ran it (the two VMs of a pair carry
+// one launcher set each, and a body now executes on only one of them),
+// and not on what runs beside it (Workers > 1 executes bodies
+// concurrently). Every catalog workload goes through both launcher
+// kinds: once alone, then — in reverse order, four at a time — again on
+// the same launcher and on a second one.
+func TestLaunchersArePure(t *testing.T) {
+	catalog := workloads.Default()
+	names := catalog.Names()
+	if len(names) != 30 {
+		t.Fatalf("catalog has %d workloads, want the paper's 30", len(names))
+	}
+	kinds := map[string]func() (faas.Launcher, error){
+		"runtime": func() (faas.Launcher, error) { return NewRuntimeLauncher(LangPython, tee.KindTDX, catalog) },
+		"wasm":    func() (faas.Launcher, error) { return NewWasmLauncher(tee.KindTDX, catalog) },
+	}
+	for kind, build := range kinds {
+		first, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch := func(l faas.Launcher, name string) faas.LaunchResult {
+			w, err := catalog.Lookup(name)
+			if err != nil {
+				t.Error(err)
+				return faas.LaunchResult{}
+			}
+			scale := w.DefaultScale / 8 // the -quick size
+			if scale < 1 {
+				scale = 1
+			}
+			res, err := l.Launch(context.Background(), faas.Function{Name: name, Language: l.Language(), Workload: name}, scale)
+			if err != nil {
+				t.Errorf("%s/%s: %v", kind, name, err)
+			}
+			return res
+		}
+
+		want := make(map[string]faas.LaunchResult, len(names))
+		bytecode := 0
+		for _, name := range names {
+			want[name] = launch(first, name)
+			if wl, ok := first.(*WasmLauncher); ok && wl.HasBytecode(name) {
+				bytecode++
+			}
+		}
+		if kind == "wasm" && bytecode != 5 {
+			t.Errorf("wasm pass ran %d bytecode mappings, want all 5", bytecode)
+		}
+
+		next := make(chan string)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for name := range next {
+					for which, l := range []faas.Launcher{first, second} {
+						if got := launch(l, name); !reflect.DeepEqual(got, want[name]) {
+							t.Errorf("%s/%s is not pure: launcher %d returned\n%+v\nafter\n%+v", kind, name, which, got, want[name])
+						}
+					}
+				}
+			}()
+		}
+		for i := len(names) - 1; i >= 0; i-- {
+			next <- names[i]
+		}
+		close(next)
+		wg.Wait()
 	}
 }

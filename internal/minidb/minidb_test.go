@@ -572,14 +572,26 @@ func TestSpeedTestRuns(t *testing.T) {
 func TestSpeedTestProgressCallback(t *testing.T) {
 	st := NewSpeedTest(5)
 	var seen []int
-	_, err := st.RunWithProgress(meter.NewContext(), func(r TestResult) {
+	_, err := st.RunWithProgress(meter.NewContext(), func(r TestResult) error {
 		seen = append(seen, r.ID)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 18 {
 		t.Errorf("progress callbacks = %d", len(seen))
+	}
+	// An error from the callback stops the suite before the next test
+	// and comes back as is.
+	stop := errors.New("stop")
+	seen = nil
+	_, err = st.RunWithProgress(meter.NewContext(), func(r TestResult) error {
+		seen = append(seen, r.ID)
+		return stop
+	})
+	if err != stop || len(seen) != 1 {
+		t.Errorf("stopped suite: err = %v after %d callbacks, want the callback's error after 1", err, len(seen))
 	}
 }
 

@@ -22,6 +22,8 @@ type SpeedTest struct {
 	Backend Backend
 	// db is rebuilt on every Run.
 	db *Database
+	// stopped is the progress callback's error; exec refuses after it.
+	stopped error
 }
 
 // TestResult reports one numbered test.
@@ -90,6 +92,9 @@ func numberName(n int) string {
 
 // exec runs one statement, failing the whole suite on error.
 func (st *SpeedTest) exec(m *meter.Context, sql string) (*ResultSet, error) {
+	if st.stopped != nil {
+		return nil, st.stopped
+	}
 	rs, err := st.db.Exec(m, sql)
 	if err != nil {
 		return nil, fmt.Errorf("minidb speedtest: %q: %w", truncateSQL(sql), err)
@@ -112,19 +117,21 @@ func (st *SpeedTest) Run(m *meter.Context) ([]TestResult, error) {
 
 // RunWithProgress is Run with a per-test callback, invoked right after
 // each numbered test completes (the benchmark harness uses it to
-// snapshot per-test metered usage).
-func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)) ([]TestResult, error) {
+// snapshot per-test metered usage and to look at its context). An error
+// from the callback stops the suite before the next statement and is
+// returned as is.
+func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult) error) ([]TestResult, error) {
 	db, err := NewWithBackend(st.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("minidb speedtest: %w", err)
 	}
-	st.db = db
+	st.db, st.stopped = db, nil
 	var results []TestResult
 	record := func(id int, name string, statements, rows int) {
 		r := TestResult{ID: id, Name: name, Statements: statements, Rows: rows}
 		results = append(results, r)
-		if progress != nil {
-			progress(r)
+		if progress != nil && st.stopped == nil {
+			st.stopped = progress(r)
 		}
 	}
 	rnd := xorshiftDB(12345)
@@ -385,7 +392,7 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	}
 	record(990, "DROP TABLEs", 3, 0)
 
-	return results, nil
+	return results, st.stopped
 }
 
 // Summary renders results like speedtest1's console output.

@@ -11,13 +11,15 @@
 // 128 MB RAM running Solaris 2.3, whose baseline values UnixBench
 // hard-codes), plus the geometric-mean aggregate index.
 //
-// Because ConfBench prices execution with a virtual clock, each test
-// receives its duration from a PriceFunc supplied by the VM under
-// test; running the same suite under the secure and the normal guest
-// of one host yields the Fig. 4 ratios.
+// Because ConfBench prices execution with a virtual clock, the suite
+// only executes: Run returns what each test did and metered, and Score
+// turns the durations a VM priced those usages at into index scores.
+// Scoring one Run under the secure and the normal guest of one host
+// yields the Fig. 4 ratios.
 package unixbench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -26,10 +28,6 @@ import (
 	"confbench/internal/meter"
 	"confbench/internal/stats"
 )
-
-// PriceFunc converts metered usage into a duration under the VM being
-// benchmarked.
-type PriceFunc func(u meter.Usage) time.Duration
 
 // TestScore reports one test.
 type TestScore struct {
@@ -115,26 +113,46 @@ func (s *Suite) tests() []test {
 	}
 }
 
-// Run executes the suite, metering total usage into m and pricing each
-// test with price.
-func (s *Suite) Run(m *meter.Context, price PriceFunc) (Result, error) {
-	if price == nil {
-		return Result{}, fmt.Errorf("unixbench: nil price function")
+// TestRun is one executed test, not yet priced.
+type TestRun struct {
+	test
+	// Work is the test's work metric (loops, KB copied, MWIPS).
+	Work float64
+	// Usage is what the test metered.
+	Usage meter.Usage
+}
+
+// Run executes every test once, each against a meter of its own, and
+// returns the runs in suite order. ctx is checked between tests.
+func (s *Suite) Run(ctx context.Context) ([]TestRun, error) {
+	var runs []TestRun
+	for _, t := range s.tests() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		local := meter.NewContext()
+		work := t.run(local, s.scale)
+		runs = append(runs, TestRun{test: t, Work: work, Usage: local.Snapshot()})
+	}
+	return runs, nil
+}
+
+// Score computes the UnixBench report of runs whose usages were priced
+// at durs (one duration per run, same order).
+func Score(runs []TestRun, durs []time.Duration) (Result, error) {
+	if len(durs) != len(runs) {
+		return Result{}, fmt.Errorf("unixbench: %d durations for %d runs", len(durs), len(runs))
 	}
 	var res Result
 	var indexes []float64
-	for _, t := range s.tests() {
-		local := meter.NewContext()
-		metric := t.run(local, s.scale)
-		usage := local.Snapshot()
-		m.Merge(usage)
-		dur := price(usage)
+	for i, t := range runs {
+		dur := durs[i]
 		if dur <= 0 {
 			return Result{}, fmt.Errorf("unixbench: %s priced at %v", t.name, dur)
 		}
-		rate := metric / dur.Seconds()
+		rate := t.Work / dur.Seconds()
 		if t.perMin {
-			rate = metric / (dur.Seconds() / 60)
+			rate = t.Work / (dur.Seconds() / 60)
 		}
 		score := TestScore{
 			Name:     t.name,

@@ -1,6 +1,8 @@
 package unixbench
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -19,10 +21,25 @@ func taxedPrice(u meter.Usage) time.Duration {
 	return 2 * cpumodel.XeonGold5515.TotalCost(u)
 }
 
+// runScored executes the suite once and scores it under price, merging
+// what the tests metered into m.
+func runScored(s *Suite, m *meter.Context, price func(meter.Usage) time.Duration) (Result, error) {
+	runs, err := s.Run(context.Background())
+	if err != nil {
+		return Result{}, err
+	}
+	durs := make([]time.Duration, len(runs))
+	for i, r := range runs {
+		m.Merge(r.Usage)
+		durs[i] = price(r.Usage)
+	}
+	return Score(runs, durs)
+}
+
 func TestSuiteRunsAllTests(t *testing.T) {
 	s := New(Options{Scale: 0.05})
 	m := meter.NewContext()
-	res, err := s.Run(m, flatPrice)
+	res, err := runScored(s, m, flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +78,7 @@ func TestSuiteRunsAllTests(t *testing.T) {
 
 func TestIndexIsGeometricMeanOfTestIndexes(t *testing.T) {
 	s := New(Options{Scale: 0.05})
-	res, err := s.Run(meter.NewContext(), flatPrice)
+	res, err := runScored(s, meter.NewContext(), flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +98,11 @@ func TestIndexIsGeometricMeanOfTestIndexes(t *testing.T) {
 
 func TestSlowerPricingLowersIndex(t *testing.T) {
 	s := New(Options{Scale: 0.05})
-	fast, err := s.Run(meter.NewContext(), flatPrice)
+	fast, err := runScored(s, meter.NewContext(), flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := s.Run(meter.NewContext(), taxedPrice)
+	slow, err := runScored(s, meter.NewContext(), taxedPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +115,38 @@ func TestSlowerPricingLowersIndex(t *testing.T) {
 	}
 }
 
-func TestNilPriceRejected(t *testing.T) {
-	if _, err := New(Options{}).Run(meter.NewContext(), nil); err == nil {
-		t.Error("nil price function accepted")
+func TestScoreRejectsBadDurations(t *testing.T) {
+	runs, err := New(Options{Scale: 0.05}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Score(runs, nil); err == nil {
+		t.Error("missing durations accepted")
+	}
+	if _, err := Score(runs, make([]time.Duration, len(runs))); err == nil {
+		t.Error("zero durations accepted")
+	}
+}
+
+func TestRunStopsOnCanceledContext(t *testing.T) {
+	// That the look at ctx happens between tests, not only on entry, is
+	// pinned from the figure's side (bench.TestSuitesCancelBetweenTests).
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs, err := New(Options{Scale: 0.05}).Run(ctx)
+	if !errors.Is(err, context.Canceled) || runs != nil {
+		t.Errorf("Run = %d runs, %v; want canceled", len(runs), err)
 	}
 }
 
 func TestScaleAffectsWorkNotRate(t *testing.T) {
 	// Larger scale does more work in proportionally more (virtual)
 	// time, so the rate must stay roughly constant.
-	small, err := New(Options{Scale: 0.05}).Run(meter.NewContext(), flatPrice)
+	small, err := runScored(New(Options{Scale: 0.05}), meter.NewContext(), flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := New(Options{Scale: 0.1}).Run(meter.NewContext(), flatPrice)
+	large, err := runScored(New(Options{Scale: 0.1}), meter.NewContext(), flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +159,7 @@ func TestScaleAffectsWorkNotRate(t *testing.T) {
 }
 
 func TestRenderContainsEveryTest(t *testing.T) {
-	res, err := New(Options{Scale: 0.05}).Run(meter.NewContext(), flatPrice)
+	res, err := runScored(New(Options{Scale: 0.05}), meter.NewContext(), flatPrice)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,35 +140,46 @@ func (v *VM) price(u meter.Usage) (tee.Charge, perfmon.Stats) {
 	return charge, v.monitor.Collect(u, charge, v.host)
 }
 
-// PriceUsage returns the wall-clock cost of the given usage inside
-// this VM. Benchmark suites that need per-test durations (UnixBench's
-// index scores) use this as their pricing function.
-func (v *VM) PriceUsage(u meter.Usage) time.Duration {
-	charge, _ := v.price(u)
-	return charge.Total
-}
-
-// InvokeFunction executes a FaaS function at the given scale (0 uses
-// the workload's default). A canceled ctx aborts the invocation and
-// surfaces cberr.ErrCanceled.
-func (v *VM) InvokeFunction(ctx context.Context, fn faas.Function, scale int) (Result, error) {
+// admit refuses new work on a canceled ctx or a stopped VM.
+func (v *VM) admit(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
-		return Result{}, cberr.From(err, cberr.LayerVM)
+		return cberr.From(err, cberr.LayerVM)
 	}
 	if v.stopped.Load() {
-		return Result{}, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerVM, ErrStopped)
+		return cberr.Wrap(cberr.CodeUnavailable, cberr.LayerVM, ErrStopped)
+	}
+	return nil
+}
+
+// Execute is the first half of an invocation: it runs fn's body on the
+// VM's launcher at the given scale (0 uses the workload's default) and
+// returns the output and the metered usage, unpriced. Launchers are
+// pure — same function and scale, same result — so an execution can be
+// priced on any guest, in any order, after the fact. A canceled ctx
+// aborts the launch and surfaces cberr.ErrCanceled.
+func (v *VM) Execute(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
+	if err := v.admit(ctx); err != nil {
+		return faas.LaunchResult{}, err
 	}
 	l, ok := v.launchers[fn.Language]
 	if !ok {
-		return Result{}, cberr.Wrap(cberr.CodeInvalid, cberr.LayerVM,
+		return faas.LaunchResult{}, cberr.Wrap(cberr.CodeInvalid, cberr.LayerVM,
 			fmt.Errorf("%w: %q", ErrNoLauncher, fn.Language))
 	}
 	execCtx, execSpan := obs.StartSpan(ctx, "vm", "exec", fn.Name)
 	lr, err := l.Launch(execCtx, fn, scale)
 	execSpan.End()
 	if err != nil {
-		return Result{}, cberr.From(err, cberr.LayerVM)
+		return faas.LaunchResult{}, cberr.From(err, cberr.LayerVM)
 	}
+	return lr, nil
+}
+
+// Price is the second half: it charges an execution on this VM's guest,
+// the run usage first and then the bootstrap usage. Each non-empty
+// charge draws from the guest's pricing noise, so the order of Price
+// calls on one VM is part of the result.
+func (v *VM) Price(ctx context.Context, lr faas.LaunchResult) Result {
 	_, priceSpan := obs.StartSpan(ctx, "tee", "price", string(v.Platform()))
 	charge, perf := v.price(lr.RunUsage)
 	bootCharge, _ := v.price(lr.BootstrapUsage)
@@ -187,45 +198,23 @@ func (v *VM) InvokeFunction(ctx context.Context, fn faas.Function, scale int) (R
 		Perf:      perf,
 		Secure:    v.Secure(),
 		Platform:  v.Platform(),
-	}, nil
+	}
 }
 
-// RunMetered executes an arbitrary metered task inside the VM —
-// ConfBench's "classic workloads" path (ML inference, DBMS, OS
-// benchmarks), where the user ships a cross-compiled executable. The
-// ctx is handed to the task so long-running workloads can observe
-// cancellation.
-func (v *VM) RunMetered(ctx context.Context, name string, task func(ctx context.Context, m *meter.Context) (string, error)) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, cberr.From(err, cberr.LayerVM)
-	}
-	if v.stopped.Load() {
-		return Result{}, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerVM, ErrStopped)
-	}
-	mctx := meter.NewContext()
-	output, err := task(ctx, mctx)
+// InvokeFunction is the serving path: Execute, then Price on this one
+// VM.
+func (v *VM) InvokeFunction(ctx context.Context, fn faas.Function, scale int) (Result, error) {
+	lr, err := v.Execute(ctx, fn, scale)
 	if err != nil {
-		return Result{}, cberr.From(fmt.Errorf("vm: run %s: %w", name, err), cberr.LayerVM)
+		return Result{}, err
 	}
-	usage := mctx.Snapshot()
-	charge, perf := v.price(usage)
-	return Result{
-		Output:   output,
-		Wall:     charge.Total,
-		Usage:    usage,
-		Perf:     perf,
-		Secure:   v.Secure(),
-		Platform: v.Platform(),
-	}, nil
+	return v.Price(ctx, lr), nil
 }
 
 // AttestationReport proxies to the guest.
 func (v *VM) AttestationReport(ctx context.Context, nonce []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, cberr.From(err, cberr.LayerVM)
-	}
-	if v.stopped.Load() {
-		return nil, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerVM, ErrStopped)
+	if err := v.admit(ctx); err != nil {
+		return nil, err
 	}
 	report, err := v.guest.AttestationReport(ctx, nonce)
 	if err != nil {
@@ -277,6 +266,45 @@ func NewPair(b tee.Backend, cfg tee.GuestConfig, catalog *workloads.Registry) (P
 		return Pair{}, err
 	}
 	return Pair{Secure: secureVM, Normal: normalVM}, nil
+}
+
+// Execute runs fn's body once for the pair. Both VMs carry the same
+// launcher set (Fig. 2), so the secure VM's stands for both; a stopped
+// VM on either side refuses.
+func (p Pair) Execute(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
+	if err := p.Normal.admit(ctx); err != nil {
+		return faas.LaunchResult{}, err
+	}
+	return p.Secure.Execute(ctx, fn, scale)
+}
+
+// RunMetered is Execute for ConfBench's "classic workloads" (ML
+// inference, DBMS, OS benchmarks), where the user ships a
+// cross-compiled executable instead of a function: task runs once
+// against a fresh meter and its usage comes back unpriced, with no
+// bootstrap share. The ctx is handed to the task so long-running
+// workloads can observe cancellation.
+func (p Pair) RunMetered(ctx context.Context, name string, task func(ctx context.Context, m *meter.Context) (string, error)) (faas.LaunchResult, error) {
+	for _, v := range []*VM{p.Secure, p.Normal} {
+		if err := v.admit(ctx); err != nil {
+			return faas.LaunchResult{}, err
+		}
+	}
+	mctx := meter.NewContext()
+	output, err := task(ctx, mctx)
+	if err != nil {
+		return faas.LaunchResult{}, cberr.From(fmt.Errorf("vm: run %s: %w", name, err), cberr.LayerVM)
+	}
+	return faas.LaunchResult{Output: output, RunUsage: mctx.Snapshot()}, nil
+}
+
+// Price charges one execution on the secure and then on the normal
+// guest. It is the paper's protocol in one call — same workload, same
+// arguments, both VMs of a host — and the fixed order is what keeps a
+// sequence of Price calls reproducible per seed.
+func (p Pair) Price(ctx context.Context, lr faas.LaunchResult) (secure, normal Result) {
+	secure = p.Secure.Price(ctx, lr)
+	return secure, p.Normal.Price(ctx, lr)
 }
 
 // Stop tears both VMs down, aggregating every teardown error.

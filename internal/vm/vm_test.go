@@ -69,22 +69,6 @@ func TestInvokeFunctionUnknownLanguage(t *testing.T) {
 	}
 }
 
-func TestSecureNormalAgreeOnOutput(t *testing.T) {
-	pair := tdxPair(t)
-	fn := faas.Function{Name: "f", Language: "go", Workload: "primes"}
-	s, err := pair.Secure.InvokeFunction(context.Background(), fn, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := pair.Normal.InvokeFunction(context.Background(), fn, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Output != n.Output {
-		t.Errorf("outputs differ: %q vs %q", s.Output, n.Output)
-	}
-}
-
 func TestIOHeavySecureSlower(t *testing.T) {
 	pair := tdxPair(t)
 	fn := faas.Function{Name: "f", Language: "go", Workload: "iostress"}
@@ -108,7 +92,7 @@ func TestIOHeavySecureSlower(t *testing.T) {
 
 func TestRunMetered(t *testing.T) {
 	pair := tdxPair(t)
-	res, err := pair.Secure.RunMetered(context.Background(), "custom", func(_ context.Context, m *meter.Context) (string, error) {
+	lr, err := pair.RunMetered(context.Background(), "custom", func(_ context.Context, m *meter.Context) (string, error) {
 		m.CPU(1_000_000)
 		m.Touch(1 << 20)
 		return "done", nil
@@ -116,26 +100,33 @@ func TestRunMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output != "done" || res.Wall <= 0 {
-		t.Errorf("result = %+v", res)
+	if lr.Output != "done" || lr.RunUsage[meter.CPUOps] != 1_000_000 || len(lr.BootstrapUsage) != 0 {
+		t.Errorf("execution = %+v", lr)
+	}
+	s, n := pair.Price(context.Background(), lr)
+	if s.Output != "done" || s.Wall <= 0 || n.Wall <= 0 || s.Bootstrap != 0 {
+		t.Errorf("priced = %+v / %+v", s, n)
+	}
+	if !s.Secure || n.Secure || s.Platform != tee.KindTDX {
+		t.Errorf("flags = %+v / %+v", s, n)
 	}
 }
 
 func TestRunMeteredPropagatesError(t *testing.T) {
 	pair := tdxPair(t)
 	wantErr := errors.New("boom")
-	if _, err := pair.Secure.RunMetered(context.Background(), "bad", func(context.Context, *meter.Context) (string, error) {
+	if _, err := pair.RunMetered(context.Background(), "bad", func(context.Context, *meter.Context) (string, error) {
 		return "", wantErr
 	}); !errors.Is(err, wantErr) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }
 
-func TestPriceUsageMonotone(t *testing.T) {
+func TestPriceMonotone(t *testing.T) {
 	pair := tdxPair(t)
-	small := meter.Usage{meter.CPUOps: 1_000_000}
-	large := meter.Usage{meter.CPUOps: 100_000_000}
-	if pair.Secure.PriceUsage(large) <= pair.Secure.PriceUsage(small) {
+	small, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 1_000_000}})
+	large, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 100_000_000}})
+	if large.Wall <= small.Wall {
 		t.Error("pricing not monotone in work")
 	}
 }
@@ -149,7 +140,10 @@ func TestStoppedVMRejectsWork(t *testing.T) {
 	if _, err := pair.Secure.InvokeFunction(context.Background(), fn, 1); !errors.Is(err, ErrStopped) {
 		t.Errorf("invoke after stop: %v", err)
 	}
-	if _, err := pair.Secure.RunMetered(context.Background(), "x", nil); !errors.Is(err, ErrStopped) {
+	if _, err := pair.Secure.Execute(context.Background(), fn, 1); !errors.Is(err, ErrStopped) {
+		t.Errorf("execute after stop: %v", err)
+	}
+	if _, err := pair.RunMetered(context.Background(), "x", nil); !errors.Is(err, ErrStopped) {
 		t.Errorf("run after stop: %v", err)
 	}
 	if _, err := pair.Secure.AttestationReport(context.Background(), nil); !errors.Is(err, ErrStopped) {
@@ -219,14 +213,11 @@ func TestSEVPairExits(t *testing.T) {
 		m.Syscall(10_000)
 		return "ok", nil
 	}
-	s, err := pair.Secure.RunMetered(context.Background(), "switchy", task)
+	lr, err := pair.RunMetered(context.Background(), "switchy", task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := pair.Normal.RunMetered(context.Background(), "switchy", task)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, n := pair.Price(context.Background(), lr)
 	if s.Perf.TEEExits == 0 {
 		t.Error("secure guest recorded no exits")
 	}
