@@ -11,10 +11,12 @@ GO ?= go
 # live-migration engine's chunk-resume path, the SLO engine
 # (evaluated from federation sweeps while handlers read its status),
 # what that refill goroutine drives while a drain exports beside
-# it: the shared TEE guest lifecycle and the snapshot cache, and the
+# it: the shared TEE guest lifecycle and the snapshot cache, the
 # scenario runner, whose goroutine-leak check and restart step close and
-# re-boot whole deployments.
-RACE_PKGS = ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+# re-boot whole deployments, the meter Context that fan-out workloads
+# share, and the Wasm instance, whose frame stack is mutable state
+# behind the launcher's mutex.
+RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the
@@ -25,7 +27,7 @@ RACE_PKGS = ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal
 COVER_FLOOR ?= 70
 COVER_PKGS = ./internal/drill ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
 
-.PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes verify
+.PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
 
 build:
 	$(GO) build ./...
@@ -108,6 +110,15 @@ lint-routes:
 benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# What one guest body costs in wall time and allocations (DESIGN.md
+# §16): every catalog workload at the guest-mix scale, the two shared
+# fixtures, the meter and the Wasm call path. A reading aid for body
+# optimisations, not a gate and not part of verify; the gates are the
+# allocation ceilings in the packages' own tests and `guest-mix` in the
+# repo's benchmark.
+bench-guest:
+	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm
 
 # Full pre-merge check: compile, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the

@@ -47,9 +47,13 @@ const (
 	FileOps
 	// PageFaults counts first-touch page faults (RMP/TDX accept cost).
 	PageFaults
+
+	// numCounters bounds the defined range: a Context holds one slot
+	// per value below it (slot 0 stays unused, counters start at 1).
+	numCounters
 )
 
-var counterNames = map[Counter]string{
+var counterNames = [numCounters]string{
 	CPUOps:          "cpu-ops",
 	FPOps:           "fp-ops",
 	BytesAllocated:  "bytes-allocated",
@@ -65,21 +69,23 @@ var counterNames = map[Counter]string{
 	PageFaults:      "page-faults",
 }
 
+// defined reports whether c names one of the metered dimensions.
+func (c Counter) defined() bool { return c > 0 && c < numCounters }
+
 // String returns the canonical lowercase name of the counter.
 func (c Counter) String() string {
-	if s, ok := counterNames[c]; ok {
-		return s
+	if c.defined() {
+		return counterNames[c]
 	}
 	return fmt.Sprintf("counter(%d)", int(c))
 }
 
 // AllCounters returns every defined counter in a stable order.
 func AllCounters() []Counter {
-	out := make([]Counter, 0, len(counterNames))
-	for c := range counterNames {
+	out := make([]Counter, 0, numCounters-1)
+	for c := Counter(1); c < numCounters; c++ {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -88,17 +94,18 @@ func AllCounters() []Counter {
 // share one Context.
 type Context struct {
 	mu     sync.Mutex
-	counts map[Counter]uint64
+	counts [numCounters]uint64
 }
 
 // NewContext returns an empty metering context.
 func NewContext() *Context {
-	return &Context{counts: make(map[Counter]uint64, 16)}
+	return &Context{}
 }
 
-// Add increments counter c by n. Negative increments are ignored.
+// Add increments counter c by n. Negative increments and counters
+// outside the defined range are ignored.
 func (m *Context) Add(c Counter, n int64) {
-	if n <= 0 {
+	if n <= 0 || !c.defined() {
 		return
 	}
 	m.mu.Lock()
@@ -108,6 +115,9 @@ func (m *Context) Add(c Counter, n int64) {
 
 // Get returns the current value of counter c.
 func (m *Context) Get(c Counter) uint64 {
+	if !c.defined() {
+		return 0
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.counts[c]
@@ -168,13 +178,21 @@ func (m *Context) Switch(n int64) { m.Add(ContextSwitches, n) }
 // Fault records n first-touch page faults.
 func (m *Context) Fault(n int64) { m.Add(PageFaults, n) }
 
-// Snapshot returns a copy of all counters.
+// Snapshot returns a copy of the non-zero counters.
 func (m *Context) Snapshot() Usage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	u := make(Usage, len(m.counts))
+	n := 0
+	for _, v := range m.counts {
+		if v != 0 {
+			n++
+		}
+	}
+	u := make(Usage, n)
 	for c, v := range m.counts {
-		u[c] = v
+		if v != 0 {
+			u[Counter(c)] = v
+		}
 	}
 	return u
 }
@@ -183,15 +201,18 @@ func (m *Context) Snapshot() Usage {
 func (m *Context) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.counts = make(map[Counter]uint64, 16)
+	m.counts = [numCounters]uint64{}
 }
 
-// Merge adds every counter of u into the context.
+// Merge adds every counter of u into the context. Counters outside the
+// defined range are ignored.
 func (m *Context) Merge(u Usage) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for c, v := range u {
-		m.counts[c] += v
+		if c.defined() {
+			m.counts[c] += v
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DefaultFuel is the per-invocation instruction budget.
@@ -34,6 +35,11 @@ type Instance struct {
 	// ErrFuelExhausted when it hits zero.
 	Fuel  uint64
 	stats ExecStats
+	// frames holds the locals of every active call, innermost last:
+	// call pushes a function's Params+Locals slots and pops them on
+	// return, so a call costs no heap allocation. Empty between
+	// invokes, whichever way the last one ended.
+	frames []int64
 }
 
 // NewInstance instantiates m with fresh globals and memory.
@@ -46,6 +52,7 @@ func NewInstance(m *Module) (*Instance, error) {
 		globals: append([]int64(nil), m.Globals...),
 		memory:  make([]byte, m.MemPages*PageSize),
 		Fuel:    DefaultFuel,
+		frames:  make([]int64, 0, 256),
 	}, nil
 }
 
@@ -82,6 +89,8 @@ func (in *Instance) Invoke(name string, args ...int64) ([]int64, error) {
 	stack := make([]int64, 0, 64)
 	stack = append(stack, args...)
 	stack, err = in.call(idx, stack, 0)
+	// A trap unwinds through call without popping; drop what it left.
+	in.frames = in.frames[:0]
 	if err != nil {
 		return nil, err
 	}
@@ -111,10 +120,15 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 	f := &in.module.Funcs[fi]
 	in.stats.Calls++
 
-	// Locals: parameters moved off the operand stack + zeroed extras.
+	// Locals: parameters moved off the operand stack + zeroed extras,
+	// in a new frame on the instance's frame stack.
 	base := len(stack) - f.Params
-	locals := make([]int64, f.Params+f.Locals)
+	fp := len(in.frames)
+	n := f.Params + f.Locals
+	in.frames = slices.Grow(in.frames, n)[:fp+n]
+	locals := in.frames[fp:]
 	copy(locals, stack[base:])
+	clear(locals[f.Params:])
 	stack = stack[:base]
 
 	code := f.Code
@@ -157,6 +171,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 				continue
 			}
 		case OpReturn:
+			in.frames = in.frames[:fp]
 			return finishCall(f, base, stack)
 		case OpCall:
 			var err error
@@ -164,6 +179,9 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The callee may have grown the frame stack into a new
+			// array; this frame's slots moved with it.
+			locals = in.frames[fp:]
 		case OpDrop:
 			stack = stack[:len(stack)-1]
 		case OpSelect:
@@ -334,20 +352,20 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		}
 		pc++
 	}
+	in.frames = in.frames[:fp]
 	return finishCall(f, base, stack)
 }
 
-// finishCall checks the result arity at function exit and truncates
-// the stack to the caller's height plus the callee's results, so
-// early returns from inside loops cannot leak residual operands.
+// finishCall checks the result arity at function exit and moves the
+// callee's results down to the caller's height, so early returns from
+// inside loops cannot leak residual operands.
 func finishCall(f *Func, base int, stack []int64) ([]int64, error) {
 	if len(stack)-base < f.Results {
 		return nil, fmt.Errorf("%w: %q returning %d values, %d available",
 			ErrStackUnderflow, f.Name, f.Results, len(stack)-base)
 	}
-	results := make([]int64, f.Results)
-	copy(results, stack[len(stack)-f.Results:])
-	return append(stack[:base], results...), nil
+	copy(stack[base:], stack[len(stack)-f.Results:])
+	return stack[:base+f.Results], nil
 }
 
 func b2i(b bool) int64 {

@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func benchInstance(t *testing.T) *Instance {
+func benchInstance(t testing.TB) *Instance {
 	t.Helper()
 	m, err := BuildBenchModule()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,12 +87,13 @@ func (fs *vfs) create(p string) error {
 }
 
 // write appends data block-by-block (blockSize bytes per syscall).
+// The file's room is reserved once, so N blocks move N·blockSize bytes.
 func (fs *vfs) write(p string, data []byte, blockSize int) error {
 	p = path.Clean(p)
 	if _, ok := fs.files[p]; !ok {
 		return fmt.Errorf("vfs: write %s: no such file", p)
 	}
-	buf := fs.files[p]
+	buf := slices.Grow(fs.files[p], len(data))
 	for off := 0; off < len(data); off += blockSize {
 		end := off + blockSize
 		if end > len(data) {
@@ -161,11 +163,17 @@ func (fs *vfs) list(dir string) []string {
 	return out
 }
 
-// pattern fills a deterministic data block.
+// pattern fills a deterministic data block: data[i] = byte(i)*31 + seed.
+// The sequence has period 256, so one period is computed and the rest
+// is doubled into place.
 func pattern(n int, seed byte) []byte {
 	data := make([]byte, n)
-	for i := range data {
+	period := min(n, 256)
+	for i := range data[:period] {
 		data[i] = byte(i)*31 + seed
+	}
+	for filled := period; filled < n; filled *= 2 {
+		copy(data[filled:], data[:filled])
 	}
 	return data
 }

@@ -9,8 +9,8 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"regexp"
+	"strconv"
 	"strings"
 	"text/template"
 
@@ -158,17 +158,38 @@ func runHashing(m *meter.Context, scale int) (string, error) {
 	return fmt.Sprintf("last=%x", digest[:4]), nil
 }
 
-// compressibleText builds n bytes of log-like text.
-func compressibleText(n int) []byte {
-	var sb strings.Builder
-	sb.Grow(n)
-	i := 0
-	for sb.Len() < n {
-		fmt.Fprintf(&sb, "ts=%010d level=%s component=storage msg=\"flushed segment %d to tier %d\"\n",
-			i, []string{"info", "warn", "debug"}[i%3], i, i%4)
-		i++
+// appendPadded appends v (≥ 0) in decimal, zero-padded to width
+// digits, as fmt's %0<width>d does.
+func appendPadded(b []byte, v, width int) []byte {
+	digits := 1
+	for x := v; x >= 10; x /= 10 {
+		digits++
 	}
-	return []byte(sb.String()[:n])
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// compressibleText builds n bytes of log-like text, appended into one
+// buffer with room for the line that crosses n:
+//
+//	ts=%010d level=%s component=storage msg="flushed segment %d to tier %d"\n
+func compressibleText(n int) []byte {
+	levels := [...]string{"info", "warn", "debug"}
+	b := make([]byte, 0, n+128)
+	for i := 0; len(b) < n; i++ {
+		b = append(b, "ts="...)
+		b = appendPadded(b, i, 10)
+		b = append(b, " level="...)
+		b = append(b, levels[i%3]...)
+		b = append(b, " component=storage msg=\"flushed segment "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, " to tier "...)
+		b = strconv.AppendInt(b, int64(i%4), 10)
+		b = append(b, "\"\n"...)
+	}
+	return b[:n]
 }
 
 // runCompress round-trips text through DEFLATE.
@@ -192,13 +213,16 @@ func runCompress(m *meter.Context, scale int) (string, error) {
 	}
 
 	r := flate.NewReader(bytes.NewReader(comp.Bytes()))
-	back, err := io.ReadAll(r)
-	if err != nil {
+	// Room for the text plus the free tail ReadFrom wants before the
+	// read that returns EOF, so the buffer never regrows.
+	inflated := bytes.NewBuffer(make([]byte, 0, len(text)+bytes.MinRead))
+	if _, err := inflated.ReadFrom(r); err != nil {
 		return "", fmt.Errorf("compress: inflate: %w", err)
 	}
 	if err := r.Close(); err != nil {
 		return "", fmt.Errorf("compress: close reader: %w", err)
 	}
+	back := inflated.Bytes()
 	if !bytes.Equal(back, text) {
 		return "", fmt.Errorf("compress: round trip mismatch")
 	}
@@ -253,17 +277,31 @@ func runRegexMatch(m *meter.Context, scale int) (string, error) {
 	if scale <= 0 {
 		return "", fmt.Errorf("regexmatch: scale must be positive, got %d", scale)
 	}
-	methods := []string{"GET", "POST", "PUT", "PATCH"}
+	methods := [...]string{"GET", "POST", "PUT", "PATCH"}
 	matched, totalSize := 0, 0
 	var chars int64
+	// %d.%d.0.%d - frank [10/Oct/2025:13:55:%02d] "%s /api/v1/items/%d" %d %d
+	line := make([]byte, 0, 128)
 	for i := 0; i < scale; i++ {
-		line := fmt.Sprintf(`%d.%d.0.%d - frank [10/Oct/2025:13:55:%02d] "%s /api/v1/items/%d" %d %d`,
-			10+i%80, i%256, i%254+1, i%60, methods[i%len(methods)], i, 200+(i%3)*100, 512+i%4096)
+		line = strconv.AppendInt(line[:0], int64(10+i%80), 10)
+		line = append(line, '.')
+		line = strconv.AppendInt(line, int64(i%256), 10)
+		line = append(line, ".0."...)
+		line = strconv.AppendInt(line, int64(i%254+1), 10)
+		line = append(line, " - frank [10/Oct/2025:13:55:"...)
+		line = appendPadded(line, i%60, 2)
+		line = append(line, "] \""...)
+		line = append(line, methods[i%len(methods)]...)
+		line = append(line, " /api/v1/items/"...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		line = append(line, "\" "...)
+		line = strconv.AppendInt(line, int64(200+(i%3)*100), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(512+i%4096), 10)
 		chars += int64(len(line))
-		if sub := logLineRE.FindStringSubmatch(line); sub != nil {
+		if sub := logLineRE.FindSubmatch(line); sub != nil {
 			matched++
-			var sz int
-			if _, err := fmt.Sscanf(sub[6], "%d", &sz); err == nil {
+			if sz, err := strconv.Atoi(string(sub[6])); err == nil {
 				totalSize += sz
 			}
 		}

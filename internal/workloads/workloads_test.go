@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -323,5 +324,36 @@ func TestCompressRoundTrip(t *testing.T) {
 	}
 	if ratio >= 0.5 {
 		t.Errorf("compression ratio %v too poor", ratio)
+	}
+}
+
+func TestPatternMatchesFormula(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 255, 256, 257, 1000, 1<<16 + 3} {
+		got := pattern(n, 29)
+		if len(got) != n {
+			t.Fatalf("pattern(%d) has %d bytes", n, len(got))
+		}
+		for i, b := range got {
+			if want := byte(i)*31 + 29; b != want {
+				t.Fatalf("pattern(%d)[%d] = %d, want %d", n, i, b, want)
+			}
+		}
+	}
+}
+
+// The fmt-built text is the reference the append-built one replaced.
+func TestCompressibleTextMatchesFmt(t *testing.T) {
+	var ref strings.Builder
+	for i := 0; ref.Len() < 1<<16; i++ {
+		fmt.Fprintf(&ref, "ts=%010d level=%s component=storage msg=\"flushed segment %d to tier %d\"\n",
+			i, []string{"info", "warn", "debug"}[i%3], i, i%4)
+	}
+	for _, n := range []int{0, 1, 80, 81, 4096, 1 << 16} {
+		if got := string(compressibleText(n)); got != ref.String()[:n] {
+			t.Errorf("compressibleText(%d) differs from the fmt reference", n)
+		}
+	}
+	if got := string(appendPadded(nil, 12345678901, 10)); got != "12345678901" {
+		t.Errorf("appendPadded past the width = %q", got)
 	}
 }
