@@ -19,13 +19,14 @@ GO ?= go
 RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
-# reported number flows through, the gateway dispatch path, the
+# reported number flows through, the meter and machine model every
+# price starts from, the gateway dispatch path, the
 # sharded front tier, the front-door server, the warm-pool/snapshot-cache subsystem, the
 # telemetry plane, the persistence plane's log, the live-migration
 # engine, the SLO engine, and the scenario runner every drill goes
 # through.
 COVER_FLOOR ?= 70
-COVER_PKGS = ./internal/drill ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
+COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
 
 .PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
 
@@ -40,10 +41,13 @@ vet:
 
 # The second line repeats the binary carrier's writer, worker, lifecycle
 # and waiter tests: the most schedule-sensitive code in the tree, each
-# well under a second.
+# well under a second. The third repeats the front tier's tests under a
+# two-minute timeout, so a test that parks invokes in a fake shard and
+# then fails cannot hang CI for the ten-minute default.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter' ./internal/wire
+	$(GO) test -run 'TestTier' -count=20 -timeout 120s ./internal/fronttier
 
 # Per-package coverage report over the whole module.
 cover:
@@ -113,12 +117,15 @@ benchmark-check:
 
 # What one guest body costs in wall time and allocations (DESIGN.md
 # §16): every catalog workload at the guest-mix scale, the two shared
-# fixtures, the meter and the Wasm call path. A reading aid for body
-# optimisations, not a gate and not part of verify; the gates are the
-# allocation ceilings in the packages' own tests and `guest-mix` in the
-# repo's benchmark.
+# fixtures, the meter and the Wasm call path; then what pricing and
+# returning its result cost: VM.Price of a fib launch, one cost-model
+# Apply, one invoke-response decode. A reading aid for body and
+# per-invoke optimisations, not a gate and not part of verify; the
+# gates are the allocation ceilings in the packages' own tests and
+# `guest-mix` and `relay-small` in the repo's benchmark.
 bench-guest:
 	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm
+	$(GO) test -run xxx -bench 'BenchmarkPrice$$|BenchmarkCostApply$$|BenchmarkDecodeInvokeResponse$$' -benchmem ./internal/vm ./internal/tee ./internal/wire
 
 # Full pre-merge check: compile, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the

@@ -110,8 +110,9 @@ func (p Profile) CounterCostNs(c meter.Counter) float64 {
 	}
 }
 
-// Breakdown is the per-counter contribution to total virtual time.
-type Breakdown map[meter.Counter]time.Duration
+// Breakdown is the per-counter contribution to total virtual time,
+// indexed by meter.Counter like meter.Usage.
+type Breakdown [len(meter.Usage{})]time.Duration
 
 // Total sums all components.
 func (b Breakdown) Total() time.Duration {
@@ -125,9 +126,9 @@ func (b Breakdown) Total() time.Duration {
 // Cost converts a usage snapshot into a per-counter time breakdown
 // under this profile (including SimFactor).
 func (p Profile) Cost(u meter.Usage) Breakdown {
-	b := make(Breakdown, len(u))
-	for c, n := range u {
-		ns := float64(n) * p.CounterCostNs(c) * p.SimFactor
+	var b Breakdown
+	for c := meter.Counter(1); int(c) < len(u); c++ {
+		ns := float64(u[c]) * p.CounterCostNs(c) * p.SimFactor
 		if ns <= 0 {
 			continue
 		}

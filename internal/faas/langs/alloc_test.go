@@ -1,0 +1,34 @@
+//go:build !race
+
+package langs
+
+import (
+	"testing"
+
+	"confbench/internal/meter"
+)
+
+// TestPricingInputsAllocateNothing: amplifying a run's usage and
+// building the bootstrap usage are value arithmetic on meter.Usage.
+func TestPricingInputsAllocateNothing(t *testing.T) {
+	p, err := ProfileFor(LangPython)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := meter.Usage{meter.CPUOps: 10_000, meter.FPOps: 500, meter.BytesAllocated: 4096, meter.Syscalls: 3}
+	var run, boot meter.Usage
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Amplify", func() { run = Amplify(p, raw) }},
+		{"BootstrapUsage", func() { boot = BootstrapUsage(p) }},
+	} {
+		if got := testing.AllocsPerRun(1000, c.fn); got != 0 {
+			t.Errorf("%s allocates %.0f times, want 0", c.name, got)
+		}
+	}
+	if run.Get(meter.CPUOps) == 0 || boot.Get(meter.BytesTouched) == 0 {
+		t.Errorf("run %v, boot %v", run, boot)
+	}
+}

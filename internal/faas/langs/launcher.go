@@ -72,10 +72,7 @@ func (l *RuntimeLauncher) Launch(ctx context.Context, fn faas.Function, scale in
 
 // Amplify applies a runtime profile's weights to raw workload usage.
 func Amplify(p Profile, u meter.Usage) meter.Usage {
-	out := make(meter.Usage, len(u)+4)
-	for c, v := range u {
-		out[c] = v
-	}
+	out := u
 	cpu := u.Get(meter.CPUOps)
 	fp := u.Get(meter.FPOps)
 	alloc := u.Get(meter.BytesAllocated)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,9 +27,22 @@ type fakeShard struct {
 	reg     *obs.Registry
 	invokes atomic.Int64
 	failing atomic.Bool
-	block   chan struct{} // non-nil: invokes park here until closed
+	block   chan struct{} // non-nil: invokes park here until released
+	unblock sync.Once
 	wedged  chan struct{} // non-nil: obs scrapes park here until closed
 }
+
+// blockInvokes parks every invoke until release. The cleanup releasing
+// them is registered after the server's, so it runs first: a test that
+// fails with invokes parked ends at once instead of waiting in the
+// server's Close for the test timeout.
+func (f *fakeShard) blockInvokes(t *testing.T) {
+	f.block = make(chan struct{})
+	t.Cleanup(f.release)
+}
+
+// release lets parked invokes through; safe to call more than once.
+func (f *fakeShard) release() { f.unblock.Do(func() { close(f.block) }) }
 
 func newFakeShard(t *testing.T, name string) *fakeShard {
 	t.Helper()
@@ -41,7 +55,11 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 			return
 		}
 		if f.block != nil {
-			<-f.block
+			select {
+			case <-f.block:
+			case <-r.Context().Done():
+				return
+			}
 		}
 		var req api.InvokeRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
@@ -263,7 +281,7 @@ func TestTierTenantQuotaShedsWith503RetryAfter(t *testing.T) {
 // admission slot until completion, so MaxInFlight gates them.
 func TestTierInFlightQuotaCountsAsync(t *testing.T) {
 	a := newFakeShard(t, "shard-a")
-	a.block = make(chan struct{})
+	a.blockInvokes(t)
 	tier, client := bootTier(t, Config{
 		Quotas: map[string]TenantLimits{"acme": {MaxInFlight: 1}},
 	}, a)
@@ -284,7 +302,7 @@ func TestTierInFlightQuotaCountsAsync(t *testing.T) {
 	if _, err := tenant.Invoke(ctx, api.InvokeRequest{Function: "slow"}); err == nil {
 		t.Fatal("second in-flight request admitted past MaxInFlight=1")
 	}
-	close(a.block)
+	a.release()
 	if _, err := client.AwaitResult(ctx, sub.ID, time.Millisecond); err != nil {
 		t.Fatalf("await blocked async result: %v", err)
 	}
@@ -455,7 +473,7 @@ func TestTierSweepBoundsAWedgedShard(t *testing.T) {
 // with drain-time retry advice.
 func TestTierQueueFullSheds(t *testing.T) {
 	a := newFakeShard(t, "shard-a")
-	a.block = make(chan struct{})
+	a.blockInvokes(t)
 	tier, _ := bootTier(t, Config{ShardConcurrency: 1, QueueDepth: 1}, a)
 	client, err := api.New(tier.BaseURL(), api.WithRetries(1))
 	if err != nil {
@@ -482,7 +500,7 @@ func TestTierQueueFullSheds(t *testing.T) {
 	if cberr.CodeOf(err) != cberr.CodeUnavailable || cberr.RetryAfterOf(err) <= 0 {
 		t.Fatalf("queue shed = %v, want retryable unavailable with advice", err)
 	}
-	close(a.block)
+	a.release()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("parked invoke failed: %v", err)

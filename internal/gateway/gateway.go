@@ -387,7 +387,7 @@ func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.Invoke
 	faultsBefore := g.faults.Injected()
 	start := time.Now()
 	var resp api.InvokeResponse
-	entry, hop, attempts, err := g.dispatch(ctx, pool, req.Secure, api.GuestV1Invoke,
+	entry, hop, attempts, err := dispatch(ctx, g, pool, req.Secure, api.GuestV1Invoke,
 		&api.GuestInvokeRequest{Function: fn, Scale: req.Scale, Trace: req.Trace}, &resp)
 	elapsed := time.Since(start)
 	retriesUsed := attempts - 1
@@ -449,14 +449,16 @@ func (g *Gateway) Invoke(ctx context.Context, req api.InvokeRequest) (api.Invoke
 // — the flight recorder flags attempts >= 2 with an error as an
 // exhausted retry budget. Canceled callers and non-retryable failures
 // are never retried, and a failed retry surfaces the retry's error
-// (the fresher diagnosis).
-func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path string, in, out any) (*Entry, *obs.Span, int, error) {
+// (the fresher diagnosis). Neither the lease nor req and resp reach the
+// heap on the binary carrier (wire.Call), so callers keep them on their
+// stacks.
+func dispatch[Req, Resp any](ctx context.Context, g *Gateway, pool *Pool, secure bool, path string, req *Req, resp *Resp) (*Entry, *obs.Span, int, error) {
 	var lastErr error
 	var lastEntry *Entry
 	var avoid *Entry
 	attempts := 0
 	for attempt := 0; attempt < 2; attempt++ {
-		co, err := pool.AcquireAvoiding(ctx, secure, avoid)
+		entry, err := pool.acquire(ctx, secure, avoid)
 		if err != nil {
 			// No alternate endpoint for the retry: the first failure
 			// is the better story.
@@ -465,7 +467,6 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 			}
 			return nil, nil, attempts, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerPool, err)
 		}
-		entry := co.Entry
 		attempts++
 		lastEntry = entry
 		if attempt > 0 {
@@ -475,9 +476,9 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 		if attempt > 0 {
 			hop.SetAttr("retry", strconv.Itoa(attempt))
 		}
-		err = g.transport.RoundTrip(hopCtx, entry.Endpoint.Addr, path, in, out)
+		err = wire.Call(hopCtx, g.transport, entry.Endpoint.Addr, path, req, resp)
 		hop.End()
-		co.Release()
+		pool.release(entry)
 		if err == nil {
 			entry.breaker.OnSuccess()
 			return entry, hop, attempts, nil
@@ -505,7 +506,7 @@ func (g *Gateway) Attest(ctx context.Context, req api.AttestRequest) (api.Attest
 		return api.AttestResponse{}, err
 	}
 	var resp api.AttestResponse
-	if _, _, _, err := g.dispatch(ctx, pool, true, api.GuestV1Attest, &req, &resp); err != nil {
+	if _, _, _, err := dispatch(ctx, g, pool, true, api.GuestV1Attest, &req, &resp); err != nil {
 		return api.AttestResponse{}, err
 	}
 	g.CountAttest()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -256,6 +257,37 @@ func TestPoolAcquireRelease(t *testing.T) {
 		t.Errorf("in-flight after release = %d", p.InFlight())
 	}
 	p.Release(nil) // must not panic
+}
+
+// lastPolicy is a Policy from outside the package's two: it picks the
+// last candidate and remembers how many it was offered.
+type lastPolicy struct{ offered int }
+
+func (*lastPolicy) Name() string { return "last" }
+
+func (l *lastPolicy) Pick(candidates []*Entry) int {
+	l.offered = len(candidates)
+	return len(candidates) - 1
+}
+
+// TestPoolForeignPolicySeesEveryCandidate: a pool with more matching
+// endpoints than acquire's stack array holds hands a custom policy all
+// of them, in pool order.
+func TestPoolForeignPolicySeesEveryCandidate(t *testing.T) {
+	pol := &lastPolicy{}
+	p := NewPool(tee.KindTDX, pol, obs.New())
+	const n = maxStackCandidates + 3
+	for i := 0; i < n; i++ {
+		p.Add(fmt.Sprintf("h%d", i), hostagent.Endpoint{Addr: fmt.Sprintf("1.2.3.4:%d", i), Secure: true, TEE: tee.KindTDX})
+	}
+	co, err := p.Acquire(context.Background(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Release()
+	if pol.offered != n || co.Entry.Host != fmt.Sprintf("h%d", n-1) {
+		t.Errorf("policy offered %d candidates and picked %s, want %d and h%d", pol.offered, co.Entry.Host, n, n-1)
+	}
 }
 
 func TestPoolAcquireNoMatch(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,8 +243,7 @@ func (c *Checkout) Release() {
 	if c == nil || c.released.Swap(true) {
 		return
 	}
-	c.Entry.inFlight.Add(-1)
-	c.pool.occupancy.Set(c.pool.InFlight())
+	c.pool.release(c.Entry)
 }
 
 // Acquire picks a healthy endpoint matching secure, incrementing its
@@ -260,12 +260,29 @@ func (p *Pool) Acquire(ctx context.Context, secure bool) (*Checkout, error) {
 // skipped; when every matching endpoint is unhealthy the pool reports
 // ErrAllUnhealthy rather than routing into a known-bad host.
 func (p *Pool) AcquireAvoiding(ctx context.Context, secure bool, avoid *Entry) (*Checkout, error) {
+	e, err := p.acquire(ctx, secure, avoid)
+	if err != nil {
+		return nil, err
+	}
+	return &Checkout{Entry: e, pool: p}, nil
+}
+
+// maxStackCandidates is how many endpoints acquire gathers in an array
+// on its own stack; a pool with more matching endpoints spills the
+// candidate list to the heap.
+const maxStackCandidates = 8
+
+// acquire is AcquireAvoiding without the Checkout box: it returns the
+// picked entry, already counted in flight, for release to hand back.
+// The dispatcher calls it directly, so a checkout costs no allocation.
+func (p *Pool) acquire(ctx context.Context, secure bool, avoid *Entry) (*Entry, error) {
 	_, span := obs.StartSpan(ctx, "pool", "checkout", string(p.TEE))
 	defer span.End()
 	start := time.Now()
 	p.mu.RLock()
 	matching := 0
-	candidates := make([]*Entry, 0, len(p.entries))
+	var stack [maxStackCandidates]*Entry
+	candidates := stack[:0]
 	var tripped []*Entry // matching endpoints an open/probing breaker blocked
 	for _, e := range p.entries {
 		if e.Endpoint.Secure != secure {
@@ -312,7 +329,7 @@ func (p *Pool) AcquireAvoiding(ctx context.Context, secure bool, avoid *Entry) (
 		span.SetAttr("error", "no endpoint")
 		return nil, fmt.Errorf("%w: %s secure=%v", ErrNoEndpoint, p.TEE, secure)
 	}
-	e := candidates[p.policy.Pick(candidates)]
+	e := candidates[p.pick(candidates)]
 	e.breaker.BeginAttempt(start)
 	e.inFlight.Add(1)
 	p.checkouts.Inc()
@@ -323,7 +340,27 @@ func (p *Pool) AcquireAvoiding(ctx context.Context, secure bool, avoid *Entry) (
 	if e.breaker.State() == BreakerHalfOpen {
 		span.SetAttr("breaker", "half-open probe")
 	}
-	return &Checkout{Entry: e, pool: p}, nil
+	return e, nil
+}
+
+// release hands back an entry acquire returned.
+func (p *Pool) release(e *Entry) {
+	e.inFlight.Add(-1)
+	p.occupancy.Set(p.InFlight())
+}
+
+// pick asks the policy for one of candidates. The built-in policies are
+// called directly so that candidates, which may sit on acquire's stack,
+// stays there; any other Policy is an interface call, which lets its
+// argument escape, and gets a heap copy.
+func (p *Pool) pick(candidates []*Entry) int {
+	switch pol := p.policy.(type) {
+	case *RoundRobin:
+		return pol.Pick(candidates)
+	case LeastLoaded:
+		return pol.Pick(candidates)
+	}
+	return p.policy.Pick(slices.Clone(candidates))
 }
 
 // allUnhealthyError builds the shed verdict for a pool whose every

@@ -11,7 +11,6 @@ package meter
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -48,8 +47,8 @@ const (
 	// PageFaults counts first-touch page faults (RMP/TDX accept cost).
 	PageFaults
 
-	// numCounters bounds the defined range: a Context holds one slot
-	// per value below it (slot 0 stays unused, counters start at 1).
+	// numCounters bounds the defined range: a Usage holds one slot per
+	// value below it (slot 0 stays unused, counters start at 1).
 	numCounters
 )
 
@@ -94,7 +93,7 @@ func AllCounters() []Counter {
 // share one Context.
 type Context struct {
 	mu     sync.Mutex
-	counts [numCounters]uint64
+	counts Usage
 }
 
 // NewContext returns an empty metering context.
@@ -178,87 +177,84 @@ func (m *Context) Switch(n int64) { m.Add(ContextSwitches, n) }
 // Fault records n first-touch page faults.
 func (m *Context) Fault(n int64) { m.Add(PageFaults, n) }
 
-// Snapshot returns a copy of the non-zero counters.
+// Snapshot returns a copy of the counters.
 func (m *Context) Snapshot() Usage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, v := range m.counts {
-		if v != 0 {
-			n++
-		}
-	}
-	u := make(Usage, n)
-	for c, v := range m.counts {
-		if v != 0 {
-			u[Counter(c)] = v
-		}
-	}
-	return u
+	return m.counts
 }
 
 // Reset zeroes all counters.
 func (m *Context) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.counts = [numCounters]uint64{}
+	m.counts = Usage{}
 }
 
-// Merge adds every counter of u into the context. Counters outside the
-// defined range are ignored.
+// Merge adds every defined counter of u into the context.
 func (m *Context) Merge(u Usage) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for c, v := range u {
-		if c.defined() {
-			m.counts[c] += v
-		}
+	for c := Counter(1); c < numCounters; c++ {
+		m.counts[c] += u[c]
 	}
 }
 
-// Usage is an immutable snapshot of counter values.
-type Usage map[Counter]uint64
+// Usage is a snapshot of counter values: one slot per Counter, indexed
+// by it, so it is a plain value that copies without allocating and a
+// keyed literal such as Usage{CPUOps: n} fills the slot it names. Slot
+// 0 belongs to no counter: Get reads it as 0, and Add, Scale and Merge
+// drop it.
+type Usage [numCounters]uint64
 
-// Get returns the value of counter c (0 when absent).
-func (u Usage) Get(c Counter) uint64 { return u[c] }
-
-// Add returns a new Usage holding the element-wise sum of u and v.
-func (u Usage) Add(v Usage) Usage {
-	out := make(Usage, len(u)+len(v))
-	for c, x := range u {
-		out[c] = x
+// Get returns the value of counter c (0 when c is undefined).
+func (u Usage) Get(c Counter) uint64 {
+	if !c.defined() {
+		return 0
 	}
-	for c, x := range v {
-		out[c] += x
+	return u[c]
+}
+
+// IsZero reports whether every counter is zero.
+func (u Usage) IsZero() bool {
+	for c := Counter(1); c < numCounters; c++ {
+		if u[c] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Add returns the element-wise sum of u and v.
+func (u Usage) Add(v Usage) Usage {
+	var out Usage
+	for c := Counter(1); c < numCounters; c++ {
+		out[c] = u[c] + v[c]
 	}
 	return out
 }
 
-// Scale returns a new Usage with every counter multiplied by f.
-// Negative factors are treated as zero.
+// Scale returns u with every counter multiplied by f. Negative factors
+// are treated as zero.
 func (u Usage) Scale(f float64) Usage {
 	if f < 0 {
 		f = 0
 	}
-	out := make(Usage, len(u))
-	for c, x := range u {
-		out[c] = uint64(float64(x) * f)
+	var out Usage
+	for c := Counter(1); c < numCounters; c++ {
+		out[c] = uint64(float64(u[c]) * f)
 	}
 	return out
 }
 
-// String renders the non-zero counters in stable order.
+// String renders the non-zero counters in counter order.
 func (u Usage) String() string {
-	keys := make([]Counter, 0, len(u))
-	for c := range u {
-		if u[c] != 0 {
-			keys = append(keys, c)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	s := ""
-	for i, c := range keys {
-		if i > 0 {
+	for c := Counter(1); c < numCounters; c++ {
+		if u[c] == 0 {
+			continue
+		}
+		if s != "" {
 			s += " "
 		}
 		s += fmt.Sprintf("%s=%d", c, u[c])

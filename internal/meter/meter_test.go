@@ -116,18 +116,30 @@ func TestMerge(t *testing.T) {
 
 // A Counter outside the defined range has no slot in the Context: it
 // is dropped like a negative increment and never reaches a Snapshot.
+// Slot 0 of a Usage belongs to no counter: it reads as 0 and every
+// write path drops it.
 func TestUnknownCounterIgnored(t *testing.T) {
 	m := NewContext()
 	m.CPU(3)
+	stray := Usage{0: 7, CPUOps: 1}
 	for _, c := range []Counter{-1, 0, numCounters, 999} {
 		m.Add(c, 5)
-		m.Merge(Usage{c: 7})
 		if got := m.Get(c); got != 0 {
 			t.Errorf("Get(%d) = %d, want 0", int(c), got)
 		}
+		if got := stray.Get(c); got != 0 {
+			t.Errorf("Usage.Get(%d) = %d, want 0", int(c), got)
+		}
 	}
-	if u := m.Snapshot(); len(u) != 1 || u[CPUOps] != 3 {
-		t.Errorf("snapshot = %v, want only cpu-ops=3", u)
+	m.Merge(stray)
+	if u := m.Snapshot(); u != (Usage{CPUOps: 4}) {
+		t.Errorf("snapshot = %v, want only cpu-ops=4", u)
+	}
+	if sum := stray.Add(stray).Scale(1); sum != (Usage{CPUOps: 2}) || stray.String() != "cpu-ops=1" {
+		t.Errorf("slot 0 leaked: Add+Scale = %v, String = %q", sum, stray.String())
+	}
+	if !(Usage{0: 7}).IsZero() || stray.IsZero() {
+		t.Error("IsZero must ignore slot 0 and see cpu-ops")
 	}
 }
 
@@ -136,13 +148,12 @@ func TestSnapshotOmitsZero(t *testing.T) {
 	m.Merge(Usage{CPUOps: 0})
 	m.FP(2)
 	m.Add(Syscalls, 0)
-	u := m.Snapshot()
-	if _, ok := u[CPUOps]; ok || len(u) != 1 {
-		t.Errorf("snapshot = %#v, want only fp-ops", u)
+	if u := m.Snapshot(); u != (Usage{FPOps: 2}) || u.String() != "fp-ops=2" {
+		t.Errorf("snapshot = %v, want only fp-ops", u)
 	}
 	m.Reset()
-	if u := m.Snapshot(); len(u) != 0 {
-		t.Errorf("snapshot after Reset = %#v, want empty", u)
+	if u := m.Snapshot(); !u.IsZero() {
+		t.Errorf("snapshot after Reset = %v, want empty", u)
 	}
 }
 

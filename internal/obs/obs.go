@@ -106,8 +106,11 @@ type Histogram struct {
 	sumNs   atomic.Int64
 	// exemplars holds the most recent observation's reference (trace or
 	// invoke ID) per bucket, one slot past the bounds for +Inf. Slots
-	// stay nil until ObserveExemplar runs.
-	exemplars []atomic.Pointer[string]
+	// stay "" until ObserveExemplar runs. A string is two words, so it
+	// takes exMu rather than an atomic pointer, which would box every
+	// reference on the heap.
+	exMu      sync.Mutex
+	exemplars []string
 	// reg is the owning registry, used to count invalid observations;
 	// nil when the histogram was built outside a registry.
 	reg *Registry
@@ -124,7 +127,7 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bs,
 		buckets:   make([]atomic.Uint64, len(bs)+1),
-		exemplars: make([]atomic.Pointer[string], len(bs)+1),
+		exemplars: make([]string, len(bs)+1),
 	}
 }
 
@@ -133,7 +136,7 @@ func newHistogram(bounds []float64) *Histogram {
 // they are clamped to zero — not silently misfiled with a decremented
 // sum — and counted in confbench_obs_invalid_observations_total.
 func (h *Histogram) Observe(d time.Duration) {
-	h.observe(d, nil)
+	h.observe(d)
 }
 
 // ObserveExemplar records one duration and remembers ref (a trace or
@@ -141,10 +144,14 @@ func (h *Histogram) Observe(d time.Duration) {
 // so a latency outlier in a scrape can be chased back to the request
 // that produced it.
 func (h *Histogram) ObserveExemplar(d time.Duration, ref string) {
-	h.observe(d, &ref)
+	i := h.observe(d)
+	h.exMu.Lock()
+	h.exemplars[i] = ref
+	h.exMu.Unlock()
 }
 
-func (h *Histogram) observe(d time.Duration, ref *string) {
+// observe records d and returns the index of its bucket.
+func (h *Histogram) observe(d time.Duration) int {
 	if d < 0 {
 		if h.reg != nil {
 			h.reg.Counter(InvalidObservationsFamily).Inc()
@@ -156,11 +163,9 @@ func (h *Histogram) observe(d time.Duration, ref *string) {
 	// bucket is +Inf.
 	i := sort.SearchFloat64s(h.bounds, s)
 	h.buckets[i].Add(1)
-	if ref != nil {
-		h.exemplars[i].Store(ref)
-	}
 	h.count.Add(1)
 	h.sumNs.Add(d.Nanoseconds())
+	return i
 }
 
 // Exemplar returns the most recent exemplar reference recorded for
@@ -169,10 +174,9 @@ func (h *Histogram) Exemplar(i int) string {
 	if i < 0 || i >= len(h.exemplars) {
 		return ""
 	}
-	if p := h.exemplars[i].Load(); p != nil {
-		return *p
-	}
-	return ""
+	h.exMu.Lock()
+	defer h.exMu.Unlock()
+	return h.exemplars[i]
 }
 
 // Count returns the number of observations.

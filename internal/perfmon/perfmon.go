@@ -75,6 +75,12 @@ func (s Stats) String() string {
 	return b.String()
 }
 
+// Monitor names, as Stats.Monitor reports them.
+const (
+	NamePerfStat  = "perf-stat"
+	NameCCAScript = "cca-script"
+)
+
 // Monitor collects Stats for one priced execution.
 type Monitor interface {
 	// Name identifies the collector.
@@ -100,7 +106,7 @@ var _ Monitor = (*PerfStat)(nil)
 func NewPerfStat() *PerfStat { return &PerfStat{MissRate: 0.028} }
 
 // Name implements Monitor.
-func (p *PerfStat) Name() string { return "perf-stat" }
+func (p *PerfStat) Name() string { return NamePerfStat }
 
 // Available implements Monitor: perf counters exist everywhere except
 // inside CCA realms.
@@ -134,7 +140,7 @@ var _ Monitor = (*CCAScript)(nil)
 func NewCCAScript() *CCAScript { return &CCAScript{} }
 
 // Name implements Monitor.
-func (c *CCAScript) Name() string { return "cca-script" }
+func (c *CCAScript) Name() string { return NameCCAScript }
 
 // Available implements Monitor: the script path works everywhere but
 // is only selected where perf is not.

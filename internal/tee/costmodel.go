@@ -139,7 +139,7 @@ func (cm CostModel) factor(c meter.Counter) float64 {
 // resource signature on a given guest, so the same (function,
 // language) cell dips below 1.0 on every trial rather than flickering.
 func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand) Charge {
-	adj := make(cpumodel.Breakdown, len(base)+2)
+	var adj cpumodel.Breakdown
 
 	discount := 1.0
 	if cm.CacheBonusProb > 0 {
@@ -155,7 +155,8 @@ func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand
 		}
 	}
 
-	for c, d := range base {
+	for c := meter.Counter(1); int(c) < len(base); c++ {
+		d := base[c]
 		f := cm.factor(c)
 		switch c {
 		case meter.BytesTouched, meter.BytesAllocated, meter.CPUOps, meter.FPOps:
@@ -231,8 +232,8 @@ func (cm CostModel) signatureHash(u meter.Usage) uint64 {
 		prime  = 1099511628211
 	)
 	h := uint64(offset) ^ cm.salt
-	for _, c := range meter.AllCounters() {
-		v := u.Get(c)
+	for c := meter.Counter(1); int(c) < len(u); c++ {
+		v := u[c]
 		// Quantize to order of magnitude + top 3 bits.
 		var q uint64
 		for v > 15 {

@@ -13,7 +13,7 @@ import (
 	"confbench/internal/tee/tdx"
 )
 
-func tdxPair(t *testing.T) Pair {
+func tdxPair(t testing.TB) Pair {
 	t.Helper()
 	b, err := tdx.NewBackend(tdx.Options{Seed: 11})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestRunMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr.Output != "done" || lr.RunUsage[meter.CPUOps] != 1_000_000 || len(lr.BootstrapUsage) != 0 {
+	if lr.Output != "done" || lr.RunUsage[meter.CPUOps] != 1_000_000 || !lr.BootstrapUsage.IsZero() {
 		t.Errorf("execution = %+v", lr)
 	}
 	s, n := pair.Price(context.Background(), lr)
@@ -229,5 +229,30 @@ func TestSEVPairExits(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil guest accepted")
+	}
+}
+
+// fibLaunch is one fib execution on the pair's launchers, unpriced.
+func fibLaunch(tb testing.TB, pair Pair) faas.LaunchResult {
+	tb.Helper()
+	lr, err := pair.Execute(context.Background(), faas.Function{Name: "fib", Language: "go", Workload: "fib"}, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lr
+}
+
+// BenchmarkPrice prices one fib launch result on the secure VM of a TDX
+// pair, untraced: what every invoke pays after its body ran.
+func BenchmarkPrice(b *testing.B) {
+	pair := tdxPair(b)
+	lr := fibLaunch(b, pair)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := pair.Secure.Price(ctx, lr); res.Wall <= 0 {
+			b.Fatal("unpriced")
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -277,8 +278,10 @@ func encodeRequest(path string, in any) (Type, []byte, error) {
 		}
 	}
 	PutBuf(buf)
+	// reflect.TypeOf names the type without keeping in (%T would let it
+	// escape, and with it every caller's request).
 	return 0, nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerGateway,
-		"wire: no binary mapping for %T at %s", in, path)
+		"wire: no binary mapping for %v at %s", reflect.TypeOf(in), path)
 }
 
 // decodeWireResponse decodes a response frame into out. api.FrameError frames
@@ -314,16 +317,22 @@ func decodeWireResponse(addr string, t Type, payload []byte, out any) error {
 		}
 		*o = resp
 		return nil
-	default:
-		// Obs snapshots (and any other structured response) ride as
-		// JSON payloads, exactly what the HTTP surface serves.
+	case *obs.Snapshot:
+		// Obs snapshots ride as JSON payloads, exactly what the HTTP
+		// surface serves. Decoding into a local keeps out from escaping
+		// through json.Unmarshal.
 		if t != api.FrameObsResp {
 			return typeMismatch(addr, t, api.FrameObsResp)
 		}
-		if err := json.Unmarshal(payload, out); err != nil {
+		var snap obs.Snapshot
+		if err := json.Unmarshal(payload, &snap); err != nil {
 			return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway, errString(addr, err))
 		}
+		*o = snap
 		return nil
+	default:
+		return cberr.Newf(cberr.CodeInvalid, cberr.LayerGateway,
+			"wire: no binary decoding of %s into %v", t, reflect.TypeOf(out))
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"confbench/internal/api"
 	"confbench/internal/cberr"
 	"confbench/internal/faas"
+	"confbench/internal/faas/langs"
 	"confbench/internal/obs"
+	"confbench/internal/perfmon"
 	"confbench/internal/tee"
 )
 
@@ -84,40 +86,78 @@ func (d *dec) varint() int64 {
 	return v
 }
 
-// bytes returns a COPY of the encoded slice: the backing payload
-// buffer is pooled and reused after decode. The length is validated
-// against both the remaining input and MaxPayload before allocating,
-// so a hostile length cannot over-allocate.
-func (d *dec) bytes() []byte {
+// field returns the next length-prefixed field without copying: it
+// aliases the payload buffer, which is pooled and reused after decode,
+// so callers copy what they keep. The length is validated against both
+// the remaining input and MaxPayload, so a hostile length cannot
+// over-allocate.
+func (d *dec) field(what string) []byte {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
 	if n > MaxPayload || n > uint64(len(d.b)) {
-		d.fail("bytes length")
+		d.fail(what)
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
+	return b
+}
+
+// bytes returns a COPY of the encoded slice (nil when empty).
+func (d *dec) bytes() []byte {
+	b := d.field("bytes length")
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
 func (d *dec) string() string {
-	n := d.uvarint()
-	if d.err != nil {
+	return string(d.field("string length"))
+}
+
+// ident decodes a string field whose value is almost always one of a
+// closed set — a TEE kind, a perf monitor name, a runtime language, or
+// empty — to that set's constant, so the common case copies nothing
+// (Go compiles a switch on string(b) without converting). Any other
+// value copies like string.
+func (d *dec) ident() string {
+	b := d.field("string length")
+	switch string(b) {
+	case "":
 		return ""
+	case string(tee.KindNone):
+		return string(tee.KindNone)
+	case string(tee.KindTDX):
+		return string(tee.KindTDX)
+	case string(tee.KindSEV):
+		return string(tee.KindSEV)
+	case string(tee.KindCCA):
+		return string(tee.KindCCA)
+	case perfmon.NamePerfStat:
+		return perfmon.NamePerfStat
+	case perfmon.NameCCAScript:
+		return perfmon.NameCCAScript
+	case langs.LangPython:
+		return langs.LangPython
+	case langs.LangNode:
+		return langs.LangNode
+	case langs.LangRuby:
+		return langs.LangRuby
+	case langs.LangLua:
+		return langs.LangLua
+	case langs.LangLuaJIT:
+		return langs.LangLuaJIT
+	case langs.LangGo:
+		return langs.LangGo
+	case langs.LangWasm:
+		return langs.LangWasm
 	}
-	if n > MaxPayload || n > uint64(len(d.b)) {
-		d.fail("string length")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	return string(b)
 }
 
 func (d *dec) bool() bool {
@@ -150,7 +190,7 @@ func DecodeGuestInvoke(b []byte) (api.GuestInvokeRequest, error) {
 	var req api.GuestInvokeRequest
 	req.Function = faas.Function{
 		Name:     d.string(),
-		Language: d.string(),
+		Language: d.ident(),
 		Workload: d.string(),
 		Source:   d.bytes(),
 	}
@@ -207,9 +247,9 @@ func DecodeInvokeResponse(b []byte) (api.InvokeResponse, error) {
 	resp.Perf.ContextSwitches = d.uvarint()
 	resp.Perf.PageFaults = d.uvarint()
 	resp.Perf.TEEExits = d.uvarint()
-	resp.Perf.Monitor = d.string()
+	resp.Perf.Monitor = d.ident()
 	resp.Secure = d.bool()
-	resp.Platform = tee.Kind(d.string())
+	resp.Platform = tee.Kind(d.ident())
 	resp.Host = d.string()
 	resp.VM = d.string()
 	if d.bool() {
@@ -244,7 +284,7 @@ func DecodeFrontInvoke(b []byte) (api.TenantedInvoke, error) {
 	ti.Req.Function = d.string()
 	ti.Req.Scale = int(d.varint())
 	ti.Req.Secure = d.bool()
-	ti.Req.TEE = tee.Kind(d.string())
+	ti.Req.TEE = tee.Kind(d.ident())
 	ti.Req.Trace = d.bool()
 	return ti, d.err
 }
@@ -263,7 +303,7 @@ func DecodeAttest(b []byte) (string, api.AttestRequest, error) {
 	d := dec{b: b}
 	tenant := d.string()
 	var req api.AttestRequest
-	req.TEE = tee.Kind(d.string())
+	req.TEE = tee.Kind(d.ident())
 	req.Nonce = d.bytes()
 	return tenant, req, d.err
 }

@@ -60,6 +60,41 @@ func TestInvokeResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedStringsOutliveThePayload: payload buffers go back to their
+// pool after decode, so no decoded string may alias one — neither a
+// closed-set identifier (decoded to its constant) nor any other value
+// in the same field (copied).
+func TestDecodedStringsOutliveThePayload(t *testing.T) {
+	for _, id := range []struct{ monitor, platform, language string }{
+		{perfmon.NamePerfStat, string(tee.KindSEV), "go"},
+		{"perf-sim", "sgx", "perl"},
+	} {
+		resp := api.InvokeResponse{Output: "ok", Perf: perfmon.Stats{Monitor: id.monitor}, Platform: tee.Kind(id.platform), Host: "h", VM: "v"}
+		rb, err := AppendInvokeResponse(nil, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := api.GuestInvokeRequest{Function: faas.Function{Name: "f", Language: id.language, Workload: "w"}}
+		qb := AppendGuestInvoke(nil, &req)
+		gotResp, err := DecodeInvokeResponse(rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotReq, err := DecodeGuestInvoke(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{rb, qb} {
+			for i := range b {
+				b[i] = 'X'
+			}
+		}
+		if !reflect.DeepEqual(gotResp, resp) || !reflect.DeepEqual(gotReq, req) {
+			t.Errorf("%+v: decoded values changed with the payload:\n got %+v, %+v", id, gotResp, gotReq)
+		}
+	}
+}
+
 func TestFrontInvokeRoundTrip(t *testing.T) {
 	ti := api.TenantedInvoke{
 		Tenant: "acme",

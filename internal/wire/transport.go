@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 
 	"confbench/internal/api"
@@ -26,6 +27,20 @@ func ValidTransport(name string) bool {
 		return true
 	}
 	return false
+}
+
+// Call is t.RoundTrip with typed ends. The binary carrier's codecs read
+// *req and write *resp in place without keeping either, so on it both
+// may live in the caller's frame; any other carrier is reached through
+// the interface, which lets its arguments escape, and gets heap copies.
+func Call[Req, Resp any](ctx context.Context, t Transport, addr, path string, req *Req, resp *Resp) error {
+	if b, ok := t.(*Binary); ok {
+		return b.RoundTrip(ctx, addr, path, req, resp)
+	}
+	in, out := *req, *resp
+	err := t.RoundTrip(ctx, addr, path, &in, &out)
+	*resp = out
+	return err
 }
 
 // NewTransport builds the named transport. reg may be nil; the binary
