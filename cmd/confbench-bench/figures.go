@@ -8,8 +8,12 @@ import (
 	"time"
 
 	"confbench"
+	"confbench/internal/attest"
+	"confbench/internal/attest/dcap"
 	"confbench/internal/bench"
 	"confbench/internal/tee"
+	"confbench/internal/tee/container"
+	"confbench/internal/tee/tdx"
 	"confbench/internal/vm"
 )
 
@@ -74,21 +78,56 @@ func (f figure) run(ctx context.Context, e *env) error {
 	return err
 }
 
-// heatmap measures and prints one platform's Fig. 6/7 grid.
+// heatmap measures one platform's Fig. 6/7 grid.
 func heatmap(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
 	res, err := bench.FaaS(ctx, pair, e.cluster.Catalog(), bench.FaaSOptions{Options: bench.Options{
 		Trials: e.trials, ScaleDivisor: e.scaleDiv, Workers: e.workers, Obs: e.cluster.Obs()}})
-	if err == nil {
-		e.report.FaaS = append(e.report.FaaS, res)
-		fmt.Println(bench.RenderHeatmap(res))
-	}
+	e.report.FaaS = append(e.report.FaaS, res)
 	return err
+}
+
+// showHeatmaps renders the last n FaaS grids, the ones the row measured.
+func showHeatmaps(n int) func(context.Context, *env) (string, error) {
+	return func(_ context.Context, e *env) (string, error) {
+		var out []string
+		for _, res := range e.report.FaaS[len(e.report.FaaS)-n:] {
+			out = append(out, bench.RenderHeatmap(res))
+		}
+		return strings.Join(out, "\n"), nil
+	}
+}
+
+// variantRow is a row that measures workload/go with the secure VM of a
+// variant backend as Secure and the deployment's TDX confidential VM as
+// Normal: one body execution per trial, priced on both (DESIGN.md §15).
+func variantRow(name, title, workload string, into func(*bench.Report) *[]bench.FaaSResult,
+	backend func(e *env) (tee.Backend, error)) figure {
+	return figure{name: name, kinds: []tee.Kind{tee.KindTDX},
+		one: func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
+			b, err := backend(e)
+			if err != nil {
+				return err
+			}
+			variant, err := vm.NewPair(b, tee.GuestConfig{Name: name, MemoryMB: 16}, e.cluster.Catalog())
+			if err != nil {
+				return err
+			}
+			res, err := bench.FaaS(ctx, vm.Pair{Secure: variant.Secure, Normal: pair.Secure}, e.cluster.Catalog(), bench.FaaSOptions{
+				Options:   bench.Options{Trials: e.trials, ScaleDivisor: e.scaleDiv, Workers: e.workers},
+				Workloads: []string{workload}, Languages: []string{"go"},
+			})
+			*into(&e.report) = append(*into(&e.report), res)
+			return errors.Join(err, variant.Stop())
+		},
+		show: func(_ context.Context, e *env) (string, error) {
+			return title + "\n" + bench.RenderHeatmap((*into(&e.report))[0]), nil
+		}}
 }
 
 // figures is the -fig table, in the order "all" runs it. storage doubles
 // the speedtest work, migration and coldstart boot topologies of their
-// own, and trace prints span trees, not a figure, so "all" keeps the
-// paper's protocol and leaves them out.
+// own, trace prints span trees, and firmware, collateral and containers
+// go beyond the paper's figures, so "all" leaves them out.
 var figures = []figure{
 	{name: "3", inAll: true,
 		one: func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
@@ -135,22 +174,27 @@ var figures = []figure{
 		show: func(_ context.Context, e *env) (string, error) {
 			return bench.RenderAttestation(e.report.Attestation), nil
 		}},
-	{name: "6", inAll: true, kinds: bench.KindsTDXSEV, one: heatmap},
-	{name: "7", inAll: true, kinds: []tee.Kind{tee.KindCCA}, one: heatmap},
+	{name: "6", inAll: true, kinds: bench.KindsTDXSEV, one: heatmap, show: showHeatmaps(2)},
+	{name: "7", inAll: true, kinds: []tee.Kind{tee.KindCCA}, one: heatmap, show: showHeatmaps(1)},
 	{name: "8", inAll: true, kinds: []tee.Kind{tee.KindCCA},
 		one: func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
 			res, err := bench.FaaS(ctx, pair, e.cluster.Catalog(), bench.FaaSOptions{
 				Options:   bench.Options{Trials: 10, ScaleDivisor: e.scaleDiv, Workers: e.workers},
 				Workloads: []string{"cpustress", "memstress", "iostress", "logging", "factors", "filesystem"},
 			})
-			var rendered []string
-			for i := 0; err == nil && i < len(res.Languages); i++ {
-				var out string
-				out, err = bench.RenderBoxPlots(res, res.Languages[i])
-				rendered = append(rendered, out)
-			}
-			fmt.Println(strings.Join(rendered, "\n"))
+			e.report.FaaS = append(e.report.FaaS, res)
 			return err
+		},
+		show: func(_ context.Context, e *env) (string, error) {
+			res := e.report.FaaS[len(e.report.FaaS)-1]
+			rendered := make([]string, len(res.Languages))
+			for i, lang := range res.Languages {
+				var err error
+				if rendered[i], err = bench.RenderBoxPlots(res, lang); err != nil {
+					return "", err
+				}
+			}
+			return strings.Join(rendered, "\n"), nil
 		}},
 	{name: "colocation", inAll: true,
 		one: func(ctx context.Context, e *env, kind tee.Kind, _ vm.Pair) error {
@@ -159,11 +203,15 @@ var figures = []figure{
 				return err
 			}
 			res, err := bench.CoLocation(ctx, backend, e.cluster.Catalog(), bench.CoLocationOptions{Tenants: 4, Trials: e.trials})
-			if err == nil {
-				e.report.CoLocation = append(e.report.CoLocation, res)
-				fmt.Println(bench.RenderCoLocation(res))
-			}
+			e.report.CoLocation = append(e.report.CoLocation, res)
 			return err
+		},
+		show: func(_ context.Context, e *env) (string, error) {
+			rendered := make([]string, len(e.report.CoLocation))
+			for i, res := range e.report.CoLocation {
+				rendered[i] = bench.RenderCoLocation(res)
+			}
+			return strings.Join(rendered, "\n"), nil
 		}},
 	{name: "migration", show: func(ctx context.Context, e *env) (string, error) {
 		out, _, err := migrationReport(ctx, e.seed, 16)
@@ -184,6 +232,43 @@ var figures = []figure{
 		}
 		return strings.TrimSuffix(out, "\n"), nil
 	}},
+	variantRow("firmware", "§III-B firmware — secure: a TDX guest on module "+tdx.BuggyFirmware+
+		", normal: the TDX confidential VM on "+tdx.CurrentFirmware, "cpustress",
+		func(r *bench.Report) *[]bench.FaaSResult { return &r.Firmware },
+		func(e *env) (tee.Backend, error) {
+			return tdx.NewBackend(tdx.Options{FirmwareVersion: tdx.BuggyFirmware, Seed: e.seed})
+		}),
+	{name: "collateral", kinds: []tee.Kind{tee.KindTDX},
+		one: func(ctx context.Context, e *env, kind tee.Kind, _ vm.Pair) error {
+			attester, cold, err := e.cluster.TDXAttestation()
+			if err != nil {
+				return err
+			}
+			cached := dcap.NewVerifier(e.cluster.PCS())
+			cached.CacheCollateral = true
+			for _, verifier := range []attest.Verifier{cold, cached} {
+				res, err := bench.Attestation(ctx, kind, attester, verifier, e.trials)
+				if err != nil {
+					return err
+				}
+				e.report.Collateral = append(e.report.Collateral, res)
+			}
+			return nil
+		},
+		show: func(_ context.Context, e *env) (string, error) {
+			cold, cached := e.report.Collateral[0].CheckMs, e.report.Collateral[1].CheckMs
+			return fmt.Sprintf("Collateral cache — TDX check phase, mean of %d trials (ms)\n  cold   %10.2f\n  cached %10.2f\n",
+				cold.N, cold.Mean, cached.Mean), nil
+		}},
+	variantRow("containers", "§V confidential containers — secure: a container in a TDX pod VM, normal: the TDX confidential VM", "iostress",
+		func(r *bench.Report) *[]bench.FaaSResult { return &r.Containers },
+		func(e *env) (tee.Backend, error) {
+			inner, err := e.cluster.Backend(tee.KindTDX)
+			if err != nil {
+				return nil, err
+			}
+			return container.NewBackend(inner, container.Options{})
+		}),
 }
 
 // figureNames lists what -fig accepts, generated from the table.

@@ -11,9 +11,9 @@
 // Figures: the defaults run the paper's full protocol (10 trials, full
 // workload scales, speedtest size 100); -quick is a CI-sized run. -fig
 // picks a row of the table in figures.go: all, none, 3, dbms, 4, 5, 6,
-// 7, 8, colocation, or storage, migration, coldstart, trace, which
-// "all" leaves out. -workers N executes measurement bodies N at a time;
-// the results do not depend on it.
+// 7, 8, colocation, or storage, migration, coldstart, trace, firmware,
+// collateral, containers, which "all" leaves out. -workers N executes
+// measurement bodies N at a time; the results do not depend on it.
 //
 // Scenarios: -scenario FILE boots the topology the file declares, runs
 // its script (seeded load, chaos, SLO sweeps, drains, kills, restarts;

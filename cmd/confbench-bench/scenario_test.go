@@ -158,7 +158,7 @@ func TestFigureTable(t *testing.T) {
 	if err != nil || len(all) != 8 {
 		t.Fatalf("all = %d rows, %v; want the paper's 8", len(all), err)
 	}
-	for _, name := range []string{"storage", "migration", "coldstart", "trace", "3", "colocation"} {
+	for _, name := range []string{"storage", "migration", "coldstart", "trace", "firmware", "collateral", "containers", "3", "colocation"} {
 		rows, err := lookupFigures(name)
 		if err != nil || len(rows) != 1 || rows[0].name != name {
 			t.Errorf("lookup %q = %+v, %v", name, rows, err)
@@ -170,7 +170,7 @@ func TestFigureTable(t *testing.T) {
 	if rows, err := lookupFigures("none"); err != nil || len(rows) != 0 {
 		t.Errorf("none = %+v, %v", rows, err)
 	}
-	if !strings.HasSuffix(figureNames(), "(storage, migration, coldstart, trace are not part of all)") {
+	if !strings.HasSuffix(figureNames(), "(storage, migration, coldstart, trace, firmware, collateral, containers are not part of all)") {
 		t.Errorf("help = %q", figureNames())
 	}
 }

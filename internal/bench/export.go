@@ -17,6 +17,11 @@ type Report struct {
 	Attestation []AttestationResult `json:"attestation,omitempty"`
 	FaaS        []FaaSResult        `json:"faas,omitempty"`
 	CoLocation  []CoLocationResult  `json:"colocation,omitempty"`
+	// Firmware and Containers price a variant secure VM as Secure against
+	// the TDX confidential VM as Normal; Collateral is TDX cold, then cached.
+	Firmware   []FaaSResult        `json:"firmware,omitempty"`
+	Collateral []AttestationResult `json:"collateral,omitempty"`
+	Containers []FaaSResult        `json:"containers,omitempty"`
 	// Meta carries free-form run parameters (trials, scales, seed).
 	Meta map[string]any `json:"meta,omitempty"`
 }

@@ -278,7 +278,7 @@ func TestFaaSCellIndexMaps(t *testing.T) {
 func TestFaaSCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := FaaS(ctx, seededTDXPair(t, 6), nil, faasSubset())
+	_, err := FaaS(ctx, seededTDXPair(t, 6), nil, FaaSOptions{Workloads: []string{"cpustress"}})
 	if !errors.Is(err, cberr.ErrCanceled) {
 		t.Errorf("err = %v, want cberr.ErrCanceled", err)
 	}

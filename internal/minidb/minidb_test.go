@@ -595,6 +595,16 @@ func TestSpeedTestProgressCallback(t *testing.T) {
 	}
 }
 
+// BenchmarkMiniDBSpeedtest measures the embedded SQL engine running
+// the full speedtest suite at a small size.
+func BenchmarkMiniDBSpeedtest(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSpeedTest(10).Run(meter.NewContext()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestNumberName(t *testing.T) {
 	cases := map[int]string{
 		0:     "zero",

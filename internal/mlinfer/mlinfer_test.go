@@ -291,3 +291,23 @@ func TestTotalMACsPositiveAndScalesWithInput(t *testing.T) {
 		t.Error("larger input should need more MACs")
 	}
 }
+
+// BenchmarkMLInference measures one MobileNet-style classification.
+func BenchmarkMLInference(b *testing.B) {
+	model, err := NewMobileNet(MobileNetConfig{InputSize: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := GenerateImage(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := meter.NewContext()
+		img, err := DecodeAndResize(m, raw, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := model.Classify(m, img, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
