@@ -23,10 +23,10 @@ RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./in
 # price starts from, the gateway dispatch path, the
 # sharded front tier, the front-door server, the warm-pool/snapshot-cache subsystem, the
 # telemetry plane, the persistence plane's log, the live-migration
-# engine, the SLO engine, and the scenario runner every drill goes
-# through.
+# engine, the SLO engine, the scenario runner every drill goes
+# through, and the SQL engine behind the DBMS figures.
 COVER_FLOOR ?= 70
-COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
+COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo ./internal/minidb
 
 .PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
 
@@ -77,6 +77,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate
+	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/minidb
+	$(GO) test -run xxx -fuzz 'FuzzPrepare$$' -fuzztime 5s ./internal/minidb
 
 # Every cluster drill, as data: each scenarios/*.spec is driven by the
 # one runner (internal/drill) through the table in scenarios_test.go —

@@ -190,6 +190,19 @@ func (db *Database) Exec(m *meter.Context, sql string) (*ResultSet, error) {
 	return db.ExecStmt(m, stmt)
 }
 
+// execPrepared binds args to p's placeholders in order and executes
+// it. The statement is priced exactly as Exec of the same text with
+// the values inlined: only the unpriced lexing and parsing is skipped.
+func (db *Database) execPrepared(m *meter.Context, p *prepared, args ...Value) (*ResultSet, error) {
+	if len(args) != len(p.params) {
+		return nil, fmt.Errorf("%w: %d values for %d parameters", ErrArity, len(args), len(p.params))
+	}
+	for i, v := range args {
+		p.params[i].V = v
+	}
+	return db.ExecStmt(m, p.stmt)
+}
+
 // flushDirty hands all buffered table writes to the backend as one
 // commit point. Without a backend this is the page-cache flush /
 // journal fsync of the in-memory pager: one batched device write of
@@ -387,8 +400,9 @@ func (db *Database) insert(m *meter.Context, s *InsertStmt) (*ResultSet, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Resolve target column ordinals.
-	ords := make([]int, 0, len(t.cols))
+	// Resolve target column ordinals (on the stack for up to 8 columns).
+	var ordBuf [8]int
+	ords := ordBuf[:0]
 	if len(s.Cols) == 0 {
 		for i := range t.cols {
 			ords = append(ords, i)

@@ -58,3 +58,42 @@ func FuzzLikeMatch(f *testing.F) {
 		_ = likeMatch(s, pattern)
 	})
 }
+
+// FuzzPrepare asserts that any statement prepare accepts, bound with as
+// many Int values as it has slots, executes or fails cleanly, and that
+// Parse agrees with it: the same text parses exactly when it has no
+// slots to bind.
+func FuzzPrepare(f *testing.F) {
+	seeds := []string{
+		"INSERT INTO t VALUES(?,?,?)",
+		"INSERT INTO t(a, b) VALUES(?, 'x'), (?, ?)",
+		"SELECT a, c FROM t WHERE a = ?",
+		"SELECT count(*), avg(a) FROM t WHERE a BETWEEN ? AND ? + 1",
+		"SELECT count(*) FROM t WHERE b LIKE ?",
+		"UPDATE t SET b = ? WHERE a = ? AND c > ?",
+		"DELETE FROM t WHERE -? < a",
+		"SELECT a FROM t", "?", "SELECT ? FROM t", "'?'", "??",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		p, err := prepare(sql)
+		if err != nil {
+			return
+		}
+		if _, perr := Parse(sql); (perr == nil) != (len(p.params) == 0) {
+			t.Fatalf("prepare found %d slots in %q but Parse says %v", len(p.params), sql, perr)
+		}
+		db := New()
+		m := meter.NewContext()
+		if _, err := db.Exec(m, "CREATE TABLE t(a INTEGER, b TEXT, c REAL)"); err != nil {
+			t.Fatal(err)
+		}
+		args := make([]Value, len(p.params))
+		for i := range args {
+			args[i] = Int(int64(i))
+		}
+		_, _ = db.execPrepared(m, p, args...)
+	})
+}

@@ -75,6 +75,7 @@ func lex(sql string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokNumber, text: sql[start:i], raw: sql[start:i], pos: start})
 		case c == '\'':
+			start := i
 			i++
 			var sb strings.Builder
 			closed := false
@@ -95,7 +96,7 @@ func lex(sql string) ([]token, error) {
 			if !closed {
 				return nil, &SyntaxError{Pos: i, Msg: "unterminated string literal"}
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), raw: sb.String(), pos: i})
+			toks = append(toks, token{kind: tokString, text: sb.String(), raw: sql[start:i], pos: start})
 		default:
 			start := i
 			// Multi-char operators first.
@@ -107,7 +108,7 @@ func lex(sql string) ([]token, error) {
 				}
 			}
 			switch c {
-			case '(', ')', ',', '*', '=', '<', '>', ';', '+', '-', '/', '.':
+			case '(', ')', ',', '*', '=', '<', '>', ';', '+', '-', '/', '.', '?':
 				toks = append(toks, token{kind: tokPunct, text: string(c), raw: string(c), pos: start})
 				i++
 			default:

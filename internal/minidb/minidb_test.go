@@ -598,6 +598,7 @@ func TestSpeedTestProgressCallback(t *testing.T) {
 // BenchmarkMiniDBSpeedtest measures the embedded SQL engine running
 // the full speedtest suite at a small size.
 func BenchmarkMiniDBSpeedtest(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewSpeedTest(10).Run(meter.NewContext()); err != nil {
 			b.Fatal(err)
@@ -619,8 +620,8 @@ func TestNumberName(t *testing.T) {
 		-5:    "minus five",
 	}
 	for n, want := range cases {
-		if got := numberName(n); got != want {
-			t.Errorf("numberName(%d) = %q, want %q", n, got, want)
+		if got := string(appendNumberName(nil, n)); got != want {
+			t.Errorf("appendNumberName(nil, %d) = %q, want %q", n, got, want)
 		}
 	}
 }

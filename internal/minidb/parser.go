@@ -6,30 +6,70 @@ import (
 	"strings"
 )
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement. A `?` placeholder is a syntax
+// error here: only a prepared statement binds values to it.
 func Parse(sql string) (Stmt, error) {
-	toks, err := lex(sql)
+	p, stmt, err := parse(sql)
 	if err != nil {
 		return nil, err
+	}
+	if len(p.params) > 0 {
+		for _, t := range p.toks {
+			if t.kind == tokPunct && t.text == "?" {
+				return nil, &SyntaxError{Pos: t.pos, Msg: "unbound parameter"}
+			}
+		}
+	}
+	return stmt, nil
+}
+
+// prepared is a statement parsed once and executed many times, as
+// speedtest1.c prepares each loop statement and binds per row. Each
+// `?` is an ordinary *Literal in the tree, so the planner (which turns
+// `col OP literal` and BETWEEN on literals into index ranges) and the
+// evaluator see exactly what parsing the inlined text would give them;
+// binding overwrites the slots' values in place.
+type prepared struct {
+	stmt   Stmt
+	params []*Literal
+	// sql is the statement text, for error messages.
+	sql string
+}
+
+// prepare parses sql, keeping its placeholder slots in source order.
+func prepare(sql string) (*prepared, error) {
+	p, stmt, err := parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{stmt: stmt, params: p.params, sql: sql}, nil
+}
+
+func parse(sql string) (*parser, Stmt, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return nil, nil, err
 	}
 	p := &parser{toks: toks}
 	stmt, err := p.statement()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Optional trailing semicolon.
 	if p.peek().kind == tokPunct && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errf("trailing input %q", p.peek().raw)
+		return nil, nil, p.errf("trailing input %q", p.peek().raw)
 	}
-	return stmt, nil
+	return p, stmt, nil
 }
 
 type parser struct {
 	toks []token
 	i    int
+	// params collects the `?` slots in source order.
+	params []*Literal
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -631,6 +671,11 @@ func (p *parser) primary() (Expr, error) {
 			return nil, err
 		}
 		return e, nil
+	case t.kind == tokPunct && t.text == "?":
+		p.next()
+		slot := &Literal{}
+		p.params = append(p.params, slot)
+		return slot, nil
 	case t.kind == tokIdent && t.text == "NULL":
 		p.next()
 		return &Literal{V: Null()}, nil

@@ -55,38 +55,43 @@ func (st *SpeedTest) n(base int) int {
 	return v
 }
 
-// numberName spells a small number in words, like speedtest1's
-// number-to-text helper, producing realistic TEXT payloads.
-func numberName(n int) string {
-	ones := []string{"zero", "one", "two", "three", "four", "five", "six",
+// Number words for appendNumberName.
+var (
+	ones = [...]string{"zero", "one", "two", "three", "four", "five", "six",
 		"seven", "eight", "nine", "ten", "eleven", "twelve", "thirteen",
 		"fourteen", "fifteen", "sixteen", "seventeen", "eighteen", "nineteen"}
-	tens := []string{"", "", "twenty", "thirty", "forty", "fifty", "sixty",
+	tens = [...]string{"", "", "twenty", "thirty", "forty", "fifty", "sixty",
 		"seventy", "eighty", "ninety"}
+)
+
+// appendNumberName appends n spelled in words to dst, like
+// speedtest1's number-to-text helper, producing realistic TEXT
+// payloads.
+func appendNumberName(dst []byte, n int) []byte {
 	if n < 0 {
-		return "minus " + numberName(-n)
+		return appendNumberName(append(dst, "minus "...), -n)
 	}
 	switch {
 	case n < 20:
-		return ones[n]
+		return append(dst, ones[n]...)
 	case n < 100:
-		s := tens[n/10]
+		dst = append(dst, tens[n/10]...)
 		if n%10 != 0 {
-			s += " " + ones[n%10]
+			dst = append(append(dst, ' '), ones[n%10]...)
 		}
-		return s
+		return dst
 	case n < 1000:
-		s := ones[n/100] + " hundred"
+		dst = append(append(dst, ones[n/100]...), " hundred"...)
 		if n%100 != 0 {
-			s += " " + numberName(n%100)
+			dst = appendNumberName(append(dst, ' '), n%100)
 		}
-		return s
+		return dst
 	default:
-		s := numberName(n/1000) + " thousand"
+		dst = append(appendNumberName(dst, n/1000), " thousand"...)
 		if n%1000 != 0 {
-			s += " " + numberName(n%1000)
+			dst = appendNumberName(append(dst, ' '), n%1000)
 		}
-		return s
+		return dst
 	}
 }
 
@@ -100,6 +105,32 @@ func (st *SpeedTest) exec(m *meter.Context, sql string) (*ResultSet, error) {
 		return nil, fmt.Errorf("minidb speedtest: %q: %w", truncateSQL(sql), err)
 	}
 	return rs, nil
+}
+
+// step binds args to one of the run's prepared loop statements and
+// executes it, behind the same gate and error wrapping as exec.
+func (st *SpeedTest) step(m *meter.Context, p *prepared, args ...Value) (*ResultSet, error) {
+	if st.stopped != nil {
+		return nil, st.stopped
+	}
+	rs, err := st.db.execPrepared(m, p, args...)
+	if err != nil {
+		return nil, fmt.Errorf("minidb speedtest: %q: %w", truncateSQL(p.sql), err)
+	}
+	return rs, nil
+}
+
+// prepareAll prepares a run's loop statements, in order.
+func prepareAll(sqls ...string) ([]*prepared, error) {
+	out := make([]*prepared, len(sqls))
+	for i, sql := range sqls {
+		p, err := prepare(sql)
+		if err != nil {
+			return nil, fmt.Errorf("minidb speedtest: %q: %w", truncateSQL(sql), err)
+		}
+		out[i] = p
+	}
+	return out, nil
 }
 
 func truncateSQL(sql string) string {
@@ -136,6 +167,29 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	}
 	rnd := xorshiftDB(12345)
 
+	// Loop statements are prepared once per run and bound per row, as
+	// speedtest1.c does; one-off statements go through exec as text.
+	ps, err := prepareAll(
+		"INSERT INTO t1 VALUES(?,?,?)",
+		"INSERT INTO t2 VALUES(?,?,?)",
+		"SELECT count(*), avg(b) FROM t1 WHERE b BETWEEN ? AND ?",
+		"SELECT count(*) FROM t1 WHERE c LIKE ?",
+		"SELECT a, c FROM t2 WHERE b = ?",
+		"UPDATE t1 SET b = b + 1 WHERE b BETWEEN ? AND ?",
+		"UPDATE t2 SET c = 'updated' WHERE b = ?",
+		"INSERT INTO t3 VALUES(?,?,?)",
+		"DELETE FROM t2 WHERE b = ?",
+		"INSERT INTO t1 VALUES(?,?,'rollback me')",
+	)
+	if err != nil {
+		return nil, err
+	}
+	insT1, insT2, rangeT1, likeT1, pointT2, updRangeT1, updPointT2, insT3, delPointT2, insRollback :=
+		ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7], ps[8], ps[9]
+	// name holds one number spelled in words; each row gets its own
+	// string of it, since the row keeps its text.
+	var name []byte
+
 	// --- 100: INSERTs into an unindexed table, one transaction ---
 	n := st.n(5000)
 	if _, err := st.exec(m, "CREATE TABLE t1(a INTEGER, b INTEGER, c TEXT)"); err != nil {
@@ -147,8 +201,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	stmts := 0
 	for i := 1; i <= n; i++ {
 		b := int(rnd.next() % 1000000)
-		sql := fmt.Sprintf("INSERT INTO t1 VALUES(%d,%d,'%s')", i, b, numberName(b%100000))
-		if _, err := st.exec(m, sql); err != nil {
+		name = appendNumberName(name[:0], b%100000)
+		if _, err := st.step(m, insT1, Int(int64(i)), Int(int64(b)), Text(string(name))); err != nil {
 			return nil, err
 		}
 		stmts++
@@ -170,8 +224,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	}
 	stmts = 0
 	for i := 1; i <= n; i++ {
-		sql := fmt.Sprintf("INSERT INTO t2 VALUES(%d,%d,'%s')", i, i*3, numberName(i%10000))
-		if _, err := st.exec(m, sql); err != nil {
+		name = appendNumberName(name[:0], i%10000)
+		if _, err := st.step(m, insT2, Int(int64(i)), Int(int64(i*3)), Text(string(name))); err != nil {
 			return nil, err
 		}
 		stmts++
@@ -185,9 +239,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	q := st.n(40)
 	var rows int
 	for i := 0; i < q; i++ {
-		lo := int(rnd.next() % 900000)
-		sql := fmt.Sprintf("SELECT count(*), avg(b) FROM t1 WHERE b BETWEEN %d AND %d", lo, lo+100000)
-		rs, err := st.exec(m, sql)
+		lo := int64(rnd.next() % 900000)
+		rs, err := st.step(m, rangeT1, Int(lo), Int(lo+100000))
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +252,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	q = st.n(20)
 	rows = 0
 	for i := 0; i < q; i++ {
-		sql := fmt.Sprintf("SELECT count(*) FROM t1 WHERE c LIKE '%%%s%%'", numberName(i)[:3])
-		rs, err := st.exec(m, sql)
+		name = appendNumberName(name[:0], i)
+		rs, err := st.step(m, likeT1, Text("%"+string(name[:3])+"%"))
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +281,7 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 		if b < 0 {
 			b = -b
 		}
-		rs, err := st.exec(m, fmt.Sprintf("SELECT a, c FROM t2 WHERE b = %d", b))
+		rs, err := st.step(m, pointT2, Int(int64(b)))
 		if err != nil {
 			return nil, err
 		}
@@ -247,8 +300,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	u := st.n(10)
 	affected := 0
 	for i := 0; i < u; i++ {
-		lo := i * 50000
-		rs, err := st.exec(m, fmt.Sprintf("UPDATE t1 SET b = b + 1 WHERE b BETWEEN %d AND %d", lo, lo+25000))
+		lo := int64(i) * 50000
+		rs, err := st.step(m, updRangeT1, Int(lo), Int(lo+25000))
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +314,7 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	affected = 0
 	for i := 0; i < q; i++ {
 		b := (i * 7 % n) * 3
-		rs, err := st.exec(m, fmt.Sprintf("UPDATE t2 SET c = 'updated' WHERE b = %d", b))
+		rs, err := st.step(m, updPointT2, Int(int64(b)))
 		if err != nil {
 			return nil, err
 		}
@@ -279,8 +332,8 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 		return nil, err
 	}
 	for i := 1; i <= deleted; i++ {
-		sql := fmt.Sprintf("INSERT INTO t1 VALUES(%d,%d,'%s')", 1000000+i, i, numberName(i))
-		if _, err := st.exec(m, sql); err != nil {
+		name = appendNumberName(name[:0], i)
+		if _, err := st.step(m, insT1, Int(int64(1000000+i)), Int(int64(i)), Text(string(name))); err != nil {
 			return nil, err
 		}
 	}
@@ -298,8 +351,9 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	}
 	n3 := st.n(2500)
 	for i := 1; i <= n3; i++ {
-		sql := fmt.Sprintf("INSERT INTO t3 VALUES(%d,%d,'%s')", i, int(rnd.next()%100000), numberName(i%1000))
-		if _, err := st.exec(m, sql); err != nil {
+		b := int64(rnd.next() % 100000)
+		name = appendNumberName(name[:0], i%1000)
+		if _, err := st.step(m, insT3, Int(int64(i)), Int(b), Text(string(name))); err != nil {
 			return nil, err
 		}
 	}
@@ -315,7 +369,7 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	q = st.n(50)
 	affected = 0
 	for i := 0; i < q; i++ {
-		rs, err := st.exec(m, fmt.Sprintf("DELETE FROM t2 WHERE b = %d", i*3))
+		rs, err := st.step(m, delPointT2, Int(int64(i*3)))
 		if err != nil {
 			return nil, err
 		}
@@ -356,8 +410,7 @@ func (st *SpeedTest) RunWithProgress(m *meter.Context, progress func(TestResult)
 	}
 	nr := st.n(500)
 	for i := 1; i <= nr; i++ {
-		sql := fmt.Sprintf("INSERT INTO t1 VALUES(%d,%d,'rollback me')", 2000000+i, i)
-		if _, err := st.exec(m, sql); err != nil {
+		if _, err := st.step(m, insRollback, Int(int64(2000000+i)), Int(int64(i))); err != nil {
 			return nil, err
 		}
 	}
