@@ -282,12 +282,19 @@ func (t *Tier) routeOrder(key string) []*shard {
 
 // enqueue claims one of sh's dispatch slots, waiting in its bounded
 // admission queue. A full queue (or a canceled wait) returns the shed
-// verdict with drain-time retry advice.
+// verdict with drain-time retry advice. The seat is reserved by
+// compare-and-swap, so concurrent arrivals cannot both pass the check
+// and admit past queueDepth.
 func (t *Tier) enqueue(ctx context.Context, sh *shard) (func(), error) {
-	if sh.waiting.Load() >= t.queueDepth {
-		return nil, t.queueFullError(sh)
+	for {
+		w := sh.waiting.Load()
+		if w >= t.queueDepth {
+			return nil, t.queueFullError(sh)
+		}
+		if sh.waiting.CompareAndSwap(w, w+1) {
+			break
+		}
 	}
-	sh.waiting.Add(1)
 	t.Obs().Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
 	defer func() {
 		sh.waiting.Add(-1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,7 @@ type fakeShard struct {
 	invokes atomic.Int64
 	failing atomic.Bool
 	block   chan struct{} // non-nil: invokes park here until released
+	parked  atomic.Int64  // invokes parked on block right now
 	unblock sync.Once
 	wedged  chan struct{} // non-nil: obs scrapes park here until closed
 }
@@ -55,9 +57,12 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 			return
 		}
 		if f.block != nil {
+			f.parked.Add(1)
 			select {
 			case <-f.block:
+				f.parked.Add(-1)
 			case <-r.Context().Done():
+				f.parked.Add(-1)
 				return
 			}
 		}
@@ -85,6 +90,18 @@ func newFakeShard(t *testing.T, name string) *fakeShard {
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// waitFor spins on cond until it holds, failing the test when ctx
+// ends first.
+func waitFor(t *testing.T, ctx context.Context, what string, cond func() bool) {
+	t.Helper()
+	for !cond() {
+		if err := ctx.Err(); err != nil {
+			t.Fatalf("waiting for %s: %v", what, err)
+		}
+		runtime.Gosched()
+	}
 }
 
 // bootTier builds a tier over fake shards and starts it.
@@ -285,7 +302,8 @@ func TestTierInFlightQuotaCountsAsync(t *testing.T) {
 	tier, client := bootTier(t, Config{
 		Quotas: map[string]TenantLimits{"acme": {MaxInFlight: 1}},
 	}, a)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	tenant, err := api.New(tier.BaseURL(), api.WithTenant("acme"), api.WithRetries(1))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +315,9 @@ func TestTierInFlightQuotaCountsAsync(t *testing.T) {
 	if sub.Status != api.AsyncPending {
 		t.Fatalf("submit status = %q, want pending", sub.Status)
 	}
-	// The async invoke is parked inside the shard; a second request
+	// The submission took the tenant's in-flight slot before it was
+	// answered, so no handshake is needed: whether the async invoke is
+	// parked in the shard yet or still on its way, a second request
 	// from the same tenant must shed on the in-flight quota.
 	if _, err := tenant.Invoke(ctx, api.InvokeRequest{Function: "slow"}); err == nil {
 		t.Fatal("second in-flight request admitted past MaxInFlight=1")
@@ -468,9 +488,10 @@ func TestTierSweepBoundsAWedgedShard(t *testing.T) {
 	}
 }
 
-// TestTierQueueFullSheds: with one dispatch slot and a zero-depth
-// queue, a parked invoke forces the next arrival to shed queue_full
-// with drain-time retry advice.
+// TestTierQueueFullSheds: with one dispatch slot and a one-seat
+// queue, an invoke parked in the shard and one waiting for its slot
+// force the next arrival to shed queue_full with drain-time retry
+// advice.
 func TestTierQueueFullSheds(t *testing.T) {
 	a := newFakeShard(t, "shard-a")
 	a.blockInvokes(t)
@@ -479,20 +500,26 @@ func TestTierQueueFullSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	// Fill the slot (parked in the shard) and the one queue seat.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// Fill the slot (parked in the shard), then the one queue seat, one
+	// invoke at a time. Launched together, the second could arrive while
+	// the first still held the seat on its way to the free slot, and
+	// shed instead of queueing.
 	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := client.Invoke(ctx, api.InvokeRequest{Function: "slow"})
-			errs <- err
-		}()
+	invoke := func() {
+		_, err := client.Invoke(ctx, api.InvokeRequest{Function: "slow"})
+		errs <- err
 	}
-	// Wait until both are inside the tier (slot taken + queue seat).
-	deadline := time.Now().Add(2 * time.Second)
-	for tier.shards["shard-a"].waiting.Load() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	sh := tier.shards["shard-a"]
+	go invoke()
+	waitFor(t, ctx, "the first invoke parked in the shard", func() bool {
+		return a.parked.Load() == 1 && sh.waiting.Load() == 0
+	})
+	go invoke()
+	waitFor(t, ctx, "the second invoke queued", func() bool {
+		return sh.load.Load() == 1 && sh.waiting.Load() == 1
+	})
 	_, err = client.Invoke(ctx, api.InvokeRequest{Function: "slow"})
 	if err == nil {
 		t.Fatal("third request admitted past a full queue")
@@ -508,6 +535,71 @@ func TestTierQueueFullSheds(t *testing.T) {
 	}
 	if tier.Obs().Snapshot().Counters[`confbench_fronttier_sheds_total{reason="queue_full"}`] == 0 {
 		t.Fatal("queue_full shed not counted")
+	}
+}
+
+// TestTierConcurrentArrivalsTakeOneSeat: 32 arrivals released at once
+// on a shard whose only slot is parked and whose queue has one seat —
+// exactly one waits and 31 shed queue_full. Two arrivals that both saw
+// the seat free would both wait. An admission that checks and then
+// reserves in two steps lets that happen about once in 200 bursts on
+// a two-core machine, so the burst is repeated 2 000 times: such a
+// mutation fails here in well under a second.
+func TestTierConcurrentArrivalsTakeOneSeat(t *testing.T) {
+	const arrivals, rounds = 32, 2000
+	a := newFakeShard(t, "shard-a")
+	a.blockInvokes(t)
+	tier, _ := bootTier(t, Config{ShardConcurrency: 1, QueueDepth: 1}, a)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	parked := make(chan error, 1)
+	go func() {
+		_, err := tier.Invoke(ctx, "", api.InvokeRequest{Function: "slow"})
+		parked <- err
+	}()
+	sh := tier.shards["shard-a"]
+	waitFor(t, ctx, "the slot's invoke parked", func() bool {
+		return a.parked.Load() == 1 && sh.waiting.Load() == 0
+	})
+	for round := 0; round < rounds; round++ {
+		rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
+		// The arrivals spin rather than block on a channel so that
+		// they leave the start line together, not one wake-up apart.
+		var start atomic.Bool
+		errs := make(chan error, arrivals)
+		for i := 0; i < arrivals; i++ {
+			go func() {
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				_, err := tier.Invoke(rctx, "", api.InvokeRequest{Function: "slow"})
+				errs <- err
+			}()
+		}
+		start.Store(true)
+		// Every arrival has either returned or taken a seat.
+		waitFor(t, rctx, "the burst to settle", func() bool {
+			return int64(len(errs))+sh.waiting.Load() == arrivals
+		})
+		if w := sh.waiting.Load(); w != 1 {
+			t.Fatalf("round %d: %d arrivals waiting on a one-seat queue, want 1", round, w)
+		}
+		for i := 0; i < arrivals-1; i++ {
+			if err := <-errs; cberr.CodeOf(err) != cberr.CodeUnavailable {
+				t.Fatalf("round %d: arrival = %v, want a queue_full shed", round, err)
+			}
+		}
+		rcancel()
+		if err := <-errs; err == nil {
+			t.Fatalf("round %d: the queued arrival ran with the slot still parked", round)
+		}
+	}
+	if got := tier.Obs().Snapshot().Counters[`confbench_fronttier_sheds_total{reason="queue_full"}`]; got != rounds*(arrivals-1) {
+		t.Fatalf("queue_full sheds = %d, want %d", got, rounds*(arrivals-1))
+	}
+	a.release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked invoke failed: %v", err)
 	}
 }
 

@@ -16,8 +16,6 @@ type Options struct {
 	// Host is the machine profile; defaults to cpumodel.FVPNeoverse,
 	// the FVP simulator model.
 	Host cpumodel.Profile
-	// RMMVersion labels the realm management monitor build.
-	RMMVersion string
 	// Seed drives deterministic noise.
 	Seed int64
 	// Obs is the metrics registry the RMM and guests report to (nil =
@@ -61,7 +59,7 @@ func NewBackend(opts Options) (*Backend, error) {
 	if err := opts.Host.Validate(); err != nil {
 		return nil, err
 	}
-	rmm := NewRMM(opts.RMMVersion)
+	rmm := NewRMM()
 	if opts.Obs != nil {
 		rmm.SetObsRegistry(opts.Obs)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGranuleDelegation(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	const pa = GranuleSize
 	if err := m.RMIGranuleDelegate(pa); err != nil {
 		t.Fatal(err)
@@ -27,14 +27,14 @@ func TestGranuleDelegation(t *testing.T) {
 }
 
 func TestGranuleUnalignedRejected(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	if err := m.RMIGranuleDelegate(123); err == nil {
 		t.Error("unaligned granule accepted")
 	}
 }
 
 func TestRealmLifecycle(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	id, err := m.RMIRealmCreate([]byte("rpv"))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestRealmLifecycle(t *testing.T) {
 }
 
 func TestDataCreateRequiresDelegatedGranule(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	id, _ := m.RMIRealmCreate(nil)
 	if err := m.RMIDataCreate(id, GranuleSize, []byte("x")); !errors.Is(err, ErrGranuleUndelegated) {
 		t.Errorf("undelegated data create: %v", err)
@@ -73,7 +73,7 @@ func TestDataCreateRequiresDelegatedGranule(t *testing.T) {
 }
 
 func TestGranuleCannotLeaveRealmWorldWhileInUse(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	id, _ := m.RMIRealmCreate(nil)
 	const pa = GranuleSize
 	_ = m.RMIGranuleDelegate(pa)
@@ -88,7 +88,7 @@ func TestGranuleCannotLeaveRealmWorldWhileInUse(t *testing.T) {
 }
 
 func TestGranuleCannotServeTwoRealms(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	id1, _ := m.RMIRealmCreate([]byte("a"))
 	id2, _ := m.RMIRealmCreate([]byte("b"))
 	const pa = GranuleSize
@@ -103,7 +103,7 @@ func TestGranuleCannotServeTwoRealms(t *testing.T) {
 
 func TestRIMDependsOnContentAndRPV(t *testing.T) {
 	build := func(rpv string, contents ...string) [MeasurementSize]byte {
-		m := NewRMM("")
+		m := NewRMM()
 		id, _ := m.RMIRealmCreate([]byte(rpv))
 		for i, c := range contents {
 			pa := uint64(i+1) * GranuleSize
@@ -126,21 +126,75 @@ func TestRIMDependsOnContentAndRPV(t *testing.T) {
 }
 
 func TestRSIRequiresActiveRealm(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	id, _ := m.RMIRealmCreate(nil)
-	if err := m.RSIHostCall(id); !errors.Is(err, ErrRealmState) {
-		t.Errorf("host call before activate: %v", err)
+	if _, err := m.RSIMeasurementRead(id); !errors.Is(err, ErrRealmState) {
+		t.Errorf("measurement read before activate: %v", err)
 	}
 	_ = m.RMIRealmActivate(id)
-	if err := m.RSIHostCall(id); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := m.RSIMeasurementRead(id); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := m.RealmByID(id)
-	if r.RSICalls() != 2 {
-		t.Errorf("RSI calls = %d, want 2", r.RSICalls())
+}
+
+func TestLeavesRejectUnknownRealm(t *testing.T) {
+	m := NewRMM()
+	const id = 99
+	if err := m.RMIGranuleDelegate(GranuleSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RMIDataCreate(id, GranuleSize, nil); !errors.Is(err, ErrRealmNotFound) {
+		t.Errorf("data create: %v", err)
+	}
+	if err := m.RMIRealmActivate(id); !errors.Is(err, ErrRealmNotFound) {
+		t.Errorf("activate: %v", err)
+	}
+	if _, err := m.RSIMeasurementRead(id); !errors.Is(err, ErrRealmNotFound) {
+		t.Errorf("measurement read: %v", err)
+	}
+	if err := m.RMIRealmDestroy(id); !errors.Is(err, ErrRealmNotFound) {
+		t.Errorf("destroy: %v", err)
+	}
+}
+
+func TestRealmActivatesOnceAndDestroyFreesGranules(t *testing.T) {
+	m := NewRMM()
+	id, _ := m.RMIRealmCreate([]byte("r"))
+	const pa = GranuleSize
+	_ = m.RMIGranuleDelegate(pa)
+	if err := m.RMIDataCreate(id, pa, []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RMIRealmActivate(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RMIRealmActivate(id); !errors.Is(err, ErrRealmState) {
+		t.Errorf("second activate: %v", err)
+	}
+	if err := m.RMIRealmDestroy(id); err != nil {
+		t.Fatal(err)
+	}
+	// Destroy detaches the granule but leaves it delegated until the
+	// host undelegates it.
+	if m.DelegatedGranules() != 1 {
+		t.Errorf("delegated granules after destroy = %d, want 1", m.DelegatedGranules())
+	}
+	if err := m.RMIGranuleUndelegate(pa); err != nil {
+		t.Errorf("undelegate after destroy: %v", err)
+	}
+}
+
+func TestRealmStateString(t *testing.T) {
+	want := map[RealmState]string{
+		RealmNew:       "new",
+		RealmActive:    "active",
+		RealmDestroyed: "destroyed",
+		RealmState(9):  "state(9)",
+	}
+	for s, name := range want {
+		if got := s.String(); got != name {
+			t.Errorf("RealmState(%d).String() = %q, want %q", int(s), got, name)
+		}
 	}
 }
 
@@ -209,80 +263,5 @@ func TestRealmCostExceedsNormal(t *testing.T) {
 	}
 	if rSum < 3*nSum {
 		t.Errorf("syscall/IO work should be ≥3x in realm: %v vs %v", rSum, nSum)
-	}
-}
-
-func TestRECLifecycle(t *testing.T) {
-	m := NewRMM("")
-	id, _ := m.RMIRealmCreate([]byte("r"))
-	recID, err := m.RMIRecCreate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Entering before the realm is active must fail.
-	if err := m.RMIRecEnter(recID); !errors.Is(err, ErrRealmInactive) {
-		t.Errorf("enter into inactive realm: %v", err)
-	}
-	if err := m.RMIRealmActivate(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RMIRecEnter(recID); err != nil {
-		t.Fatal(err)
-	}
-	// Double entry while running is illegal.
-	if err := m.RMIRecEnter(recID); !errors.Is(err, ErrRECState) {
-		t.Errorf("double enter: %v", err)
-	}
-	// Destroy while running is illegal.
-	if err := m.RMIRecDestroy(recID); !errors.Is(err, ErrRECState) {
-		t.Errorf("destroy running rec: %v", err)
-	}
-	if err := m.RecExit(recID); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := m.RECByID(recID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Entries() != 1 || rec.Exits() != 1 || rec.State() != RECReady {
-		t.Errorf("rec counters = %d/%d state %v", rec.Entries(), rec.Exits(), rec.State())
-	}
-	if err := m.RMIRecDestroy(recID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RECByID(recID); !errors.Is(err, ErrRECNotFound) {
-		t.Errorf("rec survives destroy: %v", err)
-	}
-}
-
-func TestRECEnterExitCycles(t *testing.T) {
-	m := NewRMM("")
-	id, _ := m.RMIRealmCreate(nil)
-	_ = m.RMIRealmActivate(id)
-	recID, err := m.RMIRecCreate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := m.RMIRecEnter(recID); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RecExit(recID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec, _ := m.RECByID(recID)
-	if rec.Entries() != 50 || rec.Exits() != 50 {
-		t.Errorf("cycles = %d/%d", rec.Entries(), rec.Exits())
-	}
-}
-
-func TestRECRequiresRealm(t *testing.T) {
-	m := NewRMM("")
-	if _, err := m.RMIRecCreate(99); !errors.Is(err, ErrRealmNotFound) {
-		t.Errorf("rec for missing realm: %v", err)
-	}
-	if err := m.RecExit(7); !errors.Is(err, ErrRECNotFound) {
-		t.Errorf("exit unknown rec: %v", err)
 	}
 }

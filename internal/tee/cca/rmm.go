@@ -7,7 +7,8 @@
 // through the Realm Management Interface (RMI) and realms request
 // services — attestation, memory management — through the Realm
 // Services Interface (RSI). This package models granule delegation,
-// the realm state machine, and the Realm Initial Measurement (RIM).
+// the realm state machine, and the Realm Initial Measurement (RIM),
+// which RSI_MEASUREMENT_READ, the one RSI call modelled, reads back.
 //
 // As in the paper, no CCA silicon exists: realms run inside a model of
 // the ARM Fixed Virtual Platform (FVP) simulator (backend.go). That
@@ -78,8 +79,6 @@ type Realm struct {
 	rpv [64]byte
 	// granules holds the physical granules mapped into the realm.
 	granules map[uint64]bool
-	// rsiCalls counts RSI service requests from the realm.
-	rsiCalls uint64
 }
 
 // ID returns the realm identifier.
@@ -94,9 +93,6 @@ func (r *Realm) RIM() [MeasurementSize]byte { return r.rim }
 // GranuleCount returns the number of granules mapped into the realm.
 func (r *Realm) GranuleCount() int { return len(r.granules) }
 
-// RSICalls returns the number of RSI calls issued by the realm.
-func (r *Realm) RSICalls() uint64 { return r.rsiCalls }
-
 type granule struct {
 	delegated bool
 	realmID   uint64 // 0 when delegated but unassigned
@@ -106,31 +102,25 @@ type granule struct {
 // realms, tracks granule delegation, and implements the RMI (host
 // side) and RSI (realm side) interfaces.
 type RMM struct {
-	mu        sync.Mutex
-	version   string
-	granules  map[uint64]*granule
-	realms    map[uint64]*Realm
-	recs      map[uint64]*REC
-	nextID    uint64
-	nextRecID uint64
+	mu       sync.Mutex
+	granules map[uint64]*granule
+	realms   map[uint64]*Realm
+	nextID   uint64
 
 	// calls counts RMI and RSI invocations the monitor served.
 	calls *obs.Counter
 }
 
+// rmmVersion labels the realm management monitor build.
+const rmmVersion = "RMM-1.0-rel0"
+
 // NewRMM boots a Realm Management Monitor.
-func NewRMM(version string) *RMM {
-	if version == "" {
-		version = "RMM-1.0-rel0"
-	}
+func NewRMM() *RMM {
 	return &RMM{
-		version:   version,
-		granules:  make(map[uint64]*granule, 256),
-		realms:    make(map[uint64]*Realm, 4),
-		recs:      make(map[uint64]*REC, 8),
-		nextID:    1,
-		nextRecID: 1,
-		calls:     obs.Default().Counter("confbench_tee_rmm_calls_total", "tee", "cca"),
+		granules: make(map[uint64]*granule, 256),
+		realms:   make(map[uint64]*Realm, 4),
+		nextID:   1,
+		calls:    obs.Default().Counter("confbench_tee_rmm_calls_total", "tee", "cca"),
 	}
 }
 
@@ -143,7 +133,7 @@ func (m *RMM) SetObsRegistry(reg *obs.Registry) {
 }
 
 // Version returns the RMM release string.
-func (m *RMM) Version() string { return m.version }
+func (m *RMM) Version() string { return rmmVersion }
 
 func granuleIndex(pa uint64) (uint64, error) {
 	if pa%GranuleSize != 0 {
@@ -342,23 +332,6 @@ func (m *RMM) RMIRealmDestroy(realmID uint64) error {
 
 // --- RSI (realm interface) ---
 
-// RSIHostCall records a hypercall from the realm to the host
-// (RSI_HOST_CALL); the cost model prices world switches.
-func (m *RMM) RSIHostCall(realmID uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls.Inc()
-	r, err := m.realm(realmID)
-	if err != nil {
-		return err
-	}
-	if r.state != RealmActive {
-		return fmt.Errorf("%w: host call in %s", ErrRealmState, r.state)
-	}
-	r.rsiCalls++
-	return nil
-}
-
 // RSIMeasurementRead returns the RIM to the realm
 // (RSI_MEASUREMENT_READ with index 0).
 func (m *RMM) RSIMeasurementRead(realmID uint64) ([MeasurementSize]byte, error) {
@@ -372,7 +345,6 @@ func (m *RMM) RSIMeasurementRead(realmID uint64) ([MeasurementSize]byte, error) 
 	if r.state != RealmActive {
 		return [MeasurementSize]byte{}, fmt.Errorf("%w: measurement read in %s", ErrRealmState, r.state)
 	}
-	r.rsiCalls++
 	return r.rim, nil
 }
 

@@ -42,7 +42,7 @@ func TestRestoredRealmIsActive(t *testing.T) {
 }
 
 func TestRMIRealmImportRejectsDelegatedGranules(t *testing.T) {
-	m := NewRMM("")
+	m := NewRMM()
 	if err := m.RMIGranuleDelegate(GranuleSize); err != nil {
 		t.Fatal(err)
 	}

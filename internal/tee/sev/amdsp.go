@@ -220,13 +220,6 @@ func (sp *AMDSP) CertChainCopy() CertChain {
 	return c
 }
 
-// TCB returns the current platform TCB version.
-func (sp *AMDSP) TCB() TCBVersion {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.tcb
-}
-
 // LaunchStart opens a launch context for the guest with asid and
 // policy (SNP_LAUNCH_START).
 func (sp *AMDSP) LaunchStart(asid uint32, policy uint64) error {

@@ -3,13 +3,13 @@
 //
 // Per §II of the paper, SEV-SNP extends SEV's VM memory encryption
 // with strong integrity protection enforced through the Reverse Map
-// Table (RMP), which tracks the owner of every physical page; Virtual
-// Machine Privilege Levels (VMPLs) split a guest's memory into four
-// privilege tiers; and each SNP guest can request an attestation
-// report from the firmware, signed by the AMD-SP secure coprocessor.
-// This package models all three structures, and backend.go expresses
-// the performance profile (cheaper I/O than TDX via shared pages,
-// slightly costlier CPU/memory path) as a tee.CostModel.
+// Table (RMP), which tracks the owner of every physical page, and each
+// SNP guest can request an attestation report from the firmware,
+// signed by the AMD-SP secure coprocessor. This package models the RMP
+// as far as page donation and reclaim drive it and the AMD-SP's launch
+// and report flow; guests run at VMPL0, and backend.go expresses the
+// performance profile (cheaper I/O than TDX via shared pages, slightly
+// costlier CPU/memory path) as a tee.CostModel.
 package sev
 
 import (
@@ -23,26 +23,12 @@ import (
 // PageSize is the RMP granularity.
 const PageSize = 4096
 
-// NumVMPLs is the number of virtual machine privilege levels.
-const NumVMPLs = 4
-
-// VMPL permission bits.
-const (
-	PermRead uint8 = 1 << iota
-	PermWrite
-	PermExecUser
-	PermExecSuper
-)
-
 // RMP errors.
 var (
 	ErrPageAssigned    = errors.New("sev: page already assigned in RMP")
 	ErrPageNotAssigned = errors.New("sev: page not assigned to any guest")
 	ErrWrongOwner      = errors.New("sev: RMP owner mismatch")
 	ErrDoubleValidate  = errors.New("sev: page already validated")
-	ErrNotValidated    = errors.New("sev: page not validated")
-	ErrBadVMPL         = errors.New("sev: VMPL out of range")
-	ErrVMPLDenied      = errors.New("sev: access denied by VMPL permissions")
 )
 
 // RMPEntry describes the ownership and validation state of one page.
@@ -53,8 +39,6 @@ type RMPEntry struct {
 	Assigned bool
 	// Validated is set by the guest's PVALIDATE.
 	Validated bool
-	// Perms holds the per-VMPL permission masks.
-	Perms [NumVMPLs]uint8
 	// Immutable marks firmware pages (metadata, VMSA).
 	Immutable bool
 }
@@ -111,11 +95,7 @@ func (r *RMP) Assign(pa uint64, asid uint32) error {
 	if e, ok := r.entries[n]; ok && e.Assigned {
 		return fmt.Errorf("%w: page %#x owned by ASID %d", ErrPageAssigned, pa, e.ASID)
 	}
-	r.entries[n] = &RMPEntry{
-		ASID:     asid,
-		Assigned: true,
-		Perms:    [NumVMPLs]uint8{PermRead | PermWrite | PermExecUser | PermExecSuper},
-	}
+	r.entries[n] = &RMPEntry{ASID: asid, Assigned: true}
 	return nil
 }
 
@@ -140,76 +120,6 @@ func (r *RMP) Validate(pa uint64, asid uint32) error {
 		return ErrDoubleValidate
 	}
 	e.Validated = true
-	return nil
-}
-
-// Check verifies that the guest with asid may access the page at pa
-// from privilege level vmpl with the requested permission mask. This
-// is the hardware walk performed on every nested page table hit.
-func (r *RMP) Check(pa uint64, asid uint32, vmpl int, perm uint8) error {
-	if vmpl < 0 || vmpl >= NumVMPLs {
-		return ErrBadVMPL
-	}
-	n, err := pfn(pa)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ops.Inc()
-	e, ok := r.entries[n]
-	if !ok || !e.Assigned {
-		return ErrPageNotAssigned
-	}
-	if e.ASID != asid {
-		return fmt.Errorf("%w: page %#x", ErrWrongOwner, pa)
-	}
-	if !e.Validated {
-		return ErrNotValidated
-	}
-	if e.Perms[vmpl]&perm != perm {
-		return fmt.Errorf("%w: vmpl %d perms %#x, need %#x", ErrVMPLDenied, vmpl, e.Perms[vmpl], perm)
-	}
-	return nil
-}
-
-// SetVMPL adjusts the permission mask of a lower privilege level.
-// Only VMPL0 software may do this (RMPADJUST).
-func (r *RMP) SetVMPL(pa uint64, asid uint32, vmpl int, perm uint8) error {
-	if vmpl <= 0 || vmpl >= NumVMPLs {
-		return fmt.Errorf("%w: RMPADJUST targets VMPL1..3, got %d", ErrBadVMPL, vmpl)
-	}
-	n, err := pfn(pa)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[n]
-	if !ok || !e.Assigned || e.ASID != asid {
-		return ErrPageNotAssigned
-	}
-	e.Perms[vmpl] = perm
-	return nil
-}
-
-// Reclaim returns a guest page to the hypervisor (page becomes shared
-// again; validation state is wiped).
-func (r *RMP) Reclaim(pa uint64, asid uint32) error {
-	n, err := pfn(pa)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[n]
-	if !ok || !e.Assigned {
-		return ErrPageNotAssigned
-	}
-	if e.ASID != asid {
-		return ErrWrongOwner
-	}
-	delete(r.entries, n)
 	return nil
 }
 

@@ -19,8 +19,8 @@ func TestRMPSingleOwnerInvariant(t *testing.T) {
 	if err := r.Assign(pa, 2); !errors.Is(err, ErrPageAssigned) {
 		t.Errorf("reassign: %v", err)
 	}
-	if err := r.Reclaim(pa, 1); err != nil {
-		t.Fatal(err)
+	if n := r.ReclaimAll(1); n != 1 {
+		t.Fatalf("reclaimed %d pages, want 1", n)
 	}
 	if err := r.Assign(pa, 2); err != nil {
 		t.Errorf("assign after reclaim: %v", err)
@@ -47,51 +47,6 @@ func TestRMPValidateWrongOwner(t *testing.T) {
 	}
 }
 
-func TestRMPCheck(t *testing.T) {
-	r := NewRMP()
-	const pa = 4096
-	_ = r.Assign(pa, 1)
-	// Unvalidated page cannot be used.
-	if err := r.Check(pa, 1, 0, PermRead); !errors.Is(err, ErrNotValidated) {
-		t.Errorf("check unvalidated: %v", err)
-	}
-	_ = r.Validate(pa, 1)
-	if err := r.Check(pa, 1, 0, PermRead|PermWrite); err != nil {
-		t.Errorf("vmpl0 access: %v", err)
-	}
-	// Other guests cannot touch the page.
-	if err := r.Check(pa, 2, 0, PermRead); !errors.Is(err, ErrWrongOwner) {
-		t.Errorf("cross-guest access: %v", err)
-	}
-	// Lower VMPLs start with no permissions.
-	if err := r.Check(pa, 1, 2, PermRead); !errors.Is(err, ErrVMPLDenied) {
-		t.Errorf("vmpl2 default: %v", err)
-	}
-	if err := r.Check(pa, 1, 7, PermRead); !errors.Is(err, ErrBadVMPL) {
-		t.Errorf("bad vmpl: %v", err)
-	}
-}
-
-func TestRMPAdjust(t *testing.T) {
-	r := NewRMP()
-	const pa = 4096
-	_ = r.Assign(pa, 1)
-	_ = r.Validate(pa, 1)
-	if err := r.SetVMPL(pa, 1, 2, PermRead); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Check(pa, 1, 2, PermRead); err != nil {
-		t.Errorf("vmpl2 read after adjust: %v", err)
-	}
-	if err := r.Check(pa, 1, 2, PermWrite); !errors.Is(err, ErrVMPLDenied) {
-		t.Errorf("vmpl2 write: %v", err)
-	}
-	// RMPADJUST cannot target VMPL0.
-	if err := r.SetVMPL(pa, 1, 0, PermRead); !errors.Is(err, ErrBadVMPL) {
-		t.Errorf("adjust vmpl0: %v", err)
-	}
-}
-
 func TestRMPReclaimAll(t *testing.T) {
 	r := NewRMP()
 	for i := 0; i < 5; i++ {
@@ -103,6 +58,43 @@ func TestRMPReclaimAll(t *testing.T) {
 	}
 	if r.AssignedPages(7) != 0 || r.AssignedPages(8) != 1 {
 		t.Error("reclaim-all removed wrong pages")
+	}
+}
+
+func TestRMPRejectsBadRequests(t *testing.T) {
+	r := NewRMP()
+	if err := r.Assign(PageSize+1, 1); err == nil {
+		t.Error("unaligned assign accepted")
+	}
+	if err := r.Assign(PageSize, 0); err == nil {
+		t.Error("assign to hypervisor ASID 0 accepted")
+	}
+	if err := r.Validate(PageSize+1, 1); err == nil {
+		t.Error("unaligned validate accepted")
+	}
+	if err := r.Validate(PageSize, 1); !errors.Is(err, ErrPageNotAssigned) {
+		t.Errorf("validate of unassigned page: %v", err)
+	}
+	if r.AssignedPages(1) != 0 {
+		t.Error("a rejected request left a page assigned")
+	}
+}
+
+func TestRMPReclaimDropsValidation(t *testing.T) {
+	r := NewRMP()
+	const pa = 3 * PageSize
+	_ = r.Assign(pa, 1)
+	if err := r.Validate(pa, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.ReclaimAll(1)
+	// A reclaimed page comes back unvalidated, so the new owner must
+	// PVALIDATE it afresh rather than inherit the old mapping.
+	if err := r.Assign(pa, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(pa, 1); err != nil {
+		t.Errorf("validate after reclaim: %v", err)
 	}
 }
 

@@ -6,9 +6,10 @@
 // the hypervisor drives through SEAMCALL leaf functions and trust
 // domains (TDs) reach through TDCALL. The module owns the TD lifecycle
 // state machine (create → init → memory add → finalize → run), keeps
-// the MRTD build-time measurement and four runtime measurement
-// registers (RTMRs), and emits MAC'd TDREPORT structures that the DCAP
-// attestation stack (internal/attest/dcap) turns into quotes.
+// the MRTD build-time measurement, and emits MAC'd TDREPORT structures
+// that the DCAP attestation stack (internal/attest/dcap) turns into
+// quotes; no runtime leaf extends the RTMRs, so a report carries them
+// zeroed.
 //
 // The performance side — memory encryption and integrity, bounce
 // buffers for I/O, TDCALL/SEAMCALL transition latencies — is expressed
@@ -28,14 +29,11 @@ import (
 
 // Lifecycle errors returned by the module.
 var (
-	ErrTDNotFound      = errors.New("tdx: no such trust domain")
-	ErrBadState        = errors.New("tdx: operation illegal in current TD state")
-	ErrPageAdded       = errors.New("tdx: page already added at GPA")
-	ErrNotFinalized    = errors.New("tdx: TD measurement not finalized")
-	ErrRTMRIndex       = errors.New("tdx: RTMR index out of range")
-	ErrReportDataSize  = errors.New("tdx: report data must be at most 64 bytes")
-	ErrModuleShutdown  = errors.New("tdx: module shut down")
-	ErrSEAMNotRootMode = errors.New("tdx: SEAMCALL requires VMX root mode")
+	ErrTDNotFound     = errors.New("tdx: no such trust domain")
+	ErrBadState       = errors.New("tdx: operation illegal in current TD state")
+	ErrPageAdded      = errors.New("tdx: page already added at GPA")
+	ErrNotFinalized   = errors.New("tdx: TD measurement not finalized")
+	ErrReportDataSize = errors.New("tdx: report data must be at most 64 bytes")
 )
 
 // TDState is the lifecycle state of a trust domain.
@@ -48,7 +46,6 @@ const (
 	TDMemAdding
 	TDFinalized
 	TDRunning
-	TDTornDown
 )
 
 // String names the state.
@@ -64,8 +61,6 @@ func (s TDState) String() string {
 		return "finalized"
 	case TDRunning:
 		return "running"
-	case TDTornDown:
-		return "torn-down"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -90,44 +85,14 @@ type TD struct {
 
 	// mrtd is the build-time measurement, extended by each added page.
 	mrtd [MeasurementSize]byte
-	// rtmrs are the runtime measurement registers.
-	rtmrs [NumRTMRs][MeasurementSize]byte
 	// pages maps guest-physical page numbers to acceptance.
 	pages map[uint64]bool
-
-	exits uint64 // TDCALL-induced exits observed
 }
-
-// ID returns the TD identifier assigned at creation.
-func (td *TD) ID() uint64 { return td.id }
-
-// State returns the current lifecycle state.
-func (td *TD) State() TDState { return td.state }
-
-// MRTD returns a copy of the build-time measurement.
-func (td *TD) MRTD() [MeasurementSize]byte { return td.mrtd }
-
-// RTMR returns a copy of runtime measurement register i.
-func (td *TD) RTMR(i int) ([MeasurementSize]byte, error) {
-	if i < 0 || i >= NumRTMRs {
-		return [MeasurementSize]byte{}, ErrRTMRIndex
-	}
-	return td.rtmrs[i], nil
-}
-
-// PageCount returns the number of private pages added to the TD.
-func (td *TD) PageCount() int { return len(td.pages) }
-
-// Exits returns the number of TDCALL exits recorded for the TD.
-func (td *TD) Exits() uint64 { return td.exits }
 
 // ModuleInfo describes the loaded TDX module.
 type ModuleInfo struct {
 	// Version is the module version string, e.g. "TDX_1.5.05.46.698".
 	Version string
-	// SEAMBase and SEAMSize describe the reserved SEAM memory range.
-	SEAMBase uint64
-	SEAMSize uint64
 }
 
 // Module simulates the Intel TDX Module. It runs conceptually in SEAM
@@ -138,10 +103,9 @@ type Module struct {
 	mu   sync.Mutex
 	info ModuleInfo
 	// macKey stands in for the CPU-held key that MACs TDREPORTs.
-	macKey   []byte
-	tds      map[uint64]*TD
-	nextID   uint64
-	shutdown bool
+	macKey []byte
+	tds    map[uint64]*TD
+	nextID uint64
 
 	// calls counts SEAMCALL/TDCALL leaf invocations the module served.
 	calls *obs.Counter
@@ -163,11 +127,7 @@ func NewModule(version string, seed int64) *Module {
 	binary.LittleEndian.PutUint64(seedBytes[:], uint64(seed))
 	key := sha512.Sum384(append([]byte("tdx-module-mac-key:"+version+":"), seedBytes[:]...))
 	return &Module{
-		info: ModuleInfo{
-			Version:  version,
-			SEAMBase: 0x8000_0000_0000,
-			SEAMSize: 64 << 20,
-		},
+		info:   ModuleInfo{Version: version},
 		macKey: key[:],
 		tds:    make(map[uint64]*TD, 4),
 		nextID: 1,
@@ -190,18 +150,8 @@ func (m *Module) Info() ModuleInfo {
 	return m.info
 }
 
-// Shutdown tears the module down; all further calls fail.
-func (m *Module) Shutdown() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shutdown = true
-}
-
 func (m *Module) get(id uint64) (*TD, error) {
 	m.calls.Inc()
-	if m.shutdown {
-		return nil, ErrModuleShutdown
-	}
 	td, ok := m.tds[id]
 	if !ok {
 		return nil, ErrTDNotFound
@@ -216,9 +166,6 @@ func (m *Module) TDHMngCreate() (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.calls.Inc()
-	if m.shutdown {
-		return 0, ErrModuleShutdown
-	}
 	id := m.nextID
 	m.nextID++
 	m.tds[id] = &TD{
@@ -367,9 +314,6 @@ func (m *Module) TDHImportMem(img *TDImage) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.calls.Inc()
-	if m.shutdown {
-		return 0, ErrModuleShutdown
-	}
 	id := m.nextID
 	m.nextID++
 	td := &TD{
@@ -391,58 +335,14 @@ func (m *Module) TDHImportMem(img *TDImage) (uint64, error) {
 func (m *Module) TDHMngRemove(id uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	td, err := m.get(id)
-	if err != nil {
+	if _, err := m.get(id); err != nil {
 		return err
 	}
-	td.state = TDTornDown
-	td.pages = nil
 	delete(m.tds, id)
 	return nil
 }
 
 // --- TDCALL leaves (guest side) ---
-
-// TDGMrRtmrExtend extends RTMR index i with digest (TDCALL
-// TDG.MR.RTMR.EXTEND).
-func (m *Module) TDGMrRtmrExtend(id uint64, i int, digest []byte) error {
-	if i < 0 || i >= NumRTMRs {
-		return ErrRTMRIndex
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	td, err := m.get(id)
-	if err != nil {
-		return err
-	}
-	if td.state != TDRunning {
-		return fmt.Errorf("%w: rtmr extend in %s", ErrBadState, td.state)
-	}
-	h := sha512.New384()
-	h.Write(td.rtmrs[i][:])
-	d := sha512.Sum384(digest)
-	h.Write(d[:])
-	copy(td.rtmrs[i][:], h.Sum(nil))
-	td.exits++
-	return nil
-}
-
-// TDGVPVmcall records a TDVMCALL hypercall exit from the guest
-// (TDCALL TDG.VP.VMCALL). The cost model prices these; the module just
-// counts them for inspection.
-func (m *Module) TDGVPVmcall(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	td, err := m.get(id)
-	if err != nil {
-		return err
-	}
-	if td.state != TDRunning {
-		return fmt.Errorf("%w: vmcall in %s", ErrBadState, td.state)
-	}
-	td.exits++
-	return nil
-}
 
 // TDGMrReport produces a MAC'd TDREPORT binding reportData (≤64 bytes)
 // to the TD's measurements (TDCALL TDG.MR.REPORT). Only a running,
@@ -460,7 +360,6 @@ func (m *Module) TDGMrReport(id uint64, reportData []byte) (*Report, error) {
 	if td.state != TDRunning && td.state != TDFinalized {
 		return nil, fmt.Errorf("%w: report in %s", ErrBadState, td.state)
 	}
-	td.exits++
 
 	r := &Report{
 		ModuleVersion: m.info.Version,
@@ -468,7 +367,6 @@ func (m *Module) TDGMrReport(id uint64, reportData []byte) (*Report, error) {
 		Attributes:    td.attributes,
 		Xfam:          td.xfam,
 		MRTD:          td.mrtd,
-		RTMRs:         td.rtmrs,
 	}
 	copy(r.ReportData[:], reportData)
 	r.MAC = m.macReport(r)

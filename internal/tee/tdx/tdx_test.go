@@ -93,7 +93,7 @@ func TestMRTDDependsOnContentAndOrder(t *testing.T) {
 		}
 		_ = m.TDHMrFinalize(id)
 		td, _ := m.get(id)
-		return td.MRTD()
+		return td.mrtd
 	}
 	a := build([][]byte{{1}, {2}})
 	b := build([][]byte{{1}, {3}})
@@ -107,25 +107,6 @@ func TestMRTDDependsOnContentAndOrder(t *testing.T) {
 	}
 	if a != same {
 		t.Error("identical builds should produce identical MRTD")
-	}
-}
-
-func TestRTMRExtend(t *testing.T) {
-	m := NewModule(CurrentFirmware, 1)
-	id := buildTD(t, m, 1)
-	before, _ := m.TDGMrReport(id, nil)
-	if err := m.TDGMrRtmrExtend(id, 2, []byte("event")); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := m.TDGMrReport(id, nil)
-	if before.RTMRs[2] == after.RTMRs[2] {
-		t.Error("RTMR[2] unchanged by extend")
-	}
-	if before.RTMRs[0] != after.RTMRs[0] {
-		t.Error("RTMR[0] should be unchanged")
-	}
-	if err := m.TDGMrRtmrExtend(id, 9, nil); !errors.Is(err, ErrRTMRIndex) {
-		t.Errorf("bad index: %v", err)
 	}
 }
 
@@ -184,11 +165,78 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModuleShutdown(t *testing.T) {
+func TestReportRTMRsZeroAndBound(t *testing.T) {
 	m := NewModule(CurrentFirmware, 1)
-	m.Shutdown()
-	if _, err := m.TDHMngCreate(); !errors.Is(err, ErrModuleShutdown) {
-		t.Errorf("create after shutdown: %v", err)
+	id := buildTD(t, m, 2)
+	r, err := m.TDGMrReport(id, []byte("nonce"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No runtime leaf extends an RTMR, so every register reads zero.
+	for i, rtmr := range r.RTMRs {
+		if rtmr != ([MeasurementSize]byte{}) {
+			t.Errorf("RTMR[%d] = %x, want zero", i, rtmr)
+		}
+	}
+	// The registers keep their place in the MAC'd layout: a report
+	// claiming a nonzero RTMR no longer verifies.
+	r.RTMRs[2][0] = 1
+	if m.VerifyReportMAC(r) {
+		t.Error("MAC still verifies after an RTMR was altered")
+	}
+}
+
+func TestLeavesRejectUnknownTD(t *testing.T) {
+	m := NewModule(CurrentFirmware, 1)
+	const id = 42
+	if err := m.TDHMngInit(id, 0, 0); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("init: %v", err)
+	}
+	if err := m.TDHMemPageAdd(id, 0, nil); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("page add: %v", err)
+	}
+	if err := m.TDHMrFinalize(id); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("finalize: %v", err)
+	}
+	if err := m.TDHVPEnter(id); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("enter: %v", err)
+	}
+	if _, err := m.TDHExportMem(id); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("export: %v", err)
+	}
+	if err := m.TDHMngRemove(id); !errors.Is(err, ErrTDNotFound) {
+		t.Errorf("remove: %v", err)
+	}
+}
+
+func TestInitAndFinalizeOnlyOnce(t *testing.T) {
+	m := NewModule(CurrentFirmware, 1)
+	id := buildTD(t, m, 1)
+	if err := m.TDHMngInit(id, 0, 0); !errors.Is(err, ErrBadState) {
+		t.Errorf("second init: %v", err)
+	}
+	if err := m.TDHMrFinalize(id); !errors.Is(err, ErrBadState) {
+		t.Errorf("finalize of a running TD: %v", err)
+	}
+	// Re-entering a running TD is the normal VM-exit return path.
+	if err := m.TDHVPEnter(id); err != nil {
+		t.Errorf("re-enter running TD: %v", err)
+	}
+}
+
+func TestTDStateString(t *testing.T) {
+	want := map[TDState]string{
+		TDCreated:     "created",
+		TDInitialized: "initialized",
+		TDMemAdding:   "mem-adding",
+		TDFinalized:   "finalized",
+		TDRunning:     "running",
+		TDState(9):    "state(9)",
+	}
+	for s, name := range want {
+		if got := s.String(); got != name {
+			t.Errorf("TDState(%d).String() = %q, want %q", int(s), got, name)
+		}
 	}
 }
 

@@ -9,9 +9,10 @@
 // under two guests of the same host.
 //
 // Concrete implementations live in the tdx, sev, and cca
-// sub-packages; they add structural simulations (TDX module SEAM
-// transitions, the SEV RMP, the CCA RMM) that the attestation stack
-// and the tests exercise directly.
+// sub-packages: each prices runtime transitions through its CostModel
+// and keeps a platform machine (the TDX module, the SEV RMP and AMD-SP,
+// the CCA RMM) only for the lifecycle, attestation and migration steps
+// that drive it.
 package tee
 
 import (
