@@ -95,7 +95,7 @@ func migrationReport(ctx context.Context, seed int64, memMB int) (string, []migr
 			return "", nil, err
 		}
 		u := meter.Usage{meter.IOWriteBytes: uint64(row.Bytes)}
-		charge := survivor.Secure.Guest().Price(u, backend.HostProfile().Cost(u))
+		charge := survivor.Secure.Guest().Price(u, backend.HostProfile().Cost(u), tee.NewKey("drain-transfer"))
 		row.XferCost = charge.Total
 		rows = append(rows, row)
 	}

@@ -59,8 +59,8 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 		return MLResult{}, err
 	}
 	dataset := mlinfer.Dataset(opts.Images)
-	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), func(ctx context.Context, i int) (faas.LaunchResult, error) {
-		return pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), func(ctx context.Context, i int) (faas.LaunchResult, tee.Key, error) {
+		lr, err := pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
 			img, err := mlinfer.DecodeAndResize(m, dataset[i], opts.InputSize)
 			if err != nil {
 				return "", err
@@ -71,6 +71,7 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 			}
 			return preds[0].Label, nil
 		})
+		return lr, tee.NewKey("ml").Num(uint64(i)), err
 	})
 	if err != nil {
 		return MLResult{}, fmt.Errorf("bench ml: %w", err)
@@ -145,7 +146,7 @@ func DBMS(ctx context.Context, pair vm.Pair, opts DBMSOptions) (DBMSResult, erro
 	if len(results) != len(runs) {
 		return DBMSResult{}, fmt.Errorf("bench dbms: %d results vs %d progress callbacks", len(results), len(runs))
 	}
-	secure, normal := pricePaired(ctx, pair, runs).Ms()
+	secure, normal := priceRuns(ctx, pair, "dbms", runs).Ms()
 	out := DBMSResult{Kind: pair.Secure.Platform(), Size: opts.Size}
 	var ratios []float64
 	for i, r := range results {
@@ -254,7 +255,7 @@ func DBMSStorage(ctx context.Context, pair vm.Pair, opts DBMSStorageOptions) (DB
 		return DBMSStorageResult{}, err
 	}
 
-	secure, normal := pricePaired(ctx, pair, runs).Ms()
+	secure, normal := priceRuns(ctx, pair, "storage", runs).Ms()
 	cell := func(i int, name string) DBMSStorageCell {
 		return DBMSStorageCell{
 			Backend:    name,
@@ -316,7 +317,7 @@ func UnixBench(ctx context.Context, pair vm.Pair, opts UnixBenchOptions) (UnixBe
 	for i, t := range tests {
 		runs[i].RunUsage = t.Usage
 	}
-	p := pricePaired(ctx, pair, runs)
+	p := priceRuns(ctx, pair, "unixbench", runs)
 	secure, err := unixbench.Score(tests, p.Secure)
 	if err != nil {
 		return UnixBenchResult{}, fmt.Errorf("bench unixbench secure: %w", err)

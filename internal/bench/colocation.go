@@ -101,12 +101,13 @@ func CoLocation(ctx context.Context, backend tee.Backend, catalog *workloads.Reg
 		contention := 1 + opts.ContentionPerTenant*float64(k-1)
 		var samples []float64
 		for trial := 0; trial < opts.Trials; trial++ {
-			for _, machine := range vms {
-				r, err := machine.InvokeFunction(ctx, fn, 0)
+			for t, machine := range vms {
+				lr, err := machine.Execute(ctx, fn, 0)
 				if err != nil {
 					stopAll(vms)
 					return CoLocationResult{}, err
 				}
+				r := machine.Price(ctx, lr, tee.NewKey(fn.Name).Num(uint64(k)).Num(uint64(t)).Num(uint64(trial)))
 				samples = append(samples, float64(r.Wall.Nanoseconds())/1e6*contention)
 			}
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"confbench/internal/faas"
 	"confbench/internal/faas/langs"
@@ -31,33 +32,12 @@ type FaaSResult struct {
 	Languages []string `json:"languages"`
 	// Cells is indexed [workload][language] following the two lists.
 	Cells [][]Cell `json:"cells"`
-
-	// wIndex and lIndex map names to list positions so Cell lookups
-	// cost O(1) instead of scanning the grid. They are built once when
-	// the result is produced; results reconstructed elsewhere (JSON
-	// round trips, literals) fall back to a local rebuild.
-	wIndex map[string]int
-	lIndex map[string]int
-}
-
-// indexMap maps each name to its slice position.
-func indexMap(names []string) map[string]int {
-	m := make(map[string]int, len(names))
-	for i, n := range names {
-		m[n] = i
-	}
-	return m
 }
 
 // Cell returns the cell for (workload, language).
 func (r FaaSResult) Cell(workload, language string) (Cell, error) {
-	wi, li := r.wIndex, r.lIndex
-	if wi == nil || li == nil {
-		wi, li = indexMap(r.Workloads), indexMap(r.Languages)
-	}
-	i, okW := wi[workload]
-	j, okL := li[language]
-	if !okW || !okL || i >= len(r.Cells) || j >= len(r.Cells[i]) {
+	i, j := slices.Index(r.Workloads, workload), slices.Index(r.Languages, language)
+	if i < 0 || j < 0 || i >= len(r.Cells) || j >= len(r.Cells[i]) {
 		return Cell{}, fmt.Errorf("bench: no cell for %s/%s", workload, language)
 	}
 	return r.Cells[i][j], nil
@@ -135,23 +115,23 @@ func FaaS(ctx context.Context, pair vm.Pair, catalog *workloads.Registry, opts F
 		Workloads: ws,
 		Languages: languages,
 		Cells:     make([][]Cell, len(ws)),
-		wIndex:    indexMap(ws),
-		lIndex:    indexMap(languages),
 	}
 	for i := range res.Cells {
 		res.Cells[i] = make([]Cell, len(languages))
 	}
 
-	// One execution per (cell, trial), cells in workload-major order.
+	// One execution per (cell, trial), cells in workload-major order,
+	// priced under (workload, language, scale, trial): a cell's samples
+	// are the same whichever grid it is measured in.
 	nLangs, trials := len(languages), opts.Trials
-	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(ws)*nLangs*trials, func(ctx context.Context, idx int) (faas.LaunchResult, error) {
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(ws)*nLangs*trials, func(ctx context.Context, idx int) (faas.LaunchResult, tee.Key, error) {
 		i, j := idx/trials/nLangs, idx/trials%nLangs
 		fn := faas.Function{Name: ws[i] + "-" + languages[j], Language: languages[j], Workload: ws[i]}
 		lr, err := pair.Execute(ctx, fn, scales[i])
 		if err != nil {
-			return lr, fmt.Errorf("bench faas %s/%s: %w", ws[i], languages[j], err)
+			return lr, 0, fmt.Errorf("bench faas %s/%s: %w", ws[i], languages[j], err)
 		}
-		return lr, nil
+		return lr, tee.NewKey(ws[i]).Name(languages[j]).Num(uint64(scales[i])).Num(uint64(idx % trials)), nil
 	})
 	if err != nil {
 		return FaaSResult{}, err
@@ -179,13 +159,7 @@ func sum(xs []float64) (s float64) {
 // language column: per workload, one box for the secure and one for
 // the normal samples.
 func (r FaaSResult) BoxPlotsFor(language string) (map[string]SecureNormalBox, error) {
-	j := -1
-	for idx, l := range r.Languages {
-		if l == language {
-			j = idx
-			break
-		}
-	}
+	j := slices.Index(r.Languages, language)
 	if j < 0 {
 		return nil, fmt.Errorf("bench: language %q not in result", language)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"confbench/internal/faas"
 	"confbench/internal/stats"
+	"confbench/internal/tee"
 	"confbench/internal/vm"
 )
 
@@ -21,32 +22,33 @@ func (p Paired) Ms() (secure, normal []float64) {
 	return stats.DurationsToMillis(p.Secure), stats.DurationsToMillis(p.Normal)
 }
 
-// pricePaired charges each execution on both VMs of the pair, on the
-// calling goroutine and in index order, so what the per-guest pricing
-// noise is drawn for depends on the indices alone — not on which worker
-// ran a body, or when.
-func pricePaired(ctx context.Context, pair vm.Pair, runs []faas.LaunchResult) Paired {
-	p := Paired{Secure: make([]time.Duration, len(runs)), Normal: make([]time.Duration, len(runs))}
-	for i, lr := range runs {
-		s, n := pair.Price(ctx, lr)
-		p.Secure[i], p.Normal[i] = s.Wall, n.Wall
-	}
-	return p
-}
-
 // measure is the paired measurement behind every figure: n bodies
-// execute once each over the runner (concurrently when Workers > 1),
-// then pricePaired charges what they metered. Bodies are pure, so the
-// samples are the same for every worker count.
-func measure(ctx context.Context, r Runner, pair vm.Pair, n int, body func(ctx context.Context, i int) (faas.LaunchResult, error)) (Paired, error) {
-	runs := make([]faas.LaunchResult, n)
+// execute over the runner (concurrently when Workers > 1), each priced
+// on both VMs under the key it returns, so the samples are the same for
+// every worker count and schedule.
+func measure(ctx context.Context, r Runner, pair vm.Pair, n int, body func(ctx context.Context, i int) (faas.LaunchResult, tee.Key, error)) (Paired, error) {
+	p := Paired{Secure: make([]time.Duration, n), Normal: make([]time.Duration, n)}
 	err := r.Run(ctx, n, func(ctx context.Context, i int) error {
-		var err error
-		runs[i], err = body(ctx, i)
-		return err
+		lr, key, err := body(ctx, i)
+		if err != nil {
+			return err
+		}
+		s, nr := pair.Price(ctx, lr, key)
+		p.Secure[i], p.Normal[i] = s.Wall, nr.Wall
+		return nil
 	})
 	if err != nil {
 		return Paired{}, err
 	}
-	return pricePaired(ctx, pair, runs), nil
+	return p, nil
+}
+
+// priceRuns prices executions that already ran, sample i under (row, i).
+func priceRuns(ctx context.Context, pair vm.Pair, row string, runs []faas.LaunchResult) Paired {
+	p := Paired{Secure: make([]time.Duration, len(runs)), Normal: make([]time.Duration, len(runs))}
+	for i, lr := range runs {
+		s, n := pair.Price(ctx, lr, tee.NewKey(row).Num(uint64(i)))
+		p.Secure[i], p.Normal[i] = s.Wall, n.Wall
+	}
+	return p
 }

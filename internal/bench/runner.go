@@ -15,9 +15,9 @@ import (
 // the bodies of a paired measurement (see measure) go through it.
 //
 // Determinism contract: results are bit-identical for every worker
-// count. Tasks only execute pure bodies and write into per-index slots;
-// everything drawn from a shared stateful source (the per-guest pricing
-// noise) is drawn afterwards, in index order, by the caller.
+// count. Tasks execute pure bodies, price them under keys of what they
+// measured, and write into per-index slots; nothing they draw on
+// depends on which task ran first.
 //
 // Error contract: every started task runs to completion, and the
 // reported error is the one raised by the lowest task index, so error

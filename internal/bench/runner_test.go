@@ -93,8 +93,9 @@ func TestRunnerZeroTasks(t *testing.T) {
 }
 
 // serialFaaSReference replays the harness's original serial loop —
-// workload-major, language-minor, secure-then-normal per trial — so
-// the Workers=1 schedule can be proven bit-identical to it.
+// workload-major, language-minor, secure-then-normal per trial, the
+// body executed on each VM — pricing each run under the sample's key,
+// so the paired Workers=1 schedule can be proven bit-identical to it.
 func serialFaaSReference(pair vm.Pair, catalog *workloads.Registry, opts FaaSOptions) (FaaSResult, error) {
 	ctx := context.Background()
 	opts.Options = opts.Options.WithDefaults()
@@ -120,14 +121,16 @@ func serialFaaSReference(pair vm.Pair, catalog *workloads.Registry, opts FaaSOpt
 			cell := Cell{Workload: w, Language: lang}
 			var secureSum, normalSum float64
 			for trial := 0; trial < opts.Trials; trial++ {
-				sRes, err := pair.Secure.InvokeFunction(ctx, fn, scale)
+				key := tee.NewKey(w).Name(lang).Num(uint64(scale)).Num(uint64(trial))
+				sRun, err := pair.Secure.Execute(ctx, fn, scale)
 				if err != nil {
 					return FaaSResult{}, err
 				}
-				nRes, err := pair.Normal.InvokeFunction(ctx, fn, scale)
+				nRun, err := pair.Normal.Execute(ctx, fn, scale)
 				if err != nil {
 					return FaaSResult{}, err
 				}
+				sRes, nRes := pair.Secure.Price(ctx, sRun, key), pair.Normal.Price(ctx, nRun, key)
 				if sRes.Output != nRes.Output {
 					return FaaSResult{}, fmt.Errorf("outputs diverged")
 				}
@@ -162,9 +165,9 @@ func seededTDXPair(t *testing.T, seed int64) vm.Pair {
 
 func TestFaaSWorkers1ByteIdenticalToSerial(t *testing.T) {
 	// Two identically-seeded deployments: one runs the Runner-based
-	// FaaS at Workers=1, the other the reference serial loop. The
-	// pricing RNG is consumed in invocation order, so byte-equal JSON
-	// proves the Workers=1 schedule replays the serial order exactly.
+	// FaaS at Workers=1, the other the reference serial loop, which
+	// executes every body on both VMs. Byte-equal JSON proves that one
+	// paired execution prices exactly as two separate ones.
 	opts := FaaSOptions{
 		Options:   Options{Trials: 3, ScaleDivisor: 8, Workers: 1},
 		Workloads: []string{"cpustress", "iostress", "factors"},
@@ -211,8 +214,8 @@ func sameJSON(t *testing.T, what string, a, b any) {
 }
 
 func TestFaaSWorkersByteIdentical(t *testing.T) {
-	// Workers=4 executes bodies concurrently, but pricing happens after,
-	// in index order: same seed, same bytes as the serial run.
+	// Workers=4 executes and prices bodies concurrently, each under its
+	// sample's key: same seed, same bytes as the serial run.
 	mkOpts := func(workers int) FaaSOptions {
 		return FaaSOptions{
 			Options:   Options{Trials: 3, ScaleDivisor: 8, Workers: workers},
@@ -256,8 +259,7 @@ func TestFaaSCellIndexMaps(t *testing.T) {
 	if err != nil || c.Workload != "factors" || c.Language != "lua" {
 		t.Errorf("Cell = %+v, %v", c, err)
 	}
-	// A result reconstructed from JSON has no index maps and must fall
-	// back to the local rebuild.
+	// A result reconstructed from JSON finds its cells the same way.
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

@@ -176,8 +176,7 @@ func must[T any](v T, err error) T {
 }
 
 // shapeReport measures every row's figure at test sizes, each on fresh
-// pairs so that one figure's pricing draws do not shift another's, into
-// the layout confbench-bench -json writes.
+// pairs, into the layout confbench-bench -json writes.
 func shapeReport(t *testing.T) *Report {
 	ctx := context.Background()
 	r := &Report{}

@@ -88,10 +88,10 @@ type Run struct {
 
 	sc              *Scenario
 	cfg             Config
-	baseline        int           // goroutines before boot
-	ownDir, closed  bool          // ownDir: DurableDir is a temp dir to remove
-	carrier         api.Transport // the clients' binary carrier, when chosen
-	ops, ok, failed int           // ops indexes the seeded mix
+	baseline        map[string]bool // IDs of the goroutines before boot
+	ownDir, closed  bool            // ownDir: DurableDir is a temp dir to remove
+	carrier         api.Transport   // the clients' binary carrier, when chosen
+	ops, ok, failed int             // ops indexes the seeded mix
 	virtual         int64
 	out             strings.Builder
 }
@@ -100,7 +100,7 @@ type Run struct {
 // boot, unknown drain host) is an error; an invoke or attest that fails
 // is an outcome, held against the step's fail mark.
 func Drive(ctx context.Context, sc *Scenario, cfg Config) (*Run, error) {
-	r := &Run{sc: sc, cfg: cfg, baseline: runtime.NumGoroutine(),
+	r := &Run{sc: sc, cfg: cfg, baseline: goroutines(),
 		Faults: confbench.NewFaultPlane(cfg.Seed), DurableDir: cfg.DurableDir}
 	fmt.Fprintf(&r.out, "=== scenario (seed %d) ===\n", cfg.Seed)
 	var err error
@@ -356,12 +356,39 @@ func (r *Run) Close() error {
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
 		t.CloseIdleConnections()
 	}
-	for deadline := time.Now().Add(settle); runtime.NumGoroutine() > r.baseline; time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(settle); ; time.Sleep(10 * time.Millisecond) {
+		var born int
+		for id := range goroutines() {
+			if !r.baseline[id] {
+				born++
+			}
+		}
+		if born == 0 {
+			return err
+		}
 		if time.Now().After(deadline) {
-			return errors.Join(err, fmt.Errorf("%w: %d before boot, %d after", ErrLeak, r.baseline, runtime.NumGoroutine()))
+			return errors.Join(err, fmt.Errorf("%w: %d started after boot", ErrLeak, born))
 		}
 	}
-	return err
+}
+
+// goroutines returns the IDs of the live goroutines but the caller's,
+// read off a full stack dump: each record opens "goroutine ID [", and
+// the caller's comes first. Comparing identities, not counts, keeps a
+// goroutine from before boot that exits meanwhile from hiding a leak.
+func goroutines() map[string]bool {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, rec := range strings.Split(string(buf[:n]), "\n\n")[1:] {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(rec, "goroutine "), " "); ok {
+			ids[id] = true
+		}
+	}
+	return ids
 }
 
 // Finish closes the run and makes the checks every scenario gets,

@@ -85,6 +85,24 @@ func TestGoroutineOutlivingCloseIsCaught(t *testing.T) {
 	}
 }
 
+// TestLeakBesideAnExitingGoroutineIsCaught: a goroutine from before
+// boot that exits while the run is open must not hide one that Close
+// forgot — the two cancel out in a count of goroutines.
+func TestLeakBesideAnExitingGoroutineIsCaught(t *testing.T) {
+	defer func(d time.Duration) { settle = d }(settle)
+	settle = 200 * time.Millisecond
+	early := make(chan struct{})
+	go func() { <-early }() // an earlier test's goroutine, still winding down
+	r := drive(t, 7, "boot:tee=sev-snp:mem=8\ninvoke:1")
+	close(early)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { <-stop }()
+	if err := r.Close(); !errors.Is(err, ErrLeak) {
+		t.Fatalf("Close = %v, want ErrLeak", err)
+	}
+}
+
 func TestUsedDurableDirIsRefused(t *testing.T) {
 	sc, err := Parse([]byte("boot:tee=sev-snp:mem=8\ninvoke:2\nsweep"))
 	if err != nil {

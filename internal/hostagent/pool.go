@@ -18,8 +18,8 @@ type GuestPoolConfig struct {
 	// Backend launches (and, when it implements tee.Snapshotter,
 	// restores) guests.
 	Backend tee.Backend
-	// Guest is the per-guest configuration; pool guests derive seeds
-	// from the backend like regular launches.
+	// Guest is the per-guest configuration; pool guests draw from the
+	// backend's noise streams like regular launches.
 	Guest tee.GuestConfig
 	// Runtime names the snapshot flavor and keys the shared cache; a
 	// snapshot image captured for one host is reusable on any host of

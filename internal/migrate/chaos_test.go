@@ -63,7 +63,7 @@ func TestChaosMigrationUnderLoad(t *testing.T) {
 				if destroyedNoT(serving) {
 					invokeFailures.Add(1)
 				} else {
-					serving.Price(u, base)
+					serving.Price(u, base, tee.NewKey("chaos"))
 					invokes.Add(1)
 				}
 				mu.RUnlock()

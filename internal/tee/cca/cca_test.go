@@ -232,7 +232,7 @@ func TestRealmVariabilityExceedsBareMetal(t *testing.T) {
 	spread := func(g tee.Guest) float64 {
 		lo, hi := 1e18, 0.0
 		for i := 0; i < 50; i++ {
-			v := g.Price(u, base).Total.Seconds()
+			v := g.Price(u, base, tee.NewKey("spread").Num(uint64(i))).Total.Seconds()
 			if v < lo {
 				lo = v
 			}
@@ -258,8 +258,9 @@ func TestRealmCostExceedsNormal(t *testing.T) {
 	base := b.HostProfile().Cost(u)
 	var rSum, nSum float64
 	for i := 0; i < 20; i++ {
-		rSum += realm.Price(u, base).Total.Seconds()
-		nSum += normal.Price(u, base).Total.Seconds()
+		key := tee.NewKey("io").Num(uint64(i))
+		rSum += realm.Price(u, base, key).Total.Seconds()
+		nSum += normal.Price(u, base, key).Total.Seconds()
 	}
 	if rSum < 3*nSum {
 		t.Errorf("syscall/IO work should be ≥3x in realm: %v vs %v", rSum, nSum)

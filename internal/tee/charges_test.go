@@ -48,14 +48,17 @@ func goldenBackends(t *testing.T) []tee.Backend {
 // every catalog workload in every runtime at scale 1 (2 where a
 // workload refuses 1), its amplified run
 // usage and its bootstrap usage priced on each platform's secure and
-// normal guest in a fixed order, each line the charge's Total and Exits
-// and the monitor's Stats. Recorded while meter.Usage and
-// cpumodel.Breakdown were still maps, and compared byte for byte.
+// normal guest under the key (workload, runtime, scale), each line the
+// charge's Total and Exits and the monitor's Stats, compared byte for
+// byte. The noise-free columns were recorded while meter.Usage and
+// cpumodel.Breakdown were still maps; total, wall and cycles carry the
+// jitter and were regenerated when it became a function of the guest's
+// noise stream and the key.
 func TestChargesGolden(t *testing.T) {
 	catalog := workloads.Default()
 	var got bytes.Buffer
 	for _, b := range goldenBackends(t) {
-		cfg := tee.GuestConfig{Name: "golden", MemoryMB: 8, Seed: chargesSeed}
+		cfg := tee.GuestConfig{Name: "golden", MemoryMB: 8}
 		secure, err := b.Launch(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -81,12 +84,14 @@ func TestChargesGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s/%s: %v", b.Kind(), name, lang, err)
 				}
+				key := tee.NewKey(name).Name(lang).Num(uint64(scale))
 				for _, g := range []tee.Guest{secure, normal} {
 					for _, part := range []struct {
 						name string
 						u    meter.Usage
-					}{{"run", lr.RunUsage}, {"boot", lr.BootstrapUsage}} {
-						c := g.Price(part.u, host.Cost(part.u))
+						key  tee.Key
+					}{{"run", lr.RunUsage, key}, {"boot", lr.BootstrapUsage, key.Name("bootstrap")}} {
+						c := g.Price(part.u, host.Cost(part.u), part.key)
 						s := monitor.Collect(part.u, c, host)
 						fmt.Fprintf(&got, "%s %s %s %d secure=%t %s total=%d exits=%d wall=%d instr=%d cycles=%d refs=%d misses=%d cs=%d pf=%d teeexits=%d monitor=%s\n",
 							b.Kind(), name, lang, scale, g.Secure(), part.name, c.Total, c.Exits,

@@ -22,9 +22,11 @@ import (
 	"confbench/internal/tee"
 )
 
-// costModeler is satisfied by the tdx, sev, and cca backends.
+// costModeler is satisfied by the tdx, sev, and cca backends: their
+// cost model, and the noise streams of their guests.
 type costModeler interface {
 	CostModel() tee.CostModel
+	NoiseStream(secure bool) uint64
 }
 
 // Options tunes the container stack's overheads. Zero values select
@@ -73,13 +75,13 @@ type Backend struct {
 var _ tee.Backend = (*Backend)(nil)
 
 // NewBackend wraps inner. The inner backend must expose its cost
-// model (the tdx, sev, and cca backends all do).
+// model and noise streams (the tdx, sev, and cca backends all do).
 func NewBackend(inner tee.Backend, opts Options) (*Backend, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("container: nil inner backend")
 	}
 	if _, ok := inner.(costModeler); !ok {
-		return nil, fmt.Errorf("container: backend %q does not expose a cost model", inner.Kind())
+		return nil, fmt.Errorf("container: backend %q does not expose a cost model and noise streams", inner.Kind())
 	}
 	return &Backend{inner: inner, opts: opts.withDefaults()}, nil
 }
@@ -138,7 +140,7 @@ func (b *Backend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {
 		Secure:   true,
 		Model:    model,
 		BootBase: pod.BootCost(),
-		Seed:     cfg.Seed + 7_000_000,
+		Stream:   tee.NoiseStream(int64(b.inner.(costModeler).NoiseStream(true)), "container", true),
 		Report:   pod.AttestationReport,
 		Destroy:  pod.Destroy,
 	}), nil
@@ -157,7 +159,7 @@ func (b *Backend) LaunchNormal(cfg tee.GuestConfig) (tee.Guest, error) {
 		Secure:   false,
 		Model:    b.containerNormalModel(),
 		BootBase: vm.BootCost(),
-		Seed:     cfg.Seed + 8_000_000,
+		Stream:   tee.NoiseStream(int64(b.inner.(costModeler).NoiseStream(false)), "container", false),
 		Destroy:  vm.Destroy,
 	}), nil
 }

@@ -66,8 +66,8 @@ type CostModel struct {
 	RestoreBaseNs  float64 // fixed guest-context rebuild cost on restore
 	RestorePageNs  float64 // per-page unmeasured replay cost on restore
 
-	// salt individualizes the cache-bonus signature hash per guest;
-	// set by the guest at launch.
+	// salt individualizes the cache-bonus signature hash per noise
+	// stream; set by the guest at launch.
 	salt uint64
 }
 
@@ -129,8 +129,13 @@ func (cm CostModel) factor(c meter.Counter) float64 {
 	return f
 }
 
-// Apply prices usage u with base breakdown `base` under the model,
-// drawing noise from rng. It returns the adjusted charge.
+// Apply prices usage u with base breakdown `base`, the draw from rng.
+func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand) Charge {
+	return cm.price(u, base, rng.NormFloat64())
+}
+
+// price is the one pricing function behind Apply and ModelGuest.Price:
+// the noise-free charge of u, its total scaled by 1 + z·JitterStd.
 //
 // The cache-residency bonus models the paper's counterintuitive
 // finding that some workloads run consistently *faster* in the secure
@@ -138,7 +143,7 @@ func (cm CostModel) factor(c meter.Counter) float64 {
 // shifts): whether a workload benefits is a stable property of its
 // resource signature on a given guest, so the same (function,
 // language) cell dips below 1.0 on every trial rather than flickering.
-func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand) Charge {
+func (cm CostModel) price(u meter.Usage, base cpumodel.Breakdown, z float64) Charge {
 	var adj cpumodel.Breakdown
 
 	discount := 1.0
@@ -183,7 +188,7 @@ func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand
 
 	total := adj.Total()
 	if cm.JitterStd > 0 && total > 0 {
-		noise := 1 + rng.NormFloat64()*cm.JitterStd
+		noise := 1 + z*cm.JitterStd
 		// Clamp to ±4σ so a single draw cannot dominate a run.
 		lo, hi := 1-4*cm.JitterStd, 1+4*cm.JitterStd
 		noise = math.Max(lo, math.Min(hi, noise))
@@ -222,8 +227,8 @@ func (cm CostModel) RestoreCost(pages int) time.Duration {
 	return time.Duration(cm.RestoreBaseNs + cm.RestorePageNs*float64(pages))
 }
 
-// signatureHash derives a stable per-guest hash of the usage pattern
-// (FNV-1a over quantized counter magnitudes mixed with the guest
+// signatureHash derives a stable per-stream hash of the usage pattern
+// (FNV-1a over quantized counter magnitudes mixed with the stream's
 // salt). Quantizing to the leading bits keeps the signature stable
 // under small trial-to-trial count variations.
 func (cm CostModel) signatureHash(u meter.Usage) uint64 {
@@ -246,4 +251,48 @@ func (cm CostModel) signatureHash(u meter.Usage) uint64 {
 		h *= prime
 	}
 	return h
+}
+
+// draw is the pricing noise, a standard-normal function of (stream, key):
+// two SplitMix64 finalisations give two uniforms, Box–Muller the draw.
+func draw(stream uint64, key Key) float64 {
+	h1 := mix64(stream ^ mix64(uint64(key)))
+	h2 := mix64(h1 + 0x9E3779B97F4A7C15)
+	u1 := (float64(h1>>11) + 1) / (1 << 53) // (0, 1], so the log is finite
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*float64(h2>>11)/(1<<53))
+}
+
+// mix64 is the SplitMix64 finaliser.
+func mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// Key is what a priced sample measured, its jitter drawn under it: names
+// (workload, language, row) and numbers (scale, trial, index) in order.
+type Key uint64
+
+// NewKey starts a key with a name.
+func NewKey(name string) Key { return Key(14695981039346656037).Name(name) }
+
+// Name folds a name into k: FNV-1a, then a terminator byte.
+func (k Key) Name(s string) Key {
+	for i := 0; i < len(s); i++ {
+		k = (k ^ Key(s[i])) * 1099511628211
+	}
+	return (k ^ 0xFF) * 1099511628211
+}
+
+// Num folds a number into k.
+func (k Key) Num(n uint64) Key { return Key(mix64(uint64(k)^n) + 0x9E3779B97F4A7C15) }
+
+// NoiseStream names the noise of one side of a platform — a backend's
+// seed, its label, secure or normal — and salts its cache bonus.
+func NoiseStream(seed int64, label string, secure bool) uint64 {
+	k := NewKey(label).Num(uint64(seed))
+	if secure {
+		k = k.Name("secure")
+	}
+	return uint64(k)
 }

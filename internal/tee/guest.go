@@ -3,8 +3,6 @@ package tee
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,12 +42,10 @@ type ModelGuest struct {
 	transitions *obs.Counter
 	bounceBytes *obs.Counter
 
-	faults *faultplane.Plane
-	host   string
-
-	mu        sync.Mutex
-	rng       *rand.Rand
-	destroyed bool
+	faults    *faultplane.Plane
+	host      string
+	stream    uint64 // keys the guest's pricing noise (NoiseStream)
+	destroyed atomic.Bool
 
 	report  ReportFunc
 	destroy DestroyFunc
@@ -74,9 +70,10 @@ type ModelGuestConfig struct {
 	// counted under confbench_tee_guest_restores_total instead of the
 	// launches counter.
 	Restored bool
-	Seed     int64
-	Report   ReportFunc
-	Destroy  DestroyFunc
+	// Stream is the guest's noise stream and cache-bonus salt.
+	Stream  uint64
+	Report  ReportFunc
+	Destroy DestroyFunc
 	// Obs is the metrics registry transition and bounce-buffer
 	// counters report to (nil = the process-wide default).
 	Obs *obs.Registry
@@ -107,13 +104,13 @@ func NewModelGuest(cfg ModelGuestConfig) *ModelGuest {
 		id:          NextGuestID(cfg.IDPrefix),
 		kind:        cfg.Kind,
 		secure:      cfg.Secure,
-		model:       cfg.Model.WithSalt(uint64(cfg.Seed) * 0x9E3779B97F4A7C15),
+		model:       cfg.Model.WithSalt(cfg.Stream),
 		boot:        boot,
 		transitions: r.Counter("confbench_tee_transitions_total", "tee", kind),
 		bounceBytes: r.Counter("confbench_tee_bounce_buffer_bytes_total", "tee", kind),
 		faults:      cfg.Faults,
 		host:        cfg.Host,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		stream:      cfg.Stream,
 		report:      cfg.Report,
 		destroy:     cfg.Destroy,
 	}
@@ -131,15 +128,14 @@ func (g *ModelGuest) Secure() bool { return g.secure }
 // BootCost implements Guest.
 func (g *ModelGuest) BootCost() time.Duration { return g.boot }
 
-// Price implements Guest. On secure guests the fault plane is
-// consulted at the transition and bounce-buffer points; an injected
-// fault degrades the priced virtual time (Charge.Fault/FaultDelay)
-// rather than erroring — a wedged TDX module or RMP contention slows
-// the guest down, it does not return an error code.
-func (g *ModelGuest) Price(u meter.Usage, base cpumodel.Breakdown) Charge {
-	g.mu.Lock()
-	charge := g.model.Apply(u, base, g.rng)
-	g.mu.Unlock()
+// Price implements Guest, drawing the jitter under (stream, key), so it
+// takes no lock. On secure guests the fault plane is consulted at the
+// transition and bounce-buffer points; an injected fault degrades the
+// priced virtual time (Charge.Fault/FaultDelay) rather than erroring —
+// a wedged TDX module or RMP contention slows the guest down, it does
+// not return an error code.
+func (g *ModelGuest) Price(u meter.Usage, base cpumodel.Breakdown, key Key) Charge {
+	charge := g.model.price(u, base, draw(g.stream, key))
 	if g.secure {
 		if charge.Exits > 0 {
 			g.transitions.Add(charge.Exits)
@@ -173,10 +169,7 @@ func (g *ModelGuest) AttestationReport(ctx context.Context, nonce []byte) ([]byt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	destroyed := g.destroyed
-	g.mu.Unlock()
-	if destroyed {
+	if g.destroyed.Load() {
 		return nil, ErrGuestDestroyed
 	}
 	if !g.secure {
@@ -190,22 +183,11 @@ func (g *ModelGuest) AttestationReport(ctx context.Context, nonce []byte) ([]byt
 
 // Destroy implements Guest. Destroy is idempotent.
 func (g *ModelGuest) Destroy() error {
-	g.mu.Lock()
-	if g.destroyed {
-		g.mu.Unlock()
+	if g.destroyed.Swap(true) || g.destroy == nil {
 		return nil
 	}
-	g.destroyed = true
-	g.mu.Unlock()
-	if g.destroy != nil {
-		return g.destroy()
-	}
-	return nil
+	return g.destroy()
 }
 
 // Destroyed reports whether Destroy has been called.
-func (g *ModelGuest) Destroyed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.destroyed
-}
+func (g *ModelGuest) Destroyed() bool { return g.destroyed.Load() }

@@ -71,6 +71,9 @@ type Platform struct {
 	// NewContext returns a context that holds nothing on the platform
 	// yet.
 	NewContext func() Context
+	// Label names the platform's noise streams (default Kind), so that
+	// two TDX modules of one seed on other firmware price apart.
+	Label string
 
 	// Seed, Obs and Faults are the backend's options of the same names.
 	Seed   int64
@@ -80,14 +83,13 @@ type Platform struct {
 
 // Lifecycle is the confidential-guest lifecycle every backend shares:
 // it implements Backend's Launch and LaunchNormal, Snapshotter and
-// Migrator over a Platform, and owns guest-seed derivation, live-guest
-// tracking, image validation, and the teardown of whatever a failed
-// build or import left behind. Backends embed it.
+// Migrator over a Platform, and owns live-guest tracking, image
+// validation, and the teardown of whatever a failed build or import
+// left behind. Backends embed it.
 type Lifecycle struct {
 	p Platform
 
-	mu       sync.Mutex
-	nextSeed int64
+	mu sync.Mutex
 	// live maps running guest IDs to their contexts — the handle
 	// ExportLive needs to reach the platform state behind a Guest.
 	live map[string]Context
@@ -100,19 +102,16 @@ var (
 
 // NewLifecycle returns the lifecycle of platform p.
 func NewLifecycle(p Platform) *Lifecycle {
-	return &Lifecycle{p: p, nextSeed: p.Seed + 1, live: make(map[string]Context)}
+	if p.Label == "" {
+		p.Label = string(p.Kind)
+	}
+	return &Lifecycle{p: p, live: make(map[string]Context)}
 }
 
-// guestSeed draws the noise seed of one guest: cfg.Seed when set, else
-// the next of the backend's sequence. Templates draw none.
-func (l *Lifecycle) guestSeed(cfg GuestConfig) int64 {
-	if cfg.Seed != 0 {
-		return cfg.Seed
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextSeed++
-	return l.nextSeed
+// NoiseStream is the stream every secure or every normal guest of the
+// platform draws from, whenever it was launched.
+func (l *Lifecycle) NoiseStream(secure bool) uint64 {
+	return NoiseStream(l.p.Seed, l.p.Label, secure)
 }
 
 // run makes a fresh context running through start, tearing down what
@@ -144,7 +143,7 @@ func (l *Lifecycle) guest(c Context, cfg GuestConfig, imported bool, restoreCost
 		BootBase:         l.p.BootBase,
 		BootCostOverride: restoreCost,
 		Restored:         imported,
-		Seed:             l.guestSeed(cfg),
+		Stream:           l.NoiseStream(true),
 		Obs:              l.p.Obs,
 		Faults:           l.p.Faults,
 		Host:             cfg.Name,
@@ -181,7 +180,7 @@ func (l *Lifecycle) LaunchNormal(cfg GuestConfig) (Guest, error) {
 		Kind:     KindNone,
 		Model:    l.p.NormalModel,
 		BootBase: l.p.BootBase,
-		Seed:     l.guestSeed(cfg),
+		Stream:   l.NoiseStream(false),
 		Obs:      l.p.Obs,
 	}), nil
 }
@@ -196,8 +195,7 @@ func readBack(c Context) (m Measurement, state []byte, err error) {
 }
 
 // Snapshot implements Snapshotter: the same measured build as Launch,
-// read back into an image, then torn down. No guest exists, so no seed
-// is drawn.
+// read back into an image, then torn down.
 func (l *Lifecycle) Snapshot(cfg GuestConfig) (*GuestImage, error) {
 	cfg = cfg.WithDefaults()
 	c, err := l.build(cfg)

@@ -133,3 +133,67 @@ func TestLintMachineLeavesHaveCallers(t *testing.T) {
 		}
 	}
 }
+
+// TestLintNoRandState keeps pricing noise a function of (stream, key):
+// non-test code on the pricing path may not build a generator
+// (rand.New, rand.NewSource) or name a *rand.Rand, which would make a
+// price depend on what was drawn before it. CostModel.Apply's parameter
+// is the one exemption: the benchmark calls Apply with a generator of
+// its own.
+func TestLintNoRandState(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	files, exempted := 0, 0
+	for _, dir := range []string{"internal/tee", "internal/vm", "internal/bench", "cmd/confbench-bench"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, p, nil, 0)
+			if err != nil {
+				return err
+			}
+			files++
+			rand := map[string]bool{}
+			for _, imp := range file.Imports {
+				if ip, _ := strconv.Unquote(imp.Path.Value); ip == "math/rand" || ip == "math/rand/v2" {
+					name := path.Base(strings.TrimSuffix(ip, "/v2"))
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					rand[name] = true
+				}
+			}
+			var exempt *ast.FieldList
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "Apply" && fn.Recv != nil {
+					if recv, ok := fn.Recv.List[0].Type.(*ast.Ident); ok && recv.Name == "CostModel" {
+						exempt = fn.Type.Params
+					}
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if exempt != nil && n == exempt {
+					exempted++
+					return false
+				}
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && rand[x.Name] && (sel.Sel.Name == "New" || sel.Sel.Name == "NewSource" || sel.Sel.Name == "Rand") {
+					t.Errorf("%s: %s.%s — draw pricing noise under a sample key, not from a generator's state",
+						fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files < 25 || exempted != 1 {
+		t.Fatalf("lint read %d files and exempted %d parameter lists: it is looking in the wrong place", files, exempted)
+	}
+}

@@ -267,8 +267,9 @@ func TestBackendPricesSecureAboveNormalForSyscallWork(t *testing.T) {
 	base := b.HostProfile().Cost(u)
 	var sSum, nSum float64
 	for i := 0; i < 20; i++ {
-		sSum += s.Price(u, base).Total.Seconds()
-		nSum += n.Price(u, base).Total.Seconds()
+		key := tee.NewKey("sched").Num(uint64(i))
+		sSum += s.Price(u, base, key).Total.Seconds()
+		nSum += n.Price(u, base, key).Total.Seconds()
 	}
 	if sSum <= nSum {
 		t.Errorf("scheduler-heavy work should cost more in SNP guest: %v vs %v", sSum, nSum)

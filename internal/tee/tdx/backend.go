@@ -18,8 +18,8 @@ type Options struct {
 	// CurrentFirmware. Using BuggyFirmware reproduces the consistent
 	// ~10× overhead the paper observed before Intel's upgrade.
 	FirmwareVersion string
-	// Seed drives deterministic noise; guests derive their seeds from
-	// it unless GuestConfig.Seed is set.
+	// Seed drives deterministic noise: with the firmware version it
+	// names the noise streams of the backend's guests.
 	Seed int64
 	// Obs is the metrics registry the module and guests report to
 	// (nil = the process-wide default).
@@ -68,6 +68,7 @@ func NewBackend(opts Options) (*Backend, error) {
 		NormalModel:    tee.NormalCostModel(),
 		BootBase:       bootBaseNs,
 		NewContext:     func() tee.Context { return &td{module: module} },
+		Label:          string(tee.KindTDX) + "/" + opts.FirmwareVersion,
 		Seed:           opts.Seed,
 		Obs:            opts.Obs,
 		Faults:         opts.Faults,

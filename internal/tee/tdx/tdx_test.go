@@ -286,8 +286,9 @@ func TestBackendSecureCostsMore(t *testing.T) {
 	base := b.HostProfile().Cost(u)
 	var sSum, nSum float64
 	for i := 0; i < 20; i++ {
-		sSum += secure.Price(u, base).Total.Seconds()
-		nSum += normal.Price(u, base).Total.Seconds()
+		key := tee.NewKey("io").Num(uint64(i))
+		sSum += secure.Price(u, base, key).Total.Seconds()
+		nSum += normal.Price(u, base, key).Total.Seconds()
 	}
 	if sSum <= nSum {
 		t.Errorf("I/O-heavy work should cost more in the TD: %v vs %v", sSum, nSum)
@@ -305,8 +306,8 @@ func TestBuggyFirmwarePenalty(t *testing.T) {
 	bGuest, _ := bad.Launch(tee.GuestConfig{MemoryMB: 4})
 	defer bGuest.Destroy()
 
-	g := gGuest.Price(u, base).Total.Seconds()
-	bv := bGuest.Price(u, base).Total.Seconds()
+	g := gGuest.Price(u, base, tee.NewKey("cpu")).Total.Seconds()
+	bv := bGuest.Price(u, base, tee.NewKey("cpu")).Total.Seconds()
 	if ratio := bv / g; ratio < 7 || ratio > 13 {
 		t.Errorf("buggy firmware ratio = %.1f, want ≈10", ratio)
 	}

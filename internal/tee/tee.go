@@ -67,11 +67,6 @@ type GuestConfig struct {
 	Name string
 	// MemoryMB is the guest RAM size.
 	MemoryMB int
-	// VCPUs is the number of virtual CPUs.
-	VCPUs int
-	// Seed drives the guest's deterministic noise source. Two guests
-	// launched with the same seed charge identical jitter sequences.
-	Seed int64
 }
 
 // WithDefaults fills unset fields with sane defaults. Memory is
@@ -82,9 +77,6 @@ func (c GuestConfig) WithDefaults() GuestConfig {
 	}
 	if c.MemoryMB > 4096 {
 		c.MemoryMB = 4096
-	}
-	if c.VCPUs <= 0 {
-		c.VCPUs = 2
 	}
 	if c.Name == "" {
 		c.Name = "guest"
@@ -124,8 +116,9 @@ type Guest interface {
 	// BootCost returns the one-time launch cost of the guest.
 	BootCost() time.Duration
 	// Price computes the in-guest cost of a workload whose metered
-	// usage is u and whose base (bare-host) cost is base.
-	Price(u meter.Usage, base cpumodel.Breakdown) Charge
+	// usage is u and whose base (bare-host) cost is base, its jitter
+	// drawn under key, what the sample measured.
+	Price(u meter.Usage, base cpumodel.Breakdown, key Key) Charge
 	// AttestationReport produces serialized attestation evidence bound
 	// to nonce. Non-secure guests return ErrNotSecure; platforms
 	// without attestation hardware return ErrNoAttestation. A canceled

@@ -31,7 +31,7 @@ func TestKindValidity(t *testing.T) {
 
 func TestGuestConfigDefaults(t *testing.T) {
 	c := GuestConfig{}.WithDefaults()
-	if c.MemoryMB <= 0 || c.VCPUs <= 0 || c.Name == "" {
+	if c.MemoryMB <= 0 || c.Name == "" {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 	big := GuestConfig{MemoryMB: 1 << 20}.WithDefaults()
@@ -158,7 +158,6 @@ func TestModelGuestLifecycle(t *testing.T) {
 		Secure:   true,
 		Model:    NormalCostModel(),
 		BootBase: time.Second,
-		Seed:     1,
 		Report:   func(_ context.Context, nonce []byte) ([]byte, error) { return append([]byte("ev:"), nonce...), nil },
 	})
 	if g.ID() == "" || g.Kind() != KindTDX || !g.Secure() {
@@ -218,7 +217,7 @@ func TestModelGuestFaultDegradation(t *testing.T) {
 			Kind:     KindSEV,
 			Secure:   true,
 			Model:    cm,
-			Seed:     11,
+			Stream:   11,
 			Faults:   plane,
 			Host:     "sev-snp-host",
 		})
@@ -248,12 +247,12 @@ func TestModelGuestFaultDegradation(t *testing.T) {
 	u := meter.Usage{meter.Syscalls: 1000, meter.IOReadBytes: 1 << 20}
 	base := cpumodel.XeonGold5515.Cost(u)
 
-	clean := mkGuest(nil).Price(u, base)
+	clean := mkGuest(nil).Price(u, base, NewKey("chaos"))
 	if clean.Fault != "" || clean.FaultDelay != 0 {
 		t.Fatalf("fault-free charge carries fault: %+v", clean)
 	}
 
-	faulted := mkGuest(plane).Price(u, base)
+	faulted := mkGuest(plane).Price(u, base, NewKey("chaos"))
 	if faulted.Fault != string(faultplane.KindLatency) {
 		t.Errorf("fault label = %q, want %q (first injection wins)", faulted.Fault, faultplane.KindLatency)
 	}
@@ -274,11 +273,11 @@ func TestModelGuestFaultDegradation(t *testing.T) {
 		Kind:     KindSEV,
 		Secure:   true,
 		Model:    cm,
-		Seed:     11,
+		Stream:   11,
 		Faults:   plane,
 		Host:     "sev-snp-host-2",
 	})
-	if ch := other.Price(u, base); ch.Fault != "" || ch.Total != clean.Total {
+	if ch := other.Price(u, base, NewKey("chaos")); ch.Fault != "" || ch.Total != clean.Total {
 		t.Errorf("unmatched host degraded: %+v (clean total %v)", ch, clean.Total)
 	}
 }

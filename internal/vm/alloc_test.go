@@ -5,6 +5,8 @@ package vm
 import (
 	"context"
 	"testing"
+
+	"confbench/internal/tee"
 )
 
 // TestPriceAllocatesNothing: pricing an execution untraced — host cost,
@@ -15,7 +17,7 @@ func TestPriceAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	var res Result
 	for _, v := range []*VM{pair.Secure, pair.Normal} {
-		if got := testing.AllocsPerRun(1000, func() { res = v.Price(ctx, lr) }); got != 0 {
+		if got := testing.AllocsPerRun(1000, func() { res = v.Price(ctx, lr, tee.NewKey("fib")) }); got != 0 {
 			t.Errorf("%s: Price allocates %.0f times, want 0", v.Name(), got)
 		}
 		if res.Wall <= 0 || res.Perf.Monitor == "" {

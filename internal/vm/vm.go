@@ -62,6 +62,7 @@ type VM struct {
 	launchers map[string]faas.Launcher
 	monitor   perfmon.Monitor
 	stopped   atomic.Bool
+	invokes   atomic.Uint64 // InvokeFunction calls, a part of their keys
 }
 
 // Config assembles a VM.
@@ -134,9 +135,9 @@ func (v *VM) Languages() []string {
 
 // price converts usage into a perf-stat result under this VM's host
 // profile and TEE charge model.
-func (v *VM) price(u meter.Usage) (tee.Charge, perfmon.Stats) {
+func (v *VM) price(u meter.Usage, key tee.Key) (tee.Charge, perfmon.Stats) {
 	base := v.host.Cost(u)
-	charge := v.guest.Price(u, base)
+	charge := v.guest.Price(u, base, key)
 	return charge, v.monitor.Collect(u, charge, v.host)
 }
 
@@ -176,13 +177,12 @@ func (v *VM) Execute(ctx context.Context, fn faas.Function, scale int) (faas.Lau
 }
 
 // Price is the second half: it charges an execution on this VM's guest,
-// the run usage first and then the bootstrap usage. Each non-empty
-// charge draws from the guest's pricing noise, so the order of Price
-// calls on one VM is part of the result.
-func (v *VM) Price(ctx context.Context, lr faas.LaunchResult) Result {
+// the run usage under key, what was measured, and the bootstrap usage
+// under a key of its own.
+func (v *VM) Price(ctx context.Context, lr faas.LaunchResult, key tee.Key) Result {
 	_, priceSpan := obs.StartSpan(ctx, "tee", "price", string(v.Platform()))
-	charge, perf := v.price(lr.RunUsage)
-	bootCharge, _ := v.price(lr.BootstrapUsage)
+	charge, perf := v.price(lr.RunUsage, key)
+	bootCharge, _ := v.price(lr.BootstrapUsage, key.Name("bootstrap"))
 	priceSpan.SetAttrInt("exits", int64(charge.Exits))
 	priceSpan.SetAttrInt("wall_ns", charge.Total.Nanoseconds())
 	if charge.Fault != "" {
@@ -202,13 +202,13 @@ func (v *VM) Price(ctx context.Context, lr faas.LaunchResult) Result {
 }
 
 // InvokeFunction is the serving path: Execute, then Price on this one
-// VM.
+// VM under (function, scale, the VM's invocation number).
 func (v *VM) InvokeFunction(ctx context.Context, fn faas.Function, scale int) (Result, error) {
 	lr, err := v.Execute(ctx, fn, scale)
 	if err != nil {
 		return Result{}, err
 	}
-	return v.Price(ctx, lr), nil
+	return v.Price(ctx, lr, tee.NewKey(fn.Name).Num(uint64(scale)).Num(v.invokes.Add(1))), nil
 }
 
 // AttestationReport proxies to the guest.
@@ -298,13 +298,10 @@ func (p Pair) RunMetered(ctx context.Context, name string, task func(ctx context
 	return faas.LaunchResult{Output: output, RunUsage: mctx.Snapshot()}, nil
 }
 
-// Price charges one execution on the secure and then on the normal
-// guest. It is the paper's protocol in one call — same workload, same
-// arguments, both VMs of a host — and the fixed order is what keeps a
-// sequence of Price calls reproducible per seed.
-func (p Pair) Price(ctx context.Context, lr faas.LaunchResult) (secure, normal Result) {
-	secure = p.Secure.Price(ctx, lr)
-	return secure, p.Normal.Price(ctx, lr)
+// Price charges one execution on the secure and the normal guest under
+// one key: the paper's protocol — same work, both VMs of a host.
+func (p Pair) Price(ctx context.Context, lr faas.LaunchResult, key tee.Key) (secure, normal Result) {
+	return p.Secure.Price(ctx, lr, key), p.Normal.Price(ctx, lr, key)
 }
 
 // Stop tears both VMs down, aggregating every teardown error.

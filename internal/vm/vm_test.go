@@ -103,7 +103,7 @@ func TestRunMetered(t *testing.T) {
 	if lr.Output != "done" || lr.RunUsage[meter.CPUOps] != 1_000_000 || !lr.BootstrapUsage.IsZero() {
 		t.Errorf("execution = %+v", lr)
 	}
-	s, n := pair.Price(context.Background(), lr)
+	s, n := pair.Price(context.Background(), lr, tee.NewKey("custom"))
 	if s.Output != "done" || s.Wall <= 0 || n.Wall <= 0 || s.Bootstrap != 0 {
 		t.Errorf("priced = %+v / %+v", s, n)
 	}
@@ -124,8 +124,8 @@ func TestRunMeteredPropagatesError(t *testing.T) {
 
 func TestPriceMonotone(t *testing.T) {
 	pair := tdxPair(t)
-	small, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 1_000_000}})
-	large, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 100_000_000}})
+	small, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 1_000_000}}, tee.NewKey("small"))
+	large, _ := pair.Price(context.Background(), faas.LaunchResult{RunUsage: meter.Usage{meter.CPUOps: 100_000_000}}, tee.NewKey("large"))
 	if large.Wall <= small.Wall {
 		t.Error("pricing not monotone in work")
 	}
@@ -217,7 +217,7 @@ func TestSEVPairExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, n := pair.Price(context.Background(), lr)
+	s, n := pair.Price(context.Background(), lr, tee.NewKey("switchy"))
 	if s.Perf.TEEExits == 0 {
 		t.Error("secure guest recorded no exits")
 	}
@@ -251,7 +251,7 @@ func BenchmarkPrice(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := pair.Secure.Price(ctx, lr); res.Wall <= 0 {
+		if res := pair.Secure.Price(ctx, lr, tee.NewKey("fib")); res.Wall <= 0 {
 			b.Fatal("unpriced")
 		}
 	}
