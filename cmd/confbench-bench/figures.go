@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -78,12 +79,15 @@ func (f figure) run(ctx context.Context, e *env) error {
 	return err
 }
 
-// heatmap measures one platform's Fig. 6/7 grid.
-func heatmap(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
-	res, err := bench.FaaS(ctx, pair, e.cluster.Catalog(), bench.FaaSOptions{Options: bench.Options{
-		Trials: e.trials, ScaleDivisor: e.scaleDiv, Workers: e.workers, Obs: e.cluster.Obs()}})
-	e.report.FaaS = append(e.report.FaaS, res)
-	return err
+// heatmap measures one platform's FaaS grid over ws (none: the whole
+// catalog) with trials per cell (0: -trials) into e.report.FaaS.
+func heatmap(trials int, ws ...string) func(context.Context, *env, tee.Kind, vm.Pair) error {
+	return func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
+		res, err := bench.FaaS(ctx, pair, e.cluster.Catalog(), bench.FaaSOptions{Workloads: ws, Options: bench.Options{
+			Trials: cmp.Or(trials, e.trials), ScaleDivisor: e.scaleDiv, Workers: e.workers, Obs: e.cluster.Obs()}})
+		e.report.FaaS = append(e.report.FaaS, res)
+		return err
+	}
 }
 
 // showHeatmaps renders the last n FaaS grids, the ones the row measured.
@@ -99,7 +103,8 @@ func showHeatmaps(n int) func(context.Context, *env) (string, error) {
 
 // variantRow is a row that measures workload/go with the secure VM of a
 // variant backend as Secure and the deployment's TDX confidential VM as
-// Normal: one body execution per trial, priced on both (DESIGN.md §15).
+// Normal: one body execution, priced on both under one key per trial
+// (DESIGN.md §15).
 func variantRow(name, title, workload string, into func(*bench.Report) *[]bench.FaaSResult,
 	backend func(e *env) (tee.Backend, error)) figure {
 	return figure{name: name, kinds: []tee.Kind{tee.KindTDX},
@@ -174,17 +179,10 @@ var figures = []figure{
 		show: func(_ context.Context, e *env) (string, error) {
 			return bench.RenderAttestation(e.report.Attestation), nil
 		}},
-	{name: "6", inAll: true, kinds: bench.KindsTDXSEV, one: heatmap, show: showHeatmaps(2)},
-	{name: "7", inAll: true, kinds: []tee.Kind{tee.KindCCA}, one: heatmap, show: showHeatmaps(1)},
+	{name: "6", inAll: true, kinds: bench.KindsTDXSEV, one: heatmap(0), show: showHeatmaps(2)},
+	{name: "7", inAll: true, kinds: []tee.Kind{tee.KindCCA}, one: heatmap(0), show: showHeatmaps(1)},
 	{name: "8", inAll: true, kinds: []tee.Kind{tee.KindCCA},
-		one: func(ctx context.Context, e *env, _ tee.Kind, pair vm.Pair) error {
-			res, err := bench.FaaS(ctx, pair, e.cluster.Catalog(), bench.FaaSOptions{
-				Options:   bench.Options{Trials: 10, ScaleDivisor: e.scaleDiv, Workers: e.workers},
-				Workloads: []string{"cpustress", "memstress", "iostress", "logging", "factors", "filesystem"},
-			})
-			e.report.FaaS = append(e.report.FaaS, res)
-			return err
-		},
+		one: heatmap(10, "cpustress", "memstress", "iostress", "logging", "factors", "filesystem"),
 		show: func(_ context.Context, e *env) (string, error) {
 			res := e.report.FaaS[len(e.report.FaaS)-1]
 			rendered := make([]string, len(res.Languages))

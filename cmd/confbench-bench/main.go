@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("confbench-bench", flag.ContinueOnError)
 	e := &env{}
 	fig := fs.String("fig", "all", "figure to regenerate: "+figureNames())
-	fs.IntVar(&e.trials, "trials", 10, "independent trials per measurement point")
+	fs.IntVar(&e.trials, "trials", 10, "independent trials per measurement point (a body executes once and is priced under one key per trial)")
 	fs.IntVar(&e.scaleDiv, "scale-divisor", 1, "divide workload scales by this factor")
 	fs.IntVar(&e.dbSize, "size", 100, "speedtest relative size (speedtest1 --size)")
 	fs.IntVar(&e.images, "images", 40, "ML dataset size")

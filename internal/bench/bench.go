@@ -15,8 +15,9 @@
 // repeated for a number of independent trials, reported as the ratio of
 // mean execution times (or the full distribution where a figure needs
 // it) — through one paired measurement (pair.go): a body executes once,
-// and what it metered is priced on both VMs of the pair, which run the
-// same code and differ only in how the TEE charges for it.
+// and what it metered is priced on both VMs of the pair under one key
+// per trial; the VMs run the same code and differ only in how the TEE
+// charges for it.
 package bench
 
 import (
@@ -29,8 +30,10 @@ import (
 // statistical resolution for CI-friendly run times; the paper's exact
 // protocol (10 trials, full scales) is one Options value away.
 type Options struct {
-	// Trials is the number of independent runs per measurement point
-	// (paper: 10).
+	// Trials is the number of independent trials per measurement point
+	// (paper: 10). A trial is a pricing: a body executes once and is
+	// priced under one key per trial, since the bodies are pure and a
+	// trial's variance only ever came from pricing (DESIGN.md §15).
 	Trials int
 	// ScaleDivisor divides each workload's default scale (1 = the
 	// paper-equivalent size).

@@ -91,9 +91,7 @@ func TestCoLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CoLocation(context.Background(), backend, nil, CoLocationOptions{
-		Tenants: 3, Trials: 2, Workload: "factors", Language: "go",
-	})
+	res, err := CoLocation(context.Background(), backend, nil, CoLocationOptions{Tenants: 3, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

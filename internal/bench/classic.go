@@ -59,8 +59,8 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 		return MLResult{}, err
 	}
 	dataset := mlinfer.Dataset(opts.Images)
-	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), func(ctx context.Context, i int) (faas.LaunchResult, tee.Key, error) {
-		lr, err := pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), 1, func(ctx context.Context, i int) (faas.LaunchResult, error) {
+		return pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
 			img, err := mlinfer.DecodeAndResize(m, dataset[i], opts.InputSize)
 			if err != nil {
 				return "", err
@@ -71,8 +71,7 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 			}
 			return preds[0].Label, nil
 		})
-		return lr, tee.NewKey("ml").Num(uint64(i)), err
-	})
+	}, func(i, _ int) tee.Key { return tee.NewKey("ml").Num(uint64(i)) })
 	if err != nil {
 		return MLResult{}, fmt.Errorf("bench ml: %w", err)
 	}

@@ -18,24 +18,26 @@ import (
 // multi-tenant scenario".
 //
 // The experiment launches k confidential guests on one backend and
-// runs the same function in all of them. Because the cost model prices
-// each guest in isolation, host-level contention is modeled
+// prices the same function in all of them. Because the cost model
+// prices each guest in isolation, host-level contention is modeled
 // explicitly: co-residents compete for last-level cache and memory
 // bandwidth, inflating each tenant's memory-bound time by
-// ContentionPerTenant per additional co-resident (a linear
-// interference model; the constant is a knob, not a claim).
+// contentionPerTenant per additional co-resident (a linear
+// interference model).
 type CoLocationOptions struct {
 	// Tenants is the maximum co-located confidential VM count.
 	Tenants int
-	// Workload and Language pick the probe function.
-	Workload string
-	Language string
 	// Trials per tenant count.
 	Trials int
-	// ContentionPerTenant is the per-co-resident slowdown on the
-	// probe's execution time (default 0.12).
-	ContentionPerTenant float64
 }
+
+// The probe every tenant runs, and its per-co-resident slowdown on the
+// probe's execution time: a knob, not a claim.
+const (
+	probeWorkload       = "cpustress"
+	probeLanguage       = langs.LangGo
+	contentionPerTenant = 0.12
+)
 
 // CoLocationPoint is the mean execution time with k tenants.
 type CoLocationPoint struct {
@@ -51,34 +53,26 @@ type CoLocationResult struct {
 	Points []CoLocationPoint `json:"points"`
 }
 
-// CoLocation runs the sweep on the given backend.
+// CoLocation runs the sweep on the given backend. The probe executes
+// once, on the first tenant, and is priced on every tenant VM under
+// (function, tenants, tenant, trial).
 func CoLocation(ctx context.Context, backend tee.Backend, catalog *workloads.Registry, opts CoLocationOptions) (CoLocationResult, error) {
 	if opts.Tenants <= 0 {
 		opts.Tenants = 4
 	}
-	if opts.Workload == "" {
-		opts.Workload = "cpustress"
-	}
-	if opts.Language == "" {
-		opts.Language = langs.LangGo
-	}
 	if opts.Trials <= 0 {
 		opts.Trials = 3
-	}
-	if opts.ContentionPerTenant <= 0 {
-		opts.ContentionPerTenant = 0.12
 	}
 	if catalog == nil {
 		catalog = workloads.Default()
 	}
-	fn := faas.Function{
-		Name:     opts.Workload + "-" + opts.Language,
-		Language: opts.Language,
-		Workload: opts.Workload,
-	}
+	fn := faas.Function{Name: probeWorkload + "-" + probeLanguage, Language: probeLanguage, Workload: probeWorkload}
 
 	res := CoLocationResult{Kind: backend.Kind()}
-	var single float64
+	var (
+		probe  faas.LaunchResult
+		single float64
+	)
 	for k := 1; k <= opts.Tenants; k++ {
 		// Launch k co-resident confidential guests.
 		vms := make([]*vm.VM, 0, k)
@@ -97,17 +91,19 @@ func CoLocation(ctx context.Context, backend tee.Backend, catalog *workloads.Reg
 			}
 			vms = append(vms, machine)
 		}
+		if k == 1 {
+			var err error
+			if probe, err = vms[0].Execute(ctx, fn, 0); err != nil {
+				stopAll(vms)
+				return CoLocationResult{}, err
+			}
+		}
 
-		contention := 1 + opts.ContentionPerTenant*float64(k-1)
+		contention := 1 + contentionPerTenant*float64(k-1)
 		var samples []float64
 		for trial := 0; trial < opts.Trials; trial++ {
 			for t, machine := range vms {
-				lr, err := machine.Execute(ctx, fn, 0)
-				if err != nil {
-					stopAll(vms)
-					return CoLocationResult{}, err
-				}
-				r := machine.Price(ctx, lr, tee.NewKey(fn.Name).Num(uint64(k)).Num(uint64(t)).Num(uint64(trial)))
+				r := machine.Price(ctx, probe, tee.NewKey(fn.Name).Num(uint64(k)).Num(uint64(t)).Num(uint64(trial)))
 				samples = append(samples, float64(r.Wall.Nanoseconds())/1e6*contention)
 			}
 		}

@@ -78,9 +78,9 @@ type FaaSOptions struct {
 }
 
 // FaaS reproduces the FaaS experiments (§IV-D, Figs. 6–8) on one
-// platform pair: every (workload, language) function executes Trials×
-// with identical arguments, each execution is priced on the secure and
-// on the normal VM, and the cell ratio is the ratio of mean execution
+// platform pair: every (workload, language) function executes once,
+// its execution is priced on the secure and on the normal VM under one
+// key per trial, and the cell ratio is the ratio of mean execution
 // times. Timings exclude runtime bootstrap, matching the paper's
 // protocol.
 func FaaS(ctx context.Context, pair vm.Pair, catalog *workloads.Registry, opts FaaSOptions) (FaaSResult, error) {
@@ -110,34 +110,27 @@ func FaaS(ctx context.Context, pair vm.Pair, catalog *workloads.Registry, opts F
 		}
 	}
 
-	res := FaaSResult{
-		Kind:      pair.Secure.Platform(),
-		Workloads: ws,
-		Languages: languages,
-		Cells:     make([][]Cell, len(ws)),
-	}
-	for i := range res.Cells {
-		res.Cells[i] = make([]Cell, len(languages))
-	}
-
-	// One execution per (cell, trial), cells in workload-major order,
-	// priced under (workload, language, scale, trial): a cell's samples
-	// are the same whichever grid it is measured in.
+	// One execution per cell, cells in workload-major order, priced
+	// under (workload, language, scale, trial) for each trial: a cell's
+	// samples are the same whichever grid it is measured in.
 	nLangs, trials := len(languages), opts.Trials
-	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(ws)*nLangs*trials, func(ctx context.Context, idx int) (faas.LaunchResult, tee.Key, error) {
-		i, j := idx/trials/nLangs, idx/trials%nLangs
-		fn := faas.Function{Name: ws[i] + "-" + languages[j], Language: languages[j], Workload: ws[i]}
-		lr, err := pair.Execute(ctx, fn, scales[i])
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(ws)*nLangs, trials, func(ctx context.Context, c int) (faas.LaunchResult, error) {
+		w, lang := ws[c/nLangs], languages[c%nLangs]
+		lr, err := pair.Execute(ctx, faas.Function{Name: w + "-" + lang, Language: lang, Workload: w}, scales[c/nLangs])
 		if err != nil {
-			return lr, 0, fmt.Errorf("bench faas %s/%s: %w", ws[i], languages[j], err)
+			err = fmt.Errorf("bench faas %s/%s: %w", w, lang, err)
 		}
-		return lr, tee.NewKey(ws[i]).Name(languages[j]).Num(uint64(scales[i])).Num(uint64(idx % trials)), nil
+		return lr, err
+	}, func(c, trial int) tee.Key {
+		return tee.NewKey(ws[c/nLangs]).Name(languages[c%nLangs]).Num(uint64(scales[c/nLangs])).Num(uint64(trial))
 	})
 	if err != nil {
 		return FaaSResult{}, err
 	}
 	secure, normal := p.Ms()
+	res := FaaSResult{Kind: pair.Secure.Platform(), Workloads: ws, Languages: languages, Cells: make([][]Cell, len(ws))}
 	for i, w := range ws {
+		res.Cells[i] = make([]Cell, len(languages))
 		for j, lang := range languages {
 			lo := (i*nLangs + j) * trials
 			s, n := secure[lo:lo+trials:lo+trials], normal[lo:lo+trials:lo+trials]

@@ -12,9 +12,11 @@ import (
 	"confbench/internal/cberr"
 	"confbench/internal/faas"
 	"confbench/internal/faas/langs"
+	"confbench/internal/meter"
 	"confbench/internal/tee"
 	"confbench/internal/tee/tdx"
 	"confbench/internal/vm"
+	"confbench/internal/workloads"
 )
 
 // countingLauncher counts the bodies it executes.
@@ -58,9 +60,9 @@ func countingPair(t *testing.T) (pair vm.Pair, secure, normal *countingLauncher)
 	return pair, secure, normal
 }
 
-// TestPairedSampleExecutesOnce: a paired sample is one execution priced
-// twice, at every worker count; and a pair with either VM stopped
-// executes nothing.
+// TestPairedSampleExecutesOnce: a cell's paired samples are one
+// execution priced on both VMs under one key per trial, at every worker
+// count; and a pair with either VM stopped executes nothing.
 func TestPairedSampleExecutesOnce(t *testing.T) {
 	opts := FaaSOptions{
 		Options:   Options{Trials: 3, ScaleDivisor: 8},
@@ -74,17 +76,17 @@ func TestPairedSampleExecutesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples := 0
+		cells := 0
 		for _, row := range res.Cells {
 			for _, c := range row {
 				if len(c.SecureMs) != opts.Trials || len(c.NormalMs) != opts.Trials {
 					t.Errorf("cell %s/%s has %d/%d samples", c.Workload, c.Language, len(c.SecureMs), len(c.NormalMs))
 				}
-				samples += len(c.SecureMs)
+				cells++
 			}
 		}
-		if got := secure.calls.Load() + normal.calls.Load(); got != int64(samples) {
-			t.Errorf("workers=%d: %d bodies executed for %d paired samples", workers, got, samples)
+		if got := secure.calls.Load() + normal.calls.Load(); got != int64(cells) {
+			t.Errorf("workers=%d: %d bodies executed for %d cells of %d trials", workers, got, cells, opts.Trials)
 		}
 	}
 
@@ -106,6 +108,39 @@ func TestPairedSampleExecutesOnce(t *testing.T) {
 		if n := secure.calls.Load() + normal.calls.Load(); n != 0 {
 			t.Errorf("%s VM stopped, yet %d bodies executed", side, n)
 		}
+	}
+}
+
+// TestCoLocationExecutesOnce: a sweep executes its probe once and
+// prices it on every tenant of every point.
+func TestCoLocationExecutesOnce(t *testing.T) {
+	probe, err := workloads.Default().Lookup(probeWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	run := probe.Run
+	probe.Run = func(m *meter.Context, scale int) (string, error) {
+		calls.Add(1)
+		return run(m, scale)
+	}
+	catalog, err := workloads.NewRegistry([]workloads.Workload{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := tdx.NewBackend(tdx.Options{Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CoLocation(context.Background(), backend, catalog, CoLocationOptions{Tenants: 4, Trials: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 4 {
+		t.Fatalf("points = %d, want 4", len(res.Points))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("a sweep over 1..4 tenants of 3 trials executed its probe %d times, want 1", n)
 	}
 }
 
