@@ -28,10 +28,15 @@ RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./in
 COVER_FLOOR ?= 70
 COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo ./internal/minidb
 
-.PHONY: build test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
+.PHONY: build fmt test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
 
 build:
 	$(GO) build ./...
+
+# Every Go file in the tree, the benchmark module's too, is gofmt-clean:
+# `gofmt -l` lists the ones that are not, and the target fails on any.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -130,10 +135,10 @@ bench-guest:
 	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkMiniDBSpeedtest|BenchmarkMLInference' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
 	$(GO) test -run xxx -bench 'BenchmarkPrice$$|BenchmarkCostApply$$|BenchmarkDecodeInvokeResponse$$' -benchmem ./internal/vm ./internal/tee ./internal/wire
 
-# Full pre-merge check: compile, vet, unit tests, the benchmark
+# Full pre-merge check: compile, gofmt, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the
 # concurrency-sensitive packages, the coverage floor, the metric-naming
 # and route-registration lints, and the scenarios. Performance is gated
 # outside it, by the repo's benchmark (BENCHMARK.json, `bash
 # benchmark/run.sh`).
-verify: build vet test benchmark-check race cover-floor lint-metrics lint-routes scenarios
+verify: build fmt vet test benchmark-check race cover-floor lint-metrics lint-routes scenarios

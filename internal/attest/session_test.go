@@ -1,8 +1,8 @@
 package attest_test
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"

@@ -17,7 +17,9 @@
 // it) — through one paired measurement (pair.go): a body executes once,
 // and what it metered is priced on both VMs of the pair under one key
 // per trial; the VMs run the same code and differ only in how the TEE
-// charges for it.
+// charges for it. A pair from a cluster carries the cluster's corpus
+// (vm.Corpus), so a body executes once for every row and platform that
+// measures it.
 package bench
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 
 	"confbench/internal/cberr"
 	"confbench/internal/faas"
@@ -43,10 +44,16 @@ type MLOptions struct {
 	Obs *obs.Registry
 }
 
+// imageKey names one ML inference in a corpus: image i of the dataset
+// (the same whatever the dataset's size) at one input resolution.
+type imageKey struct{ inputSize, image int }
+
 // ML reproduces the confidential-ML experiment (§IV-C, Fig. 3): a
 // MobileNet-style model classifies every image of the synthetic 1-MB
 // dataset, each inference priced on both VMs of the pair; per-image
-// inference times give the stacked-percentile distributions.
+// inference times give the stacked-percentile distributions. An image
+// the pair's corpus holds is priced without classifying it again, and
+// the model is built only if some image is not.
 func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 	if opts.Images <= 0 {
 		opts.Images = 40
@@ -54,22 +61,26 @@ func ML(ctx context.Context, pair vm.Pair, opts MLOptions) (MLResult, error) {
 	if opts.InputSize <= 0 {
 		opts.InputSize = 96
 	}
-	model, err := mlinfer.NewMobileNet(mlinfer.MobileNetConfig{InputSize: opts.InputSize})
-	if err != nil {
-		return MLResult{}, err
-	}
-	dataset := mlinfer.Dataset(opts.Images)
-	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, len(dataset), 1, func(ctx context.Context, i int) (faas.LaunchResult, error) {
-		return pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
-			img, err := mlinfer.DecodeAndResize(m, dataset[i], opts.InputSize)
+	newModel := sync.OnceValues(func() (*mlinfer.Model, error) {
+		return mlinfer.NewMobileNet(mlinfer.MobileNetConfig{InputSize: opts.InputSize})
+	})
+	p, err := measure(ctx, Runner{Workers: opts.Workers, Obs: opts.Obs}, pair, opts.Images, 1, func(ctx context.Context, i int) (faas.LaunchResult, error) {
+		return vm.Shared(ctx, pair, imageKey{opts.InputSize, i}, func(ctx context.Context) (faas.LaunchResult, error) {
+			model, err := newModel()
 			if err != nil {
-				return "", err
+				return faas.LaunchResult{}, err
 			}
-			preds, err := model.Classify(m, img, 1)
-			if err != nil {
-				return "", err
-			}
-			return preds[0].Label, nil
+			return pair.RunMetered(ctx, fmt.Sprintf("ml-image-%d", i), func(_ context.Context, m *meter.Context) (string, error) {
+				img, err := mlinfer.DecodeAndResize(m, mlinfer.GenerateImage(i), opts.InputSize)
+				if err != nil {
+					return "", err
+				}
+				preds, err := model.Classify(m, img, 1)
+				if err != nil {
+					return "", err
+				}
+				return preds[0].Label, nil
+			})
 		})
 	}, func(i, _ int) tee.Key { return tee.NewKey("ml").Num(uint64(i)) })
 	if err != nil {
@@ -118,13 +129,21 @@ type DBMSOptions struct {
 	Size int
 }
 
+// speedtestKey names one speedtest suite execution in a corpus.
+type speedtestKey struct{ size int }
+
+// speedtest is one execution of the suite: each test's usage, and what
+// the suite reported for it.
+type speedtest struct {
+	runs    []faas.LaunchResult
+	results []minidb.TestResult
+}
+
 // DBMS reproduces the confidential-DBMS experiment (§IV-C): the
-// speedtest1-style suite runs once and each test's usage is priced on
-// both VMs, so the ratios can be compared test by test.
+// speedtest1-style suite runs once (once per corpus) and each test's
+// usage is priced on both VMs, so the ratios can be compared test by
+// test.
 func DBMS(ctx context.Context, pair vm.Pair, opts DBMSOptions) (DBMSResult, error) {
-	if err := ctx.Err(); err != nil {
-		return DBMSResult{}, cberr.From(err, cberr.LayerBench)
-	}
 	if opts.Size <= 0 {
 		opts.Size = 100
 	}
@@ -132,23 +151,30 @@ func DBMS(ctx context.Context, pair vm.Pair, opts DBMSOptions) (DBMSResult, erro
 	// Per-test ratios need per-test usage: the suite runs once and the
 	// progress callback empties the meter at every test boundary (and
 	// looks at ctx there, so a cancel lands within one test).
-	m := meter.NewContext()
-	var runs []faas.LaunchResult
-	results, err := minidb.NewSpeedTest(opts.Size).RunWithProgress(m, func(minidb.TestResult) error {
-		runs = append(runs, faas.LaunchResult{RunUsage: m.Snapshot()})
-		m.Reset()
-		return ctx.Err()
+	suite, err := vm.Shared(ctx, pair, speedtestKey{opts.Size}, func(ctx context.Context) (speedtest, error) {
+		m := meter.NewContext()
+		var s speedtest
+		results, err := minidb.NewSpeedTest(opts.Size).RunWithProgress(m, func(minidb.TestResult) error {
+			s.runs = append(s.runs, faas.LaunchResult{RunUsage: m.Snapshot()})
+			m.Reset()
+			return ctx.Err()
+		})
+		if err != nil {
+			return speedtest{}, cberr.From(err, cberr.LayerBench)
+		}
+		if len(results) != len(s.runs) {
+			return speedtest{}, fmt.Errorf("bench dbms: %d results vs %d progress callbacks", len(results), len(s.runs))
+		}
+		s.results = results
+		return s, nil
 	})
 	if err != nil {
-		return DBMSResult{}, cberr.From(err, cberr.LayerBench)
+		return DBMSResult{}, err
 	}
-	if len(results) != len(runs) {
-		return DBMSResult{}, fmt.Errorf("bench dbms: %d results vs %d progress callbacks", len(results), len(runs))
-	}
-	secure, normal := priceRuns(ctx, pair, "dbms", runs).Ms()
+	secure, normal := priceRuns(ctx, pair, "dbms", suite.runs).Ms()
 	out := DBMSResult{Kind: pair.Secure.Platform(), Size: opts.Size}
 	var ratios []float64
-	for i, r := range results {
+	for i, r := range suite.results {
 		ratio := stats.Ratio(secure[i], normal[i])
 		out.PerTest = append(out.PerTest, DBMSTestRatio{
 			ID: r.ID, Name: r.Name, SecureMs: secure[i], NormalMs: normal[i], Ratio: ratio,
@@ -303,14 +329,20 @@ type UnixBenchOptions struct {
 	Scale float64
 }
 
+// unixbenchKey names one UnixBench suite execution in a corpus.
+type unixbenchKey struct{ scale float64 }
+
 // UnixBench reproduces the OS experiment (§IV-C, Fig. 4): the
-// single-threaded suite runs once, each test's usage is priced on both
-// VMs, and the aggregate index scores yield the secure/normal time
-// ratio.
+// single-threaded suite runs once (once per corpus), each test's usage
+// is priced on both VMs, and the aggregate index scores yield the
+// secure/normal time ratio.
 func UnixBench(ctx context.Context, pair vm.Pair, opts UnixBenchOptions) (UnixBenchResult, error) {
-	tests, err := unixbench.New(unixbench.Options{Scale: opts.Scale}).Run(ctx)
+	tests, err := vm.Shared(ctx, pair, unixbenchKey{opts.Scale}, func(ctx context.Context) ([]unixbench.TestRun, error) {
+		tests, err := unixbench.New(unixbench.Options{Scale: opts.Scale}).Run(ctx)
+		return tests, cberr.From(err, cberr.LayerBench)
+	})
 	if err != nil {
-		return UnixBenchResult{}, cberr.From(err, cberr.LayerBench)
+		return UnixBenchResult{}, err
 	}
 	runs := make([]faas.LaunchResult, len(tests))
 	for i, t := range tests {

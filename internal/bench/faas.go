@@ -78,8 +78,8 @@ type FaaSOptions struct {
 }
 
 // FaaS reproduces the FaaS experiments (§IV-D, Figs. 6–8) on one
-// platform pair: every (workload, language) function executes once,
-// its execution is priced on the secure and on the normal VM under one
+// platform pair: every (workload, language) function executes once (or
+// is found in the pair's corpus), its execution is priced on the secure and on the normal VM under one
 // key per trial, and the cell ratio is the ratio of mean execution
 // times. Timings exclude runtime bootstrap, matching the paper's
 // protocol.

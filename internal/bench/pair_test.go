@@ -19,10 +19,11 @@ import (
 	"confbench/internal/workloads"
 )
 
-// countingLauncher counts the bodies it executes.
+// countingLauncher counts the bodies it executes into a counter it may
+// share with other launchers.
 type countingLauncher struct {
 	faas.Launcher
-	calls atomic.Int64
+	calls *atomic.Int64
 }
 
 func (c *countingLauncher) Launch(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
@@ -30,34 +31,44 @@ func (c *countingLauncher) Launch(ctx context.Context, fn faas.Function, scale i
 	return c.Launcher.Launch(ctx, fn, scale)
 }
 
-// countingPair builds a TDX pair whose two VMs each carry one counting
-// Go launcher, and returns the counters.
-func countingPair(t *testing.T) (pair vm.Pair, secure, normal *countingLauncher) {
+// countedPair launches a pair on backend, carrying corpus, whose two
+// VMs carry every language's launcher, each counting its launches into
+// calls.
+func countedPair(t *testing.T, backend tee.Backend, corpus *vm.Corpus, calls *atomic.Int64) vm.Pair {
+	t.Helper()
+	machine := func(guest tee.Guest, err error) *vm.VM {
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := langs.NewAllLaunchers(guest.Kind(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		launchers := make(map[string]faas.Launcher, len(all))
+		for lang, l := range all {
+			launchers[lang] = &countingLauncher{Launcher: l, calls: calls}
+		}
+		m, err := vm.New(vm.Config{Guest: guest, Host: backend.HostProfile(), Launchers: launchers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cfg := tee.GuestConfig{MemoryMB: 8}
+	pair := vm.Pair{Secure: machine(backend.Launch(cfg)), Normal: machine(backend.LaunchNormal(cfg)), Corpus: corpus}
+	t.Cleanup(func() { _ = pair.Stop() })
+	return pair
+}
+
+// countingPair is a corpus-less counted pair on a TDX backend.
+func countingPair(t *testing.T) (vm.Pair, *atomic.Int64) {
 	t.Helper()
 	backend, err := tdx.NewBackend(tdx.Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := func(guest tee.Guest, err error) (*vm.VM, *countingLauncher) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner, err := langs.NewRuntimeLauncher(langs.LangGo, guest.Kind(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := &countingLauncher{Launcher: inner}
-		m, err := vm.New(vm.Config{Guest: guest, Host: backend.HostProfile(), Launchers: map[string]faas.Launcher{langs.LangGo: l}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, l
-	}
-	cfg := tee.GuestConfig{MemoryMB: 8}
-	pair.Secure, secure = machine(backend.Launch(cfg))
-	pair.Normal, normal = machine(backend.LaunchNormal(cfg))
-	t.Cleanup(func() { _ = pair.Stop() })
-	return pair, secure, normal
+	calls := new(atomic.Int64)
+	return countedPair(t, backend, nil, calls), calls
 }
 
 // TestPairedSampleExecutesOnce: a cell's paired samples are one
@@ -70,7 +81,7 @@ func TestPairedSampleExecutesOnce(t *testing.T) {
 		Languages: []string{langs.LangGo},
 	}
 	for _, workers := range []int{1, 4} {
-		pair, secure, normal := countingPair(t)
+		pair, calls := countingPair(t)
 		opts.Workers = workers
 		res, err := FaaS(context.Background(), pair, nil, opts)
 		if err != nil {
@@ -85,13 +96,13 @@ func TestPairedSampleExecutesOnce(t *testing.T) {
 				cells++
 			}
 		}
-		if got := secure.calls.Load() + normal.calls.Load(); got != int64(cells) {
+		if got := calls.Load(); got != int64(cells) {
 			t.Errorf("workers=%d: %d bodies executed for %d cells of %d trials", workers, got, cells, opts.Trials)
 		}
 	}
 
 	for _, side := range []string{"secure", "normal"} {
-		pair, secure, normal := countingPair(t)
+		pair, calls := countingPair(t)
 		stopped := pair.Secure
 		if side == "normal" {
 			stopped = pair.Normal
@@ -105,7 +116,7 @@ func TestPairedSampleExecutesOnce(t *testing.T) {
 		if _, err := ML(context.Background(), pair, MLOptions{Images: 2, InputSize: 48}); !errors.Is(err, vm.ErrStopped) {
 			t.Errorf("ML with the %s VM stopped: %v", side, err)
 		}
-		if n := secure.calls.Load() + normal.calls.Load(); n != 0 {
+		if n := calls.Load(); n != 0 {
 			t.Errorf("%s VM stopped, yet %d bodies executed", side, n)
 		}
 	}
@@ -182,7 +193,9 @@ func TestSuitesCancelBetweenTests(t *testing.T) {
 			_, err := DBMSStorage(ctx, pair, DBMSStorageOptions{Size: 5, Dir: dir})
 			return err
 		}},
-		{"unixbench", 1, func(ctx context.Context) error {
+		// The pair's admission looks once, then the suite before its
+		// first test.
+		{"unixbench", 2, func(ctx context.Context) error {
 			_, err := UnixBench(ctx, pair, UnixBenchOptions{Scale: 0.05})
 			return err
 		}},

@@ -150,7 +150,10 @@ type Cluster struct {
 	backends map[tee.Kind]tee.Backend
 	agents   map[tee.Kind][]*hostagent.Agent
 	cache    *vm.SnapshotCache
-	client   *api.Client
+	// corpus is shared by every pair Pair returns, so a figure row
+	// prices the bodies an earlier row, on any platform, executed.
+	corpus *vm.Corpus
+	client *api.Client
 	// clientTransport is the client's binary carrier when
 	// cfg.Transport selected it (owned here; closed with the cluster).
 	clientTransport api.Transport
@@ -182,6 +185,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		obsreg:   obs.OrDefault(cfg.Obs),
 		backends: make(map[tee.Kind]tee.Backend, len(cfg.TEEs)),
 		agents:   make(map[tee.Kind][]*hostagent.Agent, len(cfg.TEEs)),
+		corpus:   vm.NewCorpus(),
 	}
 	if err := c.boot(); err != nil {
 		_ = c.Close()
@@ -467,13 +471,17 @@ func (c *Cluster) FaultPlane() *faultplane.Plane { return c.cfg.Faults }
 func (c *Cluster) SnapshotCache() *vm.SnapshotCache { return c.cache }
 
 // Pair returns the secure/normal VM pair on the kind host, for
-// in-process classic-workload runs that bypass the network path.
+// in-process measurement runs that bypass the network path. Every pair
+// it returns carries the cluster's corpus, so a body executes once per
+// cluster whichever platforms and rows price it.
 func (c *Cluster) Pair(kind tee.Kind) (vm.Pair, error) {
 	a, err := c.Agent(kind)
 	if err != nil {
 		return vm.Pair{}, err
 	}
-	return a.Pair(), nil
+	p := a.Pair()
+	p.Corpus = c.corpus
+	return p, nil
 }
 
 // Kinds lists the deployed TEE kinds in stable order.

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"confbench/internal/api"
 	"confbench/internal/faas"
+	"confbench/internal/obs"
 	"confbench/internal/tee"
+	"confbench/internal/vm"
 )
 
 func TestDefaultsFillAllThreeTEEs(t *testing.T) {
@@ -153,5 +156,75 @@ func TestPairUnknownKind(t *testing.T) {
 	}
 	if _, err := c.Agent(tee.KindCCA); err == nil {
 		t.Error("agent for undeployed kind should fail")
+	}
+}
+
+// execSpans counts the VM launches a span tree records.
+func execSpans(d *obs.SpanData) int {
+	if d == nil {
+		return 0
+	}
+	n := 0
+	if d.Layer == "vm" && strings.HasPrefix(d.Name, "exec ") {
+		n++
+	}
+	for _, c := range d.Children {
+		n += execSpans(c)
+	}
+	return n
+}
+
+// TestServingPathNeverUsesTheCorpus: the cluster's corpus serves the
+// figure harness's pairs only. With the body already in it, every
+// invoke through the deployment, and every InvokeFunction on the
+// host's VM, launches the function again.
+func TestServingPathNeverUsesTheCorpus(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{TEEs: []tee.Kind{tee.KindTDX}, GuestMemoryMB: 4, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	fn := faas.Function{Name: "hot", Language: "go", Workload: "fib"}
+	if err := c.Client().Upload(ctx, fn); err != nil {
+		t.Fatal(err)
+	}
+	pair, err := c.Pair(tee.KindTDX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pair.Corpus == nil {
+		t.Fatal("the cluster's pair carries no corpus")
+	}
+	if _, err := pair.Execute(ctx, fn, 5); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 4
+	launches := 0
+	for i := 0; i < n; i++ {
+		resp, err := c.Client().Invoke(ctx, api.InvokeRequest{Function: "hot", Secure: true, TEE: tee.KindTDX, Scale: 5, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		launches += execSpans(resp.Trace)
+	}
+	if launches != n {
+		t.Errorf("%d invokes through the deployment launched %d times", n, launches)
+	}
+	for _, v := range []*vm.VM{pair.Secure, pair.Normal} {
+		root, span := obs.NewRoot(ctx, "test", "invokes")
+		for i := 0; i < n; i++ {
+			if _, err := v.InvokeFunction(root, fn, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		span.End()
+		if got := execSpans(span.Data()); got != n {
+			t.Errorf("%d InvokeFunction calls on %s launched %d times", n, v.Name(), got)
+		}
+	}
+	if got := pair.Corpus.Len(); got != 1 {
+		t.Errorf("the corpus holds %d executions after serving, want the one Execute stored", got)
 	}
 }

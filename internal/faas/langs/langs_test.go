@@ -325,3 +325,57 @@ func TestLaunchersArePure(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestLaunchersArePureAcrossPlatforms pins what lets one cluster share
+// an execution between its pairs: the launcher set a VM carries is built
+// for its platform, yet what a launch returns depends on the function
+// and the scale and not on the platform. Every catalog workload in
+// every language, at the -quick size, returns one LaunchResult from the
+// TDX, the SEV-SNP and the CCA launchers.
+func TestLaunchersArePureAcrossPlatforms(t *testing.T) {
+	catalog := workloads.Default()
+	names := catalog.Names()
+	kinds := []tee.Kind{tee.KindTDX, tee.KindSEV, tee.KindCCA}
+	// results[k][w*7+l] is platform k's launch of workload w in language
+	// l; the platforms run side by side.
+	results := make([][]faas.LaunchResult, len(kinds))
+	var wg sync.WaitGroup
+	for k, kind := range kinds {
+		set, err := NewAllLaunchers(kind, catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				w, err := catalog.Lookup(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, lang := range Names() {
+					fn := faas.Function{Name: name + "-" + lang, Language: lang, Workload: name}
+					res, err := set[lang].Launch(context.Background(), fn, max(w.DefaultScale/8, 1))
+					if err != nil {
+						t.Errorf("%s %s/%s: %v", kind, name, lang, err)
+					}
+					results[k] = append(results[k], res)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k, kind := range kinds {
+		if len(results[k]) != 30*7 {
+			t.Fatalf("%s launched %d cells, want 30 workloads x 7 languages", kind, len(results[k]))
+		}
+	}
+	for k := 1; k < len(kinds); k++ {
+		for c, want := range results[0] {
+			if got := results[k][c]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s on %s returned\n%+v\non %s\n%+v", names[c/7], Names()[c%7], kinds[k], got, kinds[0], want)
+			}
+		}
+	}
+}

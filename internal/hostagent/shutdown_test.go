@@ -22,8 +22,8 @@ type slowLaunchBackend struct {
 	guests     []*tee.ModelGuest
 }
 
-func (b *slowLaunchBackend) Kind() tee.Kind { return tee.KindSEV }
-func (b *slowLaunchBackend) Name() string   { return "slow-launch stub" }
+func (b *slowLaunchBackend) Kind() tee.Kind                { return tee.KindSEV }
+func (b *slowLaunchBackend) Name() string                  { return "slow-launch stub" }
 func (b *slowLaunchBackend) HostProfile() cpumodel.Profile { return cpumodel.EPYC9124 }
 
 func (b *slowLaunchBackend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {

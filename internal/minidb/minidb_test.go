@@ -3,6 +3,7 @@ package minidb
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -752,5 +753,31 @@ func TestBTreeHeavyDuplicates(t *testing.T) {
 	}
 	if got := len(tr.Lookup(Int(2))); got != perKey/2 {
 		t.Errorf("after deletes lookup(2) = %d, want %d", got, perKey/2)
+	}
+}
+
+// TestSpeedTestIsPure: two executions of the suite report the same
+// results and meter the same usage test by test, so one cluster can
+// price one execution on every platform.
+func TestSpeedTestIsPure(t *testing.T) {
+	type run struct {
+		results []TestResult
+		usage   []meter.Usage
+	}
+	var runs [2]run
+	for i := range runs {
+		m := meter.NewContext()
+		results, err := NewSpeedTest(5).RunWithProgress(m, func(TestResult) error {
+			runs[i].usage = append(runs[i].usage, m.Snapshot())
+			m.Reset()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i].results = results
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("two runs differ:\n%+v\n%+v", runs[0], runs[1])
 	}
 }

@@ -1,7 +1,9 @@
 package mlinfer
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"confbench/internal/meter"
@@ -248,10 +250,7 @@ func TestImageIsOneMB(t *testing.T) {
 }
 
 func TestDatasetDiversified(t *testing.T) {
-	imgs := Dataset(4)
-	if len(imgs) != 4 {
-		t.Fatal("dataset size")
-	}
+	imgs := [][]byte{GenerateImage(0), GenerateImage(1)}
 	same := 0
 	for i := 0; i < len(imgs[0]); i += 1024 {
 		if imgs[0][i] == imgs[1][i] {
@@ -309,5 +308,38 @@ func BenchmarkMLInference(b *testing.B) {
 		if _, err := model.Classify(m, img, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestClassificationIsPure: image i of the dataset is the same on every
+// call, and two models built from one config classify it alike and
+// meter the same usage, so one cluster can price one inference per
+// (input size, image) on every platform.
+func TestClassificationIsPure(t *testing.T) {
+	if !bytes.Equal(GenerateImage(2), GenerateImage(2)) {
+		t.Error("image 2 differs between two calls")
+	}
+	type inference struct {
+		preds []Prediction
+		usage meter.Usage
+	}
+	var runs [2]inference
+	for i := range runs {
+		model, err := NewMobileNet(MobileNetConfig{InputSize: 48})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := meter.NewContext()
+		img, err := DecodeAndResize(m, GenerateImage(2), 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i].preds, err = model.Classify(m, img, 3); err != nil {
+			t.Fatal(err)
+		}
+		runs[i].usage = m.Snapshot()
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("two models differ:\n%+v\n%+v", runs[0], runs[1])
 	}
 }

@@ -238,12 +238,3 @@ func DecodeAndResize(m *meter.Context, raw []byte, size int) (Tensor, error) {
 	m.Alloc(out.Bytes())
 	return out, nil
 }
-
-// Dataset generates the n-image dataset (the paper uses 40).
-func Dataset(n int) [][]byte {
-	imgs := make([][]byte, n)
-	for i := range imgs {
-		imgs[i] = GenerateImage(i)
-	}
-	return imgs
-}

@@ -3,6 +3,7 @@ package unixbench
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -259,5 +260,24 @@ func TestShellPipelineCounts(t *testing.T) {
 	if m8.Get(meter.ProcessSpawns) != 8*m1.Get(meter.ProcessSpawns) {
 		t.Errorf("shell8 spawns %d, want 8x shell1 %d",
 			m8.Get(meter.ProcessSpawns), m1.Get(meter.ProcessSpawns))
+	}
+}
+
+// TestRunIsPure: two executions of the suite return the same runs (the
+// test functions aside), so one cluster can price one execution on
+// every platform.
+func TestRunIsPure(t *testing.T) {
+	var runs [2][]TestRun
+	for i := range runs {
+		var err error
+		if runs[i], err = New(Options{Scale: 0.05}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for j := range runs[i] {
+			runs[i][j].run = nil // funcs are never DeepEqual
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("two runs differ:\n%+v\n%+v", runs[0], runs[1])
 	}
 }

@@ -237,6 +237,9 @@ func (v *VM) Stop() error {
 type Pair struct {
 	Secure *VM
 	Normal *VM
+	// Corpus holds the bodies already executed for every pair of the
+	// cluster the pair came from (nil = none: every body executes).
+	Corpus *Corpus
 }
 
 // NewPair launches a confidential and a normal VM on backend b with a
@@ -268,14 +271,32 @@ func NewPair(b tee.Backend, cfg tee.GuestConfig, catalog *workloads.Registry) (P
 	return Pair{Secure: secureVM, Normal: normalVM}, nil
 }
 
-// Execute runs fn's body once for the pair. Both VMs carry the same
-// launcher set (Fig. 2), so the secure VM's stands for both; a stopped
-// VM on either side refuses.
-func (p Pair) Execute(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
-	if err := p.Normal.admit(ctx); err != nil {
-		return faas.LaunchResult{}, err
+// admit refuses new work for the pair on a canceled ctx or when either
+// VM is stopped.
+func (p Pair) admit(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return cberr.From(err, cberr.LayerVM)
 	}
-	return p.Secure.Execute(ctx, fn, scale)
+	if p.Secure.stopped.Load() || p.Normal.stopped.Load() {
+		return cberr.Wrap(cberr.CodeUnavailable, cberr.LayerVM, ErrStopped)
+	}
+	return nil
+}
+
+// cellKey names a FaaS cell in a corpus: launchers are pure, so the
+// language, the workload and the scale fix what an execution returns.
+type cellKey struct {
+	language, workload string
+	scale              int
+}
+
+// Execute runs fn's body once for the pair, or once for every pair
+// sharing its corpus. Both VMs carry the same launcher set (Fig. 2), so
+// the secure VM's stands for both; a stopped VM on either side refuses.
+func (p Pair) Execute(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
+	return Shared(ctx, p, cellKey{fn.Language, fn.Workload, scale}, func(ctx context.Context) (faas.LaunchResult, error) {
+		return p.Secure.Execute(ctx, fn, scale)
+	})
 }
 
 // RunMetered is Execute for ConfBench's "classic workloads" (ML
@@ -285,10 +306,8 @@ func (p Pair) Execute(ctx context.Context, fn faas.Function, scale int) (faas.La
 // bootstrap share. The ctx is handed to the task so long-running
 // workloads can observe cancellation.
 func (p Pair) RunMetered(ctx context.Context, name string, task func(ctx context.Context, m *meter.Context) (string, error)) (faas.LaunchResult, error) {
-	for _, v := range []*VM{p.Secure, p.Normal} {
-		if err := v.admit(ctx); err != nil {
-			return faas.LaunchResult{}, err
-		}
+	if err := p.admit(ctx); err != nil {
+		return faas.LaunchResult{}, err
 	}
 	mctx := meter.NewContext()
 	output, err := task(ctx, mctx)
