@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string) error {
 	jsonPath := fs.String("json", "", "also write results as JSON to this file")
 	scenario := fs.String("scenario", "", "run this scenario file (scenarios/*.spec) as a cluster drill instead of figures; exits non-zero on a failed check or a violated objective")
 	fs.StringVar(&e.transport, "transport", "", "pipeline hop carrier: httpjson (default) or binary (persistent multiplexed wire frames)")
-	fs.StringVar(&e.durableDir, "durable-dir", "", "root of the durable persistence plane: telemetry spills here, and -fig storage keeps its speedtest logs here (empty = in-memory telemetry, throwaway storage logs; with -scenario: a fresh directory)")
+	fs.StringVar(&e.durableDir, "durable-dir", "", "root of the durable persistence plane: telemetry spills here, and -fig storage keeps its speedtest log here, one directory per run and size, shared by every platform (empty = in-memory telemetry, throwaway storage logs; with -scenario: a fresh directory)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address while the bench runs (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err

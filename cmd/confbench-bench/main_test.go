@@ -128,7 +128,27 @@ func TestReportGolden(t *testing.T) {
 		t.Fatalf("no Fig. 5 block in:\n%s", out)
 	}
 	out = out[:i] + out[i+strings.Index(out[i:], "\n\n")+2:]
-	file := filepath.Join("testdata", "report.golden")
+	golden(t, "report.golden", out)
+}
+
+// TestStorageGolden pins the printed report of -fig storage at -quick,
+// which all leaves out: both suites' usage on every platform, priced.
+func TestStorageGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a deployment")
+	}
+	out, err := runCaptured(t, "-quick", "-seed", "1", "-fig", "storage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "storage.golden", out)
+}
+
+// golden compares out with testdata/name line by line, or rewrites the
+// file under -update.
+func golden(t *testing.T, name, out string) {
+	t.Helper()
+	file := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"confbench/internal/tee"
 	"confbench/internal/unixbench"
 	"confbench/internal/vm"
+	"confbench/internal/wal"
 )
 
 // MLResult is the Fig. 3 data: per-image inference-time distributions
@@ -225,8 +226,20 @@ type DBMSStorageOptions struct {
 	Size int
 	// Dir roots the durable run's log. Empty uses a throwaway temp dir;
 	// otherwise a fresh subdirectory is created under Dir and left in
-	// place for inspection (segments, compaction state).
+	// place for inspection (segments, compaction state). The suites run
+	// once per corpus and size, so the pairs of one cluster leave one
+	// log directory per size, not one per call.
 	Dir string
+}
+
+// storageKey names one run of the durability experiment in a corpus.
+type storageKey struct{ size int }
+
+// storageRun is one run of the experiment: the suite's usage on the
+// in-memory and on the durable backend, and the log's stats after it.
+type storageRun struct {
+	runs []faas.LaunchResult
+	log  wal.Stats
 }
 
 // DBMSStorage runs the speedtest suite twice — once on the in-memory
@@ -234,26 +247,57 @@ type DBMSStorageOptions struct {
 // prices both runs under the platform's secure and normal VM. The two
 // cells isolate what durability costs a confidential DBMS: write
 // amplification and per-commit fsyncs, which the TEE prices again as
-// guest exits.
+// guest exits. The two suites run once per corpus, however many
+// platforms price them.
 func DBMSStorage(ctx context.Context, pair vm.Pair, opts DBMSStorageOptions) (DBMSStorageResult, error) {
-	if err := ctx.Err(); err != nil {
-		return DBMSStorageResult{}, cberr.From(err, cberr.LayerBench)
-	}
 	if opts.Size <= 0 {
 		opts.Size = 100
 	}
+	run, err := vm.Shared(ctx, pair, storageKey{opts.Size}, func(ctx context.Context) (storageRun, error) {
+		return runStorage(ctx, opts)
+	})
+	if err != nil {
+		return DBMSStorageResult{}, err
+	}
+
+	secure, normal := priceRuns(ctx, pair, "storage", run.runs).Ms()
+	cell := func(i int, name string) DBMSStorageCell {
+		return DBMSStorageCell{
+			Backend:    name,
+			SecureMs:   secure[i],
+			NormalMs:   normal[i],
+			WriteBytes: run.runs[i].RunUsage[meter.IOWriteBytes],
+			Syscalls:   run.runs[i].RunUsage[meter.Syscalls],
+		}
+	}
+	out := DBMSStorageResult{
+		Kind:      pair.Secure.Platform(),
+		Size:      opts.Size,
+		Memory:    cell(0, "memory"),
+		Durable:   cell(1, "durable"),
+		Segments:  run.log.Segments,
+		LiveBytes: run.log.LiveBytes,
+	}
+	out.WriteAmplification = stats.Ratio(float64(out.Durable.WriteBytes), float64(out.Memory.WriteBytes))
+	out.DurableOverhead = stats.Ratio(out.Durable.SecureMs, out.Memory.SecureMs)
+	return out, nil
+}
+
+// runStorage runs the suite on the in-memory pager, then on a durable
+// backend logging to a fresh directory, looking at ctx after every test.
+func runStorage(ctx context.Context, opts DBMSStorageOptions) (storageRun, error) {
 	dir := opts.Dir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "confbench-storage-")
 		if err != nil {
-			return DBMSStorageResult{}, fmt.Errorf("bench storage: %w", err)
+			return storageRun{}, fmt.Errorf("bench storage: %w", err)
 		}
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
 	logDir, err := os.MkdirTemp(dir, "speedtest-")
 	if err != nil {
-		return DBMSStorageResult{}, fmt.Errorf("bench storage: %w", err)
+		return storageRun{}, fmt.Errorf("bench storage: %w", err)
 	}
 
 	runSuite := func(b minidb.Backend) (faas.LaunchResult, error) {
@@ -263,44 +307,23 @@ func DBMSStorage(ctx context.Context, pair vm.Pair, opts DBMSStorageOptions) (DB
 		_, err := st.RunWithProgress(m, func(minidb.TestResult) error { return ctx.Err() })
 		return faas.LaunchResult{RunUsage: m.Snapshot()}, cberr.From(err, cberr.LayerBench)
 	}
-	runs := make([]faas.LaunchResult, 2)
-	if runs[0], err = runSuite(nil); err != nil {
-		return DBMSStorageResult{}, fmt.Errorf("bench storage (memory): %w", err)
+	run := storageRun{runs: make([]faas.LaunchResult, 2)}
+	if run.runs[0], err = runSuite(nil); err != nil {
+		return storageRun{}, fmt.Errorf("bench storage (memory): %w", err)
 	}
 	durable, err := minidb.NewDurableBackend(logDir)
 	if err != nil {
-		return DBMSStorageResult{}, err
+		return storageRun{}, err
 	}
-	if runs[1], err = runSuite(durable); err != nil {
+	if run.runs[1], err = runSuite(durable); err != nil {
 		_ = durable.Close()
-		return DBMSStorageResult{}, fmt.Errorf("bench storage (durable): %w", err)
+		return storageRun{}, fmt.Errorf("bench storage (durable): %w", err)
 	}
-	logStats := durable.Stats()
+	run.log = durable.Stats()
 	if err := durable.Close(); err != nil {
-		return DBMSStorageResult{}, err
+		return storageRun{}, err
 	}
-
-	secure, normal := priceRuns(ctx, pair, "storage", runs).Ms()
-	cell := func(i int, name string) DBMSStorageCell {
-		return DBMSStorageCell{
-			Backend:    name,
-			SecureMs:   secure[i],
-			NormalMs:   normal[i],
-			WriteBytes: runs[i].RunUsage[meter.IOWriteBytes],
-			Syscalls:   runs[i].RunUsage[meter.Syscalls],
-		}
-	}
-	out := DBMSStorageResult{
-		Kind:      pair.Secure.Platform(),
-		Size:      opts.Size,
-		Memory:    cell(0, "memory"),
-		Durable:   cell(1, "durable"),
-		Segments:  logStats.Segments,
-		LiveBytes: logStats.LiveBytes,
-	}
-	out.WriteAmplification = stats.Ratio(float64(out.Durable.WriteBytes), float64(out.Memory.WriteBytes))
-	out.DurableOverhead = stats.Ratio(out.Durable.SecureMs, out.Memory.SecureMs)
-	return out, nil
+	return run, nil
 }
 
 // UnixBenchResult is the Fig. 4 data for one platform.

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -10,11 +11,14 @@ import (
 
 	"confbench/internal/cberr"
 	"confbench/internal/core"
+	"confbench/internal/faas"
 	"confbench/internal/faas/langs"
+	"confbench/internal/meter"
 	"confbench/internal/obs"
 	"confbench/internal/tee"
 	"confbench/internal/tee/tdx"
 	"confbench/internal/vm"
+	"confbench/internal/workloads"
 )
 
 // fig8Subset is the Fig. 8 row's workload list.
@@ -25,12 +29,13 @@ var corpusKinds = []tee.Kind{tee.KindTDX, tee.KindSEV, tee.KindCCA}
 
 // figureRows is what the figure rows measure on the three pairs pair
 // returns: the TDX, SEV and CCA grids and the Fig. 8 subset on CCA,
-// then ML, DBMS and UnixBench on every pair, at small sizes.
+// then ML, DBMS, UnixBench and storage on every pair, at small sizes.
 type figureRows struct {
 	FaaS      []FaaSResult
 	ML        []MLResult
 	DBMS      []DBMSResult
 	UnixBench []UnixBenchResult
+	Storage   []DBMSStorageResult
 }
 
 func runFigureRows(t *testing.T, workers int, pair func(tee.Kind) vm.Pair) figureRows {
@@ -65,7 +70,12 @@ func runFigureRows(t *testing.T, workers int, pair func(tee.Kind) vm.Pair) figur
 		if err != nil {
 			t.Fatal(err)
 		}
+		st, err := DBMSStorage(ctx, pair(kind), DBMSStorageOptions{Size: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
 		r.ML, r.DBMS, r.UnixBench = append(r.ML, ml), append(r.DBMS, db), append(r.UnixBench, ub)
+		r.Storage = append(r.Storage, st)
 	}
 	return r
 }
@@ -107,21 +117,90 @@ func TestClusterCorpusIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 30 x 7 cells, 3 images, one speedtest suite, one UnixBench suite.
-	if got, want := p.Corpus.Len(), 30*7+3+1+1; got != want {
+	// 30 raw runs (one per workload, for every language), 5 Wasm
+	// bytecode cells, 3 images, one speedtest suite, one UnixBench
+	// suite, one storage run.
+	if got, want := p.Corpus.Len(), 30+5+3+1+1+1; got != want {
 		t.Errorf("the cluster's corpus holds %d executions, want %d", got, want)
 	}
 }
 
+// executions counts, per cluster, the raw runs of each (workload,
+// scale) and the Wasm bytecode executions of each workload.
+type executions struct {
+	mu       sync.Mutex
+	raw      map[rawCell]int
+	bytecode map[string]int
+}
+
+type rawCell struct {
+	workload string
+	scale    int
+}
+
+// catalog wraps every default catalog entry so its runs count into e.
+func (e *executions) catalog(t *testing.T) *workloads.Registry {
+	t.Helper()
+	var ws []workloads.Workload
+	for _, name := range workloads.Default().Names() {
+		w, err := workloads.Default().Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := w.Run
+		w.Run = func(m *meter.Context, scale int) (string, error) {
+			e.mu.Lock()
+			e.raw[rawCell{name, scale}]++
+			e.mu.Unlock()
+			return run(m, scale)
+		}
+		ws = append(ws, w)
+	}
+	catalog, err := workloads.NewRegistry(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return catalog
+}
+
+// countingWasm counts the Wasm launches that reach it: the bytecode
+// workloads. The embedded launcher keeps its split, so the workloads
+// without bytecode still run as a shared raw run.
+type countingWasm struct {
+	*langs.WasmLauncher
+	e *executions
+}
+
+func (c countingWasm) Launch(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
+	c.e.mu.Lock()
+	c.e.bytecode[fn.Workload]++
+	c.e.mu.Unlock()
+	return c.WasmLauncher.Launch(ctx, fn, scale)
+}
+
+// pair launches a pair on backend, carrying corpus, whose launchers
+// count into e.
+func (e *executions) pair(t *testing.T, backend tee.Backend, corpus *vm.Corpus, catalog *workloads.Registry) vm.Pair {
+	return launchPair(t, backend, corpus, catalog, func(l faas.Launcher) faas.Launcher {
+		if w, ok := l.(*langs.WasmLauncher); ok {
+			return countingWasm{WasmLauncher: w, e: e}
+		}
+		return l
+	})
+}
+
 // TestClusterExecutesEachCellOnce: pairs on the three platforms of one
-// cluster, sharing its corpus, execute each (workload, language, scale)
-// cell once over the TDX, SEV and CCA grids and the Fig. 8 subset,
-// serially and four at a time, with all three grids measured at once;
-// a second cluster executes them again.
+// cluster, sharing its corpus, run each (workload, scale) once for all
+// seven languages, and each Wasm bytecode cell once, over the TDX, SEV
+// and CCA grids and the Fig. 8 subset, serially and four at a time,
+// with all three grids measured at once; the storage row on the three
+// pairs leaves one log directory. A second cluster runs everything
+// again.
 func TestClusterExecutesEachCellOnce(t *testing.T) {
 	ws := append([]string{"fib"}, fig8Subset...)
-	cells := int64(len(ws) * len(langs.Names()))
+	bytecode := map[string]int{"cpustress": 1, "fib": 1, "memstress": 1} // ws's workloads with a Wasm export, once each
 	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
 		for cluster := 1; cluster <= 2; cluster++ {
 			c, err := core.NewCluster(core.ClusterConfig{Seed: 5, GuestMemoryMB: 8, Obs: obs.New()})
 			if err != nil {
@@ -132,7 +211,8 @@ func TestClusterExecutesEachCellOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var calls atomic.Int64
+			e := &executions{raw: map[rawCell]int{}, bytecode: map[string]int{}}
+			catalog := e.catalog(t)
 			opts := FaaSOptions{Options: Options{Trials: 2, ScaleDivisor: 64, Workers: workers}, Workloads: ws}
 			var wg sync.WaitGroup
 			for _, kind := range corpusKinds {
@@ -140,11 +220,11 @@ func TestClusterExecutesEachCellOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pair := countedPair(t, b, clusterPair.Corpus, &calls)
+				pair := e.pair(t, b, clusterPair.Corpus, catalog)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := FaaS(context.Background(), pair, nil, opts); err != nil {
+					if _, err := FaaS(context.Background(), pair, catalog, opts); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -156,13 +236,34 @@ func TestClusterExecutesEachCellOnce(t *testing.T) {
 			}
 			fig8 := opts
 			fig8.Trials, fig8.Workloads = 4, fig8Subset
-			if _, err := FaaS(context.Background(), countedPair(t, ccaBackend, clusterPair.Corpus, &calls), nil, fig8); err != nil {
+			if _, err := FaaS(context.Background(), e.pair(t, ccaBackend, clusterPair.Corpus, catalog), catalog, fig8); err != nil {
 				t.Fatal(err)
 			}
-			// The second cluster's count is the first's: nothing
+			// The second cluster's counts are the first's: nothing
 			// carried over from one to the other.
-			if n := calls.Load(); n != cells {
-				t.Errorf("workers=%d, cluster %d: %d cells executed %d times, want once each", workers, cluster, cells, n)
+			if len(e.raw) != len(ws) {
+				t.Errorf("workers=%d, cluster %d: raw runs of %d (workload, scale)s, want %d", workers, cluster, len(e.raw), len(ws))
+			}
+			for cell, n := range e.raw {
+				if n != 1 {
+					t.Errorf("workers=%d, cluster %d: %v ran %d times for 7 languages on 3 platforms, want once", workers, cluster, cell, n)
+				}
+			}
+			if !reflect.DeepEqual(e.bytecode, bytecode) {
+				t.Errorf("workers=%d, cluster %d: wasm bytecode runs %v, want %v", workers, cluster, e.bytecode, bytecode)
+			}
+
+			for _, kind := range corpusKinds {
+				p, err := c.Pair(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := DBMSStorage(context.Background(), p, DBMSStorageOptions{Size: 5, Dir: dir}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if logs, _ := filepath.Glob(filepath.Join(dir, "speedtest-*")); len(logs) != cluster {
+				t.Errorf("workers=%d: after %d clusters' storage rows on 3 pairs, %d log directories, want %d", workers, cluster, len(logs), cluster)
 			}
 		}
 	}
@@ -190,6 +291,10 @@ func TestCorpusHitRefuses(t *testing.T) {
 			_, err := UnixBench(ctx, p, UnixBenchOptions{Scale: 0.05})
 			return err
 		},
+		"storage": func(ctx context.Context, p vm.Pair) error {
+			_, err := DBMSStorage(ctx, p, DBMSStorageOptions{Size: 5})
+			return err
+		},
 	}
 	warm := countedPair(t, b, corpus, &calls)
 	for name, row := range rows {
@@ -197,7 +302,7 @@ func TestCorpusHitRefuses(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if calls.Load() != 1 || corpus.Len() != 1+2+1+1 {
+	if calls.Load() != 1 || corpus.Len() != 1+2+1+1+1 {
 		t.Fatalf("warm-up: %d launches, %d stored executions", calls.Load(), corpus.Len())
 	}
 

@@ -20,7 +20,8 @@ import (
 )
 
 // countingLauncher counts the bodies it executes into a counter it may
-// share with other launchers.
+// share with other launchers. It hides the launcher's raw run, so every
+// cell it launches is a body of its own.
 type countingLauncher struct {
 	faas.Launcher
 	calls *atomic.Int64
@@ -35,18 +36,26 @@ func (c *countingLauncher) Launch(ctx context.Context, fn faas.Function, scale i
 // VMs carry every language's launcher, each counting its launches into
 // calls.
 func countedPair(t *testing.T, backend tee.Backend, corpus *vm.Corpus, calls *atomic.Int64) vm.Pair {
+	return launchPair(t, backend, corpus, nil, func(l faas.Launcher) faas.Launcher {
+		return &countingLauncher{Launcher: l, calls: calls}
+	})
+}
+
+// launchPair launches a pair on backend, carrying corpus, whose two VMs
+// carry every language's launcher on catalog (nil = the default), each
+// passed through wrap.
+func launchPair(t *testing.T, backend tee.Backend, corpus *vm.Corpus, catalog *workloads.Registry, wrap func(faas.Launcher) faas.Launcher) vm.Pair {
 	t.Helper()
 	machine := func(guest tee.Guest, err error) *vm.VM {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := langs.NewAllLaunchers(guest.Kind(), nil)
+		launchers, err := langs.NewAllLaunchers(guest.Kind(), catalog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		launchers := make(map[string]faas.Launcher, len(all))
-		for lang, l := range all {
-			launchers[lang] = &countingLauncher{Launcher: l, calls: calls}
+		for lang, l := range launchers {
+			launchers[lang] = wrap(l)
 		}
 		m, err := vm.New(vm.Config{Guest: guest, Host: backend.HostProfile(), Launchers: launchers})
 		if err != nil {

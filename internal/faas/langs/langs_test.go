@@ -379,3 +379,73 @@ func TestLaunchersArePureAcrossPlatforms(t *testing.T) {
 		}
 	}
 }
+
+// TestRawRunIsPureAcrossLanguages pins what lets one raw run serve all
+// seven runtimes: a runtime amplifies the usage of what the workload
+// computes and does not change it. On the TDX, SEV-SNP and CCA launcher
+// sets, every language's launch of every catalog workload, at the
+// -quick size, equals its own finish step applied to a raw run taken
+// from another language's launcher; and the split reports "not
+// amplified" exactly for the Wasm bytecode workloads.
+func TestRawRunIsPureAcrossLanguages(t *testing.T) {
+	catalog := workloads.Default()
+	names := catalog.Names()
+	languages := Names()
+	for _, kind := range []tee.Kind{tee.KindTDX, tee.KindSEV, tee.KindCCA} {
+		t.Run(string(kind), func(t *testing.T) {
+			t.Parallel()
+			set, err := NewAllLaunchers(kind, catalog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wasm := set[LangWasm].(*WasmLauncher)
+			amplifier := func(lang, workload string) (*RuntimeLauncher, bool) {
+				a, ok := set[lang].(Amplifying)
+				if !ok {
+					t.Fatalf("%s launcher %T does not split", lang, set[lang])
+				}
+				return a.Amplifier(workload)
+			}
+			notAmplified := 0
+			for _, name := range names {
+				w, err := catalog.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scale := max(w.DefaultScale/8, 1)
+				for i, lang := range languages {
+					amp, ok := amplifier(lang, name)
+					if bytecode := lang == LangWasm && wasm.HasBytecode(name); ok == bytecode {
+						t.Errorf("%s/%s: amplified %v, bytecode %v", name, lang, ok, bytecode)
+					}
+					if !ok {
+						notAmplified++
+						continue
+					}
+					// The raw run comes from the next language that
+					// amplifies this workload.
+					var donor *RuntimeLauncher
+					var donorLang string
+					for j := 1; donor == nil; j++ {
+						donorLang = languages[(i+j)%len(languages)]
+						donor, _ = amplifier(donorLang, name)
+					}
+					raw, err := donor.Run(context.Background(), faas.Function{Name: name, Language: donorLang, Workload: name}, scale)
+					if err != nil {
+						t.Fatalf("%s/%s raw run: %v", name, donorLang, err)
+					}
+					want, err := set[lang].Launch(context.Background(), faas.Function{Name: name, Language: lang, Workload: name}, scale)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, lang, err)
+					}
+					if got := amp.Finish(raw); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s finished from a %s raw run returned\n%+v\nlaunched\n%+v", name, lang, donorLang, got, want)
+					}
+				}
+			}
+			if notAmplified != 5 {
+				t.Errorf("%d cells not amplified, want the 5 Wasm bytecode workloads", notAmplified)
+			}
+		})
+	}
+}

@@ -39,35 +39,77 @@ func (l *RuntimeLauncher) Language() string { return l.profile.Name }
 // Version implements faas.Launcher.
 func (l *RuntimeLauncher) Version() string { return l.profile.Version(l.platform) }
 
-// Launch implements faas.Launcher.
+// Raw is one execution of a catalog workload on a fresh meter: its
+// output and its usage before any runtime's weights. A runtime does not
+// change what the workload computes, only what it costs, so one raw run
+// of a (workload, scale) serves every language's launcher.
+type Raw struct {
+	Output string
+	Usage  meter.Usage
+}
+
+// Amplifying is a launcher that runs a workload as a RuntimeLauncher's
+// raw run and finish step: every RuntimeLauncher, and the Wasm launcher
+// for the workloads without bytecode.
+type Amplifying interface {
+	// Amplifier returns the RuntimeLauncher whose Run and Finish make
+	// up the launcher's Launch of workload, or false when it runs
+	// workload some other way.
+	Amplifier(workload string) (*RuntimeLauncher, bool)
+}
+
+var _ Amplifying = (*RuntimeLauncher)(nil)
+
+// Amplifier implements Amplifying: a RuntimeLauncher amplifies every
+// workload itself.
+func (l *RuntimeLauncher) Amplifier(string) (*RuntimeLauncher, bool) { return l, true }
+
+// Launch implements faas.Launcher: Finish of one Run.
 func (l *RuntimeLauncher) Launch(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
-	if err := ctx.Err(); err != nil {
+	raw, err := l.Run(ctx, fn, scale)
+	if err != nil {
 		return faas.LaunchResult{}, err
 	}
+	return l.Finish(raw), nil
+}
+
+// Run is Launch's first step: it runs fn's catalog workload at scale (0
+// uses the workload's default) on a fresh meter. A canceled ctx aborts
+// it before, and is re-checked after, the workload body runs.
+func (l *RuntimeLauncher) Run(ctx context.Context, fn faas.Function, scale int) (Raw, error) {
+	if err := ctx.Err(); err != nil {
+		return Raw{}, err
+	}
 	if fn.Language != l.profile.Name {
-		return faas.LaunchResult{}, fmt.Errorf("langs: launcher %q got %q function",
+		return Raw{}, fmt.Errorf("langs: launcher %q got %q function",
 			l.profile.Name, fn.Language)
 	}
 	w, err := l.catalog.Lookup(fn.Workload)
 	if err != nil {
-		return faas.LaunchResult{}, err
+		return Raw{}, err
 	}
 	if scale <= 0 {
 		scale = w.DefaultScale
 	}
-	raw := meter.NewContext()
-	output, err := w.Run(raw, scale)
+	m := meter.NewContext()
+	output, err := w.Run(m, scale)
 	if err != nil {
-		return faas.LaunchResult{}, fmt.Errorf("langs: run %s/%s: %w", fn.Language, fn.Workload, err)
+		return Raw{}, fmt.Errorf("langs: run %s/%s: %w", fn.Language, fn.Workload, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return faas.LaunchResult{}, err
+		return Raw{}, err
 	}
+	return Raw{Output: output, Usage: m.Snapshot()}, nil
+}
+
+// Finish is Launch's second step: it applies the runtime's weights to
+// a raw run and adds the runtime's bootstrap.
+func (l *RuntimeLauncher) Finish(raw Raw) faas.LaunchResult {
 	return faas.LaunchResult{
-		Output:         output,
-		RunUsage:       Amplify(l.profile, raw.Snapshot()),
+		Output:         raw.Output,
+		RunUsage:       Amplify(l.profile, raw.Usage),
 		BootstrapUsage: BootstrapUsage(l.profile),
-	}, nil
+	}
 }
 
 // Amplify applies a runtime profile's weights to raw workload usage.

@@ -111,6 +111,17 @@ func (l *WasmLauncher) HasBytecode(workload string) bool {
 	return ok
 }
 
+var _ Amplifying = (*WasmLauncher)(nil)
+
+// Amplifier implements Amplifying: a workload without bytecode runs on
+// the fallback RuntimeLauncher.
+func (l *WasmLauncher) Amplifier(workload string) (*RuntimeLauncher, bool) {
+	if l.HasBytecode(workload) {
+		return nil, false
+	}
+	return l.fallback, true
+}
+
 // Launch implements faas.Launcher.
 func (l *WasmLauncher) Launch(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
 	if err := ctx.Err(); err != nil {

@@ -11,9 +11,10 @@ import (
 // every pair it hands out. A body's usage depends on what it runs and
 // with which arguments, not on the platform whose launcher runs it
 // (DESIGN.md §15), so what one pair executed another pair prices as
-// is: a FaaS cell, an ML image or a benchmark suite executes once per
-// cluster, however many rows and platforms price it. Only measurement
-// bodies reach it: InvokeFunction, the serving path, always executes.
+// is: a catalog workload's raw run (for every language), a FaaS cell,
+// an ML image or a benchmark suite executes once per cluster, however
+// many rows and platforms price it. Only measurement bodies reach it:
+// InvokeFunction, the serving path, always executes.
 // Safe for concurrent use; a nil corpus is valid and never hits.
 type Corpus struct {
 	mu      sync.Mutex

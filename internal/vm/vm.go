@@ -176,6 +176,17 @@ func (v *VM) Execute(ctx context.Context, fn faas.Function, scale int) (faas.Lau
 	return lr, nil
 }
 
+// amplifier returns the RuntimeLauncher whose raw run and finish step
+// make up v's launch of fn, or false when fn's launcher runs it some
+// other way.
+func (v *VM) amplifier(fn faas.Function) (*langs.RuntimeLauncher, bool) {
+	a, ok := v.launchers[fn.Language].(langs.Amplifying)
+	if !ok {
+		return nil, false
+	}
+	return a.Amplifier(fn.Workload)
+}
+
 // Price is the second half: it charges an execution on this VM's guest,
 // the run usage under key, what was measured, and the bootstrap usage
 // under a key of its own.
@@ -290,13 +301,37 @@ type cellKey struct {
 	scale              int
 }
 
+// rawKey names a raw run of a catalog workload in a corpus: a runtime
+// amplifies the usage of what the workload computes and does not change
+// it, so the workload and the scale fix the raw run for every language.
+type rawKey struct {
+	workload string
+	scale    int
+}
+
 // Execute runs fn's body once for the pair, or once for every pair
 // sharing its corpus. Both VMs carry the same launcher set (Fig. 2), so
 // the secure VM's stands for both; a stopped VM on either side refuses.
+// When that launcher amplifies a raw run of fn's workload, the raw run
+// is what executes, once for every language, and the launcher's finish
+// step weighs it for fn's language.
 func (p Pair) Execute(ctx context.Context, fn faas.Function, scale int) (faas.LaunchResult, error) {
-	return Shared(ctx, p, cellKey{fn.Language, fn.Workload, scale}, func(ctx context.Context) (faas.LaunchResult, error) {
-		return p.Secure.Execute(ctx, fn, scale)
+	amp, ok := p.Secure.amplifier(fn)
+	if !ok {
+		return Shared(ctx, p, cellKey{fn.Language, fn.Workload, scale}, func(ctx context.Context) (faas.LaunchResult, error) {
+			return p.Secure.Execute(ctx, fn, scale)
+		})
+	}
+	raw, err := Shared(ctx, p, rawKey{fn.Workload, scale}, func(ctx context.Context) (langs.Raw, error) {
+		execCtx, execSpan := obs.StartSpan(ctx, "vm", "exec", fn.Name)
+		raw, err := amp.Run(execCtx, fn, scale)
+		execSpan.End()
+		return raw, cberr.From(err, cberr.LayerVM)
 	})
+	if err != nil {
+		return faas.LaunchResult{}, err
+	}
+	return amp.Finish(raw), nil
 }
 
 // RunMetered is Execute for ConfBench's "classic workloads" (ML
