@@ -277,8 +277,13 @@ func runExecl(m *meter.Context, scale float64) float64 {
 	return float64(loops)
 }
 
+// filePage is the size of one page of fileCopy's in-memory file.
+const filePage = 1 << 20
+
 // fileCopy returns a test copying maxBlocks blocks of bufSize bytes
-// through an in-memory "file", metering real storage traffic. The
+// through an in-memory "file", metering real storage traffic. The file
+// is a list of filePage pages, so the heap is never asked for one run
+// of free pages as large as the file (32 MiB for fstime-4096). The
 // metric is KB copied.
 func fileCopy(bufSize, maxBlocks int) func(m *meter.Context, scale float64) float64 {
 	return func(m *meter.Context, scale float64) float64 {
@@ -287,15 +292,23 @@ func fileCopy(bufSize, maxBlocks int) func(m *meter.Context, scale float64) floa
 		for i := range src {
 			src[i] = byte(i * 31)
 		}
-		dst := make([]byte, 0, bufSize*blocks)
+		var file [][]byte
 		var copied int64
 		for b := 0; b < blocks; b++ {
-			dst = append(dst, src...)
+			if len(file) == 0 || len(file[len(file)-1])+bufSize > filePage {
+				file = append(file, make([]byte, 0, filePage))
+			}
+			last := len(file) - 1
+			file[last] = append(file[last], src...)
 			m.ReadIO(int64(bufSize))
 			m.WriteIO(int64(bufSize))
 			copied += int64(bufSize)
 		}
-		if len(dst) != bufSize*blocks {
+		size := 0
+		for _, page := range file {
+			size += len(page)
+		}
+		if size != bufSize*blocks {
 			return 0
 		}
 		m.Alloc(copied)

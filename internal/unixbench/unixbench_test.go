@@ -223,14 +223,17 @@ func TestWhetstoneMetersFP(t *testing.T) {
 	}
 }
 
+// The second case fills more than one page of the in-memory file.
 func TestFileCopyMetersIO(t *testing.T) {
-	m := meter.NewContext()
-	kb := fileCopy(1024, 100)(m, 1)
-	if kb != 100 {
-		t.Errorf("copied %v KB, want 100", kb)
-	}
-	if m.Get(meter.IOReadBytes) != 100*1024 || m.Get(meter.IOWriteBytes) != 100*1024 {
-		t.Error("file copy under-metered")
+	for _, tc := range []struct{ bufSize, blocks int }{{1024, 100}, {4096, 600}} {
+		m := meter.NewContext()
+		want := tc.bufSize * tc.blocks
+		if kb := fileCopy(tc.bufSize, tc.blocks)(m, 1); kb != float64(want)/1024 {
+			t.Errorf("fileCopy(%d, %d) copied %v KB, want %d", tc.bufSize, tc.blocks, kb, want/1024)
+		}
+		if m.Get(meter.IOReadBytes) != uint64(want) || m.Get(meter.IOWriteBytes) != uint64(want) {
+			t.Errorf("fileCopy(%d, %d) under-metered", tc.bufSize, tc.blocks)
+		}
 	}
 }
 
