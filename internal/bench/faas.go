@@ -54,8 +54,9 @@ func (r FaaSResult) MeanRatio() float64 {
 	return stats.Mean(all)
 }
 
-// CellsBelowOne counts the cells where the secure VM was faster — the
-// paper's counterintuitive cache-residency effect.
+// CellsBelowOne counts the cells where the secure VM was faster. No
+// cost model factor is below 1, so each is a jitter dip on a cell whose
+// noise-free ratio is near 1.
 func (r FaaSResult) CellsBelowOne() int {
 	var n int
 	for _, row := range r.Cells {

@@ -12,6 +12,7 @@ import (
 	"confbench/internal/attest/snp"
 	"confbench/internal/stats"
 	"confbench/internal/tee"
+	"confbench/internal/tee/cca"
 	"confbench/internal/tee/container"
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
@@ -294,6 +295,35 @@ func TestShapes(t *testing.T) {
 			if _, holds := other.holds(d); holds == (other.id == s.id) {
 				t.Errorf("report doctored against %s: %s holds = %v", s.id, other.id, holds)
 			}
+		}
+	}
+}
+
+// TestE1HoldsOnEverySeed judges E1 on seeds 1–60 at TestShapes' ML
+// sizes. Every seed launches its own TDX, SEV-SNP and CCA pairs, and
+// all of them share one corpus, so the ML bodies execute once and each
+// seed only prices them.
+func TestE1HoldsOnEverySeed(t *testing.T) {
+	var e1 shape
+	for _, s := range shapes {
+		if s.id == "E1" {
+			e1 = s
+		}
+	}
+	corpus := vm.NewCorpus()
+	for seed := int64(1); seed <= 60; seed++ {
+		r := &Report{}
+		for _, b := range []tee.Backend{
+			must(tdx.NewBackend(tdx.Options{Seed: seed})),
+			must(sev.NewBackend(sev.Options{Seed: seed})),
+			must(cca.NewBackend(cca.Options{Seed: seed})),
+		} {
+			pair := pairOn(t, b)
+			pair.Corpus = corpus
+			r.ML = append(r.ML, must(ML(context.Background(), pair, MLOptions{Images: 6, InputSize: 48})))
+		}
+		if measured, ok := e1.holds(r); !ok {
+			t.Errorf("seed %d: E1 does not hold: %s", seed, measured)
 		}
 	}
 }

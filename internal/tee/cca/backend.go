@@ -125,8 +125,6 @@ func (b *Backend) CostModel() tee.CostModel {
 		ExitsPerSwitch: 1.0,
 		PageAcceptNs:   1300,
 		StartupNs:      6.5e9,
-		CacheBonusProb: 0.02,
-		CacheBonusMag:  0.08,
 		JitterStd:      0.085,
 		// Realm-image reuse skips the measured data-granule build but
 		// still pays the simulator for delegation replay; everything is

@@ -117,9 +117,15 @@ func (b *Backend) composeModel(cm tee.CostModel) tee.CostModel {
 	return cm
 }
 
-// containerNormalModel prices a plain (non-confidential) container:
-// the container stack without the TEE charges.
-func (b *Backend) containerNormalModel() tee.CostModel {
+// CostModel prices a confidential container: the container stack on
+// top of the inner TEE's charges.
+func (b *Backend) CostModel() tee.CostModel {
+	return b.composeModel(b.inner.(costModeler).CostModel())
+}
+
+// NormalCostModel prices a plain (non-confidential) container: the
+// container stack without the TEE charges.
+func (b *Backend) NormalCostModel() tee.CostModel {
 	return b.composeModel(tee.NormalCostModel())
 }
 
@@ -133,12 +139,11 @@ func (b *Backend) Launch(cfg tee.GuestConfig) (tee.Guest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("container: launch pod VM: %w", err)
 	}
-	model := b.composeModel(b.inner.(costModeler).CostModel())
 	return tee.NewModelGuest(tee.ModelGuestConfig{
 		IDPrefix: "cc",
 		Kind:     b.Kind(),
 		Secure:   true,
-		Model:    model,
+		Model:    b.CostModel(),
 		BootBase: pod.BootCost(),
 		Stream:   tee.NoiseStream(int64(b.inner.(costModeler).NoiseStream(true)), "container", true),
 		Report:   pod.AttestationReport,
@@ -157,7 +162,7 @@ func (b *Backend) LaunchNormal(cfg tee.GuestConfig) (tee.Guest, error) {
 		IDPrefix: "ct",
 		Kind:     tee.KindNone,
 		Secure:   false,
-		Model:    b.containerNormalModel(),
+		Model:    b.NormalCostModel(),
 		BootBase: vm.BootCost(),
 		Stream:   tee.NoiseStream(int64(b.inner.(costModeler).NoiseStream(false)), "container", false),
 		Destroy:  vm.Destroy,

@@ -22,12 +22,6 @@ import (
 //   - context switches and process creation are amplified by the
 //     "frequent sleep and wake-up events" effect reported for
 //     UnixBench (CtxSwitchFactor, SpawnFactor).
-//
-// CacheBonusProb models the paper's counterintuitive finding that a
-// few workloads run *faster* in the secure VM thanks to higher cache
-// hit rates: with that probability a run's memory component receives a
-// CacheBonusMag discount that can push the total below the normal-VM
-// baseline.
 type CostModel struct {
 	CPUFactor     float64 // multiplier on CPU/FP op cost (≈1)
 	MemFactor     float64 // multiplier on bytes-touched cost
@@ -47,13 +41,9 @@ type CostModel struct {
 	ExitsPerSwitch float64 // world transitions per context switch —
 	// the "frequent sleep and wake-up events" effect the paper cites
 	// for UnixBench slowdowns
-	PageAcceptNs   float64 // extra cost per first-touch page fault
-	StartupNs      float64 // one-time guest boot overhead
-	CacheBonusProb float64 // share of workload signatures that enjoy a
-	// cache-residency bonus inside the secure guest
-	CacheBonusMag float64 // relative compute/memory discount on bonus
-	// signatures
-	JitterStd float64 // relative gaussian noise on the total
+	PageAcceptNs float64 // extra cost per first-touch page fault
+	StartupNs    float64 // one-time guest boot overhead
+	JitterStd    float64 // relative gaussian noise on the total
 
 	// Snapshot/restore pricing. Capturing a guest memory image pays a
 	// per-page export cost on top of the full measured build; restoring
@@ -65,17 +55,6 @@ type CostModel struct {
 	SnapshotPageNs float64 // per-page memory-image capture cost
 	RestoreBaseNs  float64 // fixed guest-context rebuild cost on restore
 	RestorePageNs  float64 // per-page unmeasured replay cost on restore
-
-	// salt individualizes the cache-bonus signature hash per noise
-	// stream; set by the guest at launch.
-	salt uint64
-}
-
-// WithSalt returns a copy of the model carrying the guest's signature
-// salt.
-func (cm CostModel) WithSalt(salt uint64) CostModel {
-	cm.salt = salt
-	return cm
 }
 
 // NormalCostModel returns the identity model used by non-confidential
@@ -136,38 +115,10 @@ func (cm CostModel) Apply(u meter.Usage, base cpumodel.Breakdown, rng *rand.Rand
 
 // price is the one pricing function behind Apply and ModelGuest.Price:
 // the noise-free charge of u, its total scaled by 1 + z·JitterStd.
-//
-// The cache-residency bonus models the paper's counterintuitive
-// finding that some workloads run consistently *faster* in the secure
-// VM (higher cache-line hit rates, cf. TDXdown-style cache behaviour
-// shifts): whether a workload benefits is a stable property of its
-// resource signature on a given guest, so the same (function,
-// language) cell dips below 1.0 on every trial rather than flickering.
 func (cm CostModel) price(u meter.Usage, base cpumodel.Breakdown, z float64) Charge {
 	var adj cpumodel.Breakdown
-
-	discount := 1.0
-	if cm.CacheBonusProb > 0 {
-		h := cm.signatureHash(u)
-		if float64(h%1000)/1000 < cm.CacheBonusProb {
-			// Bonus magnitude varies per signature in
-			// [CacheBonusMag/2, CacheBonusMag].
-			frac := 0.5 + float64(h>>10%512)/1024
-			discount = 1 - cm.CacheBonusMag*frac
-			if discount < 0 {
-				discount = 0
-			}
-		}
-	}
-
 	for c := meter.Counter(1); int(c) < len(base); c++ {
-		d := base[c]
-		f := cm.factor(c)
-		switch c {
-		case meter.BytesTouched, meter.BytesAllocated, meter.CPUOps, meter.FPOps:
-			f *= discount
-		}
-		nd := time.Duration(float64(d) * f)
+		nd := time.Duration(float64(base[c]) * cm.factor(c))
 		if nd > 0 {
 			adj[c] = nd
 		}
@@ -227,32 +178,6 @@ func (cm CostModel) RestoreCost(pages int) time.Duration {
 	return time.Duration(cm.RestoreBaseNs + cm.RestorePageNs*float64(pages))
 }
 
-// signatureHash derives a stable per-stream hash of the usage pattern
-// (FNV-1a over quantized counter magnitudes mixed with the stream's
-// salt). Quantizing to the leading bits keeps the signature stable
-// under small trial-to-trial count variations.
-func (cm CostModel) signatureHash(u meter.Usage) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ cm.salt
-	for c := meter.Counter(1); int(c) < len(u); c++ {
-		v := u[c]
-		// Quantize to order of magnitude + top 3 bits.
-		var q uint64
-		for v > 15 {
-			v >>= 1
-			q++
-		}
-		h ^= q<<8 | v
-		h *= prime
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
 // draw is the pricing noise, a standard-normal function of (stream, key):
 // two SplitMix64 finalisations give two uniforms, Box–Muller the draw.
 func draw(stream uint64, key Key) float64 {
@@ -288,7 +213,7 @@ func (k Key) Name(s string) Key {
 func (k Key) Num(n uint64) Key { return Key(mix64(uint64(k)^n) + 0x9E3779B97F4A7C15) }
 
 // NoiseStream names the noise of one side of a platform — a backend's
-// seed, its label, secure or normal — and salts its cache bonus.
+// seed, its label, secure or normal.
 func NoiseStream(seed int64, label string, secure bool) uint64 {
 	k := NewKey(label).Num(uint64(seed))
 	if secure {

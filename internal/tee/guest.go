@@ -70,7 +70,7 @@ type ModelGuestConfig struct {
 	// counted under confbench_tee_guest_restores_total instead of the
 	// launches counter.
 	Restored bool
-	// Stream is the guest's noise stream and cache-bonus salt.
+	// Stream is the guest's noise stream.
 	Stream  uint64
 	Report  ReportFunc
 	Destroy DestroyFunc
@@ -104,7 +104,7 @@ func NewModelGuest(cfg ModelGuestConfig) *ModelGuest {
 		id:          NextGuestID(cfg.IDPrefix),
 		kind:        cfg.Kind,
 		secure:      cfg.Secure,
-		model:       cfg.Model.WithSalt(cfg.Stream),
+		model:       cfg.Model,
 		boot:        boot,
 		transitions: r.Counter("confbench_tee_transitions_total", "tee", kind),
 		bounceBytes: r.Counter("confbench_tee_bounce_buffer_bytes_total", "tee", kind),

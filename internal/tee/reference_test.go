@@ -10,6 +10,7 @@ import (
 	"confbench/internal/meter"
 	"confbench/internal/tee"
 	"confbench/internal/tee/cca"
+	"confbench/internal/tee/container"
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
 )
@@ -74,49 +75,10 @@ func refFactor(cm tee.CostModel, c meter.Counter) float64 {
 	return f
 }
 
-func refSignatureHash(salt uint64, u refUsage) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ salt
-	for _, c := range meter.AllCounters() {
-		v := u[c]
-		var q uint64
-		for v > 15 {
-			v >>= 1
-			q++
-		}
-		h ^= q<<8 | v
-		h *= prime
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-func refApply(cm tee.CostModel, salt uint64, u refUsage, base refBreakdown, rng *rand.Rand) (refBreakdown, uint64, time.Duration) {
+func refApply(cm tee.CostModel, u refUsage, base refBreakdown, rng *rand.Rand) (refBreakdown, uint64, time.Duration) {
 	adj := make(refBreakdown, len(base)+2)
-
-	discount := 1.0
-	if cm.CacheBonusProb > 0 {
-		h := refSignatureHash(salt, u)
-		if float64(h%1000)/1000 < cm.CacheBonusProb {
-			frac := 0.5 + float64(h>>10%512)/1024
-			discount = 1 - cm.CacheBonusMag*frac
-			if discount < 0 {
-				discount = 0
-			}
-		}
-	}
-
 	for c, d := range base {
-		f := refFactor(cm, c)
-		switch c {
-		case meter.BytesTouched, meter.BytesAllocated, meter.CPUOps, meter.FPOps:
-			f *= discount
-		}
-		nd := time.Duration(float64(d) * f)
+		nd := time.Duration(float64(d) * refFactor(cm, c))
 		if nd > 0 {
 			adj[c] = nd
 		}
@@ -146,8 +108,8 @@ func refApply(cm tee.CostModel, salt uint64, u refUsage, base refBreakdown, rng 
 }
 
 // randomUsage draws a usage whose counters are each zero a third of
-// the time and otherwise span 0 to 2^40, so signatures, zero terms and
-// large products all occur.
+// the time and otherwise span 0 to 2^40, so zero terms and large
+// products all occur.
 func randomUsage(rng *rand.Rand) refUsage {
 	u := make(refUsage)
 	for _, c := range meter.AllCounters() {
@@ -159,12 +121,28 @@ func randomUsage(rng *rand.Rand) refUsage {
 	return u
 }
 
-// TestPricingMatchesMapReference prices 10 000 seeded random usages on
-// each backend's secure cost model (TDX on both firmwares) and on the
-// normal models, through the package's Cost/Apply and through the map
-// reference with the same noise seed, and wants every breakdown term,
-// Exits and Total equal.
-func TestPricingMatchesMapReference(t *testing.T) {
+// usage is r as the array the package prices.
+func (r refUsage) usage() meter.Usage {
+	var u meter.Usage
+	for c, v := range r {
+		u[c] = v
+	}
+	return u
+}
+
+// pricing is one platform's pricing: its host and the cost models of
+// its secure and its normal guest.
+type pricing struct {
+	name           string
+	host           cpumodel.Profile
+	secure, normal tee.CostModel
+}
+
+// pricings returns every backend's secure cost model — TDX on both
+// firmwares, and a confidential container on TDX — beside the model
+// of the normal guest it is compared with.
+func pricings(t *testing.T) []pricing {
+	t.Helper()
 	tb, err := tdx.NewBackend(tdx.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -181,49 +159,79 @@ func TestPricingMatchesMapReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cc, err := container.NewBackend(tb, container.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fvpNormal := tee.NormalCostModel()
 	fvpNormal.JitterStd = 0.045 // the CCA backend's normal VM inside the simulator
-	models := []struct {
-		name string
-		host cpumodel.Profile
-		cm   tee.CostModel
-	}{
-		{"tdx", tb.HostProfile(), tb.CostModel()},
-		{"tdx-buggy", buggy.HostProfile(), buggy.CostModel()},
-		{"tdx-normal", tb.HostProfile(), tee.NormalCostModel()},
-		{"sev", sb.HostProfile(), sb.CostModel()},
-		{"sev-normal", sb.HostProfile(), tee.NormalCostModel()},
-		{"cca", cb.HostProfile(), cb.CostModel()},
-		{"cca-normal", cb.HostProfile(), fvpNormal},
+	return []pricing{
+		{"tdx", tb.HostProfile(), tb.CostModel(), tee.NormalCostModel()},
+		{"tdx-buggy", buggy.HostProfile(), buggy.CostModel(), tee.NormalCostModel()},
+		{"sev", sb.HostProfile(), sb.CostModel(), tee.NormalCostModel()},
+		{"cca", cb.HostProfile(), cb.CostModel(), fvpNormal},
+		{"tdx-container", cc.HostProfile(), cc.CostModel(), cc.NormalCostModel()},
 	}
-	const usages = 10_000
-	for i, m := range models {
-		salt := uint64(i+1) * 0x9E3779B97F4A7C15
-		cm := m.cm.WithSalt(salt)
+}
+
+const usages = 10_000
+
+// TestPricingMatchesMapReference prices 10 000 seeded random usages on
+// every platform's secure and normal cost model, through the package's
+// Cost/Apply and through the map reference with the same noise seed,
+// and wants every breakdown term, Exits and Total equal.
+func TestPricingMatchesMapReference(t *testing.T) {
+	for i, p := range pricings(t) {
+		for side, cm := range []tee.CostModel{p.secure, p.normal} {
+			name := [...]string{p.name, p.name + "-normal"}[side]
+			draw := rand.New(rand.NewSource(int64(i)))
+			gotRNG, wantRNG := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+			for n := 0; n < usages; n++ {
+				ref := randomUsage(draw)
+				u := ref.usage()
+				wantBase := refCost(p.host, ref)
+				base := p.host.Cost(u)
+				for _, c := range meter.AllCounters() {
+					if base[c] != wantBase[c] {
+						t.Fatalf("%s usage %d: Cost[%s] = %d, reference %d", name, n, c, base[c], wantBase[c])
+					}
+				}
+				wantAdj, wantExits, wantTotal := refApply(cm, ref, wantBase, wantRNG)
+				got := cm.Apply(u, base, gotRNG)
+				for _, c := range meter.AllCounters() {
+					if got.Breakdown[c] != wantAdj[c] {
+						t.Fatalf("%s usage %d: Breakdown[%s] = %d, reference %d", name, n, c, got.Breakdown[c], wantAdj[c])
+					}
+				}
+				if got.Exits != wantExits || got.Total != wantTotal {
+					t.Fatalf("%s usage %d: exits %d total %d, reference %d %d", name, n, got.Exits, got.Total, wantExits, wantTotal)
+				}
+			}
+		}
+	}
+}
+
+// TestNoSecureDiscount prices 10 000 seeded random usages noise-free on
+// every platform's secure and normal model and wants the secure charge
+// at least the normal one in every breakdown term and in Total: without
+// jitter, no secure price falls below its normal VM's.
+func TestNoSecureDiscount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i, p := range pricings(t) {
+		secure, normal := p.secure, p.normal
+		secure.JitterStd, normal.JitterStd = 0, 0
 		draw := rand.New(rand.NewSource(int64(i)))
-		gotRNG, wantRNG := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 		for n := 0; n < usages; n++ {
-			ref := randomUsage(draw)
-			u := meter.Usage{}
-			for c, v := range ref {
-				u[c] = v
-			}
-			wantBase := refCost(m.host, ref)
-			base := m.host.Cost(u)
+			u := randomUsage(draw).usage()
+			base := p.host.Cost(u)
+			s, nc := secure.Apply(u, base, rng), normal.Apply(u, base, rng)
 			for _, c := range meter.AllCounters() {
-				if base[c] != wantBase[c] {
-					t.Fatalf("%s usage %d: Cost[%s] = %d, reference %d", m.name, n, c, base[c], wantBase[c])
+				if s.Breakdown[c] < nc.Breakdown[c] {
+					t.Fatalf("%s usage %d: secure %s %v < normal %v", p.name, n, c, s.Breakdown[c], nc.Breakdown[c])
 				}
 			}
-			wantAdj, wantExits, wantTotal := refApply(m.cm, salt, ref, wantBase, wantRNG)
-			got := cm.Apply(u, base, gotRNG)
-			for _, c := range meter.AllCounters() {
-				if got.Breakdown[c] != wantAdj[c] {
-					t.Fatalf("%s usage %d: Breakdown[%s] = %d, reference %d", m.name, n, c, got.Breakdown[c], wantAdj[c])
-				}
-			}
-			if got.Exits != wantExits || got.Total != wantTotal {
-				t.Fatalf("%s usage %d: exits %d total %d, reference %d %d", m.name, n, got.Exits, got.Total, wantExits, wantTotal)
+			if s.Total < nc.Total {
+				t.Fatalf("%s usage %d: secure total %v < normal %v", p.name, n, s.Total, nc.Total)
 			}
 		}
 	}

@@ -118,8 +118,6 @@ func (b *Backend) CostModel() tee.CostModel {
 		ExitsPerSwitch: 1.00,
 		PageAcceptNs:   600,
 		StartupNs:      700e6,
-		CacheBonusProb: 0.04,
-		CacheBonusMag:  0.15,
 		JitterStd:      0.022,
 		// Restores replay RMP page donation (RMPUPDATE+PVALIDATE per
 		// page) but install the saved launch digest in one firmware

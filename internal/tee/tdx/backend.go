@@ -94,8 +94,8 @@ func (b *Backend) Module() *Module { return b.module }
 // CostModel returns the confidential-guest cost model for the loaded
 // firmware. Calibration targets the paper's shapes: near-native CPU
 // and memory (slight edge over SEV-SNP), expensive I/O through swiotlb
-// bounce buffers, ~7 µs TDCALL/SEAMCALL round trips, and an occasional
-// cache-residency bonus that drops a run below the normal-VM baseline.
+// bounce buffers, and ~7 µs TDCALL/SEAMCALL round trips. Every factor
+// is at least 1, so no noise-free charge falls below the normal VM's.
 func (b *Backend) CostModel() tee.CostModel {
 	cm := tee.CostModel{
 		CPUFactor:      1.015,
@@ -114,8 +114,6 @@ func (b *Backend) CostModel() tee.CostModel {
 		ExitsPerSwitch: 0.45,
 		PageAcceptNs:   350,
 		StartupNs:      850e6,
-		CacheBonusProb: 0.05,
-		CacheBonusMag:  0.18,
 		JitterStd:      0.020,
 		// Restores rebuild the TD context and replay page ownership
 		// without re-measuring: a fixed SEAM-side import base plus a
@@ -145,7 +143,6 @@ func firmwarePenalty(cm tee.CostModel, f float64) tee.CostModel {
 	cm.CtxSwitchFac *= f
 	cm.SpawnFactor *= f
 	cm.ExitNs *= f
-	cm.CacheBonusProb = 0
 	return cm
 }
 
