@@ -124,15 +124,16 @@ benchmark-check:
 
 # What one guest body costs in wall time and allocations (DESIGN.md
 # §16): every catalog workload at the guest-mix scale, the two shared
-# fixtures, the meter, the Wasm call path, the speedtest suite and one
-# MobileNet classification; then what pricing and
+# fixtures, the meter, the Wasm call path, the speedtest suite, one
+# MobileNet classification at inputs 64 and 96 and the ns/MAC of each
+# kind of its layers; then what pricing and
 # returning its result cost: VM.Price of a fib launch, one cost-model
 # Apply, one invoke-response decode. A reading aid for body and
 # per-invoke optimisations, not a gate and not part of verify; the
 # gates are the allocation ceilings in the packages' own tests and
 # `guest-mix` and `relay-small` in the repo's benchmark.
 bench-guest:
-	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkMiniDBSpeedtest|BenchmarkMLInference' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
+	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkMiniDBSpeedtest|BenchmarkMLInference|BenchmarkLayer' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
 	$(GO) test -run xxx -bench 'BenchmarkPrice$$|BenchmarkCostApply$$|BenchmarkDecodeInvokeResponse$$' -benchmem ./internal/vm ./internal/tee ./internal/wire
 
 # Full pre-merge check: compile, gofmt, vet, unit tests, the benchmark

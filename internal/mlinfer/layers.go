@@ -70,43 +70,143 @@ func (c *Conv2D) Forward(m *meter.Context, in Tensor) (Tensor, error) {
 	}
 	oh, ow, oc := c.OutShape(in.H, in.W, in.C)
 	out := NewTensor(oh, ow, oc)
-	pad := c.kernel / 2
-	k, ic := c.kernel, c.inCh
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ky := 0; ky < k; ky++ {
-				iy := oy*c.stride + ky - pad
-				if iy < 0 || iy >= in.H {
-					continue
-				}
-				for kx := 0; kx < k; kx++ {
-					ix := ox*c.stride + kx - pad
-					if ix < 0 || ix >= in.W {
-						continue
-					}
-					inBase := (iy*in.W + ix) * ic
-					wBase := ((ky*k + kx) * ic) * oc
-					outBase := (oy*ow + ox) * oc
-					for ci := 0; ci < ic; ci++ {
-						v := in.Data[inBase+ci]
-						wRow := wBase + ci*oc
-						for co := 0; co < oc; co++ {
-							out.Data[outBase+co] += v * c.weights[wRow+co]
-						}
-					}
-				}
-			}
-			outBase := (oy*ow + ox) * oc
-			for co := 0; co < oc; co++ {
-				out.Data[outBase+co] += c.bias[co]
-			}
-		}
+	if c.kernel == 1 && c.stride == 1 {
+		c.pointwise(out, in)
+	} else {
+		c.general(out, in)
 	}
 	macs := c.MACs(in.H, in.W, in.C)
 	m.FP(macs * 2)
 	m.Touch(macs * 4)
 	m.Alloc(out.Bytes())
 	return out, nil
+}
+
+// The convolution kernels compute each output element as the scalar
+// six-deep loop they replaced did, so its float32 bits do not change:
+// the sum starts from zero, takes its terms over ky, then kx, then ci,
+// each as `acc += v * w`, skips the taps that fall in the padding, and
+// adds the bias last. Only the order in which elements are computed,
+// and where their running sums live, differ. DESIGN.md §16 has the
+// costs.
+
+// pointwise is the 1×1 stride-1 convolution: in as an [H·W][ic] matrix
+// times the [ic][oc] weights. It is blocked two pixels × four output
+// channels with the eight running sums in locals, so each weight load
+// serves two pixels and each input load four channels.
+func (c *Conv2D) pointwise(out, in Tensor) {
+	ic, oc, w := c.inCh, c.outCh, c.weights
+	px := in.H * in.W
+	p := 0
+	for ; p+2 <= px; p += 2 {
+		in0 := in.Data[p*ic : (p+1)*ic : (p+1)*ic]
+		in1 := in.Data[(p+1)*ic : (p+2)*ic : (p+2)*ic][:len(in0)]
+		out0 := out.Data[p*oc : (p+1)*oc : (p+1)*oc]
+		out1 := out.Data[(p+1)*oc : (p+2)*oc : (p+2)*oc]
+		co := 0
+		for ; co+4 <= oc; co += 4 {
+			var a0, a1, a2, a3, b0, b1, b2, b3 float32
+			wb := co
+			for ci, u := range in0 {
+				v := in1[ci]
+				wr := w[wb : wb+4 : wb+4]
+				a0 += u * wr[0]
+				a1 += u * wr[1]
+				a2 += u * wr[2]
+				a3 += u * wr[3]
+				b0 += v * wr[0]
+				b1 += v * wr[1]
+				b2 += v * wr[2]
+				b3 += v * wr[3]
+				wb += oc
+			}
+			setBiased(out0[co:], c.bias[co:], a0, a1, a2, a3)
+			setBiased(out1[co:], c.bias[co:], b0, b1, b2, b3)
+		}
+		for ; co < oc; co++ {
+			out0[co] = dot1(0, in0, w, co, oc) + c.bias[co]
+			out1[co] = dot1(0, in1, w, co, oc) + c.bias[co]
+		}
+	}
+	if p < px { // the last pixel of an odd count
+		in0, out0 := in.Data[p*ic:][:ic], out.Data[p*oc:][:oc]
+		co := 0
+		for ; co+4 <= oc; co += 4 {
+			a0, a1, a2, a3 := dot4(0, 0, 0, 0, in0, w, co, oc)
+			setBiased(out0[co:], c.bias[co:], a0, a1, a2, a3)
+		}
+		for ; co < oc; co++ {
+			out0[co] = dot1(0, in0, w, co, oc) + c.bias[co]
+		}
+	}
+}
+
+// general is the k×k or strided convolution. Each output pixel clips
+// the kernel to the rows and columns of taps inside the image, so no
+// tap is tested against the padding. The taps of one kernel row are
+// adjacent in the input and in the weights alike, so each kernel row is
+// one dot4 over (kx, ci) in order, four output channels at a time.
+func (c *Conv2D) general(out, in Tensor) {
+	pad := c.kernel / 2
+	k, s, ic, oc, w := c.kernel, c.stride, c.inCh, c.outCh, c.weights
+	for oy := 0; oy < out.H; oy++ {
+		y0 := oy*s - pad
+		kyLo, kyHi := max(0, -y0), min(k, in.H-y0)
+		for ox := 0; ox < out.W; ox++ {
+			x0 := ox*s - pad
+			kxLo, kxHi := max(0, -x0), min(k, in.W-x0)
+			span := (kxHi - kxLo) * ic
+			outRow := out.Data[(oy*out.W+ox)*oc:][:oc]
+			co := 0
+			for ; co+4 <= oc; co += 4 {
+				var a0, a1, a2, a3 float32
+				for ky := kyLo; ky < kyHi; ky++ {
+					ib := ((y0+ky)*in.W + x0 + kxLo) * ic
+					a0, a1, a2, a3 = dot4(a0, a1, a2, a3, in.Data[ib:ib+span:ib+span], w, (ky*k+kxLo)*ic*oc+co, oc)
+				}
+				setBiased(outRow[co:], c.bias[co:], a0, a1, a2, a3)
+			}
+			for ; co < oc; co++ {
+				var a float32
+				for ky := kyLo; ky < kyHi; ky++ {
+					ib := ((y0+ky)*in.W + x0 + kxLo) * ic
+					a = dot1(a, in.Data[ib:ib+span:ib+span], w, (ky*k+kxLo)*ic*oc+co, oc)
+				}
+				outRow[co] = a + c.bias[co]
+			}
+		}
+	}
+}
+
+// dot4 continues four running sums of x times a [len(x)][oc] weight
+// matrix whose row i starts at w[wb+i*oc]: in order of i,
+// a_j += x[i] * w[wb+i*oc+j].
+func dot4(a0, a1, a2, a3 float32, x, w []float32, wb, oc int) (float32, float32, float32, float32) {
+	for _, v := range x {
+		wr := w[wb : wb+4 : wb+4]
+		a0 += v * wr[0]
+		a1 += v * wr[1]
+		a2 += v * wr[2]
+		a3 += v * wr[3]
+		wb += oc
+	}
+	return a0, a1, a2, a3
+}
+
+// dot1 is dot4 for one output channel.
+func dot1(a float32, x, w []float32, wb, oc int) float32 {
+	for _, v := range x {
+		a += v * w[wb]
+		wb += oc
+	}
+	return a
+}
+
+// setBiased stores four finished sums plus their biases, the last term
+// of each, in o[0:4].
+func setBiased(o, bias []float32, a0, a1, a2, a3 float32) {
+	o, bias = o[:4:4], bias[:4:4]
+	o[0], o[1], o[2], o[3] = a0+bias[0], a1+bias[1], a2+bias[2], a3+bias[3]
 }
 
 // DepthwiseConv2D applies one k×k filter per channel (MobileNet's
@@ -158,30 +258,47 @@ func (d *DepthwiseConv2D) Forward(m *meter.Context, in Tensor) (Tensor, error) {
 	}
 	oh, ow, oc := d.OutShape(in.H, in.W, in.C)
 	out := NewTensor(oh, ow, oc)
+	// As in Conv2D.general: the kernel is clipped to the taps inside the
+	// image, and four channels' running sums are held in locals.
 	pad := d.kernel / 2
-	k := d.kernel
+	k, st, w := d.kernel, d.stride, d.weights
 	for oy := 0; oy < oh; oy++ {
+		y0 := oy*st - pad
+		kyLo, kyHi := max(0, -y0), min(k, in.H-y0)
 		for ox := 0; ox < ow; ox++ {
-			outBase := (oy*ow + ox) * oc
-			for ky := 0; ky < k; ky++ {
-				iy := oy*d.stride + ky - pad
-				if iy < 0 || iy >= in.H {
-					continue
-				}
-				for kx := 0; kx < k; kx++ {
-					ix := ox*d.stride + kx - pad
-					if ix < 0 || ix >= in.W {
-						continue
+			x0 := ox*st - pad
+			kxLo, kxHi := max(0, -x0), min(k, in.W-x0)
+			outRow := out.Data[(oy*ow+ox)*oc:][:oc]
+			ch := 0
+			for ; ch+4 <= oc; ch += 4 {
+				var a0, a1, a2, a3 float32
+				for ky := kyLo; ky < kyHi; ky++ {
+					ib := ((y0+ky)*in.W+x0+kxLo)*oc + ch
+					wb := (ky*k+kxLo)*oc + ch
+					for kx := kxLo; kx < kxHi; kx++ {
+						ir, wr := in.Data[ib:ib+4:ib+4], w[wb:wb+4:wb+4]
+						a0 += ir[0] * wr[0]
+						a1 += ir[1] * wr[1]
+						a2 += ir[2] * wr[2]
+						a3 += ir[3] * wr[3]
+						ib += oc
+						wb += oc
 					}
-					inBase := (iy*in.W + ix) * oc
-					wBase := (ky*k + kx) * oc
-					for ch := 0; ch < oc; ch++ {
-						out.Data[outBase+ch] += in.Data[inBase+ch] * d.weights[wBase+ch]
-					}
 				}
+				setBiased(outRow[ch:], d.bias[ch:], a0, a1, a2, a3)
 			}
-			for ch := 0; ch < oc; ch++ {
-				out.Data[outBase+ch] += d.bias[ch]
+			for ; ch < oc; ch++ {
+				var a float32
+				for ky := kyLo; ky < kyHi; ky++ {
+					ib := ((y0+ky)*in.W+x0+kxLo)*oc + ch
+					wb := (ky*k+kxLo)*oc + ch
+					for kx := kxLo; kx < kxHi; kx++ {
+						a += in.Data[ib] * w[wb]
+						ib += oc
+						wb += oc
+					}
+				}
+				outRow[ch] = a + d.bias[ch]
 			}
 		}
 	}
@@ -212,15 +329,28 @@ func (r *ReLU6) MACs(h, w, c int) int64 { return int64(h) * int64(w) * int64(c) 
 // Forward implements Layer.
 func (r *ReLU6) Forward(m *meter.Context, in Tensor) (Tensor, error) {
 	for i, v := range in.Data {
-		if v < 0 {
-			in.Data[i] = 0
-		} else if v > 6 {
-			in.Data[i] = 6
-		}
+		in.Data[i] = relu6(v)
 	}
 	m.FP(int64(in.Len()))
 	m.Touch(int64(in.Len()) * 4)
 	return in, nil
+}
+
+// relu6 is `if v < 0 { v = 0 } else if v > 6 { v = 6 }` computed on
+// the IEEE-754 bits, which the compiler turns into conditional moves:
+// activations change sign at random, so the float branches mispredict
+// about every other element. -0 and NaN of either sign pass through
+// unchanged, as they do the comparisons.
+func relu6(v float32) float32 {
+	const six = 0x40C00000 // math.Float32bits(6)
+	b := math.Float32bits(v)
+	if b-0x80000001 < 0x7F800000 { // b in (-0, -Inf]: below zero
+		b = 0
+	}
+	if b-(six+1) < 0x7F800000-six { // b in (6, +Inf]: above six
+		b = six
+	}
+	return math.Float32frombits(b)
 }
 
 // GlobalAvgPool reduces H×W×C to 1×1×C.
@@ -300,15 +430,17 @@ func (d *Dense) Forward(m *meter.Context, in Tensor) (Tensor, error) {
 		return Tensor{}, fmt.Errorf("mlinfer: %s: input size %d, want %d", d.name, in.Len(), d.in)
 	}
 	out := NewTensor(1, 1, d.out)
-	for i := 0; i < d.in; i++ {
-		v := in.Data[i]
-		row := i * d.out
-		for j := 0; j < d.out; j++ {
-			out.Data[j] += v * d.weights[row+j]
+	// Row by row, as the weights lie: one input's products go into every
+	// output's running sum before the next input's.
+	o := out.Data
+	for i, v := range in.Data {
+		row := d.weights[i*d.out:][:len(o)]
+		for j, w := range row {
+			o[j] += v * w
 		}
 	}
-	for j := 0; j < d.out; j++ {
-		out.Data[j] += d.bias[j]
+	for j, b := range d.bias[:len(o)] {
+		o[j] += b
 	}
 	macs := d.MACs(0, 0, 0)
 	m.FP(macs * 2)

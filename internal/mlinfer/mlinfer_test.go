@@ -2,8 +2,12 @@ package mlinfer
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 
 	"confbench/internal/meter"
@@ -220,6 +224,48 @@ func TestClassifyTopKOrdered(t *testing.T) {
 	}
 }
 
+// fixedLayer outputs the same 1×1×C vector whatever it is given.
+type fixedLayer struct{ out []float32 }
+
+func (f fixedLayer) Name() string                         { return "fixed" }
+func (f fixedLayer) MACs(_, _, _ int) int64               { return 0 }
+func (f fixedLayer) OutShape(_, _, _ int) (int, int, int) { return 1, 1, len(f.out) }
+func (f fixedLayer) Forward(_ *meter.Context, _ Tensor) (Tensor, error) {
+	t := NewTensor(1, 1, len(f.out))
+	copy(t.Data, f.out)
+	return t, nil
+}
+
+// TestClassifyBreaksTiesByIndex: classes of equal probability rank the
+// lower index first, whatever the other scores are, so a tie never goes
+// to whichever order a sort happens to leave.
+func TestClassifyBreaksTiesByIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 100; n++ {
+		out := make([]float32, 1000)
+		for i := range out {
+			out[i] = float32(r.Intn(50)) / 100
+		}
+		a, b := r.Intn(1000), r.Intn(1000)
+		out[a], out[b] = 0.9, 0.9 // two tied maxima
+		model := &Model{Name: "fixed", InputH: 1, InputW: 1, InputC: 1, Layers: []Layer{fixedLayer{out}}}
+		preds, err := model.Classify(meter.NewContext(), NewTensor(1, 1, 1), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, len(out))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return out[want[i]] > out[want[j]] })
+		for i, p := range preds {
+			if p.Index != want[i] || p.Confidence != out[want[i]] || p.Label != fmt.Sprintf("class-%d", want[i]) {
+				t.Fatalf("case %d: rank %d is class %d (%v), want %d (%v)", n, i, p.Index, p.Confidence, want[i], out[want[i]])
+			}
+		}
+	}
+}
+
 func TestDifferentImagesClassifyIndependently(t *testing.T) {
 	// At least the confidences should differ across distinct images.
 	model := smallModel(t)
@@ -291,23 +337,88 @@ func TestTotalMACsPositiveAndScalesWithInput(t *testing.T) {
 	}
 }
 
-// BenchmarkMLInference measures one MobileNet-style classification.
+// BenchmarkMLInference measures one MobileNet-style classification,
+// decode included, at each input size: 96 is what the figures run.
 func BenchmarkMLInference(b *testing.B) {
-	model, err := NewMobileNet(MobileNetConfig{InputSize: 64})
+	for _, size := range []int{64, 96} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			model, err := NewMobileNet(MobileNetConfig{InputSize: size})
+			if err != nil {
+				b.Fatal(err)
+			}
+			raw := GenerateImage(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := meter.NewContext()
+				img, err := DecodeAndResize(m, raw, size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := model.Classify(m, img, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLayer times each kind of arithmetic layer of the 96×96
+// model over the inputs it sees classifying image 0, and reports the
+// cost per multiply-accumulate: stem is the 3×3 stride-2 Conv2D, dw the
+// 13 depthwise convolutions, pw the 13 pointwise ones, dense the
+// classifier.
+func BenchmarkLayer(b *testing.B) {
+	const size = 96
+	model, err := NewMobileNet(MobileNetConfig{InputSize: size})
 	if err != nil {
 		b.Fatal(err)
 	}
-	raw := GenerateImage(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := meter.NewContext()
-		img, err := DecodeAndResize(m, raw, 64)
-		if err != nil {
+	t, err := DecodeAndResize(meter.NewContext(), GenerateImage(0), size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type call struct {
+		layer Layer
+		in    Tensor
+	}
+	kinds := map[string][]call{}
+	for _, l := range model.Layers {
+		kind := ""
+		switch l := l.(type) {
+		case *Conv2D:
+			kind = "pw"
+			if l.kernel != 1 {
+				kind = "stem"
+			}
+		case *DepthwiseConv2D:
+			kind = "dw"
+		case *Dense:
+			kind = "dense"
+		}
+		if kind != "" {
+			kinds[kind] = append(kinds[kind], call{l, t})
+		}
+		if t, err = l.Forward(meter.NewContext(), t); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := model.Classify(m, img, 1); err != nil {
-			b.Fatal(err)
-		}
+	}
+	for _, kind := range []string{"stem", "dw", "pw", "dense"} {
+		b.Run(kind, func(b *testing.B) {
+			var macs int64
+			for _, c := range kinds[kind] {
+				macs += c.layer.MACs(c.in.H, c.in.W, c.in.C)
+			}
+			m := meter.NewContext()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range kinds[kind] {
+					if _, err := c.layer.Forward(m, c.in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
+		})
 	}
 }
 

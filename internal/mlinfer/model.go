@@ -2,7 +2,6 @@ package mlinfer
 
 import (
 	"fmt"
-	"sort"
 
 	"confbench/internal/meter"
 )
@@ -52,31 +51,39 @@ type Prediction struct {
 	Confidence float32 `json:"confidence"`
 }
 
-// Classify runs the model on an image and returns the top-k classes.
+// Classify runs the model on an image and returns the top-k classes,
+// most probable first; equal probabilities rank the lower index first.
 func (mo *Model) Classify(m *meter.Context, img Tensor, k int) ([]Prediction, error) {
 	probs, err := mo.Forward(m, img)
 	if err != nil {
 		return nil, err
 	}
-	type scored struct {
-		idx int
-		p   float32
+	if k > probs.Len() {
+		k = probs.Len()
 	}
-	all := make([]scored, probs.Len())
+	// One pass keeps the best k seen so far in rank order: a class goes
+	// in below every kept one at least as probable, which has a lower
+	// index.
+	out := make([]Prediction, 0, k)
 	for i, p := range probs.Data {
-		all[i] = scored{idx: i, p: p}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].p > all[j].p })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]Prediction, k)
-	for i := 0; i < k; i++ {
-		label := fmt.Sprintf("class-%d", all[i].idx)
-		if all[i].idx < len(mo.Labels) {
-			label = mo.Labels[all[i].idx]
+		j := len(out)
+		for j > 0 && p > out[j-1].Confidence {
+			j--
 		}
-		out[i] = Prediction{Label: label, Index: all[i].idx, Confidence: all[i].p}
+		if j == k {
+			continue
+		}
+		if len(out) < k {
+			out = append(out, Prediction{})
+		}
+		copy(out[j+1:], out[j:len(out)-1])
+		out[j] = Prediction{Index: i, Confidence: p}
+	}
+	for i := range out {
+		out[i].Label = fmt.Sprintf("class-%d", out[i].Index)
+		if out[i].Index < len(mo.Labels) {
+			out[i].Label = mo.Labels[out[i].Index]
+		}
 	}
 	return out, nil
 }
@@ -185,11 +192,13 @@ func GenerateImage(idx int) []byte {
 	// the 40 images "diversified" while deterministic.
 	phase := byte(r.next())
 	for y := 0; y < side; y++ {
+		row := img[y*side*3 : (y+1)*side*3 : (y+1)*side*3]
+		g := byte(y*255/side) ^ phase
 		for x := 0; x < side; x++ {
-			base := (y*side + x) * 3
-			img[base] = byte(x*255/side) + phase
-			img[base+1] = byte(y*255/side) ^ phase
-			img[base+2] = byte((x*y)>>6) + byte(r.next()&0x0f)
+			px := row[x*3 : x*3+3 : x*3+3]
+			px[0] = byte(x*255/side) + phase
+			px[1] = g
+			px[2] = byte((x*y)>>6) + byte(r.next()&0x0f)
 		}
 	}
 	return img
@@ -214,6 +223,9 @@ func DecodeAndResize(m *meter.Context, raw []byte, size int) (Tensor, error) {
 		if y1 >= side {
 			y1 = side - 1
 		}
+		row0 := raw[y0*side*3 : (y0+1)*side*3 : (y0+1)*side*3]
+		row1 := raw[y1*side*3 : (y1+1)*side*3 : (y1+1)*side*3]
+		outRow := out.Data[y*size*3 : (y+1)*size*3 : (y+1)*size*3]
 		for x := 0; x < size; x++ {
 			sx := float32(x) * fscale
 			x0 := int(sx)
@@ -222,14 +234,19 @@ func DecodeAndResize(m *meter.Context, raw []byte, size int) (Tensor, error) {
 			if x1 >= side {
 				x1 = side - 1
 			}
-			for c := 0; c < 3; c++ {
-				v00 := float32(raw[(y0*side+x0)*3+c])
-				v01 := float32(raw[(y0*side+x1)*3+c])
-				v10 := float32(raw[(y1*side+x0)*3+c])
-				v11 := float32(raw[(y1*side+x1)*3+c])
+			p00 := row0[x0*3 : x0*3+3 : x0*3+3]
+			p01 := row0[x1*3 : x1*3+3 : x1*3+3]
+			p10 := row1[x0*3 : x0*3+3 : x0*3+3]
+			p11 := row1[x1*3 : x1*3+3 : x1*3+3]
+			px := outRow[x*3 : x*3+3 : x*3+3]
+			for c := range px {
+				v00 := float32(p00[c])
+				v01 := float32(p01[c])
+				v10 := float32(p10[c])
+				v11 := float32(p11[c])
 				top := v00 + (v01-v00)*fx
 				bot := v10 + (v11-v10)*fx
-				out.Set(y, x, c, (top+(bot-top)*fy)/127.5-1)
+				px[c] = (top+(bot-top)*fy)/127.5 - 1
 			}
 		}
 	}

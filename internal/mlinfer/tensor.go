@@ -66,7 +66,7 @@ func (r *rng) next() uint64 {
 	return v * 0x2545F4914F6CDD1D
 }
 
-// float31 returns a float in [-0.5, 0.5).
+// float returns a float in [-0.5, 0.5).
 func (r *rng) float() float32 {
 	return float32(r.next()>>11)/float32(1<<53) - 0.5
 }
