@@ -133,7 +133,7 @@ benchmark-check:
 # gates are the allocation ceilings in the packages' own tests and
 # `guest-mix` and `relay-small` in the repo's benchmark.
 bench-guest:
-	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkMiniDBSpeedtest|BenchmarkMLInference|BenchmarkLayer' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
+	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkWasmExports|BenchmarkMiniDBSpeedtest|BenchmarkMLInference|BenchmarkLayer' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
 	$(GO) test -run xxx -bench 'BenchmarkPrice$$|BenchmarkCostApply$$|BenchmarkDecodeInvokeResponse$$' -benchmem ./internal/vm ./internal/tee ./internal/wire
 
 # Full pre-merge check: compile, gofmt, vet, unit tests, the benchmark

@@ -35,6 +35,11 @@ type Instance struct {
 	// ErrFuelExhausted when it hits zero.
 	Fuel  uint64
 	stats ExecStats
+	// dispatch holds each function's dispatch table (fuse.go);
+	// unfused the fused entries this invoke swapped for their plain
+	// form, which Invoke puts back.
+	dispatch [][]xinstr
+	unfused  []unfused
 	// frames holds the locals of every active call, innermost last:
 	// call pushes a function's Params+Locals slots and pops them on
 	// return, so a call costs no heap allocation. Empty between
@@ -48,11 +53,12 @@ func NewInstance(m *Module) (*Instance, error) {
 		return nil, err
 	}
 	return &Instance{
-		module:  m,
-		globals: append([]int64(nil), m.Globals...),
-		memory:  make([]byte, m.MemPages*PageSize),
-		Fuel:    DefaultFuel,
-		frames:  make([]int64, 0, 256),
+		module:   m,
+		globals:  append([]int64(nil), m.Globals...),
+		memory:   make([]byte, m.MemPages*PageSize),
+		Fuel:     DefaultFuel,
+		frames:   make([]int64, 0, 256),
+		dispatch: buildDispatch(m),
 	}, nil
 }
 
@@ -67,7 +73,7 @@ func (in *Instance) MemoryLen() int { return len(in.memory) }
 
 // ReadMemory copies n bytes at off out of linear memory.
 func (in *Instance) ReadMemory(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(in.memory) {
+	if off < 0 || n < 0 || off > len(in.memory)-n {
 		return nil, ErrOOB
 	}
 	out := make([]byte, n)
@@ -88,7 +94,15 @@ func (in *Instance) Invoke(name string, args ...int64) ([]int64, error) {
 	}
 	stack := make([]int64, 0, 64)
 	stack = append(stack, args...)
+	fuel := in.Fuel
 	stack, err = in.call(idx, stack, 0)
+	// Each retired instruction burns one unit of fuel (a trap refunds
+	// what it did not retire), so call keeps only the one count.
+	in.stats.Instructions += fuel - in.Fuel
+	for _, u := range in.unfused {
+		*u.x = u.was
+	}
+	in.unfused = in.unfused[:0]
 	// A trap unwinds through call without popping; drop what it left.
 	in.frames = in.frames[:0]
 	if err != nil {
@@ -131,43 +145,49 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 	clear(locals[f.Params:])
 	stack = stack[:base]
 
-	code := f.Code
+	code := in.dispatch[fi]
 	pc := 0
 	for pc < len(code) {
-		if in.Fuel == 0 {
-			return nil, ErrFuelExhausted
+		ins := &code[pc]
+		if in.Fuel < uint64(ins.n) {
+			if in.Fuel == 0 {
+				return nil, ErrFuelExhausted
+			}
+			// Too little fuel for the fused run: make the entry plain
+			// for the rest of the invoke and retry it, so the invoke
+			// stops on the instruction it would have stopped on.
+			in.unfused = append(in.unfused, unfused{ins, *ins})
+			ins.op, ins.n, ins.h = ins.plain, 1, 0
+			continue
 		}
-		in.Fuel--
-		in.stats.Instructions++
-		if len(stack) > in.stats.MaxStack {
-			in.stats.MaxStack = len(stack)
+		in.Fuel -= uint64(ins.n)
+		if h := len(stack) + int(ins.h); h > in.stats.MaxStack {
+			in.stats.MaxStack = h
 		}
-
-		ins := code[pc]
-		switch ins.Op {
+		switch ins.op {
 		case OpUnreachable:
 			return nil, ErrUnreachable
 		case OpNop, OpBlock, OpLoop, OpEnd:
 			// Structure markers carry no runtime effect.
 		case OpElse:
 			// Falling into else from the true arm jumps past end.
-			pc = int(ins.A)
+			pc = int(ins.a)
 			continue
 		case OpIf:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if v == 0 {
-				pc = int(ins.A)
+				pc = int(ins.a)
 				continue
 			}
 		case OpBr:
-			pc = int(ins.A)
+			pc = int(ins.a)
 			continue
 		case OpBrIf:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if v != 0 {
-				pc = int(ins.A)
+				pc = int(ins.a)
 				continue
 			}
 		case OpReturn:
@@ -175,7 +195,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			return finishCall(f, base, stack)
 		case OpCall:
 			var err error
-			stack, err = in.call(int(ins.A), stack, depth+1)
+			stack, err = in.call(int(ins.a), stack, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -196,46 +216,46 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			}
 
 		case OpLocalGet:
-			stack = append(stack, locals[ins.A])
+			stack = append(stack, locals[ins.a])
 		case OpLocalSet:
-			locals[ins.A] = stack[len(stack)-1]
+			locals[ins.a] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		case OpLocalTee:
-			locals[ins.A] = stack[len(stack)-1]
+			locals[ins.a] = stack[len(stack)-1]
 		case OpGlobalGet:
-			stack = append(stack, in.globals[ins.A])
+			stack = append(stack, in.globals[ins.a])
 		case OpGlobalSet:
-			in.globals[ins.A] = stack[len(stack)-1]
+			in.globals[ins.a] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 
 		case OpI64Load:
-			addr := stack[len(stack)-1] + ins.A
-			if addr < 0 || addr+8 > int64(len(in.memory)) {
+			addr := stack[len(stack)-1] + ins.a
+			if !inBounds(addr, 8, in.memory) {
 				return nil, fmt.Errorf("%w: load at %d", ErrOOB, addr)
 			}
 			stack[len(stack)-1] = int64(binary.LittleEndian.Uint64(in.memory[addr:]))
 			in.stats.MemBytes += 8
 		case OpI64Store:
 			v := stack[len(stack)-1]
-			addr := stack[len(stack)-2] + ins.A
+			addr := stack[len(stack)-2] + ins.a
 			stack = stack[:len(stack)-2]
-			if addr < 0 || addr+8 > int64(len(in.memory)) {
+			if !inBounds(addr, 8, in.memory) {
 				return nil, fmt.Errorf("%w: store at %d", ErrOOB, addr)
 			}
 			binary.LittleEndian.PutUint64(in.memory[addr:], uint64(v))
 			in.stats.MemBytes += 8
 		case OpI64Load8U:
-			addr := stack[len(stack)-1] + ins.A
-			if addr < 0 || addr >= int64(len(in.memory)) {
+			addr := stack[len(stack)-1] + ins.a
+			if !inBounds(addr, 1, in.memory) {
 				return nil, fmt.Errorf("%w: load8 at %d", ErrOOB, addr)
 			}
 			stack[len(stack)-1] = int64(in.memory[addr])
 			in.stats.MemBytes++
 		case OpI64Store8:
 			v := stack[len(stack)-1]
-			addr := stack[len(stack)-2] + ins.A
+			addr := stack[len(stack)-2] + ins.a
 			stack = stack[:len(stack)-2]
-			if addr < 0 || addr >= int64(len(in.memory)) {
+			if !inBounds(addr, 1, in.memory) {
 				return nil, fmt.Errorf("%w: store8 at %d", ErrOOB, addr)
 			}
 			in.memory[addr] = byte(v)
@@ -245,7 +265,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpMemoryGrow:
 			delta := stack[len(stack)-1]
 			old := int64(len(in.memory) / PageSize)
-			if delta < 0 || old+delta > int64(in.module.MemMaxPages) {
+			if delta < 0 || delta > int64(in.module.MemMaxPages)-old {
 				stack[len(stack)-1] = -1
 			} else {
 				in.memory = append(in.memory, make([]byte, delta*PageSize)...)
@@ -253,7 +273,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			}
 
 		case OpI64Const:
-			stack = append(stack, ins.A)
+			stack = append(stack, ins.a)
 		case OpI64Add:
 			stack[len(stack)-2] += stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -314,7 +334,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			stack = stack[:len(stack)-1]
 
 		case OpF64Const:
-			stack = append(stack, ins.A)
+			stack = append(stack, ins.a)
 		case OpF64Add:
 			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) + i2f(stack[len(stack)-1]))
 			stack = stack[:len(stack)-1]
@@ -347,13 +367,128 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpI64TruncF64S:
 			stack[len(stack)-1] = int64(i2f(stack[len(stack)-1]))
 
+		// Superinstructions (fuse.go): each arm retires ins.n
+		// instructions of Code, reading their immediates from the
+		// entries that follow.
+		case opLoopGtSBrIf:
+			x := (*[5]xinstr)(code[pc:])
+			if locals[x[1].a] > locals[x[2].a] {
+				pc = int(x[4].a)
+				continue
+			}
+			pc += 5
+			continue
+		case opLoopGeSBrIf:
+			x := (*[5]xinstr)(code[pc:])
+			if locals[x[1].a] >= locals[x[2].a] {
+				pc = int(x[4].a)
+				continue
+			}
+			pc += 5
+			continue
+		case opLoopAddGtSBrIf:
+			x := (*[7]xinstr)(code[pc:])
+			if locals[x[1].a]+x[2].a > locals[x[4].a] {
+				pc = int(x[6].a)
+				continue
+			}
+			pc += 7
+			continue
+		case opLtSConstIf:
+			x := (*[4]xinstr)(code[pc:])
+			if locals[x[0].a] >= x[1].a {
+				pc = int(x[3].a)
+				continue
+			}
+			pc += 4
+			continue
+		case opSubConst:
+			x := (*[3]xinstr)(code[pc:])
+			stack = append(stack, locals[x[0].a]-x[1].a)
+			pc += 3
+			continue
+		case opAddConstSetBr:
+			x := (*[5]xinstr)(code[pc:])
+			locals[x[3].a] = locals[x[0].a] + x[1].a
+			pc = int(x[4].a)
+			continue
+		case opAddLocalsSetBr:
+			x := (*[5]xinstr)(code[pc:])
+			locals[x[3].a] = locals[x[0].a] + locals[x[1].a]
+			pc = int(x[4].a)
+			continue
+		case opIndex:
+			x := (*[7]xinstr)(code[pc:])
+			stack = append(stack, (locals[x[0].a]*locals[x[1].a]+locals[x[3].a])*x[5].a)
+			pc += 7
+			continue
+		case opMulConstStore:
+			x := (*[5]xinstr)(code[pc:])
+			addr := locals[x[0].a] + x[4].a
+			if !inBounds(addr, 8, in.memory) {
+				return nil, fmt.Errorf("%w: store at %d", ErrOOB, addr)
+			}
+			binary.LittleEndian.PutUint64(in.memory[addr:], uint64(locals[x[1].a]*x[2].a))
+			in.stats.MemBytes += 8
+			pc += 5
+			continue
+		case opConstStore8:
+			x := (*[3]xinstr)(code[pc:])
+			addr := locals[x[0].a] + x[2].a
+			if !inBounds(addr, 1, in.memory) {
+				return nil, fmt.Errorf("%w: store8 at %d", ErrOOB, addr)
+			}
+			in.memory[addr] = byte(x[1].a)
+			in.stats.MemBytes++
+			pc += 3
+			continue
+		case opLoadXorSet:
+			x := (*[5]xinstr)(code[pc:])
+			addr := locals[x[1].a] + x[2].a
+			if !inBounds(addr, 8, in.memory) {
+				// The load is the third of five: refund xor and set.
+				in.Fuel += 2
+				return nil, fmt.Errorf("%w: load at %d", ErrOOB, addr)
+			}
+			locals[x[4].a] = locals[x[0].a] ^ int64(binary.LittleEndian.Uint64(in.memory[addr:]))
+			in.stats.MemBytes += 8
+			pc += 5
+			continue
+		case opLoad8Eqz:
+			x := (*[3]xinstr)(code[pc:])
+			addr := locals[x[0].a] + x[1].a
+			if !inBounds(addr, 1, in.memory) {
+				// The load is the second of three: refund eqz.
+				in.Fuel++
+				return nil, fmt.Errorf("%w: load8 at %d", ErrOOB, addr)
+			}
+			stack = append(stack, b2i(in.memory[addr] == 0))
+			in.stats.MemBytes++
+			pc += 3
+			continue
+		case opF64MulAddSqrtSet:
+			x := (*[7]xinstr)(code[pc:])
+			// The conversion rounds the product, as the two-step
+			// sequence does, instead of letting it fuse into an FMA.
+			p := float64(i2f(locals[x[0].a]) * i2f(locals[x[1].a]))
+			locals[x[6].a] = f2i(math.Sqrt(p + i2f(x[3].a)))
+			pc += 7
+			continue
+
 		default:
-			return nil, fmt.Errorf("wasmvm: unknown opcode %v at pc %d", ins.Op, pc)
+			return nil, fmt.Errorf("wasmvm: unknown opcode %v at pc %d", f.Code[pc].Op, pc)
 		}
 		pc++
 	}
 	in.frames = in.frames[:fp]
 	return finishCall(f, base, stack)
+}
+
+// inBounds reports whether the size bytes at addr lie inside mem. It
+// is written so that no operand can overflow: addr+size would wrap for
+// an addr within size of MaxInt64 and pass.
+func inBounds(addr int64, size int, mem []byte) bool {
+	return addr >= 0 && addr <= int64(len(mem)-size)
 }
 
 // finishCall checks the result arity at function exit and moves the
