@@ -265,7 +265,7 @@ var figures = []figure{
 			if err != nil {
 				return nil, err
 			}
-			return container.NewBackend(inner, container.Options{})
+			return container.NewBackend(inner)
 		}),
 }
 
@@ -302,7 +302,7 @@ func lookupFigures(name string) ([]figure, error) {
 // refill fires and the run stays deterministic.
 func warmBed(ctx context.Context, seed int64, memMB, hosts int, fn string) (*confbench.Cluster, error) {
 	cluster, err := confbench.New(confbench.WithSeed(seed), confbench.WithGuestMemoryMB(memMB),
-		confbench.WithWarmPool(2), confbench.WithSnapshotCacheMB(256), confbench.WithHostsPerTEE(hosts),
+		confbench.WithWarmPool(2), confbench.WithHostsPerTEE(hosts),
 		confbench.WithObsRegistry(confbench.NewObsRegistry()))
 	if err != nil {
 		return nil, err

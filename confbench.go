@@ -70,12 +70,6 @@ func WithLeastLoaded() Option {
 	return func(c *ClusterConfig) { c.LeastLoaded = true }
 }
 
-// WithTDXFirmware overrides the TDX module version (the buggy
-// pre-upgrade firmware reproduces the paper's 10× anomaly).
-func WithTDXFirmware(version string) Option {
-	return func(c *ClusterConfig) { c.TDXFirmware = version }
-}
-
 // WithGuestMemoryMB sizes the measured boot image of each guest.
 func WithGuestMemoryMB(mb int) Option {
 	return func(c *ClusterConfig) { c.GuestMemoryMB = mb }
@@ -125,15 +119,9 @@ func WithObsScrapeInterval(d time.Duration) Option {
 // pool with high watermark n: guests are restored from cached snapshot
 // images instead of cold-booted, and a background goroutine refills
 // the pool as guests are taken. Enables the shared snapshot cache
-// (sized by WithSnapshotCacheMB, default 256 MiB).
+// (256 MiB).
 func WithWarmPool(n int) Option {
 	return func(c *ClusterConfig) { c.WarmPool = n }
-}
-
-// WithSnapshotCacheMB sets the byte budget of the cluster-shared
-// snapshot image cache used by warm pools.
-func WithSnapshotCacheMB(mb int) Option {
-	return func(c *ClusterConfig) { c.SnapshotCacheMB = mb }
 }
 
 // WithBreakerThreshold tunes the pools' per-endpoint circuit breakers:

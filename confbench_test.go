@@ -145,20 +145,6 @@ func TestClusterAttestationFlows(t *testing.T) {
 	}
 }
 
-// TestBuggyFirmwareCluster: WithTDXFirmware reaches the TDX module the
-// deployment loads. What that module costs is the firmware row of the
-// shape table in internal/bench.
-func TestBuggyFirmwareCluster(t *testing.T) {
-	const buggy = "TDX_1.5.00.41.610"
-	b, err := newCluster(t, confbench.WithTEEs(tee.KindTDX), confbench.WithTDXFirmware(buggy)).Backend(tee.KindTDX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.Name(), buggy) {
-		t.Errorf("backend %q does not run module %s", b.Name(), buggy)
-	}
-}
-
 func TestCCARealmsCannotAttest(t *testing.T) {
 	c := newCluster(t, confbench.WithTEEs(tee.KindCCA))
 	_, err := c.Client().Attest(context.Background(), api.AttestRequest{TEE: tee.KindCCA, Nonce: []byte("n")})

@@ -52,7 +52,7 @@ func containersDemo(cluster *confbench.Cluster) error {
 	if err != nil {
 		return err
 	}
-	ccBackend, err := container.NewBackend(inner, container.Options{})
+	ccBackend, err := container.NewBackend(inner)
 	if err != nil {
 		return err
 	}

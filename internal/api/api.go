@@ -280,20 +280,20 @@ func ErrorEnvelope(err error) *ErrorResponse {
 	return env
 }
 
-// Client defaults.
+// Client retry and timeout policy.
 const (
-	// DefaultTimeout bounds the whole HTTP exchange of one attempt.
-	DefaultTimeout = 120 * time.Second
+	// attemptTimeout bounds the whole HTTP exchange of one attempt.
+	attemptTimeout = 120 * time.Second
 	// DefaultMaxAttempts is the attempt budget for retryable failures.
 	DefaultMaxAttempts = 3
-	// DefaultRetryBackoff is the initial backoff, doubled per retry.
-	DefaultRetryBackoff = 50 * time.Millisecond
-	// DefaultBackoffCap bounds the exponential backoff. Without a cap,
-	// a generous attempt budget doubles the delay past any useful
-	// wait — and eventually overflows time.Duration into a negative
-	// (i.e. zero) sleep, hammering the gateway exactly when it is
-	// least able to take it.
-	DefaultBackoffCap = 5 * time.Second
+	// firstBackoff is the first retry's delay, doubled per retry.
+	firstBackoff = 50 * time.Millisecond
+	// maxBackoff bounds the exponential backoff. Without a cap, a
+	// generous attempt budget doubles the delay past any useful wait —
+	// and eventually overflows time.Duration into a negative (i.e.
+	// zero) sleep, hammering the gateway exactly when it is least able
+	// to take it.
+	maxBackoff = 5 * time.Second
 	// backoffJitter is the ± fraction applied to each sleep so a burst
 	// of failed clients doesn't retry in lockstep.
 	backoffJitter = 0.20
@@ -316,46 +316,22 @@ type Client struct {
 	// frame mapping still goes over HTTP.
 	transport Transport
 
-	// MaxAttempts caps the total tries per call. Only failures the
+	// maxAttempts caps the total tries per call. Only failures the
 	// taxonomy marks retryable (unavailable, upstream, deadline) are
 	// retried; cancellation never is.
-	MaxAttempts int
-	// RetryBackoff is the first retry's delay; it doubles per retry.
-	RetryBackoff time.Duration
-	// BackoffCap bounds the doubled backoff (0 = DefaultBackoffCap).
-	BackoffCap time.Duration
+	maxAttempts int
+	// backoff (firstBackoff) and backoffCap (maxBackoff) pace the
+	// retries; tests shorten them.
+	backoff, backoffCap time.Duration
 }
 
 // Option configures a Client built by New.
 type Option func(*Client)
 
-// WithTimeout bounds each HTTP attempt (not the whole retried call —
-// the caller's context does that).
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.http.Timeout = d }
-}
-
 // WithRetries caps the total attempts per call, including the first.
 // Values below 1 mean a single attempt.
 func WithRetries(attempts int) Option {
-	return func(c *Client) { c.MaxAttempts = attempts }
-}
-
-// WithBackoff sets the first retry's delay; it doubles per retry.
-func WithBackoff(d time.Duration) Option {
-	return func(c *Client) { c.RetryBackoff = d }
-}
-
-// WithBackoffCap bounds the exponential backoff's growth.
-func WithBackoffCap(d time.Duration) Option {
-	return func(c *Client) { c.BackoffCap = d }
-}
-
-// WithHTTPClient substitutes the underlying *http.Client (custom
-// transports, test doubles). It overrides WithTimeout unless the
-// given client carries its own.
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.http = h }
+	return func(c *Client) { c.maxAttempts = attempts }
 }
 
 // WithTenant stamps every request with the given tenant identity (the
@@ -395,11 +371,12 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 			"api: base URL %q has no host", baseURL)
 	}
 	c := &Client{
-		baseURL:      baseURL,
-		host:         u.Host,
-		http:         &http.Client{Timeout: DefaultTimeout},
-		MaxAttempts:  DefaultMaxAttempts,
-		RetryBackoff: DefaultRetryBackoff,
+		baseURL:     baseURL,
+		host:        u.Host,
+		http:        &http.Client{Timeout: attemptTimeout},
+		maxAttempts: DefaultMaxAttempts,
+		backoff:     firstBackoff,
+		backoffCap:  maxBackoff,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -435,18 +412,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				fmt.Errorf("api: marshal request: %w", err))
 		}
 	}
-	attempts := c.MaxAttempts
+	attempts := c.maxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	limit := c.BackoffCap
-	if limit <= 0 {
-		limit = DefaultBackoffCap
-	}
+	backoff, limit := c.backoff, c.backoffCap
 	if backoff > limit {
 		backoff = limit
 	}

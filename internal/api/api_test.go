@@ -71,8 +71,8 @@ func TestNewClientValidation(t *testing.T) {
 		}
 	}
 	c := mustClient(t, "http://127.0.0.1:1/")
-	if c.MaxAttempts != DefaultMaxAttempts {
-		t.Errorf("MaxAttempts = %d", c.MaxAttempts)
+	if c.maxAttempts != DefaultMaxAttempts {
+		t.Errorf("maxAttempts = %d", c.maxAttempts)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestClientRoundTripsInvoke(t *testing.T) {
 func TestClientConnectionRefused(t *testing.T) {
 	ctx := context.Background()
 	c := mustClient(t, "http://127.0.0.1:1")
-	c.MaxAttempts = 1 // connection refused is retryable; keep the test fast
+	c.maxAttempts = 1 // connection refused is retryable; keep the test fast
 	if err := c.Health(ctx); err == nil {
 		t.Error("expected connection error")
 	} else if cberr.CodeOf(err) != cberr.CodeUnavailable {
@@ -167,7 +167,7 @@ func TestClientRetriesRetryable(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := mustClient(t, srv.URL)
-	c.RetryBackoff = time.Millisecond
+	c.backoff = time.Millisecond
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatalf("retries did not recover: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestClientDoesNotRetryNonRetryable(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := mustClient(t, srv.URL)
-	c.RetryBackoff = time.Millisecond
+	c.backoff = time.Millisecond
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("want error")
 	}

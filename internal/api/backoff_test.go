@@ -41,13 +41,12 @@ func TestBackoffCapRegression(t *testing.T) {
 			cberr.New(cberr.CodeUnavailable, cberr.LayerPool, "down"))
 	}))
 	defer srv.Close()
-	c, err := New(srv.URL,
-		WithRetries(6),
-		WithBackoff(time.Duration(math.MaxInt64/2)), // would overflow when doubled
-		WithBackoffCap(time.Millisecond))
+	c, err := New(srv.URL, WithRetries(6))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Duration(math.MaxInt64 / 2) // would overflow when doubled
+	c.backoffCap = time.Millisecond
 	start := time.Now()
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("want unavailable error")
@@ -60,20 +59,15 @@ func TestBackoffCapRegression(t *testing.T) {
 	}
 }
 
-// TestBackoffDefaultCap: a zero BackoffCap falls back to the default
-// rather than disabling the cap.
+// TestBackoffDefaultCap: every client caps its backoff at 5 s, from a
+// first retry delay of 50 ms.
 func TestBackoffDefaultCap(t *testing.T) {
 	c, err := New("http://localhost:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.BackoffCap != 0 {
-		t.Fatalf("BackoffCap default = %v, want 0 (resolved in do)", c.BackoffCap)
-	}
-	// The resolution itself is exercised by TestBackoffCapRegression;
-	// here just pin the exported default.
-	if DefaultBackoffCap != 5*time.Second {
-		t.Errorf("DefaultBackoffCap = %v, want 5s", DefaultBackoffCap)
+	if c.backoffCap != 5*time.Second || c.backoff != 50*time.Millisecond {
+		t.Errorf("backoff = %v capped at %v, want 50ms capped at 5s", c.backoff, c.backoffCap)
 	}
 }
 
@@ -92,13 +86,11 @@ func TestRetryAfterHonored(t *testing.T) {
 				5*time.Millisecond))
 	}))
 	defer srv.Close()
-	c, err := New(srv.URL,
-		WithRetries(4),
-		WithBackoff(time.Minute), // the advice must win over this
-		WithBackoffCap(time.Minute))
+	c, err := New(srv.URL, WithRetries(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff, c.backoffCap = time.Minute, time.Minute // the advice must win over this
 	start := time.Now()
 	herr := c.Health(context.Background())
 	if herr == nil {
@@ -118,7 +110,7 @@ func TestRetryAfterHonored(t *testing.T) {
 
 // TestRetryAfterCapped: hostile or clock-skewed advice cannot park the
 // client — a server-supplied Retry-After of an hour is clamped to the
-// WithBackoffCap bound before sleeping.
+// backoff cap before sleeping.
 func TestRetryAfterCapped(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -129,19 +121,17 @@ func TestRetryAfterCapped(t *testing.T) {
 				time.Hour))
 	}))
 	defer srv.Close()
-	c, err := New(srv.URL,
-		WithRetries(3),
-		WithBackoff(time.Millisecond),
-		WithBackoffCap(10*time.Millisecond))
+	c, err := New(srv.URL, WithRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff, c.backoffCap = time.Millisecond, 10*time.Millisecond
 	start := time.Now()
 	if err := c.Health(context.Background()); err == nil {
 		t.Fatal("want unavailable error")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retry loop took %v — Retry-After not capped by WithBackoffCap", elapsed)
+		t.Fatalf("retry loop took %v — Retry-After not capped by the backoff cap", elapsed)
 	}
 	if n := calls.Load(); n != 3 {
 		t.Errorf("calls = %d, want 3 (full attempt budget)", n)

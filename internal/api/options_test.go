@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestClientDefaultsToV1Prefix(t *testing.T) {
@@ -29,34 +28,18 @@ func TestClientDefaultsToV1Prefix(t *testing.T) {
 	}
 }
 
+// TestWithRetriesAndTimeout: WithRetries sets the attempt budget, and
+// every client bounds each attempt by attemptTimeout.
 func TestWithRetriesAndTimeout(t *testing.T) {
-	c, err := New("http://127.0.0.1:1",
-		WithRetries(7),
-		WithTimeout(123*time.Millisecond),
-		WithBackoff(time.Microsecond),
-	)
+	c, err := New("http://127.0.0.1:1", WithRetries(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MaxAttempts != 7 {
-		t.Errorf("MaxAttempts = %d, want 7", c.MaxAttempts)
+	if c.maxAttempts != 7 {
+		t.Errorf("maxAttempts = %d, want 7", c.maxAttempts)
 	}
-	if c.http.Timeout != 123*time.Millisecond {
-		t.Errorf("Timeout = %v", c.http.Timeout)
-	}
-	if c.RetryBackoff != time.Microsecond {
-		t.Errorf("RetryBackoff = %v", c.RetryBackoff)
-	}
-}
-
-func TestWithHTTPClient(t *testing.T) {
-	hc := &http.Client{}
-	c, err := New("http://127.0.0.1:1", WithHTTPClient(hc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.http != hc {
-		t.Error("custom http.Client not installed")
+	if c.http.Timeout != attemptTimeout {
+		t.Errorf("Timeout = %v, want %v", c.http.Timeout, attemptTimeout)
 	}
 }
 

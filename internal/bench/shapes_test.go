@@ -223,7 +223,7 @@ func shapeReport(t *testing.T) *Report {
 		}))}
 	}
 	r.Firmware = variant(pairOn(t, must(tdx.NewBackend(tdx.Options{Seed: 51, FirmwareVersion: tdx.BuggyFirmware}))).Secure, "cpustress")
-	r.Containers = variant(pairOn(t, must(container.NewBackend(tdxB, container.Options{}))).Secure, "iostress")
+	r.Containers = variant(pairOn(t, must(container.NewBackend(tdxB))).Secure, "iostress")
 	return r
 }
 

@@ -45,9 +45,6 @@ type ClusterConfig struct {
 	Seed int64
 	// LeastLoaded switches pool load balancing from round-robin.
 	LeastLoaded bool
-	// TDXFirmware overrides the TDX module version (the buggy
-	// pre-upgrade firmware reproduces the paper's 10× anomaly).
-	TDXFirmware string
 	// GuestMemoryMB sizes the measured boot image of each guest.
 	GuestMemoryMB int
 	// Workers is the default concurrency for benchmark harnesses built
@@ -78,11 +75,9 @@ type ClusterConfig struct {
 	ObsScrapeInterval time.Duration
 	// WarmPool, when positive, serves every host's secure VM out of a
 	// prewarmed guest pool with this high watermark, restoring guests
-	// from the shared snapshot cache instead of cold-booting them.
+	// from the shared snapshot cache (snapshotCacheMB) instead of
+	// cold-booting them.
 	WarmPool int
-	// SnapshotCacheMB is the byte budget of the cluster-shared snapshot
-	// image cache (default 256 MiB when warm pools are enabled).
-	SnapshotCacheMB int
 	// Shards, when > 1, deploys that many gateway shards behind a
 	// front tier that consistent-hashes invokes (function × tenant)
 	// across them, with per-tenant admission control and the async
@@ -120,6 +115,10 @@ type ClusterConfig struct {
 	ListenAddr string
 }
 
+// snapshotCacheMB is the byte budget of the cluster-shared snapshot
+// image cache that warm pools restore from.
+const snapshotCacheMB = 256
+
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if len(c.TEEs) == 0 {
 		c.TEEs = []tee.Kind{tee.KindTDX, tee.KindSEV, tee.KindCCA}
@@ -132,9 +131,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.HostsPerTEE <= 0 {
 		c.HostsPerTEE = 1
-	}
-	if c.WarmPool > 0 && c.SnapshotCacheMB <= 0 {
-		c.SnapshotCacheMB = 256
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
@@ -205,8 +201,8 @@ func (c *Cluster) boot() error {
 	c.cfg.Faults.SetObsRegistry(c.obsreg)
 	if c.cfg.WarmPool > 0 {
 		// One cache for the whole deployment: hosts of the same kind
-		// share snapshot images keyed by (kind, runtime, memory size).
-		c.cache = vm.NewSnapshotCache(int64(c.cfg.SnapshotCacheMB)<<20, c.obsreg)
+		// share snapshot images keyed by (kind, memory size).
+		c.cache = vm.NewSnapshotCache(snapshotCacheMB<<20, c.obsreg)
 	}
 	for _, kind := range c.cfg.TEEs {
 		backend, err := c.newBackend(kind)
@@ -367,7 +363,7 @@ func (c *Cluster) boot() error {
 func (c *Cluster) newBackend(kind tee.Kind) (tee.Backend, error) {
 	switch kind {
 	case tee.KindTDX:
-		return tdx.NewBackend(tdx.Options{FirmwareVersion: c.cfg.TDXFirmware, Seed: c.cfg.Seed, Obs: c.obsreg, Faults: c.cfg.Faults})
+		return tdx.NewBackend(tdx.Options{Seed: c.cfg.Seed, Obs: c.obsreg, Faults: c.cfg.Faults})
 	case tee.KindSEV:
 		return sev.NewBackend(sev.Options{Seed: c.cfg.Seed + 1000, Obs: c.obsreg, Faults: c.cfg.Faults})
 	case tee.KindCCA:

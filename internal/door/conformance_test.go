@@ -214,7 +214,8 @@ func bed(t *testing.T) (doors []*frontDoor, doomed *frontDoor) {
 	t.Cleanup(func() { _ = agent.Close() })
 
 	newGateway := func(reg *obs.Registry) (*gateway.Gateway, string) {
-		g := gateway.New(gateway.Config{PlaneConfig: door.PlaneConfig{Obs: reg}, Postmortem: io.Discard})
+		g := gateway.New(gateway.Config{PlaneConfig: door.PlaneConfig{Obs: reg}})
+		g.SetPostmortemWriter(io.Discard)
 		g.AddHost(agent.Name(), agent.Endpoints())
 		url, err := g.Start("127.0.0.1:0")
 		if err != nil {

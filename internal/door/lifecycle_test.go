@@ -63,8 +63,8 @@ func TestCloseWaitsForThePeriodicSweep(t *testing.T) {
 			reg := obs.New()
 			g := gateway.New(gateway.Config{
 				PlaneConfig: door.PlaneConfig{Obs: reg, Faults: faults, ScrapeInterval: interval},
-				Postmortem:  io.Discard,
 			})
+			g.SetPostmortemWriter(io.Discard)
 			g.AddHost("host-a", []hostagent.Endpoint{{Addr: strings.TrimPrefix(peer, "http://"), Secure: true, TEE: tee.KindTDX}})
 			if _, err := g.Start("127.0.0.1:0"); err != nil {
 				t.Fatal(err)

@@ -22,17 +22,16 @@ import (
 	"confbench/internal/wire"
 )
 
-// Front-tier defaults.
 const (
-	// DefaultQueueDepth bounds how many requests may wait for a
-	// shard's dispatch slots before new arrivals shed.
-	DefaultQueueDepth = 64
-	// DefaultShardConcurrency is the per-shard dispatch-slot count:
-	// how many forwarded requests one shard carries at once.
-	DefaultShardConcurrency = 32
-	// DefaultAsyncTimeout bounds one async invoke's execution after
-	// its submission was acknowledged.
-	DefaultAsyncTimeout = 2 * time.Minute
+	// shardQueueDepth bounds how many requests may wait for a shard's
+	// dispatch slots before new arrivals shed.
+	shardQueueDepth = 64
+	// shardSlots is the per-shard dispatch-slot count: how many
+	// forwarded requests one shard carries at once.
+	shardSlots = 32
+	// asyncTimeout bounds one async invoke's execution after its
+	// submission was acknowledged.
+	asyncTimeout = 2 * time.Minute
 	// FrontShardLabel is the shard label the tier's own registry
 	// merges under in the federated cluster view.
 	FrontShardLabel = "front"
@@ -56,22 +55,6 @@ type Config struct {
 	Shards []ShardConfig
 	// Quotas maps tenants to admission limits (absent = unlimited).
 	Quotas map[string]TenantLimits
-	// QueueDepth bounds each shard's admission queue (0 = default).
-	QueueDepth int
-	// ShardConcurrency is each shard's dispatch-slot count (0 = default).
-	ShardConcurrency int
-	// AsyncCapacity bounds the async result store (0 = default).
-	AsyncCapacity int
-	// AsyncTTL is how long completed async results stay pollable
-	// (0 = default).
-	AsyncTTL time.Duration
-	// AsyncTimeout bounds one async invoke's execution (0 = default).
-	AsyncTimeout time.Duration
-	// VirtualNodes is the ring's per-shard virtual-node count
-	// (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// LoadFactor is the bounded-load factor c (<= 1 = DefaultLoadFactor).
-	LoadFactor float64
 	// BreakerThreshold trips a shard open after that many consecutive
 	// failures (0 = gateway.DefaultBreakerThreshold).
 	BreakerThreshold int
@@ -128,12 +111,11 @@ type Tier struct {
 	store     *ResultStore
 	clock     func() time.Time
 
-	shards     map[string]*shard
-	loadFactor float64
+	shards map[string]*shard
+	// queueDepth is shardQueueDepth; tests narrow it.
 	queueDepth int64
 
 	asyncSeq     atomic.Uint64
-	asyncTimeout time.Duration
 	asyncWG      sync.WaitGroup
 	asyncPending *obs.Gauge
 
@@ -160,28 +142,14 @@ func New(cfg Config) (*Tier, error) {
 	// cluster-level signals like migration downtime land.
 	plane := door.NewPlane(cfg.PlaneConfig, FrontShardLabel, "shard", slo.Scope{})
 	reg := plane.Obs()
-	queueDepth := cfg.QueueDepth
-	if queueDepth <= 0 {
-		queueDepth = DefaultQueueDepth
-	}
-	concurrency := cfg.ShardConcurrency
-	if concurrency <= 0 {
-		concurrency = DefaultShardConcurrency
-	}
-	asyncTimeout := cfg.AsyncTimeout
-	if asyncTimeout <= 0 {
-		asyncTimeout = DefaultAsyncTimeout
-	}
 	t := &Tier{
 		Plane:        plane,
-		ring:         NewRing(cfg.VirtualNodes),
+		ring:         NewRing(DefaultVirtualNodes),
 		admission:    NewAdmission(cfg.Quotas, clock),
-		store:        NewResultStore(cfg.AsyncCapacity, cfg.AsyncTTL, clock),
+		store:        NewResultStore(DefaultAsyncCapacity, DefaultAsyncTTL, clock),
 		clock:        clock,
 		shards:       make(map[string]*shard, len(cfg.Shards)),
-		loadFactor:   cfg.LoadFactor,
-		queueDepth:   int64(queueDepth),
-		asyncTimeout: asyncTimeout,
+		queueDepth:   shardQueueDepth,
 		asyncPending: reg.Gauge("confbench_fronttier_async_pending"),
 	}
 	if cfg.Transport == wire.TransportBinary {
@@ -213,7 +181,7 @@ func New(cfg Config) (*Tier, error) {
 			url:     sc.URL,
 			client:  client,
 			breaker: gateway.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, gauge),
-			slots:   make(chan struct{}, concurrency),
+			slots:   make(chan struct{}, shardSlots),
 		}
 		t.ring.Add(sc.Name)
 		// Every shard doubles as a federation scrape target.
@@ -264,7 +232,7 @@ func (t *Tier) routeOrder(key string) []*shard {
 			return sh.load.Load()
 		}
 		return 0
-	}, t.loadFactor)
+	}, DefaultLoadFactor)
 	out := make([]*shard, 0, len(names))
 	if sh, ok := t.shards[first]; ok {
 		out = append(out, sh)
@@ -451,7 +419,7 @@ func (t *Tier) SubmitAsync(tenant string, req api.InvokeRequest) (api.AsyncSubmi
 	t.asyncWG.Add(1)
 	go func() {
 		defer t.asyncWG.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), t.asyncTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), asyncTimeout)
 		defer cancel()
 		var resp api.InvokeResponse
 		err := t.forward(ctx, RouteKey(req.Function, tenant), func(ctx context.Context, sh *shard) error {

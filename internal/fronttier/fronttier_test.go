@@ -106,6 +106,12 @@ func waitFor(t *testing.T, ctx context.Context, what string, cond func() bool) {
 
 // bootTier builds a tier over fake shards and starts it.
 func bootTier(t *testing.T, cfg Config, shards ...*fakeShard) (*Tier, *api.Client) {
+	return bootTierWith(t, cfg, nil, shards...)
+}
+
+// bootTierWith is bootTier with tune applied to the built tier before
+// it starts serving.
+func bootTierWith(t *testing.T, cfg Config, tune func(*Tier), shards ...*fakeShard) (*Tier, *api.Client) {
 	t.Helper()
 	for _, f := range shards {
 		cfg.Shards = append(cfg.Shards, ShardConfig{Name: f.name, URL: f.srv.URL})
@@ -116,6 +122,9 @@ func bootTier(t *testing.T, cfg Config, shards ...*fakeShard) (*Tier, *api.Clien
 	tier, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(tier)
 	}
 	url, err := tier.Start("127.0.0.1:0")
 	if err != nil {
@@ -488,6 +497,15 @@ func TestTierSweepBoundsAWedgedShard(t *testing.T) {
 	}
 }
 
+// oneSlotOneSeat narrows every shard to one dispatch slot and the
+// admission queue to one seat.
+func oneSlotOneSeat(tier *Tier) {
+	tier.queueDepth = 1
+	for _, sh := range tier.shards {
+		sh.slots = make(chan struct{}, 1)
+	}
+}
+
 // TestTierQueueFullSheds: with one dispatch slot and a one-seat
 // queue, an invoke parked in the shard and one waiting for its slot
 // force the next arrival to shed queue_full with drain-time retry
@@ -495,7 +513,7 @@ func TestTierSweepBoundsAWedgedShard(t *testing.T) {
 func TestTierQueueFullSheds(t *testing.T) {
 	a := newFakeShard(t, "shard-a")
 	a.blockInvokes(t)
-	tier, _ := bootTier(t, Config{ShardConcurrency: 1, QueueDepth: 1}, a)
+	tier, _ := bootTierWith(t, Config{}, oneSlotOneSeat, a)
 	client, err := api.New(tier.BaseURL(), api.WithRetries(1))
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +567,7 @@ func TestTierConcurrentArrivalsTakeOneSeat(t *testing.T) {
 	const arrivals, rounds = 32, 2000
 	a := newFakeShard(t, "shard-a")
 	a.blockInvokes(t)
-	tier, _ := bootTier(t, Config{ShardConcurrency: 1, QueueDepth: 1}, a)
+	tier, _ := bootTierWith(t, Config{}, oneSlotOneSeat, a)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	parked := make(chan error, 1)

@@ -90,17 +90,12 @@ type Config struct {
 	// Policy is the pool load-balancing policy (nil = round-robin per
 	// pool).
 	Policy func() Policy
-	// Languages restricts the function DB (nil = all seven).
-	Languages []string
 	// BreakerThreshold is the consecutive-failure count that trips an
 	// endpoint's circuit breaker open (0 = DefaultBreakerThreshold).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open endpoint is skipped before
 	// a half-open probe is allowed (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// Postmortem receives one-line flight-recorder postmortems when an
-	// invoke exhausts its retry budget (nil = os.Stderr).
-	Postmortem io.Writer
 	// Transport selects the carrier for the gateway's outbound hops —
 	// guest-agent forwards and federation scrapes ("" or "httpjson" =
 	// one JSON-over-HTTP exchange per call; "binary" = the persistent
@@ -111,14 +106,6 @@ type Config struct {
 
 // New builds a gateway with empty pools.
 func New(cfg Config) *Gateway {
-	languages := cfg.Languages
-	if languages == nil {
-		languages = langs.Names()
-	}
-	postmortem := cfg.Postmortem
-	if postmortem == nil {
-		postmortem = os.Stderr
-	}
 	// In-process deployments share one registry between the gateway and
 	// its hosts, so the federated snapshot repeats every family once per
 	// host label; scoping the SLOs to the gateway's own label counts
@@ -134,7 +121,7 @@ func New(cfg Config) *Gateway {
 	}
 	return &Gateway{
 		Plane:            plane,
-		db:               faas.NewDB(languages),
+		db:               faas.NewDB(langs.Names()),
 		transport:        transport,
 		policyFactory:    cfg.Policy,
 		retries:          plane.Obs().Counter("confbench_invoke_retries_total"),
@@ -142,7 +129,7 @@ func New(cfg Config) *Gateway {
 		pools:            make(map[tee.Kind]*Pool, 4),
 		breakerThreshold: cfg.BreakerThreshold,
 		breakerCooldown:  cfg.BreakerCooldown,
-		postmortem:       postmortem,
+		postmortem:       os.Stderr,
 	}
 }
 

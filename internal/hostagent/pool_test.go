@@ -14,7 +14,7 @@ import (
 	"confbench/internal/vm"
 )
 
-func newTestPool(t *testing.T, plane *faultplane.Plane, low, high int, reg *obs.Registry) *GuestPool {
+func newTestPool(t *testing.T, plane *faultplane.Plane, high int, reg *obs.Registry) *GuestPool {
 	t.Helper()
 	backend, err := sev.NewBackend(sev.Options{Seed: 42, Obs: reg, Faults: plane})
 	if err != nil {
@@ -24,7 +24,6 @@ func newTestPool(t *testing.T, plane *faultplane.Plane, low, high int, reg *obs.
 		Backend: backend,
 		Guest:   tee.GuestConfig{Name: "pool-host", MemoryMB: 2},
 		Cache:   vm.NewSnapshotCache(64<<20, reg),
-		Low:     low,
 		High:    high,
 		Obs:     reg,
 		Faults:  plane,
@@ -51,8 +50,8 @@ func TestGuestPoolInvariants(t *testing.T) {
 	}
 	reg := obs.New()
 	before := runtime.NumGoroutine()
-	const low, high = 2, 4
-	pool := newTestPool(t, plane, low, high, reg)
+	const low, high = 2, 4 // the default low watermark of high 4
+	pool := newTestPool(t, plane, high, reg)
 
 	var mu sync.Mutex
 	held := make(map[string]bool)
@@ -143,10 +142,10 @@ func TestGuestPoolInvariants(t *testing.T) {
 	}
 }
 
-// TestGuestPoolWatermarkDefaults pins the Low default of (High+1)/2
-// and rejection of inverted watermarks.
+// TestGuestPoolWatermarkDefaults pins the low watermark of (High+1)/2
+// and rejection of a nil backend.
 func TestGuestPoolWatermarkDefaults(t *testing.T) {
-	pool := newTestPool(t, nil, 0, 5, obs.New())
+	pool := newTestPool(t, nil, 5, obs.New())
 	defer pool.Shutdown(context.Background())
 	low, high := pool.Watermarks()
 	if low != 3 || high != 5 {
@@ -154,14 +153,6 @@ func TestGuestPoolWatermarkDefaults(t *testing.T) {
 	}
 	if pool.Idle() != high {
 		t.Errorf("prefill idle = %d, want %d", pool.Idle(), high)
-	}
-
-	backend, err := sev.NewBackend(sev.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewGuestPool(GuestPoolConfig{Backend: backend, Low: 6, High: 2}); err == nil {
-		t.Error("inverted watermarks accepted")
 	}
 	if _, err := NewGuestPool(GuestPoolConfig{}); err == nil {
 		t.Error("nil backend accepted")
@@ -172,7 +163,7 @@ func TestGuestPoolWatermarkDefaults(t *testing.T) {
 // guests are ignored, destroyed guests are dropped from the pool, and
 // a full pool destroys rather than exceeds the high watermark.
 func TestGuestPoolReleaseSemantics(t *testing.T) {
-	pool := newTestPool(t, nil, 1, 2, obs.New())
+	pool := newTestPool(t, nil, 2, obs.New())
 	defer pool.Shutdown(context.Background())
 
 	backend, err := sev.NewBackend(sev.Options{Seed: 7})

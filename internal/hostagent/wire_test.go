@@ -194,7 +194,6 @@ func TestWarmAgent(t *testing.T) {
 		Obs:      reg,
 		WarmPool: 2,
 		Cache:    vm.NewSnapshotCache(64<<20, reg),
-		Runtime:  "go",
 	})
 	if err != nil {
 		t.Fatal(err)

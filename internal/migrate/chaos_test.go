@@ -86,7 +86,8 @@ func TestChaosMigrationUnderLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{Obs: obs.New(), Faults: fp, ChunkSize: 4, MaxResumes: 6})
+	eng := NewEngine(Config{Obs: obs.New(), Faults: fp})
+	eng.chunkSize, eng.maxResumes = 4, 6
 
 	hosts := [2]string{"host-a", "host-b"}
 	var migrated, rolledBack int

@@ -22,9 +22,9 @@ const (
 	// verifyCost is the fixed attestation-gate cost inside the
 	// blackout window.
 	verifyCost = 5 * time.Millisecond
-	// DefaultMaxResumes bounds stream-sever recoveries per migration
-	// before the engine gives up and rolls back.
-	DefaultMaxResumes = 8
+	// resumeLimit bounds stream-sever recoveries per migration before
+	// the engine gives up and rolls back.
+	resumeLimit = 8
 )
 
 // Outcome classifies how a migration ended.
@@ -47,12 +47,6 @@ type Config struct {
 	// Faults is consulted at migrate.stream per chunk and at
 	// migrate.verify before resume (nil = no injection).
 	Faults *faultplane.Plane
-	// ChunkSize is the stream chunk payload size (DefaultChunkSize
-	// when <= 0).
-	ChunkSize int
-	// MaxResumes bounds stream-sever recoveries (DefaultMaxResumes
-	// when <= 0).
-	MaxResumes int
 	// Tamper, when set, is an on-path attacker for tests: it may
 	// rewrite any frame before the receiver sees it. sendIndex 0 is
 	// the header, 1..n the chunks, n+1 the trailer. Returning the
@@ -63,17 +57,14 @@ type Config struct {
 // Engine drives live migrations.
 type Engine struct {
 	cfg Config
+	// chunkSize (DefaultChunkSize) and maxResumes (resumeLimit) shape
+	// the stream; tests shrink them.
+	chunkSize, maxResumes int
 }
 
-// NewEngine returns an engine with defaults applied.
+// NewEngine returns an engine.
 func NewEngine(cfg Config) *Engine {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
-	}
-	if cfg.MaxResumes <= 0 {
-		cfg.MaxResumes = DefaultMaxResumes
-	}
-	return &Engine{cfg: cfg}
+	return &Engine{cfg: cfg, chunkSize: DefaultChunkSize, maxResumes: resumeLimit}
 }
 
 // Spec describes one migration: which guest, between which backends,
@@ -184,7 +175,7 @@ func (e *Engine) Migrate(spec Spec) (*Result, error) {
 	// severs (resume from the receiver's cursor), corruptions (CRC
 	// NAK, retransmit), and latency (pre-blackout: absorbed; final
 	// chunk: counted into downtime).
-	stream, err := Encode(img, e.cfg.ChunkSize)
+	stream, err := Encode(img, e.chunkSize)
 	if err != nil {
 		return e.rollback(spec, res, nil,
 			cberr.Wrap(cberr.CodeInternal, cberr.LayerHost,
@@ -236,11 +227,11 @@ func (e *Engine) Migrate(spec Spec) (*Result, error) {
 				// header is re-fed (idempotent) and transfer restarts
 				// from the last acked chunk.
 				res.Resumes++
-				if res.Resumes > e.cfg.MaxResumes {
+				if res.Resumes > e.maxResumes {
 					return e.rollback(spec, res, nil,
 						cberr.Wrap(cberr.CodeUnavailable, cberr.LayerHost,
 							fmt.Errorf("migrate stream: %d severs exhausted %d resumes: %w",
-								res.Resumes, e.cfg.MaxResumes, d.Err)))
+								res.Resumes, e.maxResumes, d.Err)))
 				}
 				if err := deliver(0, stream.HeaderFrame()); err != nil {
 					return e.rollback(spec, res, nil, e.gateError(res, err))
@@ -256,11 +247,11 @@ func (e *Engine) Migrate(spec Spec) (*Result, error) {
 				if err := deliver(i+1, frame); err != nil {
 					if errors.Is(err, ErrChunkCRC) {
 						res.Resumes++
-						if res.Resumes > e.cfg.MaxResumes {
+						if res.Resumes > e.maxResumes {
 							return e.rollback(spec, res, nil,
 								cberr.Wrap(cberr.CodeUnavailable, cberr.LayerHost,
 									fmt.Errorf("migrate stream: corruption exhausted %d resumes: %w",
-										e.cfg.MaxResumes, err)))
+										e.maxResumes, err)))
 						}
 						continue // retransmit the same chunk clean
 					}

@@ -219,7 +219,8 @@ func TestMigrateResumesAfterSever(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chunk size 4 forces a multi-chunk stream so severs land mid-way.
-	eng := NewEngine(Config{Obs: obs.New(), Faults: fp, ChunkSize: 4, MaxResumes: 1000})
+	eng := NewEngine(Config{Obs: obs.New(), Faults: fp})
+	eng.chunkSize, eng.maxResumes = 4, 1000
 	res, err := eng.Migrate(migrateSpec(b, g))
 	if err != nil {
 		t.Fatalf("migrate under severs: %v", err)
@@ -250,7 +251,8 @@ func TestMigrateRetriesCorruptChunks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{Obs: obs.New(), Faults: fp, ChunkSize: 4, MaxResumes: 1000})
+	eng := NewEngine(Config{Obs: obs.New(), Faults: fp})
+	eng.chunkSize, eng.maxResumes = 4, 1000
 	res, err := eng.Migrate(migrateSpec(b, g))
 	if err != nil {
 		t.Fatalf("migrate under corruption: %v", err)
@@ -261,7 +263,7 @@ func TestMigrateRetriesCorruptChunks(t *testing.T) {
 }
 
 // TestMigrateRollsBackWhenResumesExhausted arms a permanent sever: the
-// engine must give up after MaxResumes, roll back, and leave the
+// engine must give up after maxResumes, roll back, and leave the
 // source serving.
 func TestMigrateRollsBackWhenResumesExhausted(t *testing.T) {
 	b := backendFor(t, tee.KindSEV, 6)
@@ -275,7 +277,8 @@ func TestMigrateRollsBackWhenResumesExhausted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{Obs: obs.New(), Faults: fp, MaxResumes: 3})
+	eng := NewEngine(Config{Obs: obs.New(), Faults: fp})
+	eng.maxResumes = 3
 	res, err := eng.Migrate(migrateSpec(b, g))
 	if err == nil {
 		t.Fatal("permanent sever: migration succeeded")
@@ -290,7 +293,7 @@ func TestMigrateRollsBackWhenResumesExhausted(t *testing.T) {
 		t.Error("source destroyed on rollback")
 	}
 	if res.Resumes != 4 {
-		t.Errorf("resumes %d, want MaxResumes+1", res.Resumes)
+		t.Errorf("resumes %d, want maxResumes+1", res.Resumes)
 	}
 }
 

@@ -13,9 +13,6 @@ import (
 
 // Options configures the CCA backend.
 type Options struct {
-	// Host is the machine profile; defaults to cpumodel.FVPNeoverse,
-	// the FVP simulator model.
-	Host cpumodel.Profile
 	// Seed drives deterministic noise.
 	Seed int64
 	// Obs is the metrics registry the RMM and guests report to (nil =
@@ -37,8 +34,7 @@ type Options struct {
 // against normal-VM-in-FVP.
 type Backend struct {
 	*tee.Lifecycle
-	host cpumodel.Profile
-	rmm  *RMM
+	rmm *RMM
 
 	// nextPA is the first host physical address no realm has been given.
 	nextPA atomic.Uint64
@@ -51,19 +47,13 @@ var (
 )
 
 // NewBackend boots an FVP instance with an RMM loaded in the realm
-// world.
+// world, on the cpumodel.FVPNeoverse simulator model.
 func NewBackend(opts Options) (*Backend, error) {
-	if opts.Host.Name == "" {
-		opts.Host = cpumodel.FVPNeoverse
-	}
-	if err := opts.Host.Validate(); err != nil {
-		return nil, err
-	}
 	rmm := NewRMM()
 	if opts.Obs != nil {
 		rmm.SetObsRegistry(opts.Obs)
 	}
-	b := &Backend{host: opts.Host, rmm: rmm}
+	b := &Backend{rmm: rmm}
 	b.nextPA.Store(GranuleSize) // skip granule 0
 	b.Lifecycle = tee.NewLifecycle(tee.Platform{
 		Kind:           tee.KindCCA,
@@ -85,11 +75,11 @@ func (b *Backend) Kind() tee.Kind { return tee.KindCCA }
 
 // Name implements tee.Backend.
 func (b *Backend) Name() string {
-	return fmt.Sprintf("ARM CCA (%s, FVP simulator) on %s", b.rmm.Version(), b.host.Name)
+	return fmt.Sprintf("ARM CCA (%s, FVP simulator) on %s", b.rmm.Version(), cpumodel.FVPNeoverse.Name)
 }
 
 // HostProfile implements tee.Backend.
-func (b *Backend) HostProfile() cpumodel.Profile { return b.host }
+func (b *Backend) HostProfile() cpumodel.Profile { return cpumodel.FVPNeoverse }
 
 // Monitor exposes the RMM for inspection in tests.
 func (b *Backend) Monitor() *RMM { return b.rmm }

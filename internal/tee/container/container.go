@@ -29,39 +29,20 @@ type costModeler interface {
 	NoiseStream(secure bool) uint64
 }
 
-// Options tunes the container stack's overheads. Zero values select
-// defaults calibrated to the "unpractical" containers of §V.
-type Options struct {
-	// IOFactor multiplies storage factors (virtio-fs + overlayfs).
-	IOFactor float64
-	// SyscallFactor multiplies kernel-entry cost (agent forwarding).
-	SyscallFactor float64
-	// CPUFactor multiplies compute cost (runtime shims).
-	CPUFactor float64
-	// MemFactor multiplies memory-traffic cost.
-	MemFactor float64
-	// ExtraStartupNs adds image-pull + pod-boot time.
-	ExtraStartupNs float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.IOFactor <= 0 {
-		o.IOFactor = 2.6
-	}
-	if o.SyscallFactor <= 0 {
-		o.SyscallFactor = 1.8
-	}
-	if o.CPUFactor <= 0 {
-		o.CPUFactor = 1.06
-	}
-	if o.MemFactor <= 0 {
-		o.MemFactor = 1.12
-	}
-	if o.ExtraStartupNs <= 0 {
-		o.ExtraStartupNs = 4.5e9
-	}
-	return o
-}
+// The container stack's overheads, calibrated to the "unpractical"
+// containers of §V.
+const (
+	// ioFactor multiplies storage factors (virtio-fs + overlayfs).
+	ioFactor = 2.6
+	// syscallFactor multiplies kernel-entry cost (agent forwarding).
+	syscallFactor = 1.8
+	// cpuFactor multiplies compute cost (runtime shims).
+	cpuFactor = 1.06
+	// memFactor multiplies memory-traffic cost.
+	memFactor = 1.12
+	// extraStartupNs adds image-pull + pod-boot time.
+	extraStartupNs = 4.5e9
+)
 
 // Backend wraps a TEE backend so that its confidential guests run
 // workloads as confidential containers. Normal guests model plain
@@ -69,21 +50,20 @@ func (o Options) withDefaults() Options {
 // like with like.
 type Backend struct {
 	inner tee.Backend
-	opts  Options
 }
 
 var _ tee.Backend = (*Backend)(nil)
 
 // NewBackend wraps inner. The inner backend must expose its cost
 // model and noise streams (the tdx, sev, and cca backends all do).
-func NewBackend(inner tee.Backend, opts Options) (*Backend, error) {
+func NewBackend(inner tee.Backend) (*Backend, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("container: nil inner backend")
 	}
 	if _, ok := inner.(costModeler); !ok {
 		return nil, fmt.Errorf("container: backend %q does not expose a cost model and noise streams", inner.Kind())
 	}
-	return &Backend{inner: inner, opts: opts.withDefaults()}, nil
+	return &Backend{inner: inner}, nil
 }
 
 // Kind implements tee.Backend: containers keep the host platform's
@@ -103,17 +83,16 @@ func (b *Backend) Inner() tee.Backend { return b.inner }
 
 // composeModel layers the container stack's costs on top of cm.
 func (b *Backend) composeModel(cm tee.CostModel) tee.CostModel {
-	o := b.opts
-	cm.CPUFactor *= o.CPUFactor
-	cm.MemFactor *= o.MemFactor
-	cm.IOReadFactor *= o.IOFactor
-	cm.IOWriteFactor *= o.IOFactor
-	cm.NetFactor *= o.IOFactor
-	cm.FileOpFactor *= o.IOFactor
-	cm.LogFactor *= o.SyscallFactor
-	cm.SyscallFactor *= o.SyscallFactor
+	cm.CPUFactor *= cpuFactor
+	cm.MemFactor *= memFactor
+	cm.IOReadFactor *= ioFactor
+	cm.IOWriteFactor *= ioFactor
+	cm.NetFactor *= ioFactor
+	cm.FileOpFactor *= ioFactor
+	cm.LogFactor *= syscallFactor
+	cm.SyscallFactor *= syscallFactor
 	cm.SpawnFactor *= 1.5 // pod plumbing around every process
-	cm.StartupNs += o.ExtraStartupNs
+	cm.StartupNs += extraStartupNs
 	return cm
 }
 

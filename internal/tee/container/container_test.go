@@ -16,7 +16,7 @@ func wrapped(t *testing.T) *Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(inner, Options{})
+	b, err := NewBackend(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestBackendMetadata(t *testing.T) {
 }
 
 func TestNewBackendValidation(t *testing.T) {
-	if _, err := NewBackend(nil, Options{}); err == nil {
+	if _, err := NewBackend(nil); err == nil {
 		t.Error("nil inner accepted")
 	}
 }

@@ -159,7 +159,7 @@ func pricings(t *testing.T) []pricing {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := container.NewBackend(tb, container.Options{})
+	cc, err := container.NewBackend(tb)
 	if err != nil {
 		t.Fatal(err)
 	}

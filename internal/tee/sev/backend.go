@@ -13,8 +13,6 @@ import (
 
 // Options configures the SEV-SNP backend.
 type Options struct {
-	// Host is the machine profile; defaults to cpumodel.EPYC9124.
-	Host cpumodel.Profile
 	// Seed drives deterministic noise and the chip identity.
 	Seed int64
 	// Obs is the metrics registry the RMP and guests report to (nil =
@@ -30,9 +28,8 @@ type Options struct {
 // shared tee.Lifecycle over the SNP primitives of the snpGuest type.
 type Backend struct {
 	*tee.Lifecycle
-	host cpumodel.Profile
-	sp   *AMDSP
-	rmp  *RMP
+	sp  *AMDSP
+	rmp *RMP
 
 	// lastASID is the most recent address-space ID handed to a guest
 	// context; they count up from 1.
@@ -46,14 +43,8 @@ var (
 )
 
 // NewBackend provisions an SEV-SNP host: an AMD-SP with a fresh
-// VCEK/ASK/ARK hierarchy and an empty RMP.
+// VCEK/ASK/ARK hierarchy and an empty RMP, on a cpumodel.EPYC9124.
 func NewBackend(opts Options) (*Backend, error) {
-	if opts.Host.Name == "" {
-		opts.Host = cpumodel.EPYC9124
-	}
-	if err := opts.Host.Validate(); err != nil {
-		return nil, err
-	}
 	sp, err := NewAMDSP(opts.Seed)
 	if err != nil {
 		return nil, err
@@ -62,7 +53,7 @@ func NewBackend(opts Options) (*Backend, error) {
 	if opts.Obs != nil {
 		rmp.SetObsRegistry(opts.Obs)
 	}
-	b := &Backend{host: opts.Host, sp: sp, rmp: rmp}
+	b := &Backend{sp: sp, rmp: rmp}
 	b.Lifecycle = tee.NewLifecycle(tee.Platform{
 		Kind:           tee.KindSEV,
 		IDPrefix:       "snp",
@@ -83,11 +74,11 @@ func (b *Backend) Kind() tee.Kind { return tee.KindSEV }
 
 // Name implements tee.Backend.
 func (b *Backend) Name() string {
-	return fmt.Sprintf("AMD SEV-SNP on %s", b.host.Name)
+	return fmt.Sprintf("AMD SEV-SNP on %s", cpumodel.EPYC9124.Name)
 }
 
 // HostProfile implements tee.Backend.
-func (b *Backend) HostProfile() cpumodel.Profile { return b.host }
+func (b *Backend) HostProfile() cpumodel.Profile { return cpumodel.EPYC9124 }
 
 // SecureProcessor exposes the AMD-SP, used by the attestation stack to
 // fetch the VCEK certificate chain "from the underlying hardware".

@@ -12,8 +12,6 @@ import (
 
 // Options configures the TDX backend.
 type Options struct {
-	// Host is the machine profile; defaults to cpumodel.XeonGold5515.
-	Host cpumodel.Profile
 	// FirmwareVersion is the TDX module version; defaults to
 	// CurrentFirmware. Using BuggyFirmware reproduces the consistent
 	// ~10× overhead the paper observed before Intel's upgrade.
@@ -34,7 +32,6 @@ type Options struct {
 // tee.Lifecycle over the TD primitives of the td type.
 type Backend struct {
 	*tee.Lifecycle
-	host   cpumodel.Profile
 	module *Module
 }
 
@@ -44,14 +41,9 @@ var (
 	_ tee.Migrator    = (*Backend)(nil)
 )
 
-// NewBackend creates a TDX backend with a freshly loaded module.
+// NewBackend creates a TDX backend with a freshly loaded module on a
+// cpumodel.XeonGold5515 host.
 func NewBackend(opts Options) (*Backend, error) {
-	if opts.Host.Name == "" {
-		opts.Host = cpumodel.XeonGold5515
-	}
-	if err := opts.Host.Validate(); err != nil {
-		return nil, err
-	}
 	if opts.FirmwareVersion == "" {
 		opts.FirmwareVersion = CurrentFirmware
 	}
@@ -59,7 +51,7 @@ func NewBackend(opts Options) (*Backend, error) {
 	if opts.Obs != nil {
 		module.SetObsRegistry(opts.Obs)
 	}
-	b := &Backend{host: opts.Host, module: module}
+	b := &Backend{module: module}
 	b.Lifecycle = tee.NewLifecycle(tee.Platform{
 		Kind:           tee.KindTDX,
 		IDPrefix:       "td",
@@ -81,11 +73,11 @@ func (b *Backend) Kind() tee.Kind { return tee.KindTDX }
 
 // Name implements tee.Backend.
 func (b *Backend) Name() string {
-	return fmt.Sprintf("Intel TDX (%s) on %s", b.module.Info().Version, b.host.Name)
+	return fmt.Sprintf("Intel TDX (%s) on %s", b.module.Info().Version, cpumodel.XeonGold5515.Name)
 }
 
 // HostProfile implements tee.Backend.
-func (b *Backend) HostProfile() cpumodel.Profile { return b.host }
+func (b *Backend) HostProfile() cpumodel.Profile { return cpumodel.XeonGold5515 }
 
 // Module exposes the simulated TDX module, used by the DCAP
 // attestation stack to locally verify TDREPORT MACs.

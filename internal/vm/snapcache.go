@@ -9,11 +9,9 @@ import (
 )
 
 // SnapshotKey identifies one reusable guest image: images are shared
-// across hosts of the same TEE kind as long as they run the same
-// runtime at the same memory size.
+// across hosts of the same TEE kind at the same memory size.
 type SnapshotKey struct {
 	Kind     tee.Kind
-	Runtime  string
 	MemoryMB int
 }
 

@@ -7,8 +7,10 @@ import (
 	"confbench/internal/tee"
 )
 
-func cacheKey(runtime string, mb int) SnapshotKey {
-	return SnapshotKey{Kind: tee.KindTDX, Runtime: runtime, MemoryMB: mb}
+// cacheKey names image n of the tests: keys differ by memory size only,
+// and the image sizes come from cacheImg.
+func cacheKey(n int) SnapshotKey {
+	return SnapshotKey{Kind: tee.KindTDX, MemoryMB: n}
 }
 
 func cacheImg(mb int) *tee.GuestImage {
@@ -18,23 +20,23 @@ func cacheImg(mb int) *tee.GuestImage {
 func TestSnapshotCacheLRUEviction(t *testing.T) {
 	reg := obs.New()
 	c := NewSnapshotCache(3<<20, reg)
-	c.Put(cacheKey("a", 1), cacheImg(1))
-	c.Put(cacheKey("b", 1), cacheImg(1))
-	c.Put(cacheKey("c", 1), cacheImg(1))
+	c.Put(cacheKey(1), cacheImg(1))
+	c.Put(cacheKey(2), cacheImg(1))
+	c.Put(cacheKey(3), cacheImg(1))
 	if c.Len() != 3 || c.UsedBytes() != 3<<20 {
 		t.Fatalf("len=%d used=%d", c.Len(), c.UsedBytes())
 	}
-	// Touch "a" so "b" becomes least recently used, then overflow.
-	if _, ok := c.Get(cacheKey("a", 1)); !ok {
-		t.Fatal("a missing")
+	// Touch image 1 so image 2 becomes least recently used, then overflow.
+	if _, ok := c.Get(cacheKey(1)); !ok {
+		t.Fatal("image 1 missing")
 	}
-	c.Put(cacheKey("d", 1), cacheImg(1))
-	if _, ok := c.Get(cacheKey("b", 1)); ok {
-		t.Error("b survived eviction despite being LRU")
+	c.Put(cacheKey(4), cacheImg(1))
+	if _, ok := c.Get(cacheKey(2)); ok {
+		t.Error("image 2 survived eviction despite being LRU")
 	}
-	for _, r := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(cacheKey(r, 1)); !ok {
-			t.Errorf("%s evicted unexpectedly", r)
+	for _, n := range []int{1, 3, 4} {
+		if _, ok := c.Get(cacheKey(n)); !ok {
+			t.Errorf("image %d evicted unexpectedly", n)
 		}
 	}
 	snap := reg.Snapshot()
@@ -48,7 +50,7 @@ func TestSnapshotCacheLRUEviction(t *testing.T) {
 
 func TestSnapshotCacheOversizedImageNotCached(t *testing.T) {
 	c := NewSnapshotCache(1<<20, obs.New())
-	c.Put(cacheKey("big", 2), cacheImg(2))
+	c.Put(cacheKey(5), cacheImg(2))
 	if c.Len() != 0 {
 		t.Error("image above the whole budget was cached")
 	}
@@ -56,15 +58,15 @@ func TestSnapshotCacheOversizedImageNotCached(t *testing.T) {
 
 func TestSnapshotCacheReplaceRefreshes(t *testing.T) {
 	c := NewSnapshotCache(4<<20, obs.New())
-	c.Put(cacheKey("a", 1), cacheImg(1))
-	c.Put(cacheKey("a", 1), cacheImg(2))
+	c.Put(cacheKey(1), cacheImg(1))
+	c.Put(cacheKey(1), cacheImg(2))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
 	if c.UsedBytes() != 2<<20 {
 		t.Errorf("used = %d, want %d", c.UsedBytes(), 2<<20)
 	}
-	img, ok := c.Get(cacheKey("a", 1))
+	img, ok := c.Get(cacheKey(1))
 	if !ok || img.MemoryMB != 2 {
 		t.Errorf("got %+v ok=%v, want the replacement image", img, ok)
 	}
@@ -72,8 +74,8 @@ func TestSnapshotCacheReplaceRefreshes(t *testing.T) {
 
 func TestSnapshotCacheNilSafe(t *testing.T) {
 	var c *SnapshotCache
-	c.Put(cacheKey("a", 1), cacheImg(1))
-	if _, ok := c.Get(cacheKey("a", 1)); ok {
+	c.Put(cacheKey(1), cacheImg(1))
+	if _, ok := c.Get(cacheKey(1)); ok {
 		t.Error("nil cache hit")
 	}
 	if c.Len() != 0 || c.UsedBytes() != 0 || c.Budget() != 0 {

@@ -18,7 +18,7 @@ func FuzzRecovery(f *testing.F) {
 	f.Add(uint16(9999), false, uint8(0xff))
 	f.Fuzz(func(t *testing.T, rawOff uint16, truncate bool, flip uint8) {
 		dir := t.TempDir()
-		l, err := Open(dir, Options{NoFsync: true, CompactRatio: -1})
+		l, err := Open(dir, Options{CompactRatio: -1})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -65,7 +65,7 @@ func FuzzRecovery(f *testing.F) {
 		// Every record wholly before the damage must survive; the
 		// damaged record and everything after it is cut. Open must not
 		// panic or error regardless of where the damage landed.
-		l2, err := Open(dir, Options{NoFsync: true, CompactRatio: -1})
+		l2, err := Open(dir, Options{CompactRatio: -1})
 		if err != nil {
 			t.Fatalf("reopen after corruption at %d: %v", off, err)
 		}

@@ -32,10 +32,9 @@ import (
 	"sync"
 )
 
-// Defaults.
 const (
-	// DefaultSegmentBytes is the roll-over budget of one segment file.
-	DefaultSegmentBytes = 4 << 20
+	// segmentBytes is the roll-over budget of one segment file.
+	segmentBytes = 4 << 20
 	// DefaultCompactRatio is the dead/total byte ratio past which a
 	// write triggers background compaction.
 	DefaultCompactRatio = 0.5
@@ -59,22 +58,13 @@ var ErrClosed = errors.New("wal: log closed")
 
 // Options tunes a Log.
 type Options struct {
-	// SegmentBytes is the per-segment roll-over budget
-	// (0 = DefaultSegmentBytes).
-	SegmentBytes int64
 	// CompactRatio is the dead/total byte ratio past which appends
 	// schedule a background compaction (0 = DefaultCompactRatio;
 	// negative disables automatic compaction — Compact still works).
 	CompactRatio float64
-	// NoFsync skips the physical fsync in Sync (the metered cost is
-	// charged by callers regardless); tests on slow filesystems use it.
-	NoFsync bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
 	if o.CompactRatio == 0 {
 		o.CompactRatio = DefaultCompactRatio
 	}
@@ -128,6 +118,8 @@ func (s Stats) DeadRatio() float64 {
 type Log struct {
 	dir  string
 	opts Options
+	// segBytes is segmentBytes; tests shrink it to force roll-overs.
+	segBytes int64
 
 	mu          sync.Mutex
 	segments    map[int]*segment
@@ -156,6 +148,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:      dir,
 		opts:     opts,
+		segBytes: segmentBytes,
 		segments: make(map[int]*segment, 4),
 		index:    make(map[string]ref, 64),
 	}
@@ -325,7 +318,7 @@ func (l *Log) rollLocked(id int) error {
 // appendLocked writes one encoded record to the active segment,
 // rolling over first when the active segment is past its budget.
 func (l *Log) appendLocked(rec []byte) (seg int, off int64, err error) {
-	if l.active.size >= l.opts.SegmentBytes {
+	if l.active.size >= l.segBytes {
 		if err := l.rollLocked(l.active.id + 1); err != nil {
 			return 0, 0, err
 		}
@@ -481,9 +474,6 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.opts.NoFsync {
-		return nil
-	}
 	return l.active.f.Sync()
 }
 
@@ -571,10 +561,8 @@ func (l *Log) compact() error {
 		live += r.size
 		total += r.size
 	}
-	if !l.opts.NoFsync {
-		if err := l.active.f.Sync(); err != nil {
-			return fmt.Errorf("wal: compact sync: %w", err)
-		}
+	if err := l.active.f.Sync(); err != nil {
+		return fmt.Errorf("wal: compact sync: %w", err)
 	}
 	l.index = newIndex
 	l.liveBytes = live
@@ -631,7 +619,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	var err error
-	if !l.opts.NoFsync && l.active != nil {
+	if l.active != nil {
 		if serr := l.active.f.Sync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
 			err = serr
 		}

@@ -20,6 +20,14 @@ func openT(t *testing.T, opts Options) *Log {
 	return l
 }
 
+// openSegT is openT with segments of segBytes.
+func openSegT(t *testing.T, opts Options, segBytes int64) *Log {
+	t.Helper()
+	l := openT(t, opts)
+	l.segBytes = segBytes
+	return l
+}
+
 func mustPut(t *testing.T, l *Log, key, val string) {
 	t.Helper()
 	if _, err := l.Put(key, []byte(val)); err != nil {
@@ -124,7 +132,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 }
 
 func TestSegmentRollover(t *testing.T) {
-	l := openT(t, Options{SegmentBytes: 256, CompactRatio: -1})
+	l := openSegT(t, Options{CompactRatio: -1}, 256)
 	for i := 0; i < 50; i++ {
 		mustPut(t, l, fmt.Sprintf("k%02d", i), "0123456789abcdef")
 	}
@@ -139,7 +147,7 @@ func TestSegmentRollover(t *testing.T) {
 	// Reopen spans segments too.
 	dir := l.Dir()
 	l.Close()
-	l2, err := Open(dir, Options{SegmentBytes: 256, CompactRatio: -1})
+	l2, err := Open(dir, Options{CompactRatio: -1})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -219,7 +227,7 @@ func TestCorruptedChecksumCutsTail(t *testing.T) {
 }
 
 func TestCompactDropsDeadRecords(t *testing.T) {
-	l := openT(t, Options{SegmentBytes: 512, CompactRatio: -1})
+	l := openSegT(t, Options{CompactRatio: -1}, 512)
 	for i := 0; i < 40; i++ {
 		mustPut(t, l, fmt.Sprintf("k%02d", i%4), fmt.Sprintf("gen-%02d-0123456789", i))
 	}
@@ -264,7 +272,7 @@ func TestCompactDropsDeadRecords(t *testing.T) {
 func TestAutoCompactionTriggers(t *testing.T) {
 	// Small segments plus heavy overwrite of one key pushes the dead
 	// ratio past the threshold and total bytes past compactMinBytes.
-	l := openT(t, Options{SegmentBytes: 8 << 10, CompactRatio: 0.5})
+	l := openSegT(t, Options{CompactRatio: 0.5}, 8<<10)
 	val := bytes.Repeat([]byte("x"), 1024)
 	for i := 0; i < 200; i++ {
 		if _, err := l.Put("hot", val); err != nil {
@@ -338,7 +346,7 @@ func TestInvalidKeysRejected(t *testing.T) {
 }
 
 func TestConcurrentPutsAndGets(t *testing.T) {
-	l := openT(t, Options{SegmentBytes: 4 << 10})
+	l := openSegT(t, Options{}, 4<<10)
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -366,15 +374,10 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 	}
 }
 
-func TestSyncAndNoFsync(t *testing.T) {
+func TestSync(t *testing.T) {
 	l := openT(t, Options{})
 	mustPut(t, l, "k", "v")
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
-	}
-	nf := openT(t, Options{NoFsync: true})
-	mustPut(t, nf, "k", "v")
-	if err := nf.Sync(); err != nil {
-		t.Fatalf("Sync (NoFsync): %v", err)
 	}
 }
