@@ -8,9 +8,10 @@ package wasmvm
 // The bytecode does not change. NewInstance builds a dispatch table per
 // function, the same length as Code: entry pc holds Code[pc]'s
 // immediate and either Code[pc]'s own op or a fused op that retires
-// Code[pc:pc+n] at once. A branch into the middle of a fused run lands
-// on an entry of its own, so the pc space, branch targets, Validate and
-// Disassemble are those of Code.
+// Code[pc:pc+n] at once. Validate lets a branch land only on a frame's
+// label, and no pattern holds an else or an end, or a loop past its
+// first instruction, so no branch lands inside a fused run; the pc
+// space, branch targets, Validate and Disassemble are those of Code.
 //
 // Accounting is what the n instructions would have cost one at a time:
 // a fused op burns n fuel (Instructions is what an invoke burnt) and
@@ -82,7 +83,7 @@ type xinstr struct {
 	a int64
 	// op is what call dispatches on: plain, or a fused op.
 	op Op
-	// plain is plainOp(Code[pc].Op).
+	// plain is Code[pc].Op.
 	plain Op
 	// n is the number of instructions op retires; h the highest operand
 	// height above the entry height that any of them sees at dispatch.
@@ -108,8 +109,7 @@ func buildDispatch(m *Module) [][]xinstr {
 	for i := range m.Funcs {
 		code := m.Funcs[i].Code
 		for pc, ins := range code {
-			plain := plainOp(ins.Op)
-			x := xinstr{a: ins.A, op: plain, plain: plain, n: 1}
+			x := xinstr{a: ins.A, op: ins.Op, plain: ins.Op, n: 1}
 			for _, p := range patterns {
 				if matches(code[pc:], p.seq) {
 					x.op, x.n, x.h = p.op, uint8(len(p.seq)), uint8(peak(p.seq))
@@ -121,16 +121,6 @@ func buildDispatch(m *Module) [][]xinstr {
 		tabs[i] = all[len(all)-len(code):]
 	}
 	return tabs
-}
-
-// plainOp is op as call dispatches it on its own: 0, which call
-// reports as an unknown opcode, for a value outside the plain ops, so
-// that bytecode cannot name a fused op.
-func plainOp(op Op) Op {
-	if op > OpI64TruncF64S {
-		return 0
-	}
-	return op
 }
 
 func matches(code []Instr, seq []Op) bool {

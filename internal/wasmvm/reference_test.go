@@ -186,64 +186,65 @@ func TestFusedTrapsMatchReference(t *testing.T) {
 	}
 }
 
-// TestBranchIntoFusedRunMatchesReference: a br_if lands on the third
-// instruction of a fused run (local.get; i64.const; i64.add; local.set;
-// br). That entry is dispatched plain, and the taken and the untaken
-// path both end as they do one instruction at a time.
-func TestBranchIntoFusedRunMatchesReference(t *testing.T) {
+// TestBranchToFusedRunMatchesReference: a br_if leaves a block onto
+// the first instruction of a fused run (local.get; i64.const; i64.add;
+// local.set; br), which the untaken path reaches by falling through.
+// Both paths end as they do one instruction at a time. A branch into
+// the middle of a run is not valid bytecode (TestValidateRejectsBadBranches).
+func TestBranchToFusedRunMatchesReference(t *testing.T) {
 	m := &Module{
-		Funcs: []Func{{Name: "mid", Params: 1, Results: 1, Locals: 1, Code: []Instr{
-			{OpBlock, 11},
+		Funcs: []Func{{Name: "run", Params: 1, Results: 1, Locals: 1, Code: []Instr{
+			{OpBlock, 13},
+			{OpBlock, 7},
 			{OpLocalGet, 0},
+			{OpBrIf, 7}, // x != 0: skip the store of 100, onto the run
 			{OpI64Const, 100},
-			{OpLocalGet, 0},
-			{OpBrIf, 7}, // x != 0: into the run below, at its i64.add
+			{OpLocalSet, 1},
+			{OpEnd, 0},
 			{OpLocalGet, 0},
 			{OpI64Const, 5},
 			{OpI64Add, 0},
 			{OpLocalSet, 1},
-			{OpBr, 11},
+			{OpBr, 13},
 			{OpEnd, 0},
 			{OpLocalGet, 1},
 		}}},
-		exports: map[string]int{"mid": 0},
+		exports: map[string]int{"run": 0},
 	}
 	in, err := NewInstance(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x := in.dispatch[0][5]; x.op != opAddConstSetBr {
-		t.Fatalf("pc 5 dispatches %v, want the fused add-const-set-br", x.op)
+	if x := in.dispatch[0][7]; x.op != opAddConstSetBr {
+		t.Fatalf("pc 7 dispatches %v, want the fused add-const-set-br", x.op)
 	}
 	for _, arg := range []int64{0, 3} {
-		diffEveryBudget(t, m, "mid", arg)
+		diffEveryBudget(t, m, "run", arg)
 	}
-	if got, want := invokeWith(in, false, DefaultFuel, "mid", 3), int64(103); got.res[0] != want {
-		t.Errorf("mid(3) = %v, want %d", got.res, want)
+	if got, want := invokeWith(in, false, DefaultFuel, "run", 3), int64(8); got.res[0] != want {
+		t.Errorf("run(3) = %v, want %d", got.res, want)
 	}
 }
 
-// TestFusedOpValuesAreNotBytecode: a Code op that happens to carry a
-// fused op's value is an unknown opcode, as it was before fusion, not
-// a superinstruction reading immediates past the end of Code.
+// TestFusedOpValuesAreNotBytecode: a Code op that carries a fused op's
+// value, or any other value outside the instruction set, is refused by
+// NewInstance, so bytecode cannot name a superinstruction that would
+// read immediates past the end of Code.
 func TestFusedOpValuesAreNotBytecode(t *testing.T) {
-	m := &Module{
-		Funcs:   []Func{{Name: "bad", Code: []Instr{{opLoopGtSBrIf, 0}}}},
-		exports: map[string]int{"bad": 0},
-	}
-	in, err := NewInstance(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := invokeWith(in, true, DefaultFuel, "bad")
-	got := invokeWith(in, false, DefaultFuel, "bad")
-	if got.String() != want.String() || got.err == "" {
-		t.Errorf("got %v, want %v", got, want)
+	for _, op := range []Op{0, opLoopGtSBrIf, opF64MulAddSqrtSet, 200} {
+		m := &Module{
+			Funcs:   []Func{{Name: "bad", Code: []Instr{{op, 0}}}},
+			exports: map[string]int{"bad": 0},
+		}
+		if _, err := NewInstance(m); !errors.Is(err, ErrValidation) {
+			t.Errorf("NewInstance(code of %v) = %v, want ErrValidation", op, err)
+		}
 	}
 }
 
 // TestPatternsAreStraightLine holds every pattern to the rules the
-// fused arms rely on: only the last instruction may transfer control,
+// fused arms rely on: no branch label lies inside a run, only the last
+// instruction may transfer control,
 // at most one instruction touches memory or branches, the instruction
 // that can trap is the one the arm refunds from, and no pattern is a
 // prefix of another, so at most one matches at any pc.
@@ -268,7 +269,13 @@ func TestPatternsAreStraightLine(t *testing.T) {
 				if peak(p.seq[:k+1]) != peak(p.seq) {
 					t.Errorf("pattern %d peaks after its memory access at %d", i, k)
 				}
-			case OpElse, OpReturn, OpCall, OpUnreachable, OpMemoryGrow, OpI64DivS, OpI64RemS:
+			case OpLoop:
+				// Its own pc is a branch label: a run may start there only.
+				if k != 0 {
+					t.Errorf("pattern %d has a loop at %d", i, k)
+				}
+			case OpElse, OpEnd, OpReturn, OpCall, OpUnreachable, OpMemoryGrow, OpI64DivS, OpI64RemS:
+				// The pc past an else or an end is a branch label.
 				t.Errorf("pattern %d contains %v", i, op)
 			}
 		}

@@ -339,6 +339,40 @@ func TestValidateRejectsResultMismatch(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadBranches: a branch may only target the label
+// of an enclosing frame (a loop's own pc, the pc past a block's or an
+// if's end) and must arrive at that frame's entry height; if, else and
+// block carry the targets of their own frame. A branch that jumped
+// into code at another operand height used to pass NewInstance and
+// then panic the host on the underflow.
+func TestValidateRejectsBadBranches(t *testing.T) {
+	cases := map[string][]Instr{
+		"br outside any frame": {{OpBr, 3}, {OpI64Const, 1}, {OpI64Const, 2}, {OpI64Add, 0}, {OpDrop, 0}},
+		"br_if into the middle of a block": {
+			{OpBlock, 6}, {OpI64Const, 1}, {OpBrIf, 4}, {OpI64Const, 2}, {OpDrop, 0}, {OpEnd, 0},
+		},
+		"br with an operand left above the entry height": {
+			{OpBlock, 4}, {OpI64Const, 1}, {OpBr, 4}, {OpEnd, 0},
+		},
+		"br_if to a loop that is no longer open": {
+			{OpLoop, 0}, {OpEnd, 0}, {OpI64Const, 1}, {OpBrIf, 0},
+		},
+		"if that skips past its else": {
+			{OpI64Const, 1}, {OpIf, 5}, {OpNop, 0}, {OpElse, 5}, {OpNop, 0}, {OpEnd, 0},
+		},
+		"else that jumps short of its end": {
+			{OpI64Const, 1}, {OpIf, 3}, {OpElse, 4}, {OpNop, 0}, {OpEnd, 0},
+		},
+		"block with a stale target": {{OpBlock, 1}, {OpEnd, 0}},
+	}
+	for name, code := range cases {
+		m := &Module{Funcs: []Func{{Name: "f", Code: code}}, exports: map[string]int{"f": 0}}
+		if _, err := NewInstance(m); !errors.Is(err, ErrValidation) {
+			t.Errorf("%s: NewInstance = %v, want ErrValidation", name, err)
+		}
+	}
+}
+
 func TestValidateRejectsMemoryAccessWithoutMemory(t *testing.T) {
 	mb := NewModuleBuilder() // no memory declared
 	fb := NewFuncBuilder("f", 0, 1, 0)
