@@ -260,24 +260,31 @@ func NewPair(b tee.Backend, cfg tee.GuestConfig, catalog *workloads.Registry) (P
 	if err != nil {
 		return Pair{}, fmt.Errorf("vm: launch secure guest: %w", err)
 	}
+	return AssemblePair(b, cfg, catalog, secureGuest, func(g tee.Guest) { _ = g.Destroy() })
+}
+
+// AssemblePair launches a normal guest on b beside the confidential
+// guest secure and wraps the two in VMs over catalog. When it fails it
+// hands secure to release (NewPair destroys it; a warm pool takes it
+// back) and destroys the normal guest, so the backend leaks neither.
+func AssemblePair(b tee.Backend, cfg tee.GuestConfig, catalog *workloads.Registry, secure tee.Guest, release func(tee.Guest)) (Pair, error) {
 	normalGuest, err := b.LaunchNormal(cfg)
 	if err != nil {
-		// Launch succeeded but its pair failed; tear the secure guest
-		// down so the backend doesn't leak it.
-		_ = secureGuest.Destroy()
+		release(secure)
 		return Pair{}, fmt.Errorf("vm: launch normal guest: %w", err)
 	}
-	secureVM, err := New(Config{Name: cfg.Name + "-secure", Guest: secureGuest, Host: b.HostProfile(), Catalog: catalog})
-	if err != nil {
-		_ = secureGuest.Destroy()
+	fail := func(err error) (Pair, error) {
+		release(secure)
 		_ = normalGuest.Destroy()
 		return Pair{}, err
+	}
+	secureVM, err := New(Config{Name: cfg.Name + "-secure", Guest: secure, Host: b.HostProfile(), Catalog: catalog})
+	if err != nil {
+		return fail(err)
 	}
 	normalVM, err := New(Config{Name: cfg.Name + "-normal", Guest: normalGuest, Host: b.HostProfile(), Catalog: catalog})
 	if err != nil {
-		_ = secureVM.Stop()
-		_ = normalGuest.Destroy()
-		return Pair{}, err
+		return fail(err)
 	}
 	return Pair{Secure: secureVM, Normal: normalVM}, nil
 }

@@ -40,6 +40,33 @@ func TestNewPairFlags(t *testing.T) {
 	}
 }
 
+// noNormal is a backend whose normal guests never launch.
+type noNormal struct{ tee.Backend }
+
+func (noNormal) LaunchNormal(tee.GuestConfig) (tee.Guest, error) {
+	return nil, errors.New("no normal guest")
+}
+
+// TestAssemblePairReleasesSecureOnFailure: when the normal half of a
+// pair cannot launch, the secure guest goes back to whoever supplied
+// it (a warm pool takes it back), and no pair is returned.
+func TestAssemblePairReleasesSecureOnFailure(t *testing.T) {
+	b, err := tdx.NewBackend(tdx.Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tee.GuestConfig{Name: "t", MemoryMB: 8}
+	secure, err := b.Launch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released tee.Guest
+	pair, err := AssemblePair(noNormal{b}, cfg, nil, secure, func(g tee.Guest) { released = g })
+	if err == nil || pair.Secure != nil || released != secure {
+		t.Fatalf("AssemblePair = %+v, %v; released %v, want an error and the secure guest released", pair, err, released)
+	}
+}
+
 func TestInvokeFunction(t *testing.T) {
 	pair := tdxPair(t)
 	fn := faas.Function{Name: "f", Language: "python", Workload: "factors"}
