@@ -27,8 +27,8 @@ type Change struct {
 // commit point (autocommit statement end, COMMIT); logicalBytes is the
 // batched dirty-page volume the in-memory pager would have flushed.
 //
-// A nil backend and MemoryBackend are metering-identical: commit
-// points charge m.WriteIO(logicalBytes), nothing survives the process.
+// A nil backend is the in-memory path: commit points charge
+// m.WriteIO(logicalBytes), nothing survives the process.
 // DurableBackend appends the changes to a write-ahead log and fsyncs,
 // charging the log's real write amplification and the fsync syscall
 // pair instead — the durable-vs-memory delta speedtest prices.
@@ -65,26 +65,6 @@ func schemaKey(table string) string { return keyPrefixSchema + table }
 
 // indexKey names one index definition; the value is the index name.
 func indexKey(table, col string) string { return keyPrefixIndex + table + "\x00" + col }
-
-// memoryBackend is the explicit no-durability backend; a nil Backend
-// behaves identically with zero buffering overhead.
-type memoryBackend struct{}
-
-// MemoryBackend returns a Backend that prices commit points exactly
-// like the in-memory pager (one batched device write) and persists
-// nothing.
-func MemoryBackend() Backend { return memoryBackend{} }
-
-func (memoryBackend) Apply(m *meter.Context, _ []Change, logicalBytes int64) error {
-	if logicalBytes > 0 {
-		m.WriteIO(logicalBytes)
-	}
-	return nil
-}
-
-func (memoryBackend) Load(func(key string, val []byte) error) error { return nil }
-func (memoryBackend) Compact(*meter.Context) error                  { return nil }
-func (memoryBackend) Close() error                                  { return nil }
 
 // DurableBackend persists commit points to an append-only checksummed
 // log (internal/wal). Every commit point appends the changed records

@@ -246,7 +246,6 @@ func TestDurableVsMemoryMeteredCostsDiffer(t *testing.T) {
 		return m
 	}
 	mem := run(nil)
-	explicitMem := run(MemoryBackend())
 	b, err := NewDurableBackend(t.TempDir())
 	if err != nil {
 		t.Fatalf("NewDurableBackend: %v", err)
@@ -254,12 +253,6 @@ func TestDurableVsMemoryMeteredCostsDiffer(t *testing.T) {
 	defer b.Close()
 	dur := run(b)
 
-	// The explicit memory backend is metering-identical to nil.
-	for _, c := range []meter.Counter{meter.IOWriteBytes, meter.Syscalls, meter.BytesTouched} {
-		if mem.Get(c) != explicitMem.Get(c) {
-			t.Errorf("%v: nil backend %d != MemoryBackend %d", c, mem.Get(c), explicitMem.Get(c))
-		}
-	}
 	// The durable run pays write amplification (record headers,
 	// checksums, key bytes) over the logical dirty volume.
 	if dur.Get(meter.IOWriteBytes) <= mem.Get(meter.IOWriteBytes) {

@@ -37,8 +37,7 @@ type Database struct {
 	inTxn  bool
 	undo   []undoEntry
 	// backend is the storage plane behind commit points; nil means the
-	// pure in-memory pager (metering-identical to MemoryBackend, with
-	// zero change-buffering overhead).
+	// pure in-memory pager, with zero change-buffering overhead.
 	backend Backend
 	// pending buffers keyed mutations between commit points when a
 	// backend is mounted.
