@@ -66,14 +66,6 @@ func NewAdmission(limits map[string]TenantLimits, now func() time.Time) *Admissi
 	return &Admission{now: now, limits: l, state: make(map[string]*tenantState)}
 }
 
-// Limits reports the quota configured for a tenant (zero value =
-// unlimited).
-func (a *Admission) Limits(tenant string) TenantLimits {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limits[tenant]
-}
-
 // Admit gates one request for tenant. On admission it returns a
 // release closure the caller MUST invoke when the invoke completes
 // (idempotence is the caller's job — the tier calls it exactly once,

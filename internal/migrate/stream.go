@@ -233,11 +233,10 @@ func Encode(img *tee.MigrationImage, chunkSize int) (*Stream, error) {
 // zero. Duplicate (already-acked) chunks are ignored, making resume
 // idempotent.
 type Receiver struct {
-	hdr      *header
-	state    []byte
-	next     int
-	received int64
-	img      *tee.MigrationImage
+	hdr   *header
+	state []byte
+	next  int
+	img   *tee.MigrationImage
 }
 
 // NewReceiver returns an empty receiver awaiting a header frame.
@@ -246,9 +245,6 @@ func NewReceiver() *Receiver { return &Receiver{} }
 // Cursor returns the resume cursor: the index of the next chunk the
 // receiver will accept.
 func (r *Receiver) Cursor() int { return r.next }
-
-// Received returns the total frame bytes accepted so far.
-func (r *Receiver) Received() int64 { return r.received }
 
 // Complete reports whether the trailer verified and the image is
 // ready.
@@ -349,7 +345,6 @@ func (r *Receiver) FeedHeader(frame []byte) error {
 	}
 	r.hdr = h
 	r.state = make([]byte, h.stateLen)
-	r.received += int64(len(h.raw))
 	return nil
 }
 
@@ -391,7 +386,6 @@ func (r *Receiver) FeedChunk(frame []byte) error {
 	}
 	copy(r.state[off:off+length], data)
 	r.next++
-	r.received += int64(len(frame))
 	return nil
 }
 
@@ -414,7 +408,6 @@ func (r *Receiver) FeedTrailer(frame []byte) error {
 	if !bytes.Equal(frame[1:1+sha256.Size], want[:]) {
 		return ErrBinding
 	}
-	r.received += int64(len(frame))
 	r.img = &tee.MigrationImage{
 		Kind:        tee.Kind(r.hdr.kind),
 		MemoryMB:    int(r.hdr.memoryMB),

@@ -121,12 +121,6 @@ func StartSpan(ctx context.Context, layer, name string, detail ...string) (conte
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// FromContext returns the context's active span, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // End freezes the span's duration. Later End calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
