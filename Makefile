@@ -52,7 +52,7 @@ vet:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter' ./internal/wire
-	$(GO) test -run 'TestTier' -count=20 -timeout 120s ./internal/fronttier
+	$(GO) test -run 'TestTier|TestResultStore' -count=20 -timeout 120s ./internal/fronttier
 
 # Per-package coverage report over the whole module.
 cover:

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"confbench/internal/meter"
+	"confbench/internal/tee"
+	"confbench/internal/workloads"
 )
 
 // TestPricingInputsAllocateNothing: amplifying a run's usage and
@@ -30,5 +32,26 @@ func TestPricingInputsAllocateNothing(t *testing.T) {
 	}
 	if run.Get(meter.CPUOps) == 0 || boot.Get(meter.BytesTouched) == 0 {
 		t.Errorf("run %v, boot %v", run, boot)
+	}
+}
+
+// TestWasmLauncherAllocationCeiling: the bench module is built (and
+// validated) once per process and shared, so a launcher allocates its
+// runtime fallback, its mappings and one instance, whose NewInstance
+// still validates the code. It reads 57; building the module per
+// launcher read 176.
+func TestWasmLauncherAllocationCeiling(t *testing.T) {
+	catalog := workloads.Default()
+	if _, err := NewWasmLauncher(tee.KindTDX, catalog); err != nil {
+		t.Fatal(err)
+	}
+	const want = 64
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := NewWasmLauncher(tee.KindTDX, catalog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Fatalf("NewWasmLauncher allocates %.0f times, want at most %d", got, want)
 	}
 }

@@ -57,6 +57,11 @@ func wasmMappings() map[string]wasmMapping {
 	}
 }
 
+// benchModule builds the Wasm bench module once per process. Every
+// launcher shares it read-only: an Instance reads the module's code
+// and keeps its own memory, globals and dispatch tables.
+var benchModule = sync.OnceValues(wasmvm.BuildBenchModule)
+
 // WasmLauncher executes functions on the internal Wasm VM when a
 // bytecode implementation exists, and falls back to profile
 // amplification otherwise.
@@ -82,7 +87,7 @@ func NewWasmLauncher(platform tee.Kind, catalog *workloads.Registry) (*WasmLaunc
 	if err != nil {
 		return nil, err
 	}
-	mod, err := wasmvm.BuildBenchModule()
+	mod, err := benchModule()
 	if err != nil {
 		return nil, fmt.Errorf("langs: build wasm bench module: %w", err)
 	}

@@ -78,9 +78,15 @@ type shard struct {
 	client  *api.Client
 	breaker *gateway.Breaker
 
-	slots   chan struct{}
-	waiting atomic.Int64
-	load    atomic.Int64 // in-flight forwarded requests
+	slots      chan struct{}
+	waiting    atomic.Int64
+	queueDepth *obs.Gauge   // waiting, as confbench_fronttier_queue_depth
+	load       atomic.Int64 // in-flight forwarded requests
+
+	// invokes is confbench_fronttier_invokes_total for this shard,
+	// registered on its first success so a shard that served nothing
+	// reports no series.
+	invokes atomic.Pointer[obs.Counter]
 
 	// latencyNs is an EWMA of recent forward latency, feeding the
 	// queue-full retry-after estimate.
@@ -177,11 +183,12 @@ func New(cfg Config) (*Tier, error) {
 		gauge := reg.Gauge("confbench_fronttier_shard_breaker_state", "shard", sc.Name)
 		gauge.Set(int64(gateway.BreakerClosed))
 		t.shards[sc.Name] = &shard{
-			name:    sc.Name,
-			url:     sc.URL,
-			client:  client,
-			breaker: gateway.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, gauge),
-			slots:   make(chan struct{}, shardSlots),
+			name:       sc.Name,
+			url:        sc.URL,
+			client:     client,
+			breaker:    gateway.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, gauge),
+			slots:      make(chan struct{}, shardSlots),
+			queueDepth: reg.Gauge("confbench_fronttier_queue_depth", "shard", sc.Name),
 		}
 		t.ring.Add(sc.Name)
 		// Every shard doubles as a federation scrape target.
@@ -217,6 +224,18 @@ func (t *Tier) ShardURL(name string) string {
 func (t *Tier) shed(reason string, err error) error {
 	t.Obs().Counter("confbench_fronttier_sheds_total", "reason", reason).Inc()
 	return err
+}
+
+// shardInvokes returns sh's invoke counter, registering it on first
+// use. Two first uses may both resolve it; the registry hands both the
+// same counter.
+func (t *Tier) shardInvokes(sh *shard) *obs.Counter {
+	if c := sh.invokes.Load(); c != nil {
+		return c
+	}
+	c := t.Obs().Counter("confbench_fronttier_invokes_total", "shard", sh.name)
+	sh.invokes.Store(c)
+	return c
 }
 
 // routeOrder resolves key's shard walk: ring successor order with
@@ -263,10 +282,9 @@ func (t *Tier) enqueue(ctx context.Context, sh *shard) (func(), error) {
 			break
 		}
 	}
-	t.Obs().Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
+	sh.queueDepth.Set(sh.waiting.Load())
 	defer func() {
-		sh.waiting.Add(-1)
-		t.Obs().Gauge("confbench_fronttier_queue_depth", "shard", sh.name).Set(sh.waiting.Load())
+		sh.queueDepth.Set(sh.waiting.Add(-1))
 	}()
 	select {
 	case sh.slots <- struct{}{}:
@@ -342,7 +360,7 @@ func (t *Tier) forward(ctx context.Context, key string, call func(context.Contex
 		if err == nil {
 			sh.breaker.OnSuccess()
 			sh.observeLatency(time.Since(start))
-			t.Obs().Counter("confbench_fronttier_invokes_total", "shard", sh.name).Inc()
+			t.shardInvokes(sh).Inc()
 			return nil
 		}
 		if cberr.Retryable(err) {

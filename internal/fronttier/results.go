@@ -33,6 +33,14 @@ type storeEntry struct {
 	done   chan struct{} // closed on completion; long-polls park on it
 }
 
+// doneItem is one completed entry in the store's completion FIFO. It
+// carries the entry itself, so the sweep can tell an item whose id was
+// re-put since (entries[id] != e) and drop it as stale.
+type doneItem struct {
+	id string
+	e  *storeEntry
+}
+
 // ResultStore is the bounded TTL store behind GET /v1/invoke/{id}:
 // submissions insert a pending entry, the completion goroutine fills
 // in the terminal result, and polls read it until the TTL expires.
@@ -40,6 +48,12 @@ type storeEntry struct {
 // memory without limit. When full, expired and oldest-completed
 // entries evict first; a store full of pending work sheds new
 // submissions instead (those entries are owed to live callers).
+//
+// Completed entries queue in completion order, and the TTL sweep and
+// capacity eviction both pop that queue's head: the entry that
+// completed first goes first. Every call is amortized O(1) and touches
+// only the entries it removes; pending entries are never queued, so
+// they never expire or evict.
 type ResultStore struct {
 	capacity int
 	ttl      time.Duration
@@ -47,7 +61,8 @@ type ResultStore struct {
 
 	mu      sync.Mutex
 	entries map[string]*storeEntry
-	order   []string // insertion order: eviction scans oldest-first
+	done    []doneItem // completion order; live items start at head
+	head    int
 	pending int
 }
 
@@ -86,7 +101,6 @@ func (s *ResultStore) Put(id string) error {
 		res:  api.AsyncResult{ID: id, Status: api.AsyncPending},
 		done: make(chan struct{}),
 	}
-	s.order = append(s.order, id)
 	s.pending++
 	return nil
 }
@@ -97,6 +111,12 @@ func (s *ResultStore) Put(id string) error {
 func (s *ResultStore) Complete(id string, resp *api.InvokeResponse, errResp *api.ErrorResponse) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.completeLocked(id, resp, errResp)
+}
+
+// completeLocked is Complete under s.mu: it fills in the pending entry
+// and queues it at the tail of the completion FIFO.
+func (s *ResultStore) completeLocked(id string, resp *api.InvokeResponse, errResp *api.ErrorResponse) {
 	e, ok := s.entries[id]
 	if !ok || e.res.Status != api.AsyncPending {
 		return
@@ -104,6 +124,7 @@ func (s *ResultStore) Complete(id string, resp *api.InvokeResponse, errResp *api
 	s.pending--
 	e.doneAt = s.now()
 	close(e.done)
+	s.done = append(s.done, doneItem{id: id, e: e})
 	if errResp != nil {
 		e.res.Status = api.AsyncError
 		e.res.Error = errResp
@@ -173,38 +194,44 @@ func (s *ResultStore) Len() int {
 	return len(s.entries)
 }
 
-// sweepLocked drops completed entries past their TTL. Caller holds
-// s.mu.
+// sweepLocked drops completed entries past their TTL: the FIFO is in
+// completion order, so they are a prefix of it. Caller holds s.mu.
 func (s *ResultStore) sweepLocked() {
 	now := s.now()
-	kept := s.order[:0]
-	for _, id := range s.order {
-		e, ok := s.entries[id]
-		if !ok {
-			continue
+	for s.head < len(s.done) {
+		it := s.done[s.head]
+		if s.entries[it.id] == it.e {
+			if now.Sub(it.e.doneAt) < s.ttl {
+				return
+			}
+			delete(s.entries, it.id)
 		}
-		if !e.doneAt.IsZero() && now.Sub(e.doneAt) >= s.ttl {
-			delete(s.entries, id)
-			continue
-		}
-		kept = append(kept, id)
+		s.popLocked()
 	}
-	s.order = kept
 }
 
-// evictOldestDoneLocked drops the oldest completed entry, reporting
-// whether it made room. Caller holds s.mu.
+// evictOldestDoneLocked drops the entry that completed first,
+// reporting whether it made room (false: every held entry is pending).
+// Caller holds s.mu and has just swept, so the FIFO's head is live.
 func (s *ResultStore) evictOldestDoneLocked() bool {
-	for i, id := range s.order {
-		e, ok := s.entries[id]
-		if !ok {
-			continue
-		}
-		if e.res.Status != api.AsyncPending {
-			delete(s.entries, id)
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return true
-		}
+	if s.head == len(s.done) {
+		return false
 	}
-	return false
+	delete(s.entries, s.done[s.head].id)
+	s.popLocked()
+	return true
+}
+
+// popLocked drops the FIFO's head item. Once the head passes half the
+// slice the items behind it move to the front, a copy no longer than
+// the pops since the last one. Caller holds s.mu.
+func (s *ResultStore) popLocked() {
+	s.done[s.head] = doneItem{}
+	s.head++
+	if 2*s.head >= len(s.done) {
+		n := copy(s.done, s.done[s.head:])
+		clear(s.done[n:])
+		s.done = s.done[:n]
+		s.head = 0
+	}
 }

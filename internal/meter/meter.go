@@ -11,7 +11,7 @@ package meter
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Counter identifies one metered resource dimension.
@@ -90,9 +90,11 @@ func AllCounters() []Counter {
 
 // Context accumulates resource usage for a single workload execution.
 // It is safe for concurrent use; workloads that fan out goroutines may
-// share one Context.
+// share one Context. Every slot is updated and read atomically, on its
+// own: a Snapshot taken while Adds are still landing is consistent per
+// slot, not across slots. Every caller snapshots after the body has
+// joined its goroutines.
 type Context struct {
-	mu     sync.Mutex
 	counts Usage
 }
 
@@ -107,9 +109,7 @@ func (m *Context) Add(c Counter, n int64) {
 	if n <= 0 || !c.defined() {
 		return
 	}
-	m.mu.Lock()
-	m.counts[c] += uint64(n)
-	m.mu.Unlock()
+	atomic.AddUint64(&m.counts[c], uint64(n))
 }
 
 // Get returns the current value of counter c.
@@ -117,9 +117,7 @@ func (m *Context) Get(c Counter) uint64 {
 	if !c.defined() {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[c]
+	return atomic.LoadUint64(&m.counts[c])
 }
 
 // CPU records n abstract CPU operations.
@@ -177,26 +175,26 @@ func (m *Context) Switch(n int64) { m.Add(ContextSwitches, n) }
 // Fault records n first-touch page faults.
 func (m *Context) Fault(n int64) { m.Add(PageFaults, n) }
 
-// Snapshot returns a copy of the counters.
+// Snapshot returns a copy of the counters, each slot read atomically.
 func (m *Context) Snapshot() Usage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts
+	var u Usage
+	for c := Counter(1); c < numCounters; c++ {
+		u[c] = atomic.LoadUint64(&m.counts[c])
+	}
+	return u
 }
 
 // Reset zeroes all counters.
 func (m *Context) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counts = Usage{}
+	for c := Counter(1); c < numCounters; c++ {
+		atomic.StoreUint64(&m.counts[c], 0)
+	}
 }
 
 // Merge adds every defined counter of u into the context.
 func (m *Context) Merge(u Usage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for c := Counter(1); c < numCounters; c++ {
-		m.counts[c] += u[c]
+		atomic.AddUint64(&m.counts[c], u[c])
 	}
 }
 
