@@ -28,7 +28,7 @@ RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./in
 COVER_FLOOR ?= 70
 COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo ./internal/minidb
 
-.PHONY: build fmt test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest verify
+.PHONY: build fmt test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest bench-ab verify
 
 build:
 	$(GO) build ./...
@@ -44,14 +44,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The second line repeats the binary carrier's writer, worker, lifecycle
-# and waiter tests: the most schedule-sensitive code in the tree, each
-# well under a second. The third repeats the front tier's tests under a
+# The second line repeats the binary carrier's writer, worker, lifecycle,
+# waiter and connection-pool tests: the most schedule-sensitive code in
+# the tree, each well under a second. The third repeats the front tier's tests under a
 # two-minute timeout, so a test that parks invokes in a fake shard and
 # then fails cannot hang CI for the ten-minute default.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter' ./internal/wire
+	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter|TestPool' ./internal/wire
 	$(GO) test -run 'TestTier|TestResultStore' -count=20 -timeout 120s ./internal/fronttier
 
 # Per-package coverage report over the whole module.
@@ -135,6 +135,18 @@ benchmark-check:
 bench-guest:
 	$(GO) test -run xxx -bench 'BenchmarkCatalog|BenchmarkFixtures|BenchmarkMeterAdd|BenchmarkWasmFib22|BenchmarkWasmExports|BenchmarkMiniDBSpeedtest|BenchmarkMLInference|BenchmarkLayer' -benchtime 20x ./internal/workloads ./internal/meter ./internal/wasmvm ./internal/minidb ./internal/mlinfer
 	$(GO) test -run xxx -bench 'BenchmarkPrice$$|BenchmarkCostApply$$|BenchmarkDecodeInvokeResponse$$' -benchmem ./internal/vm ./internal/tee ./internal/wire
+
+# A perf claim, by machine: PAIRS alternating runs of one benchmark
+# workload on a `git clone` of PARENT and on this checkout, then for
+# every gated metric the medians and quartiles, the change, the pairs
+# won, the gap rule, the bound and the spread (cmd/bench-ab). One record
+# per call is appended to BENCH_$(WORKLOAD).json. AA=1 runs PARENT
+# against itself instead: nothing may read as moved. Not part of verify.
+PARENT ?= HEAD~1
+WORKLOAD ?= relay-small
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./cmd/bench-ab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) $(if $(filter 1,$(AA)),-aa)
 
 # Full pre-merge check: compile, gofmt, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the

@@ -344,10 +344,10 @@ func WithTenant(tenant string) Option {
 
 // WithTransport routes the client's frame-mappable calls — invoke,
 // attest, health — through t (typically wire.NewBinary, which keeps
-// one persistent multiplexed connection to the front door). Calls
-// with no frame mapping (uploads, async polls, metrics) keep using
-// HTTP; the retry/backoff policy applies identically to both
-// carriers. The caller owns t's lifecycle (its Close).
+// a small pool of persistent multiplexed connections to the front
+// door). Calls with no frame mapping (uploads, async polls, metrics)
+// keep using HTTP; the retry/backoff policy applies identically to
+// both carriers. The caller owns t's lifecycle (its Close).
 func WithTransport(t Transport) Option {
 	return func(c *Client) { c.transport = t }
 }

@@ -240,13 +240,13 @@ func (t *Tier) shardInvokes(sh *shard) *obs.Counter {
 
 // routeOrder resolves key's shard walk: ring successor order with
 // bounded-load applied — the first in-bound shard leads, the walk
-// continues in ring order.
+// continues in ring order. The ring is walked once, for both.
 func (t *Tier) routeOrder(key string) []*shard {
 	names := t.ring.Successors(key)
 	if len(names) == 0 {
 		return nil
 	}
-	first := t.ring.PickBounded(key, func(name string) int64 {
+	first := pickBounded(names, func(name string) int64 {
 		if sh, ok := t.shards[name]; ok {
 			return sh.load.Load()
 		}

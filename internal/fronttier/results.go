@@ -26,6 +26,10 @@ const (
 // pending).
 var ErrStoreFull = errors.New("fronttier: async result store full")
 
+// ErrIDPending refuses a Put of an id the store holds as pending: the
+// entry a long-poll may be parked on stays, and is counted once.
+var ErrIDPending = errors.New("fronttier: async id already pending")
+
 // storeEntry is one async invoke's lifecycle record.
 type storeEntry struct {
 	res    api.AsyncResult
@@ -89,10 +93,14 @@ func NewResultStore(capacity int, ttl time.Duration, now func() time.Time) *Resu
 
 // Put inserts a pending entry for id, evicting expired and
 // oldest-completed entries to make room. ErrStoreFull when every
-// held entry is still pending.
+// held entry is still pending; ErrIDPending, with nothing changed,
+// when id itself is. A completed id starts over as pending.
 func (s *ResultStore) Put(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if e, ok := s.entries[id]; ok && e.res.Status == api.AsyncPending {
+		return ErrIDPending
+	}
 	s.sweepLocked()
 	if len(s.entries) >= s.capacity && !s.evictOldestDoneLocked() {
 		return ErrStoreFull

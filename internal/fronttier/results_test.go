@@ -164,6 +164,39 @@ func TestResultStoreBounded(t *testing.T) {
 	}
 }
 
+// TestResultStoreRefusesPendingRePut: a second Put of a pending id is
+// refused and leaves the entry alone, so it is counted pending once
+// and a long-poll parked on it wakes at its completion.
+func TestResultStoreRefusesPendingRePut(t *testing.T) {
+	s := NewResultStore(4, time.Minute, nil)
+	if err := s.Put("a"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan api.AsyncResult, 1)
+	go func() {
+		res, _ := s.Await(context.Background(), "a", 10*time.Second)
+		got <- res
+	}()
+	if err := s.Put("a"); !errors.Is(err, ErrIDPending) {
+		t.Fatalf("re-put of a pending id: %v, want ErrIDPending", err)
+	}
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("Pending = %d after the refused re-put, want 1", n)
+	}
+	s.Complete("a", &api.InvokeResponse{Output: "ok"}, nil)
+	select {
+	case res := <-got:
+		if res.Status != api.AsyncDone {
+			t.Fatalf("long-poll woke with %+v, want done", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("long-poll still parked after the completion")
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("Pending = %d with nothing pending", n)
+	}
+}
+
 // refStore is the naive reference TestResultStoreMatchesModel holds
 // ResultStore to: a map plus a completion-ordered slice, scanned in
 // full on every call.
@@ -192,6 +225,9 @@ func (r *refStore) sweep(now time.Time) {
 }
 
 func (r *refStore) put(id string, now time.Time) error {
+	if e, ok := r.entries[id]; ok && e.res.Status == api.AsyncPending {
+		return ErrIDPending
+	}
 	r.sweep(now)
 	if len(r.entries) >= r.capacity {
 		if len(r.done) == 0 {
@@ -241,7 +277,8 @@ func (r *refStore) pending() []string {
 // Complete, Get, Await(wait=0), Len and clock advances through small
 // stores and checks every step against refStore: the same answers, the
 // same held ids, ErrStoreFull exactly when the model is all-pending at
-// capacity, and no pending entry ever expired or evicted.
+// capacity, ErrIDPending exactly for the re-put of a pending id, and no
+// pending entry ever expired or evicted.
 func TestResultStoreMatchesModel(t *testing.T) {
 	const ttl = 4 * time.Second
 	for seed := int64(1); seed <= 200; seed++ {
@@ -262,10 +299,11 @@ func TestResultStoreMatchesModel(t *testing.T) {
 			switch k := rng.Intn(12); {
 			case k < 4:
 				// Mostly a fresh id, as the tier submits; sometimes the
-				// re-put of one that is no longer pending, which leaves a
-				// stale item in the store's completion FIFO.
+				// re-put of an old one: refused while it is pending, and
+				// otherwise leaving a stale item in the store's
+				// completion FIFO.
 				id := pick()
-				if e, held := ref.entries[id]; rng.Intn(4) > 0 || held && e.res.Status == api.AsyncPending {
+				if rng.Intn(4) > 0 {
 					id = "async-" + strconv.Itoa(len(ids))
 					ids = append(ids, id)
 				}

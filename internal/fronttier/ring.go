@@ -212,10 +212,15 @@ func (r *Ring) Successors(key string) []string {
 // the bound the owner wins — shedding is the admission layer's call,
 // not the ring's. factor <= 1 takes DefaultLoadFactor.
 func (r *Ring) PickBounded(key string, load func(shard string) int64, factor float64) string {
+	return pickBounded(r.Successors(key), load, factor)
+}
+
+// pickBounded is PickBounded over a successor order already walked, so
+// a caller that needs the order too walks the ring once.
+func pickBounded(order []string, load func(shard string) int64, factor float64) string {
 	if factor <= 1 {
 		factor = DefaultLoadFactor
 	}
-	order := r.Successors(key)
 	if len(order) == 0 {
 		return ""
 	}

@@ -17,10 +17,14 @@ import (
 	"confbench/internal/obs"
 )
 
-// Binary is the persistent-connection transport: one multiplexed TCP
-// connection per peer address, length-prefixed binary frames, and
-// out-of-order completion by correlation ID. A connection that dies
-// mid-flight fails its pending calls with a retryable unavailable
+// Binary is the persistent-connection transport: a small pool of
+// multiplexed TCP connections per peer address, length-prefixed
+// binary frames, and out-of-order completion by correlation ID. A
+// caller takes a connection with no call in flight, dials another
+// while the peer has fewer than maxConnsPerPeer, and otherwise shares
+// the least-loaded one, so concurrent callers each get their own read
+// loop at every hop instead of queueing behind one. A connection that
+// dies mid-flight fails its pending calls with a retryable unavailable
 // error and is replaced on the next call — redial policy stays with
 // the existing retry machinery (gateway alternate-endpoint dispatch,
 // client retry loop) rather than being duplicated here.
@@ -28,14 +32,19 @@ type Binary struct {
 	m *wireMetrics
 
 	mu     sync.Mutex
-	conns  map[string]*mconn
+	conns  map[string][]*mconn
 	closed bool
 }
+
+// maxConnsPerPeer bounds the connections one transport keeps to one
+// peer: one per CPU of the two-vCPU box the benchmark runs on (four
+// measured the same within noise).
+const maxConnsPerPeer = 2
 
 // NewBinary builds the binary transport. reg may be nil to run
 // without wire metrics.
 func NewBinary(reg *obs.Registry) *Binary {
-	return &Binary{m: newWireMetrics(reg), conns: make(map[string]*mconn)}
+	return &Binary{m: newWireMetrics(reg), conns: make(map[string][]*mconn)}
 }
 
 // Name implements Transport.
@@ -46,10 +55,12 @@ func (t *Binary) Close() error {
 	t.mu.Lock()
 	t.closed = true
 	conns := t.conns
-	t.conns = map[string]*mconn{}
+	t.conns = map[string][]*mconn{}
 	t.mu.Unlock()
-	for _, mc := range conns {
-		mc.kill(errors.New("wire: transport closed"))
+	for _, pool := range conns {
+		for _, mc := range pool {
+			mc.kill(errors.New("wire: transport closed"))
+		}
 	}
 	return nil
 }
@@ -66,6 +77,9 @@ func (t *Binary) RoundTrip(ctx context.Context, addr, path string, in, out any) 
 		return err
 	}
 	rt, rp, err := mc.roundTrip(ctx, ft, payload)
+	t.mu.Lock()
+	mc.inflight--
+	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -73,32 +87,50 @@ func (t *Binary) RoundTrip(ctx context.Context, addr, path string, in, out any) 
 	return decodeWireResponse(addr, rt, rp, out)
 }
 
-// conn returns the live connection to addr, dialing or replacing a
-// dead one under the transport lock (peers are local, dials are
-// cheap; a slow peer only stalls calls to other peers during its own
-// dial, which the pipeline never does mid-benchmark).
+// conn claims a connection to addr for one call: it prunes dead ones,
+// takes the least-loaded live one if that is idle or the pool is
+// full, and dials another otherwise. A failed dial falls back to a
+// live connection when there is one. The claim (inflight) is counted
+// under the transport lock, so two callers never both take the same
+// idle connection. Dials run under the lock too (peers are local,
+// dials are cheap; a slow peer only stalls calls to other peers
+// during its own dial, which the pipeline never does mid-benchmark).
 func (t *Binary) conn(addr string) (*mconn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, cberr.New(cberr.CodeUnavailable, cberr.LayerGateway, "wire: transport closed")
 	}
-	if mc, ok := t.conns[addr]; ok {
+	pool := t.conns[addr]
+	live := pool[:0]
+	var best *mconn
+	for _, mc := range pool {
 		select {
 		case <-mc.dead:
-			// fall through and redial
+			continue
 		default:
-			return mc, nil
+		}
+		live = append(live, mc)
+		if best == nil || mc.inflight < best.inflight {
+			best = mc
 		}
 	}
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerGateway,
-			fmt.Errorf("wire: dial %s: %w", addr, err))
+	clear(pool[len(live):])
+	if best == nil || (best.inflight > 0 && len(live) < maxConnsPerPeer) {
+		c, err := net.Dial("tcp", addr)
+		switch {
+		case err == nil:
+			best = newMconn(addr, c, t.m)
+			live = append(live, best)
+		case best == nil:
+			t.conns[addr] = live
+			return nil, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerGateway,
+				fmt.Errorf("wire: dial %s: %w", addr, err))
+		}
 	}
-	mc := newMconn(addr, c, t.m)
-	t.conns[addr] = mc
-	return mc, nil
+	t.conns[addr] = live
+	best.inflight++
+	return best, nil
 }
 
 // inFrame is a received frame handed from a read loop to the goroutine
@@ -125,6 +157,10 @@ type mconn struct {
 	w    *frameWriter
 	dead chan struct{}
 	m    *wireMetrics
+
+	// inflight counts the calls that claimed this connection and have
+	// not returned; the owning Binary's mu guards it.
+	inflight int
 
 	mu      sync.Mutex
 	deadErr error

@@ -83,10 +83,20 @@ func goroutinesIn(frame string) int {
 	return n
 }
 
-// handlerGoroutines counts the goroutines serveWire started: resident
-// workers and overflow one-shots, parked or running.
-func handlerGoroutines() int {
-	return goroutinesIn("created by confbench/internal/wire.(*Sniffer).serveWire")
+// handlersPerConn counts the goroutines serveWire started — resident
+// workers and overflow one-shots, parked or running — by the serving
+// loop that started them: one entry per connection.
+func handlersPerConn() map[string]int {
+	const marker = "created by confbench/internal/wire.(*Sniffer).serveWire in goroutine "
+	buf := make([]byte, 1<<20)
+	per := make(map[string]int)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if i := strings.Index(g, marker); i >= 0 {
+			loop, _, _ := strings.Cut(g[i+len(marker):], "\n")
+			per[loop]++
+		}
+	}
+	return per
 }
 
 // settle polls until cond holds, failing with every stack if it never does.
@@ -104,10 +114,10 @@ func settle(t *testing.T, what string, cond func() bool) {
 // TestWorkerNoHeadOfLineBlocking: a blocked handler never delays
 // another frame on the same connection, whether the frames run on
 // resident workers (few in flight) or on overflow goroutines (more
-// held handlers than the connection keeps resident, so every resident
-// worker is stuck and the quick call must be an overflow one). After
-// the burst exactly maxBatch workers stay, and a second burst reuses
-// them instead of adding more.
+// held handlers than the pool's connections keep resident, so every
+// resident worker is stuck and the quick call must be an overflow
+// one). After the burst every connection keeps exactly maxBatch
+// workers, and a second burst reuses them instead of adding more.
 func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 	g := newGate()
 	_, addr := listenGate(t, g)
@@ -123,8 +133,14 @@ func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 		}
 	}
 	quick("warm") // the first frame starts the first resident worker
-	if n := handlerGoroutines(); n != 1 {
-		t.Fatalf("%d handler goroutines after one frame, want 1 resident", n)
+	per := handlersPerConn()
+	if len(per) != 1 {
+		t.Fatalf("handler goroutines per connection after one frame: %v, want one connection", per)
+	}
+	for _, n := range per {
+		if n != 1 {
+			t.Fatalf("%d handler goroutines after one frame, want 1 resident", n)
+		}
 	}
 
 	burst := func(round string, held int) {
@@ -152,10 +168,19 @@ func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 			}
 		}
 	}
+	everyConnKeepsMaxBatch := func() bool {
+		per := handlersPerConn()
+		for _, n := range per {
+			if n != maxBatch {
+				return false
+			}
+		}
+		return len(per) == maxConnsPerPeer
+	}
 	for _, round := range []string{"a", "b"} {
-		burst(round, maxBatch+4)
-		settle(t, "burst "+round+": want exactly maxBatch resident workers left",
-			func() bool { return handlerGoroutines() == maxBatch })
+		burst(round, maxConnsPerPeer*maxBatch+4)
+		settle(t, "burst "+round+": want exactly maxBatch resident workers left on each connection",
+			everyConnKeepsMaxBatch)
 	}
 }
 
