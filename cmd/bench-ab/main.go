@@ -188,13 +188,13 @@ func clone(ctx context.Context, src, rev, dir string) error {
 }
 
 // checkoutRev names the checkout's own code: HEAD, marked dirty when
-// tracked files differ from it.
+// tracked files other than the BENCH_*.json records differ from it.
 func checkoutRev(ctx context.Context) (string, error) {
 	head, err := git(ctx, ".", "rev-parse", "HEAD")
 	if err != nil {
 		return "", err
 	}
-	if _, err := git(ctx, ".", "diff", "--quiet", "HEAD"); err != nil {
+	if _, err := git(ctx, ".", "diff", "--quiet", "HEAD", "--", ".", ":!BENCH_*.json"); err != nil {
 		head += "+dirty"
 	}
 	return head, nil
