@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string) error {
 	workload := fs.String("workload", "", "BENCHMARK.json workload to run (required)")
 	pairs := fs.Int("pairs", 10, "alternating parent/change pairs")
 	seed := fs.Int64("seed", 1, "seed of the first pair; pair i runs seed+i")
-	seconds := fs.Int("seconds", 0, "measured seconds per run (0 = BENCHMARK.json run_seconds)")
 	aa := fs.Bool("aa", false, "run the parent against itself: the false-positive check")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,9 +92,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if !declared(m, *workload) {
 		return fmt.Errorf("workload %q is not in BENCHMARK.json", *workload)
-	}
-	if *seconds == 0 {
-		*seconds = m.RunSeconds
 	}
 
 	top, err := git(ctx, ".", "rev-parse", "--show-toplevel")
@@ -127,7 +123,7 @@ func run(ctx context.Context, args []string) error {
 	rec := record{
 		When: time.Now().UTC().Format(time.RFC3339), Workload: *workload,
 		Parent: parentRev, Change: changeRev, AA: *aa, Pairs: *pairs,
-		Seconds: *seconds, CPUs: runtime.NumCPU(),
+		Seconds: m.RunSeconds, CPUs: runtime.NumCPU(),
 	}
 	var runs [2][]contractLine // parent, change
 	for i := 0; i < *pairs; i++ {
@@ -139,7 +135,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		for _, side := range order {
 			dir := []string{parentDir, changeDir}[side]
-			line, err := runOnce(ctx, dir, *workload, s, *seconds)
+			line, err := runOnce(ctx, dir, *workload, s, m.RunSeconds)
 			if err != nil {
 				return err
 			}
@@ -249,23 +245,15 @@ func appendRecord(path string, rec *record) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	blob, err := json.MarshalIndent(rec, "  ", "  ")
+	blob, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	all = append(all, blob)
-	var out bytes.Buffer
-	out.WriteString("[\n")
-	for i, r := range all {
-		out.WriteString("  ")
-		out.Write(r)
-		if i < len(all)-1 {
-			out.WriteString(",")
-		}
-		out.WriteString("\n")
+	out, err := json.MarshalIndent(append(all, blob), "", "  ")
+	if err != nil {
+		return err
 	}
-	out.WriteString("]\n")
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "appended to %s\n", path)
