@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/minidb
 	$(GO) test -run xxx -fuzz 'FuzzPrepare$$' -fuzztime 5s ./internal/minidb
+	$(GO) test -run xxx -fuzz 'FuzzWasmModule$$' -fuzztime 5s ./internal/wasmvm
 
 # Every cluster drill, as data: each scenarios/*.spec is driven by the
 # one runner (internal/drill) through the table in scenarios_test.go —

@@ -68,7 +68,7 @@ type TenantLimits = fronttier.TenantLimits
 type AsyncSubmitResponse = api.AsyncSubmitResponse
 
 // AsyncResult is one async invoke's lifecycle record, as returned by
-// Client.Result: pending, done with the response, or error with the
+// Client.ResultWait: pending, done with the response, or error with the
 // envelope.
 type AsyncResult = api.AsyncResult
 

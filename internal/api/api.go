@@ -580,24 +580,19 @@ func (c *Client) Invoke(ctx context.Context, req InvokeRequest) (InvokeResponse,
 
 // InvokeAsync submits a function execution without holding the
 // connection for its duration: the front tier answers immediately
-// with an invoke ID, and the result is fetched later with Result (or
-// AwaitResult). Only deployments with a front tier serve this path.
+// with an invoke ID, and the result is fetched later with ResultWait
+// (or AwaitResult). Only deployments with a front tier serve this path.
 func (c *Client) InvokeAsync(ctx context.Context, req InvokeRequest) (AsyncSubmitResponse, error) {
 	return call[AsyncSubmitResponse](ctx, c, http.MethodPost, PathV1InvokeAsync, req)
-}
-
-// Result polls one async invoke's lifecycle record by ID. A pending
-// record answers with Status "pending" and no payload; polling an
-// unknown or expired ID is a not_found error.
-func (c *Client) Result(ctx context.Context, id string) (AsyncResult, error) {
-	return call[AsyncResult](ctx, c, http.MethodGet, PathV1Invoke+"/"+url.PathEscape(id), nil)
 }
 
 // ResultWait long-polls one async invoke: the front tier parks the
 // request until the invoke completes or wait elapses (clamped
 // server-side to the tier's MaxResultWait). A still-pending timeout
 // answers 204 with no body, which surfaces here as a pending record —
-// poll again. wait <= 0 degenerates to an ordinary Result poll.
+// poll again. wait <= 0 is a plain poll of the lifecycle record: a
+// pending record answers with Status "pending" and no payload, and an
+// unknown or expired ID is a not_found error.
 func (c *Client) ResultWait(ctx context.Context, id string, wait time.Duration) (AsyncResult, error) {
 	// Seed the pending shape: a 204 leaves it untouched.
 	out := AsyncResult{ID: id, Status: AsyncPending}

@@ -59,7 +59,7 @@ func wasmMappings() map[string]wasmMapping {
 
 // benchModule builds the Wasm bench module once per process. Every
 // launcher shares it read-only: an Instance reads the module's code
-// and keeps its own memory, globals and dispatch tables.
+// and keeps its own memory and dispatch tables.
 var benchModule = sync.OnceValues(wasmvm.BuildBenchModule)
 
 // WasmLauncher executes functions on the internal Wasm VM when a

@@ -379,7 +379,7 @@ func TestTierAsyncLifecycle(t *testing.T) {
 	}
 
 	// Unknown IDs are a clean 404.
-	if _, err := client.Result(ctx, "async-99999"); cberr.CodeOf(err) != cberr.CodeNotFound {
+	if _, err := client.ResultWait(ctx, "async-99999", 0); cberr.CodeOf(err) != cberr.CodeNotFound {
 		t.Fatalf("unknown ID err = %v, want not_found", err)
 	}
 	if pending := tier.Obs().Snapshot().Gauges["confbench_fronttier_async_pending"]; pending != 0 {

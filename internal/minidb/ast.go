@@ -11,9 +11,8 @@ type ColDef struct {
 
 // CreateTableStmt is CREATE TABLE name (col type, ...).
 type CreateTableStmt struct {
-	Table       string
-	Cols        []ColDef
-	IfNotExists bool
+	Table string
+	Cols  []ColDef
 }
 
 // CreateIndexStmt is CREATE INDEX name ON table(col).
@@ -23,21 +22,20 @@ type CreateIndexStmt struct {
 	Col   string
 }
 
-// InsertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
+// InsertStmt is INSERT INTO table VALUES (...): one value per column,
+// in column order.
 type InsertStmt struct {
-	Table string
-	Cols  []string
-	Rows  [][]Expr
+	Table  string
+	Values []*Literal
 }
 
-// SelectExpr is one projection item.
+// SelectExpr is one projection item: a column, or an aggregate of a
+// column, or COUNT(*).
 type SelectExpr struct {
-	// Star marks a bare `*`.
-	Star bool
-	// Agg is COUNT/SUM/AVG/MIN/MAX ("" for a plain expression).
+	// Agg is COUNT/SUM/AVG/MIN/MAX ("" for a plain column).
 	Agg string
-	// Expr is the projected expression (nil for `*` and COUNT(*)).
-	Expr Expr
+	// Col is the projected or aggregated column (nil for COUNT(*)).
+	Col *ColRef
 }
 
 // SelectStmt is SELECT exprs FROM table [WHERE e] [GROUP BY col]
@@ -74,8 +72,7 @@ type DeleteStmt struct {
 
 // DropTableStmt is DROP TABLE name.
 type DropTableStmt struct {
-	Table    string
-	IfExists bool
+	Table string
 }
 
 // BeginStmt, CommitStmt, and RollbackStmt control transactions.
@@ -109,22 +106,17 @@ type Literal struct{ V Value }
 // ColRef references a column by name.
 type ColRef struct{ Name string }
 
-// Binary is a binary operation: comparison, logic, or arithmetic.
+// Binary is e = e (a comparison) or e + e (integer addition, or text
+// concatenation when either side is text).
 type Binary struct {
-	Op   string // =, !=, <, <=, >, >=, AND, OR, +, -, *, /
+	Op   string // "=" or "+"
 	L, R Expr
 }
 
-// Between is col BETWEEN lo AND hi.
+// Between is e BETWEEN lo AND hi.
 type Between struct {
 	E      Expr
 	Lo, Hi Expr
-}
-
-// IsNull is e IS [NOT] NULL.
-type IsNull struct {
-	E   Expr
-	Neg bool
 }
 
 // Like is e LIKE pattern (with % and _ wildcards).
@@ -137,5 +129,4 @@ func (*Literal) expr() {}
 func (*ColRef) expr()  {}
 func (*Binary) expr()  {}
 func (*Between) expr() {}
-func (*IsNull) expr()  {}
 func (*Like) expr()    {}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -339,9 +338,6 @@ func (db *Database) table(name string) (*table, error) {
 
 func (db *Database) createTable(m *meter.Context, s *CreateTableStmt) (*ResultSet, error) {
 	if _, ok := db.tables[s.Table]; ok {
-		if s.IfNotExists {
-			return &ResultSet{}, nil
-		}
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, s.Table)
 	}
 	t := newTable(s.Table, s.Cols)
@@ -370,12 +366,9 @@ func (db *Database) createIndex(m *meter.Context, s *CreateIndexStmt) (*ResultSe
 }
 
 func (db *Database) dropTable(m *meter.Context, s *DropTableStmt) (*ResultSet, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		if s.IfExists {
-			return &ResultSet{}, nil
-		}
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
+	t, err := db.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	if db.backend != nil {
 		// Tombstone everything the table persisted: schema, index
@@ -399,64 +392,24 @@ func (db *Database) insert(m *meter.Context, s *InsertStmt) (*ResultSet, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Resolve target column ordinals (on the stack for up to 8 columns).
-	var ordBuf [8]int
-	ords := ordBuf[:0]
-	if len(s.Cols) == 0 {
-		for i := range t.cols {
-			ords = append(ords, i)
-		}
-	} else {
-		for _, c := range s.Cols {
-			ord, ok := t.colIdx[c]
-			if !ok {
-				return nil, fmt.Errorf("%w: %q in %q", ErrNoColumn, c, s.Table)
-			}
-			ords = append(ords, ord)
+	if len(s.Values) != len(t.cols) {
+		return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(s.Values), len(t.cols))
+	}
+	row := make(Row, len(t.cols))
+	for i, v := range s.Values {
+		if row[i], err = evalExpr(m, t, nil, v); err != nil {
+			return nil, err
 		}
 	}
-	var affected int
-	for _, exprs := range s.Rows {
-		if len(exprs) != len(ords) {
-			return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(exprs), len(ords))
-		}
-		row := make(Row, len(t.cols))
-		for i := range row {
-			row[i] = Null()
-		}
-		for i, e := range exprs {
-			v, err := evalExpr(m, nil, nil, e)
-			if err != nil {
-				return nil, err
-			}
-			row[ords[i]] = coerce(v, t.cols[ords[i]].Type)
-		}
-		rowid := t.insert(m, row)
-		db.logUndo(undoEntry{kind: undoInsert, table: t.name, rowid: rowid})
-		affected++
-	}
-	return &ResultSet{Affected: affected}, nil
-}
-
-// coerce converts a value toward the declared column type where
-// lossless (SQLite-style type affinity).
-func coerce(v Value, t Type) Value {
-	switch {
-	case v.IsNull():
-		return v
-	case t == TypeInt && v.Type == TypeReal && v.Real == math.Trunc(v.Real):
-		return Int(int64(v.Real))
-	case t == TypeReal && v.Type == TypeInt:
-		return Real(float64(v.Int))
-	default:
-		return v
-	}
+	rowid := t.insert(m, row)
+	db.logUndo(undoEntry{kind: undoInsert, table: t.name, rowid: rowid})
+	return &ResultSet{Affected: 1}, nil
 }
 
 // matchRows applies WHERE over the table, using an index range when
 // the predicate allows it, and calls fn for every matching row.
 func (db *Database) matchRows(m *meter.Context, t *table, where Expr, fn func(rowid int64, r Row) error) error {
-	if rng, residual, idx := indexPlan(t, where); idx != nil {
+	if rng, idx := indexPlan(t, where); idx != nil {
 		var innerErr error
 		steps := idx.tree.Range(rng.lo, rng.hi, func(_ Value, rowid int64) bool {
 			row, ok := t.get(rowid)
@@ -464,16 +417,6 @@ func (db *Database) matchRows(m *meter.Context, t *table, where Expr, fn func(ro
 				return true // stale index entry
 			}
 			m.CPU(30)
-			if residual != nil {
-				v, err := evalExpr(m, t, row, residual)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if !truthy(v) {
-					return true
-				}
-			}
 			if err := fn(rowid, row); err != nil {
 				innerErr = err
 				return false
@@ -500,94 +443,41 @@ func (db *Database) matchRows(m *meter.Context, t *table, where Expr, fn func(ro
 // keyRange is an inclusive index scan range.
 type keyRange struct{ lo, hi Value }
 
-// maxValue is an upper sentinel greater than any real value.
-func maxValue() Value { return Text("￿￿￿￿") }
-
-// minValue is a lower sentinel ≤ any non-null value.
-func minValue() Value { return Int(math.MinInt64) }
-
-// indexPlan recognizes `col OP literal` and `col BETWEEN a AND b`
-// predicates (possibly the left arm of a top-level AND) over an
-// indexed column, returning the scan range, the residual filter, and
-// the index. A nil index means full scan.
-func indexPlan(t *table, where Expr) (keyRange, Expr, *index) {
-	if where == nil {
-		return keyRange{}, nil, nil
-	}
-	if b, ok := where.(*Binary); ok && b.Op == "AND" {
-		if rng, _, idx := indexPlan(t, b.L); idx != nil {
-			return rng, b.R, idx
-		}
-		if rng, _, idx := indexPlan(t, b.R); idx != nil {
-			return rng, b.L, idx
-		}
-		return keyRange{}, nil, nil
-	}
-	colLit := func(e Expr) (int, Value, bool) {
-		b, ok := e.(*Binary)
-		if !ok {
-			return 0, Value{}, false
-		}
-		c, ok := b.L.(*ColRef)
-		if !ok {
-			return 0, Value{}, false
-		}
-		l, ok := b.R.(*Literal)
-		if !ok {
-			return 0, Value{}, false
-		}
-		ord, ok := t.colIdx[c.Name]
-		if !ok {
-			return 0, Value{}, false
-		}
-		return ord, l.V, true
-	}
+// indexPlan recognizes `col = literal` and `col BETWEEN lo AND hi` on
+// literals over an indexed column, returning the scan range and the
+// index. A nil index means full scan.
+func indexPlan(t *table, where Expr) (keyRange, *index) {
 	switch e := where.(type) {
 	case *Binary:
-		ord, lit, ok := colLit(e)
-		if !ok {
-			return keyRange{}, nil, nil
-		}
-		idx := t.indexOn(ord)
-		if idx == nil {
-			return keyRange{}, nil, nil
-		}
-		switch e.Op {
-		case "=":
-			return keyRange{lo: lit, hi: lit}, nil, idx
-		case "<":
-			return keyRange{lo: minValue(), hi: lit}, where, idx
-		case "<=":
-			return keyRange{lo: minValue(), hi: lit}, nil, idx
-		case ">":
-			return keyRange{lo: lit, hi: maxValue()}, where, idx
-		case ">=":
-			return keyRange{lo: lit, hi: maxValue()}, nil, idx
-		default:
-			return keyRange{}, nil, nil
+		if lit, ok := e.R.(*Literal); ok && e.Op == "=" {
+			if idx := indexedCol(t, e.L); idx != nil {
+				return keyRange{lo: lit.V, hi: lit.V}, idx
+			}
 		}
 	case *Between:
-		c, ok := e.E.(*ColRef)
-		if !ok {
-			return keyRange{}, nil, nil
-		}
 		lo, okLo := e.Lo.(*Literal)
 		hi, okHi := e.Hi.(*Literal)
-		if !okLo || !okHi {
-			return keyRange{}, nil, nil
+		if okLo && okHi {
+			if idx := indexedCol(t, e.E); idx != nil {
+				return keyRange{lo: lo.V, hi: hi.V}, idx
+			}
 		}
-		ord, ok := t.colIdx[c.Name]
-		if !ok {
-			return keyRange{}, nil, nil
-		}
-		idx := t.indexOn(ord)
-		if idx == nil {
-			return keyRange{}, nil, nil
-		}
-		return keyRange{lo: lo.V, hi: hi.V}, nil, idx
-	default:
-		return keyRange{}, nil, nil
 	}
+	return keyRange{}, nil
+}
+
+// indexedCol returns the index on the column e names, or nil when e is
+// no column or its column has no index.
+func indexedCol(t *table, e Expr) *index {
+	c, ok := e.(*ColRef)
+	if !ok {
+		return nil
+	}
+	ord, ok := t.colIdx[c.Name]
+	if !ok {
+		return nil
+	}
+	return t.indexOn(ord)
 }
 
 func (db *Database) selectRows(m *meter.Context, s *SelectStmt) (*ResultSet, error) {
@@ -614,21 +504,9 @@ func (db *Database) selectRows(m *meter.Context, s *SelectStmt) (*ResultSet, err
 		return db.selectAggregate(m, t, s)
 	}
 
-	// Projection column names.
-	var cols []string
-	for _, se := range s.Exprs {
-		switch {
-		case se.Star:
-			for _, c := range t.cols {
-				cols = append(cols, c.Name)
-			}
-		default:
-			if cr, ok := se.Expr.(*ColRef); ok {
-				cols = append(cols, cr.Name)
-			} else {
-				cols = append(cols, fmt.Sprintf("expr%d", len(cols)+1))
-			}
-		}
+	cols := make([]string, len(s.Exprs))
+	for i, se := range s.Exprs {
+		cols[i] = se.Col.Name
 	}
 
 	type sortedRow struct {
@@ -645,17 +523,13 @@ func (db *Database) selectRows(m *meter.Context, s *SelectStmt) (*ResultSet, err
 		orderOrd = ord
 	}
 	err = db.matchRows(m, t, s.Where, func(_ int64, r Row) error {
-		proj := make(Row, 0, len(cols))
-		for _, se := range s.Exprs {
-			if se.Star {
-				proj = append(proj, r...)
-				continue
-			}
-			v, err := evalExpr(m, t, r, se.Expr)
+		proj := make(Row, len(cols))
+		for i, se := range s.Exprs {
+			v, err := evalExpr(m, t, r, se.Col)
 			if err != nil {
 				return err
 			}
-			proj = append(proj, v)
+			proj[i] = v
 		}
 		var key Value
 		if orderOrd >= 0 {
@@ -720,8 +594,6 @@ func checkExprCols(t *table, e Expr) error {
 			}
 		}
 		return nil
-	case *IsNull:
-		return checkExprCols(t, x.E)
 	case *Like:
 		if err := checkExprCols(t, x.E); err != nil {
 			return err
@@ -735,53 +607,22 @@ func checkExprCols(t *table, e Expr) error {
 // checkSelectCols validates a select statement's expressions upfront.
 func checkSelectCols(t *table, s *SelectStmt) error {
 	for _, se := range s.Exprs {
-		if se.Star {
-			continue
+		if se.Col == nil {
+			continue // COUNT(*)
 		}
-		if err := checkExprCols(t, se.Expr); err != nil {
+		if err := checkExprCols(t, se.Col); err != nil {
 			return err
 		}
 	}
 	return checkExprCols(t, s.Where)
 }
 
+// selectAggregate executes a SELECT of aggregates only, without GROUP
+// BY: the match set is one group.
 func (db *Database) selectAggregate(m *meter.Context, t *table, s *SelectStmt) (*ResultSet, error) {
-	type aggState struct {
-		count int64
-		sum   float64
-		min   Value
-		max   Value
-		seen  bool
-	}
-	states := make([]aggState, len(s.Exprs))
+	states := make([]groupState, len(s.Exprs))
 	err := db.matchRows(m, t, s.Where, func(_ int64, r Row) error {
-		for i, se := range s.Exprs {
-			if se.Agg == "" {
-				continue
-			}
-			st := &states[i]
-			if se.Agg == "COUNT" && se.Expr == nil {
-				st.count++
-				continue
-			}
-			v, err := evalExpr(m, t, r, se.Expr)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				continue
-			}
-			st.count++
-			st.sum += v.AsReal()
-			if !st.seen || Compare(v, st.min) < 0 {
-				st.min = v
-			}
-			if !st.seen || Compare(v, st.max) > 0 {
-				st.max = v
-			}
-			st.seen = true
-		}
-		return nil
+		return accumulate(m, t, r, s.Exprs, states)
 	})
 	if err != nil {
 		return nil, err
@@ -789,39 +630,9 @@ func (db *Database) selectAggregate(m *meter.Context, t *table, s *SelectStmt) (
 	row := make(Row, len(s.Exprs))
 	cols := make([]string, len(s.Exprs))
 	for i, se := range s.Exprs {
-		st := states[i]
 		cols[i] = strings.ToLower(se.Agg)
-		switch se.Agg {
-		case "COUNT":
-			row[i] = Int(st.count)
-		case "SUM":
-			if st.count == 0 {
-				row[i] = Null()
-			} else if st.sum == math.Trunc(st.sum) {
-				row[i] = Int(int64(st.sum))
-			} else {
-				row[i] = Real(st.sum)
-			}
-		case "AVG":
-			if st.count == 0 {
-				row[i] = Null()
-			} else {
-				row[i] = Real(st.sum / float64(st.count))
-			}
-		case "MIN":
-			if !st.seen {
-				row[i] = Null()
-			} else {
-				row[i] = st.min
-			}
-		case "MAX":
-			if !st.seen {
-				row[i] = Null()
-			} else {
-				row[i] = st.max
-			}
-		default:
-			return nil, fmt.Errorf("minidb: unsupported aggregate %q", se.Agg)
+		if row[i], err = states[i].result(se.Agg); err != nil {
+			return nil, err
 		}
 	}
 	return &ResultSet{Cols: cols, Rows: []Row{row}}, nil
@@ -867,7 +678,7 @@ func (db *Database) update(m *meter.Context, s *UpdateStmt) (*ResultSet, error) 
 			if err != nil {
 				return nil, err
 			}
-			newRow[ords[i]] = coerce(v, t.cols[ords[i]].Type)
+			newRow[ords[i]] = v
 		}
 		if old, ok := t.update(m, mt.rowid, newRow); ok {
 			db.logUndo(undoEntry{kind: undoUpdate, table: t.name, rowid: mt.rowid, oldRow: old.Clone()})
@@ -900,31 +711,18 @@ func (db *Database) deleteRows(m *meter.Context, s *DeleteStmt) (*ResultSet, err
 	return &ResultSet{Affected: len(rowids)}, nil
 }
 
-// truthy implements SQL truthiness: non-null and non-zero.
-func truthy(v Value) bool {
-	switch v.Type {
-	case TypeNull:
-		return false
-	case TypeInt:
-		return v.Int != 0
-	case TypeReal:
-		return v.Real != 0
-	default:
-		return v.Str != ""
-	}
-}
+// truthy reports whether a predicate's value holds: a WHERE clause
+// yields 1, 0 or NULL.
+func truthy(v Value) bool { return v.Type == TypeInt && v.Int != 0 }
 
-// evalExpr evaluates e against row r of table t (both may be nil for
-// constant expressions).
+// evalExpr evaluates e against row r of table t (r is nil for the
+// literals of an INSERT).
 func evalExpr(m *meter.Context, t *table, r Row, e Expr) (Value, error) {
 	m.CPU(4)
 	switch x := e.(type) {
 	case *Literal:
 		return x.V, nil
 	case *ColRef:
-		if t == nil || r == nil {
-			return Value{}, fmt.Errorf("%w: %q outside row context", ErrNoColumn, x.Name)
-		}
 		ord, ok := t.colIdx[x.Name]
 		if !ok {
 			return Value{}, fmt.Errorf("%w: %q in %q", ErrNoColumn, x.Name, t.name)
@@ -949,12 +747,6 @@ func evalExpr(m *meter.Context, t *table, r Row, e Expr) (Value, error) {
 			return Null(), nil
 		}
 		return boolVal(Compare(v, lo) >= 0 && Compare(v, hi) <= 0), nil
-	case *IsNull:
-		v, err := evalExpr(m, t, r, x.E)
-		if err != nil {
-			return Value{}, err
-		}
-		return boolVal(v.IsNull() != x.Neg), nil
 	case *Like:
 		v, err := evalExpr(m, t, r, x.E)
 		if err != nil {
@@ -979,96 +771,24 @@ func evalBinary(m *meter.Context, t *table, r Row, x *Binary) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	// Short-circuit logic operators.
-	switch x.Op {
-	case "AND":
-		if !l.IsNull() && !truthy(l) {
-			return boolVal(false), nil
-		}
-		rv, err := evalExpr(m, t, r, x.R)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		return boolVal(truthy(l) && truthy(rv)), nil
-	case "OR":
-		if truthy(l) {
-			return boolVal(true), nil
-		}
-		rv, err := evalExpr(m, t, r, x.R)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		return boolVal(truthy(l) || truthy(rv)), nil
-	}
 	rv, err := evalExpr(m, t, r, x.R)
 	if err != nil {
 		return Value{}, err
 	}
-	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		c := Compare(l, rv)
-		switch x.Op {
-		case "=":
-			return boolVal(c == 0), nil
-		case "!=":
-			return boolVal(c != 0), nil
-		case "<":
-			return boolVal(c < 0), nil
-		case "<=":
-			return boolVal(c <= 0), nil
-		case ">":
-			return boolVal(c > 0), nil
-		default:
-			return boolVal(c >= 0), nil
-		}
-	case "+", "-", "*", "/":
-		if l.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		if l.Type == TypeText || rv.Type == TypeText {
-			if x.Op == "+" { // text concatenation convenience
-				return Text(l.Str + rv.Str), nil
-			}
-			return Value{}, fmt.Errorf("minidb: arithmetic on text")
-		}
-		if l.Type == TypeInt && rv.Type == TypeInt && x.Op != "/" {
-			switch x.Op {
-			case "+":
-				return Int(l.Int + rv.Int), nil
-			case "-":
-				return Int(l.Int - rv.Int), nil
-			default:
-				return Int(l.Int * rv.Int), nil
-			}
-		}
-		lf, rf := l.AsReal(), rv.AsReal()
-		switch x.Op {
-		case "+":
-			return Real(lf + rf), nil
-		case "-":
-			return Real(lf - rf), nil
-		case "*":
-			return Real(lf * rf), nil
-		default:
-			if rf == 0 {
-				return Null(), nil // SQLite yields NULL on division by zero
-			}
-			if l.Type == TypeInt && rv.Type == TypeInt {
-				return Int(l.Int / rv.Int), nil
-			}
-			return Real(lf / rf), nil
-		}
-	default:
+	switch {
+	case l.IsNull() || rv.IsNull():
+		return Null(), nil
+	case x.Op == "=":
+		return boolVal(Compare(l, rv) == 0), nil
+	case x.Op != "+":
 		return Value{}, fmt.Errorf("minidb: unhandled operator %q", x.Op)
+	case l.Type == TypeText || rv.Type == TypeText:
+		// + concatenates when either side is text.
+		return Text(l.Str + rv.Str), nil
+	case l.Type == TypeInt && rv.Type == TypeInt:
+		return Int(l.Int + rv.Int), nil
+	default:
+		return Real(l.AsReal() + rv.AsReal()), nil
 	}
 }
 

@@ -8,12 +8,15 @@ import (
 
 // FuzzParse asserts the parser never panics and that anything it
 // accepts can be executed (or fails cleanly) against a small schema.
+// Some seeds use syntax the grammar does not have (*, OR, IS NULL,
+// REAL, multi-row VALUES, comments, a trailing semicolon, ...): they
+// must be refused, like any other input, without a panic.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT a FROM t",
 		"SELECT * FROM t WHERE a = 1 AND b < 2 OR c IS NOT NULL",
 		"INSERT INTO t VALUES (1, 'x', 2.5), (NULL, '', -3)",
-		"CREATE TABLE t(a INTEGER, b TEXT, c REAL)",
+		"CREATE TABLE t(a INTEGER, b TEXT, c INTEGER)",
 		"CREATE INDEX i ON t(a)",
 		"UPDATE t SET a = a + 1, b = 'y' WHERE c BETWEEN 1 AND 2",
 		"DELETE FROM t WHERE b LIKE '%x_'",
@@ -37,7 +40,7 @@ func FuzzParse(f *testing.F) {
 		// database with a matching-ish schema.
 		db := New()
 		m := meter.NewContext()
-		if _, err := db.Exec(m, "CREATE TABLE t(a INTEGER, b TEXT, c REAL)"); err != nil {
+		if _, err := db.Exec(m, "CREATE TABLE t(a INTEGER, b TEXT, c INTEGER)"); err != nil {
 			t.Fatal(err)
 		}
 		_, _ = db.ExecStmt(m, stmt)
@@ -73,6 +76,7 @@ func FuzzPrepare(f *testing.F) {
 		"UPDATE t SET b = ? WHERE a = ? AND c > ?",
 		"DELETE FROM t WHERE -? < a",
 		"SELECT a FROM t", "?", "SELECT ? FROM t", "'?'", "??",
+		"UPDATE t SET c = c + ? WHERE b LIKE ?",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -87,7 +91,7 @@ func FuzzPrepare(f *testing.F) {
 		}
 		db := New()
 		m := meter.NewContext()
-		if _, err := db.Exec(m, "CREATE TABLE t(a INTEGER, b TEXT, c REAL)"); err != nil {
+		if _, err := db.Exec(m, "CREATE TABLE t(a INTEGER, b TEXT, c INTEGER)"); err != nil {
 			t.Fatal(err)
 		}
 		args := make([]Value, len(p.params))

@@ -9,7 +9,8 @@ import (
 	"confbench/internal/meter"
 )
 
-// groupState accumulates one aggregate over one group.
+// groupState accumulates one aggregate over one group (without GROUP
+// BY, over the whole match set).
 type groupState struct {
 	count int64
 	sum   float64
@@ -31,6 +32,25 @@ func (st *groupState) add(v Value) {
 		st.max = v
 	}
 	st.seen = true
+}
+
+// accumulate adds row r to states, one per projection of exprs; a
+// plain column projection has no state.
+func accumulate(m *meter.Context, t *table, r Row, exprs []SelectExpr, states []groupState) error {
+	for i, se := range exprs {
+		switch {
+		case se.Agg == "":
+		case se.Col == nil: // COUNT(*)
+			states[i].count++
+		default:
+			v, err := evalExpr(m, t, r, se.Col)
+			if err != nil {
+				return err
+			}
+			states[i].add(v)
+		}
+	}
+	return nil
 }
 
 func (st *groupState) result(agg string) (Value, error) {
@@ -74,14 +94,7 @@ func (db *Database) selectGrouped(m *meter.Context, t *table, s *SelectStmt) (*R
 
 	// Validate projections: group column or aggregate only.
 	for _, se := range s.Exprs {
-		if se.Star {
-			return nil, fmt.Errorf("minidb: SELECT * with GROUP BY is not supported")
-		}
-		if se.Agg != "" {
-			continue
-		}
-		cr, ok := se.Expr.(*ColRef)
-		if !ok || cr.Name != s.GroupBy {
+		if se.Agg == "" && se.Col.Name != s.GroupBy {
 			return nil, fmt.Errorf("minidb: non-aggregate projection must be the GROUP BY column %q", s.GroupBy)
 		}
 	}
@@ -102,19 +115,8 @@ func (db *Database) selectGrouped(m *meter.Context, t *table, s *SelectStmt) (*R
 			g = &group{key: key, states: make([]groupState, len(s.Exprs))}
 			groups[mapKey] = g
 		}
-		for i, se := range s.Exprs {
-			if se.Agg == "" {
-				continue
-			}
-			if se.Agg == "COUNT" && se.Expr == nil {
-				g.states[i].count++
-				continue
-			}
-			v, err := evalExpr(m, t, r, se.Expr)
-			if err != nil {
-				return err
-			}
-			g.states[i].add(v)
+		if err := accumulate(m, t, r, s.Exprs, g.states); err != nil {
+			return err
 		}
 		m.CPU(int64(len(s.Exprs)) * 6)
 		return nil

@@ -6,6 +6,27 @@ import (
 	"strings"
 )
 
+// The grammar is what the speedtest (speedtest.go) executes, and no
+// more (TestParserAcceptsOnlyWhatTheSpeedtestRuns):
+//
+//	stmt    := CREATE TABLE name ( col type {, col type} )
+//	         | CREATE INDEX name ON table ( col )
+//	         | INSERT INTO table VALUES ( literal {, literal} )
+//	         | SELECT proj {, proj} FROM table [where] [GROUP BY col]
+//	           [ORDER BY col [DESC]] [LIMIT integer]
+//	         | UPDATE table SET col = sum {, col = sum} [where]
+//	         | DELETE FROM table [where]
+//	         | DROP TABLE table
+//	         | BEGIN | COMMIT | ROLLBACK | VACUUM
+//	type    := INTEGER | TEXT
+//	proj    := col | COUNT ( * ) | (COUNT | SUM | AVG | MIN | MAX) ( col )
+//	where   := WHERE sum (= sum | BETWEEN sum AND sum | LIKE sum)
+//	sum     := primary {+ primary}
+//	primary := literal | col
+//	literal := integer | 'string' | ?
+//
+// Keywords are case-insensitive; names are folded to lower case.
+
 // Parse parses a single SQL statement. A `?` placeholder is a syntax
 // error here: only a prepared statement binds values to it.
 func Parse(sql string) (Stmt, error) {
@@ -26,7 +47,7 @@ func Parse(sql string) (Stmt, error) {
 // prepared is a statement parsed once and executed many times, as
 // speedtest1.c prepares each loop statement and binds per row. Each
 // `?` is an ordinary *Literal in the tree, so the planner (which turns
-// `col OP literal` and BETWEEN on literals into index ranges) and the
+// `col = literal` and BETWEEN on literals into index ranges) and the
 // evaluator see exactly what parsing the inlined text would give them;
 // binding overwrites the slots' values in place.
 type prepared struct {
@@ -54,10 +75,6 @@ func parse(sql string) (*parser, Stmt, error) {
 	stmt, err := p.statement()
 	if err != nil {
 		return nil, nil, err
-	}
-	// Optional trailing semicolon.
-	if p.peek().kind == tokPunct && p.peek().text == ";" {
-		p.next()
 	}
 	if p.peek().kind != tokEOF {
 		return nil, nil, p.errf("trailing input %q", p.peek().raw)
@@ -149,7 +166,6 @@ func (p *parser) statement() (Stmt, error) {
 		return p.drop()
 	case "BEGIN":
 		p.next()
-		p.acceptKw("TRANSACTION")
 		return &BeginStmt{}, nil
 	case "COMMIT":
 		p.next()
@@ -170,15 +186,6 @@ func (p *parser) create() (Stmt, error) {
 	switch {
 	case p.acceptKw("TABLE"):
 		st := &CreateTableStmt{}
-		if p.acceptKw("IF") {
-			if err := p.expectKw("NOT"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("EXISTS"); err != nil {
-				return nil, err
-			}
-			st.IfNotExists = true
-		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -236,26 +243,10 @@ func (p *parser) create() (Stmt, error) {
 
 func (p *parser) colType() (Type, error) {
 	t := p.peek()
-	if t.kind != tokIdent {
-		return TypeNull, p.errf("expected column type, got %q", t.raw)
-	}
-	p.next()
-	switch t.text {
-	case "INTEGER", "INT":
+	switch {
+	case p.acceptKw("INTEGER"):
 		return TypeInt, nil
-	case "REAL", "FLOAT", "DOUBLE":
-		return TypeReal, nil
-	case "TEXT", "VARCHAR", "STRING":
-		// Optional length suffix like VARCHAR(100).
-		if p.acceptPunct("(") {
-			if p.peek().kind != tokNumber {
-				return TypeNull, p.errf("expected length")
-			}
-			p.next()
-			if err := p.expectPunct(")"); err != nil {
-				return TypeNull, err
-			}
-		}
+	case p.acceptKw("TEXT"):
 		return TypeText, nil
 	default:
 		return TypeNull, p.errf("unsupported column type %q", t.raw)
@@ -271,50 +262,25 @@ func (p *parser) insert() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &InsertStmt{Table: table}
-	if p.acceptPunct("(") {
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col)
-			if p.acceptPunct(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-	}
 	if err := p.expectKw("VALUES"); err != nil {
 		return nil, err
 	}
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	st := &InsertStmt{Table: table}
 	for {
-		if err := p.expectPunct("("); err != nil {
+		v, err := p.literal()
+		if err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.acceptPunct(",") {
-				continue
-			}
+		st.Values = append(st.Values, v)
+		if !p.acceptPunct(",") {
 			break
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if p.acceptPunct(",") {
-			continue
-		}
-		break
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -341,11 +307,8 @@ func (p *parser) selectStmt() (Stmt, error) {
 		return nil, err
 	}
 	st.Table = table
-	if p.acceptKw("WHERE") {
-		st.Where, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
+	if st.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	if p.acceptKw("GROUP") {
 		if err := p.expectKw("BY"); err != nil {
@@ -366,11 +329,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 			return nil, err
 		}
 		st.OrderBy = col
-		if p.acceptKw("DESC") {
-			st.Desc = true
-		} else {
-			p.acceptKw("ASC")
-		}
+		st.Desc = p.acceptKw("DESC")
 	}
 	if p.acceptKw("LIMIT") {
 		t := p.peek()
@@ -390,34 +349,28 @@ func (p *parser) selectStmt() (Stmt, error) {
 var aggregates = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
 func (p *parser) selectExpr() (SelectExpr, error) {
-	if p.acceptPunct("*") {
-		return SelectExpr{Star: true}, nil
-	}
 	t := p.peek()
 	if t.kind == tokIdent && aggregates[t.text] && p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == "(" {
-		agg := t.text
+		se := SelectExpr{Agg: t.text}
 		p.next()
 		p.next() // (
-		if agg == "COUNT" && p.acceptPunct("*") {
-			if err := p.expectPunct(")"); err != nil {
+		if se.Agg != "COUNT" || !p.acceptPunct("*") {
+			col, err := p.ident()
+			if err != nil {
 				return SelectExpr{}, err
 			}
-			return SelectExpr{Agg: "COUNT"}, nil
-		}
-		e, err := p.expr()
-		if err != nil {
-			return SelectExpr{}, err
+			se.Col = &ColRef{Name: col}
 		}
 		if err := p.expectPunct(")"); err != nil {
 			return SelectExpr{}, err
 		}
-		return SelectExpr{Agg: agg, Expr: e}, nil
+		return se, nil
 	}
-	e, err := p.expr()
+	col, err := p.ident()
 	if err != nil {
 		return SelectExpr{}, err
 	}
-	return SelectExpr{Expr: e}, nil
+	return SelectExpr{Col: &ColRef{Name: col}}, nil
 }
 
 func (p *parser) update() (Stmt, error) {
@@ -438,21 +391,17 @@ func (p *parser) update() (Stmt, error) {
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
-		e, err := p.expr()
+		e, err := p.sum()
 		if err != nil {
 			return nil, err
 		}
 		st.Sets = append(st.Sets, SetClause{Col: col, Expr: e})
-		if p.acceptPunct(",") {
-			continue
+		if !p.acceptPunct(",") {
+			break
 		}
-		break
 	}
-	if p.acceptKw("WHERE") {
-		st.Where, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
+	if st.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -467,11 +416,8 @@ func (p *parser) deleteStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := &DeleteStmt{Table: table}
-	if p.acceptKw("WHERE") {
-		st.Where, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
+	if st.Where, err = p.where(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -481,171 +427,88 @@ func (p *parser) drop() (Stmt, error) {
 	if err := p.expectKw("TABLE"); err != nil {
 		return nil, err
 	}
-	st := &DropTableStmt{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
 	table, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	st.Table = table
-	return st, nil
+	return &DropTableStmt{Table: table}, nil
 }
 
-// Expression grammar, lowest to highest precedence:
-// expr := and (OR and)*
-// and  := not (AND not)*
-// not  := [NOT] cmp
-// cmp  := add ((=|!=|<|<=|>|>=) add | BETWEEN add AND add |
-//
-//	IS [NOT] NULL | LIKE add)?
-//
-// add  := mul ((+|-) mul)*
-// mul  := primary ((*|/) primary)*
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
+// where parses an optional WHERE clause: nil when there is none.
+func (p *parser) where() (Expr, error) {
+	if !p.acceptKw("WHERE") {
+		return nil, nil
+	}
+	l, err := p.sum()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKw("OR") {
-		r, err := p.andExpr()
+	switch {
+	case p.acceptPunct("="):
+		r, err := p.sum()
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	t := p.peek()
-	if t.kind == tokPunct {
-		switch t.text {
-		case "=", "<", "<=", ">", ">=", "!=":
-			op := t.text
-			p.next()
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Binary{Op: op, L: l, R: r}, nil
-		case "<>":
-			p.next()
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &Binary{Op: "!=", L: l, R: r}, nil
-		}
-	}
-	if p.acceptKw("BETWEEN") {
-		lo, err := p.addExpr()
+		return &Binary{Op: "=", L: l, R: r}, nil
+	case p.acceptKw("BETWEEN"):
+		lo, err := p.sum()
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expectKw("AND"); err != nil {
 			return nil, err
 		}
-		hi, err := p.addExpr()
+		hi, err := p.sum()
 		if err != nil {
 			return nil, err
 		}
 		return &Between{E: l, Lo: lo, Hi: hi}, nil
-	}
-	if p.acceptKw("IS") {
-		neg := p.acceptKw("NOT")
-		if err := p.expectKw("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{E: l, Neg: neg}, nil
-	}
-	if p.acceptKw("LIKE") {
-		pat, err := p.addExpr()
+	case p.acceptKw("LIKE"):
+		pat, err := p.sum()
 		if err != nil {
 			return nil, err
 		}
 		return &Like{E: l, Pattern: pat}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokPunct && (t.text == "+" || t.text == "-") {
-			p.next()
-			r, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
+	default:
+		return nil, p.errf("expected =, BETWEEN or LIKE, got %q", p.peek().raw)
 	}
 }
 
-func (p *parser) mulExpr() (Expr, error) {
+// sum parses primary (+ primary)*, left-associative.
+func (p *parser) sum() (Expr, error) {
 	l, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind == tokPunct && (t.text == "*" || t.text == "/") {
-			p.next()
-			r, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.text, L: l, R: r}
-			continue
+	for p.acceptPunct("+") {
+		r, err := p.primary()
+		if err != nil {
+			return nil, err
 		}
-		return l, nil
+		l = &Binary{Op: "+", L: l, R: r}
 	}
+	return l, nil
 }
 
+// primary parses a literal or a column.
 func (p *parser) primary() (Expr, error) {
+	if t := p.peek(); t.kind == tokIdent {
+		p.next()
+		return &ColRef{Name: strings.ToLower(t.raw)}, nil
+	}
+	lit, err := p.literal()
+	if err != nil {
+		return nil, err
+	}
+	return lit, nil
+}
+
+// literal parses an integer, a string or a `?` slot.
+func (p *parser) literal() (*Literal, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tokNumber:
 		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{V: Real(f)}, nil
-		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
@@ -654,34 +517,11 @@ func (p *parser) primary() (Expr, error) {
 	case t.kind == tokString:
 		p.next()
 		return &Literal{V: Text(t.text)}, nil
-	case t.kind == tokPunct && t.text == "-":
-		p.next()
-		inner, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: "-", L: &Literal{V: Int(0)}, R: inner}, nil
-	case t.kind == tokPunct && t.text == "(":
-		p.next()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
 	case t.kind == tokPunct && t.text == "?":
 		p.next()
 		slot := &Literal{}
 		p.params = append(p.params, slot)
 		return slot, nil
-	case t.kind == tokIdent && t.text == "NULL":
-		p.next()
-		return &Literal{V: Null()}, nil
-	case t.kind == tokIdent:
-		p.next()
-		return &ColRef{Name: strings.ToLower(t.raw)}, nil
 	default:
 		return nil, p.errf("unexpected token %q in expression", t.raw)
 	}

@@ -108,8 +108,7 @@ func inline(sql string, args []Value) string {
 // the same result set and the same metered usage as executing the same
 // text with the values inlined, statement after statement on two
 // databases fed one seeded sequence. Integers are non-negative because
-// the text "-5" parses as the expression 0 - 5, not as a literal, so
-// it is priced (and planned) differently from a bound Int(-5).
+// the grammar has no negative literal: only a bound value can be one.
 func TestPreparedMatchesInlinedText(t *testing.T) {
 	words := []string{"alpha", "beta", "it's", "", "gamma ray", "%", "o'o"}
 	word := func(r *rand.Rand) Value { return Text(words[r.Intn(len(words))]) }
@@ -127,7 +126,7 @@ func TestPreparedMatchesInlinedText(t *testing.T) {
 			lo := r.Int63n(200)
 			return []Value{Int(lo), Int(lo + r.Int63n(50))}
 		}},
-		{"SELECT a, b FROM t WHERE b >= ? AND a < ?", func(r *rand.Rand) []Value { return []Value{num(r), num(r)} }},
+		{"SELECT a, b FROM t WHERE b + ? = a", func(r *rand.Rand) []Value { return []Value{Int(r.Int63n(5))} }},
 		{"SELECT count(*) FROM t WHERE c LIKE ?", func(r *rand.Rand) []Value {
 			return []Value{Text("%" + words[r.Intn(len(words))] + "%")}
 		}},

@@ -3,12 +3,15 @@
 // tests with speedtest1 (§IV-C, "Confidential DBMS").
 //
 // It implements a compact but real SQL engine: a lexer and recursive-
-// descent parser for a SQLite-flavoured subset (CREATE TABLE/INDEX,
-// INSERT, SELECT with WHERE/ORDER BY/LIMIT and aggregates, UPDATE,
-// DELETE, DROP, BEGIN/COMMIT/ROLLBACK), page-based heap storage behind
-// a metering pager, B-tree secondary indexes, and transaction rollback
-// via a page undo log. The speedtest file reproduces the numbered-test
-// structure of SQLite's speedtest1.c.
+// descent parser for exactly the SQL its speedtest executes (the
+// grammar is in parser.go: CREATE TABLE/INDEX, single-row INSERT,
+// SELECT of columns and aggregates with a WHERE of =, BETWEEN or LIKE,
+// GROUP BY, ORDER BY [DESC] and LIMIT, UPDATE, DELETE, DROP TABLE,
+// BEGIN/COMMIT/ROLLBACK and VACUUM; + adds integers or concatenates
+// text), page-based heap storage behind a metering pager, B-tree
+// secondary indexes, and transaction rollback via a page undo log. The
+// speedtest file reproduces the numbered-test structure of SQLite's
+// speedtest1.c.
 package minidb
 
 import (

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -118,59 +117,9 @@ func formatFloat(v float64) string {
 }
 
 // WritePrometheus writes the registry in the Prometheus text
-// exposition format (version 0.0.4), ordered by metric id so
-// consecutive scrapes of an idle registry are byte-identical.
+// exposition format (version 0.0.4): its snapshot, through
+// WriteSnapshotPrometheus, so consecutive scrapes of an idle registry
+// are byte-identical and a registry renders as its federated view does.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	typed := make(map[string]bool)
-	for _, e := range r.sortedEntries() {
-		if !typed[e.family] {
-			typed[e.family] = true
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", e.family, e.kind); err != nil {
-				return err
-			}
-		}
-		switch e.kind {
-		case kindCounter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n",
-				e.family, labelBlock(e.labels, "", ""), e.counter.Value()); err != nil {
-				return err
-			}
-		case kindGauge:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n",
-				e.family, labelBlock(e.labels, "", ""), e.gauge.Value()); err != nil {
-				return err
-			}
-		case kindHistogram:
-			if err := writePrometheusHistogram(w, e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writePrometheusHistogram emits cumulative le buckets plus _sum and
-// _count series for one histogram entry.
-func writePrometheusHistogram(w io.Writer, e *entry) error {
-	h := e.hist
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			e.family, labelBlock(e.labels, "le", formatFloat(bound)), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.buckets[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		e.family, labelBlock(e.labels, "le", "+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-		e.family, labelBlock(e.labels, "", ""), formatFloat(h.Sum().Seconds())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-		e.family, labelBlock(e.labels, "", ""), h.Count())
-	return err
+	return WriteSnapshotPrometheus(w, r.Snapshot())
 }

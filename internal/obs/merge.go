@@ -233,8 +233,8 @@ func WriteSnapshotPrometheus(w io.Writer, snap Snapshot) error {
 }
 
 // writeSnapshotHistogram emits cumulative le buckets plus _sum and
-// _count for one snapshotted histogram, matching the registry
-// writer's layout (le appended after the sorted labels).
+// _count for one snapshotted histogram, le appended after the sorted
+// labels.
 func writeSnapshotHistogram(w io.Writer, e snapEntry, h HistogramSnapshot) error {
 	var cum uint64
 	for i, bound := range h.Bounds {

@@ -156,24 +156,6 @@ func TestMergeSnapshotsDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteSnapshotPrometheusMatchesRegistryWriter(t *testing.T) {
-	// Rendering a registry's own snapshot must be byte-identical to
-	// the live registry writer, so federation output needs no special
-	// parsing downstream.
-	r := fixedRegistry()
-	var live, snap strings.Builder
-	if err := r.WritePrometheus(&live); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshotPrometheus(&snap, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if live.String() != snap.String() {
-		t.Errorf("snapshot writer diverges from registry writer:\n--- live\n%s--- snapshot\n%s",
-			live.String(), snap.String())
-	}
-}
-
 func TestHistogramSnapshotQuantile(t *testing.T) {
 	hs := HistogramSnapshot{
 		Bounds: []float64{0.001, 0.01, 0.1},

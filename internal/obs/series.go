@@ -91,9 +91,9 @@ func (s *Series) Window(window int) []Sample {
 // samples: the sum of per-step increases divided by the window's time
 // span. It needs at least two samples spanning nonzero time; otherwise
 // it reports 0. Steps with a negative delta (a counter reset after a
-// component restart) or a non-advancing clock are skipped — exactly as
-// DeltaQuantile does — so one restart mid-window costs only the
-// progress of the reset step instead of zeroing the whole window. For
+// component restart) or a non-advancing clock are skipped, so one
+// restart mid-window costs only the progress of the reset step
+// instead of zeroing the whole window. For
 // a monotone series the per-step sum telescopes to last-first, so the
 // reported rate is unchanged from the naive endpoints formula.
 //
@@ -118,46 +118,6 @@ func (s *Series) Rate(window int) float64 {
 		total += delta
 	}
 	return total / secs
-}
-
-// DeltaQuantile returns the q-th quantile (0..1) of the per-step
-// rates (delta/seconds between consecutive samples) across the last
-// window samples — the spread of instantaneous rates inside the
-// window, e.g. the p99 invoke rate over the last 60 scrapes. Steps
-// with non-advancing clocks or counter resets are skipped. Uses the
-// nearest-rank method, so the answer is always an observed step rate.
-//
-// Units: value-units per second of wall-clock time, like Rate — each
-// step's delta is divided by that step's own timestamp span.
-func (s *Series) DeltaQuantile(q float64, window int) float64 {
-	w := s.Window(window)
-	rates := make([]float64, 0, len(w))
-	for i := 1; i < len(w); i++ {
-		secs := w[i].At.Sub(w[i-1].At).Seconds()
-		delta := w[i].Value - w[i-1].Value
-		if secs <= 0 || delta < 0 {
-			continue
-		}
-		rates = append(rates, delta/secs)
-	}
-	if len(rates) == 0 {
-		return 0
-	}
-	sort.Float64s(rates)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(q*float64(len(rates))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(rates) {
-		idx = len(rates) - 1
-	}
-	return rates[idx]
 }
 
 // SeriesSet keys ring-buffer series by canonical metric ID. The

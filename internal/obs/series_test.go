@@ -88,24 +88,6 @@ func TestSeriesRateCounterResetMidWindow(t *testing.T) {
 	}
 }
 
-func TestSeriesDeltaQuantile(t *testing.T) {
-	s := NewSeries(10)
-	// Per-step deltas over 1-second steps: 1, 1, 1, 10.
-	values := []float64{0, 1, 2, 3, 13}
-	for i, v := range values {
-		s.Record(seriesEpoch.Add(time.Duration(i)*time.Second), v)
-	}
-	if got := s.DeltaQuantile(0.5, 0); got != 1 {
-		t.Errorf("p50 = %g, want 1", got)
-	}
-	if got := s.DeltaQuantile(1.0, 0); got != 10 {
-		t.Errorf("p100 = %g, want 10", got)
-	}
-	if got := NewSeries(4).DeltaQuantile(0.99, 0); got != 0 {
-		t.Errorf("empty quantile = %g, want 0", got)
-	}
-}
-
 func TestSeriesSetRecordSnapshot(t *testing.T) {
 	r := New()
 	c := r.Counter("confbench_x_total")

@@ -8,10 +8,8 @@ import (
 // ModuleBuilder assembles a Module from function builders.
 type ModuleBuilder struct {
 	funcs   []Func
-	globals []int64
 	exports map[string]int
 	pages   int
-	maxPage int
 	err     error
 }
 
@@ -20,16 +18,10 @@ func NewModuleBuilder() *ModuleBuilder {
 	return &ModuleBuilder{exports: make(map[string]int, 4)}
 }
 
-// WithMemory declares a linear memory of initial/max pages.
-func (mb *ModuleBuilder) WithMemory(initial, max int) *ModuleBuilder {
-	mb.pages, mb.maxPage = initial, max
+// WithMemory declares a linear memory of pages pages.
+func (mb *ModuleBuilder) WithMemory(pages int) *ModuleBuilder {
+	mb.pages = pages
 	return mb
-}
-
-// AddGlobal appends a mutable global and returns its index.
-func (mb *ModuleBuilder) AddGlobal(initial int64) int {
-	mb.globals = append(mb.globals, initial)
-	return len(mb.globals) - 1
 }
 
 // AddFunc finalizes fb, appends it, and returns its function index.
@@ -53,11 +45,9 @@ func (mb *ModuleBuilder) Build() (*Module, error) {
 		return nil, mb.err
 	}
 	m := &Module{
-		Funcs:       mb.funcs,
-		Globals:     append([]int64(nil), mb.globals...),
-		MemPages:    mb.pages,
-		MemMaxPages: mb.maxPage,
-		exports:     mb.exports,
+		Funcs:    mb.funcs,
+		MemPages: mb.pages,
+		exports:  mb.exports,
 	}
 	if err := Validate(m); err != nil {
 		return nil, err
@@ -65,23 +55,15 @@ func (mb *ModuleBuilder) Build() (*Module, error) {
 	return m, nil
 }
 
-// ctrlKind distinguishes structured-control frames while building.
-type ctrlKind int
-
-const (
-	ctrlBlock ctrlKind = iota + 1
-	ctrlLoop
-	ctrlIf
-)
-
+// ctrlFrame is an open block, loop or if while building.
 type ctrlFrame struct {
-	kind ctrlKind
+	// loop marks a loop: branches to it target its start, not the pc
+	// past its end.
+	loop bool
 	// start is the pc of the opening instruction.
 	start int
 	// patches lists pcs whose A must point past the matching end.
 	patches []int
-	// elsePC is the pc of the else instruction, if seen.
-	elsePC int
 }
 
 // FuncBuilder assembles one function with structured control flow.
@@ -116,29 +98,21 @@ func (fb *FuncBuilder) fail(format string, args ...any) *FuncBuilder {
 
 // Block opens a block; Br to it jumps past its End.
 func (fb *FuncBuilder) Block() *FuncBuilder {
-	fb.ctrl = append(fb.ctrl, ctrlFrame{kind: ctrlBlock, start: len(fb.code), elsePC: -1})
+	fb.ctrl = append(fb.ctrl, ctrlFrame{start: len(fb.code)})
 	return fb.emit(OpBlock, 0)
 }
 
 // Loop opens a loop; Br to it jumps back to its start.
 func (fb *FuncBuilder) Loop() *FuncBuilder {
-	fb.ctrl = append(fb.ctrl, ctrlFrame{kind: ctrlLoop, start: len(fb.code), elsePC: -1})
+	fb.ctrl = append(fb.ctrl, ctrlFrame{loop: true, start: len(fb.code)})
 	return fb.emit(OpLoop, int64(len(fb.code)))
 }
 
-// If opens a conditional consuming the top of stack.
+// If opens a conditional consuming the top of stack: its body runs
+// when the value is non-zero.
 func (fb *FuncBuilder) If() *FuncBuilder {
-	fb.ctrl = append(fb.ctrl, ctrlFrame{kind: ctrlIf, start: len(fb.code), elsePC: -1})
+	fb.ctrl = append(fb.ctrl, ctrlFrame{start: len(fb.code)})
 	return fb.emit(OpIf, 0)
-}
-
-// Else starts the alternative branch of the innermost If.
-func (fb *FuncBuilder) Else() *FuncBuilder {
-	if len(fb.ctrl) == 0 || fb.ctrl[len(fb.ctrl)-1].kind != ctrlIf {
-		return fb.fail("else without if")
-	}
-	fb.ctrl[len(fb.ctrl)-1].elsePC = len(fb.code)
-	return fb.emit(OpElse, 0)
 }
 
 // End closes the innermost frame, patching branch targets.
@@ -151,33 +125,19 @@ func (fb *FuncBuilder) End() *FuncBuilder {
 	fb.emit(OpEnd, 0)
 	endPC := len(fb.code) // pc just past the end instruction
 
-	switch frame.kind {
-	case ctrlIf:
-		if frame.elsePC >= 0 {
-			// if jumps to just past else when false; else jumps to end.
-			fb.code[frame.start].A = int64(frame.elsePC + 1)
-			fb.code[frame.elsePC].A = int64(endPC)
-		} else {
-			fb.code[frame.start].A = int64(endPC)
-		}
-		for _, pc := range frame.patches {
-			fb.code[pc].A = int64(endPC)
-		}
-	case ctrlBlock:
-		fb.code[frame.start].A = int64(endPC)
-		for _, pc := range frame.patches {
-			fb.code[pc].A = int64(endPC)
-		}
-	case ctrlLoop:
-		// Branches to a loop target its start (already set at emit).
-		for _, pc := range frame.patches {
-			fb.code[pc].A = int64(frame.start)
-		}
+	if frame.loop {
+		// Branches to a loop target its start, set at emit.
+		return fb
+	}
+	// A block, and an if whose condition is false, jump past the end.
+	fb.code[frame.start].A = int64(endPC)
+	for _, pc := range frame.patches {
+		fb.code[pc].A = int64(endPC)
 	}
 	return fb
 }
 
-// branchTarget registers a branch to the frame `depth` levels up
+// branch registers a branch to the frame `depth` levels up
 // (0 = innermost) and returns a placeholder; loops resolve
 // immediately, blocks/ifs patch at End.
 func (fb *FuncBuilder) branch(op Op, depth int) *FuncBuilder {
@@ -187,7 +147,7 @@ func (fb *FuncBuilder) branch(op Op, depth int) *FuncBuilder {
 	idx := len(fb.ctrl) - 1 - depth
 	pc := len(fb.code)
 	fb.emit(op, 0)
-	if fb.ctrl[idx].kind == ctrlLoop {
+	if fb.ctrl[idx].loop {
 		fb.code[pc].A = int64(fb.ctrl[idx].start)
 	} else {
 		fb.ctrl[idx].patches = append(fb.ctrl[idx].patches, pc)
@@ -203,38 +163,17 @@ func (fb *FuncBuilder) BrIf(depth int) *FuncBuilder { return fb.branch(OpBrIf, d
 
 // Plain instruction emitters.
 
-// Unreachable emits a trap.
-func (fb *FuncBuilder) Unreachable() *FuncBuilder { return fb.emit(OpUnreachable, 0) }
-
-// Nop emits a no-op.
-func (fb *FuncBuilder) Nop() *FuncBuilder { return fb.emit(OpNop, 0) }
-
 // Return emits an early return.
 func (fb *FuncBuilder) Return() *FuncBuilder { return fb.emit(OpReturn, 0) }
 
 // Call emits a call to function index fn.
 func (fb *FuncBuilder) Call(fn int) *FuncBuilder { return fb.emit(OpCall, int64(fn)) }
 
-// Drop pops and discards the top of stack.
-func (fb *FuncBuilder) Drop() *FuncBuilder { return fb.emit(OpDrop, 0) }
-
-// Select pops cond, b, a and pushes a if cond != 0 else b.
-func (fb *FuncBuilder) Select() *FuncBuilder { return fb.emit(OpSelect, 0) }
-
 // LocalGet pushes local i.
 func (fb *FuncBuilder) LocalGet(i int) *FuncBuilder { return fb.emit(OpLocalGet, int64(i)) }
 
 // LocalSet pops into local i.
 func (fb *FuncBuilder) LocalSet(i int) *FuncBuilder { return fb.emit(OpLocalSet, int64(i)) }
-
-// LocalTee stores the top of stack into local i without popping.
-func (fb *FuncBuilder) LocalTee(i int) *FuncBuilder { return fb.emit(OpLocalTee, int64(i)) }
-
-// GlobalGet pushes global i.
-func (fb *FuncBuilder) GlobalGet(i int) *FuncBuilder { return fb.emit(OpGlobalGet, int64(i)) }
-
-// GlobalSet pops into global i.
-func (fb *FuncBuilder) GlobalSet(i int) *FuncBuilder { return fb.emit(OpGlobalSet, int64(i)) }
 
 // I64Load loads a 64-bit value at popped address + offset.
 func (fb *FuncBuilder) I64Load(offset int) *FuncBuilder { return fb.emit(OpI64Load, int64(offset)) }
@@ -251,12 +190,6 @@ func (fb *FuncBuilder) I64Load8U(offset int) *FuncBuilder {
 func (fb *FuncBuilder) I64Store8(offset int) *FuncBuilder {
 	return fb.emit(OpI64Store8, int64(offset))
 }
-
-// MemorySize pushes the current memory size in pages.
-func (fb *FuncBuilder) MemorySize() *FuncBuilder { return fb.emit(OpMemorySize, 0) }
-
-// MemoryGrow grows memory by popped pages, pushing the old size or -1.
-func (fb *FuncBuilder) MemoryGrow() *FuncBuilder { return fb.emit(OpMemoryGrow, 0) }
 
 // I64Const pushes v.
 func (fb *FuncBuilder) I64Const(v int64) *FuncBuilder { return fb.emit(OpI64Const, v) }
@@ -277,35 +210,20 @@ func (fb *FuncBuilder) I64Sub() *FuncBuilder { return fb.emit(OpI64Sub, 0) }
 // I64Mul pops b, a and pushes a*b.
 func (fb *FuncBuilder) I64Mul() *FuncBuilder { return fb.emit(OpI64Mul, 0) }
 
-// I64DivS pops b, a and pushes a/b (traps on b==0).
-func (fb *FuncBuilder) I64DivS() *FuncBuilder { return fb.emit(OpI64DivS, 0) }
-
 // I64RemS pops b, a and pushes a%b (traps on b==0).
 func (fb *FuncBuilder) I64RemS() *FuncBuilder { return fb.emit(OpI64RemS, 0) }
 
 // I64And pops b, a and pushes a&b.
 func (fb *FuncBuilder) I64And() *FuncBuilder { return fb.emit(OpI64And, 0) }
 
-// I64Or pops b, a and pushes a|b.
-func (fb *FuncBuilder) I64Or() *FuncBuilder { return fb.emit(OpI64Or, 0) }
-
 // I64Xor pops b, a and pushes a^b.
 func (fb *FuncBuilder) I64Xor() *FuncBuilder { return fb.emit(OpI64Xor, 0) }
-
-// I64Shl pops b, a and pushes a<<(b&63).
-func (fb *FuncBuilder) I64Shl() *FuncBuilder { return fb.emit(OpI64Shl, 0) }
 
 // I64ShrS pops b, a and pushes a>>(b&63) (arithmetic).
 func (fb *FuncBuilder) I64ShrS() *FuncBuilder { return fb.emit(OpI64ShrS, 0) }
 
 // I64Eqz pops a and pushes a==0.
 func (fb *FuncBuilder) I64Eqz() *FuncBuilder { return fb.emit(OpI64Eqz, 0) }
-
-// I64Eq pops b, a and pushes a==b.
-func (fb *FuncBuilder) I64Eq() *FuncBuilder { return fb.emit(OpI64Eq, 0) }
-
-// I64Ne pops b, a and pushes a!=b.
-func (fb *FuncBuilder) I64Ne() *FuncBuilder { return fb.emit(OpI64Ne, 0) }
 
 // I64LtS pops b, a and pushes a<b.
 func (fb *FuncBuilder) I64LtS() *FuncBuilder { return fb.emit(OpI64LtS, 0) }
@@ -324,35 +242,11 @@ func (fb *FuncBuilder) I64GeS() *FuncBuilder { return fb.emit(OpI64GeS, 0) }
 // F64Add pops b, a and pushes a+b.
 func (fb *FuncBuilder) F64Add() *FuncBuilder { return fb.emit(OpF64Add, 0) }
 
-// F64Sub pops b, a and pushes a-b.
-func (fb *FuncBuilder) F64Sub() *FuncBuilder { return fb.emit(OpF64Sub, 0) }
-
 // F64Mul pops b, a and pushes a*b.
 func (fb *FuncBuilder) F64Mul() *FuncBuilder { return fb.emit(OpF64Mul, 0) }
 
-// F64Div pops b, a and pushes a/b.
-func (fb *FuncBuilder) F64Div() *FuncBuilder { return fb.emit(OpF64Div, 0) }
-
 // F64Sqrt pops a and pushes sqrt(a).
 func (fb *FuncBuilder) F64Sqrt() *FuncBuilder { return fb.emit(OpF64Sqrt, 0) }
-
-// F64Abs pops a and pushes |a|.
-func (fb *FuncBuilder) F64Abs() *FuncBuilder { return fb.emit(OpF64Abs, 0) }
-
-// F64Neg pops a and pushes -a.
-func (fb *FuncBuilder) F64Neg() *FuncBuilder { return fb.emit(OpF64Neg, 0) }
-
-// F64Eq pops b, a and pushes a==b.
-func (fb *FuncBuilder) F64Eq() *FuncBuilder { return fb.emit(OpF64Eq, 0) }
-
-// F64Lt pops b, a and pushes a<b.
-func (fb *FuncBuilder) F64Lt() *FuncBuilder { return fb.emit(OpF64Lt, 0) }
-
-// F64Gt pops b, a and pushes a>b.
-func (fb *FuncBuilder) F64Gt() *FuncBuilder { return fb.emit(OpF64Gt, 0) }
-
-// F64ConvertI64S pops an i64 and pushes it as f64.
-func (fb *FuncBuilder) F64ConvertI64S() *FuncBuilder { return fb.emit(OpF64ConvertI64S, 0) }
 
 // I64TruncF64S pops an f64 and pushes its integer truncation.
 func (fb *FuncBuilder) I64TruncF64S() *FuncBuilder { return fb.emit(OpI64TruncF64S, 0) }

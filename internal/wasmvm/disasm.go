@@ -14,32 +14,23 @@ func Disassemble(f Func) string {
 		name(f.Name), f.Params, f.Results, f.Locals)
 	depth := 1
 	for pc, ins := range f.Code {
-		switch ins.Op {
-		case OpEnd:
-			if depth > 1 {
-				depth--
-			}
-		case OpElse:
-			// else prints one level out, like wat.
-			if depth > 1 {
-				depth--
-			}
+		if ins.Op == OpEnd && depth > 1 {
+			depth--
 		}
 		fmt.Fprintf(&sb, "%5d: %s%s", pc, strings.Repeat("  ", depth), ins.Op)
 		switch ins.Op {
-		case OpI64Const, OpLocalGet, OpLocalSet, OpLocalTee,
-			OpGlobalGet, OpGlobalSet, OpCall:
+		case OpI64Const, OpLocalGet, OpLocalSet, OpCall:
 			fmt.Fprintf(&sb, " %d", ins.A)
 		case OpF64Const:
 			fmt.Fprintf(&sb, " %v", i2f(ins.A))
 		case OpI64Load, OpI64Store, OpI64Load8U, OpI64Store8:
 			fmt.Fprintf(&sb, " offset=%d", ins.A)
-		case OpBr, OpBrIf, OpIf, OpElse, OpBlock, OpLoop:
+		case OpBr, OpBrIf, OpIf, OpBlock, OpLoop:
 			fmt.Fprintf(&sb, " → %d", ins.A)
 		}
 		sb.WriteByte('\n')
 		switch ins.Op {
-		case OpBlock, OpLoop, OpIf, OpElse:
+		case OpBlock, OpLoop, OpIf:
 			depth++
 		}
 	}
@@ -49,8 +40,7 @@ func Disassemble(f Func) string {
 // DisassembleModule renders every function of a module.
 func DisassembleModule(m *Module) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "module (funcs %d) (globals %d) (memory %d pages, max %d)\n",
-		len(m.Funcs), len(m.Globals), m.MemPages, m.MemMaxPages)
+	fmt.Fprintf(&sb, "module (funcs %d) (memory %d pages)\n", len(m.Funcs), m.MemPages)
 	for _, f := range m.Funcs {
 		sb.WriteString(Disassemble(f))
 	}

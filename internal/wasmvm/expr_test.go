@@ -6,10 +6,10 @@ import (
 )
 
 // exprNode is a random arithmetic expression over two i64 parameters,
-// evaluated both directly in Go and through compiled bytecode. Division
-// and remainder keep a non-zero right side by construction.
+// evaluated both directly in Go and through compiled bytecode. The
+// remainder keeps a non-zero right side by construction.
 type exprNode struct {
-	op          byte // 'x','y','c' leaves; '+','-','*','/','%','&','|','^' inner
+	op          byte // 'x','y','c' leaves; '+','-','*','%','&','^','>' inner
 	val         int64
 	left, right *exprNode
 }
@@ -25,10 +25,10 @@ func randExpr(rng *rand.Rand, depth int) *exprNode {
 			return &exprNode{op: 'c', val: int64(rng.Intn(201) - 100)}
 		}
 	}
-	ops := []byte{'+', '-', '*', '/', '%', '&', '|', '^'}
+	ops := []byte{'+', '-', '*', '%', '&', '^', '>'}
 	op := ops[rng.Intn(len(ops))]
 	n := &exprNode{op: op, left: randExpr(rng, depth-1), right: randExpr(rng, depth-1)}
-	if op == '/' || op == '%' {
+	if op == '%' {
 		// Guarantee a non-zero, positive divisor.
 		n.right = &exprNode{op: 'c', val: int64(rng.Intn(50) + 1)}
 	}
@@ -52,16 +52,14 @@ func (e *exprNode) eval(x, y int64) int64 {
 		return l - r
 	case '*':
 		return l * r
-	case '/':
-		return l / r
 	case '%':
 		return l % r
 	case '&':
 		return l & r
-	case '|':
-		return l | r
-	default:
+	case '^':
 		return l ^ r
+	default:
+		return l >> (uint64(r) & 63)
 	}
 }
 
@@ -86,16 +84,14 @@ func (e *exprNode) emit(fb *FuncBuilder) {
 		fb.I64Sub()
 	case '*':
 		fb.I64Mul()
-	case '/':
-		fb.I64DivS()
 	case '%':
 		fb.I64RemS()
 	case '&':
 		fb.I64And()
-	case '|':
-		fb.I64Or()
-	default:
+	case '^':
 		fb.I64Xor()
+	default:
+		fb.I64ShrS()
 	}
 }
 
@@ -136,19 +132,18 @@ func TestRandomExpressionsMatchDirectEvaluation(t *testing.T) {
 }
 
 // TestRandomControlFlow compiles clamp(x, lo, hi) implemented with
-// nested if/else against direct evaluation.
+// nested ifs against direct evaluation.
 func TestRandomControlFlow(t *testing.T) {
 	mb := NewModuleBuilder()
-	// clamp(x, lo, hi): if x < lo { r = lo } else { if x > hi { r = hi } else { r = x } }
+	// clamp(x, lo, hi): r = x; if x < lo { r = lo; return r }; if x > hi { r = hi }
 	fb := NewFuncBuilder("clamp", 3, 1, 1)
+	fb.LocalGet(0).LocalSet(3)
 	fb.LocalGet(0).LocalGet(1).I64LtS().If().
 		LocalGet(1).LocalSet(3).
-		Else().
-		LocalGet(0).LocalGet(2).I64GtS().If().
+		LocalGet(3).Return().
+		End()
+	fb.LocalGet(0).LocalGet(2).I64GtS().If().
 		LocalGet(2).LocalSet(3).
-		Else().
-		LocalGet(0).LocalSet(3).
-		End().
 		End()
 	fb.LocalGet(3)
 	mb.AddFunc(fb)

@@ -11,7 +11,7 @@ import (
 // when the innermost one traps.
 func diveModule(t *testing.T) *Module {
 	t.Helper()
-	mb := NewModuleBuilder().WithMemory(1, 1)
+	mb := NewModuleBuilder().WithMemory(1)
 	fb := NewFuncBuilder("dive", 2, 1, 1)
 	fb.LocalGet(0).I64Eqz().If().
 		LocalGet(1).I64Const(7).I64Store(0).

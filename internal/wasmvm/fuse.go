@@ -9,8 +9,8 @@ package wasmvm
 // function, the same length as Code: entry pc holds Code[pc]'s
 // immediate and either Code[pc]'s own op or a fused op that retires
 // Code[pc:pc+n] at once. Validate lets a branch land only on a frame's
-// label, and no pattern holds an else or an end, or a loop past its
-// first instruction, so no branch lands inside a fused run; the pc
+// label, and no pattern holds an end, or a loop past its first
+// instruction, so no branch lands inside a fused run; the pc
 // space, branch targets, Validate and Disassemble are those of Code.
 //
 // Accounting is what the n instructions would have cost one at a time:

@@ -26,11 +26,10 @@ type ExecStats struct {
 	MaxStack int
 }
 
-// Instance is an instantiated module with its own globals and memory.
+// Instance is an instantiated module with its own memory.
 type Instance struct {
-	module  *Module
-	globals []int64
-	memory  []byte
+	module *Module
+	memory []byte
 	// Fuel is the remaining instruction budget; Invoke fails with
 	// ErrFuelExhausted when it hits zero.
 	Fuel  uint64
@@ -47,14 +46,13 @@ type Instance struct {
 	frames []int64
 }
 
-// NewInstance instantiates m with fresh globals and memory.
+// NewInstance instantiates m with fresh, zeroed memory.
 func NewInstance(m *Module) (*Instance, error) {
 	if err := Validate(m); err != nil {
 		return nil, err
 	}
 	return &Instance{
 		module:   m,
-		globals:  append([]int64(nil), m.Globals...),
 		memory:   make([]byte, m.MemPages*PageSize),
 		Fuel:     DefaultFuel,
 		frames:   make([]int64, 0, 256),
@@ -68,7 +66,7 @@ func (in *Instance) Stats() ExecStats { return in.stats }
 // ResetStats zeroes the statistics (fuel is left untouched).
 func (in *Instance) ResetStats() { in.stats = ExecStats{} }
 
-// MemoryLen returns the current linear memory size in bytes.
+// MemoryLen returns the linear memory size in bytes.
 func (in *Instance) MemoryLen() int { return len(in.memory) }
 
 // ReadMemory copies n bytes at off out of linear memory.
@@ -113,18 +111,6 @@ func (in *Instance) Invoke(name string, args ...int64) ([]int64, error) {
 	return results, nil
 }
 
-// InvokeF64 is Invoke for a single f64 result.
-func (in *Instance) InvokeF64(name string, args ...int64) (float64, error) {
-	res, err := in.Invoke(name, args...)
-	if err != nil {
-		return 0, err
-	}
-	if len(res) != 1 {
-		return 0, fmt.Errorf("%w: want 1 result, got %d", ErrBadArity, len(res))
-	}
-	return math.Float64frombits(uint64(res[0])), nil
-}
-
 // call runs function fi with its parameters on top of stack; on return
 // the parameters are replaced by the results.
 func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
@@ -165,14 +151,8 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			in.stats.MaxStack = h
 		}
 		switch ins.op {
-		case OpUnreachable:
-			return nil, ErrUnreachable
-		case OpNop, OpBlock, OpLoop, OpEnd:
+		case OpBlock, OpLoop, OpEnd:
 			// Structure markers carry no runtime effect.
-		case OpElse:
-			// Falling into else from the true arm jumps past end.
-			pc = int(ins.a)
-			continue
 		case OpIf:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -202,30 +182,11 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			// The callee may have grown the frame stack into a new
 			// array; this frame's slots moved with it.
 			locals = in.frames[fp:]
-		case OpDrop:
-			stack = stack[:len(stack)-1]
-		case OpSelect:
-			c := stack[len(stack)-1]
-			b := stack[len(stack)-2]
-			a := stack[len(stack)-3]
-			stack = stack[:len(stack)-3]
-			if c != 0 {
-				stack = append(stack, a)
-			} else {
-				stack = append(stack, b)
-			}
 
 		case OpLocalGet:
 			stack = append(stack, locals[ins.a])
 		case OpLocalSet:
 			locals[ins.a] = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case OpLocalTee:
-			locals[ins.a] = stack[len(stack)-1]
-		case OpGlobalGet:
-			stack = append(stack, in.globals[ins.a])
-		case OpGlobalSet:
-			in.globals[ins.a] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 
 		case OpI64Load:
@@ -260,17 +221,6 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			}
 			in.memory[addr] = byte(v)
 			in.stats.MemBytes++
-		case OpMemorySize:
-			stack = append(stack, int64(len(in.memory)/PageSize))
-		case OpMemoryGrow:
-			delta := stack[len(stack)-1]
-			old := int64(len(in.memory) / PageSize)
-			if delta < 0 || delta > int64(in.module.MemMaxPages)-old {
-				stack[len(stack)-1] = -1
-			} else {
-				in.memory = append(in.memory, make([]byte, delta*PageSize)...)
-				stack[len(stack)-1] = old
-			}
 
 		case OpI64Const:
 			stack = append(stack, ins.a)
@@ -283,13 +233,6 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpI64Mul:
 			stack[len(stack)-2] *= stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case OpI64DivS:
-			b := stack[len(stack)-1]
-			if b == 0 {
-				return nil, ErrDivByZero
-			}
-			stack[len(stack)-2] /= b
-			stack = stack[:len(stack)-1]
 		case OpI64RemS:
 			b := stack[len(stack)-1]
 			if b == 0 {
@@ -300,26 +243,14 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpI64And:
 			stack[len(stack)-2] &= stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case OpI64Or:
-			stack[len(stack)-2] |= stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
 		case OpI64Xor:
 			stack[len(stack)-2] ^= stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case OpI64Shl:
-			stack[len(stack)-2] <<= uint64(stack[len(stack)-1]) & 63
 			stack = stack[:len(stack)-1]
 		case OpI64ShrS:
 			stack[len(stack)-2] >>= uint64(stack[len(stack)-1]) & 63
 			stack = stack[:len(stack)-1]
 		case OpI64Eqz:
 			stack[len(stack)-1] = b2i(stack[len(stack)-1] == 0)
-		case OpI64Eq:
-			stack[len(stack)-2] = b2i(stack[len(stack)-2] == stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-		case OpI64Ne:
-			stack[len(stack)-2] = b2i(stack[len(stack)-2] != stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
 		case OpI64LtS:
 			stack[len(stack)-2] = b2i(stack[len(stack)-2] < stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
@@ -338,32 +269,11 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpF64Add:
 			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) + i2f(stack[len(stack)-1]))
 			stack = stack[:len(stack)-1]
-		case OpF64Sub:
-			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) - i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
 		case OpF64Mul:
 			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) * i2f(stack[len(stack)-1]))
 			stack = stack[:len(stack)-1]
-		case OpF64Div:
-			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) / i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
 		case OpF64Sqrt:
 			stack[len(stack)-1] = f2i(math.Sqrt(i2f(stack[len(stack)-1])))
-		case OpF64Abs:
-			stack[len(stack)-1] = f2i(math.Abs(i2f(stack[len(stack)-1])))
-		case OpF64Neg:
-			stack[len(stack)-1] = f2i(-i2f(stack[len(stack)-1]))
-		case OpF64Eq:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) == i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64Lt:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) < i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64Gt:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) > i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64ConvertI64S:
-			stack[len(stack)-1] = f2i(float64(stack[len(stack)-1]))
 		case OpI64TruncF64S:
 			stack[len(stack)-1] = int64(i2f(stack[len(stack)-1]))
 

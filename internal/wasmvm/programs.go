@@ -19,13 +19,13 @@ const (
 	FnPowMod
 )
 
-// BenchMemPages is the initial linear memory of the bench module
+// BenchMemPages is the linear memory of the bench module
 // (4 MiB), enough for sieve limits up to ~4M and 128×128 matmul.
 const BenchMemPages = 64
 
 // BuildBenchModule assembles and validates the benchmark module.
 func BuildBenchModule() (*Module, error) {
-	mb := NewModuleBuilder().WithMemory(BenchMemPages, 2*BenchMemPages)
+	mb := NewModuleBuilder().WithMemory(BenchMemPages)
 
 	mb.AddFunc(buildFib())
 	mb.AddFunc(buildFibIter())
@@ -190,7 +190,7 @@ func buildMatMul() *FuncBuilder {
 
 // buildCPUStress: cpustress(iters) runs a floating-point kernel —
 // x = sqrt(x·x + 0.25) — and returns trunc(x·1000).
-// locals: 1=i; global-free, x kept in f64 local 2 (as raw bits).
+// locals: 1=i; x kept in f64 local 2 (as raw bits).
 func buildCPUStress() *FuncBuilder {
 	fb := NewFuncBuilder("cpustress", 1, 1, 2)
 	fb.F64Const(1.5).LocalSet(2)

@@ -12,26 +12,22 @@ import (
 
 // outcome is everything an invoke leaves behind that a caller can see.
 type outcome struct {
-	res     []int64
-	err     string
-	stats   ExecStats
-	fuel    uint64
-	memory  []byte
-	globals []int64
+	res    []int64
+	err    string
+	stats  ExecStats
+	fuel   uint64
+	memory []byte
 }
 
 func (o outcome) String() string {
-	return fmt.Sprintf("res=%v err=%q stats=%+v fuel=%d globals=%v", o.res, o.err, o.stats, o.fuel, o.globals)
+	return fmt.Sprintf("res=%v err=%q stats=%+v fuel=%d", o.res, o.err, o.stats, o.fuel)
 }
 
-// invokeWith runs export on in from a fresh state (zeroed memory of the
-// module's initial size, initial globals, zero stats) with fuel, over
-// the current interpreter or, with ref, over refCall.
+// invokeWith runs export on in from a fresh state (zeroed memory, zero
+// stats) with fuel, over the current interpreter or, with ref, over
+// refCall.
 func invokeWith(in *Instance, ref bool, fuel uint64, export string, args ...int64) outcome {
-	m := in.module
-	in.memory = in.memory[:m.MemPages*PageSize]
 	clear(in.memory)
-	copy(in.globals, m.Globals)
 	in.ResetStats()
 	in.Fuel = fuel
 	var res []int64
@@ -41,7 +37,7 @@ func invokeWith(in *Instance, ref bool, fuel uint64, export string, args ...int6
 	} else {
 		res, err = in.Invoke(export, args...)
 	}
-	o := outcome{res: res, stats: in.Stats(), fuel: in.Fuel, memory: in.memory, globals: in.globals}
+	o := outcome{res: res, stats: in.Stats(), fuel: in.Fuel, memory: in.memory}
 	if err != nil {
 		o.err = err.Error()
 	}
@@ -93,14 +89,14 @@ func fusedOps(in *Instance) map[Op]bool {
 // TestMatchesReferenceOnEveryBudget: the eight bench functions at small
 // arguments end the same way under the fused and the one-at-a-time
 // interpreter, whichever instruction the fuel runs out on: same result,
-// error text, ExecStats, remaining fuel, linear memory and globals.
+// error text, ExecStats, remaining fuel and linear memory.
 func TestMatchesReferenceOnEveryBudget(t *testing.T) {
 	m, err := BuildBenchModule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One page holds every argument below and keeps a fresh state cheap.
-	m.MemPages, m.MemMaxPages = 1, 2
+	m.MemPages = 1
 	for _, c := range []struct {
 		export string
 		args   []int64
@@ -136,7 +132,7 @@ func memProbe(name string, body func(fb *FuncBuilder)) *FuncBuilder {
 	fb := NewFuncBuilder(name, 1, 1, 1)
 	fb.I64Const(100)
 	body(fb)
-	fb.Drop().LocalGet(1)
+	fb.LocalGet(1).I64Add()
 	return fb
 }
 
@@ -145,7 +141,7 @@ func memProbe(name string, body func(fb *FuncBuilder)) *FuncBuilder {
 // before, on and after it: the trap must retire, charge and report what
 // the one-at-a-time interpreter does.
 func TestFusedTrapsMatchReference(t *testing.T) {
-	mb := NewModuleBuilder().WithMemory(1, 1)
+	mb := NewModuleBuilder().WithMemory(1)
 	mb.AddFunc(memProbe("mul_store", func(fb *FuncBuilder) {
 		fb.LocalGet(0).LocalGet(0).I64Const(3).I64Mul().I64Store(0)
 	}))
@@ -229,9 +225,17 @@ func TestBranchToFusedRunMatchesReference(t *testing.T) {
 // TestFusedOpValuesAreNotBytecode: a Code op that carries a fused op's
 // value, or any other value outside the instruction set, is refused by
 // NewInstance, so bytecode cannot name a superinstruction that would
-// read immediates past the end of Code.
+// read immediates past the end of Code. Every value past the last
+// plain op is tried.
 func TestFusedOpValuesAreNotBytecode(t *testing.T) {
-	for _, op := range []Op{0, opLoopGtSBrIf, opF64MulAddSqrtSet, 200} {
+	if opLoopGtSBrIf != OpI64TruncF64S+1 {
+		t.Fatalf("first fused op is %d, want %d, right after the plain ones", opLoopGtSBrIf, OpI64TruncF64S+1)
+	}
+	ops := []Op{0}
+	for op := OpI64TruncF64S + 1; op != 0; op++ {
+		ops = append(ops, op)
+	}
+	for _, op := range ops {
 		m := &Module{
 			Funcs:   []Func{{Name: "bad", Code: []Instr{{op, 0}}}},
 			exports: map[string]int{"bad": 0},
@@ -274,8 +278,8 @@ func TestPatternsAreStraightLine(t *testing.T) {
 				if k != 0 {
 					t.Errorf("pattern %d has a loop at %d", i, k)
 				}
-			case OpElse, OpEnd, OpReturn, OpCall, OpUnreachable, OpMemoryGrow, OpI64DivS, OpI64RemS:
-				// The pc past an else or an end is a branch label.
+			case OpEnd, OpReturn, OpCall, OpI64RemS:
+				// The pc past an end is a branch label.
 				t.Errorf("pattern %d contains %v", i, op)
 			}
 		}
@@ -290,12 +294,12 @@ func TestPatternsAreStraightLine(t *testing.T) {
 	}
 }
 
-// TestBoundsChecksCannotOverflow: guest addresses and grow deltas near
-// MaxInt64 used to wrap the bounds arithmetic (addr+8, old+delta), pass
-// the check and panic the host in the slice expression or in make.
-// Every access path traps with ErrOOB instead, and the grow fails.
+// TestBoundsChecksCannotOverflow: guest addresses near MaxInt64 used
+// to wrap the bounds arithmetic (addr+8), pass the check and panic the
+// host in the slice expression. Every access path traps with ErrOOB
+// instead.
 func TestBoundsChecksCannotOverflow(t *testing.T) {
-	mb := NewModuleBuilder().WithMemory(1, 2)
+	mb := NewModuleBuilder().WithMemory(1)
 	fb := NewFuncBuilder("load", 1, 1, 0)
 	fb.LocalGet(0).I64Load(0)
 	mb.AddFunc(fb)
@@ -308,9 +312,6 @@ func TestBoundsChecksCannotOverflow(t *testing.T) {
 	mb.AddFunc(memProbe("load_xor", func(fb *FuncBuilder) {
 		fb.LocalGet(1).LocalGet(0).I64Load(0).I64Xor().LocalSet(1)
 	}))
-	fb = NewFuncBuilder("grow", 1, 1, 0)
-	fb.LocalGet(0).MemoryGrow()
-	mb.AddFunc(fb)
 	m, err := mb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -325,14 +326,6 @@ func TestBoundsChecksCannotOverflow(t *testing.T) {
 				t.Errorf("%s(%d): want ErrOOB, got %v", export, addr, err)
 			}
 		}
-	}
-	for _, delta := range []int64{math.MaxInt64, math.MaxInt64 / PageSize, 2} {
-		if got := invoke1(t, in, "grow", delta); got != -1 {
-			t.Errorf("grow(%d) on 1 of 2 pages = %d, want -1", delta, got)
-		}
-	}
-	if in.MemoryLen() != PageSize {
-		t.Errorf("memory is %d bytes after failed grows, want %d", in.MemoryLen(), PageSize)
 	}
 	if _, err := in.ReadMemory(8, math.MaxInt); !errors.Is(err, ErrOOB) {
 		t.Errorf("ReadMemory(8, MaxInt): want ErrOOB, got %v", err)
@@ -362,8 +355,8 @@ func (in *Instance) refInvoke(name string, args ...int64) ([]int64, error) {
 }
 
 // refCall is call as it was before superinstructions, kept verbatim but
-// for its name: one instruction of Code per dispatch, each with its own
-// fuel check and stats writes. It runs function fi with its parameters
+// for its name and the arms of the ops since deleted: one instruction
+// of Code per dispatch, each with its own fuel check and stats writes. It runs function fi with its parameters
 // on top of stack; on return the parameters are replaced by the
 // results.
 func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
@@ -398,14 +391,8 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 
 		ins := code[pc]
 		switch ins.Op {
-		case OpUnreachable:
-			return nil, ErrUnreachable
-		case OpNop, OpBlock, OpLoop, OpEnd:
+		case OpBlock, OpLoop, OpEnd:
 			// Structure markers carry no runtime effect.
-		case OpElse:
-			// Falling into else from the true arm jumps past end.
-			pc = int(ins.A)
-			continue
 		case OpIf:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -435,30 +422,11 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 			// The callee may have grown the frame stack into a new
 			// array; this frame's slots moved with it.
 			locals = in.frames[fp:]
-		case OpDrop:
-			stack = stack[:len(stack)-1]
-		case OpSelect:
-			c := stack[len(stack)-1]
-			b := stack[len(stack)-2]
-			a := stack[len(stack)-3]
-			stack = stack[:len(stack)-3]
-			if c != 0 {
-				stack = append(stack, a)
-			} else {
-				stack = append(stack, b)
-			}
 
 		case OpLocalGet:
 			stack = append(stack, locals[ins.A])
 		case OpLocalSet:
 			locals[ins.A] = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case OpLocalTee:
-			locals[ins.A] = stack[len(stack)-1]
-		case OpGlobalGet:
-			stack = append(stack, in.globals[ins.A])
-		case OpGlobalSet:
-			in.globals[ins.A] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 
 		case OpI64Load:
@@ -493,17 +461,6 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 			}
 			in.memory[addr] = byte(v)
 			in.stats.MemBytes++
-		case OpMemorySize:
-			stack = append(stack, int64(len(in.memory)/PageSize))
-		case OpMemoryGrow:
-			delta := stack[len(stack)-1]
-			old := int64(len(in.memory) / PageSize)
-			if delta < 0 || old+delta > int64(in.module.MemMaxPages) {
-				stack[len(stack)-1] = -1
-			} else {
-				in.memory = append(in.memory, make([]byte, delta*PageSize)...)
-				stack[len(stack)-1] = old
-			}
 
 		case OpI64Const:
 			stack = append(stack, ins.A)
@@ -516,13 +473,6 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpI64Mul:
 			stack[len(stack)-2] *= stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case OpI64DivS:
-			b := stack[len(stack)-1]
-			if b == 0 {
-				return nil, ErrDivByZero
-			}
-			stack[len(stack)-2] /= b
-			stack = stack[:len(stack)-1]
 		case OpI64RemS:
 			b := stack[len(stack)-1]
 			if b == 0 {
@@ -533,26 +483,14 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpI64And:
 			stack[len(stack)-2] &= stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case OpI64Or:
-			stack[len(stack)-2] |= stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
 		case OpI64Xor:
 			stack[len(stack)-2] ^= stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case OpI64Shl:
-			stack[len(stack)-2] <<= uint64(stack[len(stack)-1]) & 63
 			stack = stack[:len(stack)-1]
 		case OpI64ShrS:
 			stack[len(stack)-2] >>= uint64(stack[len(stack)-1]) & 63
 			stack = stack[:len(stack)-1]
 		case OpI64Eqz:
 			stack[len(stack)-1] = b2i(stack[len(stack)-1] == 0)
-		case OpI64Eq:
-			stack[len(stack)-2] = b2i(stack[len(stack)-2] == stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-		case OpI64Ne:
-			stack[len(stack)-2] = b2i(stack[len(stack)-2] != stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
 		case OpI64LtS:
 			stack[len(stack)-2] = b2i(stack[len(stack)-2] < stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
@@ -571,32 +509,11 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 		case OpF64Add:
 			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) + i2f(stack[len(stack)-1]))
 			stack = stack[:len(stack)-1]
-		case OpF64Sub:
-			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) - i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
 		case OpF64Mul:
 			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) * i2f(stack[len(stack)-1]))
 			stack = stack[:len(stack)-1]
-		case OpF64Div:
-			stack[len(stack)-2] = f2i(i2f(stack[len(stack)-2]) / i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
 		case OpF64Sqrt:
 			stack[len(stack)-1] = f2i(math.Sqrt(i2f(stack[len(stack)-1])))
-		case OpF64Abs:
-			stack[len(stack)-1] = f2i(math.Abs(i2f(stack[len(stack)-1])))
-		case OpF64Neg:
-			stack[len(stack)-1] = f2i(-i2f(stack[len(stack)-1]))
-		case OpF64Eq:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) == i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64Lt:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) < i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64Gt:
-			stack[len(stack)-2] = b2i(i2f(stack[len(stack)-2]) > i2f(stack[len(stack)-1]))
-			stack = stack[:len(stack)-1]
-		case OpF64ConvertI64S:
-			stack[len(stack)-1] = f2i(float64(stack[len(stack)-1]))
 		case OpI64TruncF64S:
 			stack[len(stack)-1] = int64(i2f(stack[len(stack)-1]))
 

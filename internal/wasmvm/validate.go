@@ -6,35 +6,26 @@ import "fmt"
 // opcodes are handled specially by the validator.
 func stackEffect(op Op) (pops, pushes int) {
 	switch op {
-	case OpNop, OpBlock, OpLoop, OpElse, OpEnd, OpBr, OpUnreachable:
-		return 0, 0
-	case OpIf, OpBrIf, OpDrop:
+	case OpIf, OpBrIf, OpLocalSet:
 		return 1, 0
-	case OpSelect:
-		return 3, 1
-	case OpLocalGet, OpGlobalGet, OpI64Const, OpF64Const, OpMemorySize:
+	case OpLocalGet, OpI64Const, OpF64Const:
 		return 0, 1
-	case OpLocalSet, OpGlobalSet:
-		return 1, 0
-	case OpLocalTee, OpI64Load, OpI64Load8U, OpMemoryGrow,
-		OpI64Eqz, OpF64Sqrt, OpF64Abs, OpF64Neg,
-		OpF64ConvertI64S, OpI64TruncF64S:
+	case OpI64Load, OpI64Load8U, OpI64Eqz, OpF64Sqrt, OpI64TruncF64S:
 		return 1, 1
 	case OpI64Store, OpI64Store8:
 		return 2, 0
-	case OpI64Add, OpI64Sub, OpI64Mul, OpI64DivS, OpI64RemS,
-		OpI64And, OpI64Or, OpI64Xor, OpI64Shl, OpI64ShrS,
-		OpI64Eq, OpI64Ne, OpI64LtS, OpI64GtS, OpI64LeS, OpI64GeS,
-		OpF64Add, OpF64Sub, OpF64Mul, OpF64Div,
-		OpF64Eq, OpF64Lt, OpF64Gt:
+	case OpI64Add, OpI64Sub, OpI64Mul, OpI64RemS, OpI64And, OpI64Xor,
+		OpI64ShrS, OpI64LtS, OpI64GtS, OpI64LeS, OpI64GeS,
+		OpF64Add, OpF64Mul:
 		return 2, 1
 	default:
+		// Block, loop, end and br move nothing.
 		return 0, 0
 	}
 }
 
 // Validate checks structural well-formedness of a module: known
-// opcodes, index bounds for locals, globals and calls, control
+// opcodes, index bounds for locals and calls, control
 // instructions that carry their frame's targets, branches only to the
 // label of an enclosing frame, plus a linear operand-stack balance walk
 // per function. Builder-produced structured code passes; hand-mangled
@@ -43,8 +34,8 @@ func Validate(m *Module) error {
 	if m == nil {
 		return fmt.Errorf("%w: nil module", ErrValidation)
 	}
-	if m.MemPages < 0 || m.MemMaxPages < 0 || (m.MemMaxPages > 0 && m.MemPages > m.MemMaxPages) {
-		return fmt.Errorf("%w: memory pages %d/%d", ErrValidation, m.MemPages, m.MemMaxPages)
+	if m.MemPages < 0 {
+		return fmt.Errorf("%w: memory pages %d", ErrValidation, m.MemPages)
 	}
 	var v validator
 	for fi := range m.Funcs {
@@ -64,19 +55,16 @@ func Validate(m *Module) error {
 // validator is the scratch one Validate call reuses across the
 // module's functions.
 type validator struct {
-	// label and jump are per pc; see pairFrames.
-	label, jump []int
-	open        []opener
-	frames      []vframe
+	// label is per pc; see pairFrames. open holds the pcs of the
+	// unclosed blocks, loops and ifs.
+	label  []int
+	open   []int
+	frames []vframe
 }
-
-// opener is an unclosed block, loop or if, and its else pc (-1: none).
-type opener struct{ pc, els int }
 
 // vframe is a control frame of the stack walk: the label a branch to
 // it lands on, the operand height at entry, and whether it opened in
-// reachable code, which its else arm and the code after its end
-// inherit.
+// reachable code, which the code after its end inherits.
 type vframe struct {
 	label, entry int
 	live         bool
@@ -88,28 +76,20 @@ func fail(f *Func, pc int, format string, args ...any) error {
 		ErrValidation, f.Name, pc, fmt.Sprintf(format, args...))
 }
 
-// pairFrames pairs each block, loop and if (and else) of f with its
-// end. It sets label[pc] of each opener to the pc a branch to its frame
-// lands on (a loop's own pc, the pc past a block's or if's end), and
-// jump[pc] of each control instruction to the target it must carry: a
-// block and an else jump past their end, a loop to itself, an if past
-// its else or else its end.
+// pairFrames pairs each block, loop and if of f with its end. It sets
+// label[pc] of each opener to the pc a branch to its frame lands on,
+// which is also the target the opener must carry: a loop's own pc, the
+// pc past a block's or an if's end.
 func (v *validator) pairFrames(f *Func) error {
 	n := len(f.Code)
 	if cap(v.label) < n {
-		v.label, v.jump = make([]int, n), make([]int, n)
+		v.label = make([]int, n)
 	}
-	v.label, v.jump, v.open = v.label[:n], v.jump[:n], v.open[:0]
+	v.label, v.open = v.label[:n], v.open[:0]
 	for pc, ins := range f.Code {
 		switch ins.Op {
 		case OpBlock, OpLoop, OpIf:
-			v.open = append(v.open, opener{pc: pc, els: -1})
-		case OpElse:
-			top := len(v.open) - 1
-			if top < 0 || f.Code[v.open[top].pc].Op != OpIf || v.open[top].els >= 0 {
-				return fail(f, pc, "else outside an if frame")
-			}
-			v.open[top].els = pc
+			v.open = append(v.open, pc)
 		case OpEnd:
 			top := len(v.open) - 1
 			if top < 0 {
@@ -117,12 +97,9 @@ func (v *validator) pairFrames(f *Func) error {
 			}
 			o := v.open[top]
 			v.open = v.open[:top]
-			v.label[o.pc], v.jump[o.pc] = pc+1, pc+1
-			switch {
-			case f.Code[o.pc].Op == OpLoop:
-				v.label[o.pc], v.jump[o.pc] = o.pc, o.pc
-			case o.els >= 0:
-				v.jump[o.pc], v.jump[o.els] = o.els+1, pc+1
+			v.label[o] = pc + 1
+			if f.Code[o].Op == OpLoop {
+				v.label[o] = o
 			}
 		}
 	}
@@ -138,39 +115,35 @@ func (v *validator) function(m *Module, f *Func) error {
 	if err := v.pairFrames(f); err != nil {
 		return err
 	}
-	label, jump := v.label, v.jump
+	label := v.label
 
 	// Control frames track the operand height at frame entry. Blocks,
 	// loops and ifs are void-typed in this VM: a frame must leave the
 	// stack at its entry height, and a branch must arrive at it (values
 	// flow through locals), which keeps the linear walk exact even
-	// across else/branch edges.
+	// across branch edges.
 	v.frames = v.frames[:0]
 	height := 0
 	reachable := true
 	for pc, ins := range f.Code {
-		if ins.Op < OpUnreachable || ins.Op > OpI64TruncF64S {
+		if ins.Op < OpBlock || ins.Op > OpI64TruncF64S {
 			return fail(f, pc, "unknown opcode %s", ins.Op)
 		}
 		switch ins.Op {
-		case OpLocalGet, OpLocalSet, OpLocalTee:
+		case OpLocalGet, OpLocalSet:
 			if ins.A < 0 || ins.A >= int64(nLocals) {
 				return fail(f, pc, "local index %d of %d", ins.A, nLocals)
-			}
-		case OpGlobalGet, OpGlobalSet:
-			if ins.A < 0 || ins.A >= int64(len(m.Globals)) {
-				return fail(f, pc, "global index %d of %d", ins.A, len(m.Globals))
 			}
 		case OpCall:
 			if ins.A < 0 || ins.A >= int64(len(m.Funcs)) {
 				return fail(f, pc, "call target %d of %d funcs", ins.A, len(m.Funcs))
 			}
-		case OpBlock, OpLoop, OpIf, OpElse:
-			if ins.A != int64(jump[pc]) {
-				return fail(f, pc, "%s target %d, want %d", ins.Op, ins.A, jump[pc])
+		case OpBlock, OpLoop, OpIf:
+			if ins.A != int64(label[pc]) {
+				return fail(f, pc, "%s target %d, want %d", ins.Op, ins.A, label[pc])
 			}
 		case OpI64Load, OpI64Store, OpI64Load8U, OpI64Store8:
-			if m.MemPages == 0 && m.MemMaxPages == 0 {
+			if m.MemPages == 0 {
 				return fail(f, pc, "memory access without declared memory")
 			}
 			if ins.A < 0 {
@@ -179,9 +152,9 @@ func (v *validator) function(m *Module, f *Func) error {
 		}
 
 		// Stack-balance walk with explicit control frames. After an
-		// unconditional transfer (br, return, unreachable) the walk is
-		// suspended until an else or end of a live frame re-anchors the
-		// height at that frame's entry.
+		// unconditional transfer (br, return) the walk is suspended
+		// until the end of a live frame re-anchors the height at that
+		// frame's entry.
 		switch ins.Op {
 		case OpBlock, OpLoop, OpIf:
 			if ins.Op == OpIf && reachable {
@@ -192,11 +165,9 @@ func (v *validator) function(m *Module, f *Func) error {
 			}
 			v.frames = append(v.frames, vframe{label: label[pc], entry: height, live: reachable})
 			continue
-		case OpElse, OpEnd:
+		case OpEnd:
 			top := v.frames[len(v.frames)-1]
-			if ins.Op == OpEnd {
-				v.frames = v.frames[:len(v.frames)-1]
-			}
+			v.frames = v.frames[:len(v.frames)-1]
 			if reachable && height != top.entry {
 				return fail(f, pc, "frame leaves stack at %d, entered at %d (use locals)", height, top.entry)
 			}
@@ -238,9 +209,6 @@ func (v *validator) function(m *Module, f *Func) error {
 			if height < f.Results {
 				return fail(f, pc, "return with stack height %d, need %d", height, f.Results)
 			}
-			reachable = false
-			continue
-		case OpUnreachable:
 			reachable = false
 			continue
 		default:

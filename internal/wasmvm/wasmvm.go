@@ -3,8 +3,9 @@
 // interpreter, §IV-B).
 //
 // The VM executes a typed, stack-based bytecode with structured
-// control flow (blocks, loops, conditionals), function calls, mutable
-// globals, and a linear memory of 64 KiB pages. Modules are built
+// control flow (blocks, loops, conditionals), function calls, and a
+// fixed linear memory of 64 KiB pages. Its instruction set is exactly
+// what the bench module's programs use (programs.go). Modules are built
 // programmatically with FuncBuilder, validated (operand-stack balance,
 // branch depths, index bounds), and interpreted with instruction-level
 // fuel metering. Execution reports abstract instruction counts and
@@ -20,50 +21,35 @@ import (
 // Op is a bytecode opcode.
 type Op byte
 
-// Opcodes. The set follows core Wasm MVP semantics for the i64/f64
-// subset ConfBench workloads need.
+// Opcodes: the core Wasm MVP instructions BuildBenchModule emits, and
+// no others (TestBenchModuleUsesEveryOp holds the two sets equal).
 const (
-	OpUnreachable Op = iota + 1
-	OpNop
-	OpBlock // A = jump target past matching end (patched)
-	OpLoop  // A = own pc (branch target)
-	OpIf    // A = jump target to else/end when condition is false
-	OpElse  // A = jump target past end
+	OpBlock Op = iota + 1 // A = jump target past matching end (patched)
+	OpLoop                // A = own pc (branch target)
+	OpIf                  // A = jump target past end when condition is false
 	OpEnd
 	OpBr   // A = target pc
 	OpBrIf // A = target pc
 	OpReturn
 	OpCall // A = function index
-	OpDrop
-	OpSelect
 
 	OpLocalGet // A = local index
 	OpLocalSet
-	OpLocalTee
-	OpGlobalGet // A = global index
-	OpGlobalSet
 
 	OpI64Load  // A = static offset
 	OpI64Store // A = static offset
 	OpI64Load8U
 	OpI64Store8
-	OpMemorySize
-	OpMemoryGrow
 
 	OpI64Const // A = value
 	OpI64Add
 	OpI64Sub
 	OpI64Mul
-	OpI64DivS
 	OpI64RemS
 	OpI64And
-	OpI64Or
 	OpI64Xor
-	OpI64Shl
 	OpI64ShrS
 	OpI64Eqz
-	OpI64Eq
-	OpI64Ne
 	OpI64LtS
 	OpI64GtS
 	OpI64LeS
@@ -71,40 +57,24 @@ const (
 
 	OpF64Const // A = math.Float64bits(value)
 	OpF64Add
-	OpF64Sub
 	OpF64Mul
-	OpF64Div
 	OpF64Sqrt
-	OpF64Abs
-	OpF64Neg
-	OpF64Eq
-	OpF64Lt
-	OpF64Gt
-	OpF64ConvertI64S
 	OpI64TruncF64S
 )
 
 var opNames = map[Op]string{
-	OpUnreachable: "unreachable", OpNop: "nop", OpBlock: "block",
-	OpLoop: "loop", OpIf: "if", OpElse: "else", OpEnd: "end",
+	OpBlock: "block", OpLoop: "loop", OpIf: "if", OpEnd: "end",
 	OpBr: "br", OpBrIf: "br_if", OpReturn: "return", OpCall: "call",
-	OpDrop: "drop", OpSelect: "select",
-	OpLocalGet: "local.get", OpLocalSet: "local.set", OpLocalTee: "local.tee",
-	OpGlobalGet: "global.get", OpGlobalSet: "global.set",
+	OpLocalGet: "local.get", OpLocalSet: "local.set",
 	OpI64Load: "i64.load", OpI64Store: "i64.store",
 	OpI64Load8U: "i64.load8_u", OpI64Store8: "i64.store8",
-	OpMemorySize: "memory.size", OpMemoryGrow: "memory.grow",
 	OpI64Const: "i64.const", OpI64Add: "i64.add", OpI64Sub: "i64.sub",
-	OpI64Mul: "i64.mul", OpI64DivS: "i64.div_s", OpI64RemS: "i64.rem_s",
-	OpI64And: "i64.and", OpI64Or: "i64.or", OpI64Xor: "i64.xor",
-	OpI64Shl: "i64.shl", OpI64ShrS: "i64.shr_s", OpI64Eqz: "i64.eqz",
-	OpI64Eq: "i64.eq", OpI64Ne: "i64.ne", OpI64LtS: "i64.lt_s",
-	OpI64GtS: "i64.gt_s", OpI64LeS: "i64.le_s", OpI64GeS: "i64.ge_s",
-	OpF64Const: "f64.const", OpF64Add: "f64.add", OpF64Sub: "f64.sub",
-	OpF64Mul: "f64.mul", OpF64Div: "f64.div", OpF64Sqrt: "f64.sqrt",
-	OpF64Abs: "f64.abs", OpF64Neg: "f64.neg", OpF64Eq: "f64.eq",
-	OpF64Lt: "f64.lt", OpF64Gt: "f64.gt",
-	OpF64ConvertI64S: "f64.convert_i64_s", OpI64TruncF64S: "i64.trunc_f64_s",
+	OpI64Mul: "i64.mul", OpI64RemS: "i64.rem_s", OpI64And: "i64.and",
+	OpI64Xor: "i64.xor", OpI64ShrS: "i64.shr_s", OpI64Eqz: "i64.eqz",
+	OpI64LtS: "i64.lt_s", OpI64GtS: "i64.gt_s", OpI64LeS: "i64.le_s",
+	OpI64GeS:   "i64.ge_s",
+	OpF64Const: "f64.const", OpF64Add: "f64.add", OpF64Mul: "f64.mul",
+	OpF64Sqrt: "f64.sqrt", OpI64TruncF64S: "i64.trunc_f64_s",
 }
 
 // String names the opcode.
@@ -127,7 +97,6 @@ const PageSize = 65536
 
 // Execution and validation errors.
 var (
-	ErrUnreachable    = errors.New("wasmvm: unreachable executed")
 	ErrStackUnderflow = errors.New("wasmvm: operand stack underflow")
 	ErrDivByZero      = errors.New("wasmvm: integer divide by zero")
 	ErrOOB            = errors.New("wasmvm: out-of-bounds memory access")
@@ -150,13 +119,10 @@ type Func struct {
 
 // Module is a complete Wasm-style module.
 type Module struct {
-	Funcs   []Func
-	Globals []int64
-	// MemPages is the initial linear memory size in pages.
+	Funcs []Func
+	// MemPages is the linear memory size in pages; 0 means "no memory".
 	MemPages int
-	// MemMaxPages bounds memory.grow; 0 means "no memory".
-	MemMaxPages int
-	exports     map[string]int
+	exports  map[string]int
 }
 
 // ExportIndex resolves an exported function name.

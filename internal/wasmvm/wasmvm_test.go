@@ -201,8 +201,8 @@ func TestBadArity(t *testing.T) {
 
 func TestDivByZeroTraps(t *testing.T) {
 	mb := NewModuleBuilder()
-	fb := NewFuncBuilder("div", 2, 1, 0)
-	fb.LocalGet(0).LocalGet(1).I64DivS()
+	fb := NewFuncBuilder("rem", 2, 1, 0)
+	fb.LocalGet(0).LocalGet(1).I64RemS()
 	mb.AddFunc(fb)
 	m, err := mb.Build()
 	if err != nil {
@@ -212,17 +212,17 @@ func TestDivByZeroTraps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("instantiate: %v", err)
 	}
-	if _, err := in.Invoke("div", 10, 0); !errors.Is(err, ErrDivByZero) {
+	if _, err := in.Invoke("rem", 10, 0); !errors.Is(err, ErrDivByZero) {
 		t.Errorf("want ErrDivByZero, got %v", err)
 	}
-	res, err := in.Invoke("div", 10, 3)
-	if err != nil || res[0] != 3 {
-		t.Errorf("div(10,3) = %v, %v", res, err)
+	res, err := in.Invoke("rem", 10, 3)
+	if err != nil || res[0] != 1 {
+		t.Errorf("rem(10,3) = %v, %v", res, err)
 	}
 }
 
 func TestMemoryOOBTraps(t *testing.T) {
-	mb := NewModuleBuilder().WithMemory(1, 1)
+	mb := NewModuleBuilder().WithMemory(1)
 	fb := NewFuncBuilder("poke", 1, 0, 0)
 	fb.LocalGet(0).I64Const(1).I64Store(0)
 	mb.AddFunc(fb)
@@ -245,45 +245,6 @@ func TestMemoryOOBTraps(t *testing.T) {
 	}
 }
 
-func TestMemoryGrow(t *testing.T) {
-	mb := NewModuleBuilder().WithMemory(1, 2)
-	fb := NewFuncBuilder("grow", 1, 1, 0)
-	fb.LocalGet(0).MemoryGrow()
-	mb.AddFunc(fb)
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	in, err := NewInstance(m)
-	if err != nil {
-		t.Fatalf("instantiate: %v", err)
-	}
-	if got := invoke1(t, in, "grow", 1); got != 1 {
-		t.Errorf("grow(1) = %d, want old size 1", got)
-	}
-	if in.MemoryLen() != 2*PageSize {
-		t.Errorf("memory len %d, want %d", in.MemoryLen(), 2*PageSize)
-	}
-	if got := invoke1(t, in, "grow", 1); got != -1 {
-		t.Errorf("grow beyond max = %d, want -1", got)
-	}
-}
-
-func TestUnreachableTraps(t *testing.T) {
-	mb := NewModuleBuilder()
-	fb := NewFuncBuilder("boom", 0, 0, 0)
-	fb.Unreachable()
-	mb.AddFunc(fb)
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	in, _ := NewInstance(m)
-	if _, err := in.Invoke("boom"); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("want ErrUnreachable, got %v", err)
-	}
-}
-
 func TestCallDepthLimit(t *testing.T) {
 	mb := NewModuleBuilder()
 	fb := NewFuncBuilder("inf", 0, 0, 0)
@@ -301,7 +262,7 @@ func TestCallDepthLimit(t *testing.T) {
 
 func TestValidateRejectsBadLocal(t *testing.T) {
 	m := &Module{
-		Funcs:   []Func{{Name: "f", Params: 1, Results: 0, Code: []Instr{{Op: OpLocalGet, A: 5}, {Op: OpDrop}}}},
+		Funcs:   []Func{{Name: "f", Params: 1, Results: 0, Code: []Instr{{Op: OpLocalGet, A: 5}, {Op: OpLocalSet}}}},
 		exports: map[string]int{"f": 0},
 	}
 	if err := Validate(m); !errors.Is(err, ErrValidation) {
@@ -331,7 +292,7 @@ func TestValidateRejectsBadCallIndex(t *testing.T) {
 
 func TestValidateRejectsResultMismatch(t *testing.T) {
 	m := &Module{
-		Funcs:   []Func{{Name: "f", Params: 0, Results: 1, Code: []Instr{{Op: OpNop}}}},
+		Funcs:   []Func{{Name: "f", Params: 0, Results: 1, Code: []Instr{{OpBlock, 2}, {OpEnd, 0}}}},
 		exports: map[string]int{"f": 0},
 	}
 	if err := Validate(m); !errors.Is(err, ErrValidation) {
@@ -341,15 +302,15 @@ func TestValidateRejectsResultMismatch(t *testing.T) {
 
 // TestValidateRejectsBadBranches: a branch may only target the label
 // of an enclosing frame (a loop's own pc, the pc past a block's or an
-// if's end) and must arrive at that frame's entry height; if, else and
-// block carry the targets of their own frame. A branch that jumped
+// if's end) and must arrive at that frame's entry height; block, loop
+// and if carry the targets of their own frame. A branch that jumped
 // into code at another operand height used to pass NewInstance and
 // then panic the host on the underflow.
 func TestValidateRejectsBadBranches(t *testing.T) {
 	cases := map[string][]Instr{
-		"br outside any frame": {{OpBr, 3}, {OpI64Const, 1}, {OpI64Const, 2}, {OpI64Add, 0}, {OpDrop, 0}},
+		"br outside any frame": {{OpBr, 3}, {OpI64Const, 1}, {OpI64Const, 2}, {OpI64Add, 0}, {OpLocalSet, 0}},
 		"br_if into the middle of a block": {
-			{OpBlock, 6}, {OpI64Const, 1}, {OpBrIf, 4}, {OpI64Const, 2}, {OpDrop, 0}, {OpEnd, 0},
+			{OpBlock, 6}, {OpI64Const, 1}, {OpBrIf, 4}, {OpI64Const, 2}, {OpLocalSet, 0}, {OpEnd, 0},
 		},
 		"br with an operand left above the entry height": {
 			{OpBlock, 4}, {OpI64Const, 1}, {OpBr, 4}, {OpEnd, 0},
@@ -357,16 +318,17 @@ func TestValidateRejectsBadBranches(t *testing.T) {
 		"br_if to a loop that is no longer open": {
 			{OpLoop, 0}, {OpEnd, 0}, {OpI64Const, 1}, {OpBrIf, 0},
 		},
-		"if that skips past its else": {
-			{OpI64Const, 1}, {OpIf, 5}, {OpNop, 0}, {OpElse, 5}, {OpNop, 0}, {OpEnd, 0},
+		"if that skips past its end": {
+			{OpI64Const, 1}, {OpIf, 6}, {OpI64Const, 2}, {OpLocalSet, 0}, {OpEnd, 0}, {OpI64Const, 3}, {OpLocalSet, 0},
 		},
-		"else that jumps short of its end": {
-			{OpI64Const, 1}, {OpIf, 3}, {OpElse, 4}, {OpNop, 0}, {OpEnd, 0},
+		"if that jumps short of its end": {
+			{OpI64Const, 1}, {OpIf, 3}, {OpI64Const, 2}, {OpLocalSet, 0}, {OpEnd, 0},
 		},
-		"block with a stale target": {{OpBlock, 1}, {OpEnd, 0}},
+		"loop with a target other than its own pc": {{OpLoop, 1}, {OpEnd, 0}},
+		"block with a stale target":                {{OpBlock, 1}, {OpEnd, 0}},
 	}
 	for name, code := range cases {
-		m := &Module{Funcs: []Func{{Name: "f", Code: code}}, exports: map[string]int{"f": 0}}
+		m := &Module{Funcs: []Func{{Name: "f", Locals: 1, Code: code}}, exports: map[string]int{"f": 0}}
 		if _, err := NewInstance(m); !errors.Is(err, ErrValidation) {
 			t.Errorf("%s: NewInstance = %v, want ErrValidation", name, err)
 		}
@@ -393,96 +355,27 @@ func TestBuilderRejectsUnclosedFrame(t *testing.T) {
 	}
 }
 
-func TestBuilderRejectsElseWithoutIf(t *testing.T) {
-	mb := NewModuleBuilder()
-	fb := NewFuncBuilder("f", 0, 0, 0)
-	fb.Else()
-	mb.AddFunc(fb)
-	if _, err := mb.Build(); err == nil {
-		t.Error("want error for else without if")
-	}
-}
-
-func TestIfElseBothArms(t *testing.T) {
-	mb := NewModuleBuilder()
-	// abs(x): if x < 0 { r = -x } else { r = x }; return r
-	fb := NewFuncBuilder("abs", 1, 1, 1)
-	fb.LocalGet(0).I64Const(0).I64LtS().If().
-		I64Const(0).LocalGet(0).I64Sub().LocalSet(1).
-		Else().
-		LocalGet(0).LocalSet(1).
-		End()
-	fb.LocalGet(1)
-	mb.AddFunc(fb)
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	in, _ := NewInstance(m)
-	for _, c := range [][2]int64{{5, 5}, {-5, 5}, {0, 0}, {-123456, 123456}} {
-		if got := invoke1(t, in, "abs", c[0]); got != c[1] {
-			t.Errorf("abs(%d) = %d, want %d", c[0], got, c[1])
-		}
-	}
-}
-
-func TestSelect(t *testing.T) {
-	mb := NewModuleBuilder()
-	// max(a,b) via select
-	fb := NewFuncBuilder("max", 2, 1, 0)
-	fb.LocalGet(0).LocalGet(1).LocalGet(0).LocalGet(1).I64GtS().Select()
-	mb.AddFunc(fb)
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	in, _ := NewInstance(m)
-	if got := invoke1(t, in, "max", 3, 9); got != 9 {
-		t.Errorf("max(3,9) = %d", got)
-	}
-	if got := invoke1(t, in, "max", 9, 3); got != 9 {
-		t.Errorf("max(9,3) = %d", got)
-	}
-}
-
-func TestGlobals(t *testing.T) {
-	mb := NewModuleBuilder()
-	g := mb.AddGlobal(41)
-	fb := NewFuncBuilder("bump", 0, 1, 0)
-	fb.GlobalGet(g).I64Const(1).I64Add().GlobalSet(g).GlobalGet(g)
-	mb.AddFunc(fb)
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	in, _ := NewInstance(m)
-	if got := invoke1(t, in, "bump"); got != 42 {
-		t.Errorf("bump = %d, want 42", got)
-	}
-	if got := invoke1(t, in, "bump"); got != 43 {
-		t.Errorf("second bump = %d, want 43", got)
-	}
-}
-
 func TestF64Ops(t *testing.T) {
 	mb := NewModuleBuilder()
-	// hyp(scaled): sqrt(3²+4²) = 5 → returns bits of 5.0
+	// hyp: sqrt(3²+4²) = 5 as f64 bits; hyp_trunc: trunc(5.5 * 2) = 11.
 	fb := NewFuncBuilder("hyp", 0, 1, 0)
 	fb.F64Const(3).F64Const(3).F64Mul().
 		F64Const(4).F64Const(4).F64Mul().
 		F64Add().F64Sqrt()
 	mb.AddFunc(fb)
+	fb = NewFuncBuilder("hyp_trunc", 0, 1, 0)
+	fb.F64Const(5.5).F64Const(2).F64Mul().I64TruncF64S()
+	mb.AddFunc(fb)
 	m, err := mb.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	in, _ := NewInstance(m)
-	got, err := in.InvokeF64("hyp")
-	if err != nil {
-		t.Fatalf("hyp: %v", err)
-	}
-	if math.Abs(got-5) > 1e-12 {
+	if got := math.Float64frombits(uint64(invoke1(t, in, "hyp"))); math.Abs(got-5) > 1e-12 {
 		t.Errorf("hyp = %v, want 5", got)
+	}
+	if got := invoke1(t, in, "hyp_trunc"); got != 11 {
+		t.Errorf("hyp_trunc = %d, want 11", got)
 	}
 }
 
@@ -523,5 +416,32 @@ func TestDisassemble(t *testing.T) {
 	}
 	if Disassemble(Func{Params: 0}) == "" {
 		t.Error("anonymous func renders empty")
+	}
+}
+
+// TestBenchModuleUsesEveryOp: the VM defines exactly the plain ops the
+// bench module's code contains. An op that no bench function emits is
+// an interpreter arm, a validator case and a builder method that no
+// workload runs; delete it, or add the program that needs it.
+func TestBenchModuleUsesEveryOp(t *testing.T) {
+	m, err := BuildBenchModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[Op]bool{}
+	for _, f := range m.Funcs {
+		for _, ins := range f.Code {
+			used[ins.Op] = true
+		}
+	}
+	for op := Op(1); op != 0; op++ {
+		_, named := opNames[op]
+		plain := op <= OpI64TruncF64S
+		if named != plain {
+			t.Errorf("op %d: named %v, plain %v", op, named, plain)
+		}
+		if plain != used[op] {
+			t.Errorf("%v: defined %v, emitted by the bench module %v", op, plain, used[op])
+		}
 	}
 }
