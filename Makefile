@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzSplit$$' -fuzztime 5s ./internal/colonspec
 	$(GO) test -run xxx -fuzz 'FuzzParseScenario$$' -fuzztime 5s ./internal/drill
 	$(GO) test -run xxx -fuzz 'FuzzWireDecode$$' -fuzztime 5s ./internal/api
+	$(GO) test -run xxx -fuzz 'FuzzEdgeJSON$$' -fuzztime 5s ./internal/api
 	$(GO) test -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"confbench/internal/cberr"
@@ -164,7 +165,7 @@ type PoolInfo struct {
 	// Healthy counts endpoints whose circuit breaker is not open.
 	Healthy int `json:"healthy"`
 	// Members is the per-endpoint health breakdown.
-	Members []EndpointHealth `json:"members,omitempty"`
+	Members []EndpointHealth `json:"members,omitzero"`
 }
 
 // EndpointHealth is one pool member's health for GET /v1/pools.
@@ -236,14 +237,6 @@ type ErrorResponse struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// WriteJSON writes v as a JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// An encode failure here means the client went away; ignore it.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // WriteError writes an error envelope, deriving the taxonomy fields
 // from err. Unclassified errors fall back to the status-code mapping.
 // Retry advice attached via cberr.WithRetryAfter rides out twice: as
@@ -307,9 +300,20 @@ const (
 // cancellation surfaces as cberr.ErrCanceled.
 type Client struct {
 	baseURL string
+	base    *url.URL // baseURL, parsed once
 	host    string
 	tenant  string
-	http    *http.Client
+	// getHeader and postHeader are every request's headers, built once:
+	// the transport only reads them.
+	getHeader, postHeader http.Header
+
+	// http sends each attempt as one round trip on the shared
+	// transport, under its own Timeout. No redirect is followed: a 3xx
+	// comes back as a classified error like any other non-2xx answer.
+	http struct {
+		transport http.RoundTripper
+		Timeout   time.Duration
+	}
 
 	// transport, when set, carries frame-mappable calls (invoke,
 	// attest, health) instead of the HTTP client; everything without a
@@ -355,7 +359,8 @@ func WithTransport(t Transport) Option {
 // New builds a client for the gateway at baseURL, configured by opts.
 // The URL must be absolute with an http or https scheme; the returned
 // client has an explicit per-attempt timeout so a wedged gateway
-// cannot hang callers that forget a context deadline.
+// cannot hang callers that forget a context deadline. It follows no
+// redirects.
 func New(baseURL string, opts ...Option) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -370,19 +375,31 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		return nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerClient,
 			"api: base URL %q has no host", baseURL)
 	}
+	// What http.NewRequest does to every request's host.
+	u.Host = strings.TrimSuffix(u.Host, ":")
 	c := &Client{
 		baseURL:     baseURL,
+		base:        u,
 		host:        u.Host,
-		http:        &http.Client{Timeout: attemptTimeout},
 		maxAttempts: DefaultMaxAttempts,
 		backoff:     firstBackoff,
 		backoffCap:  maxBackoff,
 	}
+	c.http.transport, c.http.Timeout = http.DefaultTransport, attemptTimeout
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.getHeader, c.postHeader = http.Header{}, http.Header{"Content-Type": jsonContentType}
+	if c.tenant != "" {
+		tenant := []string{c.tenant}
+		c.getHeader[HeaderTenant], c.postHeader[HeaderTenant] = tenant, tenant
+	}
 	return c, nil
 }
+
+// jsonContentType is the Content-Type value of every JSON body, shared
+// by every header that carries it: nothing writes through it.
+var jsonContentType = []string{"application/json"}
 
 // httpBody strips the tenant wrapper a frame-mappable call carries its
 // request in: binary frames have no headers, so the tenant rides in
@@ -407,7 +424,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var body []byte
 	if in != nil && !overWire {
 		var err error
-		if body, err = json.Marshal(httpBody(in)); err != nil {
+		if body, err = marshalBody(httpBody(in)); err != nil {
 			return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 				fmt.Errorf("api: marshal request: %w", err))
 		}
@@ -464,24 +481,40 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// attempt performs a single HTTP exchange.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
+// marshalBody is json.Marshal(in), through the typed encoder for an
+// edge body.
+func marshalBody(in any) ([]byte, error) {
+	var buf [256]byte
+	if b, ok, err := appendEdge(buf[:0], in); ok {
+		return bytes.Clone(b), err
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, reader)
+	return json.Marshal(in)
+}
+
+// attempt performs a single HTTP exchange, bounded by the per-attempt
+// timeout as well as by ctx.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+	u, err := c.url(path)
 	if err != nil {
 		return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 			fmt.Errorf("api: %s %s: %w", method, path, err))
 	}
+	actx, cancel := context.WithTimeout(ctx, c.http.Timeout)
+	defer cancel()
+	req := (&http.Request{
+		Method: method, URL: u, Host: u.Host, Header: c.getHeader,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}).WithContext(actx)
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		// What http.NewRequest does for a *bytes.Reader body: the
+		// length is known, the body can be replayed, and the transport
+		// sees an in-memory reader, so headers and body go out in one
+		// write.
+		req.Header, req.ContentLength = c.postHeader, int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
-	if c.tenant != "" {
-		req.Header.Set(HeaderTenant, c.tenant)
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.http.transport.RoundTrip(req)
 	if err != nil {
 		// Cancellation and deadline expiry keep their taxonomy codes;
 		// everything else at the transport level is a (retryable)
@@ -489,7 +522,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		if cerr := ctx.Err(); cerr != nil {
 			return cberr.From(fmt.Errorf("api: %s %s: %w", method, path, cerr), cberr.LayerClient)
 		}
-		if errors.Is(err, context.DeadlineExceeded) {
+		if actx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 			return cberr.Wrap(cberr.CodeDeadline, cberr.LayerClient,
 				fmt.Errorf("api: %s %s: %w", method, path, err))
 		}
@@ -498,6 +531,38 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	defer resp.Body.Close()
 	return decodeResponse(resp, path, out)
+}
+
+// url resolves path (with any query) against the base URL parsed in
+// New. A path the client builds from plain segments is joined without
+// a parse; anything else (an escaped segment) parses as baseURL+path
+// always did.
+func (c *Client) url(path string) (*url.URL, error) {
+	p, q, _ := strings.Cut(path, "?")
+	if c.base.RawPath != "" || c.base.RawQuery != "" || c.base.Fragment != "" || !plainPath(p) || !plainPath(q) {
+		u, err := url.Parse(c.baseURL + path)
+		if err == nil {
+			u.Host = strings.TrimSuffix(u.Host, ":")
+		}
+		return u, err
+	}
+	u := *c.base
+	u.Path, u.RawQuery = c.base.Path+p, q
+	return &u, nil
+}
+
+// plainPath reports whether s holds only bytes a URL path and query
+// carry as themselves: letters, digits, and -._~/=&.
+func plainPath(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c == '-', c == '.', c == '_', c == '~', c == '/', c == '=', c == '&':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // retryAfterFrom recovers the server's retry advice from a response:
@@ -515,8 +580,20 @@ func retryAfterFrom(resp *http.Response, env ErrorResponse) time.Duration {
 	return 0
 }
 
+// maxResponse bounds the body a response is read up to.
+const maxResponse = 16 << 20
+
 func decodeResponse(resp *http.Response, path string, out any) error {
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	var data []byte
+	var err error
+	if n := resp.ContentLength; n >= 0 && n <= maxResponse {
+		data, err = readFull(resp.Body, *bp, int(n))
+		*bp = data
+	} else {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+	}
 	if err != nil {
 		return cberr.Wrap(cberr.CodeUnavailable, cberr.LayerClient,
 			fmt.Errorf("api: read %s response: %w", path, err))
@@ -524,7 +601,7 @@ func decodeResponse(resp *http.Response, path string, out any) error {
 	// Any 2xx carries a decodable body: async submissions answer 202.
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var e ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		if unmarshalEdge(data, &e) == nil && e.Error != "" {
 			code, retryable := e.Code, e.Retryable
 			if code == "" { // legacy peer without taxonomy fields
 				code = cberr.CodeForHTTPStatus(resp.StatusCode)
@@ -545,7 +622,7 @@ func decodeResponse(resp *http.Response, path string, out any) error {
 	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := unmarshalEdge(data, out); err != nil {
 		return cberr.Wrap(cberr.CodeInternal, cberr.LayerClient,
 			fmt.Errorf("api: decode %s response: %w", path, err))
 	}

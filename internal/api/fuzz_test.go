@@ -23,6 +23,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(byte(6), []byte(`{"uptime_seconds":1.5,"invocations":9,"per_pool":{"tdx":4}}`))
 	f.Add(byte(7), []byte(`{"tee":"tdx","endpoints":2,"members":[{"host":"h","vm":"v","breaker":"open"}]}`))
 	f.Add(byte(8), []byte(`{"error":"boom","code":"exhausted","layer":"gateway","retryable":true}`))
+	f.Add(byte(9), []byte(`{"id":"inv-1","status":"pending"}`))
+	f.Add(byte(10), []byte(`{"id":"inv-2","status":"error","error":{"error":"shed","code":"unavailable"}}`))
 	f.Add(byte(9), []byte(`null`))
 	f.Add(byte(1), []byte(`{"function":"\u0000","tee":"\ud800"}`))
 
@@ -44,7 +46,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("round trip drifted for %T:\n  first:  %+v\n  second: %+v", v, v, v2)
 			}
 		}
-		switch sel % 9 {
+		switch sel % 11 {
 		case 0:
 			decode(func() any { return new(UploadRequest) })
 		case 1:
@@ -63,6 +65,10 @@ func FuzzWireDecode(f *testing.F) {
 			decode(func() any { return new(PoolInfo) })
 		case 8:
 			decode(func() any { return new(ErrorResponse) })
+		case 9:
+			decode(func() any { return new(AsyncSubmitResponse) })
+		case 10:
+			decode(func() any { return new(AsyncResult) })
 		}
 	})
 }

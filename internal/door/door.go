@@ -10,7 +10,6 @@ package door
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -87,7 +86,7 @@ func handle[Req, Resp any](rt api.Route, fn func(context.Context, string, Req) (
 			// The binary carrier refuses payloads over wire.MaxPayload;
 			// the HTTP one must not accept what its twin would not.
 			body := http.MaxBytesReader(w, r.Body, wire.MaxPayload)
-			if err := json.NewDecoder(body).Decode(&req); err != nil {
+			if err := api.ReadJSON(body, r.ContentLength, &req); err != nil {
 				return cberr.Wrap(cberr.CodeInvalid, layer, fmt.Errorf("decode request: %w", err))
 			}
 		}

@@ -40,7 +40,7 @@ type Function struct {
 	Workload string `json:"workload"`
 	// Source is the uploaded function body (stored verbatim; the
 	// simulated runtimes execute the equivalent catalog workload).
-	Source []byte `json:"source,omitempty"`
+	Source []byte `json:"source,omitzero"`
 }
 
 // Validate checks the function's required fields.

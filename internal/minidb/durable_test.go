@@ -129,7 +129,10 @@ func TestDurableDropTableRemovesState(t *testing.T) {
 
 	db2, b2 := openDurable(t, dir)
 	defer b2.Close()
-	names := db2.TableNames()
+	var names []string
+	for name := range db2.tables {
+		names = append(names, name)
+	}
 	if len(names) != 1 || names[0] != "stays" {
 		t.Fatalf("recovered tables = %v, want [stays]", names)
 	}

@@ -154,19 +154,6 @@ func (db *Database) record(c Change) {
 	db.pending = append(db.pending, c)
 }
 
-// Backend returns the mounted storage backend (nil for in-memory).
-func (db *Database) Backend() Backend { return db.backend }
-
-// TableNames lists tables in sorted order.
-func (db *Database) TableNames() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RowCount returns the number of live rows in a table.
 func (db *Database) RowCount(name string) (int, error) {
 	t, ok := db.tables[strings.ToLower(name)]
@@ -175,9 +162,6 @@ func (db *Database) RowCount(name string) (int, error) {
 	}
 	return t.live, nil
 }
-
-// InTransaction reports whether a transaction is open.
-func (db *Database) InTransaction() bool { return db.inTxn }
 
 // Exec parses and executes one statement, metering into m.
 func (db *Database) Exec(m *meter.Context, sql string) (*ResultSet, error) {

@@ -160,7 +160,7 @@ func TestPreparedMatchesInlinedText(t *testing.T) {
 		if step%100 == 0 {
 			// Alternate autocommit stretches with transactions.
 			ctl := "BEGIN"
-			if text.InTransaction() {
+			if text.inTxn {
 				ctl = "COMMIT"
 			}
 			exec(t, text, ctl)

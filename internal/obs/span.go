@@ -28,9 +28,9 @@ type SpanData struct {
 	DurNs int64 `json:"dur_ns"`
 	// Attrs carries span attributes (exit counts, byte totals, VM
 	// names).
-	Attrs map[string]string `json:"attrs,omitempty"`
+	Attrs map[string]string `json:"attrs,omitzero"`
 	// Children are the nested spans, in start order.
-	Children []*SpanData `json:"children,omitempty"`
+	Children []*SpanData `json:"children,omitzero"`
 }
 
 // Duration returns the span duration.

@@ -37,16 +37,6 @@ func Disassemble(f Func) string {
 	return sb.String()
 }
 
-// DisassembleModule renders every function of a module.
-func DisassembleModule(m *Module) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module (funcs %d) (memory %d pages)\n", len(m.Funcs), m.MemPages)
-	for _, f := range m.Funcs {
-		sb.WriteString(Disassemble(f))
-	}
-	return sb.String()
-}
-
 func name(s string) string {
 	if s == "" {
 		return "<anonymous>"

@@ -252,7 +252,7 @@ func TestFuzzishArityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range m.ExportNames() {
+	for name := range m.exports {
 		for args := 0; args <= 4; args++ {
 			argv := make([]int64, args)
 			// Must return cleanly (result or ErrBadArity), never panic.

@@ -70,7 +70,7 @@ func FuzzWasmModule(f *testing.F) {
 				if have.String() != want.String() || !bytes.Equal(have.memory, want.memory) {
 					t.Fatalf("%s%v with fuel %d:\n got %v\nwant %v\nmemory equal: %v\n%s",
 						fn.Name, args, fuel, have, want, bytes.Equal(have.memory, want.memory),
-						DisassembleModule(m))
+						Disassemble(*fn))
 				}
 			}
 		}

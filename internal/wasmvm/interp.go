@@ -66,19 +66,6 @@ func (in *Instance) Stats() ExecStats { return in.stats }
 // ResetStats zeroes the statistics (fuel is left untouched).
 func (in *Instance) ResetStats() { in.stats = ExecStats{} }
 
-// MemoryLen returns the linear memory size in bytes.
-func (in *Instance) MemoryLen() int { return len(in.memory) }
-
-// ReadMemory copies n bytes at off out of linear memory.
-func (in *Instance) ReadMemory(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off > len(in.memory)-n {
-		return nil, ErrOOB
-	}
-	out := make([]byte, n)
-	copy(out, in.memory[off:off+n])
-	return out, nil
-}
-
 // Invoke calls the exported function name with the given i64 args and
 // returns its results.
 func (in *Instance) Invoke(name string, args ...int64) ([]int64, error) {

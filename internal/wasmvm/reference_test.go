@@ -327,9 +327,6 @@ func TestBoundsChecksCannotOverflow(t *testing.T) {
 			}
 		}
 	}
-	if _, err := in.ReadMemory(8, math.MaxInt); !errors.Is(err, ErrOOB) {
-		t.Errorf("ReadMemory(8, MaxInt): want ErrOOB, got %v", err)
-	}
 }
 
 // refInvoke is Invoke over refCall.

@@ -133,12 +133,3 @@ func (m *Module) ExportIndex(name string) (int, error) {
 	}
 	return idx, nil
 }
-
-// ExportNames lists the exported function names (unordered).
-func (m *Module) ExportNames() []string {
-	out := make([]string, 0, len(m.exports))
-	for n := range m.exports {
-		out = append(out, n)
-	}
-	return out
-}

@@ -379,32 +379,17 @@ func TestF64Ops(t *testing.T) {
 	}
 }
 
-func TestReadMemory(t *testing.T) {
-	in := benchInstance(t)
-	invoke1(t, in, "memstress", 64)
-	data, err := in.ReadMemory(0, 8)
-	if err != nil {
-		t.Fatalf("ReadMemory: %v", err)
-	}
-	if len(data) != 8 {
-		t.Errorf("got %d bytes", len(data))
-	}
-	if _, err := in.ReadMemory(-1, 8); !errors.Is(err, ErrOOB) {
-		t.Errorf("negative offset: want ErrOOB, got %v", err)
-	}
-	if _, err := in.ReadMemory(in.MemoryLen(), 8); !errors.Is(err, ErrOOB) {
-		t.Errorf("past end: want ErrOOB, got %v", err)
-	}
-}
-
 func TestDisassemble(t *testing.T) {
 	m, err := BuildBenchModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := DisassembleModule(m)
-	for _, want := range []string{"func fib", "i64.const", "br_if", "local.get", "module (funcs 8)"} {
-		if !strings.Contains(out, want) {
+	var out strings.Builder
+	for _, f := range m.Funcs {
+		out.WriteString(Disassemble(f))
+	}
+	for _, want := range []string{"func fib", "i64.const", "br_if", "local.get"} {
+		if !strings.Contains(out.String(), want) {
 			t.Errorf("disassembly missing %q", want)
 		}
 	}
