@@ -45,13 +45,15 @@ vet:
 	$(GO) vet ./...
 
 # The second line repeats the binary carrier's writer, worker, lifecycle,
-# waiter and connection-pool tests: the most schedule-sensitive code in
-# the tree, each well under a second. The third repeats the front tier's tests under a
+# waiter and connection-pool tests, and the third the REST client's
+# idle-connection pool tests: the most schedule-sensitive code in the
+# tree, each well under a second. The fourth repeats the front tier's tests under a
 # two-minute timeout, so a test that parks invokes in a fake shard and
 # then fails cannot hang CI for the ten-minute default.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter|TestPool' ./internal/wire
+	$(GO) test -race -count=5 -run 'TestPool' ./internal/api
 	$(GO) test -run 'TestTier|TestResultStore' -count=20 -timeout 120s ./internal/fronttier
 
 # Per-package coverage report over the whole module.
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParseScenario$$' -fuzztime 5s ./internal/drill
 	$(GO) test -run xxx -fuzz 'FuzzWireDecode$$' -fuzztime 5s ./internal/api
 	$(GO) test -run xxx -fuzz 'FuzzEdgeJSON$$' -fuzztime 5s ./internal/api
+	$(GO) test -run xxx -fuzz 'FuzzEdgeRequest$$' -fuzztime 5s ./internal/api
 	$(GO) test -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate

@@ -7,13 +7,14 @@
 package api
 
 import (
-	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -301,19 +302,23 @@ const (
 type Client struct {
 	baseURL string
 	base    *url.URL // baseURL, parsed once
-	host    string
-	tenant  string
-	// getHeader and postHeader are every request's headers, built once:
-	// the transport only reads them.
-	getHeader, postHeader http.Header
+	// plainBase: base has a plain path and no query or fragment, so a
+	// plain path's request target is the two joined.
+	plainBase bool
+	host      string
+	tenant    string
+	// badTenant: tenant holds a byte a header value cannot carry.
+	badTenant bool
 
-	// http sends each attempt as one round trip on the shared
-	// transport, under its own Timeout. No redirect is followed: a 3xx
-	// comes back as a classified error like any other non-2xx answer.
-	http struct {
-		transport http.RoundTripper
-		Timeout   time.Duration
-	}
+	// addr is the server's host:port, key names its connections in the
+	// idle pool, and tls is set for an https base URL.
+	addr, key string
+	tls       *tls.Config
+
+	// timeout bounds each attempt's exchange. No redirect is followed:
+	// a 3xx comes back as a classified error like any other non-2xx
+	// answer.
+	timeout time.Duration
 
 	// transport, when set, carries frame-mappable calls (invoke,
 	// attest, health) instead of the HTTP client; everything without a
@@ -380,25 +385,35 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c := &Client{
 		baseURL:     baseURL,
 		base:        u,
+		plainBase:   u.RawPath == "" && u.RawQuery == "" && !u.ForceQuery && u.Fragment == "" && plainPath(u.Path),
 		host:        u.Host,
+		addr:        u.Host,
+		timeout:     attemptTimeout,
 		maxAttempts: DefaultMaxAttempts,
 		backoff:     firstBackoff,
 		backoffCap:  maxBackoff,
 	}
-	c.http.transport, c.http.Timeout = http.DefaultTransport, attemptTimeout
+	if u.Port() == "" {
+		port := "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+		c.addr = net.JoinHostPort(u.Hostname(), port)
+	}
+	c.key = u.Scheme + "://" + c.addr
+	if u.Scheme == "https" {
+		c.tls = &tls.Config{ServerName: u.Hostname(), RootCAs: tlsRoots, NextProtos: []string{"http/1.1"}}
+	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.getHeader, c.postHeader = http.Header{}, http.Header{"Content-Type": jsonContentType}
-	if c.tenant != "" {
-		tenant := []string{c.tenant}
-		c.getHeader[HeaderTenant], c.postHeader[HeaderTenant] = tenant, tenant
-	}
+	c.badTenant = !validHeaderValue(c.tenant)
 	return c, nil
 }
 
-// jsonContentType is the Content-Type value of every JSON body, shared
-// by every header that carries it: nothing writes through it.
+// jsonContentType is the Content-Type value of every JSON body the
+// doors write, shared by every header that carries it: nothing writes
+// through it.
 var jsonContentType = []string{"application/json"}
 
 // httpBody strips the tenant wrapper a frame-mappable call carries its
@@ -423,8 +438,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	overWire := c.transport != nil && rt.Req != 0
 	var body []byte
 	if in != nil && !overWire {
+		bp := bodyPool.Get().(*[]byte)
+		defer putBody(bp)
 		var err error
-		if body, err = marshalBody(httpBody(in)); err != nil {
+		body, err = appendBody(*bp, httpBody(in))
+		if *bp = body; err != nil {
 			return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 				fmt.Errorf("api: marshal request: %w", err))
 		}
@@ -481,56 +499,14 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// marshalBody is json.Marshal(in), through the typed encoder for an
-// edge body.
-func marshalBody(in any) ([]byte, error) {
-	var buf [256]byte
-	if b, ok, err := appendEdge(buf[:0], in); ok {
-		return bytes.Clone(b), err
+// appendBody appends json.Marshal(in) to b, through the typed encoder
+// for an edge body.
+func appendBody(b []byte, in any) ([]byte, error) {
+	if b, ok, err := appendEdge(b, in); ok {
+		return b, err
 	}
-	return json.Marshal(in)
-}
-
-// attempt performs a single HTTP exchange, bounded by the per-attempt
-// timeout as well as by ctx.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	u, err := c.url(path)
-	if err != nil {
-		return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
-			fmt.Errorf("api: %s %s: %w", method, path, err))
-	}
-	actx, cancel := context.WithTimeout(ctx, c.http.Timeout)
-	defer cancel()
-	req := (&http.Request{
-		Method: method, URL: u, Host: u.Host, Header: c.getHeader,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-	}).WithContext(actx)
-	if body != nil {
-		// What http.NewRequest does for a *bytes.Reader body: the
-		// length is known, the body can be replayed, and the transport
-		// sees an in-memory reader, so headers and body go out in one
-		// write.
-		req.Header, req.ContentLength = c.postHeader, int64(len(body))
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-	}
-	resp, err := c.http.transport.RoundTrip(req)
-	if err != nil {
-		// Cancellation and deadline expiry keep their taxonomy codes;
-		// everything else at the transport level is a (retryable)
-		// availability problem: connection refused, reset, DNS.
-		if cerr := ctx.Err(); cerr != nil {
-			return cberr.From(fmt.Errorf("api: %s %s: %w", method, path, cerr), cberr.LayerClient)
-		}
-		if actx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			return cberr.Wrap(cberr.CodeDeadline, cberr.LayerClient,
-				fmt.Errorf("api: %s %s: %w", method, path, err))
-		}
-		return cberr.Wrap(cberr.CodeUnavailable, cberr.LayerClient,
-			fmt.Errorf("api: %s %s: %w", method, path, err))
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, path, out)
+	j, err := json.Marshal(in)
+	return append(b, j...), err
 }
 
 // url resolves path (with any query) against the base URL parsed in

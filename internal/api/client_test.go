@@ -49,7 +49,7 @@ func TestClientAttemptTimeoutIsDeadline(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 	c := mustClient(t, srv.URL)
-	c.maxAttempts, c.http.Timeout = 1, 20*time.Millisecond
+	c.maxAttempts, c.timeout = 1, 20*time.Millisecond
 	err := c.Health(context.Background())
 	if cberr.CodeOf(err) != cberr.CodeDeadline {
 		t.Errorf("err = %v, want deadline code", err)
@@ -70,5 +70,24 @@ func TestClientEscapedPath(t *testing.T) {
 	}
 	if want := "/v1/invoke/a%2Fb%20c?wait=1s"; got.Load() != want {
 		t.Errorf("request URI = %v, want %s", got.Load(), want)
+	}
+}
+
+// TestClientRefusesBadTenant: a tenant no header value can carry is
+// never written; every attempt fails as http.Transport failed it, as an
+// unavailable error.
+func TestClientRefusesBadTenant(t *testing.T) {
+	var reqs atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { reqs.Add(1) }))
+	defer srv.Close()
+	c, err := New(srv.URL, WithTenant("a\r\nX-Evil: 1"), WithRetries(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Health(context.Background()); cberr.CodeOf(err) != cberr.CodeUnavailable {
+		t.Errorf("err = %v, want unavailable", err)
+	}
+	if reqs.Load() != 0 {
+		t.Errorf("the server saw %d requests", reqs.Load())
 	}
 }

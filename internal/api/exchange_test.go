@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/x509"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"confbench"
@@ -162,7 +165,7 @@ func TestEdgeExchangesTakeTheTypedPath(t *testing.T) {
 	if _, err := client.AwaitResult(ctx, sub.ID, 0); err == nil {
 		t.Fatal("awaiting an unknown function's invoke succeeded")
 	}
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	api.CloseIdleConnections()
 	rec.close()
 
 	seen := map[string]int{}
@@ -194,5 +197,53 @@ func TestEdgeExchangesTakeTheTypedPath(t *testing.T) {
 		if seen[kind] == 0 {
 			t.Errorf("no %s exchange recorded: %v", kind, seen)
 		}
+	}
+}
+
+// TestClientSpeaksHTTP1OverTLS: an https base URL reaches a TLS server
+// through crypto/tls, verified against the roots set for the test, and
+// speaks HTTP/1.1 on a connection the next call reuses.
+func TestClientSpeaksHTTP1OverTLS(t *testing.T) {
+	var conns, h1 atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.TLS != nil && r.ProtoMajor == 1 && r.ProtoMinor == 1 {
+			h1.Add(1)
+		}
+		api.WriteJSON(w, http.StatusOK, api.InvokeResponse{Output: "sealed"})
+	}))
+	srv.EnableHTTP2 = true
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.StartTLS()
+	defer srv.Close()
+	roots := x509.NewCertPool()
+	roots.AddCert(srv.Certificate())
+	api.SetTLSRoots(t, roots)
+	client, err := api.New(srv.URL, api.WithRetries(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := client.Invoke(context.Background(), api.InvokeRequest{Function: "f"})
+		if err != nil || got.Output != "sealed" {
+			t.Fatalf("Invoke over TLS = %+v, %v", got, err)
+		}
+	}
+	if h1.Load() != 2 || conns.Load() != 1 {
+		t.Errorf("%d of 2 requests came as HTTP/1.1 over TLS, on %d connections (want 1)", h1.Load(), conns.Load())
+	}
+	// Without the roots the server's certificate is not trusted (on a
+	// new connection: the roots are the process's, not a client's).
+	api.CloseIdleConnections()
+	api.SetTLSRoots(t, x509.NewCertPool())
+	untrusting, err := api.New(srv.URL, api.WithRetries(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := untrusting.Health(context.Background()); err == nil {
+		t.Error("a server the roots do not vouch for was trusted")
 	}
 }

@@ -1,8 +1,14 @@
 package api
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -70,5 +76,83 @@ func FuzzWireDecode(f *testing.F) {
 		case 10:
 			decode(func() any { return new(AsyncResult) })
 		}
+	})
+}
+
+// FuzzEdgeRequest: for any method, path, tenant and body, the bytes the
+// client writes for one exchange parse with http.ReadRequest into that
+// method, the request URI url resolves the path to, the client's Host,
+// its headers and the body, and nothing after it. A request the client
+// refuses to write is one whose path url cannot resolve or whose target
+// a request line cannot carry; a tenant no header value can carry is
+// refused before any request is built.
+func FuzzEdgeRequest(f *testing.F) {
+	bases := []string{"http://example.test:8080", "http://example.test/base", "https://[::1]/p%20q/", "http://h/?"}
+	f.Add(byte(0), http.MethodPost, PathV1Invoke, "t1", []byte(`{"function":"f","secure":true}`))
+	f.Add(byte(1), http.MethodGet, PathV1Invoke+"/async-7?wait=2s", "", []byte(nil))
+	f.Add(byte(2), http.MethodGet, "/v1/invoke/a%2Fb%20c?wait=1s", "team blue", []byte(nil))
+	f.Add(byte(3), http.MethodPost, PathV1Drain, " t\t", []byte(`{}`))
+	f.Fuzz(func(t *testing.T, base byte, method, path, tenant string, body []byte) {
+		if !isToken(method) || !strings.HasPrefix(path, "/") {
+			return
+		}
+		c, err := New(bases[int(base)%len(bases)], WithTenant(tenant))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.badTenant {
+			return
+		}
+		wrote, err := c.appendRequest(nil, method, path, body)
+		u, uerr := c.url(path)
+		if err != nil {
+			if uerr == nil && !strings.ContainsFunc(u.RequestURI(), func(r rune) bool { return r <= ' ' || r == 0x7f }) {
+				t.Fatalf("refused %s %q (target %q): %v", method, path, u.RequestURI(), err)
+			}
+			return
+		}
+		if uerr != nil {
+			t.Fatalf("wrote %q for a path url refuses: %v", wrote, uerr)
+		}
+		br := bufio.NewReader(bytes.NewReader(wrote))
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			t.Fatalf("%q does not parse: %v", wrote, err)
+		}
+		got, err := io.ReadAll(req.Body)
+		if err != nil {
+			t.Fatalf("%q: body: %v", wrote, err)
+		}
+		if req.Method != method || req.RequestURI != u.RequestURI() || req.URL.Path != u.Path ||
+			req.URL.RawQuery != u.RawQuery || req.Host != c.host || req.Proto != "HTTP/1.1" {
+			t.Fatalf("%q parsed as %s %q (path %q, query %q) host %q %s; want %s %q (path %q, query %q) host %q",
+				wrote, req.Method, req.RequestURI, req.URL.Path, req.URL.RawQuery, req.Host, req.Proto,
+				method, u.RequestURI(), u.Path, u.RawQuery, c.host)
+		}
+		want, wantLen := http.Header{}, int64(0)
+		if body != nil {
+			want["Content-Type"] = []string{"application/json"}
+			want["Content-Length"] = []string{strconv.Itoa(len(body))}
+			wantLen = int64(len(body))
+		}
+		if tenant != "" {
+			want[HeaderTenant] = []string{strings.Trim(tenant, " \t")}
+		}
+		if !reflect.DeepEqual(req.Header, want) {
+			t.Fatalf("%q: headers %v, want %v", wrote, req.Header, want)
+		}
+		if !bytes.Equal(got, body) || req.ContentLength != wantLen {
+			t.Fatalf("%q: body %q (length %d), want %q", wrote, got, req.ContentLength, body)
+		}
+		if br.Buffered() != 0 {
+			t.Fatalf("%q: %d bytes after the request", wrote, br.Buffered())
+		}
+	})
+}
+
+// isToken reports whether s is an HTTP token, as a method must be.
+func isToken(s string) bool {
+	return s != "" && !strings.ContainsFunc(s, func(r rune) bool {
+		return r > 0x7e || r <= ' ' || strings.ContainsRune(`"(),/:;<=>?@[\]{}`, r)
 	})
 }

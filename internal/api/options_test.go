@@ -38,8 +38,8 @@ func TestWithRetriesAndTimeout(t *testing.T) {
 	if c.maxAttempts != 7 {
 		t.Errorf("maxAttempts = %d, want 7", c.maxAttempts)
 	}
-	if c.http.Timeout != attemptTimeout {
-		t.Errorf("Timeout = %v, want %v", c.http.Timeout, attemptTimeout)
+	if c.timeout != attemptTimeout {
+		t.Errorf("Timeout = %v, want %v", c.timeout, attemptTimeout)
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 // edgeExchangeCeiling bounds the allocations of one HTTP invoke across
 // the REST edge on loopback, the client's and the door's together:
 // 125 with encoding/json and http.Client, 94 with the typed codecs and
-// one http.Transport round trip (Go 1.24, linux/amd64).
-const edgeExchangeCeiling = 97
+// one http.Transport round trip, 44 with the client's own HTTP/1.1
+// exchange and no body limiter for a declared length (Go 1.24,
+// linux/amd64).
+const edgeExchangeCeiling = 47
 
 // edgeBed is a door serving a canned invoke reply on loopback and a
 // tenant's HTTP client for it, warmed by one exchange.

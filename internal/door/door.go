@@ -84,8 +84,13 @@ func handle[Req, Resp any](rt api.Route, fn func(context.Context, string, Req) (
 		var req Req
 		if rt.Method == http.MethodPost {
 			// The binary carrier refuses payloads over wire.MaxPayload;
-			// the HTTP one must not accept what its twin would not.
-			body := http.MaxBytesReader(w, r.Body, wire.MaxPayload)
+			// the HTTP one must not accept what its twin would not. A
+			// declared length within the limit needs no wrapper:
+			// net/http already stops the body there.
+			body := r.Body
+			if r.ContentLength < 0 || r.ContentLength > wire.MaxPayload {
+				body = http.MaxBytesReader(w, r.Body, wire.MaxPayload)
+			}
 			if err := api.ReadJSON(body, r.ContentLength, &req); err != nil {
 				return cberr.Wrap(cberr.CodeInvalid, layer, fmt.Errorf("decode request: %w", err))
 			}

@@ -145,8 +145,10 @@ func TestCloseWaitsForThePeriodicSweep(t *testing.T) {
 				}
 			}
 			// Everything else the door started is gone too; idle HTTP
-			// connections to the test servers take a moment to wind down.
+			// connections to the test servers (the carrier's and the REST
+			// client's) take a moment to wind down.
 			http.DefaultClient.CloseIdleConnections()
+			api.CloseIdleConnections()
 			for i := 0; runtime.NumGoroutine() > before; i++ {
 				if i > 200 {
 					t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), allStacks())

@@ -353,6 +353,9 @@ func (r *Run) Close() error {
 	if r.ownDir {
 		err = errors.Join(err, os.RemoveAll(r.DurableDir))
 	}
+	// The REST client's idle connections, and http.DefaultTransport's,
+	// which the httpjson carrier and the collateral fetch dial through.
+	api.CloseIdleConnections()
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
 		t.CloseIdleConnections()
 	}

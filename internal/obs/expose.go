@@ -78,8 +78,8 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	for _, e := range r.sortedEntries() {
-		id := e.id()
+	for _, e := range r.entrySet() {
+		id := e.id
 		switch e.kind {
 		case kindCounter:
 			snap.Counters[id] = e.counter.Value()

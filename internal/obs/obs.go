@@ -192,21 +192,14 @@ const (
 	kindHistogram = "histogram"
 )
 
-// entry is one registered metric with its identity split out for the
-// exposition writers.
+// entry is one registered metric; the registry keys it by its id.
 type entry struct {
-	family string
-	labels []string // alternating key, value — sorted by key
-	kind   string
+	kind string
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
 }
-
-// id formats the canonical metric identity: family plus a sorted
-// {k="v",...} label block (empty when unlabeled).
-func (e *entry) id() string { return e.family + labelBlock(e.labels, "", "") }
 
 // labelBlock renders sorted label pairs, optionally appending one
 // extra pair (used for histogram `le` labels).
@@ -366,7 +359,7 @@ func (r *Registry) lookup(id string, mk func() *entry) *entry {
 func (r *Registry) Counter(family string, labels ...string) *Counter {
 	ls := sortLabels(labels)
 	e := r.lookup(family+labelBlock(ls, "", ""), func() *entry {
-		return &entry{family: family, labels: ls, kind: kindCounter, counter: &Counter{}}
+		return &entry{kind: kindCounter, counter: &Counter{}}
 	})
 	return e.counter
 }
@@ -375,7 +368,7 @@ func (r *Registry) Counter(family string, labels ...string) *Counter {
 func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 	ls := sortLabels(labels)
 	e := r.lookup(family+labelBlock(ls, "", ""), func() *entry {
-		return &entry{family: family, labels: ls, kind: kindGauge, gauge: &Gauge{}}
+		return &entry{kind: kindGauge, gauge: &Gauge{}}
 	})
 	return e.gauge
 }
@@ -394,20 +387,25 @@ func (r *Registry) HistogramWith(family string, bounds []float64, labels ...stri
 	e := r.lookup(family+labelBlock(ls, "", ""), func() *entry {
 		h := newHistogram(bounds)
 		h.reg = r
-		return &entry{family: family, labels: ls, kind: kindHistogram, hist: h}
+		return &entry{kind: kindHistogram, hist: h}
 	})
 	return e.hist
 }
 
-// sortedEntries snapshots the entry set ordered by (family, labels) —
-// the stable order both exposition formats use.
-func (r *Registry) sortedEntries() []*entry {
+// idEntry is a registered metric with the id it is registered under.
+type idEntry struct {
+	id string
+	*entry
+}
+
+// entrySet copies the entry set out from under the lock, each entry
+// with its map key, so no id is formatted again.
+func (r *Registry) entrySet() []idEntry {
 	r.mu.RLock()
-	out := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e)
+	defer r.mu.RUnlock()
+	out := make([]idEntry, 0, len(r.entries))
+	for id, e := range r.entries {
+		out = append(out, idEntry{id, e})
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id() < out[j].id() })
 	return out
 }
