@@ -28,7 +28,7 @@ RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./in
 COVER_FLOOR ?= 70
 COVER_PKGS = ./internal/drill ./internal/stats ./internal/meter ./internal/cpumodel ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo ./internal/minidb
 
-.PHONY: build fmt test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes bench-guest bench-ab verify
+.PHONY: build fmt test vet race cover cover-floor fuzz-smoke benchmark-check scenarios lint-metrics lint-routes examples bench-guest bench-ab verify
 
 build:
 	$(GO) build ./...
@@ -127,6 +127,11 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
+# Every program under examples/ runs to a zero exit, its output
+# discarded: the walkthroughs the README points at keep working.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # What one guest body costs in wall time and allocations (DESIGN.md
 # §16): every catalog workload at the guest-mix scale, the two shared
 # fixtures, the meter, the Wasm call path, the speedtest suite, one
@@ -156,7 +161,7 @@ bench-ab:
 # Full pre-merge check: compile, gofmt, vet, unit tests, the benchmark
 # module's own vet and tests, the race detector over the
 # concurrency-sensitive packages, the coverage floor, the metric-naming
-# and route-registration lints, and the scenarios. Performance is gated
-# outside it, by the repo's benchmark (BENCHMARK.json, `bash
-# benchmark/run.sh`).
-verify: build fmt vet test benchmark-check race cover-floor lint-metrics lint-routes scenarios
+# and route-registration lints, the scenarios and the examples.
+# Performance is gated outside it, by the repo's benchmark
+# (BENCHMARK.json, `bash benchmark/run.sh`).
+verify: build fmt vet test benchmark-check race cover-floor lint-metrics lint-routes scenarios examples

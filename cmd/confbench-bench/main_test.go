@@ -47,8 +47,7 @@ func runFigure(t *testing.T, name string) (string, []byte) {
 }
 
 // resultLists runs the bench like runSmall and returns the result lists
-// of its -json report by key, without meta and without the attestation
-// timings, which fold measured compute time in (see TestEveryFigureRuns).
+// of its -json report by key, without meta.
 func resultLists(t *testing.T, args ...string) map[string][]json.RawMessage {
 	t.Helper()
 	_, js := runSmall(t, args...)
@@ -58,7 +57,7 @@ func resultLists(t *testing.T, args ...string) map[string][]json.RawMessage {
 	}
 	out := map[string][]json.RawMessage{}
 	for key, raw := range lists {
-		if key == "meta" || key == "attestation" {
+		if key == "meta" {
 			continue
 		}
 		var list []json.RawMessage
@@ -114,21 +113,52 @@ func TestRowsMatchTheirSliceOfAll(t *testing.T) {
 }
 
 // TestReportGolden pins the printed report of all, digit for digit, at
-// the smallest sizes with three trials per point. The Fig. 5 block is
-// cut out: the attestation timings fold measured compute time in (see
-// TestEveryFigureRuns). Regenerate with -update after a change that is
-// meant to move a number.
+// the smallest sizes with three trials per point, Fig. 5 included.
+// Regenerate with -update after a change that is meant to move a
+// number.
 func TestReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a deployment")
 	}
 	out, _ := runSmall(t, "-fig", "all", "-trials", "3")
-	i := strings.Index(out, "Fig. 5 —")
-	if i < 0 {
-		t.Fatalf("no Fig. 5 block in:\n%s", out)
-	}
-	out = out[:i] + out[i+strings.Index(out[i:], "\n\n")+2:]
 	golden(t, "report.golden", out)
+}
+
+// TestAttestationIsPriced: Fig. 5 and its collateral ablation are
+// priced, not timed, so a same-seed rerun prints and writes the same
+// bytes, and another seed moves the attest samples (the verifier's
+// price is noise-free, the attester's is drawn in its guest).
+func TestAttestationIsPriced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a deployment per run")
+	}
+	for _, name := range []string{"5", "collateral"} {
+		out, js := runSmall(t, "-fig", name, "-trials", "3")
+		again, againJS := runSmall(t, "-fig", name, "-trials", "3")
+		if again != out || !bytes.Equal(againJS, js) {
+			t.Errorf("-fig %s: same-seed reruns differ:\n%s\n%s", name, out, again)
+		}
+		_, otherJS := runSmall(t, "-fig", name, "-trials", "3", "-seed", "8")
+		if bytes.Equal(stripMeta(t, otherJS), stripMeta(t, js)) {
+			t.Errorf("-fig %s: seeds 7 and 8 write the same results", name)
+		}
+	}
+}
+
+// stripMeta returns a -json report without its meta block, which
+// names the seed.
+func stripMeta(t *testing.T, js []byte) []byte {
+	t.Helper()
+	var lists map[string]json.RawMessage
+	if err := json.Unmarshal(js, &lists); err != nil {
+		t.Fatal(err)
+	}
+	delete(lists, "meta")
+	out, err := json.Marshal(lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestStorageGolden pins the printed report of -fig storage at -quick,
@@ -269,9 +299,8 @@ func TestSeedMovesEverySample(t *testing.T) {
 
 // TestEveryFigureRuns drives every row but trace (span trees, not a
 // figure) end to end. -fig 8 writes its one grid to -json. firmware and
-// containers print and write the same bytes on a same-seed rerun; 5 and
-// collateral cannot, since the attestation timings still fold measured
-// compute time into the priced total.
+// containers print and write the same bytes on a same-seed rerun (5 and
+// collateral: TestAttestationIsPriced).
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a deployment per row")

@@ -28,10 +28,13 @@ import (
 // and an https base URL speaks HTTP/1.1 over crypto/tls.
 
 const (
-	// maxIdlePerHost and maxIdle bound the idle pool as
-	// http.DefaultTransport bounds its own.
+	// maxIdlePerHost, maxIdle and idleTimeout bound the idle pool as
+	// http.DefaultTransport bounds its own. A connection parked longer
+	// than idleTimeout is closed by the next sweep, which a put or a
+	// dial runs at most once per idleTimeout: no timer, no goroutine.
 	maxIdlePerHost = 2
 	maxIdle        = 100
+	idleTimeout    = 90 * time.Second
 )
 
 // tlsRoots verifies https servers; nil means the host's root pool.
@@ -53,6 +56,8 @@ type conn struct {
 	probe   func(fd uintptr)
 	open    bool
 	peekBuf [1]byte
+	// parked is when the connection last went idle.
+	parked time.Time
 }
 
 // eofBody is a response body that notes whether it was read to its end.
@@ -106,6 +111,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	pc := idle.get(c.key)
 	if pc == nil {
+		idle.sweepIfDue(time.Now())
 		if pc, err = c.dial(ctx, deadline); err != nil {
 			return failed(ctx, method, path, err)
 		}
@@ -277,6 +283,7 @@ type connPool struct {
 	mu    sync.Mutex
 	conns map[string][]*conn
 	n     int
+	swept time.Time // when sweep last ran
 }
 
 var idle = connPool{conns: make(map[string][]*conn)}
@@ -304,11 +311,15 @@ func (p *connPool) get(key string) *conn {
 }
 
 // put parks pc as idle, or closes it when key already has
-// maxIdlePerHost idle connections or maxIdle open ones are parked.
+// maxIdlePerHost idle connections or maxIdle open ones are parked. A
+// full pool is swept first, and so is one whose last sweep is
+// idleTimeout old.
 func (p *connPool) put(key string, pc *conn) {
+	now := time.Now()
+	pc.parked = now
 	p.mu.Lock()
-	if p.n >= maxIdle {
-		p.dropClosed()
+	if p.n >= maxIdle || now.Sub(p.swept) >= idleTimeout {
+		p.sweep(now)
 	}
 	conns := p.conns[key]
 	if len(conns) >= maxIdlePerHost || p.n >= maxIdle {
@@ -321,13 +332,25 @@ func (p *connPool) put(key string, pc *conn) {
 	p.mu.Unlock()
 }
 
-// dropClosed closes and forgets every idle connection its server has
-// closed. p.mu is held.
-func (p *connPool) dropClosed() {
+// sweepIfDue sweeps the pool when its last sweep is idleTimeout old; a
+// dial calls it, so that connections to servers the process no longer
+// talks to do not wait for a put.
+func (p *connPool) sweepIfDue(now time.Time) {
+	p.mu.Lock()
+	if now.Sub(p.swept) >= idleTimeout {
+		p.sweep(now)
+	}
+	p.mu.Unlock()
+}
+
+// sweep closes and forgets every idle connection parked for
+// idleTimeout or longer, or whose server has closed it. p.mu is held.
+func (p *connPool) sweep(now time.Time) {
+	p.swept = now
 	for key, conns := range p.conns {
 		open := conns[:0]
 		for _, pc := range conns {
-			if pc.alive() {
+			if now.Sub(pc.parked) < idleTimeout && pc.alive() {
 				open = append(open, pc)
 			} else {
 				_ = pc.Close()

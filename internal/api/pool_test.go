@@ -272,33 +272,8 @@ func TestPoolHoldsTwoPerHost(t *testing.T) {
 // servers have all gone parks the next one after closing them, and
 // never holds more than maxIdle.
 func TestPoolDropsClosedWhenFull(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	served := make(chan net.Conn, maxIdle+1)
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			served <- nc
-		}
-	}()
-	c, err := New("http://" + ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dial := rawConns(t)
 	p := connPool{conns: make(map[string][]*conn)}
-	dial := func() (*conn, net.Conn) {
-		pc, err := c.dial(context.Background(), time.Now().Add(5*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc, <-served
-	}
 	var servers []net.Conn
 	for i := 0; i < maxIdle; i++ {
 		pc, sc := dial()
@@ -321,6 +296,92 @@ func TestPoolDropsClosedWhenFull(t *testing.T) {
 	if p.n != 1 || len(p.conns) != 1 || len(p.conns["one-more"]) != 1 {
 		t.Errorf("after the servers closed: %d parked under %d keys, want only the new one", p.n, len(p.conns))
 	}
+	closeAll(&p)
+}
+
+// TestPoolSweepsIdleAndGone: a sweep closes the connections parked for
+// idleTimeout and those whose server has gone, without a request to
+// their server, and keeps the rest. A dial (sweepIfDue) or a put runs
+// it at most once per idleTimeout.
+func TestPoolSweepsIdleAndGone(t *testing.T) {
+	dial := rawConns(t)
+	p := connPool{conns: make(map[string][]*conn)}
+	park := func(key string) (*conn, net.Conn) {
+		pc, sc := dial()
+		t.Cleanup(func() { _ = sc.Close() })
+		p.put(key, pc)
+		return pc, sc
+	}
+	park("live") // the first put sweeps: the pool was never swept
+	_, goneSrv := park("gone")
+	stale, staleSrv := park("stale")
+	_ = goneSrv.Close()
+	stale.parked = stale.parked.Add(-idleTimeout)
+	time.Sleep(10 * time.Millisecond) // let the close reach the socket
+
+	p.sweepIfDue(time.Now())
+	if p.n != 3 {
+		t.Fatalf("a dial swept before idleTimeout passed: %d parked, want 3", p.n)
+	}
+	p.swept = p.swept.Add(-idleTimeout)
+	p.sweepIfDue(time.Now())
+	if p.n != 1 || len(p.conns) != 1 || len(p.conns["live"]) != 1 {
+		t.Fatalf("after a due sweep: %d parked under %d keys, want only the live one", p.n, len(p.conns))
+	}
+	_ = staleSrv.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := staleSrv.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("the stale connection's server reads %v, want EOF: the sweep did not close it", err)
+	}
+
+	stale, _ = park("stale")
+	stale.parked = stale.parked.Add(-idleTimeout)
+	park("next")
+	if p.n != 3 {
+		t.Fatalf("a put swept before idleTimeout passed: %d parked, want 3", p.n)
+	}
+	p.swept = p.swept.Add(-idleTimeout)
+	park("last")
+	if p.n != 3 || len(p.conns["stale"]) != 0 {
+		t.Errorf("after a due put: %d parked, stale parked %d times, want 3 and 0", p.n, len(p.conns["stale"]))
+	}
+	closeAll(&p)
+}
+
+// rawConns returns a dialer of client connections to a bare listener
+// that answers nothing; each call hands back the client's end and the
+// server's.
+func rawConns(t *testing.T) func() (*conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	served := make(chan net.Conn)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served <- nc
+		}
+	}()
+	c, err := New("http://" + ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() (*conn, net.Conn) {
+		pc, err := c.dial(context.Background(), time.Now().Add(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc, <-served
+	}
+}
+
+// closeAll closes every connection p holds.
+func closeAll(p *connPool) {
 	for _, conns := range p.conns {
 		for _, pc := range conns {
 			_ = pc.Close()

@@ -17,6 +17,7 @@ package dcap
 
 import (
 	"context"
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -29,6 +30,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"confbench/internal/attest"
 )
 
 // Collateral endpoint paths served by the PCS.
@@ -248,38 +251,43 @@ func (p *PCS) handle(get func() any) http.HandlerFunc {
 }
 
 // FetchCollateral retrieves and authenticates one collateral document,
-// decoding it into out. It returns the modeled WAN latency so callers
-// can account for it in their timings. The ctx bounds the HTTP round
-// trip; cancellation surfaces through the returned error.
-func (p *PCS) FetchCollateral(ctx context.Context, client *http.Client, path string, out any) (time.Duration, error) {
+// decoding it into out, and meters the fetch into u: the modeled WAN
+// round trip as infrastructure latency, and the envelope's signature
+// check, payload hash and decoding as work. The ctx bounds the HTTP
+// round trip; cancellation surfaces through the returned error.
+func (p *PCS) FetchCollateral(ctx context.Context, client *http.Client, path string, out any, u *attest.Usage) error {
 	url := p.BaseURL() + path
 	if url == path { // BaseURL empty
-		return 0, errors.New("dcap: PCS not started")
+		return errors.New("dcap: PCS not started")
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, fmt.Errorf("dcap: fetch %s: %w", path, err)
+		return fmt.Errorf("dcap: fetch %s: %w", path, err)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("dcap: fetch %s: %w", path, err)
+		return fmt.Errorf("dcap: fetch %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("dcap: fetch %s: status %s", path, resp.Status)
+		return fmt.Errorf("dcap: fetch %s: status %s", path, resp.Status)
 	}
 	var env SignedCollateral
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return 0, fmt.Errorf("dcap: decode %s: %w", path, err)
+		return fmt.Errorf("dcap: decode %s: %w", path, err)
 	}
 	digest := sha256.Sum256(env.Payload)
 	if !ecdsa.VerifyASN1(p.PublicKey(), digest[:], env.Signature) {
-		return 0, fmt.Errorf("dcap: collateral signature invalid for %s", path)
+		return fmt.Errorf("dcap: collateral signature invalid for %s", path)
 	}
 	if err := json.Unmarshal(env.Payload, out); err != nil {
-		return 0, fmt.Errorf("dcap: parse %s: %w", path, err)
+		return fmt.Errorf("dcap: parse %s: %w", path, err)
 	}
-	return p.WANLatency, nil
+	u.Infra += p.WANLatency
+	u.Hash(crypto.SHA256, len(env.Payload))
+	u.VerifySignature(elliptic.P256())
+	u.ParseCollateral()
+	return nil
 }
 
 // qeMrSigner is the well-known signer measurement of the simulated QE.

@@ -2,6 +2,7 @@ package dcap
 
 import (
 	"context"
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -15,8 +16,26 @@ import (
 	"time"
 
 	"confbench/internal/attest"
+	"confbench/internal/cpumodel"
 	"confbench/internal/tee"
 	"confbench/internal/tee/tdx"
+)
+
+// host is the machine both sides of the flow run on: the TDX test bed
+// of §IV-A. The attester's work is priced in its TD on top of it, the
+// verifier's on it directly.
+var host = cpumodel.XeonGold5515
+
+// Sizes the metered hashes read, from the hardware's layouts rather
+// than from this reproduction's JSON encoding (whose certificates and
+// signatures change length with every key):
+const (
+	// tdReportMACSize is the REPORTMACSTRUCT of a TDREPORT, which the
+	// TDX module MACs (HMAC-SHA-384) and the QE checks.
+	tdReportMACSize = 256
+	// quoteSignedSize is what the attestation key signs in a v4 quote:
+	// the 48-byte header and the 584-byte TD quote body.
+	quoteSignedSize = 48 + 584
 )
 
 // Quote generation errors.
@@ -194,27 +213,44 @@ func NewAttester(guest tee.Guest, qe *QuotingEnclave) *Attester {
 	return &Attester{guest: guest, qe: qe, ReportLatency: 9 * time.Millisecond}
 }
 
+// Execute implements attest.Attester: the TDX module MACs the
+// TDREPORT, and the QE checks the MAC, hashes the quote body and signs
+// it (ECDSA P-256).
+func (a *Attester) Execute(ctx context.Context, nonce []byte) (attest.Evidence, attest.Usage, error) {
+	return attest.Metered(func(u *attest.Usage) (attest.Evidence, error) {
+		reportBytes, err := a.guest.AttestationReport(ctx, nonce)
+		if err != nil {
+			return attest.Evidence{}, err
+		}
+		if err := ctx.Err(); err != nil {
+			return attest.Evidence{}, err
+		}
+		quote, err := a.qe.GenerateQuote(reportBytes)
+		if err != nil {
+			return attest.Evidence{}, err
+		}
+		data, err := quote.Marshal()
+		if err != nil {
+			return attest.Evidence{}, err
+		}
+		u.Hash(crypto.SHA384, 2*tdReportMACSize)
+		u.Hash(crypto.SHA256, quoteSignedSize)
+		u.Sign(elliptic.P256())
+		u.Infra = a.ReportLatency + a.qe.Latency
+		return attest.Evidence{Platform: tee.KindTDX, Data: data}, nil
+	})
+}
+
+// Price implements attest.Attester.
+func (a *Attester) Price(u attest.Usage, key tee.Key) attest.Timing {
+	return attest.PriceOnGuest(a.guest, host, u, key)
+}
+
 // Attest implements attest.Attester.
 func (a *Attester) Attest(ctx context.Context, nonce []byte) (attest.Evidence, attest.Timing, error) {
-	start := time.Now()
-	reportBytes, err := a.guest.AttestationReport(ctx, nonce)
+	ev, u, err := a.Execute(ctx, nonce)
 	if err != nil {
 		return attest.Evidence{}, attest.Timing{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return attest.Evidence{}, attest.Timing{}, err
-	}
-	quote, err := a.qe.GenerateQuote(reportBytes)
-	if err != nil {
-		return attest.Evidence{}, attest.Timing{}, err
-	}
-	data, err := quote.Marshal()
-	if err != nil {
-		return attest.Evidence{}, attest.Timing{}, err
-	}
-	timing := attest.Timing{
-		Compute: time.Since(start),
-		Infra:   a.ReportLatency + a.qe.Latency,
-	}
-	return attest.Evidence{Platform: tee.KindTDX, Data: data}, timing, nil
+	return ev, a.Price(u, attest.NonceKey(nonce)), nil
 }

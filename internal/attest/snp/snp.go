@@ -11,7 +11,9 @@ package snp
 import (
 	"bytes"
 	"context"
+	"crypto"
 	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/sha512"
 	"crypto/x509"
 	"encoding/hex"
@@ -20,9 +22,21 @@ import (
 	"time"
 
 	"confbench/internal/attest"
+	"confbench/internal/cpumodel"
 	"confbench/internal/tee"
 	"confbench/internal/tee/sev"
 )
+
+// host is the machine both sides of the flow run on: the SEV-SNP test
+// bed of §IV-A. The attester's work is priced in its guest on top of
+// it, the verifier's on it directly.
+var host = cpumodel.EPYC9124
+
+// reportSignedSize is how many bytes of a report the VCEK signature
+// covers: offsets 0x000–0x29F of the ATTESTATION_REPORT structure of
+// the SEV-SNP firmware ABI. The metered hash reads this size, not the
+// length of this reproduction's JSON encoding.
+const reportSignedSize = 0x2A0
 
 // Attester implements attest.Attester for an SEV-SNP guest: the
 // evidence is the VCEK-signed report produced by the AMD-SP.
@@ -40,15 +54,33 @@ func NewAttester(guest tee.Guest) *Attester {
 	return &Attester{guest: guest, FirmwareLatency: 22 * time.Millisecond}
 }
 
+// Execute implements attest.Attester: the AMD-SP hashes the report
+// and signs it with the VCEK (ECDSA P-384 over SHA-384).
+func (a *Attester) Execute(ctx context.Context, nonce []byte) (attest.Evidence, attest.Usage, error) {
+	return attest.Metered(func(u *attest.Usage) (attest.Evidence, error) {
+		data, err := a.guest.AttestationReport(ctx, nonce)
+		if err != nil {
+			return attest.Evidence{}, err
+		}
+		u.Hash(crypto.SHA384, reportSignedSize)
+		u.Sign(elliptic.P384())
+		u.Infra = a.FirmwareLatency
+		return attest.Evidence{Platform: tee.KindSEV, Data: data}, nil
+	})
+}
+
+// Price implements attest.Attester.
+func (a *Attester) Price(u attest.Usage, key tee.Key) attest.Timing {
+	return attest.PriceOnGuest(a.guest, host, u, key)
+}
+
 // Attest implements attest.Attester.
 func (a *Attester) Attest(ctx context.Context, nonce []byte) (attest.Evidence, attest.Timing, error) {
-	start := time.Now()
-	data, err := a.guest.AttestationReport(ctx, nonce)
+	ev, u, err := a.Execute(ctx, nonce)
 	if err != nil {
 		return attest.Evidence{}, attest.Timing{}, err
 	}
-	timing := attest.Timing{Compute: time.Since(start), Infra: a.FirmwareLatency}
-	return attest.Evidence{Platform: tee.KindSEV, Data: data}, timing, nil
+	return ev, a.Price(u, attest.NonceKey(nonce)), nil
 }
 
 // Verifier validates SNP reports against an AMD-SP certificate chain.
@@ -76,34 +108,55 @@ func NewVerifier(chain sev.CertChain) *Verifier {
 	}
 }
 
-// Verify implements attest.Verifier for SNP evidence. The chain comes
-// from local hardware, so ctx is only checked at entry (no network).
+// Execute implements attest.Verifier for SNP evidence. The chain
+// comes from local hardware, so ctx is only checked at entry (no
+// network).
+func (v *Verifier) Execute(ctx context.Context, ev attest.Evidence, nonce []byte) (*attest.Verdict, attest.Usage, error) {
+	return attest.Metered(func(u *attest.Usage) (*attest.Verdict, error) { return v.check(ctx, ev, nonce, u) })
+}
+
+// Price implements attest.Verifier; key is unused, the price is
+// noise-free.
+func (v *Verifier) Price(u attest.Usage, _ tee.Key) attest.Timing { return attest.PriceOnHost(host, u) }
+
+// Verify implements attest.Verifier.
 func (v *Verifier) Verify(ctx context.Context, ev attest.Evidence, nonce []byte) (*attest.Verdict, attest.Timing, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
+	verdict, u, err := v.Execute(ctx, ev, nonce)
+	if err != nil {
 		return nil, attest.Timing{}, err
 	}
+	return verdict, v.Price(u, attest.NonceKey(nonce)), nil
+}
+
+// check validates ev against nonce, metering its work into u.
+func (v *Verifier) check(ctx context.Context, ev attest.Evidence, nonce []byte, u *attest.Usage) (*attest.Verdict, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if ev.Platform != tee.KindSEV {
-		return nil, attest.Timing{}, fmt.Errorf("snp: evidence platform %q, want %q", ev.Platform, tee.KindSEV)
+		return nil, fmt.Errorf("snp: evidence platform %q, want %q", ev.Platform, tee.KindSEV)
 	}
 	report, err := sev.UnmarshalReport(ev.Data)
 	if err != nil {
-		return nil, attest.Timing{}, err
+		return nil, err
 	}
 
-	// Step 1: verify the VCEK → ASK → ARK certificate chain.
+	// Step 1: read the VCEK → ASK → ARK certificate chain from the
+	// AMD-SP and verify it: two P-384 signatures, the ARK is the root.
+	u.Infra = v.HardwareFetchLatency
 	vcekCert, err := x509.ParseCertificate(v.chain.VCEK)
 	if err != nil {
-		return nil, attest.Timing{}, fmt.Errorf("snp: parse VCEK: %w", err)
+		return nil, fmt.Errorf("snp: parse VCEK: %w", err)
 	}
 	askCert, err := x509.ParseCertificate(v.chain.ASK)
 	if err != nil {
-		return nil, attest.Timing{}, fmt.Errorf("snp: parse ASK: %w", err)
+		return nil, fmt.Errorf("snp: parse ASK: %w", err)
 	}
 	arkCert, err := x509.ParseCertificate(v.chain.ARK)
 	if err != nil {
-		return nil, attest.Timing{}, fmt.Errorf("snp: parse ARK: %w", err)
+		return nil, fmt.Errorf("snp: parse ARK: %w", err)
 	}
+	u.ParseCerts(3)
 	roots := x509.NewCertPool()
 	roots.AddCert(arkCert)
 	inter := x509.NewCertPool()
@@ -114,32 +167,36 @@ func (v *Verifier) Verify(ctx context.Context, ev attest.Evidence, nonce []byte)
 		CurrentTime:   vcekCert.NotBefore.Add(time.Hour),
 		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
 	}); err != nil {
-		return nil, attest.Timing{}, fmt.Errorf("%w: VCEK chain: %v", attest.ErrVerification, err)
+		return nil, fmt.Errorf("%w: VCEK chain: %v", attest.ErrVerification, err)
 	}
+	u.VerifySignature(elliptic.P384())
+	u.VerifySignature(elliptic.P384())
 
 	// Step 2: verify the report signature with the VCEK public key.
 	pub, ok := vcekCert.PublicKey.(*ecdsa.PublicKey)
 	if !ok {
-		return nil, attest.Timing{}, fmt.Errorf("%w: VCEK key is not ECDSA", attest.ErrVerification)
+		return nil, fmt.Errorf("%w: VCEK key is not ECDSA", attest.ErrVerification)
 	}
 	digest := sha512.Sum384(report.SignedBytes())
 	r := new(big.Int).SetBytes(report.SignatureR)
 	s := new(big.Int).SetBytes(report.SignatureS)
 	if !ecdsa.Verify(pub, digest[:], r, s) {
-		return nil, attest.Timing{}, fmt.Errorf("%w: report signature", attest.ErrVerification)
+		return nil, fmt.Errorf("%w: report signature", attest.ErrVerification)
 	}
+	u.Hash(crypto.SHA384, reportSignedSize)
+	u.VerifySignature(elliptic.P384())
 
 	// Step 3: policy checks — nonce binding and TCB floor.
 	var want [sev.ReportDataSize]byte
 	copy(want[:], nonce)
 	if !bytes.Equal(report.ReportData[:], want[:]) {
-		return nil, attest.Timing{}, attest.ErrNonceMismatch
+		return nil, attest.ErrNonceMismatch
 	}
 	if v.ExpectedMeasurement != "" && hex.EncodeToString(report.Measurement[:]) != v.ExpectedMeasurement {
-		return nil, attest.Timing{}, fmt.Errorf("%w: launch digest does not match pinned measurement", attest.ErrVerification)
+		return nil, fmt.Errorf("%w: launch digest does not match pinned measurement", attest.ErrVerification)
 	}
 	if !tcbAtLeast(report.ReportedTCB, v.MinTCB) {
-		return nil, attest.Timing{}, fmt.Errorf("%w: reported %+v below minimum %+v",
+		return nil, fmt.Errorf("%w: reported %+v below minimum %+v",
 			attest.ErrTCBOutOfDate, report.ReportedTCB, v.MinTCB)
 	}
 
@@ -154,7 +211,7 @@ func (v *Verifier) Verify(ctx context.Context, ev attest.Evidence, nonce []byte)
 			fmt.Sprintf("policy %#x, vmpl %d", report.Policy, report.VMPL),
 		},
 	}
-	return verdict, attest.Timing{Compute: time.Since(start), Infra: v.HardwareFetchLatency}, nil
+	return verdict, nil
 }
 
 // tcbAtLeast reports whether got meets the min floor component-wise.
