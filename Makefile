@@ -14,9 +14,10 @@ GO ?= go
 # it: the shared TEE guest lifecycle and the snapshot cache, the
 # scenario runner, whose goroutine-leak check and restart step close and
 # re-boot whole deployments, the meter Context that fan-out workloads
-# share, and the Wasm instance, whose frame stack is mutable state
-# behind the launcher's mutex.
-RACE_PKGS = ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+# share, the Wasm instance, whose frame stack is mutable state
+# behind the launcher's mutex, and the attestation verifiers, whose
+# collateral fetch shares the REST client's process-wide pool.
+RACE_PKGS = ./internal/attest/... ./internal/meter/... ./internal/wasmvm/... ./internal/drill/... ./internal/tee/... ./internal/vm/... ./internal/bench/... ./internal/faas/... ./internal/workloads/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the meter and machine model every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 
 	"confbench/internal/stats"
@@ -25,7 +26,22 @@ type record struct {
 	Seconds  int        `json:"seconds"`
 	CPUs     int        `json:"cpus"`
 	Failed   [2]float64 `json:"failed_share"` // parent, change
-	Metrics  []row      `json:"metrics"`
+	// Incorrect counts each side's runs that failed the benchmark's
+	// own output check.
+	Incorrect [2]int `json:"incorrect"`
+	Metrics   []row  `json:"metrics"`
+	// Readings are every reading of the runs' -json files, gated or
+	// not, as each side's median: a record, with no verdict.
+	Readings []readingRow `json:"readings"`
+}
+
+// readingRow is one reading's median on each side, over the runs that
+// took it.
+type readingRow struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Parent float64 `json:"parent"`
+	Change float64 `json:"change"`
 }
 
 // side is one checkout's runs of one metric.
@@ -97,6 +113,41 @@ func compare(spec metricSpec, parent, change []float64) row {
 	return r
 }
 
+// medians summarizes every reading either side took, sorted by name.
+func medians(parent, change []benchRun) []readingRow {
+	units := map[string]string{}
+	for _, runs := range [][]benchRun{parent, change} {
+		for _, r := range runs {
+			for name, v := range r.readings {
+				units[name] = v.Unit
+			}
+		}
+	}
+	names := make([]string, 0, len(units))
+	for name := range units {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rows := make([]readingRow, len(names))
+	for i, name := range names {
+		rows[i] = readingRow{Name: name, Unit: units[name], Parent: median(parent, name), Change: median(change, name)}
+	}
+	return rows
+}
+
+// median is the median of name over the runs that took it; 0 when
+// none did.
+func median(runs []benchRun, name string) float64 {
+	var xs []float64
+	for _, r := range runs {
+		if v, ok := r.readings[name]; ok {
+			xs = append(xs, v.Value)
+		}
+	}
+	b, _ := stats.Box(xs) // the zero box when xs is empty
+	return b.Median
+}
+
 func relSpread(s side) float64 {
 	if s.Median == 0 {
 		return 0
@@ -113,6 +164,7 @@ func writeReport(w io.Writer, rec *record) {
 	fmt.Fprintf(w, "== %s %s: parent %s, change %s, %d pairs, seeds %d..%d, %d s each, %d CPUs\n",
 		kind, rec.Workload, short(rec.Parent), short(rec.Change), rec.Pairs, rec.Seeds[0], rec.Seeds[len(rec.Seeds)-1], rec.Seconds, rec.CPUs)
 	fmt.Fprintf(w, "failed share: parent %.4f, change %.4f\n", rec.Failed[0], rec.Failed[1])
+	fmt.Fprintf(w, "incorrect runs: parent %d, change %d\n", rec.Incorrect[0], rec.Incorrect[1])
 	fmt.Fprintf(w, "%-24s %-30s %-30s %8s %6s %8s %-7s %s\n",
 		"metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins", "gap/IQR", "verdict", "bound")
 	for _, r := range rec.Metrics {
@@ -126,6 +178,16 @@ func writeReport(w io.Writer, rec *record) {
 		fmt.Fprintf(w, "%-24s %-30s %-30s %+7.1f%% %3d/%-2d %8.2f %-7s %s (%.0f%%)\n",
 			r.Name, box(r.Parent), box(r.Change), 100*r.Delta, r.Wins, len(r.Parent.Values),
 			gapOverIQR(r), r.Verdict, bound, 100*r.Bound)
+	}
+	if len(rec.Readings) > 0 {
+		fmt.Fprintf(w, "-- every reading, medians (ungated)\n%-40s %16s %16s %8s\n", "reading", "parent", "change", "change")
+	}
+	for _, r := range rec.Readings {
+		rel := "-"
+		if r.Parent != 0 {
+			rel = fmt.Sprintf("%+7.1f%%", 100*(r.Change-r.Parent)/math.Abs(r.Parent))
+		}
+		fmt.Fprintf(w, "%-40s %16.4f %16.4f %8s %s\n", r.Name, r.Parent, r.Change, rel, r.Unit)
 	}
 }
 

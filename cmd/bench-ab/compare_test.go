@@ -92,3 +92,56 @@ func TestAppendRecordKeepsHistory(t *testing.T) {
 		t.Fatalf("report lacks the metric:\n%s", out.String())
 	}
 }
+
+// TestContractLinesAndReadings: the contract line is a run's last
+// stdout line and its correct flag is counted per side; the -json
+// file's metrics and extra blocks become one medians row per reading.
+func TestContractLinesAndReadings(t *testing.T) {
+	stdouts := []string{
+		"warming up\n" + `{"correct":true,"attempted":10,"failed":0,"metrics":{"ops_per_s":{"value":100,"unit":"1/s"}}}` + "\n",
+		`{"correct":false,"attempted":10,"failed":2,"metrics":{"ops_per_s":{"value":90,"unit":"1/s"}}}`,
+		`{"correct":true,"attempted":10,"failed":0,"metrics":{"ops_per_s":{"value":110,"unit":"1/s"}}}`,
+	}
+	blobs := []string{
+		`{"metrics":{"ops_per_s":{"value":100,"unit":"1/s"}},"extra":{"runtime.goroutines_leaked":{"value":0,"unit":"count","n":1}}}`,
+		`{"metrics":{"ops_per_s":{"value":90,"unit":"1/s"}}}`,
+		`{"metrics":{"ops_per_s":{"value":110,"unit":"1/s"}},"extra":{"runtime.goroutines_leaked":{"value":2,"unit":"count"}}}`,
+	}
+	var runs []benchRun
+	for i := range stdouts {
+		line, err := parseContract([]byte(stdouts[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readings, err := parseReadings([]byte(blobs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, benchRun{contractLine: line, readings: readings})
+	}
+	if _, err := parseContract([]byte("panic: no line\n")); err == nil {
+		t.Error("a stdout without a contract line parsed")
+	}
+	parent, change := runs[:1], runs[1:]
+	if got := [2]int{incorrect(parent), incorrect(change)}; got != [2]int{0, 1} {
+		t.Fatalf("incorrect = %v, want [0 1]", got)
+	}
+	if got := values(change, "ops_per_s"); got[0] != 90 || got[1] != 110 {
+		t.Fatalf("values = %v", got)
+	}
+	want := []readingRow{
+		{Name: "ops_per_s", Unit: "1/s", Parent: 100, Change: 100},
+		{Name: "runtime.goroutines_leaked", Unit: "count", Parent: 0, Change: 2},
+	}
+	rec := &record{Workload: "figures", Pairs: 1, Seeds: []int64{1}, Incorrect: [2]int{0, 1}, Readings: medians(parent, change)}
+	if len(rec.Readings) != len(want) || rec.Readings[0] != want[0] || rec.Readings[1] != want[1] {
+		t.Fatalf("readings %+v, want %+v", rec.Readings, want)
+	}
+	var out bytes.Buffer
+	writeReport(&out, rec)
+	for _, s := range []string{"incorrect runs: parent 0, change 1", "runtime.goroutines_leaked"} {
+		if !strings.Contains(out.String(), s) {
+			t.Errorf("report lacks %q:\n%s", s, out.String())
+		}
+	}
+}

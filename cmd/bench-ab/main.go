@@ -3,8 +3,11 @@
 // every gated end-to-end metric by the rules a perf claim is held to:
 // the median and quartiles of each side, the change, the pairs won, the
 // gap rule (the median gap against the parent's interquartile range),
-// the bound and the run-to-run spread. It appends one record per
-// invocation to BENCH_<workload>.json, the committed trajectory.
+// the bound and the run-to-run spread. Every other reading a run takes
+// (its -json file's metrics and extra blocks) is kept as the two sides'
+// medians, ungated. It appends one record per invocation to
+// BENCH_<workload>.json, the committed trajectory, and exits non-zero
+// after appending when a change run failed its own output check.
 //
 // Run it from the root of a checkout:
 //
@@ -69,6 +72,19 @@ type contractLine struct {
 	} `json:"metrics"`
 }
 
+// reading is one number of a run's -json file.
+type reading struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// benchRun is what one benchmark run reported: its contract line, and
+// every reading of its -json file's metrics and extra blocks.
+type benchRun struct {
+	contractLine
+	readings map[string]reading
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bench-ab", flag.ContinueOnError)
 	parent := fs.String("parent", "", "revision to compare against (required)")
@@ -125,7 +141,8 @@ func run(ctx context.Context, args []string) error {
 		Parent: parentRev, Change: changeRev, AA: *aa, Pairs: *pairs,
 		Seconds: m.RunSeconds, CPUs: runtime.NumCPU(),
 	}
-	var runs [2][]contractLine // parent, change
+	var runs [2][]benchRun // parent, change
+	jsonPath := filepath.Join(scratch, "run.json")
 	for i := 0; i < *pairs; i++ {
 		s := *seed + int64(i)
 		rec.Seeds = append(rec.Seeds, s)
@@ -135,21 +152,29 @@ func run(ctx context.Context, args []string) error {
 		}
 		for _, side := range order {
 			dir := []string{parentDir, changeDir}[side]
-			line, err := runOnce(ctx, dir, *workload, s, m.RunSeconds)
+			r, err := runOnce(ctx, dir, *workload, s, m.RunSeconds, jsonPath)
 			if err != nil {
 				return err
 			}
-			runs[side] = append(runs[side], line)
-			fmt.Fprintf(os.Stderr, "pair %d/%d seed %d %-6s attempted %d failed %d\n",
-				i+1, *pairs, s, []string{"parent", "change"}[side], line.Attempted, line.Failed)
+			runs[side] = append(runs[side], r)
+			fmt.Fprintf(os.Stderr, "pair %d/%d seed %d %-6s attempted %d failed %d correct %v\n",
+				i+1, *pairs, s, []string{"parent", "change"}[side], r.Attempted, r.Failed, r.Correct)
 		}
 	}
 	rec.Failed = [2]float64{failedShare(runs[0]), failedShare(runs[1])}
+	rec.Incorrect = [2]int{incorrect(runs[0]), incorrect(runs[1])}
 	for _, spec := range m.EndToEnd {
 		rec.Metrics = append(rec.Metrics, compare(spec, values(runs[0], spec.Name), values(runs[1], spec.Name)))
 	}
+	rec.Readings = medians(runs[0], runs[1])
 	writeReport(os.Stdout, &rec)
-	return appendRecord("BENCH_"+*workload+".json", &rec)
+	if err := appendRecord("BENCH_"+*workload+".json", &rec); err != nil {
+		return err
+	}
+	if n := rec.Incorrect[1]; n > 0 {
+		return fmt.Errorf("%d of %d change runs failed the benchmark's output check", n, *pairs)
+	}
+	return nil
 }
 
 func declared(m manifest, workload string) bool {
@@ -196,25 +221,77 @@ func checkoutRev(ctx context.Context) (string, error) {
 	return head, nil
 }
 
-// runOnce runs one benchmark process in dir and parses the contract
-// line it prints last. A run that reports failures exits non-zero but
-// still prints the line, and its failures are counted, not fatal.
-func runOnce(ctx context.Context, dir, workload string, seed int64, seconds int) (contractLine, error) {
+// runOnce runs one benchmark process in dir, writing its full result
+// to jsonPath, and parses the contract line it prints last and the
+// readings of that file. A run that reports failures exits non-zero
+// but still prints the line, and its failures are counted, not fatal.
+func runOnce(ctx context.Context, dir, workload string, seed int64, seconds int, jsonPath string) (benchRun, error) {
+	_ = os.Remove(jsonPath)
 	cmd := exec.CommandContext(ctx, "bash", "benchmark/run.sh",
-		"-workload", workload, "-seed", strconv.FormatInt(seed, 10), "-seconds", strconv.Itoa(seconds))
+		"-workload", workload, "-seed", strconv.FormatInt(seed, 10), "-seconds", strconv.Itoa(seconds),
+		"-json", jsonPath)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	runErr := cmd.Run()
+	var r benchRun
+	var err error
+	if r.contractLine, err = parseContract(stdout.Bytes()); err != nil {
+		return r, fmt.Errorf("%s: %s seed %d: %v (%v): %s", dir, workload, seed, err, runErr, stderr.Bytes())
+	}
+	blob, err := os.ReadFile(jsonPath)
+	if err != nil {
+		return r, fmt.Errorf("%s: %s seed %d: %w", dir, workload, seed, err)
+	}
+	if r.readings, err = parseReadings(blob); err != nil {
+		return r, fmt.Errorf("%s: %s seed %d: %s: %w", dir, workload, seed, jsonPath, err)
+	}
+	return r, nil
+}
+
+// parseContract reads the contract line, the last line of a run's
+// stdout.
+func parseContract(stdout []byte) (contractLine, error) {
 	var line contractLine
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
-		return line, fmt.Errorf("%s: %s seed %d: no result line (%v): %s", dir, workload, seed, runErr, stderr.Bytes())
+	lines := bytes.Split(bytes.TrimSpace(stdout), []byte("\n"))
+	if err := json.Unmarshal(lines[len(lines)-1], &line); err != nil {
+		return line, fmt.Errorf("no result line: %w", err)
 	}
 	return line, nil
 }
 
-func values(runs []contractLine, metric string) []float64 {
+// parseReadings merges the metrics and extra blocks of a run's -json
+// file by name.
+func parseReadings(blob []byte) (map[string]reading, error) {
+	var res struct {
+		Metrics map[string]reading `json:"metrics"`
+		Extra   map[string]reading `json:"extra"`
+	}
+	if err := json.Unmarshal(blob, &res); err != nil {
+		return nil, err
+	}
+	out := res.Metrics
+	if out == nil {
+		out = map[string]reading{}
+	}
+	for name, r := range res.Extra {
+		out[name] = r
+	}
+	return out, nil
+}
+
+// incorrect counts the runs whose own output check failed.
+func incorrect(runs []benchRun) int {
+	n := 0
+	for _, r := range runs {
+		if !r.Correct {
+			n++
+		}
+	}
+	return n
+}
+
+func values(runs []benchRun, metric string) []float64 {
 	xs := make([]float64, len(runs))
 	for i, r := range runs {
 		xs[i] = r.Metrics[metric].Value
@@ -223,7 +300,7 @@ func values(runs []contractLine, metric string) []float64 {
 }
 
 // failedShare is the share of attempted operations that failed.
-func failedShare(runs []contractLine) float64 {
+func failedShare(runs []benchRun) float64 {
 	attempted, failed := 0, 0
 	for _, r := range runs {
 		attempted += r.Attempted

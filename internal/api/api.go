@@ -8,17 +8,14 @@ package api
 
 import (
 	"context"
-	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"confbench/internal/cberr"
@@ -130,7 +127,9 @@ type AttestRequest struct {
 // AttestResponse reports evidence and phase timings.
 type AttestResponse struct {
 	Evidence []byte `json:"evidence"`
-	// AttestNs is the evidence-production latency.
+	// AttestNs is the wall time the guest took to produce its raw
+	// report. It is not Fig. 5's attest phase, which is priced from the
+	// metered work (attest.Timing), not timed.
 	AttestNs int64 `json:"attest_ns"`
 }
 
@@ -300,25 +299,9 @@ const (
 // takes a context that bounds the whole call, including retries;
 // cancellation surfaces as cberr.ErrCanceled.
 type Client struct {
-	baseURL string
-	base    *url.URL // baseURL, parsed once
-	// plainBase: base has a plain path and no query or fragment, so a
-	// plain path's request target is the two joined.
-	plainBase bool
-	host      string
-	tenant    string
-	// badTenant: tenant holds a byte a header value cannot carry.
-	badTenant bool
-
-	// addr is the server's host:port, key names its connections in the
-	// idle pool, and tls is set for an https base URL.
-	addr, key string
-	tls       *tls.Config
-
-	// timeout bounds each attempt's exchange. No redirect is followed:
-	// a 3xx comes back as a classified error like any other non-2xx
-	// answer.
-	timeout time.Duration
+	// peer is the gateway; each attempt is one peer.Exchange.
+	peer   *Peer
+	tenant string
 
 	// transport, when set, carries frame-mappable calls (invoke,
 	// attest, health) instead of the HTTP client; everything without a
@@ -367,47 +350,19 @@ func WithTransport(t Transport) Option {
 // cannot hang callers that forget a context deadline. It follows no
 // redirects.
 func New(baseURL string, opts ...Option) (*Client, error) {
-	u, err := url.Parse(baseURL)
+	p, err := NewPeer(baseURL)
 	if err != nil {
-		return nil, cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
-			fmt.Errorf("api: parse base URL %q: %w", baseURL, err))
+		return nil, err
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerClient,
-			"api: base URL %q: scheme must be http or https", baseURL)
-	}
-	if u.Host == "" {
-		return nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerClient,
-			"api: base URL %q has no host", baseURL)
-	}
-	// What http.NewRequest does to every request's host.
-	u.Host = strings.TrimSuffix(u.Host, ":")
 	c := &Client{
-		baseURL:     baseURL,
-		base:        u,
-		plainBase:   u.RawPath == "" && u.RawQuery == "" && !u.ForceQuery && u.Fragment == "" && plainPath(u.Path),
-		host:        u.Host,
-		addr:        u.Host,
-		timeout:     attemptTimeout,
+		peer:        p,
 		maxAttempts: DefaultMaxAttempts,
 		backoff:     firstBackoff,
 		backoffCap:  maxBackoff,
 	}
-	if u.Port() == "" {
-		port := "80"
-		if u.Scheme == "https" {
-			port = "443"
-		}
-		c.addr = net.JoinHostPort(u.Hostname(), port)
-	}
-	c.key = u.Scheme + "://" + c.addr
-	if u.Scheme == "https" {
-		c.tls = &tls.Config{ServerName: u.Hostname(), RootCAs: tlsRoots, NextProtos: []string{"http/1.1"}}
-	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.badTenant = !validHeaderValue(c.tenant)
 	return c, nil
 }
 
@@ -458,9 +413,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var err error
 	for attempt := 1; ; attempt++ {
 		if overWire {
-			err = c.transport.RoundTrip(ctx, c.host, path, in, out)
+			err = c.transport.RoundTrip(ctx, c.peer.base.Host, path, in, out)
 		} else {
-			err = c.attempt(ctx, method, path, body, out)
+			err = c.peer.Exchange(ctx, method, path, c.tenant, body, out)
 		}
 		if err == nil || attempt >= attempts || !cberr.Retryable(err) {
 			return err
@@ -507,38 +462,6 @@ func appendBody(b []byte, in any) ([]byte, error) {
 	}
 	j, err := json.Marshal(in)
 	return append(b, j...), err
-}
-
-// url resolves path (with any query) against the base URL parsed in
-// New. A path the client builds from plain segments is joined without
-// a parse; anything else (an escaped segment) parses as baseURL+path
-// always did.
-func (c *Client) url(path string) (*url.URL, error) {
-	p, q, _ := strings.Cut(path, "?")
-	if c.base.RawPath != "" || c.base.RawQuery != "" || c.base.Fragment != "" || !plainPath(p) || !plainPath(q) {
-		u, err := url.Parse(c.baseURL + path)
-		if err == nil {
-			u.Host = strings.TrimSuffix(u.Host, ":")
-		}
-		return u, err
-	}
-	u := *c.base
-	u.Path, u.RawQuery = c.base.Path+p, q
-	return &u, nil
-}
-
-// plainPath reports whether s holds only bytes a URL path and query
-// carry as themselves: letters, digits, and -._~/=&.
-func plainPath(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		case c == '-', c == '.', c == '_', c == '~', c == '/', c == '=', c == '&':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // retryAfterFrom recovers the server's retry advice from a response:

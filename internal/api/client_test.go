@@ -49,7 +49,7 @@ func TestClientAttemptTimeoutIsDeadline(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 	c := mustClient(t, srv.URL)
-	c.maxAttempts, c.timeout = 1, 20*time.Millisecond
+	c.maxAttempts, c.peer.timeout = 1, 20*time.Millisecond
 	err := c.Health(context.Background())
 	if cberr.CodeOf(err) != cberr.CodeDeadline {
 		t.Errorf("err = %v, want deadline code", err)

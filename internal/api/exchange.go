@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -20,12 +21,14 @@ import (
 	"confbench/internal/cberr"
 )
 
-// The client speaks HTTP/1.1 itself, on the caller's goroutine: an
-// attempt takes an idle keep-alive connection from one process-wide
-// pool or dials a new one, writes the request line, headers and body
-// in one Write, and reads the answer with http.ReadResponse. No
-// http.Transport stands behind it, so no proxy variable is consulted
-// and an https base URL speaks HTTP/1.1 over crypto/tls.
+// The tree's one HTTP client: Peer.Exchange speaks HTTP/1.1 itself, on
+// the caller's goroutine. It takes an idle keep-alive connection from
+// one process-wide pool or dials a new one, writes the request line,
+// headers and body in one Write, and reads the answer with
+// http.ReadResponse. No http.Transport stands behind it, so no proxy
+// variable is consulted and an https base URL speaks HTTP/1.1 over
+// crypto/tls. The REST client, the httpjson carrier and the DCAP
+// collateral fetch all go through it.
 
 const (
 	// maxIdlePerHost, maxIdle and idleTimeout bound the idle pool as
@@ -89,30 +92,91 @@ func (pc *conn) alive() bool {
 	return pc.raw.Control(pc.probe) == nil && pc.open
 }
 
-// attempt performs a single HTTP exchange, bounded by the per-attempt
-// timeout as well as by ctx. The timeout and ctx become deadlines on
-// the connection; ctx is watched only when it can be cancelled.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	if c.badTenant {
+// Peer is one HTTP server the exchange talks to: its base URL, parsed
+// once, and the key its connections sit under in the idle pool.
+type Peer struct {
+	baseURL string
+	base    *url.URL // baseURL, parsed once; base.Host is the Host header
+	// plainBase: base has a plain path and no query or fragment, so a
+	// plain path's request target is the two joined.
+	plainBase bool
+	// addr is the server's host:port, key names its connections in the
+	// idle pool, and tls is set for an https base URL.
+	addr, key string
+	tls       *tls.Config
+	// timeout bounds each exchange (attemptTimeout); tests shorten it.
+	timeout time.Duration
+}
+
+// NewPeer parses baseURL, which must be absolute with an http or https
+// scheme and a host.
+func NewPeer(baseURL string) (*Peer, error) {
+	u, err := url.Parse(baseURL)
+	if err != nil {
+		return nil, cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
+			fmt.Errorf("api: parse base URL %q: %w", baseURL, err))
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerClient,
+			"api: base URL %q: scheme must be http or https", baseURL)
+	}
+	if u.Host == "" {
+		return nil, cberr.Newf(cberr.CodeInvalid, cberr.LayerClient,
+			"api: base URL %q has no host", baseURL)
+	}
+	// What http.NewRequest does to every request's host.
+	u.Host = strings.TrimSuffix(u.Host, ":")
+	p := &Peer{
+		baseURL:   baseURL,
+		base:      u,
+		plainBase: u.RawPath == "" && u.RawQuery == "" && !u.ForceQuery && u.Fragment == "" && plainPath(u.Path),
+		addr:      u.Host,
+		timeout:   attemptTimeout,
+	}
+	if u.Port() == "" {
+		port := "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+		p.addr = net.JoinHostPort(u.Hostname(), port)
+	}
+	p.key = u.Scheme + "://" + p.addr
+	if u.Scheme == "https" {
+		p.tls = &tls.Config{ServerName: u.Hostname(), RootCAs: tlsRoots, NextProtos: []string{"http/1.1"}}
+	}
+	return p, nil
+}
+
+// Exchange performs one HTTP exchange with p: method on path, with
+// tenant in HeaderTenant unless it is empty, and body as JSON unless
+// it is nil. The answer decodes into out (nil to discard), or comes
+// back as a classified error: the peer's error envelope, or a
+// LayerClient failure of the exchange itself. It is bounded by p's
+// timeout as well as by ctx, and never retries.
+//
+// The timeout and ctx become deadlines on the connection; ctx is
+// watched only when it can be cancelled.
+func (p *Peer) Exchange(ctx context.Context, method, path, tenant string, body []byte, out any) error {
+	if !validHeaderValue(tenant) {
 		return cberr.Wrap(cberr.CodeUnavailable, cberr.LayerClient,
 			fmt.Errorf("api: %s %s: invalid header field value for %q", method, path, HeaderTenant))
 	}
 	bp := bodyPool.Get().(*[]byte)
 	defer putBody(bp)
-	req, err := c.appendRequest(*bp, method, path, body)
+	req, err := p.appendRequest(*bp, method, path, tenant, body)
 	*bp = req
 	if err != nil {
 		return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 			fmt.Errorf("api: %s %s: %w", method, path, err))
 	}
-	deadline := time.Now().Add(c.timeout)
+	deadline := time.Now().Add(p.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	pc := idle.get(c.key)
+	pc := idle.get(p.key)
 	if pc == nil {
 		idle.sweepIfDue(time.Now())
-		if pc, err = c.dial(ctx, deadline); err != nil {
+		if pc, err = p.dial(ctx, deadline); err != nil {
 			return failed(ctx, method, path, err)
 		}
 	}
@@ -148,7 +212,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		reuse = false
 	}
 	if reuse {
-		idle.put(c.key, pc)
+		idle.put(p.key, pc)
 	} else {
 		_ = pc.Close()
 	}
@@ -186,11 +250,11 @@ func (pc *conn) roundTrip(req []byte) (*http.Response, error) {
 	return resp, nil
 }
 
-// dial opens a new connection to the client's server by the deadline,
-// through TLS for an https base URL.
-func (c *Client) dial(ctx context.Context, deadline time.Time) (*conn, error) {
+// dial opens a new connection to p by the deadline, through TLS for an
+// https base URL.
+func (p *Peer) dial(ctx context.Context, deadline time.Time) (*conn, error) {
 	d := net.Dialer{Deadline: deadline}
-	nc, err := d.DialContext(ctx, "tcp", c.addr)
+	nc, err := d.DialContext(ctx, "tcp", p.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +263,8 @@ func (c *Client) dial(ctx context.Context, deadline time.Time) (*conn, error) {
 		_ = nc.Close()
 		return nil, err
 	}
-	if c.tls != nil {
-		tc := tls.Client(nc, c.tls)
+	if p.tls != nil {
+		tc := tls.Client(nc, p.tls)
 		if err := tc.SetDeadline(deadline); err != nil {
 			_ = nc.Close()
 			return nil, err
@@ -218,20 +282,20 @@ func (c *Client) dial(ctx context.Context, deadline time.Time) (*conn, error) {
 
 // appendRequest appends one HTTP/1.1 request to b: the request line,
 // Host, the body's length and type when there is a body, the tenant
-// when the client has one, and the body.
-func (c *Client) appendRequest(b []byte, method, path string, body []byte) ([]byte, error) {
+// when there is one, and the body.
+func (p *Peer) appendRequest(b []byte, method, path, tenant string, body []byte) ([]byte, error) {
 	b = append(append(b[:0], method...), ' ')
-	b, err := c.appendTarget(b, path)
+	b, err := p.appendTarget(b, path)
 	if err != nil {
 		return b, err
 	}
-	b = append(append(b, " HTTP/1.1\r\nHost: "...), c.host...)
+	b = append(append(b, " HTTP/1.1\r\nHost: "...), p.base.Host...)
 	if body != nil {
 		b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(body)), 10)
 		b = append(b, "\r\nContent-Type: application/json"...)
 	}
-	if c.tenant != "" {
-		b = append(append(b, "\r\n"+HeaderTenant+": "...), c.tenant...)
+	if tenant != "" {
+		b = append(append(b, "\r\n"+HeaderTenant+": "...), tenant...)
 	}
 	return append(append(b, "\r\n\r\n"...), body...), nil
 }
@@ -240,11 +304,11 @@ func (c *Client) appendRequest(b []byte, method, path string, body []byte) ([]by
 // the URL url resolves it to. A plain path against a plain base is
 // joined in place; anything else goes through url, and a target a
 // request line cannot carry (a control byte or a space) is refused.
-func (c *Client) appendTarget(b []byte, path string) ([]byte, error) {
-	p, q, _ := strings.Cut(path, "?")
-	if c.plainBase && plainPath(p) && plainPath(q) {
+func (p *Peer) appendTarget(b []byte, path string) ([]byte, error) {
+	pp, q, _ := strings.Cut(path, "?")
+	if p.plainBase && plainPath(pp) && plainPath(q) {
 		n := len(b)
-		b = append(append(b, c.base.Path...), p...)
+		b = append(append(b, p.base.Path...), pp...)
 		if len(b) == n {
 			b = append(b, '/')
 		}
@@ -253,7 +317,7 @@ func (c *Client) appendTarget(b []byte, path string) ([]byte, error) {
 		}
 		return b, nil
 	}
-	u, err := c.url(path)
+	u, err := p.url(path)
 	if err != nil {
 		return b, err
 	}
@@ -264,6 +328,38 @@ func (c *Client) appendTarget(b []byte, path string) ([]byte, error) {
 		}
 	}
 	return append(b, target...), nil
+}
+
+// url resolves path (with any query) against the base URL parsed in
+// NewPeer. A path built from plain segments is joined without a parse;
+// anything else (an escaped segment) parses as baseURL+path always
+// did.
+func (p *Peer) url(path string) (*url.URL, error) {
+	pp, q, _ := strings.Cut(path, "?")
+	if p.base.RawPath != "" || p.base.RawQuery != "" || p.base.Fragment != "" || !plainPath(pp) || !plainPath(q) {
+		u, err := url.Parse(p.baseURL + path)
+		if err == nil {
+			u.Host = strings.TrimSuffix(u.Host, ":")
+		}
+		return u, err
+	}
+	u := *p.base
+	u.Path, u.RawQuery = p.base.Path+pp, q
+	return &u, nil
+}
+
+// plainPath reports whether s holds only bytes a URL path and query
+// carry as themselves: letters, digits, and -._~/=&.
+func plainPath(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c == '-', c == '.', c == '_', c == '~', c == '/', c == '=', c == '&':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // validHeaderValue reports whether v can be sent as a header value:

@@ -79,10 +79,10 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzEdgeRequest: for any method, path, tenant and body, the bytes the
-// client writes for one exchange parse with http.ReadRequest into that
-// method, the request URI url resolves the path to, the client's Host,
-// its headers and the body, and nothing after it. A request the client
+// FuzzEdgeRequest: for any method, path, tenant and body, the bytes a
+// Peer writes for one exchange parse with http.ReadRequest into that
+// method, the request URI url resolves the path to, the peer's Host,
+// its headers and the body, and nothing after it. A request the peer
 // refuses to write is one whose path url cannot resolve or whose target
 // a request line cannot carry; a tenant no header value can carry is
 // refused before any request is built.
@@ -96,15 +96,15 @@ func FuzzEdgeRequest(f *testing.F) {
 		if !isToken(method) || !strings.HasPrefix(path, "/") {
 			return
 		}
-		c, err := New(bases[int(base)%len(bases)], WithTenant(tenant))
+		p, err := NewPeer(bases[int(base)%len(bases)])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.badTenant {
+		if !validHeaderValue(tenant) {
 			return
 		}
-		wrote, err := c.appendRequest(nil, method, path, body)
-		u, uerr := c.url(path)
+		wrote, err := p.appendRequest(nil, method, path, tenant, body)
+		u, uerr := p.url(path)
 		if err != nil {
 			if uerr == nil && !strings.ContainsFunc(u.RequestURI(), func(r rune) bool { return r <= ' ' || r == 0x7f }) {
 				t.Fatalf("refused %s %q (target %q): %v", method, path, u.RequestURI(), err)
@@ -124,10 +124,10 @@ func FuzzEdgeRequest(f *testing.F) {
 			t.Fatalf("%q: body: %v", wrote, err)
 		}
 		if req.Method != method || req.RequestURI != u.RequestURI() || req.URL.Path != u.Path ||
-			req.URL.RawQuery != u.RawQuery || req.Host != c.host || req.Proto != "HTTP/1.1" {
+			req.URL.RawQuery != u.RawQuery || req.Host != p.base.Host || req.Proto != "HTTP/1.1" {
 			t.Fatalf("%q parsed as %s %q (path %q, query %q) host %q %s; want %s %q (path %q, query %q) host %q",
 				wrote, req.Method, req.RequestURI, req.URL.Path, req.URL.RawQuery, req.Host, req.Proto,
-				method, u.RequestURI(), u.Path, u.RawQuery, c.host)
+				method, u.RequestURI(), u.Path, u.RawQuery, p.base.Host)
 		}
 		want, wantLen := http.Header{}, int64(0)
 		if body != nil {

@@ -38,8 +38,8 @@ func TestWithRetriesAndTimeout(t *testing.T) {
 	if c.maxAttempts != 7 {
 		t.Errorf("maxAttempts = %d, want 7", c.maxAttempts)
 	}
-	if c.timeout != attemptTimeout {
-		t.Errorf("Timeout = %v, want %v", c.timeout, attemptTimeout)
+	if c.peer.timeout != attemptTimeout {
+		t.Errorf("Timeout = %v, want %v", c.peer.timeout, attemptTimeout)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 func idleTo(c *Client) int {
 	idle.mu.Lock()
 	defer idle.mu.Unlock()
-	return len(idle.conns[c.key])
+	return len(idle.conns[c.peer.key])
 }
 
 // countingServer is a test server that counts the connections it
@@ -160,7 +160,7 @@ func TestPoolClosesInsteadOfPooling(t *testing.T) {
 			})
 		}, nil, 0, ""},
 		{"deadline in the body", func(t *testing.T) string { return rawServer(t, halfBody) }, func(c *Client) error {
-			c.timeout = 50 * time.Millisecond
+			c.peer.timeout = 50 * time.Millisecond
 			return c.Health(context.Background())
 		}, 0, cberr.CodeDeadline},
 		{"cancel in the body", func(t *testing.T) string { return rawServer(t, halfBody) }, func(c *Client) error {
@@ -372,7 +372,7 @@ func rawConns(t *testing.T) func() (*conn, net.Conn) {
 		t.Fatal(err)
 	}
 	return func() (*conn, net.Conn) {
-		pc, err := c.dial(context.Background(), time.Now().Add(5*time.Second))
+		pc, err := c.peer.dial(context.Background(), time.Now().Add(5*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,8 @@ import "context"
 // Transport carries one hop of the invoke pipeline — the gateway→guest
 // forward, the federation scrape, or the client→front-door exchange —
 // without fixing the carrier. Two implementations live in
-// internal/wire: "httpjson" (one JSON-over-HTTP exchange per call,
-// today's path extracted verbatim) and "binary" (a persistent
+// internal/wire: "httpjson" (one Peer.Exchange per call, over the
+// REST client's pool) and "binary" (a persistent
 // multiplexed connection per peer carrying length-prefixed binary
 // frames with out-of-order completion by correlation ID).
 //
@@ -25,8 +25,8 @@ type Transport interface {
 	// cberr taxonomy — code, layer, retryability, retry-after — across
 	// the hop regardless of carrier.
 	RoundTrip(ctx context.Context, addr, path string, in, out any) error
-	// Close releases persistent per-peer state (idle HTTP connections,
-	// multiplexed binary connections).
+	// Close releases persistent per-peer state (the idle HTTP
+	// connections of the shared pool, multiplexed binary connections).
 	Close() error
 }
 

@@ -204,7 +204,7 @@ func TestPCSCollateralSignatureChecked(t *testing.T) {
 
 	var tcb TCBInfo
 	// Legitimate fetch verifies against the pinned key.
-	if err := st.pcs.FetchCollateral(context.Background(), client, PathTCBInfo, &tcb, new(attest.Usage)); err != nil {
+	if err := st.pcs.FetchCollateral(context.Background(), PathTCBInfo, &tcb, new(attest.Usage)); err != nil {
 		t.Fatalf("legit fetch: %v", err)
 	}
 

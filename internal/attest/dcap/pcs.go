@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"confbench/internal/api"
 	"confbench/internal/attest"
 )
 
@@ -119,6 +120,7 @@ type PCS struct {
 	server     *http.Server
 	listener   net.Listener
 	baseURL    string
+	peer       *api.Peer // baseURL, for the collateral fetch
 	requests   int
 
 	// WANLatency is the modeled per-request round-trip latency.
@@ -187,6 +189,12 @@ func (p *PCS) Start() error {
 	if err != nil {
 		return fmt.Errorf("dcap: listen: %w", err)
 	}
+	base := "http://" + ln.Addr().String()
+	peer, err := api.NewPeer(base)
+	if err != nil {
+		_ = ln.Close()
+		return fmt.Errorf("dcap: %w", err)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathTCBInfo, p.handle(func() any { return p.tcbInfo }))
 	mux.HandleFunc(PathPCKCRL, p.handle(func() any { return p.crl }))
@@ -194,7 +202,7 @@ func (p *PCS) Start() error {
 	p.listener = ln
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	p.server = srv
-	p.baseURL = "http://" + ln.Addr().String()
+	p.baseURL, p.peer = base, peer
 	go func() {
 		// Serve returns ErrServerClosed on Shutdown; nothing to do.
 		_ = srv.Serve(ln)
@@ -250,31 +258,27 @@ func (p *PCS) handle(get func() any) http.HandlerFunc {
 	}
 }
 
+// fetchTimeout bounds one collateral fetch.
+const fetchTimeout = 5 * time.Second
+
 // FetchCollateral retrieves and authenticates one collateral document,
 // decoding it into out, and meters the fetch into u: the modeled WAN
 // round trip as infrastructure latency, and the envelope's signature
-// check, payload hash and decoding as work. The ctx bounds the HTTP
-// round trip; cancellation surfaces through the returned error.
-func (p *PCS) FetchCollateral(ctx context.Context, client *http.Client, path string, out any, u *attest.Usage) error {
-	url := p.BaseURL() + path
-	if url == path { // BaseURL empty
+// check, payload hash and decoding as work. The round trip is one
+// api.Peer.Exchange, bounded by ctx and by fetchTimeout; cancellation
+// surfaces through the returned error.
+func (p *PCS) FetchCollateral(ctx context.Context, path string, out any, u *attest.Usage) error {
+	p.mu.Lock()
+	peer := p.peer
+	p.mu.Unlock()
+	if peer == nil {
 		return errors.New("dcap: PCS not started")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return fmt.Errorf("dcap: fetch %s: %w", path, err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("dcap: fetch %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dcap: fetch %s: status %s", path, resp.Status)
-	}
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
+	defer cancel()
 	var env SignedCollateral
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return fmt.Errorf("dcap: decode %s: %w", path, err)
+	if err := peer.Exchange(ctx, http.MethodGet, path, "", nil, &env); err != nil {
+		return fmt.Errorf("dcap: fetch %s: %w", path, err)
 	}
 	digest := sha256.Sum256(env.Payload)
 	if !ecdsa.VerifyASN1(p.PublicKey(), digest[:], env.Signature) {

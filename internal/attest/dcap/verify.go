@@ -10,7 +10,6 @@ import (
 	"crypto/x509"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"time"
 
 	"confbench/internal/attest"
@@ -24,8 +23,7 @@ import (
 // then verifies the certificate chain, the quote signature, the nonce
 // binding, and the TCB level.
 type Verifier struct {
-	pcs    *PCS
-	client *http.Client
+	pcs *PCS
 
 	// CacheCollateral re-uses fetched collateral across Verify calls,
 	// removing the network term from "check" (an ablation knob; the
@@ -47,10 +45,7 @@ var _ attest.Verifier = (*Verifier)(nil)
 
 // NewVerifier builds a verifier that trusts pcs for collateral.
 func NewVerifier(pcs *PCS) *Verifier {
-	return &Verifier{
-		pcs:    pcs,
-		client: &http.Client{Timeout: 5 * time.Second},
-	}
+	return &Verifier{pcs: pcs}
 }
 
 // Execute implements attest.Verifier for TDX evidence.
@@ -181,13 +176,13 @@ func (v *Verifier) collateral(ctx context.Context, u *attest.Usage) (*TCBInfo, *
 		crl  CRL
 		qeid QEIdentity
 	)
-	if err := v.pcs.FetchCollateral(ctx, v.client, PathTCBInfo, &tcb, u); err != nil {
+	if err := v.pcs.FetchCollateral(ctx, PathTCBInfo, &tcb, u); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := v.pcs.FetchCollateral(ctx, v.client, PathPCKCRL, &crl, u); err != nil {
+	if err := v.pcs.FetchCollateral(ctx, PathPCKCRL, &crl, u); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := v.pcs.FetchCollateral(ctx, v.client, PathQEIdentity, &qeid, u); err != nil {
+	if err := v.pcs.FetchCollateral(ctx, PathQEIdentity, &qeid, u); err != nil {
 		return nil, nil, nil, err
 	}
 	if v.CacheCollateral {

@@ -332,6 +332,29 @@ func TestConformanceBothCarriers(t *testing.T) {
 			})
 		}
 	}
+	// No door at all: a loopback port nobody listens on refuses the
+	// connection, which both carriers call a retryable unavailable at
+	// the gateway, the caller's side of the hop.
+	t.Run("peer refuses connection", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		_ = ln.Close()
+		want := outcome{Code: cberr.CodeUnavailable, Layer: cberr.LayerGateway, Retryable: true}
+		for name, c := range cs {
+			err := c.RoundTrip(ctx, addr, api.GuestV1Health, nil, nil)
+			var got outcome
+			var ce *cberr.Error
+			if errors.As(err, &ce) {
+				got = outcome{Code: ce.Code, Layer: ce.Layer, Retryable: ce.Retryable, RetryAfter: cberr.RetryAfterOf(err)}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: refused connection = %+v (%v), want %+v", name, got, err, want)
+			}
+		}
+	})
 }
 
 // rawHTTP sends one HTTP request and returns the status and decoded

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"slices"
@@ -353,12 +352,9 @@ func (r *Run) Close() error {
 	if r.ownDir {
 		err = errors.Join(err, os.RemoveAll(r.DurableDir))
 	}
-	// The REST client's idle connections, and http.DefaultTransport's,
-	// which the httpjson carrier and the collateral fetch dial through.
+	// The idle connections of api's exchange, which the REST client,
+	// the httpjson carrier and the collateral fetch all share.
 	api.CloseIdleConnections()
-	if t, ok := http.DefaultTransport.(*http.Transport); ok {
-		t.CloseIdleConnections()
-	}
 	for deadline := time.Now().Add(settle); ; time.Sleep(10 * time.Millisecond) {
 		var born int
 		for id := range goroutines() {

@@ -20,6 +20,7 @@ import (
 	"confbench/internal/tee"
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
+	"confbench/internal/wire"
 )
 
 // testDeployment boots a gateway over TDX and SEV host agents.
@@ -361,30 +362,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestInvokeDeadEndpointSurfacesBadGateway(t *testing.T) {
+func TestInvokeDeadEndpointSurfacesUnavailable(t *testing.T) {
 	// A pool whose endpoint points at a dead address must fail with a
 	// gateway error, not hang or panic — the paper's hosts can go away.
-	g := New(Config{})
-	g.AddHost("ghost-host", []hostagent.Endpoint{{
-		Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindTDX, VMName: "ghost",
-	}})
-	url, err := g.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	client := mustClient(t, url)
-	uploadFn(t, client, "fn", "go", "factors")
-	_, err = client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX})
-	if err == nil || !strings.Contains(err.Error(), "502") {
-		t.Errorf("dead endpoint error = %v", err)
-	}
-	m, err := client.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Errors == 0 || m.Invocations != 0 {
-		t.Errorf("metrics after failure = %+v", m)
+	// Either carrier reads the refused connection as a retryable
+	// unavailable (503) at the gateway.
+	for _, carrier := range []string{wire.TransportHTTPJSON, wire.TransportBinary} {
+		g := New(Config{Transport: carrier})
+		g.AddHost("ghost-host", []hostagent.Endpoint{{
+			Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindTDX, VMName: "ghost",
+		}})
+		url, err := g.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		client := mustClient(t, url)
+		uploadFn(t, client, "fn", "go", "factors")
+		_, err = client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX})
+		if cberr.CodeOf(err) != cberr.CodeUnavailable || cberr.LayerOf(err) != cberr.LayerGateway || !strings.Contains(err.Error(), "503") {
+			t.Errorf("%s: dead endpoint error = %v, want unavailable/gateway (503)", carrier, err)
+		}
+		m, err := client.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Errors == 0 || m.Invocations != 0 {
+			t.Errorf("%s: metrics after failure = %+v", carrier, m)
+		}
 	}
 }
 

@@ -1,46 +1,45 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"time"
+	"sync"
 
 	"confbench/internal/api"
 	"confbench/internal/cberr"
 )
 
-// HTTPJSON is the legacy hop carrier: one JSON-over-HTTP exchange per
-// call, relying on net/http keep-alive for connection reuse. The body
-// of RoundTrip is the gateway's historical forward() extracted
-// verbatim — same error classification, same envelope handling — so
-// selecting "httpjson" reproduces the pre-transport behavior exactly.
+// HTTPJSON is the JSON-over-HTTP hop carrier: one api.Peer.Exchange
+// per call, so it shares the REST client's keep-alive pool and error
+// classification. A peer's error envelope comes back as the peer
+// classified it; a failure of the exchange itself (refused, reset,
+// timed out, undecodable) is reported at the gateway layer, as the
+// binary carrier reports it.
 type HTTPJSON struct {
-	client *http.Client
+	peers sync.Map // host:port → *api.Peer
 }
 
-// NewHTTPJSON builds the JSON-over-HTTP transport with the same 120 s
-// exchange timeout the gateway's embedded client used.
-func NewHTTPJSON() *HTTPJSON {
-	return &HTTPJSON{client: &http.Client{Timeout: 120 * time.Second}}
-}
+// NewHTTPJSON builds the JSON-over-HTTP transport. Each exchange is
+// bounded by the REST client's 120 s attempt timeout as well as by ctx.
+func NewHTTPJSON() *HTTPJSON { return &HTTPJSON{} }
 
 // Name implements Transport.
 func (t *HTTPJSON) Name() string { return TransportHTTPJSON }
 
-// Close drops idle keep-alive connections.
+// Close drops the idle keep-alive connections of the process-wide pool
+// the carrier shares with the REST client.
 func (t *HTTPJSON) Close() error {
-	t.client.CloseIdleConnections()
+	api.CloseIdleConnections()
 	return nil
 }
 
 // RoundTrip implements Transport. A nil in performs a GET (health and
 // obs-scrape shapes); otherwise the request POSTs as JSON. An
-// api.TenantedInvoke unwraps to its inner request with the tenant in
-// the X-Confbench-Tenant header, mirroring what the api client sends.
+// api.TenantedInvoke or api.TenantedAttest unwraps to its inner request
+// with the tenant in the X-Confbench-Tenant header, as the api client
+// sends it.
 func (t *HTTPJSON) RoundTrip(ctx context.Context, addr, path string, in, out any) error {
 	tenant := ""
 	switch ti := in.(type) {
@@ -49,67 +48,46 @@ func (t *HTTPJSON) RoundTrip(ctx context.Context, addr, path string, in, out any
 	case *api.TenantedAttest:
 		tenant, in = ti.Tenant, &ti.Req
 	}
-	var req *http.Request
-	var err error
-	if in == nil {
-		req, err = http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+path, nil)
-		if err != nil {
-			return cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway,
-				fmt.Errorf("wire: request to %s: %w", addr, err))
-		}
-	} else {
-		body, merr := json.Marshal(in)
-		if merr != nil {
-			return cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway,
-				fmt.Errorf("wire: marshal forward body: %w", merr))
-		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
-		if err != nil {
-			return cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway,
-				fmt.Errorf("wire: forward to %s: %w", addr, err))
-		}
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tenant != "" {
-		req.Header.Set(api.HeaderTenant, tenant)
-	}
-	resp, err := t.client.Do(req)
+	p, err := t.peer(addr)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cberr.From(fmt.Errorf("wire: forward to %s: %w", addr, cerr), cberr.LayerGateway)
+		return atGateway(addr, err)
+	}
+	method, body := http.MethodGet, []byte(nil)
+	if in != nil {
+		if body, err = json.Marshal(in); err != nil {
+			return cberr.Wrap(cberr.CodeInternal, cberr.LayerGateway,
+				fmt.Errorf("wire: marshal forward body: %w", err))
 		}
-		return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
-			fmt.Errorf("wire: forward to %s: %w", addr, err))
+		method = http.MethodPost
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
-			fmt.Errorf("wire: read %s response: %w", addr, err))
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e api.ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			if e.Code != "" {
-				// Re-attach the upstream classification so canceled and
-				// deadline verdicts keep their identity across the hop,
-				// and a shed its retry advice, as the error frame does.
-				ce := cberr.FromWire(e.Code, e.Layer, e.Retryable, e.Error)
-				ce.RetryAfter = time.Duration(e.RetryAfterMS) * time.Millisecond
-				return fmt.Errorf("wire: peer %s: %w", addr, ce)
-			}
-			return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
-				fmt.Errorf("wire: peer %s: %s", addr, e.Error))
-		}
-		return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
-			fmt.Errorf("wire: peer %s: status %d", addr, resp.StatusCode))
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
-			fmt.Errorf("wire: decode %s response: %w", addr, err))
+	if err := p.Exchange(ctx, method, path, tenant, body, out); err != nil {
+		return atGateway(addr, err)
 	}
 	return nil
+}
+
+// peer returns the api.Peer for addr, parsing it on first use.
+func (t *HTTPJSON) peer(addr string) (*api.Peer, error) {
+	if p, ok := t.peers.Load(addr); ok {
+		return p.(*api.Peer), nil
+	}
+	p, err := api.NewPeer("http://" + addr)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := t.peers.LoadOrStore(addr, p)
+	return actual.(*api.Peer), nil
+}
+
+// atGateway names addr in err and moves a failure the exchange
+// classified itself from the client layer to the gateway's, which is
+// where this hop's caller sits; a peer's own classification is kept.
+func atGateway(addr string, err error) error {
+	ce, ok := err.(*cberr.Error)
+	if !ok || ce.Layer != cberr.LayerClient {
+		return fmt.Errorf("wire: peer %s: %w", addr, err)
+	}
+	g := *ce
+	g.Layer, g.Message = cberr.LayerGateway, "wire: peer "+addr+": "+ce.Message
+	return &g
 }
