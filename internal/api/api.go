@@ -371,19 +371,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // through it.
 var jsonContentType = []string{"application/json"}
 
-// httpBody strips the tenant wrapper a frame-mappable call carries its
-// request in: binary frames have no headers, so the tenant rides in
-// the payload, while over HTTP it rides in HeaderTenant.
-func httpBody(in any) any {
-	switch ti := in.(type) {
-	case *TenantedInvoke:
-		return &ti.Req
-	case *TenantedAttest:
-		return &ti.Req
-	}
-	return in
-}
-
 // do runs one request with retry-with-backoff on retryable errors.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	// The route table says which calls have a frame mapping; the rest —
@@ -395,8 +382,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if in != nil && !overWire {
 		bp := bodyPool.Get().(*[]byte)
 		defer putBody(bp)
+		req, _ := Untenant(in) // the tenant rides in HeaderTenant
 		var err error
-		body, err = appendBody(*bp, httpBody(in))
+		body, err = appendBody(*bp, req)
 		if *bp = body; err != nil {
 			return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 				fmt.Errorf("api: marshal request: %w", err))

@@ -44,3 +44,18 @@ type TenantedAttest struct {
 	Tenant string
 	Req    AttestRequest
 }
+
+// Untenant strips the tenant wrapper a frame-mappable call carries its
+// request in, returning the inner request and the tenant: binary
+// frames have no headers, so the tenant rides in the payload, while
+// over HTTP the request is the body and the tenant rides in
+// HeaderTenant. Any other value comes back as it is, with no tenant.
+func Untenant(in any) (req any, tenant string) {
+	switch ti := in.(type) {
+	case *TenantedInvoke:
+		return &ti.Req, ti.Tenant
+	case *TenantedAttest:
+		return &ti.Req, ti.Tenant
+	}
+	return in, ""
+}

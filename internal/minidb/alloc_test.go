@@ -3,6 +3,10 @@
 package minidb
 
 import (
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"confbench/internal/meter"
@@ -48,4 +52,68 @@ func TestSpeedTestAllocations(t *testing.T) {
 	if got > 18000 {
 		t.Errorf("NewSpeedTest(20).Run allocates %.0f times, want ≤ 18 000", got)
 	}
+}
+
+// TestDurableSpeedtestSyscallCeiling pins the read and write syscalls
+// of the size-20 suite on the durable backend, from syscr and syscw of
+// /proc/self/io (the whole process). The log writes each commit
+// point's records in one write and each compacted segment in one, and
+// reads a segment whole to compact it: 46 commit points and one VACUUM
+// come to about 48 writes and 5 reads. One write and one read per
+// record read about 15 400 and 7 300.
+func TestDurableSpeedtestSyscallCeiling(t *testing.T) {
+	if _, err := readSyscalls(); err != nil {
+		t.Skipf("no per-process syscall counts: %v", err)
+	}
+	b, err := NewDurableBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	st := NewSpeedTest(20)
+	st.Backend = b
+	m := meter.NewContext()
+	before, err := readSyscalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	after, err := readSyscalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, writes := after[0]-before[0], after[1]-before[1]
+	t.Logf("durable speedtest(20): %d reads, %d writes; metered %v", reads, writes, m.Snapshot())
+	if reads > 16 || writes > 64 {
+		t.Errorf("the durable size-20 suite makes %d reads and %d writes, want at most 16 and 64", reads, writes)
+	}
+}
+
+// readSyscalls returns syscr and syscw of /proc/self/io: the read and
+// write syscalls the process has made.
+func readSyscalls() ([2]uint64, error) {
+	var out [2]uint64
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return out, err
+	}
+	found := 0
+	for _, line := range strings.Split(string(b), "\n") {
+		name, value, _ := strings.Cut(line, ": ")
+		for j, want := range []string{"syscr", "syscw"} {
+			if name != want {
+				continue
+			}
+			if out[j], err = strconv.ParseUint(value, 10, 64); err != nil {
+				return out, err
+			}
+			found++
+		}
+	}
+	if found != 2 {
+		return out, fmt.Errorf("syscr or syscw missing from /proc/self/io")
+	}
+	return out, nil
 }

@@ -29,9 +29,10 @@ type Change struct {
 //
 // A nil backend is the in-memory path: commit points charge
 // m.WriteIO(logicalBytes), nothing survives the process.
-// DurableBackend appends the changes to a write-ahead log and fsyncs,
-// charging the log's real write amplification and the fsync syscall
-// pair instead — the durable-vs-memory delta speedtest prices.
+// DurableBackend appends each commit point's changes to a write-ahead
+// log as one batch and fsyncs once, charging the log's real write
+// amplification and the fsync syscall pair instead — the
+// durable-vs-memory delta speedtest prices.
 type Backend interface {
 	// Apply persists one commit point's buffered changes.
 	Apply(m *meter.Context, changes []Change, logicalBytes int64) error
@@ -68,9 +69,11 @@ func indexKey(table, col string) string { return keyPrefixIndex + table + "\x00"
 
 // DurableBackend persists commit points to an append-only checksummed
 // log (internal/wal). Every commit point appends the changed records
-// and fsyncs, so the metered cost is the log's actual on-disk write
-// amplification plus a journal fsync pair — not the logical dirty-page
-// volume the memory pager charges.
+// in one write and fsyncs once, so the metered cost is the log's
+// actual on-disk write amplification plus a journal fsync pair — not
+// the logical dirty-page volume the memory pager charges. A commit
+// point is not atomic on disk: a crash mid-write recovers a prefix of
+// its changes.
 type DurableBackend struct {
 	log *wal.Log
 }
@@ -86,27 +89,21 @@ func NewDurableBackend(dir string) (*DurableBackend, error) {
 	return &DurableBackend{log: l}, nil
 }
 
-// Apply appends the changes and fsyncs. The physical bytes written
-// (record headers and checksums included) are charged as storage
-// writes; the fsync is the same journal syscall pair COMMIT already
-// models.
+// Apply appends the commit point's changes as one log batch (one
+// write) and fsyncs once. The physical bytes written (record headers
+// and checksums included) are charged as storage writes; the fsync is
+// the same journal syscall pair COMMIT already models.
 func (b *DurableBackend) Apply(m *meter.Context, changes []Change, _ int64) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	var written int64
-	for _, c := range changes {
-		var n int64
-		var err error
-		if c.Delete {
-			n, err = b.log.Delete(c.Key)
-		} else {
-			n, err = b.log.Put(c.Key, c.Val)
-		}
-		if err != nil {
-			return err
-		}
-		written += n
+	ops := make([]wal.Op, len(changes))
+	for i, c := range changes {
+		ops[i] = wal.Op{Key: c.Key, Val: c.Val, Delete: c.Delete}
+	}
+	written, err := b.log.Apply(ops)
+	if err != nil {
+		return err
 	}
 	if written > 0 {
 		m.WriteIO(written)
@@ -121,7 +118,8 @@ func (b *DurableBackend) Load(fn func(key string, val []byte) error) error {
 }
 
 // Compact merges the log down to its live set, pricing the rewrite as
-// a read+write of the live bytes plus the merge fsync pair.
+// a read+write of the live bytes plus one merge fsync pair, however
+// many segments the log reads and fsyncs to do it.
 func (b *DurableBackend) Compact(m *meter.Context) error {
 	live := b.log.Stats().LiveBytes
 	if err := b.log.Compact(); err != nil {

@@ -107,12 +107,7 @@ func (s *Spill) FlushSweep(at time.Time, samples map[string]float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextBlock++
-	key := spillBlockKey(s.nextBlock)
-	if _, err := s.log.Put(key, val); err != nil {
-		return err
-	}
-	s.blockKeys = append(s.blockKeys, key)
-	if err := s.trimLocked(&s.blockKeys, s.maxBlocks); err != nil {
+	if err := s.appendLocked(&s.blockKeys, s.maxBlocks, spillBlockKey(s.nextBlock), val); err != nil {
 		return err
 	}
 	return s.log.Sync()
@@ -139,27 +134,32 @@ func (s *Spill) FlushEvents(evs []Event) error {
 		return fmt.Errorf("obs: encode spill events: %w", err)
 	}
 	s.nextBatch++
-	key := spillEventKey(s.nextBatch)
-	if _, err := s.log.Put(key, val); err != nil {
+	if err := s.appendLocked(&s.eventKeys, s.maxBatches, spillEventKey(s.nextBatch), val); err != nil {
 		return err
 	}
 	s.lastEventSeq = fresh[len(fresh)-1].Seq
-	s.eventKeys = append(s.eventKeys, key)
-	if err := s.trimLocked(&s.eventKeys, s.maxBatches); err != nil {
-		return err
-	}
 	return s.log.Sync()
 }
 
-// trimLocked tombstones the oldest keys past the retention cap; the
-// log's merge compaction reclaims the space.
-func (s *Spill) trimLocked(keys *[]string, max int) error {
-	for len(*keys) > max {
-		if _, err := s.log.Delete((*keys)[0]); err != nil {
-			return err
-		}
-		*keys = (*keys)[1:]
+// appendLocked writes val under key and tombstones the oldest of keys
+// past the retention cap as one log batch, which the caller fsyncs
+// once; the log's merge compaction reclaims the tombstoned space.
+func (s *Spill) appendLocked(keys *[]string, max int, key string, val []byte) error {
+	*keys = append(*keys, key)
+	trim := len(*keys) - max
+	if trim < 0 {
+		trim = 0
 	}
+	ops := make([]wal.Op, 1, 2) // a flush past the cap trims one key
+	ops[0] = wal.Op{Key: key, Val: val}
+	for _, old := range (*keys)[:trim] {
+		ops = append(ops, wal.Op{Key: old, Delete: true})
+	}
+	if _, err := s.log.Apply(ops); err != nil {
+		*keys = (*keys)[:len(*keys)-1]
+		return err
+	}
+	*keys = (*keys)[trim:]
 	return nil
 }
 

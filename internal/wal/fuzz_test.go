@@ -8,31 +8,44 @@ import (
 )
 
 // FuzzRecovery is the crash-recovery property harness: write a known
-// record sequence, then truncate or bit-flip the segment at an
-// arbitrary offset. Open must never panic or fail, and must recover
-// exactly the prefix of records that lies wholly before the damage.
+// record sequence as Apply batches, split where the bits of splits
+// say, then truncate or bit-flip the segment at an arbitrary offset.
+// Open must never panic or fail, and must recover exactly the prefix
+// of records that lies wholly before the damage: a torn batch recovers
+// as a prefix of its ops, as separate appends did.
 func FuzzRecovery(f *testing.F) {
-	f.Add(uint16(0), true, uint8(0))
-	f.Add(uint16(7), false, uint8(0x80))
-	f.Add(uint16(100), true, uint8(1))
-	f.Add(uint16(9999), false, uint8(0xff))
-	f.Fuzz(func(t *testing.T, rawOff uint16, truncate bool, flip uint8) {
+	f.Add(uint16(0), true, uint8(0), uint16(0))
+	f.Add(uint16(7), false, uint8(0x80), uint16(0xffff))
+	f.Add(uint16(100), true, uint8(1), uint16(0x0421))
+	f.Add(uint16(9999), false, uint8(0xff), uint16(0x0800))
+	f.Fuzz(func(t *testing.T, rawOff uint16, truncate bool, flip uint8, splits uint16) {
 		dir := t.TempDir()
 		l, err := Open(dir, Options{CompactRatio: -1})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		// A deterministic sequence of records with known boundaries.
+		// A deterministic sequence of records with known boundaries; a
+		// batch ends after record i when bit i of splits is set.
 		const n = 12
 		var bounds []int64 // cumulative end offset of record i
-		var end int64
+		var end, batchStart int64
+		var batch []Op
 		for i := 0; i < n; i++ {
-			sz, err := l.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("value-%02d-padding", i)))
-			if err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			end += sz
+			op := Op{Key: fmt.Sprintf("key-%02d", i), Val: []byte(fmt.Sprintf("value-%02d-padding", i))}
+			batch = append(batch, op)
+			end += int64(recordHeaderLen + len(op.Key) + len(op.Val))
 			bounds = append(bounds, end)
+			if splits&(1<<i) == 0 && i < n-1 {
+				continue
+			}
+			sz, err := l.Apply(batch)
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			if sz != end-batchStart {
+				t.Fatalf("Apply of %d records wrote %d bytes, want %d", len(batch), sz, end-batchStart)
+			}
+			batch, batchStart = batch[:0], end
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

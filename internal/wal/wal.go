@@ -2,15 +2,17 @@
 // append-only entry log with an in-memory key index.
 //
 // Records are length-prefixed and CRC32-checksummed, appended to
-// numbered segment files that roll over at a byte budget. Open rebuilds
-// the key → (segment, offset) index by scanning every segment in order;
-// a torn tail record (the footprint of a crash mid-append) is truncated
+// numbered segment files that roll over at a byte budget. A batch of
+// ops (Apply) is encoded into one buffer and written with one write per
+// segment it lands in. Open rebuilds the key → (segment, offset) index
+// by reading every segment whole, in order, and parsing it in memory; a
+// torn tail record (the footprint of a crash mid-append) is truncated
 // away instead of failing the open, so the log always recovers every
 // record written before the corruption. Superseded and tombstoned
-// entries are dropped by merge compaction, which rewrites the live set
-// into fresh segments and deletes the old ones — triggered explicitly
-// via Compact or in the background once the dead-byte ratio crosses the
-// configured threshold.
+// entries are dropped by merge compaction, which copies the live set,
+// one old segment read at a time, into fresh segments and deletes the
+// old ones — triggered explicitly via Compact or in the background once
+// the dead-byte ratio crosses the configured threshold.
 //
 // Two consumers mount it: internal/minidb's durable storage backend
 // (committed row mutations, so speedtest prices real write
@@ -20,6 +22,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,6 +90,14 @@ type segment struct {
 	size int64
 }
 
+// Op is one mutation of an Apply batch: Val under Key, or a tombstone
+// for Key when Delete is set (Val is then ignored).
+type Op struct {
+	Key    string
+	Val    []byte
+	Delete bool
+}
+
 // Stats is a point-in-time summary of the log.
 type Stats struct {
 	// Segments counts live segment files.
@@ -113,6 +125,13 @@ func (s Stats) DeadRatio() float64 {
 	return float64(s.TotalBytes-s.LiveBytes) / float64(s.TotalBytes)
 }
 
+// scratchBytes and scratchRefs bound the Apply scratch a log keeps
+// between batches; a larger batch's scratch is left to the collector.
+const (
+	scratchBytes = 1 << 20
+	scratchRefs  = 1 << 15
+)
+
 // Log is an append-only keyed entry log. All methods are safe for
 // concurrent use.
 type Log struct {
@@ -131,6 +150,11 @@ type Log struct {
 	compactions int
 	closed      bool
 	wg          sync.WaitGroup
+	// buf and refs are Apply's scratch, reused under mu: the batch's
+	// encoded records, and where each op landed (a zero ref for a
+	// delete that appended nothing).
+	buf  []byte
+	refs []ref
 
 	truncatedTail bool
 	recovered     int
@@ -156,13 +180,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	var data []byte
 	for _, id := range ids {
 		seg, err := l.openSegment(id)
 		if err != nil {
 			l.closeAllLocked()
 			return nil, err
 		}
-		if err := l.scanSegment(seg); err != nil {
+		if data, err = l.scanSegment(seg, data); err != nil {
+			seg.f.Close()
 			l.closeAllLocked()
 			return nil, err
 		}
@@ -217,91 +243,86 @@ func (l *Log) openSegment(id int) (*segment, error) {
 	return &segment{id: id, f: f, size: fi.Size()}, nil
 }
 
-// scanSegment replays one segment into the index, truncating at the
-// first torn or corrupted record. Records later in the scan supersede
-// earlier ones (and tombstones delete), so replaying segments in id
-// order reproduces last-write-wins.
-func (l *Log) scanSegment(seg *segment) error {
+// scanSegment replays one segment into the index. It reads the segment
+// whole into buf (grown as needed, and returned for the next segment)
+// and parses it in memory, truncating the file at the first torn or
+// corrupted record. Records later in the scan supersede earlier ones
+// (and tombstones delete), so replaying segments in id order
+// reproduces last-write-wins.
+func (l *Log) scanSegment(seg *segment, buf []byte) ([]byte, error) {
+	if int64(cap(buf)) < seg.size {
+		buf = make([]byte, seg.size)
+	}
+	// A short read leaves the rest of the segment unread: it is cut
+	// below as torn, as a record that failed to read always was.
+	n, _ := seg.f.ReadAt(buf[:seg.size], 0)
+	data := buf[:n]
 	var off int64
-	header := make([]byte, recordHeaderLen)
 	for off < seg.size {
-		key, valLen, recLen, ok := l.readRecordMeta(seg, off, header)
+		key, tombstone, recLen, ok := parseRecord(data[off:])
 		if !ok {
 			// Torn or corrupted tail: cut the segment here. Everything
 			// before off was verified and stays recovered.
 			if err := seg.f.Truncate(off); err != nil {
-				return fmt.Errorf("wal: truncate torn tail of %s: %w", segmentName(seg.id), err)
+				return buf, fmt.Errorf("wal: truncate torn tail of %s: %w", segmentName(seg.id), err)
 			}
 			seg.size = off
 			l.truncatedTail = true
-			return nil
+			return buf, nil
 		}
-		tombstone := valLen < 0
-		if prev, exists := l.index[key]; exists {
+		if prev, exists := l.index[string(key)]; exists {
 			l.liveBytes -= prev.size
 		}
 		if tombstone {
-			delete(l.index, key)
+			delete(l.index, string(key))
 		} else {
-			l.index[key] = ref{seg: seg.id, off: off, size: recLen}
+			l.index[string(key)] = ref{seg: seg.id, off: off, size: recLen}
 			l.liveBytes += recLen
 		}
 		l.recovered++
 		off += recLen
 	}
-	return nil
+	return buf, nil
 }
 
-// readRecordMeta reads and verifies the record at off. It returns the
-// key, the value length (-1 for tombstones), and the full record
-// length. ok is false when the record is torn or fails its checksum.
-func (l *Log) readRecordMeta(seg *segment, off int64, header []byte) (key string, valLen int64, recLen int64, ok bool) {
-	if _, err := seg.f.ReadAt(header, off); err != nil {
-		return "", 0, 0, false
+// parseRecord verifies the record at the start of b. It returns the
+// key bytes, whether the record is a tombstone, and the full record
+// length. ok is false when b holds no whole record, or the record's
+// lengths are out of bounds or it fails its checksum.
+func parseRecord(b []byte) (key []byte, tombstone bool, recLen int64, ok bool) {
+	if len(b) < recordHeaderLen {
+		return nil, false, 0, false
 	}
-	crc := binary.BigEndian.Uint32(header[0:4])
-	flags := header[4]
-	kl := int64(binary.BigEndian.Uint32(header[5:9]))
-	vl := int64(binary.BigEndian.Uint32(header[9:13]))
+	kl := int64(binary.BigEndian.Uint32(b[5:9]))
+	vl := int64(binary.BigEndian.Uint32(b[9:13]))
 	if kl == 0 || kl > MaxKeyLen || vl > MaxValueLen {
-		return "", 0, 0, false
+		return nil, false, 0, false
 	}
 	recLen = recordHeaderLen + kl + vl
-	if off+recLen > seg.size {
-		return "", 0, 0, false
+	if recLen > int64(len(b)) {
+		return nil, false, 0, false
 	}
-	body := make([]byte, kl+vl)
-	if _, err := seg.f.ReadAt(body, off+recordHeaderLen); err != nil {
-		return "", 0, 0, false
+	if crc32.ChecksumIEEE(b[4:recLen]) != binary.BigEndian.Uint32(b[0:4]) {
+		return nil, false, 0, false
 	}
-	h := crc32.NewIEEE()
-	h.Write(header[4:])
-	h.Write(body)
-	if h.Sum32() != crc {
-		return "", 0, 0, false
-	}
-	valLen = vl
-	if flags&flagTombstone != 0 {
-		valLen = -1
-	}
-	return string(body[:kl]), valLen, recLen, true
+	return b[recordHeaderLen : recordHeaderLen+kl], b[4]&flagTombstone != 0, recLen, true
 }
 
-// encodeRecord renders one record: crc | flags | keyLen | valLen |
-// key | val. The CRC covers everything after itself.
-func encodeRecord(key string, val []byte, tombstone bool) []byte {
-	buf := make([]byte, recordHeaderLen+len(key)+len(val))
+// appendRecord renders one record onto dst: crc | flags | keyLen |
+// valLen | key | val. The CRC covers everything after itself.
+func appendRecord(dst []byte, key string, val []byte, tombstone bool) []byte {
+	start := len(dst)
 	var flags byte
 	if tombstone {
 		flags = flagTombstone
 	}
-	buf[4] = flags
-	binary.BigEndian.PutUint32(buf[5:9], uint32(len(key)))
-	binary.BigEndian.PutUint32(buf[9:13], uint32(len(val)))
-	copy(buf[recordHeaderLen:], key)
-	copy(buf[recordHeaderLen+len(key):], val)
-	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
-	return buf
+	dst = append(dst, 0, 0, 0, 0, flags)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(val)))
+	dst = append(dst, key...)
+	dst = append(dst, val...)
+	binary.BigEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+4:]))
+	return dst
 }
 
 // rollLocked starts a fresh active segment with the given id.
@@ -315,78 +336,134 @@ func (l *Log) rollLocked(id int) error {
 	return nil
 }
 
-// appendLocked writes one encoded record to the active segment,
-// rolling over first when the active segment is past its budget.
-func (l *Log) appendLocked(rec []byte) (seg int, off int64, err error) {
-	if l.active.size >= l.segBytes {
-		if err := l.rollLocked(l.active.id + 1); err != nil {
-			return 0, 0, err
+// Put appends key → val, superseding any earlier record for key: an
+// Apply of one op. It returns the on-disk record footprint in bytes
+// (the write amplification callers meter).
+func (l *Log) Put(key string, val []byte) (int64, error) {
+	return l.Apply([]Op{{Key: key, Val: val}})
+}
+
+// Delete appends a tombstone for key and drops it from the index: an
+// Apply of one op. It returns the tombstone's on-disk footprint (0
+// when the key was never live — the append is skipped, there is
+// nothing to shadow).
+func (l *Log) Delete(key string) (int64, error) {
+	return l.Apply([]Op{{Key: key, Delete: true}})
+}
+
+// Apply appends ops in order and returns the on-disk footprint they
+// wrote (the write amplification callers meter). Each op writes the
+// record a Put or Delete of it would, and a delete of a key that is
+// not live at its point in the batch appends nothing. The batch is
+// encoded into one buffer and written with one write per segment it
+// lands in, rolling over where separate appends would; the index
+// changes only once the bytes are written. A batch is not atomic: a
+// crash mid-write recovers a prefix of its ops, as it would of
+// separate appends.
+func (l *Log) Apply(ops []Op) (int64, error) {
+	for i := range ops {
+		if op := &ops[i]; !op.Delete {
+			if op.Key == "" || len(op.Key) > MaxKeyLen {
+				return 0, fmt.Errorf("wal: invalid key length %d", len(op.Key))
+			}
+			if len(op.Val) > MaxValueLen {
+				return 0, fmt.Errorf("wal: value too large (%d bytes)", len(op.Val))
+			}
 		}
 	}
-	off = l.active.size
-	if _, err := l.active.f.WriteAt(rec, off); err != nil {
-		return 0, 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.active.size += int64(len(rec))
-	l.totalBytes += int64(len(rec))
-	return l.active.id, off, nil
-}
-
-// Put appends key → val, superseding any earlier record for key. It
-// returns the on-disk record footprint in bytes (the write
-// amplification callers meter).
-func (l *Log) Put(key string, val []byte) (int64, error) {
-	if key == "" || len(key) > MaxKeyLen {
-		return 0, fmt.Errorf("wal: invalid key length %d", len(key))
-	}
-	if len(val) > MaxValueLen {
-		return 0, fmt.Errorf("wal: value too large (%d bytes)", len(val))
-	}
-	rec := encodeRecord(key, val, false)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	seg, off, err := l.appendLocked(rec)
+	n, err := l.applyLocked(ops)
 	if err != nil {
-		l.mu.Unlock()
-		return 0, err
+		return n, err
 	}
-	if prev, ok := l.index[key]; ok {
-		l.liveBytes -= prev.size
-	}
-	l.index[key] = ref{seg: seg, off: off, size: int64(len(rec))}
-	l.liveBytes += int64(len(rec))
 	l.maybeCompactLocked()
-	l.mu.Unlock()
-	return int64(len(rec)), nil
+	return n, nil
 }
 
-// Delete appends a tombstone for key and drops it from the index. It
-// returns the tombstone's on-disk footprint (0 when the key was never
-// live — the append is skipped, there is nothing to shadow).
-func (l *Log) Delete(key string) (int64, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
+// applyLocked encodes and writes one batch. Caller holds l.mu.
+func (l *Log) applyLocked(ops []Op) (int64, error) {
+	buf, refs := l.buf[:0], l.refs[:0]
+	var written int64
+	first := 0 // the first op whose record buf holds
+	// pending holds whether each key the batch has touched is live
+	// after the ops so far; the index still shows the state before the
+	// batch. It is built at the first delete that follows another op.
+	var pending map[string]bool
+	for i := range ops {
+		op := &ops[i]
+		if op.Delete {
+			if pending == nil && i > 0 {
+				pending = make(map[string]bool, i)
+				for _, prev := range ops[:i] {
+					pending[prev.Key] = !prev.Delete
+				}
+			}
+			live, seen := pending[op.Key]
+			if !seen {
+				_, live = l.index[op.Key]
+			}
+			if !live {
+				refs = append(refs, ref{})
+				continue
+			}
+		}
+		if pending != nil {
+			pending[op.Key] = !op.Delete
+		}
+		if l.active.size+int64(len(buf)) >= l.segBytes {
+			if err := l.flushLocked(buf, ops[first:i], refs[first:i]); err != nil {
+				return written, err
+			}
+			written += int64(len(buf))
+			if err := l.rollLocked(l.active.id + 1); err != nil {
+				return written, err
+			}
+			buf, first = buf[:0], i
+		}
+		start := len(buf)
+		buf = appendRecord(buf, op.Key, op.Val, op.Delete)
+		refs = append(refs, ref{seg: l.active.id, off: l.active.size + int64(start), size: int64(len(buf) - start)})
 	}
-	prev, ok := l.index[key]
-	if !ok {
-		l.mu.Unlock()
-		return 0, nil
+	err := l.flushLocked(buf, ops[first:], refs[first:])
+	if err == nil {
+		written += int64(len(buf))
 	}
-	rec := encodeRecord(key, nil, true)
-	if _, _, err := l.appendLocked(rec); err != nil {
-		l.mu.Unlock()
-		return 0, err
+	if cap(buf) <= scratchBytes && cap(refs) <= scratchRefs {
+		l.buf, l.refs = buf[:0], refs[:0]
 	}
-	l.liveBytes -= prev.size
-	delete(l.index, key)
-	l.maybeCompactLocked()
-	l.mu.Unlock()
-	return int64(len(rec)), nil
+	return written, err
+}
+
+// flushLocked writes buf at the end of the active segment, then
+// applies ops, which refs places, to the index.
+func (l *Log) flushLocked(buf []byte, ops []Op, refs []ref) error {
+	if len(buf) > 0 {
+		if _, err := l.active.f.WriteAt(buf, l.active.size); err != nil {
+			return fmt.Errorf("wal: append: %w", err)
+		}
+		l.active.size += int64(len(buf))
+		l.totalBytes += int64(len(buf))
+	}
+	for i, r := range refs {
+		if r.size == 0 {
+			continue // a delete of a key that was not live
+		}
+		key := ops[i].Key
+		if prev, ok := l.index[key]; ok {
+			l.liveBytes -= prev.size
+		}
+		if ops[i].Delete {
+			delete(l.index, key)
+		} else {
+			l.index[key] = r
+			l.liveBytes += r.size
+		}
+	}
+	return nil
 }
 
 // Get reads the live value under key.
@@ -401,7 +478,7 @@ func (l *Log) Get(key string) ([]byte, bool, error) {
 		l.mu.Unlock()
 		return nil, false, nil
 	}
-	val, err := l.readValueLocked(r)
+	val, err := l.readValueLocked(key, r)
 	l.mu.Unlock()
 	if err != nil {
 		return nil, false, err
@@ -409,23 +486,23 @@ func (l *Log) Get(key string) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// readValueLocked fetches the value bytes of one indexed record.
-func (l *Log) readValueLocked(r ref) ([]byte, error) {
+// readValueLocked reads one indexed record whole and returns its value
+// bytes. A record that fails its checksum, or is not the live record
+// of key the index says it is, is an error, never data.
+func (l *Log) readValueLocked(key string, r ref) ([]byte, error) {
 	seg, ok := l.segments[r.seg]
 	if !ok {
 		return nil, fmt.Errorf("wal: segment %d vanished", r.seg)
 	}
-	header := make([]byte, recordHeaderLen)
-	if _, err := seg.f.ReadAt(header, r.off); err != nil {
+	rec := make([]byte, r.size)
+	if _, err := seg.f.ReadAt(rec, r.off); err != nil {
 		return nil, fmt.Errorf("wal: read: %w", err)
 	}
-	kl := int64(binary.BigEndian.Uint32(header[5:9]))
-	vl := int64(binary.BigEndian.Uint32(header[9:13]))
-	val := make([]byte, vl)
-	if _, err := seg.f.ReadAt(val, r.off+recordHeaderLen+kl); err != nil {
-		return nil, fmt.Errorf("wal: read: %w", err)
+	k, tombstone, n, ok := parseRecord(rec)
+	if !ok || tombstone || n != r.size || string(k) != key {
+		return nil, fmt.Errorf("wal: record of %q at %s offset %d is corrupt", key, segmentName(r.seg), r.off)
 	}
-	return val, nil
+	return rec[recordHeaderLen+len(k):], nil
 }
 
 // Keys returns every live key, sorted.
@@ -516,7 +593,26 @@ func (l *Log) Compact() error {
 	return l.compact()
 }
 
+// liveRecord is one record compaction copies.
+type liveRecord struct {
+	key string
+	ref
+}
+
 // compact performs the merge. Only one runs at a time (l.compacting).
+//
+// It copies the live records, in (segment, offset) order, into fresh
+// segments numbered above every existing one, rolling over where
+// appends would. Each old segment that holds a live record is read
+// whole with one read, and each new one written with one write and
+// fsynced, so the merge holds one segment in and one out. Only once
+// every new segment is on stable storage does the index switch over
+// and the old segments go, oldest first. A crash at any point leaves a
+// directory whose replay is the live set: every new record supersedes
+// the old ones of its key, and what survives of the old segments is a
+// suffix of them, so no old record outlives the newer record or
+// tombstone that shadowed it. A failed merge removes its new segments
+// and leaves the log as it was.
 func (l *Log) compact() error {
 	l.mu.Lock()
 	defer func() {
@@ -526,51 +622,101 @@ func (l *Log) compact() error {
 	if l.closed {
 		return ErrClosed
 	}
-	// Rewrite live records, sorted by key for a deterministic layout,
-	// into fresh segments numbered above every existing one.
-	keys := make([]string, 0, len(l.index))
-	for k := range l.index {
-		keys = append(keys, k)
+	live := make([]liveRecord, 0, len(l.index))
+	for k, r := range l.index {
+		live = append(live, liveRecord{key: k, ref: r})
 	}
-	sort.Strings(keys)
+	slices.SortFunc(live, func(a, b liveRecord) int {
+		if a.seg != b.seg {
+			return cmp.Compare(a.seg, b.seg)
+		}
+		return cmp.Compare(a.off, b.off)
+	})
 
-	oldSegments := l.segments
-	nextID := l.active.id + 1
-	l.segments = make(map[int]*segment, 4)
-	if err := l.rollLocked(nextID); err != nil {
-		l.segments = oldSegments
+	var fresh []*segment
+	abort := func(err error) error {
+		for _, seg := range fresh {
+			seg.f.Close()
+			_ = os.Remove(filepath.Join(l.dir, segmentName(seg.id)))
+		}
 		return err
 	}
-	newIndex := make(map[string]ref, len(keys))
-	var live, total int64
-	for _, k := range keys {
-		r := l.index[k]
-		seg, ok := oldSegments[r.seg]
-		if !ok {
-			continue
+	// seal writes out as the newest fresh segment and fsyncs it.
+	seal := func(out []byte) error {
+		seg := fresh[len(fresh)-1]
+		if _, err := seg.f.WriteAt(out, 0); err != nil {
+			return fmt.Errorf("wal: compact write: %w", err)
 		}
-		rec := make([]byte, r.size)
-		if _, err := seg.f.ReadAt(rec, r.off); err != nil {
-			return fmt.Errorf("wal: compact read: %w", err)
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("wal: compact sync: %w", err)
 		}
-		id, off, err := l.appendLocked(rec)
+		seg.size = int64(len(out))
+		return nil
+	}
+	open := func() error {
+		seg, err := l.openSegment(l.active.id + 1 + len(fresh))
 		if err != nil {
 			return err
 		}
-		newIndex[k] = ref{seg: id, off: off, size: r.size}
-		live += r.size
-		total += r.size
+		fresh = append(fresh, seg)
+		return nil
 	}
-	if err := l.active.f.Sync(); err != nil {
-		return fmt.Errorf("wal: compact sync: %w", err)
+	if err := open(); err != nil {
+		return err
 	}
+	newIndex := make(map[string]ref, len(live))
+	var in, out []byte
+	var total int64
+	inSeg := -1 // the old segment in holds
+	for _, rec := range live {
+		if rec.seg != inSeg {
+			seg, ok := l.segments[rec.seg]
+			if !ok {
+				return abort(fmt.Errorf("wal: segment %d vanished", rec.seg))
+			}
+			if int64(cap(in)) < seg.size {
+				in = make([]byte, seg.size)
+			}
+			in = in[:seg.size]
+			if _, err := seg.f.ReadAt(in, 0); err != nil {
+				return abort(fmt.Errorf("wal: compact read: %w", err))
+			}
+			inSeg = rec.seg
+		}
+		if int64(len(out)) >= l.segBytes {
+			if err := seal(out); err != nil {
+				return abort(err)
+			}
+			if err := open(); err != nil {
+				return abort(err)
+			}
+			out = out[:0]
+		}
+		newIndex[rec.key] = ref{seg: fresh[len(fresh)-1].id, off: int64(len(out)), size: rec.size}
+		out = append(out, in[rec.off:rec.off+rec.size]...)
+		total += rec.size
+	}
+	if err := seal(out); err != nil {
+		return abort(err)
+	}
+
+	old := l.segments
+	l.segments = make(map[int]*segment, len(fresh))
+	for _, seg := range fresh {
+		l.segments[seg.id] = seg
+	}
+	l.active = fresh[len(fresh)-1]
 	l.index = newIndex
-	l.liveBytes = live
+	l.liveBytes = total
 	l.totalBytes = total
-	for id, seg := range oldSegments {
-		seg.f.Close()
+	oldIDs := make([]int, 0, len(old))
+	for id := range old {
+		oldIDs = append(oldIDs, id)
+	}
+	sort.Ints(oldIDs)
+	for _, id := range oldIDs {
+		old[id].f.Close()
 		_ = os.Remove(filepath.Join(l.dir, segmentName(id)))
-		_ = id
 	}
 	l.compactions++
 	return nil

@@ -41,13 +41,7 @@ func (t *HTTPJSON) Close() error {
 // with the tenant in the X-Confbench-Tenant header, as the api client
 // sends it.
 func (t *HTTPJSON) RoundTrip(ctx context.Context, addr, path string, in, out any) error {
-	tenant := ""
-	switch ti := in.(type) {
-	case *api.TenantedInvoke:
-		tenant, in = ti.Tenant, &ti.Req
-	case *api.TenantedAttest:
-		tenant, in = ti.Tenant, &ti.Req
-	}
+	in, tenant := api.Untenant(in)
 	p, err := t.peer(addr)
 	if err != nil {
 		return atGateway(addr, err)
