@@ -46,14 +46,17 @@ vet:
 	$(GO) vet ./...
 
 # The second line repeats the binary carrier's writer, worker, lifecycle,
-# waiter and connection-pool tests, and the third the REST client's
-# idle-connection pool tests: the most schedule-sensitive code in the
-# tree, each well under a second. The fourth repeats the front tier's tests under a
+# waiter and connection-pool tests, the third its head-of-line test (it
+# counts the handler goroutines of its own listener's connections) twenty
+# times, and the fourth the REST client's idle-connection pool tests:
+# the most schedule-sensitive code in the tree, each well under a
+# second. The fifth repeats the front tier's tests under a
 # two-minute timeout, so a test that parks invokes in a fake shard and
 # then fails cannot hang CI for the ten-minute default.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -run 'TestWriter|TestWorker|TestLifecycle|TestWaiter|TestPool' ./internal/wire
+	$(GO) test -race -count=20 -run 'TestWorkerNoHeadOfLineBlocking$$' ./internal/wire
 	$(GO) test -race -count=5 -run 'TestPool' ./internal/api
 	$(GO) test -run 'TestTier|TestResultStore' -count=20 -timeout 120s ./internal/fronttier
 

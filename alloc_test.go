@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,4 +169,29 @@ func readSyscalls() ([2]uint64, error) {
 		return out, fmt.Errorf("syscr or syscw missing from /proc/self/io")
 	}
 	return out, nil
+}
+
+// TestClusterHeapCeiling pins the live heap a booted default cluster
+// holds: three TEEs, each a secure and a normal VM with one launcher
+// per language. A Wasm launcher's instance backs its 4 MiB linear
+// memory on a guest's first access, not at boot, so the cluster holds
+// 0.6 MiB; backed at instantiation, the six instances held 24 of its
+// 24.6 MiB.
+func TestClusterHeapCeiling(t *testing.T) {
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	c := newCluster(t)
+	after := live()
+	runtime.KeepAlive(c)
+	const want = 4 << 20
+	got := int64(after) - int64(before)
+	t.Logf("a booted cluster holds %.1f MiB of live heap", float64(got)/(1<<20))
+	if got > want {
+		t.Fatalf("a booted cluster holds %.1f MiB of live heap, want at most %d MiB", float64(got)/(1<<20), want>>20)
+	}
 }

@@ -3,6 +3,7 @@
 package langs
 
 import (
+	"runtime"
 	"testing"
 
 	"confbench/internal/meter"
@@ -53,5 +54,28 @@ func TestWasmLauncherAllocationCeiling(t *testing.T) {
 	})
 	if got > want {
 		t.Fatalf("NewWasmLauncher allocates %.0f times, want at most %d", got, want)
+	}
+}
+
+// TestLaunchersHoldNoLinearMemory: a VM's launchers back no Wasm linear
+// memory until a guest touches it, so building them allocates a few
+// tens of KiB, not the 4 MiB memory of the bench module that every
+// instance zeroed at instantiation (4 139 KiB).
+func TestLaunchersHoldNoLinearMemory(t *testing.T) {
+	catalog := workloads.Default()
+	if _, err := NewAllLaunchers(tee.KindTDX, catalog); err != nil {
+		t.Fatal(err) // builds the shared bench module
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewAllLaunchers(tee.KindTDX, catalog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const want = 256 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewAllLaunchers allocates %d KiB", got>>10)
+	if got > want {
+		t.Fatalf("NewAllLaunchers allocates %d KiB, want at most %d KiB", got>>10, want>>10)
 	}
 }

@@ -91,6 +91,61 @@ func TestDurableSpeedtestSyscallCeiling(t *testing.T) {
 	}
 }
 
+// TestDurableReopenSyscallCeiling pins the read syscalls of reopening
+// a durable database of 500 rows and loading it: Open reads each
+// segment whole, and Load (Log.Range) reads each segment that holds a
+// live record once more, so it comes to a handful. One read per live
+// record read 3 to open and 503 to load.
+func TestDurableReopenSyscallCeiling(t *testing.T) {
+	if _, err := readSyscalls(); err != nil {
+		t.Skipf("no per-process syscall counts: %v", err)
+	}
+	dir := t.TempDir()
+	b, err := NewDurableBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewWithBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, "CREATE TABLE t(a INTEGER, b TEXT)")
+	exec(t, db, "BEGIN")
+	for i := 1; i <= 500; i++ {
+		exec(t, db, fmt.Sprintf("INSERT INTO t VALUES(%d,'row %d')", i, i))
+	}
+	exec(t, db, "COMMIT")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before, err := readSyscalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = NewDurableBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	db, err = NewWithBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := readSyscalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.RowCount("t"); err != nil || n != 500 {
+		t.Fatalf("RowCount after reopen = %d, %v; want 500", n, err)
+	}
+	reads := after[0] - before[0]
+	t.Logf("reopening and loading 500 rows: %d reads", reads)
+	if reads > 8 {
+		t.Errorf("reopening and loading 500 rows makes %d reads, want at most 8", reads)
+	}
+}
+
 // readSyscalls returns syscr and syscw of /proc/self/io: the read and
 // write syscalls the process has made.
 func readSyscalls() ([2]uint64, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,7 +224,7 @@ func TestWhetstoneMetersFP(t *testing.T) {
 	}
 }
 
-// The second case fills more than one page of the in-memory file.
+// The second case fills the in-memory file's page more than once.
 func TestFileCopyMetersIO(t *testing.T) {
 	for _, tc := range []struct{ bufSize, blocks int }{{1024, 100}, {4096, 600}} {
 		m := meter.NewContext()
@@ -234,6 +235,51 @@ func TestFileCopyMetersIO(t *testing.T) {
 		if m.Get(meter.IOReadBytes) != uint64(want) || m.Get(meter.IOWriteBytes) != uint64(want) {
 			t.Errorf("fileCopy(%d, %d) under-metered", tc.bufSize, tc.blocks)
 		}
+	}
+}
+
+// TestFileCopyWorkAndUsagePinned: reusing one page instead of keeping
+// the whole file changes neither what the fstime tests report nor what
+// they meter, at the paper's scale and at the quick one. The figures
+// are those of the file kept whole.
+func TestFileCopyWorkAndUsagePinned(t *testing.T) {
+	for _, tc := range []struct {
+		bufSize, blocks int
+		scale           float64
+		work            float64
+		usage           string
+	}{
+		{256, 500, 1, 125, "bytes-allocated=128000 bytes-touched=128000 io-read-bytes=128000 io-write-bytes=128000 syscalls=1000"},
+		{1024, 2000, 1, 2000, "bytes-allocated=2048000 bytes-touched=2048000 io-read-bytes=2048000 io-write-bytes=2048000 syscalls=4000"},
+		{4096, 8000, 1, 32000, "bytes-allocated=32768000 bytes-touched=32768000 io-read-bytes=32768000 io-write-bytes=32768000 syscalls=16000"},
+		{256, 500, 0.125, 15.5, "bytes-allocated=15872 bytes-touched=15872 io-read-bytes=15872 io-write-bytes=15872 syscalls=124"},
+		{1024, 2000, 0.125, 250, "bytes-allocated=256000 bytes-touched=256000 io-read-bytes=256000 io-write-bytes=256000 syscalls=500"},
+		{4096, 8000, 0.125, 4000, "bytes-allocated=4096000 bytes-touched=4096000 io-read-bytes=4096000 io-write-bytes=4096000 syscalls=2000"},
+	} {
+		m := meter.NewContext()
+		if work := fileCopy(tc.bufSize, tc.blocks)(m, tc.scale); work != tc.work {
+			t.Errorf("fileCopy(%d, %d) at scale %v: work %v, want %v", tc.bufSize, tc.blocks, tc.scale, work, tc.work)
+		}
+		if got := m.Snapshot().String(); got != tc.usage {
+			t.Errorf("fileCopy(%d, %d) at scale %v metered\n%s\nwant\n%s", tc.bufSize, tc.blocks, tc.scale, got, tc.usage)
+		}
+	}
+}
+
+// TestFstimeAllocationCeiling: fstime-4096 at scale 1 copies 32 000 KB
+// through one reused page, so it allocates about 1 MiB; keeping the
+// whole file allocated 33.
+func TestFstimeAllocationCeiling(t *testing.T) {
+	run := fileCopy(4096, 8000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(meter.NewContext(), 1)
+	runtime.ReadMemStats(&after)
+	const want = 2 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("fstime-4096 allocates %d KiB", got>>10)
+	if got > want {
+		t.Fatalf("fstime-4096 allocates %d KiB, want at most %d KiB", got>>10, want>>10)
 	}
 }
 

@@ -155,6 +155,13 @@ type Log struct {
 	// delete that appended nothing).
 	buf  []byte
 	refs []ref
+	// unsynced lists the segments written since the last Sync, in id
+	// order: an Apply that rolls over leaves records in the segment it
+	// rolled from, and the commit point owes them an fsync too.
+	unsynced []*segment
+	// fsync makes one file (a segment or the directory) durable; tests
+	// count the calls through it.
+	fsync func(*os.File) error
 
 	truncatedTail bool
 	recovered     int
@@ -175,6 +182,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		segBytes: segmentBytes,
 		segments: make(map[int]*segment, 4),
 		index:    make(map[string]ref, 64),
+		fsync:    (*os.File).Sync,
 	}
 	ids, err := listSegmentIDs(dir)
 	if err != nil {
@@ -325,7 +333,9 @@ func appendRecord(dst []byte, key string, val []byte, tombstone bool) []byte {
 	return dst
 }
 
-// rollLocked starts a fresh active segment with the given id.
+// rollLocked starts a fresh active segment with the given id, and
+// fsyncs the directory so that the new file's entry is as durable as
+// the records later synced into it.
 func (l *Log) rollLocked(id int) error {
 	seg, err := l.openSegment(id)
 	if err != nil {
@@ -333,6 +343,20 @@ func (l *Log) rollLocked(id int) error {
 	}
 	l.segments[id] = seg
 	l.active = seg
+	return l.syncDir()
+}
+
+// syncDir fsyncs the log's directory: the creations and removals of
+// segment files in it.
+func (l *Log) syncDir() error {
+	d, err := os.Open(l.dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer d.Close()
+	if err := l.fsync(d); err != nil {
+		return fmt.Errorf("wal: sync %s: %w", l.dir, err)
+	}
 	return nil
 }
 
@@ -447,6 +471,9 @@ func (l *Log) flushLocked(buf []byte, ops []Op, refs []ref) error {
 		}
 		l.active.size += int64(len(buf))
 		l.totalBytes += int64(len(buf))
+		if n := len(l.unsynced); n == 0 || l.unsynced[n-1] != l.active {
+			l.unsynced = append(l.unsynced, l.active)
+		}
 	}
 	for i, r := range refs {
 		if r.size == 0 {
@@ -498,6 +525,12 @@ func (l *Log) readValueLocked(key string, r ref) ([]byte, error) {
 	if _, err := seg.f.ReadAt(rec, r.off); err != nil {
 		return nil, fmt.Errorf("wal: read: %w", err)
 	}
+	return recordValue(key, r, rec)
+}
+
+// recordValue checks that rec, read from where r points, is the live
+// record of key, and returns its value bytes.
+func recordValue(key string, r ref, rec []byte) ([]byte, error) {
 	k, tombstone, n, ok := parseRecord(rec)
 	if !ok || tombstone || n != r.size || string(k) != key {
 		return nil, fmt.Errorf("wal: record of %q at %s offset %d is corrupt", key, segmentName(r.seg), r.off)
@@ -524,34 +557,92 @@ func (l *Log) Len() int {
 	return len(l.index)
 }
 
-// Range calls fn for every live entry in sorted key order, stopping at
-// the first error.
+// Range calls fn for every entry live when it is called, in sorted key
+// order, stopping at the first error. It reads each segment that holds
+// a live record once and checks every record as Get does; fn runs
+// without the lock held, and may keep the values it is passed.
 func (l *Log) Range(fn func(key string, val []byte) error) error {
-	for _, k := range l.Keys() {
-		val, ok, err := l.Get(k)
+	live, spans, err := l.readLive()
+	if err != nil {
+		return err
+	}
+	slices.SortFunc(live, func(a, b liveRecord) int { return strings.Compare(a.key, b.key) })
+	for _, rec := range live {
+		sp := spans[rec.seg]
+		val, err := recordValue(rec.key, rec.ref, sp.b[rec.off-sp.lo:][:rec.size])
 		if err != nil {
 			return err
 		}
-		if !ok {
-			continue // deleted between Keys and Get
-		}
-		if err := fn(k, val); err != nil {
+		if err := fn(rec.key, val); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Sync flushes the active segment to stable storage — the commit
-// point's fsync. The metered cost (one fsync pair) is charged by the
-// caller; Sync performs the physical one.
+// span is the bytes of one segment from its first live record to the
+// end of its last.
+type span struct {
+	lo, hi int64
+	b      []byte
+}
+
+// readLive snapshots the live records and reads the span of every
+// segment that holds one, with one read each.
+func (l *Log) readLive() ([]liveRecord, map[int]*span, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, nil, ErrClosed
+	}
+	live := make([]liveRecord, 0, len(l.index))
+	spans := make(map[int]*span)
+	for k, r := range l.index {
+		live = append(live, liveRecord{key: k, ref: r})
+		sp, ok := spans[r.seg]
+		if !ok {
+			sp = &span{lo: r.off}
+			spans[r.seg] = sp
+		}
+		sp.lo, sp.hi = min(sp.lo, r.off), max(sp.hi, r.off+r.size)
+	}
+	for id, sp := range spans {
+		seg, ok := l.segments[id]
+		if !ok {
+			return nil, nil, fmt.Errorf("wal: segment %d vanished", id)
+		}
+		sp.b = make([]byte, sp.hi-sp.lo)
+		if _, err := seg.f.ReadAt(sp.b, sp.lo); err != nil {
+			return nil, nil, fmt.Errorf("wal: read: %w", err)
+		}
+	}
+	return live, spans, nil
+}
+
+// Sync flushes every segment written since the last Sync to stable
+// storage — the commit point's fsync: the active one, and the one an
+// Apply rolled over from, if any. The metered cost (one fsync pair) is
+// charged by the caller; Sync performs the physical ones.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	return l.active.f.Sync()
+	return l.syncLocked()
+}
+
+// syncLocked fsyncs the unsynced segments; on an error they all stay
+// unsynced for the next try. Caller holds l.mu.
+func (l *Log) syncLocked() error {
+	for _, seg := range l.unsynced {
+		if err := l.fsync(seg.f); err != nil {
+			return err
+		}
+	}
+	clear(l.unsynced)
+	l.unsynced = l.unsynced[:0]
+	return nil
 }
 
 // maybeCompactLocked schedules a background merge when the dead-byte
@@ -593,7 +684,8 @@ func (l *Log) Compact() error {
 	return l.compact()
 }
 
-// liveRecord is one record compaction copies.
+// liveRecord is one live record, as compaction copies it and Range
+// reads it.
 type liveRecord struct {
 	key string
 	ref
@@ -605,9 +697,12 @@ type liveRecord struct {
 // segments numbered above every existing one, rolling over where
 // appends would. Each old segment that holds a live record is read
 // whole with one read, and each new one written with one write and
-// fsynced, so the merge holds one segment in and one out. Only once
-// every new segment is on stable storage does the index switch over
-// and the old segments go, oldest first. A crash at any point leaves a
+// fsynced, so the merge holds one segment in and one out. It first
+// fsyncs what is still unsynced of the old segments, so that every
+// record it copies is already durable where it was. Only once every new
+// segment and the directory entries naming them are on stable storage
+// does the index switch over and the old segments go, oldest first,
+// and the directory is fsynced again. A crash at any point leaves a
 // directory whose replay is the live set: every new record supersedes
 // the old ones of its key, and what survives of the old segments is a
 // suffix of them, so no old record outlives the newer record or
@@ -621,6 +716,9 @@ func (l *Log) compact() error {
 	}()
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.syncLocked(); err != nil {
+		return fmt.Errorf("wal: compact sync: %w", err)
 	}
 	live := make([]liveRecord, 0, len(l.index))
 	for k, r := range l.index {
@@ -647,7 +745,7 @@ func (l *Log) compact() error {
 		if _, err := seg.f.WriteAt(out, 0); err != nil {
 			return fmt.Errorf("wal: compact write: %w", err)
 		}
-		if err := seg.f.Sync(); err != nil {
+		if err := l.fsync(seg.f); err != nil {
 			return fmt.Errorf("wal: compact sync: %w", err)
 		}
 		seg.size = int64(len(out))
@@ -699,6 +797,9 @@ func (l *Log) compact() error {
 	if err := seal(out); err != nil {
 		return abort(err)
 	}
+	if err := l.syncDir(); err != nil {
+		return abort(err)
+	}
 
 	old := l.segments
 	l.segments = make(map[int]*segment, len(fresh))
@@ -719,7 +820,7 @@ func (l *Log) compact() error {
 		_ = os.Remove(filepath.Join(l.dir, segmentName(id)))
 	}
 	l.compactions++
-	return nil
+	return l.syncDir()
 }
 
 // Stats summarizes the log.
@@ -747,8 +848,8 @@ func (l *Log) closeAllLocked() {
 	}
 }
 
-// Close waits for any background compaction, syncs the active
-// segment, and releases every file handle. Further operations return
+// Close waits for any background compaction, syncs every segment
+// written since the last Sync, and releases every file handle. Further operations return
 // ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -764,11 +865,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	var err error
-	if l.active != nil {
-		if serr := l.active.f.Sync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
-			err = serr
-		}
+	err := l.syncLocked()
+	if errors.Is(err, os.ErrClosed) {
+		err = nil
 	}
 	l.closeAllLocked()
 	return err

@@ -381,3 +381,120 @@ func TestSync(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 }
+
+// fsyncs counts a log's fsyncs through its hook: per segment file,
+// and of the directory.
+type fsyncs struct {
+	files map[int]int
+	dirs  int
+}
+
+func watchFsyncs(t *testing.T, l *Log) *fsyncs {
+	t.Helper()
+	c := &fsyncs{files: map[int]int{}}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	next := l.fsync
+	l.fsync = func(f *os.File) error {
+		if f.Name() == l.dir {
+			c.dirs++
+		} else {
+			var id int
+			if _, err := fmt.Sscanf(filepath.Base(f.Name()), "seg-%08d.wal", &id); err != nil {
+				t.Errorf("fsync of %s, neither a segment nor the directory", f.Name())
+			}
+			c.files[id]++
+		}
+		return next(f)
+	}
+	return c
+}
+
+func (c *fsyncs) fileTotal() int {
+	n := 0
+	for _, v := range c.files {
+		n += v
+	}
+	return n
+}
+
+// TestSyncCoversEverySegmentWritten: a commit point whose Apply rolls
+// over fsyncs the segments it rolled from as well as the active one,
+// each new segment's directory entry is fsynced when the segment is
+// created, and a compaction fsyncs the directory once its new segments
+// are written and once the old ones are gone. A commit that does not
+// roll still costs exactly one file fsync.
+func TestSyncCoversEverySegmentWritten(t *testing.T) {
+	l := openSegT(t, Options{CompactRatio: -1}, 300)
+	c := watchFsyncs(t, l)
+	sizes := func() map[int]int64 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		out := map[int]int64{}
+		for id, seg := range l.segments {
+			out[id] = seg.size
+		}
+		return out
+	}
+	commit := func(ops []Op) (written []int) {
+		t.Helper()
+		before := sizes()
+		if _, err := l.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		for id, size := range sizes() {
+			if size != before[id] {
+				written = append(written, id)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if len(l.unsynced) != 0 {
+			t.Fatalf("%d segments left unsynced after Sync", len(l.unsynced))
+		}
+		return written
+	}
+
+	commit([]Op{{Key: "a", Val: []byte("small")}})
+	if c.fileTotal() != 1 || c.dirs != 0 {
+		t.Fatalf("a commit that does not roll: %d file fsyncs and %d of the directory, want 1 and 0", c.fileTotal(), c.dirs)
+	}
+
+	var ops []Op
+	for i := 0; i < 10; i++ {
+		ops = append(ops, Op{Key: fmt.Sprintf("k%d", i), Val: bytes.Repeat([]byte{byte(i)}, 40)})
+	}
+	*c = fsyncs{files: map[int]int{}}
+	written := commit(ops)
+	if len(written) < 2 {
+		t.Fatalf("the batch wrote into segments %v, want it to straddle a roll", written)
+	}
+	for _, id := range written {
+		if c.files[id] != 1 {
+			t.Errorf("segment %d, written by the commit, fsynced %d times, want 1 (fsyncs %v)", id, c.files[id], c.files)
+		}
+	}
+	if c.fileTotal() != len(written) || c.dirs != len(written)-1 {
+		t.Errorf("a commit over %d segments: %d file fsyncs and %d of the directory, want %d and %d",
+			len(written), c.fileTotal(), c.dirs, len(written), len(written)-1)
+	}
+
+	mustPut(t, l, "a", "superseded") // written, not synced: compaction syncs it first
+	*c = fsyncs{files: map[int]int{}}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if c.dirs != 2 {
+		t.Errorf("a compaction fsynced the directory %d times, want 2", c.dirs)
+	}
+	if len(l.unsynced) != 0 {
+		t.Errorf("%d segments left unsynced after a compaction", len(l.unsynced))
+	}
+
+	*c = fsyncs{files: map[int]int{}}
+	commit([]Op{{Key: "b", Val: []byte("small")}})
+	if c.fileTotal() != 1 || c.dirs != 0 {
+		t.Errorf("a commit after a compaction: %d file fsyncs and %d of the directory, want 1 and 0", c.fileTotal(), c.dirs)
+	}
+}

@@ -1,7 +1,6 @@
 package wasmvm
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -39,6 +38,21 @@ func FuzzWasmModule(f *testing.F) {
 			byte(OpI64TruncF64S), 0, byte(OpIf), 0, byte(OpI64Const), 0xfe, byte(OpLocalSet), 0, byte(OpEnd), 0},
 		// Raw code: fused op values, unknown values and unresolved targets.
 		{1, 0, 0x12, 0, byte(OpI64TruncF64S) + 1, 0, 200, 1, byte(OpBr), 9, byte(OpEnd), 0},
+		// The first access is an i64.store at 64·64·16 − 8, the last
+		// address of the page an 8-byte access may use, which backs the
+		// memory; then a load of it.
+		{2, 0, 0,
+			byte(OpI64Const), 64, byte(OpI64Const), 64, byte(OpI64Mul), 0, byte(OpI64Const), 16, byte(OpI64Mul), 0,
+			byte(OpI64Const), 0xf8, byte(OpI64Add), 0, byte(OpLocalSet), 0,
+			byte(OpLocalGet), 0, byte(OpI64Const), 0x5a, byte(OpI64Store), 0,
+			byte(OpLocalGet), 0, byte(OpI64Load), 0},
+		// The same first access one address further: it straddles the
+		// end of the page and traps, backing nothing.
+		{2, 0, 0,
+			byte(OpI64Const), 64, byte(OpI64Const), 64, byte(OpI64Mul), 0, byte(OpI64Const), 16, byte(OpI64Mul), 0,
+			byte(OpI64Const), 0xf9, byte(OpI64Add), 0, byte(OpLocalSet), 0,
+			byte(OpLocalGet), 0, byte(OpI64Const), 0x5a, byte(OpI64Store), 0,
+			byte(OpLocalGet), 0, byte(OpI64Load), 0},
 	} {
 		f.Add(seed)
 	}
@@ -67,9 +81,9 @@ func FuzzWasmModule(f *testing.F) {
 			for fuel := uint64(0); fuel <= fuzzMaxFuel; fuel++ {
 				want := invokeWith(ref, true, fuel, fn.Name, args...)
 				have := invokeWith(got, false, fuel, fn.Name, args...)
-				if have.String() != want.String() || !bytes.Equal(have.memory, want.memory) {
+				if have.String() != want.String() || !sameMemory(have.memory, want.memory) {
 					t.Fatalf("%s%v with fuel %d:\n got %v\nwant %v\nmemory equal: %v\n%s",
-						fn.Name, args, fuel, have, want, bytes.Equal(have.memory, want.memory),
+						fn.Name, args, fuel, have, want, sameMemory(have.memory, want.memory),
 						Disassemble(*fn))
 				}
 			}

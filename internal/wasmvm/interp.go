@@ -29,6 +29,8 @@ type ExecStats struct {
 // Instance is an instantiated module with its own memory.
 type Instance struct {
 	module *Module
+	// memory is the linear memory: nil until the first access that lies
+	// inside the module's declared size, then all of it, zeroed (back).
 	memory []byte
 	// Fuel is the remaining instruction budget; Invoke fails with
 	// ErrFuelExhausted when it hits zero.
@@ -46,14 +48,14 @@ type Instance struct {
 	frames []int64
 }
 
-// NewInstance instantiates m with fresh, zeroed memory.
+// NewInstance instantiates m. Its memory reads as zeros and is backed
+// on first access, as a guest's private pages are.
 func NewInstance(m *Module) (*Instance, error) {
 	if err := Validate(m); err != nil {
 		return nil, err
 	}
 	return &Instance{
 		module:   m,
-		memory:   make([]byte, m.MemPages*PageSize),
 		Fuel:     DefaultFuel,
 		frames:   make([]int64, 0, 256),
 		dispatch: buildDispatch(m),
@@ -178,7 +180,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 
 		case OpI64Load:
 			addr := stack[len(stack)-1] + ins.a
-			if !inBounds(addr, 8, in.memory) {
+			if !inBounds(addr, 8, len(in.memory)) && !in.back(addr, 8) {
 				return nil, fmt.Errorf("%w: load at %d", ErrOOB, addr)
 			}
 			stack[len(stack)-1] = int64(binary.LittleEndian.Uint64(in.memory[addr:]))
@@ -187,14 +189,14 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			v := stack[len(stack)-1]
 			addr := stack[len(stack)-2] + ins.a
 			stack = stack[:len(stack)-2]
-			if !inBounds(addr, 8, in.memory) {
+			if !inBounds(addr, 8, len(in.memory)) && !in.back(addr, 8) {
 				return nil, fmt.Errorf("%w: store at %d", ErrOOB, addr)
 			}
 			binary.LittleEndian.PutUint64(in.memory[addr:], uint64(v))
 			in.stats.MemBytes += 8
 		case OpI64Load8U:
 			addr := stack[len(stack)-1] + ins.a
-			if !inBounds(addr, 1, in.memory) {
+			if !inBounds(addr, 1, len(in.memory)) && !in.back(addr, 1) {
 				return nil, fmt.Errorf("%w: load8 at %d", ErrOOB, addr)
 			}
 			stack[len(stack)-1] = int64(in.memory[addr])
@@ -203,7 +205,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 			v := stack[len(stack)-1]
 			addr := stack[len(stack)-2] + ins.a
 			stack = stack[:len(stack)-2]
-			if !inBounds(addr, 1, in.memory) {
+			if !inBounds(addr, 1, len(in.memory)) && !in.back(addr, 1) {
 				return nil, fmt.Errorf("%w: store8 at %d", ErrOOB, addr)
 			}
 			in.memory[addr] = byte(v)
@@ -322,7 +324,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case opMulConstStore:
 			x := (*[5]xinstr)(code[pc:])
 			addr := locals[x[0].a] + x[4].a
-			if !inBounds(addr, 8, in.memory) {
+			if !inBounds(addr, 8, len(in.memory)) && !in.back(addr, 8) {
 				return nil, fmt.Errorf("%w: store at %d", ErrOOB, addr)
 			}
 			binary.LittleEndian.PutUint64(in.memory[addr:], uint64(locals[x[1].a]*x[2].a))
@@ -332,7 +334,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case opConstStore8:
 			x := (*[3]xinstr)(code[pc:])
 			addr := locals[x[0].a] + x[2].a
-			if !inBounds(addr, 1, in.memory) {
+			if !inBounds(addr, 1, len(in.memory)) && !in.back(addr, 1) {
 				return nil, fmt.Errorf("%w: store8 at %d", ErrOOB, addr)
 			}
 			in.memory[addr] = byte(x[1].a)
@@ -342,7 +344,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case opLoadXorSet:
 			x := (*[5]xinstr)(code[pc:])
 			addr := locals[x[1].a] + x[2].a
-			if !inBounds(addr, 8, in.memory) {
+			if !inBounds(addr, 8, len(in.memory)) && !in.back(addr, 8) {
 				// The load is the third of five: refund xor and set.
 				in.Fuel += 2
 				return nil, fmt.Errorf("%w: load at %d", ErrOOB, addr)
@@ -354,7 +356,7 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 		case opLoad8Eqz:
 			x := (*[3]xinstr)(code[pc:])
 			addr := locals[x[0].a] + x[1].a
-			if !inBounds(addr, 1, in.memory) {
+			if !inBounds(addr, 1, len(in.memory)) && !in.back(addr, 1) {
 				// The load is the second of three: refund eqz.
 				in.Fuel++
 				return nil, fmt.Errorf("%w: load8 at %d", ErrOOB, addr)
@@ -381,11 +383,23 @@ func (in *Instance) call(fi int, stack []int64, depth int) ([]int64, error) {
 	return finishCall(f, base, stack)
 }
 
-// inBounds reports whether the size bytes at addr lie inside mem. It
-// is written so that no operand can overflow: addr+size would wrap for
-// an addr within size of MaxInt64 and pass.
-func inBounds(addr int64, size int, mem []byte) bool {
-	return addr >= 0 && addr <= int64(len(mem)-size)
+// inBounds reports whether the size bytes at addr lie inside a memory
+// of n bytes. It is written so that no operand can overflow: addr+size
+// would wrap for an addr within size of MaxInt64 and pass.
+func inBounds(addr int64, size, n int) bool {
+	return addr >= 0 && addr <= int64(n-size)
+}
+
+// back backs the declared memory, zeroed, on the first access whose
+// size bytes at addr lie inside it, and reports whether it did. Every
+// later miss is out of bounds: memory is backed whole, never grown.
+func (in *Instance) back(addr int64, size int) bool {
+	n := in.module.MemPages * PageSize
+	if in.memory != nil || !inBounds(addr, size, n) {
+		return false
+	}
+	in.memory = make([]byte, n)
+	return true
 }
 
 // finishCall checks the result arity at function exit and moves the

@@ -23,11 +23,21 @@ func (o outcome) String() string {
 	return fmt.Sprintf("res=%v err=%q stats=%+v fuel=%d", o.res, o.err, o.stats, o.fuel)
 }
 
-// invokeWith runs export on in from a fresh state (zeroed memory, zero
-// stats) with fuel, over the current interpreter or, with ref, over
-// refCall.
+// sameMemory reports whether two linear memories hold the same bytes
+// once each is zero-extended to the longer: memory not yet backed
+// reads as zeros.
+func sameMemory(a, b []byte) bool {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	return bytes.Equal(a[:len(b)], b) && len(bytes.TrimLeft(a[len(b):], "\x00")) == 0
+}
+
+// invokeWith runs export on in from a fresh state (memory not yet
+// backed, zero stats) with fuel, over the current interpreter or, with
+// ref, over refCall.
 func invokeWith(in *Instance, ref bool, fuel uint64, export string, args ...int64) outcome {
-	clear(in.memory)
+	in.memory = nil
 	in.ResetStats()
 	in.Fuel = fuel
 	var res []int64
@@ -65,9 +75,9 @@ func diffEveryBudget(t *testing.T, m *Module, export string, args ...int64) uint
 		}
 		want := invokeWith(ref, true, fuel, export, args...)
 		have := invokeWith(got, false, fuel, export, args...)
-		if have.String() != want.String() || !bytes.Equal(have.memory, want.memory) {
+		if have.String() != want.String() || !sameMemory(have.memory, want.memory) {
 			t.Fatalf("%s%v with fuel %d:\n got %v\nwant %v\nmemory equal: %v",
-				export, args, fuel, have, want, bytes.Equal(have.memory, want.memory))
+				export, args, fuel, have, want, sameMemory(have.memory, want.memory))
 		}
 	}
 	return full
@@ -351,9 +361,20 @@ func (in *Instance) refInvoke(name string, args ...int64) ([]int64, error) {
 	return results, nil
 }
 
+// refMemory is in's linear memory, backed whole and zeroed if it is not
+// yet.
+func (in *Instance) refMemory() []byte {
+	if in.memory == nil {
+		in.memory = make([]byte, in.module.MemPages*PageSize)
+	}
+	return in.memory
+}
+
 // refCall is call as it was before superinstructions, kept verbatim but
-// for its name and the arms of the ops since deleted: one instruction
-// of Code per dispatch, each with its own fuel check and stats writes. It runs function fi with its parameters
+// for its name, the arms of the ops since deleted, and memory bounds
+// checked against the declared size, backed whole on the first access
+// that passes: one instruction of Code per dispatch, each with its own
+// fuel check and stats writes. It runs function fi with its parameters
 // on top of stack; on return the parameters are replaced by the
 // results.
 func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
@@ -361,6 +382,7 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 		return nil, ErrCallDepth
 	}
 	f := &in.module.Funcs[fi]
+	size := int64(in.module.MemPages * PageSize)
 	in.stats.Calls++
 
 	// Locals: parameters moved off the operand stack + zeroed extras,
@@ -428,35 +450,35 @@ func (in *Instance) refCall(fi int, stack []int64, depth int) ([]int64, error) {
 
 		case OpI64Load:
 			addr := stack[len(stack)-1] + ins.A
-			if addr < 0 || addr+8 > int64(len(in.memory)) {
+			if addr < 0 || addr+8 > size {
 				return nil, fmt.Errorf("%w: load at %d", ErrOOB, addr)
 			}
-			stack[len(stack)-1] = int64(binary.LittleEndian.Uint64(in.memory[addr:]))
+			stack[len(stack)-1] = int64(binary.LittleEndian.Uint64(in.refMemory()[addr:]))
 			in.stats.MemBytes += 8
 		case OpI64Store:
 			v := stack[len(stack)-1]
 			addr := stack[len(stack)-2] + ins.A
 			stack = stack[:len(stack)-2]
-			if addr < 0 || addr+8 > int64(len(in.memory)) {
+			if addr < 0 || addr+8 > size {
 				return nil, fmt.Errorf("%w: store at %d", ErrOOB, addr)
 			}
-			binary.LittleEndian.PutUint64(in.memory[addr:], uint64(v))
+			binary.LittleEndian.PutUint64(in.refMemory()[addr:], uint64(v))
 			in.stats.MemBytes += 8
 		case OpI64Load8U:
 			addr := stack[len(stack)-1] + ins.A
-			if addr < 0 || addr >= int64(len(in.memory)) {
+			if addr < 0 || addr >= size {
 				return nil, fmt.Errorf("%w: load8 at %d", ErrOOB, addr)
 			}
-			stack[len(stack)-1] = int64(in.memory[addr])
+			stack[len(stack)-1] = int64(in.refMemory()[addr])
 			in.stats.MemBytes++
 		case OpI64Store8:
 			v := stack[len(stack)-1]
 			addr := stack[len(stack)-2] + ins.A
 			stack = stack[:len(stack)-2]
-			if addr < 0 || addr >= int64(len(in.memory)) {
+			if addr < 0 || addr >= size {
 				return nil, fmt.Errorf("%w: store8 at %d", ErrOOB, addr)
 			}
-			in.memory[addr] = byte(v)
+			in.refMemory()[addr] = byte(v)
 			in.stats.MemBytes++
 
 		case OpI64Const:

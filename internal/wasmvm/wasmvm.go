@@ -4,7 +4,8 @@
 //
 // The VM executes a typed, stack-based bytecode with structured
 // control flow (blocks, loops, conditionals), function calls, and a
-// fixed linear memory of 64 KiB pages. Its instruction set is exactly
+// linear memory of 64 KiB pages, declared size fixed, backed on first
+// access. Its instruction set is exactly
 // what the bench module's programs use (programs.go). Modules are built
 // programmatically with FuncBuilder, validated (operand-stack balance,
 // branch depths, index bounds), and interpreted with instruction-level

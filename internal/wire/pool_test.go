@@ -56,7 +56,7 @@ func releaseAll(t *testing.T, g *gate, errs <-chan error, n int) {
 // maxConnsPerPeer however many callers pile on.
 func TestPoolConcurrentCallersGetOwnConnections(t *testing.T) {
 	g := newGate()
-	_, addr := listenGate(t, g)
+	s, addr := listenGate(t, g)
 	tr := NewBinary(nil)
 	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -67,7 +67,7 @@ func TestPoolConcurrentCallersGetOwnConnections(t *testing.T) {
 		t.Fatalf("two concurrent callers: loads %v, want [1 1] (one connection each)", got)
 	}
 	settle(t, "want the server to serve two connections",
-		func() bool { return len(handlersPerConn()) == 2 })
+		func() bool { return len(handlersPerConn(s)) == 2 })
 	more := holdCalls(ctx, tr, g, addr, "third", 1)
 	if got := poolLoads(tr, addr); !slices.Equal(got, []int{2, 1}) {
 		t.Fatalf("third caller: loads %v, want [2 1] (shares, no third connection)", got)

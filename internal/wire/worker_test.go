@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func listenGate(t *testing.T, g *gate) (*Sniffer, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSniffer(ln, ServerConfig{Handler: g.handle})
+	s := NewSniffer(&ownListener{Listener: ln}, ServerConfig{Handler: g.handle})
 	t.Cleanup(func() { s.Close() })
 	return s, ln.Addr().String()
 }
@@ -83,16 +84,53 @@ func goroutinesIn(frame string) int {
 	return n
 }
 
+// ownListener records the goroutine that accepts from it: the accept
+// loop of the one sniffer it was handed to.
+type ownListener struct {
+	net.Listener
+	acceptor atomic.Value // string: the accepting goroutine's id
+}
+
+func (l *ownListener) Accept() (net.Conn, error) {
+	buf := make([]byte, 64)
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf, false)]), "goroutine "), " ")
+	l.acceptor.Store(id)
+	return l.Listener.Accept()
+}
+
+// createdBy returns the id of the goroutine that started the one whose
+// stack trace is g, if fn started it.
+func createdBy(g, fn string) (string, bool) {
+	marker := "created by confbench/internal/wire.(*Sniffer)." + fn + " in goroutine "
+	i := strings.Index(g, marker)
+	if i < 0 {
+		return "", false
+	}
+	id, _, _ := strings.Cut(g[i+len(marker):], "\n")
+	return id, true
+}
+
 // handlersPerConn counts the goroutines serveWire started — resident
-// workers and overflow one-shots, parked or running — by the serving
-// loop that started them: one entry per connection.
-func handlersPerConn() map[string]int {
-	const marker = "created by confbench/internal/wire.(*Sniffer).serveWire in goroutine "
+// workers and overflow one-shots, parked or running — on the
+// connections s accepted, by the serving loop that started them: one
+// entry per connection. Those of other sniffers still winding down are
+// not counted.
+func handlersPerConn(s *Sniffer) map[string]int {
+	acceptor, _ := s.ln.(*ownListener).acceptor.Load().(string)
 	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	// The goroutines serving a connection s accepted: those its accept
+	// loop started.
+	conns := make(map[string]bool)
+	for _, g := range stacks {
+		if by, ok := createdBy(g, "acceptLoop"); ok && by == acceptor {
+			id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+			conns[id] = true
+		}
+	}
 	per := make(map[string]int)
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if i := strings.Index(g, marker); i >= 0 {
-			loop, _, _ := strings.Cut(g[i+len(marker):], "\n")
+	for _, g := range stacks {
+		if loop, ok := createdBy(g, "serveWire"); ok && conns[loop] {
 			per[loop]++
 		}
 	}
@@ -120,7 +158,7 @@ func settle(t *testing.T, what string, cond func() bool) {
 // workers, and a second burst reuses them instead of adding more.
 func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 	g := newGate()
-	_, addr := listenGate(t, g)
+	s, addr := listenGate(t, g)
 	tr := NewBinary(nil)
 	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -133,7 +171,7 @@ func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 		}
 	}
 	quick("warm") // the first frame starts the first resident worker
-	per := handlersPerConn()
+	per := handlersPerConn(s)
 	if len(per) != 1 {
 		t.Fatalf("handler goroutines per connection after one frame: %v, want one connection", per)
 	}
@@ -169,7 +207,7 @@ func TestWorkerNoHeadOfLineBlocking(t *testing.T) {
 		}
 	}
 	everyConnKeepsMaxBatch := func() bool {
-		per := handlersPerConn()
+		per := handlersPerConn(s)
 		for _, n := range per {
 			if n != maxBatch {
 				return false
